@@ -1,0 +1,223 @@
+package palermo
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"palermo/internal/rng"
+)
+
+// Goldens recorded at the commit before the engine's hot-path data
+// structures were rebuilt (ISSUE 13, ROADMAP item 4f). They pin what the
+// differential suites cannot: those compare two configurations of the same
+// build, these compare this build against a recorded past one.
+//
+//	go test -run Golden -update .   # re-record (only when the protocol or a disk format changes on purpose)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata goldens and durable fixtures from this build")
+
+// TestGoldenFig10CSV pins the simulator side: all eight protocols over the
+// ten Table II workloads at a small request count, as the CSV palermo-bench
+// -csv writes. Every protocol engine shares otree/posmap/stash, so a drifted
+// draw anywhere moves a cell.
+func TestGoldenFig10CSV(t *testing.T) {
+	res, err := Fig10(Options{Requests: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "fig10_golden.csv")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Fig10 CSV drifted from %s:\n got\n%s\n want\n%s", path, buf.Bytes(), want)
+	}
+}
+
+// The durable fixtures: testdata/durable/<engine> is a one-shard store
+// directory written and cleanly closed by the recording build. This build
+// must reopen it (checkpoint format compatibility, not self-consistency),
+// find the recorded counters and payloads, and continue on the recorded
+// trajectory.
+
+const (
+	fixtureBlocks   = 2048
+	fixtureSeed     = 13
+	fixtureWriteOps = 900
+	fixtureContOps  = 2000
+)
+
+type durableGolden struct {
+	AtOpen TrafficReport `json:"at_open"` // counters restored from the fixture's checkpoint
+	Leaves string        `json:"leaves"`  // SHA-256 of the leaf trace of verification reads + continuation
+	AtEnd  TrafficReport `json:"at_end"`  // counters after the continuation
+}
+
+func fixtureConfig(engine, dir string) ShardedStoreConfig {
+	return ShardedStoreConfig{Blocks: fixtureBlocks, Shards: 1, Seed: fixtureSeed, Engine: engine, Dir: dir}
+}
+
+// fixtureOps replays the deterministic op stream: it calls do for each of n
+// operations and returns the last value written per block.
+func fixtureOps(t *testing.T, r *rng.Rand, n int, last map[uint64]uint64, do func(id uint64, write bool, v uint64)) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := r.Uint64n(fixtureBlocks)
+		if r.Uint64n(3) == 0 {
+			do(id, false, 0)
+			continue
+		}
+		v := r.Uint64()
+		do(id, true, v)
+		last[id] = v
+	}
+}
+
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestGoldenDurableFixtures(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "durable_golden.json")
+	want := map[string]durableGolden{}
+	if !*updateGolden {
+		b, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[string]durableGolden{}
+	for _, engine := range []string{BackendWAL, BackendBlockfile} {
+		fixture := filepath.Join("testdata", "durable", engine)
+		r := rng.New(0xd15c)
+		last := map[uint64]uint64{}
+		if *updateGolden {
+			if err := os.RemoveAll(fixture); err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewShardedStore(fixtureConfig(engine, fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fixtureOps(t, r, fixtureWriteOps, last, func(id uint64, write bool, v uint64) {
+				var err error
+				if write {
+					err = st.Write(id, fillBlock(v))
+				} else {
+					_, err = st.Read(id)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// Advance the stream past the ops the fixture already holds.
+			fixtureOps(t, r, fixtureWriteOps, last, func(uint64, bool, uint64) {})
+		}
+
+		dir := t.TempDir()
+		copyTree(t, fixture, dir)
+		st, err := NewShardedStore(fixtureConfig(engine, dir))
+		if err != nil {
+			t.Fatalf("%s: reopening the recorded fixture: %v", engine, err)
+		}
+		st.EnableTraces()
+		g := durableGolden{AtOpen: st.Traffic()}
+		for id := uint64(0); id < fixtureBlocks; id++ {
+			data, err := st.Read(id)
+			if err != nil {
+				t.Fatalf("%s: read %d: %v", engine, id, err)
+			}
+			exp := make([]byte, BlockSize)
+			if v, ok := last[id]; ok {
+				exp = fillBlock(v)
+			}
+			if !bytes.Equal(data, exp) {
+				t.Fatalf("%s: block %d does not hold what the fixture's writer last wrote", engine, id)
+			}
+		}
+		fixtureOps(t, r, fixtureContOps, last, func(id uint64, write bool, v uint64) {
+			var err error
+			if write {
+				err = st.Write(id, fillBlock(v))
+			} else {
+				_, err = st.Read(id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		h := sha256.New()
+		var w [8]byte
+		for _, leaf := range st.LeafTraces()[0].Leaves {
+			binary.LittleEndian.PutUint64(w[:], leaf)
+			h.Write(w[:])
+		}
+		g.Leaves = hex.EncodeToString(h.Sum(nil))
+		g.AtEnd = st.Traffic()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got[engine] = g
+		if !*updateGolden && g != want[engine] {
+			t.Errorf("%s: continuing from the recorded fixture left the golden trajectory\n got  %+v\n want %+v", engine, g, want[engine])
+		}
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,0 +1,277 @@
+package oram
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"hash"
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"palermo/internal/rng"
+)
+
+// The determinism goldens: digests of the engine's complete observable
+// trajectory, recorded once (at the commit before the engine's hot-path
+// data structures were rebuilt) and compared on every run since. A
+// representation change that drifts one RNG draw, leaf, slot offset, stash
+// order or checkpoint field changes a digest.
+//
+//	go test ./internal/oram -run Golden -update   # re-record (only when the protocol itself changes)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from this build")
+
+const goldenAccesses = 20000
+
+// goldenDigests is one geometry's record.
+type goldenDigests struct {
+	Trace string `json:"trace"` // per-access DataLeaf, Val, Reads, Writes, StashAfter, and every phase
+	State string `json:"state"` // the final RingState, canonically ordered
+}
+
+func goldenConfigs() map[string]RingConfig {
+	serving := PalermoRingConfig()
+	serving.NLines = 1 << 15
+	serving.Seed = 0x5eed
+	serving.CountTraffic = true
+	paperPalermo := PalermoRingConfig()
+	paperPalermo.Seed = 0x5eed
+	paperBaseline := BandwidthRingConfig()
+	paperBaseline.Seed = 0x5eed
+	return map[string]RingConfig{
+		"serving-2^15-count-palermo":   serving,
+		"paper-2^28-address-palermo":   paperPalermo,
+		"paper-2^28-address-baseline":  paperBaseline,
+		"serving-2^15-address-palermo": func() RingConfig { c := serving; c.CountTraffic = false; return c }(),
+	}
+}
+
+type digestWriter struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func (d *digestWriter) u64(v uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], v)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digestWriter) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+
+// digestPlan folds everything a plan exposes into the trace digest. It
+// reads the plan before the next access, which is all the count-only
+// engine's plan-reuse contract allows.
+func digestPlan(d *digestWriter, p *Plan) {
+	d.u64(p.ReqID)
+	d.u64(p.DataLeaf)
+	d.u64(p.Val)
+	d.u64(uint64(p.Reads()))
+	d.u64(uint64(p.Writes()))
+	if p.FromStash {
+		d.u64(1)
+	} else {
+		d.u64(0)
+	}
+	d.u64(uint64(len(p.StashAfter)))
+	for _, n := range p.StashAfter {
+		d.u64(uint64(n))
+	}
+	d.u64(uint64(len(p.Levels)))
+	for _, la := range p.Levels {
+		d.u64(uint64(la.Level))
+		if la.Evict {
+			d.u64(1)
+		} else {
+			d.u64(0)
+		}
+		d.u64(uint64(len(la.Phases)))
+		for i := range la.Phases {
+			ph := &la.Phases[i]
+			d.u64(uint64(ph.Kind))
+			d.u64(uint64(ph.NR))
+			d.u64(uint64(ph.NW))
+			d.u64(uint64(len(ph.Reads)))
+			for _, a := range ph.Reads {
+				d.u64(a)
+			}
+			d.u64(uint64(len(ph.Writes)))
+			for _, a := range ph.Writes {
+				d.u64(a)
+			}
+		}
+	}
+}
+
+// digestState serializes a RingState in a canonical order (posmap entries
+// by index; buckets arrive sorted by node, stash entries in insertion
+// order — both part of the checkpoint contract).
+func digestState(st *RingState) string {
+	d := &digestWriter{h: sha256.New()}
+	d.u64(st.ReqID)
+	d.u64(st.LastDataLeaf)
+	for _, w := range st.RNG {
+		d.u64(w)
+	}
+	d.u64(uint64(len(st.Posmap)))
+	for _, m := range st.Posmap {
+		keys := make([]uint64, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		d.u64(uint64(len(keys)))
+		for _, k := range keys {
+			d.u64(k)
+			d.u64(uint64(m[k]))
+		}
+	}
+	d.u64(uint64(len(st.Spaces)))
+	for _, sp := range st.Spaces {
+		d.u64(sp.Accesses)
+		d.u64(sp.Evictor)
+		d.u64(uint64(sp.Stash.MaxSeen))
+		d.u64(sp.Stash.Overflow)
+		d.u64(uint64(len(sp.Stash.Entries)))
+		for _, e := range sp.Stash.Entries {
+			d.u64(uint64(e.ID))
+			d.u64(e.Leaf)
+			d.u64(e.Val)
+		}
+		d.u64(uint64(len(sp.Buckets)))
+		for _, b := range sp.Buckets {
+			d.u64(b.Node)
+			d.u64(uint64(b.Accessed))
+			d.u64(uint64(len(b.Blocks)))
+			for _, e := range b.Blocks {
+				d.u64(uint64(e.ID))
+				d.u64(e.Val)
+			}
+			d.u64(uint64(len(b.Used)))
+			for _, w := range b.Used {
+				d.u64(w)
+			}
+		}
+	}
+	return d.sum()
+}
+
+// goldenOp draws the i-th operation of the mixed stream: 10 % dummies,
+// the rest split evenly between reads and writes; half the addresses come
+// from a 4096-line hot set (so blocks are found in the tree and in the
+// stash, and buckets reshuffle), half are uniform over the space.
+func goldenOp(r *rng.Rand, lines uint64) (dummy bool, pa uint64, write bool, val uint64) {
+	kind := r.Uint64n(20)
+	if kind < 2 {
+		return true, 0, false, 0
+	}
+	if r.Uint64n(2) == 0 {
+		pa = (r.Uint64n(4096) * 2654435761) % lines
+	} else {
+		pa = r.Uint64n(lines)
+	}
+	return false, pa, kind%2 == 0, r.Uint64()
+}
+
+// runGolden drives n operations of the golden stream through e, folding
+// every plan into d.
+func runGolden(e *Ring, r *rng.Rand, d *digestWriter, n int) {
+	lines := e.Config().NLines
+	for i := 0; i < n; i++ {
+		dummy, pa, write, val := goldenOp(r, lines)
+		if dummy {
+			digestPlan(d, e.DummyAccess())
+		} else {
+			digestPlan(d, e.Access(pa, write, val))
+		}
+	}
+}
+
+func TestGoldenTrajectories(t *testing.T) {
+	path := filepath.Join("testdata", "golden.json")
+	got := map[string]goldenDigests{}
+	for name, cfg := range goldenConfigs() {
+		e, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &digestWriter{h: sha256.New()}
+		runGolden(e, rng.New(0xfeed), d, goldenAccesses)
+		got[name] = goldenDigests{Trace: d.sum(), State: digestState(e.State())}
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]goldenDigests{}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d geometries, test has %d", len(want), len(got))
+	}
+	for name, g := range got {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no golden recorded", name)
+			continue
+		}
+		if g.Trace != w.Trace {
+			t.Errorf("%s: access trajectory drifted from the recorded golden\n got  %s\n want %s", name, g.Trace, w.Trace)
+		}
+		if g.State != w.State {
+			t.Errorf("%s: final RingState drifted from the recorded golden\n got  %s\n want %s", name, g.State, w.State)
+		}
+	}
+}
+
+// TestGoldenAcrossCheckpoint restores the golden engine from its own State
+// half-way and requires the second half to land on the same recorded
+// digests: State/Restore round-trips everything the trajectory depends on.
+func TestGoldenAcrossCheckpoint(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]goldenDigests{}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range goldenConfigs() {
+		e, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &digestWriter{h: sha256.New()}
+		r := rng.New(0xfeed)
+		runGolden(e, r, d, goldenAccesses/2)
+		e2, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e2.Restore(e.State()); err != nil {
+			t.Fatal(err)
+		}
+		runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
+		if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State())}); got != want[name] {
+			t.Errorf("%s: trajectory through a State/Restore differs from the golden\n got  %+v\n want %+v", name, got, want[name])
+		}
+	}
+}
