@@ -1,0 +1,97 @@
+package oram
+
+import (
+	"testing"
+
+	"palermo/internal/rng"
+)
+
+// servingRing builds the engine the way shard.New does (PalermoRingConfig
+// over a 2^15-line shard, count-only traffic) and writes every line once,
+// so the measured accesses run against a populated tree.
+func servingRing(tb testing.TB) *Ring {
+	cfg := PalermoRingConfig()
+	cfg.NLines = 1 << 15
+	cfg.Seed = 7
+	cfg.CountTraffic = true
+	e, err := NewRing(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for pa := uint64(0); pa < cfg.NLines; pa++ {
+		e.Access(pa, true, pa)
+	}
+	return e
+}
+
+// paperRing is the simulator's engine: the Table III 2^28-line space in
+// address mode, warmed with n uniform accesses.
+func paperRing(tb testing.TB, n int) (*Ring, *rng.Rand) {
+	cfg := PalermoRingConfig()
+	cfg.Seed = 7
+	e, err := NewRing(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(11)
+	for i := 0; i < n; i++ {
+		e.Access(r.Uint64n(cfg.NLines), i%2 == 0, uint64(i))
+	}
+	return e, r
+}
+
+var benchSink int
+
+// BenchmarkRingAccessServing is one serving-engine access (the engine share
+// of every store op): allocs/op is the number TestRingAccessAllocs guards.
+func BenchmarkRingAccessServing(b *testing.B) {
+	e := servingRing(b)
+	r := rng.New(11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := e.Access(r.Uint64n(1<<15), i%4 == 0, uint64(i))
+		benchSink += p.Reads() + p.Writes()
+	}
+}
+
+// BenchmarkRingAccessPaper is one simulator-engine access: address-mode
+// plans over the sparse 2^28-line space.
+func BenchmarkRingAccessPaper(b *testing.B) {
+	e, r := paperRing(b, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := e.Access(r.Uint64n(1<<28), i%4 == 0, uint64(i))
+		benchSink += p.Reads() + p.Writes()
+	}
+}
+
+// TestRingAccessAllocs guards the allocation budget of one access after
+// warm-up. The serving engine (count-only plans, every bucket and posmap
+// page already touched) is built to allocate nothing; AllocsPerRun's
+// integer average leaves room only for amortized growth of the stash slab
+// (under one allocation per access). The address-mode
+// engine over the sparse paper-scale space still allocates its plan, its
+// address lists and the first-touch state of the deep buckets every random
+// path reaches; the recorded ceiling (parent commit: 97) catches a
+// per-slot or per-phase allocation creeping back.
+func TestRingAccessAllocs(t *testing.T) {
+	serving := servingRing(t)
+	r := rng.New(11)
+	i := 0
+	access := func(e *Ring, lines uint64) func() {
+		return func() {
+			i++
+			p := e.Access(r.Uint64n(lines), i%4 == 0, uint64(i))
+			benchSink += p.Reads()
+		}
+	}
+	if got := testing.AllocsPerRun(5000, access(serving, 1<<15)); got > 0 {
+		t.Errorf("serving (count-only) access allocates %.0f times per access, want 0", got)
+	}
+	paper, _ := paperRing(t, 2000)
+	if got := testing.AllocsPerRun(2000, access(paper, 1<<28)); got > 40 {
+		t.Errorf("paper (address-mode) access allocates %.0f times per access, ceiling 40", got)
+	}
+}

@@ -128,7 +128,7 @@ func NewPath(cfg PathConfig) (*Path, error) {
 	e := &Path{cfg: cfg, r: r, pm: pm}
 	for l, g := range geos {
 		pm.Attach(l, g.NumLeaves())
-		e.spaces = append(e.spaces, NewSpace(l, g, cfg.TreeTopBytes, r))
+		e.spaces = append(e.spaces, NewSpace(l, g, cfg.TreeTopBytes, r, pm))
 	}
 	return e, nil
 }
@@ -313,7 +313,7 @@ func (e *Path) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	}
 	sp := e.spaces[l]
 	sp.Accesses++
-	la := LevelAccess{Level: l}
+	la := LevelAccess{Level: l, Phases: make([]Phase, 0, 2)} // RP, WB
 	path := sp.path(leaf)
 
 	// RP: read every slot of every bucket on the path (plus siblings for
@@ -321,9 +321,7 @@ func (e *Path) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	rp := Phase{Kind: PhaseRP}
 	pull := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
-		for _, be := range sp.Store.ResetPull(n) {
-			sp.Stash.Put(stashEntry(be, e.pm.Leaf(l, uint64(be.ID))))
-		}
+		sp.stashPulled(sp.Store.ResetPull(n))
 		sp.emitBucketRead(&rp, lvl, n, sp.Geo.Levels[lvl].Z)
 	}
 	for _, n := range path {
@@ -362,8 +360,7 @@ func (e *Path) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	wb := Phase{Kind: PhaseWB}
 	writeBack := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
-		pushed := sp.Stash.EvictIntoNode(sp.Geo, n, sp.Geo.Levels[lvl].Z)
-		sp.Store.WriteBucket(n, pushed)
+		sp.pushInto(n, sp.Geo.Levels[lvl].Z)
 		sp.emitBucketWrite(&wb, lvl, n, sp.Geo.Levels[lvl].Z)
 	}
 	for i := len(path) - 1; i >= 0; i-- {

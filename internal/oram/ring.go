@@ -44,8 +44,10 @@ type RingConfig struct {
 
 	// CountTraffic elides DRAM address lists from plans (Phase.NR/NW
 	// carry the counts instead). For engines whose plans nobody replays —
-	// the serving shards — this removes the dominant per-access
-	// allocation; totals (Plan.Reads/Writes) are identical either way.
+	// the serving shards — this removes every per-access allocation:
+	// totals (Plan.Reads/Writes) are identical either way, and because
+	// nothing retains such a plan the engine refills one Plan on every
+	// access (see Ring.Access for the contract).
 	CountTraffic bool
 }
 
@@ -114,6 +116,8 @@ type Ring struct {
 	reqID  uint64
 
 	lastDataLeaf uint64 // leaf exposed by the most recent level-0 access
+
+	reused Plan // count-only mode: the plan every access refills
 }
 
 // NewRing builds the engine: one Space per hierarchy level with disjoint
@@ -139,7 +143,7 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	e := &Ring{cfg: cfg, r: r, pm: pm}
 	for l, g := range geos {
 		pm.Attach(l, g.NumLeaves())
-		sp := NewSpace(l, g, cfg.TreeTopBytes, r)
+		sp := NewSpace(l, g, cfg.TreeTopBytes, r, pm)
 		if cfg.TreeTopLevels > 0 {
 			sp.SetTopLevels(cfg.TreeTopLevels)
 		}
@@ -150,10 +154,10 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 }
 
 // SetTopLevels pins every space's tree-top cache to exactly k levels
-// (overriding the byte-budget default) and extends the dense resident
-// bucket ranges to match. Traffic accounting is all it changes — protocol
-// trajectories stay bit-identical — so it is safe to call on a live engine
-// between accesses; callers normally invoke it right after NewRing.
+// (overriding the byte-budget default). Traffic accounting is all it
+// changes — protocol trajectories stay bit-identical — so it is safe to
+// call on a live engine between accesses; callers normally invoke it right
+// after NewRing.
 func (e *Ring) SetTopLevels(k int) {
 	for _, sp := range e.spaces {
 		sp.SetTopLevels(k)
@@ -162,6 +166,7 @@ func (e *Ring) SetTopLevels(k int) {
 
 // SetCountTraffic toggles count-only traffic mode (see RingConfig.CountTraffic).
 func (e *Ring) SetCountTraffic(on bool) {
+	e.cfg.CountTraffic = on
 	for _, sp := range e.spaces {
 		sp.CountOnly = on
 	}
@@ -219,9 +224,31 @@ func (e *Ring) ResetPeaks() {
 // Access implements Engine: one served LLC miss across the full hierarchy.
 // It is the serial composition of the staged pipeline — Plan then Apply
 // back to back with no I/O in between (see staged.go).
+//
+// Plan lifetime: in address mode every access returns a freshly allocated
+// plan, because timing controllers keep plans while they replay them. In
+// count-only mode (RingConfig.CountTraffic) the returned plan is the
+// engine's own and is overwritten by the next Access, Apply or
+// DummyAccess; callers read what they need (Reads, Writes, Val, DataLeaf,
+// StashAfter) before the next access and keep no reference.
 func (e *Ring) Access(pa uint64, write bool, val uint64) *Plan {
 	op := e.PlanAccess(pa, write, val)
 	return op.Apply()
+}
+
+// newPlan returns the plan the next access fills: zeroed, with Levels and
+// StashAfter sized to the hierarchy.
+func (e *Ring) newPlan() *Plan {
+	n := len(e.spaces)
+	if !e.cfg.CountTraffic {
+		return &Plan{Levels: make([]LevelAccess, n), StashAfter: make([]int, n)}
+	}
+	p := &e.reused
+	if p.Levels == nil {
+		p.Levels, p.StashAfter = make([]LevelAccess, n), make([]int, n)
+	}
+	*p = Plan{Levels: p.Levels, StashAfter: p.StashAfter}
+	return p
 }
 
 // DummyAccess implements Engine: a full-protocol access along a fresh
@@ -229,25 +256,27 @@ func (e *Ring) Access(pa uint64, write bool, val uint64) *Plan {
 // §VI and the background requests of prefetch baselines).
 func (e *Ring) DummyAccess() *Plan {
 	e.reqID++
-	plan := &Plan{ReqID: e.reqID, Dummy: true, Levels: make([]LevelAccess, len(e.spaces))}
+	plan := e.newPlan()
+	plan.ReqID, plan.Dummy = e.reqID, true
 	for l := len(e.spaces) - 1; l >= 0; l-- {
-		la, _ := e.accessLevelLeaf(l, otree.Dummy, e.r.Uint64n(e.spaces[l].Geo.NumLeaves()), false, 0)
-		plan.Levels[l] = la
+		e.accessLevelLeaf(&plan.Levels[l], l, otree.Dummy, e.r.Uint64n(e.spaces[l].Geo.NumLeaves()), false, 0)
 	}
-	plan.DataLeaf = e.lastDataLeaf
-	e.fillStashAfter(plan)
+	e.finishPlan(plan)
 	return plan
 }
 
-func (e *Ring) fillStashAfter(plan *Plan) {
-	plan.StashAfter = make([]int, len(e.spaces))
+// finishPlan records what the access left behind: the exposed data leaf
+// and every level's stash occupancy.
+func (e *Ring) finishPlan(plan *Plan) {
+	plan.DataLeaf = e.lastDataLeaf
 	for l, sp := range e.spaces {
 		plan.StashAfter[l] = sp.Stash.Len()
 	}
 }
 
-// accessLevel performs the Ring protocol for block idx of level l.
-func (e *Ring) accessLevel(l int, idx uint64, storeWrite bool, val uint64) (LevelAccess, uint64) {
+// accessLevel performs the Ring protocol for block idx of level l, filling
+// la, and returns the block's value.
+func (e *Ring) accessLevel(la *LevelAccess, l int, idx uint64, storeWrite bool, val uint64) uint64 {
 	sp := e.spaces[l]
 	var leaf uint64
 	if e.cfg.Variant == VariantPalermo && sp.Stash.Contains(otree.BlockID(idx)) {
@@ -259,66 +288,81 @@ func (e *Ring) accessLevel(l int, idx uint64, storeWrite bool, val uint64) (Leve
 	}
 	// Line 7-8: remap before the path access becomes visible on the bus.
 	e.pm.Remap(l, idx)
-	return e.accessLevelLeaf(l, otree.BlockID(idx), leaf, storeWrite, val)
+	return e.accessLevelLeaf(la, l, otree.BlockID(idx), leaf, storeWrite, val)
 }
 
-// accessLevelLeaf executes the per-tree protocol along the given leaf.
-// want == otree.Dummy performs a dummy access.
-func (e *Ring) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrite bool, val uint64) (LevelAccess, uint64) {
+// maxLevelPhases is the most phases one level access emits (LM, ER, RP, EP).
+const maxLevelPhases = 4
+
+// beginPhase appends an empty phase of the given kind to la and returns it
+// for the emit helpers to fill. la.Phases has room for every phase of an
+// access, so the pointer stays valid until the next beginPhase.
+func (la *LevelAccess) beginPhase(kind PhaseKind) *Phase {
+	la.Phases = append(la.Phases, Phase{Kind: kind})
+	return &la.Phases[len(la.Phases)-1]
+}
+
+// accessLevelLeaf executes the per-tree protocol along the given leaf,
+// filling la (whose Phases storage is reused when the plan is), and
+// returns the value of want. want == otree.Dummy performs a dummy access.
+func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf uint64, storeWrite bool, val uint64) uint64 {
 	if l == 0 {
 		e.lastDataLeaf = leaf
 	}
 	sp := e.spaces[l]
 	sp.Accesses++
 	evict := sp.Accesses%uint64(e.cfg.A) == 0
-	la := LevelAccess{Level: l, Evict: evict}
-	leafOf := func(id otree.BlockID) uint64 { return e.pm.Leaf(l, uint64(id)) }
+	phases := la.Phases[:0]
+	if phases == nil {
+		phases = make([]Phase, 0, maxLevelPhases)
+	}
+	*la = LevelAccess{Level: l, Evict: evict, Phases: phases}
 
 	path := sp.path(leaf)
 
 	// LM: load node metadata along the path (path index == tree level).
-	lm := Phase{Kind: PhaseLM}
-	for l, n := range path {
-		sp.emitMetaRead(&lm, l, n)
+	lm := la.beginPhase(PhaseLM)
+	sp.reserve(lm, 1, 0)
+	for lv, n := range path {
+		sp.emitMetaRead(lm, lv, n)
 	}
-	la.Phases = append(la.Phases, lm)
 
 	// Palermo hoists the reshuffle before the reads (PreCheck at S-1).
 	if e.cfg.Variant == VariantPalermo {
-		er := Phase{Kind: PhaseER}
+		er := la.beginPhase(PhaseER)
 		for _, n := range path {
 			if sp.Store.NeedsReset(n, 1) {
-				sp.resetNode(&er, n, leaf, leafOf)
+				sp.resetNode(er, n)
 			}
 		}
-		la.Phases = append(la.Phases, er)
 	}
 
 	// RP: one slot per node; the real block (if tree-resident) moves to the
 	// stash, everything else is a consumed dummy.
-	rp := Phase{Kind: PhaseRP}
+	rp := la.beginPhase(PhaseRP)
+	sp.reserve(rp, sp.Geo.SlotLines, 0)
 	found := false
 	var got uint64
 	for lv, n := range path {
 		entry, slot, ok := sp.Store.ReadSlot(n, want)
-		sp.emitSlotRead(&rp, lv, n, slot)
+		sp.emitSlotRead(rp, lv, n, slot)
 		if ok {
 			found = true
 			got = entry.Val
-			sp.Stash.Put(stashEntry(entry, e.pm.Leaf(l, uint64(entry.ID))))
+			sp.Stash.Put(stashEntry(entry, sp.leafOf(entry.ID)))
 		}
 	}
 	if want != otree.Dummy {
 		if !found {
 			if se, ok := sp.Stash.Get(want); ok {
 				got = se.Val
-				sp.Stash.Remap(want, e.pm.Leaf(l, uint64(want)))
+				sp.Stash.Remap(want, sp.leafOf(want))
 			} else {
 				// First touch: the block exists nowhere yet; install it.
-				sp.Stash.Put(stashEntryNew(want, e.pm.Leaf(l, uint64(want))))
+				sp.Stash.Put(stashEntryNew(want, sp.leafOf(want)))
 			}
 		} else {
-			sp.Stash.Remap(want, e.pm.Leaf(l, uint64(want)))
+			sp.Stash.Remap(want, sp.leafOf(want))
 		}
 		if storeWrite {
 			se, _ := sp.Stash.Get(want)
@@ -326,25 +370,21 @@ func (e *Ring) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 			sp.Stash.Put(se)
 		}
 	}
-	la.Phases = append(la.Phases, rp)
 
 	// EP: deterministic whole-path eviction every A accesses. The Palermo
 	// protocol keeps EP serialized after RP to preserve the stash bound.
 	if evict {
-		ep := Phase{Kind: PhaseEP}
-		sp.evictPath(&ep, leafOf)
-		la.Phases = append(la.Phases, ep)
+		sp.evictPath(la.beginPhase(PhaseEP))
 	}
 
 	// Baseline EarlyReshuffle trails the access (Algorithm 1 line 16).
 	if e.cfg.Variant == VariantBaseline {
-		er := Phase{Kind: PhaseER}
+		er := la.beginPhase(PhaseER)
 		for _, n := range path {
 			if sp.Store.NeedsReset(n, 0) {
-				sp.resetNode(&er, n, leaf, leafOf)
+				sp.resetNode(er, n)
 			}
 		}
-		la.Phases = append(la.Phases, er)
 	}
-	return la, got
+	return got
 }

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"palermo/internal/otree"
+	"palermo/internal/posmap"
 	"palermo/internal/rng"
 	"palermo/internal/stash"
 )
@@ -31,42 +32,79 @@ type Space struct {
 	// or the backend). Bytes saved = 64 * TopHits.
 	TopHits uint64
 
-	pathBuf []uint64 // per-access path scratch (engine-per-goroutine rule)
+	pm *posmap.Hierarchy // the hierarchy holding this level's leaf assignments
+
+	// Per-access scratch (engine-per-goroutine rule): the path's nodes and
+	// the blocks an eviction moves from the stash into one bucket.
+	pathBuf []uint64
+	pushBuf []otree.BlockEntry
 }
 
-// NewSpace builds a space over the given geometry.
 // HardwareStashTags is the Table III per-level stash budget.
 const HardwareStashTags = 256
 
-func NewSpace(level int, g otree.Geometry, treeTopBytes uint64, r *rng.Rand) *Space {
-	st := stash.New()
+// NewSpace builds hierarchy level `level` over the given geometry; pm holds
+// the level's leaf assignments.
+func NewSpace(level int, g otree.Geometry, treeTopBytes uint64, r *rng.Rand, pm *posmap.Hierarchy) *Space {
+	st := stash.New(pm.Blocks(level))
 	st.SetCapacity(HardwareStashTags)
-	sp := &Space{
+	return &Space{
 		Level:   level,
 		Geo:     g,
 		Store:   otree.NewStore(g, r),
 		Stash:   st,
 		Top:     otree.NewTreeTop(g, treeTopBytes),
 		Evictor: otree.NewBitRevCounter(g.Depth),
+		pm:      pm,
 	}
-	sp.Store.EnableResidentTop(sp.Top.Levels())
-	return sp
 }
 
 // SetTopLevels pins the space's tree-top cache to exactly k levels
-// (overriding the byte-budget sizing) and extends the bucket store's dense
-// resident range to match. Traffic emission is the only thing the cache
-// gates — protocol state transitions never consult it — so any k yields
-// bit-identical leaf sequences, stash states, and checkpoint bytes.
+// (overriding the byte-budget sizing). Traffic emission is the only thing
+// the cache gates — protocol state transitions never consult it — so any k
+// yields bit-identical leaf sequences, stash states, and checkpoint bytes.
 func (sp *Space) SetTopLevels(k int) {
 	sp.Top = otree.NewTreeTopLevels(sp.Geo, k)
-	sp.Store.EnableResidentTop(sp.Top.Levels())
+}
+
+// leafOf returns the current mapped leaf of a block of this level.
+func (sp *Space) leafOf(id otree.BlockID) uint64 { return sp.pm.Leaf(sp.Level, uint64(id)) }
+
+// stashPulled moves the blocks a ResetPull returned into the stash under
+// their current leaves.
+func (sp *Space) stashPulled(blocks []otree.BlockEntry) {
+	for _, e := range blocks {
+		sp.Stash.Put(stashEntry(e, sp.leafOf(e.ID)))
+	}
+}
+
+// pushInto moves up to z eligible stash blocks into node (the push half of
+// a reset), reusing the space's buffer.
+func (sp *Space) pushInto(node uint64, z int) {
+	sp.pushBuf = sp.Stash.EvictIntoNode(sp.Geo, node, z, sp.pushBuf)
+	sp.Store.WriteBucket(node, sp.pushBuf)
 }
 
 // path fills the space's scratch path buffer for leaf (index = level).
 func (sp *Space) path(leaf uint64) []uint64 {
 	sp.pathBuf = sp.Geo.PathNodes(sp.pathBuf[:0], leaf)
 	return sp.pathBuf
+}
+
+// reserve sizes ph's address lists for a phase that touches perLevelR read
+// and perLevelW write lines on every uncached level of a path, so an
+// address-mode phase of known size is allocated once instead of grown.
+func (sp *Space) reserve(ph *Phase, perLevelR, perLevelW int) {
+	n := sp.Geo.Depth + 1 - sp.Top.Levels()
+	if sp.CountOnly || n <= 0 {
+		return
+	}
+	if perLevelR > 0 {
+		ph.Reads = make([]uint64, 0, n*perLevelR)
+	}
+	if perLevelW > 0 {
+		ph.Writes = make([]uint64, 0, n*perLevelW)
+	}
 }
 
 // emitSlotRead accounts one logical slot read of node at level lvl
@@ -158,17 +196,13 @@ func (sp *Space) emitMetaWrite(ph *Phase, lvl int, node uint64) {
 // resetNode performs the functional half of ResetBucket (Algorithm 1 lines
 // 42-50) on node along the path to leaf: pull the unused real blocks into
 // the stash, push back eligible stash blocks, and emit the padded DRAM
-// traffic (Z slot reads, full-bucket writes). leafOf supplies the current
-// mapped leaf of a block for stash insertion.
-func (sp *Space) resetNode(ph *Phase, node uint64, leaf uint64, leafOf func(otree.BlockID) uint64) {
+// traffic (Z slot reads, full-bucket writes).
+func (sp *Space) resetNode(ph *Phase, node uint64) {
 	lvl := sp.Geo.NodeLevel(node)
 	spec := sp.Geo.Levels[lvl]
 
-	for _, e := range sp.Store.ResetPull(node) {
-		sp.Stash.Put(stash.Entry{ID: e.ID, Leaf: leafOf(e.ID), Val: e.Val})
-	}
-	push := sp.Stash.EvictInto(sp.Geo, leaf, lvl, spec.Z)
-	sp.Store.WriteBucket(node, push)
+	sp.stashPulled(sp.Store.ResetPull(node))
+	sp.pushInto(node, spec.Z)
 
 	// Pull traffic is padded to Z slots for obliviousness; push traffic
 	// rewrites the whole bucket with fresh encryption.
@@ -181,19 +215,18 @@ func (sp *Space) resetNode(ph *Phase, node uint64, leaf uint64, leafOf func(otre
 // on the deterministic eviction leaf's path into the stash, then push back
 // deepest-first so blocks settle as low as possible (pulling the whole path
 // before pushing is what lets tree-top residents migrate toward leaves).
-func (sp *Space) evictPath(ph *Phase, leafOf func(otree.BlockID) uint64) uint64 {
+func (sp *Space) evictPath(ph *Phase) uint64 {
 	g := sp.Evictor.Next()
+	spec, lines := sp.Geo.Levels[0], sp.Geo.SlotLines // Ring trees are uniform
+	sp.reserve(ph, spec.Z*lines, spec.Slots()*lines+1)
 	for l := 0; l <= sp.Geo.Depth; l++ {
 		node := sp.Geo.NodeAt(g, l)
-		for _, e := range sp.Store.ResetPull(node) {
-			sp.Stash.Put(stashEntry(e, leafOf(e.ID)))
-		}
+		sp.stashPulled(sp.Store.ResetPull(node))
 		sp.emitBucketRead(ph, l, node, sp.Geo.Levels[l].Z)
 	}
 	for l := sp.Geo.Depth; l >= 0; l-- {
 		node := sp.Geo.NodeAt(g, l)
-		push := sp.Stash.EvictInto(sp.Geo, g, l, sp.Geo.Levels[l].Z)
-		sp.Store.WriteBucket(node, push)
+		sp.pushInto(node, sp.Geo.Levels[l].Z)
 		sp.emitBucketWrite(ph, l, node, sp.Geo.Levels[l].Slots())
 		sp.emitMetaWrite(ph, l, node)
 	}

@@ -110,28 +110,28 @@ func (e *Ring) PosmapGroup(pa uint64, level int, dst []uint64) []uint64 {
 // Apply executes the engine transition of the staged access — the posmap
 // remaps, path reads, stash merge, and evictions of every hierarchy level,
 // in exactly the operation order of the serial Access — and returns the
-// traffic plan. Apply must run on the engine's owner goroutine, in
-// PlanAccess order, exactly once.
+// traffic plan (owned by the engine in count-only mode; see Ring.Access).
+// Apply must run on the engine's owner goroutine, in PlanAccess order,
+// exactly once.
 func (op *StagedAccess) Apply() *Plan {
 	if op.done {
 		panic("oram: StagedAccess applied twice")
 	}
 	op.done = true
 	e := op.e
-	plan := &Plan{ReqID: op.reqID, PA: op.pa, Write: op.write, Levels: make([]LevelAccess, len(e.spaces))}
+	plan := e.newPlan()
+	plan.ReqID, plan.PA, plan.Write = op.reqID, op.pa, op.write
 	groupIdx := op.pa / uint64(e.cfg.DataSlotLines)
 	for l := len(e.spaces) - 1; l >= 0; l-- {
 		idx := e.pm.Index(l, groupIdx)
 		if l == 0 {
 			plan.FromStash = e.spaces[0].Stash.Contains(otree.BlockID(idx))
 		}
-		la, got := e.accessLevel(l, idx, l == 0 && op.write, op.val)
-		plan.Levels[l] = la
+		got := e.accessLevel(&plan.Levels[l], l, idx, l == 0 && op.write, op.val)
 		if l == 0 {
 			plan.Val = got
 		}
 	}
-	plan.DataLeaf = e.lastDataLeaf
-	e.fillStashAfter(plan)
+	e.finishPlan(plan)
 	return plan
 }

@@ -69,6 +69,43 @@ func TestCountTrafficParity(t *testing.T) {
 	}
 }
 
+// TestPlanLifetime pins the plan-ownership contract of Ring.Access: a
+// count-only engine refills one plan (so the serving path allocates
+// nothing), an address-mode engine hands out plans that later accesses
+// never touch (timing controllers replay them long after).
+func TestPlanLifetime(t *testing.T) {
+	cnt := ringWith(t, 5, 0, true)
+	if a, b := cnt.Access(1, true, 7), cnt.Access(2, false, 0); a != b {
+		t.Fatalf("count-only engine allocated a second plan")
+	}
+	if p := cnt.DummyAccess(); !p.Dummy || p.PA != 0 || p.Write {
+		t.Fatalf("reused plan carries fields of the previous access: %+v", p)
+	}
+
+	addr := ringWith(t, 5, 0, false)
+	first := addr.Access(1, true, 7)
+	snapshot := Plan{ReqID: first.ReqID, PA: first.PA, Write: first.Write, Val: first.Val,
+		FromStash: first.FromStash, DataLeaf: first.DataLeaf,
+		StashAfter: append([]int(nil), first.StashAfter...)}
+	for l := range first.Levels {
+		la := LevelAccess{Level: first.Levels[l].Level, Evict: first.Levels[l].Evict}
+		for _, ph := range first.Levels[l].Phases {
+			ph.Reads = append([]uint64(nil), ph.Reads...)
+			ph.Writes = append([]uint64(nil), ph.Writes...)
+			la.Phases = append(la.Phases, ph)
+		}
+		snapshot.Levels = append(snapshot.Levels, la)
+	}
+	for i := uint64(0); i < 200; i++ {
+		if p := addr.Access(i%64, i%3 == 0, i); p == first {
+			t.Fatalf("address-mode engine reused a plan")
+		}
+	}
+	if !reflect.DeepEqual(*first, snapshot) {
+		t.Fatalf("a retained address-mode plan changed under later accesses")
+	}
+}
+
 // TestTreeTopLevelsNeutral: the tree-top cache gates traffic emission only.
 // Any k must leave the attacker-visible leaf sequence, returned values, and
 // exported engine state bit-identical; only DRAM traffic shrinks.

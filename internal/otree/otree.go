@@ -1,7 +1,9 @@
 // Package otree implements the ORAM binary-tree substrate shared by every
 // protocol in this repository: tree geometry (node addressing, path
-// enumeration, physical DRAM layout), a lazily-materialized bucket store with
-// RingORAM-style per-node metadata, and the on-chip tree-top cache model.
+// enumeration, physical DRAM layout), a bucket store with RingORAM-style
+// per-node metadata whose buckets materialize on first touch behind a
+// direct-indexed page table (internal/paged), and the on-chip tree-top cache
+// model.
 //
 // Terminology follows the paper: the tree has depth D (root at level 0,
 // leaves at level D); each node is a bucket of Z real-capacity slots plus at
@@ -9,7 +11,10 @@
 // path from its mapped leaf to the root, or in the stash.
 package otree
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BlockID identifies a logical block within one protected memory space.
 // The dummy marker is ^BlockID(0).
@@ -139,14 +144,9 @@ func (g Geometry) NumNodes() uint64 { return (1 << (g.Depth + 1)) - 1 }
 // Footprint returns the byte size of bucket storage.
 func (g Geometry) Footprint() uint64 { return g.levelByteBase[g.Depth+1] }
 
-// NodeLevel returns the tree level of a node in heap numbering.
-func (g Geometry) NodeLevel(node uint64) int {
-	l := 0
-	for node >= (uint64(1)<<(l+1))-1 {
-		l++
-	}
-	return l
-}
+// NodeLevel returns the tree level of a node in heap numbering:
+// floor(log2(node+1)).
+func (g Geometry) NodeLevel(node uint64) int { return bits.Len64(node+1) - 1 }
 
 // NodeAt returns the node index at the given level along the path to leaf.
 func (g Geometry) NodeAt(leaf uint64, level int) uint64 {

@@ -1,0 +1,129 @@
+package otree
+
+import (
+	"reflect"
+	"testing"
+
+	"palermo/internal/paged"
+	"palermo/internal/rng"
+)
+
+// scanFree is the slot selection freeSlot used before selectFree: walk the
+// offsets in order, skipping consumed ones, until the k-th free one. Kept
+// as the reference the popcount select must agree with.
+func scanFree(used []uint64, slots, k int) int {
+	for off := 0; off < slots; off++ {
+		if used[off/64]&(1<<(off%64)) != 0 {
+			continue
+		}
+		if k == 0 {
+			return off
+		}
+		k--
+	}
+	panic("unreachable")
+}
+
+// TestFreeSlotSelectMatchesScan: for every bucket width 1..128, random
+// consumed-slot bitsets of every density, and every valid k, the popcount
+// select returns the offset the scan loop returned — so the same RNG draw
+// still lands on the same DRAM address.
+func TestFreeSlotSelectMatchesScan(t *testing.T) {
+	r := rng.New(20260926)
+	for slots := 1; slots <= 128; slots++ {
+		words := (slots-1)/64 + 1
+		for trial := 0; trial < 24; trial++ {
+			used := make([]uint64, words)
+			consumed := 0
+			density := r.Uint64n(uint64(slots)) // 0 .. slots-1 consumed, so one slot stays free
+			for consumed < int(density) {
+				off := r.Intn(slots)
+				if used[off/64]&(1<<(off%64)) == 0 {
+					used[off/64] |= 1 << (off % 64)
+					consumed++
+				}
+			}
+			// Garbage beyond the bucket's width must not be selected.
+			if slots%64 != 0 && trial%2 == 1 {
+				used[words-1] ^= ^uint64(0) << (slots % 64) & r.Uint64()
+			}
+			for k := 0; k < slots-consumed; k++ {
+				if got, want := selectFree(used, slots, k), scanFree(used, slots, k); got != want {
+					t.Fatalf("slots=%d used=%x k=%d: select=%d scan=%d", slots, used, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// driveStore runs a fixed operation sequence touching every kind of store
+// mutation and returns the exported state.
+func driveStore(s *Store) []BucketState {
+	g := s.Geometry()
+	for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
+		for l := 0; l <= g.Depth; l++ {
+			node := g.NodeAt(leaf, l)
+			if s.NeedsReset(node, 1) {
+				s.ResetPull(node)
+				s.WriteBucket(node, []BlockEntry{{ID: BlockID(node), Val: leaf}})
+			}
+			s.ReadSlot(node, BlockID(node))
+		}
+	}
+	return s.State()
+}
+
+// TestStoreRepresentationParity drives one store over the direct-indexed
+// table and one over the sparse (map) table paged.New picks for key spaces
+// beyond paged.DirectKeys, and asserts the exported State — hence every
+// checkpoint — is identical, and round-trips through Restore on both.
+func TestStoreRepresentationParity(t *testing.T) {
+	g := UniformWide(1<<10, 4, 5, 1, 0, 0)
+	direct := NewStore(g, rng.New(7))
+	sparse := NewStore(g, rng.New(7))
+	sparse.index = paged.New(paged.DirectKeys + 1)
+
+	sd, ss := driveStore(direct), driveStore(sparse)
+	if !reflect.DeepEqual(sd, ss) {
+		t.Fatalf("State diverged between direct and sparse bucket tables: %d vs %d buckets", len(sd), len(ss))
+	}
+	if direct.Materialized() != sparse.Materialized() || direct.Materialized() != len(sd) {
+		t.Fatalf("Materialized = %d / %d, State has %d", direct.Materialized(), sparse.Materialized(), len(sd))
+	}
+	for _, s := range []*Store{NewStore(g, rng.New(7)), sparse} {
+		s.Restore(sd)
+		if got := s.State(); !reflect.DeepEqual(got, sd) {
+			t.Fatalf("State/Restore round trip diverged")
+		}
+	}
+}
+
+// TestBucketPointerStable: a *Bucket stays valid while later buckets
+// materialize (the slab grows by chunks, never by moving).
+func TestBucketPointerStable(t *testing.T) {
+	g := UniformWide(1<<12, 4, 5, 1, 0, 0)
+	s := NewStore(g, rng.New(1))
+	first := s.Bucket(0)
+	first.Blocks = append(first.Blocks, BlockEntry{ID: 9, Val: 9})
+	for n := uint64(1); n < g.NumNodes(); n++ {
+		s.Bucket(n)
+	}
+	if s.Bucket(0) != first || s.Occupancy(0) != 1 {
+		t.Fatalf("bucket 0 moved while the slab grew")
+	}
+}
+
+// TestNewTreeTopLevels clamps to the tree depth and disables at k <= 0.
+func TestNewTreeTopLevels(t *testing.T) {
+	g := UniformWide(1<<8, 4, 5, 1, 0, 0)
+	if got := NewTreeTopLevels(g, 1000).Levels(); got != g.Depth+1 {
+		t.Fatalf("Levels = %d, want clamp to %d", got, g.Depth+1)
+	}
+	if got := NewTreeTopLevels(g, -1).Levels(); got != 0 {
+		t.Fatalf("Levels = %d, want 0 for negative k", got)
+	}
+	tt := NewTreeTopLevels(g, 2)
+	if !tt.Cached(1) || tt.Cached(2) {
+		t.Fatalf("Cached boundary wrong for k=2")
+	}
+}

@@ -2,8 +2,9 @@ package otree
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
+	"palermo/internal/paged"
 	"palermo/internal/rng"
 )
 
@@ -18,12 +19,10 @@ type BlockEntry struct {
 // tracked as a bitset of consumed slot offsets: RingORAM invalidates the
 // touched slot on every access and never re-reads it before a reset.
 type Bucket struct {
-	Blocks   []BlockEntry // valid real blocks currently stored
+	Blocks   []BlockEntry // valid real blocks currently stored; capacity survives resets
 	used     []uint64     // bitset of slot offsets consumed since the last reset
 	Accessed int          // touches since the last reset
 }
-
-func (b *Bucket) usedBit(off int) bool { return b.used[off/64]&(1<<(off%64)) != 0 }
 
 func (b *Bucket) setUsed(off int) {
 	for len(b.used) <= off/64 {
@@ -39,104 +38,62 @@ func (b *Bucket) clearUsed() {
 	b.Accessed = 0
 }
 
-// Store is a lazily-materialized bucket container for one ORAM tree. Buckets
-// are created on first touch so full-scale (16 GB-space) geometries run in
-// bounded memory. The top of the tree — the nodes every path traverses —
-// can additionally be held in a dense resident array (EnableResidentTop),
-// replacing the map lookup on the hottest nodes with an index; residency is
-// a pure representation change and never alters which buckets exist.
-type Store struct {
-	g       Geometry
-	buckets map[uint64]*Bucket
-	top     []*Bucket // dense resident nodes [0, len(top)); nil = untouched
-	r       *rng.Rand
-}
+// Buckets live in fixed-size chunks so a *Bucket stays valid while later
+// buckets materialize.
+const (
+	chunkBits = 6
+	chunkLen  = 1 << chunkBits
+)
 
-// maxResidentNodes bounds the dense resident array so a deep tree with a
-// large requested level count cannot allocate an absurd pointer table
-// (2^20 nodes ~ 8 MB; levels beyond stay in the map, correctness
-// unchanged).
-const maxResidentNodes = 1 << 20
+// Store is the bucket container of one ORAM tree. Buckets are created on
+// first touch, so full-scale (16 GB-space) geometries run in memory
+// proportional to the touched set: a paged.Table maps a node to its
+// position in a slab that grows in first-touch order. The same structure
+// serves the root, which every path crosses, and a leaf touched once.
+type Store struct {
+	g     Geometry
+	index paged.Table // node -> 1 + slab position
+	slab  [][]Bucket  // chunkLen buckets per chunk
+	r     *rng.Rand
+}
 
 // NewStore creates an empty tree (every bucket holds only dummies).
 func NewStore(g Geometry, r *rng.Rand) *Store {
-	return &Store{g: g, buckets: make(map[uint64]*Bucket), r: r}
+	return &Store{g: g, index: paged.New(g.NumNodes()), r: r}
 }
 
 // Geometry returns the tree geometry.
 func (s *Store) Geometry() Geometry { return s.g }
 
-// EnableResidentTop keeps the top k levels' buckets (nodes 0..2^k-2 in the
-// level-order numbering) in a dense array instead of the map. Call before
-// or after population; existing map entries in the resident range migrate.
-// Purely an access-path optimization: materialization order, State output,
-// and protocol behavior are bit-identical with residency on or off.
-func (s *Store) EnableResidentTop(levels int) {
-	if levels <= 0 {
-		return
-	}
-	if levels > s.g.Depth+1 {
-		levels = s.g.Depth + 1
-	}
-	n := uint64(1)<<levels - 1
-	if n > s.g.NumNodes() {
-		n = s.g.NumNodes()
-	}
-	if n > maxResidentNodes {
-		n = maxResidentNodes
-	}
-	if uint64(len(s.top)) >= n {
-		return
-	}
-	top := make([]*Bucket, n)
-	copy(top, s.top)
-	s.top = top
-	for node, b := range s.buckets {
-		if node < n {
-			s.top[node] = b
-			delete(s.buckets, node)
-		}
-	}
+func (s *Store) at(ref uint32) *Bucket {
+	i := ref - 1
+	return &s.slab[i>>chunkBits][i&(chunkLen-1)]
 }
 
-// Bucket materializes and returns the bucket for node.
+// Bucket materializes and returns the bucket for node. The pointer stays
+// valid for the life of the store (until Restore).
 func (s *Store) Bucket(node uint64) *Bucket {
-	if node < uint64(len(s.top)) {
-		b := s.top[node]
-		if b == nil {
-			b = &Bucket{}
-			s.top[node] = b
-		}
-		return b
+	if ref := s.index.Get(node); ref != 0 {
+		return s.at(ref)
 	}
-	b, ok := s.buckets[node]
-	if !ok {
-		b = &Bucket{}
-		s.buckets[node] = b
+	n := s.index.Len()
+	if n>>chunkBits == len(s.slab) {
+		s.slab = append(s.slab, make([]Bucket, chunkLen))
 	}
-	return b
+	s.index.Set(node, uint32(n)+1)
+	return s.at(uint32(n) + 1)
 }
 
 // peek returns the bucket for node without materializing it.
 func (s *Store) peek(node uint64) (*Bucket, bool) {
-	if node < uint64(len(s.top)) {
-		b := s.top[node]
-		return b, b != nil
+	if ref := s.index.Get(node); ref != 0 {
+		return s.at(ref), true
 	}
-	b, ok := s.buckets[node]
-	return b, ok
+	return nil, false
 }
 
 // Materialized returns the number of buckets touched so far.
-func (s *Store) Materialized() int {
-	n := len(s.buckets)
-	for _, b := range s.top {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
+func (s *Store) Materialized() int { return s.index.Len() }
 
 // find returns the index of id in b.Blocks, or -1.
 func (b *Bucket) find(id BlockID) int {
@@ -151,12 +108,33 @@ func (b *Bucket) find(id BlockID) int {
 // Contains reports whether the bucket currently holds id as a valid block.
 func (b *Bucket) Contains(id BlockID) bool { return b.find(id) >= 0 }
 
-// freeSlot picks an arbitrary unconsumed slot offset (the functional model
-// does not track the real permutation; any distinct offset is equivalent for
-// timing and the permutation is re-randomized on reset).
+// selectFree returns the offset of the k-th (from 0) clear bit among the
+// first slots bits of used: popcount skips whole words, then the k lower
+// free offsets of the word are cleared one instruction each. used must
+// cover slots bits and k must be below the number of clear ones.
+func selectFree(used []uint64, slots, k int) int {
+	for w := 0; ; w++ {
+		free := ^used[w]
+		if rem := slots - w*64; rem < 64 {
+			free &= 1<<uint(rem) - 1
+		}
+		if n := bits.OnesCount64(free); k >= n {
+			k -= n
+			continue
+		}
+		for ; k > 0; k-- {
+			free &= free - 1
+		}
+		return w*64 + bits.TrailingZeros64(free)
+	}
+}
+
+// freeSlot picks a uniformly random unconsumed slot offset, modelling the
+// random permutation's effect on DRAM addresses within the bucket (the
+// functional model does not track the real permutation; any distinct
+// offset is equivalent for timing and the permutation is re-randomized on
+// reset).
 func (s *Store) freeSlot(b *Bucket, slots int) int {
-	// Pick a random unconsumed offset to model the random permutation's
-	// effect on DRAM addresses within the bucket.
 	free := slots - b.Accessed
 	if free <= 0 {
 		panic("otree: ReadSlot on exhausted bucket (protocol must reset first)")
@@ -164,17 +142,7 @@ func (s *Store) freeSlot(b *Bucket, slots int) int {
 	for len(b.used) <= (slots-1)/64 {
 		b.used = append(b.used, 0)
 	}
-	k := s.r.Intn(free)
-	for off := 0; off < slots; off++ {
-		if b.usedBit(off) {
-			continue
-		}
-		if k == 0 {
-			return off
-		}
-		k--
-	}
-	panic("unreachable")
+	return selectFree(b.used, slots, s.r.Intn(free))
 }
 
 // ReadSlot performs RingORAM's ReadBucket: it consumes exactly one slot of
@@ -212,17 +180,20 @@ func (s *Store) NeedsReset(node uint64, margin int) bool {
 
 // ResetPull removes and returns all valid real blocks from node, modelling
 // ResetBucket's pull step (the DRAM traffic is padded to Z reads by the
-// caller for obliviousness). The bucket's access state is cleared.
+// caller for obliviousness). The bucket's access state is cleared. The
+// returned slice is the bucket's own storage: it is valid until the next
+// WriteBucket to node, which every protocol issues only after it has moved
+// the pulled blocks to the stash.
 func (s *Store) ResetPull(node uint64) []BlockEntry {
 	b := s.Bucket(node)
 	blocks := b.Blocks
-	b.Blocks = nil
+	b.Blocks = blocks[:0]
 	b.clearUsed()
 	return blocks
 }
 
-// WriteBucket installs blocks into node after a reset. len(blocks) must not
-// exceed the level's Z.
+// WriteBucket installs a copy of blocks into node after a reset.
+// len(blocks) must not exceed the level's Z.
 func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 	lvl := s.g.NodeLevel(node)
 	if len(blocks) > s.g.Levels[lvl].Z {
@@ -242,47 +213,31 @@ type BucketState struct {
 	Accessed int
 }
 
-// State exports every materialized bucket, sorted by node id so the
-// checkpoint layout is deterministic. Slices are copied.
+// State exports every materialized bucket in node order, so the checkpoint
+// layout is deterministic. Slices are copied.
 func (s *Store) State() []BucketState {
 	out := make([]BucketState, 0, s.Materialized())
-	export := func(node uint64, b *Bucket) {
+	s.index.Range(func(node uint64, ref uint32) {
+		b := s.at(ref)
 		out = append(out, BucketState{
 			Node:     node,
 			Blocks:   append([]BlockEntry(nil), b.Blocks...),
 			Used:     append([]uint64(nil), b.used...),
 			Accessed: b.Accessed,
 		})
-	}
-	for node, b := range s.top {
-		if b != nil {
-			export(uint64(node), b)
-		}
-	}
-	for node, b := range s.buckets {
-		export(node, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	})
 	return out
 }
 
 // Restore replaces the store's contents with a previously exported State.
-// A configured resident top is kept (and repopulated from the state).
 func (s *Store) Restore(bs []BucketState) {
-	s.buckets = make(map[uint64]*Bucket, len(bs))
-	for i := range s.top {
-		s.top[i] = nil
-	}
+	s.index.Reset()
+	s.slab = nil
 	for _, st := range bs {
-		b := &Bucket{
+		*s.Bucket(st.Node) = Bucket{
 			Blocks:   append([]BlockEntry(nil), st.Blocks...),
 			used:     append([]uint64(nil), st.Used...),
 			Accessed: st.Accessed,
-		}
-		if st.Node < uint64(len(s.top)) {
-			s.top[st.Node] = b
-		} else {
-			s.buckets[st.Node] = b
 		}
 	}
 }
@@ -300,19 +255,11 @@ func (s *Store) Occupancy(node uint64) int {
 // ForEachBlock calls fn for every valid real block in every materialized
 // bucket (testing/invariant checking).
 func (s *Store) ForEachBlock(fn func(node uint64, e BlockEntry)) {
-	for node, b := range s.top {
-		if b == nil {
-			continue
-		}
-		for _, e := range b.Blocks {
-			fn(uint64(node), e)
-		}
-	}
-	for node, b := range s.buckets {
-		for _, e := range b.Blocks {
+	s.index.Range(func(node uint64, ref uint32) {
+		for _, e := range s.at(ref).Blocks {
 			fn(node, e)
 		}
-	}
+	})
 }
 
 // TreeTop models the on-chip tree-top cache: the top K levels of the tree

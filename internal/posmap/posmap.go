@@ -7,12 +7,16 @@
 // Functionally, the leaf assignments at every level live here; the protocol
 // engines decide which tree accesses the *storage* of those assignments
 // costs. Mappings are materialized lazily with uniformly random initial
-// leaves, so full-scale spaces need memory proportional to the touched set.
+// leaves, so full-scale spaces need memory proportional to the touched set:
+// each level is a direct-indexed page table (internal/paged) holding
+// leaf+1 under the block index, 0 meaning "not assigned yet" — the first
+// touch draws the leaf, exactly where a map miss used to.
 package posmap
 
 import (
 	"fmt"
 
+	"palermo/internal/paged"
 	"palermo/internal/rng"
 )
 
@@ -31,10 +35,10 @@ const (
 // Hierarchy tracks leaf assignments for the data space and every recursive
 // posmap space.
 type Hierarchy struct {
-	levels  int      // number of spaces with leaf assignments (incl. on-chip top)
-	blocks  []uint64 // logical block count per level
-	leaves  []uint64 // tree leaf count per level (set by Attach)
-	maps    []map[uint64]uint32
+	levels  int              // number of spaces with leaf assignments (incl. on-chip top)
+	blocks  []uint64         // logical block count per level
+	leaves  []uint64         // tree leaf count per level (set by Attach)
+	maps    []paged.Table    // per level: block index -> leaf+1
 	pending []map[uint64]int // reference-counted pending PAs (Palermo)
 	r       *rng.Rand
 }
@@ -51,7 +55,7 @@ func New(nDataBlocks uint64, posLevels int, r *rng.Rand) *Hierarchy {
 	n := nDataBlocks
 	for l := 0; l <= posLevels; l++ {
 		h.blocks = append(h.blocks, n)
-		h.maps = append(h.maps, make(map[uint64]uint32))
+		h.maps = append(h.maps, paged.New(n))
 		h.pending = append(h.pending, make(map[uint64]int))
 		n = (n + EntriesPerBlock - 1) / EntriesPerBlock
 	}
@@ -68,7 +72,8 @@ func (h *Hierarchy) Levels() int { return h.levels }
 func (h *Hierarchy) Blocks(l int) uint64 { return h.blocks[l] }
 
 // Attach records the tree leaf count used for level l's assignments; must be
-// called before Leaf/Remap for that level.
+// called before Leaf/Remap for that level. Leaves are stored as 32-bit
+// entries (the paper's 4-byte posmap entry).
 func (h *Hierarchy) Attach(l int, numLeaves uint64) {
 	h.leaves[l] = numLeaves
 }
@@ -89,15 +94,10 @@ func (h *Hierarchy) Leaf(l int, idx uint64) uint64 {
 	if idx >= h.blocks[l] {
 		panic(fmt.Sprintf("posmap: level %d index %d out of range %d", l, idx, h.blocks[l]))
 	}
-	if leaf, ok := h.maps[l][idx]; ok {
-		return uint64(leaf)
+	if v := h.maps[l].Get(idx); v != 0 {
+		return uint64(v - 1)
 	}
-	if h.leaves[l] == 0 {
-		panic(fmt.Sprintf("posmap: level %d not attached", l))
-	}
-	leaf := uint32(h.r.Uint64n(h.leaves[l]))
-	h.maps[l][idx] = leaf
-	return uint64(leaf)
+	return h.Remap(l, idx)
 }
 
 // Remap assigns a fresh uniformly random leaf to block idx at level l and
@@ -107,14 +107,14 @@ func (h *Hierarchy) Remap(l int, idx uint64) uint64 {
 		panic(fmt.Sprintf("posmap: level %d not attached", l))
 	}
 	leaf := uint32(h.r.Uint64n(h.leaves[l]))
-	h.maps[l][idx] = leaf
+	h.maps[l].Set(idx, leaf+1)
 	return uint64(leaf)
 }
 
 // SetLeaf forces a specific assignment (PrORAM maps a whole prefetch group
 // to one leaf).
 func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {
-	h.maps[l][idx] = uint32(leaf)
+	h.maps[l].Set(idx, uint32(leaf)+1)
 }
 
 // State deep-copies the materialized leaf assignments of every level for a
@@ -122,11 +122,9 @@ func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {
 // are not captured; checkpoints run at quiescence.
 func (h *Hierarchy) State() []map[uint64]uint32 {
 	out := make([]map[uint64]uint32, h.levels)
-	for l, m := range h.maps {
-		cp := make(map[uint64]uint32, len(m))
-		for k, v := range m {
-			cp[k] = v
-		}
+	for l := range h.maps {
+		cp := make(map[uint64]uint32, h.maps[l].Len())
+		h.maps[l].Range(func(idx uint64, v uint32) { cp[idx] = v - 1 })
 		out[l] = cp
 	}
 	return out
@@ -138,14 +136,17 @@ func (h *Hierarchy) Restore(maps []map[uint64]uint32) error {
 		return fmt.Errorf("posmap: checkpoint has %d levels, hierarchy has %d", len(maps), h.levels)
 	}
 	for l, m := range maps {
-		cp := make(map[uint64]uint32, len(m))
-		for k, v := range m {
+		for k := range m {
 			if k >= h.blocks[l] {
 				return fmt.Errorf("posmap: checkpoint level %d index %d out of range %d", l, k, h.blocks[l])
 			}
-			cp[k] = v
 		}
-		h.maps[l] = cp
+	}
+	for l, m := range maps {
+		h.maps[l].Reset()
+		for k, v := range m {
+			h.maps[l].Set(k, v+1)
+		}
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // regime where a tombstone-accumulating layout degrades.
 func BenchmarkStashEvict(b *testing.B) {
 	g := otree.Uniform(1<<20, 16, 27, 0, 1<<40)
-	s := New()
+	s := New(1 << 20)
 	leaves := g.NumLeaves()
 	x := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
@@ -36,7 +36,7 @@ func BenchmarkStashEvict(b *testing.B) {
 		}
 		evictLeaf := next() % leaves
 		for lvl := g.Depth; lvl >= 0; lvl-- {
-			s.EvictInto(g, evictLeaf, lvl, 16)
+			s.EvictIntoNode(g, g.NodeAt(evictLeaf, lvl), 16, nil)
 		}
 	}
 }
@@ -44,7 +44,7 @@ func BenchmarkStashEvict(b *testing.B) {
 // BenchmarkStashChurn measures the Put/Remove pair in isolation (the
 // PosMap-hit fast path touches the stash without evicting).
 func BenchmarkStashChurn(b *testing.B) {
-	s := New()
+	s := New(1 << 20)
 	for i := 0; i < 256; i++ {
 		s.Put(Entry{ID: otree.BlockID(i), Leaf: uint64(i)})
 	}

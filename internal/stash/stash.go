@@ -6,9 +6,10 @@
 // protocols can trigger background evictions (PrORAM) or fail loudly.
 //
 // Storage is an insertion-ordered intrusive list over a slab (slice of
-// slots + free list) with an id index, rather than map-iterated, so
-// eviction selection — and therefore every downstream simulation result —
-// is deterministic for a given seed. The list layout keeps the per-bucket
+// slots + free list) with a direct-indexed id table (internal/paged: block
+// id -> slab slot + 1), never map-iterated, so eviction selection — and
+// therefore every downstream simulation result — is deterministic for a
+// given seed. The list layout keeps the per-bucket
 // eviction scan (EvictIntoNode, called once per bucket per eviction path on
 // every access) proportional to live occupancy: removed entries unlink in
 // O(1) instead of leaving tombstones that later scans must skip.
@@ -18,6 +19,7 @@ import (
 	"fmt"
 
 	"palermo/internal/otree"
+	"palermo/internal/paged"
 )
 
 // Entry is a stashed block: its identity, current mapped leaf, and payload.
@@ -42,9 +44,9 @@ type slot struct {
 // Stash holds blocks between tree pulls and pushes.
 type Stash struct {
 	slab       []slot
-	head, tail int // live entries in insertion order
-	free       int // reusable slots
-	index      map[otree.BlockID]int
+	head, tail int         // live entries in insertion order
+	free       int         // reusable slots
+	index      paged.Table // block id -> slab slot + 1
 	live       int
 	maxSeen    int
 	samples    []int
@@ -52,9 +54,15 @@ type Stash struct {
 	overflow   uint64
 }
 
-// New creates an empty stash.
-func New() *Stash {
-	return &Stash{head: none, tail: none, free: none, index: make(map[otree.BlockID]int)}
+// New creates an empty stash for block ids below blocks.
+func New(blocks uint64) *Stash {
+	return &Stash{head: none, tail: none, free: none, index: paged.New(blocks)}
+}
+
+// lookup returns the slab slot holding id.
+func (s *Stash) lookup(id otree.BlockID) (int, bool) {
+	ref := s.index.Get(uint64(id))
+	return int(ref) - 1, ref != 0
 }
 
 // SetCapacity declares the hardware tag budget (256 in Table III). The
@@ -111,7 +119,7 @@ func (s *Stash) Put(e Entry) {
 	if e.ID == otree.Dummy {
 		panic("stash: Put of dummy block")
 	}
-	if i, ok := s.index[e.ID]; ok {
+	if i, ok := s.lookup(e.ID); ok {
 		s.slab[i].e = e // replace in place, keeping insertion order
 		return
 	}
@@ -123,7 +131,7 @@ func (s *Stash) Put(e Entry) {
 		s.head = i
 	}
 	s.tail = i
-	s.index[e.ID] = i
+	s.index.Set(uint64(e.ID), uint32(i)+1)
 	s.live++
 	if s.live > s.maxSeen {
 		s.maxSeen = s.live
@@ -135,7 +143,7 @@ func (s *Stash) Put(e Entry) {
 
 // Get returns the entry for id, if present.
 func (s *Stash) Get(id otree.BlockID) (Entry, bool) {
-	i, ok := s.index[id]
+	i, ok := s.lookup(id)
 	if !ok {
 		return Entry{}, false
 	}
@@ -144,56 +152,51 @@ func (s *Stash) Get(id otree.BlockID) (Entry, bool) {
 
 // Contains reports whether id is stashed.
 func (s *Stash) Contains(id otree.BlockID) bool {
-	_, ok := s.index[id]
-	return ok
+	return s.index.Get(uint64(id)) != 0
 }
 
 // Remove deletes id, reporting whether it was present.
 func (s *Stash) Remove(id otree.BlockID) bool {
-	i, ok := s.index[id]
+	i, ok := s.lookup(id)
 	if !ok {
 		return false
 	}
-	delete(s.index, id)
+	s.index.Set(uint64(id), 0)
 	s.unlink(i)
 	return true
 }
 
 // Remap updates the mapped leaf of a stashed block.
 func (s *Stash) Remap(id otree.BlockID, leaf uint64) {
-	i, ok := s.index[id]
+	i, ok := s.lookup(id)
 	if !ok {
 		panic(fmt.Sprintf("stash: Remap of absent block %d", id))
 	}
 	s.slab[i].e.Leaf = leaf
 }
 
-// EvictInto selects up to max blocks eligible for the bucket at the given
-// level along the path to evictLeaf — blocks whose mapped leaf shares the
-// length-(level) path prefix — removes them from the stash, and returns
-// them. Selection is oldest-first, which is deterministic. This is the push
-// half of ResetBucket/EvictPath.
-func (s *Stash) EvictInto(g otree.Geometry, evictLeaf uint64, level, max int) []otree.BlockEntry {
-	return s.EvictIntoNode(g, g.NodeAt(evictLeaf, level), max)
-}
-
-// EvictIntoNode is EvictInto addressed by node rather than (leaf, level):
-// a block is eligible if node lies on its mapped leaf's path. PageORAM uses
-// this for sibling buckets that are not on the accessed path. The scan
-// walks only live entries (oldest first); selected entries unlink in O(1).
-func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int) []otree.BlockEntry {
+// EvictIntoNode selects up to max blocks eligible for the bucket node — a
+// block is eligible if node lies on its mapped leaf's path — removes them
+// from the stash, and returns them. Selection is oldest-first, which is
+// deterministic. This is the push half of ResetBucket/EvictPath; PageORAM
+// also uses it for sibling buckets that are not on the accessed path. The
+// scan walks only live entries; selected entries unlink in O(1).
+// The selection is appended to dst[:0] and returned, so a caller that hands
+// back the same buffer (the engine does: otree.Store.WriteBucket copies it
+// into the bucket) evicts without allocating; dst may be nil.
+func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int, dst []otree.BlockEntry) []otree.BlockEntry {
+	out := dst[:0]
 	if max <= 0 || s.live == 0 {
-		return nil
+		return out
 	}
 	level := g.NodeLevel(node)
 	prefix := node - ((uint64(1) << level) - 1)
 	shift := uint(g.Depth - level)
-	var out []otree.BlockEntry
 	for i := s.head; i != none && len(out) < max; {
 		next := s.slab[i].next
 		if e := s.slab[i].e; (e.Leaf >> shift) == prefix {
 			out = append(out, otree.BlockEntry{ID: e.ID, Val: e.Val})
-			delete(s.index, e.ID)
+			s.index.Set(uint64(e.ID), 0)
 			s.unlink(i)
 		}
 		i = next
@@ -225,7 +228,7 @@ func (s *Stash) Restore(st State) {
 	s.slab = s.slab[:0]
 	s.head, s.tail, s.free = none, none, none
 	s.live = 0
-	s.index = make(map[otree.BlockID]int, len(st.Entries))
+	s.index.Reset()
 	for _, e := range st.Entries {
 		s.Put(e)
 	}

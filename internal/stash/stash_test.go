@@ -8,7 +8,7 @@ import (
 )
 
 func TestPutGetRemove(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	s.Put(Entry{ID: 1, Leaf: 5, Val: 100})
 	s.Put(Entry{ID: 2, Leaf: 6, Val: 200})
 	if s.Len() != 2 {
@@ -27,7 +27,7 @@ func TestPutGetRemove(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	s.Put(Entry{ID: 1, Leaf: 5, Val: 100})
 	s.Put(Entry{ID: 1, Leaf: 9, Val: 300})
 	if s.Len() != 1 {
@@ -45,11 +45,11 @@ func TestPutDummyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().Put(Entry{ID: otree.Dummy})
+	New(1 << 20).Put(Entry{ID: otree.Dummy})
 }
 
 func TestMaxSeen(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	for i := otree.BlockID(0); i < 10; i++ {
 		s.Put(Entry{ID: i})
 	}
@@ -66,7 +66,7 @@ func TestMaxSeen(t *testing.T) {
 }
 
 func TestRemap(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	s.Put(Entry{ID: 4, Leaf: 1})
 	s.Remap(4, 77)
 	e, _ := s.Get(4)
@@ -81,18 +81,18 @@ func TestRemapAbsentPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New().Remap(1, 2)
+	New(1<<20).Remap(1, 2)
 }
 
 func TestEvictIntoPathEligibility(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40) // depth 4
-	s := New()
+	s := New(1 << 20)
 	// Leaf 5 path at level 2 covers leaves sharing top-2 bits: 4..7.
 	s.Put(Entry{ID: 1, Leaf: 4}) // eligible at level 2
 	s.Put(Entry{ID: 2, Leaf: 7}) // eligible at level 2
 	s.Put(Entry{ID: 3, Leaf: 8}) // not eligible
 	s.Put(Entry{ID: 4, Leaf: 5}) // eligible
-	out := s.EvictInto(g, 5, 2, 4)
+	out := s.EvictIntoNode(g, g.NodeAt(5, 2), 4, nil)
 	if len(out) != 3 {
 		t.Fatalf("evicted %d blocks, want 3", len(out))
 	}
@@ -103,11 +103,11 @@ func TestEvictIntoPathEligibility(t *testing.T) {
 
 func TestEvictIntoRespectsMax(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New()
+	s := New(1 << 20)
 	for i := otree.BlockID(0); i < 10; i++ {
 		s.Put(Entry{ID: i, Leaf: 3})
 	}
-	out := s.EvictInto(g, 3, 4, 4)
+	out := s.EvictIntoNode(g, g.NodeAt(3, 4), 4, nil)
 	if len(out) != 4 || s.Len() != 6 {
 		t.Fatalf("evicted %d, remaining %d", len(out), s.Len())
 	}
@@ -115,10 +115,10 @@ func TestEvictIntoRespectsMax(t *testing.T) {
 
 func TestEvictIntoRootTakesAnything(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New()
+	s := New(1 << 20)
 	s.Put(Entry{ID: 1, Leaf: 0})
 	s.Put(Entry{ID: 2, Leaf: 15})
-	out := s.EvictInto(g, 7, 0, 4)
+	out := s.EvictIntoNode(g, g.NodeAt(7, 0), 4, nil)
 	if len(out) != 2 {
 		t.Fatalf("root eviction took %d, want 2 (all leaves share the root)", len(out))
 	}
@@ -126,11 +126,11 @@ func TestEvictIntoRootTakesAnything(t *testing.T) {
 
 func TestEvictDeterministicOldestFirst(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New()
+	s := New(1 << 20)
 	for i := otree.BlockID(0); i < 6; i++ {
 		s.Put(Entry{ID: i, Leaf: 2})
 	}
-	out := s.EvictInto(g, 2, 4, 3)
+	out := s.EvictIntoNode(g, g.NodeAt(2, 4), 3, nil)
 	for i, e := range out {
 		if e.ID != otree.BlockID(i) {
 			t.Fatalf("eviction not oldest-first: %v", out)
@@ -139,7 +139,7 @@ func TestEvictDeterministicOldestFirst(t *testing.T) {
 }
 
 func TestSlotReuse(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	for i := otree.BlockID(0); i < 1000; i++ {
 		s.Put(Entry{ID: i, Leaf: uint64(i)})
 		if i >= 1 {
@@ -159,7 +159,7 @@ func TestSlotReuse(t *testing.T) {
 }
 
 func TestSamples(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	s.Put(Entry{ID: 1})
 	s.Sample()
 	s.Put(Entry{ID: 2})
@@ -174,7 +174,7 @@ func TestSamples(t *testing.T) {
 // removed, and ForEach visits exactly the live set.
 func TestStashAccountingProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := New()
+		s := New(1 << 20)
 		ref := make(map[otree.BlockID]bool)
 		for _, op := range ops {
 			id := otree.BlockID(op % 100)
@@ -205,7 +205,7 @@ func TestStashAccountingProperty(t *testing.T) {
 }
 
 func TestCapacityOverflowTracking(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	s.SetCapacity(4)
 	for i := otree.BlockID(0); i < 6; i++ {
 		s.Put(Entry{ID: i})
@@ -224,7 +224,7 @@ func TestCapacityOverflowTracking(t *testing.T) {
 }
 
 func TestCapacityUntrackedByDefault(t *testing.T) {
-	s := New()
+	s := New(1 << 20)
 	for i := otree.BlockID(0); i < 1000; i++ {
 		s.Put(Entry{ID: i})
 	}
