@@ -376,9 +376,14 @@ func printResult(res loadgen.Result) {
 	if res.OfferedRate > 0 {
 		fmt.Printf("  open loop: offered %.0f ops/sec, achieved %.0f (%d shed under overload)\n",
 			res.OfferedRate, res.AchievedRate, res.ShedOps)
-		fmt.Printf("  intended-send lat: read p50 %.0fµs  p99 %.0fµs (n=%d)  |  write p50 %.0fµs  p99 %.0fµs (n=%d)\n",
-			res.RunReadLat.P50Us, res.RunReadLat.P99Us, res.RunReadLat.N,
-			res.RunWriteLat.P50Us, res.RunWriteLat.P99Us, res.RunWriteLat.N)
+		rp50, rp99 := loadgen.FormatRunLat(res.RunReadLat, res.ReadOverflow)
+		wp50, wp99 := loadgen.FormatRunLat(res.RunWriteLat, res.WriteOverflow)
+		fmt.Printf("  intended-send lat: read p50 %sµs  p99 %sµs (n=%d)  |  write p50 %sµs  p99 %sµs (n=%d)\n",
+			rp50, rp99, res.RunReadLat.N, wp50, wp99, res.RunWriteLat.N)
+		if n := res.ReadOverflow + res.WriteOverflow; n > 0 {
+			fmt.Printf("  %d samples at or above the %dµs histogram ceiling: a percentile printed as >= is a lower bound\n",
+				n, loadgen.LatCeilingUs)
+		}
 	} else if res.ShedOps > 0 {
 		fmt.Printf("  %d ops shed under overload (excluded from counts and latency)\n", res.ShedOps)
 	}
@@ -452,6 +457,17 @@ func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[s
 		m["openloop_read_p99_us"] = res.RunReadLat.P99Us
 		m["openloop_write_p50_us"] = res.RunWriteLat.P50Us
 		m["openloop_write_p99_us"] = res.RunWriteLat.P99Us
+		// Samples at or above the histogram ceiling, and a flag per p99
+		// that landed among them: such a value is the ceiling (a lower
+		// bound), not a measurement.
+		m["openloop_read_overflow"] = float64(res.ReadOverflow)
+		m["openloop_write_overflow"] = float64(res.WriteOverflow)
+		if loadgen.Clipped(res.RunReadLat, res.ReadOverflow, 0.99) {
+			m["openloop_read_p99_lower_bound"] = 1
+		}
+		if loadgen.Clipped(res.RunWriteLat, res.WriteOverflow, 0.99) {
+			m["openloop_write_p99_lower_bound"] = 1
+		}
 	}
 	return m
 }

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,27 +94,18 @@ func fixtureOps(t *testing.T, r *rng.Rand, n int, last map[uint64]uint64, do fun
 	}
 }
 
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(p string, d fs.DirEntry, err error) error {
+// applyTo returns the fixtureOps callback that performs each op on st.
+func applyTo(t *testing.T, st *ShardedStore) func(id uint64, write bool, v uint64) {
+	return func(id uint64, write bool, v uint64) {
+		var err error
+		if write {
+			err = st.Write(id, fillBlock(v))
+		} else {
+			_, err = st.Read(id)
+		}
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		rel, err := filepath.Rel(src, p)
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -144,17 +134,7 @@ func TestGoldenDurableFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fixtureOps(t, r, fixtureWriteOps, last, func(id uint64, write bool, v uint64) {
-				var err error
-				if write {
-					err = st.Write(id, fillBlock(v))
-				} else {
-					_, err = st.Read(id)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
+			fixtureOps(t, r, fixtureWriteOps, last, applyTo(t, st))
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +144,9 @@ func TestGoldenDurableFixtures(t *testing.T) {
 		}
 
 		dir := t.TempDir()
-		copyTree(t, fixture, dir)
+		if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+			t.Fatal(err)
+		}
 		st, err := NewShardedStore(fixtureConfig(engine, dir))
 		if err != nil {
 			t.Fatalf("%s: reopening the recorded fixture: %v", engine, err)
@@ -184,17 +166,7 @@ func TestGoldenDurableFixtures(t *testing.T) {
 				t.Fatalf("%s: block %d does not hold what the fixture's writer last wrote", engine, id)
 			}
 		}
-		fixtureOps(t, r, fixtureContOps, last, func(id uint64, write bool, v uint64) {
-			var err error
-			if write {
-				err = st.Write(id, fillBlock(v))
-			} else {
-				_, err = st.Read(id)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
+		fixtureOps(t, r, fixtureContOps, last, applyTo(t, st))
 		h := sha256.New()
 		var w [8]byte
 		for _, leaf := range st.LeafTraces()[0].Leaves {

@@ -146,6 +146,34 @@ type Result struct {
 	// (palermo.ErrRetry): attempted, never executed, excluded from every
 	// latency summary and from Stats.Reads/Writes.
 	ShedOps uint64
+
+	// ReadOverflow/WriteOverflow count the run-local samples at or above
+	// LatCeilingUs, the top of the driver's histograms. A percentile whose
+	// rank falls among them is reported as LatCeilingUs but is only a
+	// lower bound (see Clipped); an overloaded open-loop run is where this
+	// happens.
+	ReadOverflow, WriteOverflow uint64
+}
+
+// Clipped reports whether the q-quantile of a run-local summary fell in
+// the histogram's overflow bucket: fewer than ceil(q*N) of its N samples
+// were below LatCeilingUs, so the reported value is the ceiling, not a
+// measurement, and the true quantile is at least that.
+func Clipped(sum palermo.LatencySummary, overflow uint64, q float64) bool {
+	return overflow > 0 && float64(sum.N-overflow) < math.Ceil(q*float64(sum.N))
+}
+
+// FormatRunLat renders a run-local summary's p50 and p99 in whole
+// microseconds, each as a lower bound (">=20480") when it was clipped at
+// the histogram ceiling.
+func FormatRunLat(sum palermo.LatencySummary, overflow uint64) (p50, p99 string) {
+	render := func(us, q float64) string {
+		if Clipped(sum, overflow, q) {
+			return fmt.Sprintf(">=%.0f", us)
+		}
+		return fmt.Sprintf("%.0f", us)
+	}
+	return render(sum.P50Us, 0.50), render(sum.P99Us, 0.99)
 }
 
 // OpsPerSec returns completed operations per wall-clock second.
@@ -224,8 +252,8 @@ func Run(st Target, o Options) (Result, error) {
 	for _, n := range sheds {
 		res.ShedOps += n
 	}
-	res.RunReadLat = summarize(reads)
-	res.RunWriteLat = summarize(writes)
+	res.RunReadLat, res.ReadOverflow = summarize(reads), reads.Overflow()
+	res.RunWriteLat, res.WriteOverflow = summarize(writes), writes.Overflow()
 	res.Stats = deltaStats(endStats, baseStats, res.RunReadLat, res.RunWriteLat)
 	res.AchievedRate = res.OpsPerSec()
 	return res, nil
@@ -241,7 +269,19 @@ func newLatSampler() *latSampler {
 	return &latSampler{reads: newLatHistogram(), writes: newLatHistogram()}
 }
 
-func newLatHistogram() *stats.Histogram { return stats.NewHistogram(4096, 5) }
+// The run-local histograms: 5 µs buckets (the service's own bucketing) up
+// to LatCeilingUs.
+const (
+	latBuckets  = 4096
+	latBucketUs = 5
+
+	// LatCeilingUs is the largest latency the run-local histograms
+	// resolve; samples at or above it are counted in Result.ReadOverflow/
+	// WriteOverflow.
+	LatCeilingUs = latBuckets * latBucketUs
+)
+
+func newLatHistogram() *stats.Histogram { return stats.NewHistogram(latBuckets, latBucketUs) }
 
 func summarize(h *stats.Histogram) palermo.LatencySummary {
 	return palermo.LatencySummary{
@@ -490,26 +530,31 @@ func expGap(r *rng.Rand, rate float64) time.Duration {
 	return time.Duration(-math.Log1p(-u) / rate * float64(time.Second))
 }
 
+// paceSlice bounds one pause of sleepUntil, so a sleeping client notices
+// abort within about a millisecond.
+const paceSlice = time.Millisecond
+
 // sleepUntil blocks until t (or returns immediately when t has passed —
 // the catch-up burst) unless abort closes first; it reports whether the
-// client should proceed.
+// client should proceed. It sleeps in pause (nanosleep on linux) rather
+// than on a runtime timer: benchmark/README.md measured Go timers waking
+// 0.3-1 ms late at any length on the reference host, which an open-loop
+// run charges to every sample as latency the service never caused.
 func sleepUntil(t time.Time, abort <-chan struct{}) bool {
-	d := time.Until(t)
-	if d <= 0 {
+	for {
 		select {
 		case <-abort:
 			return false
 		default:
+		}
+		d := time.Until(t)
+		if d <= 0 {
 			return true
 		}
-	}
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return true
-	case <-abort:
-		return false
+		if d > paceSlice {
+			d = paceSlice
+		}
+		pause(d)
 	}
 }
 

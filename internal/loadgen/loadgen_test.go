@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -335,5 +336,100 @@ func TestRunValidates(t *testing.T) {
 		if _, err := Run(st, o); err == nil {
 			t.Fatalf("options %+v must be rejected", o)
 		}
+	}
+}
+
+// slowTarget serves every call instantly except each slowEvery-th, which
+// takes d — longer than the run-local histograms resolve.
+type slowTarget struct {
+	glitchTarget
+	slowEvery int
+	d         time.Duration
+}
+
+func (s *slowTarget) ReadBatch(ids []uint64) ([][]byte, error) {
+	s.mu.Lock()
+	slow := (s.calls+1)%s.slowEvery == 0
+	s.mu.Unlock()
+	if slow {
+		time.Sleep(s.d)
+	}
+	return s.glitchTarget.ReadBatch(ids)
+}
+
+// TestRunReportsClippedPercentiles: regression for BENCH_openloop.json's
+// x200 row, whose read p99 was exactly 20480 µs — the histogram ceiling
+// printed as if it had been measured. Samples beyond the ceiling must be
+// counted in the result, and a percentile that falls among them must be
+// marked as a lower bound while one below them is not.
+func TestRunReportsClippedPercentiles(t *testing.T) {
+	st := &slowTarget{slowEvery: 4, d: (LatCeilingUs + 2000) * time.Microsecond}
+	res, err := Run(st, Options{Clients: 1, Ops: 40, ReadRatio: 1, Batch: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RunReadLat.N != 40 || res.ReadOverflow != 10 || res.WriteOverflow != 0 {
+		t.Fatalf("N=%d read overflow=%d write overflow=%d, want 40/10/0", res.RunReadLat.N, res.ReadOverflow, res.WriteOverflow)
+	}
+	if res.RunReadLat.P99Us != LatCeilingUs || !Clipped(res.RunReadLat, res.ReadOverflow, 0.99) {
+		t.Fatalf("p99 = %v clipped=%v: a quarter of the samples overflowed, p99 must be the ceiling and marked",
+			res.RunReadLat.P99Us, Clipped(res.RunReadLat, res.ReadOverflow, 0.99))
+	}
+	if Clipped(res.RunReadLat, res.ReadOverflow, 0.50) {
+		t.Fatalf("p50 marked clipped with three quarters of the samples below the ceiling")
+	}
+	p50, p99 := FormatRunLat(res.RunReadLat, res.ReadOverflow)
+	if p99 != ">=20480" || p50[0] == '>' {
+		t.Fatalf("rendered p50 %q p99 %q", p50, p99)
+	}
+
+	// The boundary: with N samples the p99 has rank ceil(0.99 N), so it is
+	// a measurement as long as that many samples stayed below the ceiling.
+	sum := palermo.LatencySummary{N: 1000}
+	if Clipped(sum, 0, 0.99) || Clipped(sum, 10, 0.99) || !Clipped(sum, 11, 0.99) {
+		t.Fatalf("Clipped boundary wrong at N=1000")
+	}
+}
+
+// TestSleepUntilLateness bounds how late the open-loop pacer wakes for the
+// gaps a Poisson schedule at serving rates produces. A runtime timer wakes
+// 0.3-1 ms late on the reference host, which an open-loop run books as
+// service latency; nanosleep wakes about 0.1 ms late. The bound is on the
+// median so a descheduled test process cannot flake it.
+func TestSleepUntilLateness(t *testing.T) {
+	never := make(chan struct{})
+	for _, gap := range []time.Duration{200 * time.Microsecond, 500 * time.Microsecond, time.Millisecond, 2 * time.Millisecond} {
+		late := make([]time.Duration, 41)
+		for i := range late {
+			due := time.Now().Add(gap)
+			if !sleepUntil(due, never) {
+				t.Fatal("sleepUntil aborted without an abort")
+			}
+			late[i] = time.Since(due)
+			if late[i] < 0 {
+				t.Fatalf("gap %v: woke %v early", gap, -late[i])
+			}
+		}
+		sort.Slice(late, func(a, b int) bool { return late[a] < late[b] })
+		if med := late[len(late)/2]; med > latenessBound {
+			t.Errorf("gap %v: median wake-up lateness %v, want <= %v", gap, med, latenessBound)
+		}
+	}
+}
+
+// TestSleepUntilAbort: a client sleeping toward a far-off arrival notices
+// the abort within a few pacing slices.
+func TestSleepUntilAbort(t *testing.T) {
+	abort := make(chan struct{})
+	time.AfterFunc(5*time.Millisecond, func() { close(abort) })
+	start := time.Now()
+	if sleepUntil(start.Add(time.Minute), abort) {
+		t.Fatal("sleepUntil reported proceed after abort")
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("abort noticed after %v", took)
+	}
+	if sleepUntil(time.Now().Add(-time.Second), abort) {
+		t.Fatal("a past deadline must still honor abort")
 	}
 }

@@ -74,7 +74,7 @@ func BenchmarkRingAccessPaper(b *testing.B) {
 // (under one allocation per access). The address-mode
 // engine over the sparse paper-scale space still allocates its plan, its
 // address lists and the first-touch state of the deep buckets every random
-// path reaches; the recorded ceiling (parent commit: 97) catches a
+// path reaches; the recorded ceiling (half the parent commit's 97) catches a
 // per-slot or per-phase allocation creeping back.
 func TestRingAccessAllocs(t *testing.T) {
 	serving := servingRing(t)
@@ -87,11 +87,14 @@ func TestRingAccessAllocs(t *testing.T) {
 			benchSink += p.Reads()
 		}
 	}
-	if got := testing.AllocsPerRun(5000, access(serving, 1<<15)); got > 0 {
-		t.Errorf("serving (count-only) access allocates %.0f times per access, want 0", got)
+	servingAllocs := testing.AllocsPerRun(5000, access(serving, 1<<15))
+	if servingAllocs > 0 {
+		t.Errorf("serving (count-only) access allocates %.0f times per access, want 0", servingAllocs)
 	}
 	paper, _ := paperRing(t, 2000)
-	if got := testing.AllocsPerRun(2000, access(paper, 1<<28)); got > 40 {
-		t.Errorf("paper (address-mode) access allocates %.0f times per access, ceiling 40", got)
+	paperAllocs := testing.AllocsPerRun(2000, access(paper, 1<<28))
+	if paperAllocs > 48 {
+		t.Errorf("paper (address-mode) access allocates %.0f times per access, ceiling 48", paperAllocs)
 	}
+	t.Logf("allocations per access: serving %.0f, paper %.0f", servingAllocs, paperAllocs)
 }

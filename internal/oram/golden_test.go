@@ -190,8 +190,22 @@ func runGolden(e *Ring, r *rng.Rand, d *digestWriter, n int) {
 	}
 }
 
+var goldenPath = filepath.Join("testdata", "golden.json")
+
+func readGolden(t *testing.T) map[string]goldenDigests {
+	t.Helper()
+	b, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]goldenDigests{}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func TestGoldenTrajectories(t *testing.T) {
-	path := filepath.Join("testdata", "golden.json")
 	got := map[string]goldenDigests{}
 	for name, cfg := range goldenConfigs() {
 		e, err := NewRing(cfg)
@@ -210,20 +224,13 @@ func TestGoldenTrajectories(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", path)
+		t.Logf("wrote %s", goldenPath)
 		return
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]goldenDigests{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	if len(want) != len(got) {
 		t.Errorf("golden file has %d geometries, test has %d", len(want), len(got))
 	}
@@ -246,14 +253,7 @@ func TestGoldenTrajectories(t *testing.T) {
 // half-way and requires the second half to land on the same recorded
 // digests: State/Restore round-trips everything the trajectory depends on.
 func TestGoldenAcrossCheckpoint(t *testing.T) {
-	b, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]goldenDigests{}
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	for name, cfg := range goldenConfigs() {
 		e, err := NewRing(cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package otree
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"palermo/internal/paged"
 	"palermo/internal/rng"
@@ -80,8 +81,9 @@ func (s *Store) Bucket(node uint64) *Bucket {
 	if n>>chunkBits == len(s.slab) {
 		s.slab = append(s.slab, make([]Bucket, chunkLen))
 	}
-	s.index.Set(node, uint32(n)+1)
-	return s.at(uint32(n) + 1)
+	ref := uint32(n) + 1
+	s.index.Set(node, ref)
+	return s.at(ref)
 }
 
 // peek returns the bucket for node without materializing it.
@@ -213,8 +215,8 @@ type BucketState struct {
 	Accessed int
 }
 
-// State exports every materialized bucket in node order, so the checkpoint
-// layout is deterministic. Slices are copied.
+// State exports every materialized bucket, sorted by node id so the
+// checkpoint layout is deterministic. Slices are copied.
 func (s *Store) State() []BucketState {
 	out := make([]BucketState, 0, s.Materialized())
 	s.index.Range(func(node uint64, ref uint32) {
@@ -226,6 +228,7 @@ func (s *Store) State() []BucketState {
 			Accessed: b.Accessed,
 		})
 	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 

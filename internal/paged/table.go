@@ -18,8 +18,6 @@
 // determinism goldens (internal/oram/testdata).
 package paged
 
-import "sort"
-
 const (
 	pageBits = 6
 	pageLen  = 1 << pageBits
@@ -37,8 +35,8 @@ type page [pageLen]uint32
 // value is a usable direct-indexed table.
 type Table struct {
 	dir    []*page
+	live   int               // keys present in dir's pages
 	sparse map[uint64]uint32 // non-nil: the key space is beyond DirectKeys
-	live   int
 }
 
 // New returns a table for keys in [0, n).
@@ -72,7 +70,6 @@ func (t *Table) Set(i uint64, v uint32) {
 		} else {
 			t.sparse[i] = v
 		}
-		t.live = len(t.sparse)
 		return
 	}
 	p := i >> pageBits
@@ -100,18 +97,19 @@ func (t *Table) Set(i uint64, v uint32) {
 }
 
 // Len returns the number of keys present.
-func (t *Table) Len() int { return t.live }
+func (t *Table) Len() int {
+	if t.sparse != nil {
+		return len(t.sparse)
+	}
+	return t.live
+}
 
-// Range calls fn for every key present, in ascending key order.
+// Range calls fn for every key present, in no particular order (a direct
+// table happens to enumerate ascending; callers that need an order sort).
 func (t *Table) Range(fn func(i uint64, v uint32)) {
 	if t.sparse != nil {
-		keys := make([]uint64, 0, len(t.sparse))
-		for k := range t.sparse {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
-			fn(k, t.sparse[k])
+		for k, v := range t.sparse {
+			fn(k, v)
 		}
 		return
 	}
@@ -130,7 +128,7 @@ func (t *Table) Range(fn func(i uint64, v uint32)) {
 // Reset empties the table, keeping its representation.
 func (t *Table) Reset() {
 	if t.sparse != nil {
-		*t = Table{sparse: make(map[uint64]uint32)}
+		clear(t.sparse)
 		return
 	}
 	*t = Table{}
