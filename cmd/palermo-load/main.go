@@ -77,6 +77,7 @@ import (
 	"strings"
 
 	"palermo"
+	"palermo/internal/cliconf"
 	"palermo/internal/cluster"
 	"palermo/internal/loadgen"
 	"palermo/internal/rng"
@@ -86,31 +87,17 @@ import (
 const stampBlocks = 1024
 
 func main() {
+	storeFlags := cliconf.StoreFlags(flag.CommandLine)
 	clients := flag.Int("clients", 8, "closed-loop client goroutines")
-	shards := flag.Int("shards", 4, "independent ORAM shards")
-	blocks := flag.Uint64("blocks", 1<<18, "store capacity in 64-byte blocks (0 = store default)")
 	ops := flag.Int("ops", 20000, "total operations across all clients (mutually exclusive with -duration)")
 	duration := flag.Duration("duration", 0, "time-bounded run length, e.g. 30s (mutually exclusive with -ops)")
 	readRatio := flag.Float64("read-ratio", 0.9, "fraction of operations that are reads")
 	zipf := flag.Float64("zipf", 0, "Zipf skew theta (0 = uniform; 0.99 ~ YCSB)")
 	batch := flag.Int("batch", 1, "reads per ReadBatch call (1 = single-op loop)")
 	rate := flag.Float64("rate", 0, "open-loop offered load in total ops/sec (0 = closed loop; requires -batch 1)")
-	admission := flag.Duration("admission", 0, "overload-shedding admission deadline for the in-process store (0 = never shed)")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	pipeline := flag.Int("pipeline", 0, "per-shard pipeline depth (0 = default, 1 = serial workers)")
-	treetop := flag.Int("treetop", 0, "resident tree-top cache levels per engine space (0 = byte-budget default)")
-	prefetch := flag.Bool("prefetch", false, "enable the batch-admission prefetch planner (needs pipeline depth > 1)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "planner look-ahead in predicted batches (0/1 = one-batch planner; needs -prefetch)")
-	posmapPrefetch := flag.Bool("posmap-prefetch", false, "also announce each planned read's posmap-group sibling lines (needs -prefetch)")
-	seed := flag.Uint64("seed", 1, "base seed (store shards and client streams derive from it)")
 	jsonDir := flag.String("json", "", "directory to write the BENCH_load.json perf record into")
 	figure := flag.String("figure", "", "override the perf-record figure name (default: load, or net with -addr)")
 	traceFile := flag.String("trace", "", "record per-shard serving leaf traces to this JSON file (in-process mode)")
-	dir := flag.String("dir", "", "durable store directory (selects a durable engine; see -engine)")
-	engine := flag.String("engine", "", `storage engine with -dir: "wal" (default) or "blockfile"; reopen auto-detects from the manifest`)
-	groupCommit := flag.Int("group-commit", 0, "durable-log appends per fsync batch (0 = default)")
-	cryptoWorkers := flag.Int("crypto-workers", 0, "parallel seal/unseal workers per shard (0 = inline; needs pipeline depth > 1)")
-	slotCache := flag.Int("slot-cache", 0, "blockfile slot read-cache budget in bytes per shard (0 = off; needs -engine blockfile)")
 	verify := flag.Bool("verify", false, "reopen the -dir store and verify the stamped blocks instead of generating load")
 	addr := flag.String("addr", "", "drive a remote palermo-server at HOST:PORT instead of an in-process store")
 	conns := flag.Int("conns", 1, "client connection-pool size (-addr mode)")
@@ -124,7 +111,7 @@ func main() {
 		}
 		if *addr != "" {
 			switch f.Name {
-			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "crypto-workers", "verify", "treetop", "prefetch", "prefetch-depth", "posmap-prefetch", "slot-cache", "trace", "admission":
+			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "crypto-workers", "verify", "treetop", "prefetch", "prefetch-depth", "posmap-prefetch", "slot-cache", "trace", "admission":
 				fatal(fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name))
 			}
 		}
@@ -135,6 +122,12 @@ func main() {
 	if *duration > 0 {
 		*ops = 0
 	}
+	// The store flags also carry -seed, which the client streams and the
+	// stamp pass derive from in every mode.
+	cfg, err := storeFlags()
+	if err != nil {
+		fatal(err)
+	}
 	if *addr != "" {
 		addrs := splitAddrs(*addr)
 		fig := "net"
@@ -144,54 +137,24 @@ func main() {
 		if *figure != "" {
 			fig = *figure
 		}
-		runRemote(addrs, *conns, *clients, *ops, *duration, *readRatio, *zipf, *batch, *rate, *seed, *stamp, *jsonDir, fig)
+		runRemote(addrs, *conns, *clients, *ops, *duration, *readRatio, *zipf, *batch, *rate, cfg.Seed, *stamp, *jsonDir, fig)
 		return
 	}
 
-	cfg := palermo.ShardedStoreConfig{
-		Blocks:            *blocks,
-		Shards:            *shards,
-		Seed:              *seed,
-		QueueDepth:        *queue,
-		PipelineDepth:     *pipeline,
-		TreeTopLevels:     *treetop,
-		Prefetch:          *prefetch,
-		PrefetchDepth:     *prefetchDepth,
-		PosmapPrefetch:    *posmapPrefetch,
-		CryptoWorkers:     *cryptoWorkers,
-		AdmissionDeadline: *admission,
-	}
-	if *dir != "" {
-		// An explicit -engine wins; otherwise an existing directory's
-		// manifest decides (so -verify never needs the flag restated) and
-		// a fresh directory defaults to the WAL engine.
-		cfg.Engine = *engine
-		if cfg.Engine == "" {
-			cfg.Engine = palermo.DetectEngine(*dir)
-		}
-		cfg.Dir = *dir
-		cfg.GroupCommit = *groupCommit
-		cfg.SlotCacheBytes = *slotCache
-	} else if *engine != "" && *engine != palermo.BackendMemory {
-		fatal(fmt.Errorf("-engine %s requires -dir", *engine))
-	} else if *slotCache != 0 {
-		fatal(fmt.Errorf("-slot-cache requires -dir with -engine blockfile"))
-	}
-
 	if *verify {
-		if *dir == "" {
+		if cfg.Dir == "" {
 			fatal(fmt.Errorf("-verify requires -dir"))
 		}
 		// A directory a cluster node wrote carries its persisted node
 		// state; verify it as that node (only its owned shards exist).
-		ns, err := cluster.LoadNodeState(*dir)
+		ns, err := cluster.LoadNodeState(cfg.Dir)
 		if err != nil {
 			fatal(err)
 		}
 		if ns != nil {
-			err = verifyClusterNode(ns, cfg, *seed)
+			err = verifyClusterNode(ns, cfg)
 		} else {
-			err = verifyStore(cfg, *seed)
+			err = verifyStore(cfg)
 		}
 		if err != nil {
 			fatal(err)
@@ -222,13 +185,13 @@ func main() {
 		ZipfTheta: *zipf,
 		Batch:     *batch,
 		Rate:      *rate,
-		Seed:      *seed,
+		Seed:      cfg.Seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if *dir != "" || *stamp {
-		if err := stampTarget(st, *seed); err != nil {
+	if cfg.Dir != "" || *stamp {
+		if err := stampTarget(st, cfg.Seed); err != nil {
 			fatal(err)
 		}
 	}
@@ -247,7 +210,7 @@ func main() {
 		if *figure != "" {
 			fig = *figure
 		}
-		if err := writeRecord(*jsonDir, fig, *ops, *seed, st.Shards(), res,
+		if err := writeRecord(*jsonDir, fig, *ops, cfg.Seed, st.Shards(), res,
 			loadMetrics(res, *clients, *readRatio, *zipf)); err != nil {
 			fatal(err)
 		}
@@ -493,7 +456,7 @@ func stampPayload(seed, id uint64) []byte {
 // verifyStore reopens a durable store and checks the stamp pass survived:
 // every stamped block must read back byte-identical, and the recovered
 // traffic counters must show the pre-restart history.
-func verifyStore(cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
+func verifyStore(cfg palermo.ShardedStoreConfig) (err error) {
 	t0 := time.Now()
 	st, err := palermo.NewShardedStore(cfg)
 	if err != nil {
@@ -514,7 +477,7 @@ func verifyStore(cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
 		if err != nil {
 			return fmt.Errorf("verify: read of stamped block %d: %w", id, err)
 		}
-		if want := stampPayload(seed, id); !bytes.Equal(got, want) {
+		if want := stampPayload(cfg.Seed, id); !bytes.Equal(got, want) {
 			return fmt.Errorf("verify: stamped block %d diverged after recovery", id)
 		}
 	}
@@ -528,7 +491,7 @@ func verifyStore(cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
 // persisted manifest assigns to it. Ids the node does not own live on
 // other nodes and are skipped — each node's directory verifies its own
 // slice, and running -verify per node covers the whole stamp.
-func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
+func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig) (err error) {
 	t0 := time.Now()
 	// Geometry is the manifest's, not the flags' (the flag defaults are
 	// for standalone stores and need not match this cluster).
@@ -556,7 +519,7 @@ func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig, se
 		if err != nil {
 			return fmt.Errorf("verify: read of stamped block %d: %w", id, err)
 		}
-		if want := stampPayload(seed, id); !bytes.Equal(got, want) {
+		if want := stampPayload(cfg.Seed, id); !bytes.Equal(got, want) {
 			return fmt.Errorf("verify: stamped block %d diverged after recovery", id)
 		}
 		checked++

@@ -14,10 +14,13 @@
 //	palermo-server -config node.json                # flags from a reviewed JSON file
 //	palermo-server -manifest cluster.json -addr ... # cluster node: serve owned shards only
 //
-// -config loads the same keys as the flags from a JSON file (see
-// internal/cluster.ServerConfig); a flag explicitly set on the command
-// line overrides its file value, so `-config node.json -addr :7071`
-// reuses one file across nodes.
+// -config overlays a JSON file onto the flags by name: each key sets the
+// flag spelled the same with '_' for '-' ("prefetch_depth" is
+// -prefetch-depth, "max_inflight" is -max-inflight), durations are Go
+// strings ("2m") or integer nanoseconds, a zero value keeps the flag's
+// default, and an unknown key is an error (internal/cliconf.Overlay). A
+// flag explicitly set on the command line overrides its file value, so
+// `-config node.json -addr :7071` reuses one file across nodes.
 //
 // -manifest selects cluster mode: the node loads the placement manifest
 // (palermo-ctl init writes one), serves only the contiguous shard ranges
@@ -43,79 +46,30 @@ import (
 	"time"
 
 	"palermo"
+	"palermo/internal/cliconf"
 	"palermo/internal/cluster"
 )
 
 func main() {
+	storeFlags := cliconf.StoreFlags(flag.CommandLine)
 	addr := flag.String("addr", "127.0.0.1:7070", "TCP listen address")
-	shards := flag.Int("shards", 4, "independent ORAM shards")
-	blocks := flag.Uint64("blocks", 1<<18, "store capacity in 64-byte blocks (0 = store default)")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	pipeline := flag.Int("pipeline", 0, "per-shard pipeline depth (0 = default, 1 = serial workers)")
-	treetop := flag.Int("treetop", 0, "resident tree-top cache levels per engine space (0 = byte-budget default)")
-	prefetch := flag.Bool("prefetch", false, "enable the batch-admission prefetch planner (needs pipeline depth > 1)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "planner look-ahead in predicted batches (0/1 = one-batch planner; needs -prefetch)")
-	posmapPrefetch := flag.Bool("posmap-prefetch", false, "also announce each planned read's posmap-group sibling lines (needs -prefetch)")
-	seed := flag.Uint64("seed", 1, "base seed (shards derive theirs from it)")
-	dir := flag.String("dir", "", "durable store directory (selects a durable engine; see -engine)")
-	engine := flag.String("engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged direct-I/O slots)`)
-	groupCommit := flag.Int("group-commit", 0, "durable-log appends per fsync batch (0 = default)")
-	cryptoWorkers := flag.Int("crypto-workers", 0, "parallel seal/unseal workers per shard (0 = inline; needs pipeline depth > 1)")
-	slotCache := flag.Int("slot-cache", 0, "blockfile slot read-cache budget in bytes per shard (0 = off; needs -engine blockfile)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "writes between WAL compaction checkpoints (0 = default, <0 disables)")
 	maxInFlight := flag.Int("max-inflight", 0, "per-connection in-flight request window (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "largest accepted batch frame in ops (0 = default 4096)")
 	idle := flag.Duration("idle", 2*time.Minute, "close connections idle for this long (0 = never)")
-	admission := flag.Duration("admission", 0, "overload-shedding admission deadline: queued requests older than this are dropped with a retry status (0 = never shed)")
 	metricsAddr := flag.String("metrics", "", "operability listener address serving plain-text /metrics (empty = off)")
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof on the -metrics listener (keep it private)")
-	configPath := flag.String("config", "", "JSON config file; explicitly-set flags override its values")
+	configPath := flag.String("config", "", "JSON config file, one key per flag; explicitly-set flags override its values")
 	manifest := flag.String("manifest", "", "placement manifest path (selects cluster mode)")
 	flag.Parse()
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *configPath != "" {
-		fc, err := cluster.LoadConfig(*configPath)
-		if err != nil {
+		if err := cliconf.Overlay(flag.CommandLine, *configPath); err != nil {
 			fatal(err)
 		}
-		// A flag given on the command line wins over its config-file value.
-		applyConfig(fc, set, addr, shards, blocks, queue, pipeline, treetop, prefetch,
-			prefetchDepth, posmapPrefetch, slotCache,
-			seed, dir, engine, groupCommit, checkpointEvery, cryptoWorkers, maxInFlight, maxBatch, idle,
-			admission, metricsAddr, pprofOn, manifest)
-		if fc.Blocks != 0 {
-			set["blocks"] = true
-		}
-		if fc.Shards != 0 {
-			set["shards"] = true
-		}
 	}
-
-	storeCfg := palermo.ShardedStoreConfig{
-		Blocks:            *blocks,
-		Shards:            *shards,
-		Seed:              *seed,
-		QueueDepth:        *queue,
-		PipelineDepth:     *pipeline,
-		TreeTopLevels:     *treetop,
-		Prefetch:          *prefetch,
-		PrefetchDepth:     *prefetchDepth,
-		PosmapPrefetch:    *posmapPrefetch,
-		CheckpointEvery:   *checkpointEvery,
-		CryptoWorkers:     *cryptoWorkers,
-		AdmissionDeadline: *admission,
-	}
-	if *dir != "" {
-		storeCfg.Engine = resolveEngineFlag(*dir, *engine)
-		storeCfg.Dir = *dir
-		storeCfg.GroupCommit = *groupCommit
-		storeCfg.SlotCacheBytes = *slotCache
-	} else if *engine != "" && *engine != palermo.BackendMemory {
-		fatal(fmt.Errorf("-engine %s requires -dir", *engine))
-	} else if *slotCache != 0 {
-		fatal(fmt.Errorf("-slot-cache requires -dir with -engine blockfile"))
+	storeCfg, err := storeFlags()
+	if err != nil {
+		fatal(err)
 	}
 	srvCfg := palermo.ServerConfig{
 		MaxInFlight: *maxInFlight,
@@ -123,14 +77,17 @@ func main() {
 		IdleTimeout: *idle,
 	}
 	durability := "in-memory"
-	if *dir != "" {
-		durability = fmt.Sprintf("durable in %s (%s engine)", *dir, storeCfg.Engine)
+	if storeCfg.Dir != "" {
+		durability = fmt.Sprintf("durable in %s (%s engine)", storeCfg.Dir, storeCfg.Engine)
 	}
 
 	if *manifest != "" {
 		// Geometry belongs to the manifest in cluster mode: the flag
-		// defaults give way, while explicitly-set values are validated
-		// against it (a mismatch is a configuration error, not adapted to).
+		// defaults give way, while values set explicitly (on the command
+		// line or in the config file) are validated against it — a
+		// mismatch is a configuration error, not adapted to.
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if !set["blocks"] {
 			storeCfg.Blocks = 0
 		}
@@ -243,96 +200,6 @@ func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, st
 		fatal(err)
 	}
 	fmt.Printf("palermo-server: stopped (%d reads, %d writes served)\n", reads, writes)
-}
-
-// applyConfig copies every config-file value whose flag the command line
-// did not explicitly set. Zero-valued config keys leave the flag default
-// alone (the file mirrors the flags' zero-means-default convention).
-func applyConfig(fc *cluster.ServerConfig, set map[string]bool,
-	addr *string, shards *int, blocks *uint64, queue, pipeline, treetop *int, prefetch *bool,
-	prefetchDepth *int, posmapPrefetch *bool, slotCache *int,
-	seed *uint64, dir, engine *string, groupCommit, checkpointEvery, cryptoWorkers, maxInFlight, maxBatch *int,
-	idle *time.Duration, admission *time.Duration, metricsAddr *string, pprofOn *bool, manifest *string) {
-	if !set["addr"] && fc.Addr != "" {
-		*addr = fc.Addr
-	}
-	if !set["shards"] && fc.Shards != 0 {
-		*shards = fc.Shards
-	}
-	if !set["blocks"] && fc.Blocks != 0 {
-		*blocks = fc.Blocks
-	}
-	if !set["queue"] && fc.Queue != 0 {
-		*queue = fc.Queue
-	}
-	if !set["pipeline"] && fc.Pipeline != 0 {
-		*pipeline = fc.Pipeline
-	}
-	if !set["treetop"] && fc.TreeTop != 0 {
-		*treetop = fc.TreeTop
-	}
-	if !set["prefetch"] && fc.Prefetch {
-		*prefetch = true
-	}
-	if !set["prefetch-depth"] && fc.PrefetchDepth != 0 {
-		*prefetchDepth = fc.PrefetchDepth
-	}
-	if !set["posmap-prefetch"] && fc.PosmapPrefetch {
-		*posmapPrefetch = true
-	}
-	if !set["slot-cache"] && fc.SlotCache != 0 {
-		*slotCache = fc.SlotCache
-	}
-	if !set["seed"] && fc.Seed != 0 {
-		*seed = fc.Seed
-	}
-	if !set["dir"] && fc.Dir != "" {
-		*dir = fc.Dir
-	}
-	if !set["engine"] && fc.Engine != "" {
-		*engine = fc.Engine
-	}
-	if !set["group-commit"] && fc.GroupCommit != 0 {
-		*groupCommit = fc.GroupCommit
-	}
-	if !set["crypto-workers"] && fc.CryptoWorkers != 0 {
-		*cryptoWorkers = fc.CryptoWorkers
-	}
-	if !set["checkpoint-every"] && fc.CheckpointEvery != 0 {
-		*checkpointEvery = fc.CheckpointEvery
-	}
-	if !set["max-inflight"] && fc.MaxInFlight != 0 {
-		*maxInFlight = fc.MaxInFlight
-	}
-	if !set["max-batch"] && fc.MaxBatch != 0 {
-		*maxBatch = fc.MaxBatch
-	}
-	if !set["idle"] && fc.Idle != 0 {
-		*idle = time.Duration(fc.Idle)
-	}
-	if !set["admission"] && fc.Admission != 0 {
-		*admission = time.Duration(fc.Admission)
-	}
-	if !set["metrics"] && fc.Metrics != "" {
-		*metricsAddr = fc.Metrics
-	}
-	if !set["pprof"] && fc.Pprof {
-		*pprofOn = true
-	}
-	if !set["manifest"] && fc.Manifest != "" {
-		*manifest = fc.Manifest
-	}
-}
-
-// resolveEngineFlag picks the storage engine for -dir: an explicit
-// -engine wins; otherwise an existing directory's manifest decides (so
-// reopening a blockfile store needs no flag), and a fresh directory gets
-// the historical WAL default.
-func resolveEngineFlag(dir, engine string) string {
-	if engine != "" {
-		return engine
-	}
-	return palermo.DetectEngine(dir)
 }
 
 func fatal(err error) {

@@ -1,0 +1,523 @@
+package palermo
+
+// The shard host is the one road from a store configuration to running
+// shards, shared by all three front ends (DESIGN.md §6): it validates and
+// defaults the configuration, opens each shard's backend and engine,
+// applies every tunable, confines each shard to a one-worker service, and
+// implements request routing and every aggregate snapshot once.
+// ShardedStore is a host that owns every slot; ClusterNode adds the
+// geometry lock, placement epochs and migration on top; Store is one tuned
+// slot with no worker, because its single caller is the worker.
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"time"
+
+	"palermo/internal/backend"
+	"palermo/internal/backend/blockfile"
+	"palermo/internal/backend/wal"
+	"palermo/internal/serve"
+	"palermo/internal/shard"
+	"palermo/internal/wire"
+)
+
+// slot is one hosted shard.
+type slot struct {
+	sh  *shard.Shard
+	be  backend.Backend // nil = memory engine; kept for fsync and slot-cache telemetry
+	svc *serve.Service  // the shard's single worker; nil only inside Store
+	// held pauses admission while the shard stays hosted (a migration's
+	// cutover barrier). Guarded by the owner's geometry lock.
+	held bool
+}
+
+// slotSet is indexed by shard; nil marks a shard not hosted here.
+type slotSet []*slot
+
+// host owns the normalized configuration and the slots built from it.
+// ShardedStore never changes slots after construction; ClusterNode guards
+// slots and traceOn with its geometry lock.
+type host struct {
+	cfg     ShardedStoreConfig
+	router  shard.Router
+	slots   slotSet
+	traceOn bool
+}
+
+// notServed is the host's rejection of an operation naming a shard it does
+// not currently serve (never produced by a ShardedStore, which hosts every
+// shard); ClusterNode dresses it as the wrong-epoch status.
+type notServed int
+
+func (s notServed) Error() string { return fmt.Sprintf("palermo: shard %d is not served here", int(s)) }
+
+// normalize validates the configuration and fills in its defaults in
+// place; on return Engine names the resolved storage engine and Backend
+// is cleared. Rejecting here keeps bad values from surfacing as deep
+// engine failures.
+func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
+	var none shard.Router
+	if err := validatePipelineDepth(c.PipelineDepth); err != nil {
+		return none, err
+	}
+	if err := validateTreeTopLevels(c.TreeTopLevels); err != nil {
+		return none, err
+	}
+	if err := validateCryptoWorkers(c.CryptoWorkers); err != nil {
+		return none, err
+	}
+	if err := validatePrefetchDepth(c.PrefetchDepth); err != nil {
+		return none, err
+	}
+	engine, err := resolveEngine(c.Engine, c.Backend)
+	if err != nil {
+		return none, err
+	}
+	if engine == "" {
+		engine = BackendMemory
+	}
+	c.Engine, c.Backend = engine, ""
+	c.defaults()
+	if err := validateStoreParams(c.Blocks, c.Key); err != nil {
+		return none, err
+	}
+	if c.Shards < 1 || c.Shards > MaxShards {
+		return none, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, c.Shards)
+	}
+	if c.QueueDepth < 0 || c.MaxBatch < 0 {
+		return none, fmt.Errorf("palermo: QueueDepth/MaxBatch must be >= 0")
+	}
+	router, err := shard.NewRouter(c.Blocks, c.Shards)
+	if err != nil {
+		return none, fmt.Errorf("palermo: %w", err)
+	}
+	switch engine {
+	case BackendMemory:
+		if c.Dir != "" {
+			return none, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", engine)
+		}
+	case BackendWAL, BackendBlockfile:
+		if c.Dir == "" {
+			return none, fmt.Errorf("palermo: Engine %q requires Dir", engine)
+		}
+	default:
+		return none, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", engine, BackendMemory, BackendWAL, BackendBlockfile)
+	}
+	if err := validateSlotCacheBytes(c.SlotCacheBytes, engine); err != nil {
+		return none, err
+	}
+	return router, nil
+}
+
+// newHost normalizes cfg and, for a durable engine, pins the directory's
+// manifest. The manifest records the GLOBAL geometry and engine — every
+// node of a cluster agrees on it even though each directory holds only
+// its own shard subdirectories, and a Store and a 1-shard ShardedStore
+// are interchangeable over one Dir. No slot is opened yet.
+func newHost(cfg ShardedStoreConfig) (*host, error) {
+	router, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Dir != "" {
+		if err := wal.EnsureManifest(cfg.Dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: cfg.Blocks, Shards: cfg.Shards, Engine: cfg.Engine}); err != nil {
+			return nil, fmt.Errorf("palermo: %w", err)
+		}
+	}
+	return &host{cfg: cfg, router: router, slots: make(slotSet, cfg.Shards)}, nil
+}
+
+func (h *host) shardDir(s int) string {
+	return filepath.Join(h.cfg.Dir, fmt.Sprintf("shard-%04d", s))
+}
+
+// openSlot opens shard s's backend and builds its engine over it,
+// recovering whatever the directory holds. The slot is bare — untuned, no
+// worker, not installed — so a migration can import state into it first.
+// Store passes its Seed raw, the sharded flavours shard.DeriveSeed(Seed, s);
+// the determinism goldens pin both.
+func (h *host) openSlot(s int, seed uint64) (*slot, error) {
+	var be backend.Backend
+	var err error
+	switch h.cfg.Engine {
+	case BackendWAL:
+		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: h.cfg.PipelineDepth})
+	case BackendBlockfile:
+		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, CacheBytes: h.cfg.SlotCacheBytes})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)
+	}
+	sh, err := shard.New(s, h.cfg.Shards, h.router.ShardBlocks(s), h.cfg.Key, seed, be)
+	if err != nil {
+		if be != nil {
+			be.Close()
+		}
+		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)
+	}
+	return &slot{sh: sh, be: be}, nil
+}
+
+// tune applies every store tunable to a bare engine.
+func (h *host) tune(sh *shard.Shard) {
+	switch every := h.cfg.CheckpointEvery; {
+	case every < 0: // periodic checkpoints off; Close still writes one
+		sh.SetCheckpointEvery(0)
+	case every > 0:
+		sh.SetCheckpointEvery(uint64(every))
+	}
+	sh.SetTreeTopLevels(h.cfg.TreeTopLevels)
+	if h.traceOn {
+		sh.EnableTrace()
+	}
+	sh.EnablePipeline(h.cfg.PipelineDepth)
+	sh.EnableCryptoPool(h.cfg.CryptoWorkers)
+	if h.cfg.Prefetch {
+		// One batch of distinct reads per predicted batch (the one-batch
+		// planner never declines mid-plan at depth 1), doubled when
+		// posmap-group siblings ride along. Sizing is a throughput knob, not
+		// correctness — PrefetchSet declines gracefully past the window.
+		w := max(h.cfg.MaxBatch, serve.DefaultMaxBatch) * max(h.cfg.PrefetchDepth, 1)
+		if h.cfg.PosmapPrefetch {
+			w *= 2
+		}
+		sh.EnablePrefetch(w)
+	}
+}
+
+// adoptSlot tunes a bare slot, starts its worker and installs it as shard
+// s. Every slot is its own one-worker Service rather than worker i of one
+// shared Service because migration adds and removes slots at run time.
+func (h *host) adoptSlot(s int, sl *slot) {
+	h.tune(sl.sh)
+	sl.svc = serve.New([]serve.Backend{stagedShard{sl.sh}}, serve.Config{
+		QueueDepth:        h.cfg.QueueDepth,
+		MaxBatch:          h.cfg.MaxBatch,
+		PipelineDepth:     h.cfg.PipelineDepth,
+		Prefetch:          h.cfg.Prefetch,
+		PrefetchDepth:     h.cfg.PrefetchDepth,
+		PosmapPrefetch:    h.cfg.PosmapPrefetch,
+		AdmissionDeadline: h.cfg.AdmissionDeadline,
+	})
+	h.slots[s] = sl
+}
+
+// stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
+// concrete Access pointer becomes the service-layer Access interface. The
+// serve worker only drives the staged methods when the shard's pipeline is
+// enabled (PipelineDepth > 1 — both are wired from the same config knob).
+type stagedShard struct{ *shard.Shard }
+
+func (s stagedShard) BeginRead(id uint64) (serve.Access, error) {
+	return s.Shard.BeginRead(id)
+}
+
+func (s stagedShard) BeginWrite(id uint64, data []byte) (serve.Access, error) {
+	return s.Shard.BeginWrite(id, data)
+}
+
+// --- requests -----------------------------------------------------------
+
+func (h *host) checkID(id uint64) error {
+	if id >= h.router.Blocks() {
+		return fmt.Errorf("palermo: block %d outside capacity %d", id, h.router.Blocks())
+	}
+	return nil
+}
+
+func checkBlock(data []byte) error {
+	if len(data) != BlockSize {
+		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
+	}
+	return nil
+}
+
+// route resolves a valid id to its serving slot and shard-local id.
+func (h *host) route(id uint64) (*slot, uint64, error) {
+	s, local := h.router.Route(id)
+	if sl := h.slots[s]; sl != nil && !sl.held {
+		return sl, local, nil
+	}
+	return nil, 0, notServed(s)
+}
+
+func (h *host) read(id uint64) ([]byte, error) {
+	if err := h.checkID(id); err != nil {
+		return nil, err
+	}
+	sl, local, err := h.route(id)
+	if err != nil {
+		return nil, err
+	}
+	return sl.svc.Read(0, local)
+}
+
+func (h *host) write(id uint64, data []byte) error {
+	if err := h.checkID(id); err != nil {
+		return err
+	}
+	if err := checkBlock(data); err != nil {
+		return err
+	}
+	sl, local, err := h.route(id)
+	if err != nil {
+		return err
+	}
+	return sl.svc.Write(0, local, data)
+}
+
+// batch serves ReadBatch (op OpRead, blocks unused) and WriteBatch: it
+// validates every entry, partitions the batch by shard, submits each
+// shard's subset as one atomic batch (so duplicate ids inside the call
+// share one ORAM access), then waits for every future and scatters read
+// payloads back to input order. If ANY id routes to a shard not served
+// here the whole batch is rejected before anything is submitted — the
+// frame atomicity behind the wrong-epoch status: a rejected frame executed
+// nothing, so a client retry cannot duplicate operations. On an execution
+// error the first failure is returned after every submitted request has
+// completed.
+func (h *host) batch(op serve.Op, ids []uint64, blocks [][]byte) ([][]byte, error) {
+	if op == serve.OpWrite && len(ids) != len(blocks) {
+		return nil, fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
+	}
+	for i, id := range ids {
+		if err := h.checkID(id); err != nil {
+			return nil, err
+		}
+		if op == serve.OpWrite {
+			if err := checkBlock(blocks[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	reqs := make([][]serve.Req, len(h.slots))
+	var pos [][]int // reads only: each request's position in the caller's order
+	if op == serve.OpRead {
+		pos = make([][]int, len(h.slots))
+	}
+	for i, id := range ids {
+		s, local := h.router.Route(id)
+		if sl := h.slots[s]; sl == nil || sl.held {
+			return nil, notServed(s)
+		}
+		req := serve.Req{Op: op, ID: local}
+		if op == serve.OpWrite {
+			req.Data = blocks[i]
+		} else {
+			pos[s] = append(pos[s], i)
+		}
+		reqs[s] = append(reqs[s], req)
+	}
+	var out [][]byte
+	if op == serve.OpRead {
+		out = make([][]byte, len(ids))
+	}
+	futs := make([][]*serve.Future, len(reqs))
+	var firstErr error
+	for s, rs := range reqs {
+		if len(rs) == 0 {
+			continue
+		}
+		fs, err := h.slots[s].svc.SubmitBatch(0, rs)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		futs[s] = fs
+	}
+	for s, fs := range futs {
+		for j, f := range fs {
+			data, err := f.Wait()
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if out != nil && err == nil {
+				out[pos[s][j]] = data
+			}
+		}
+	}
+	return out, firstErr
+}
+
+// --- snapshots ----------------------------------------------------------
+
+// onWorker runs fn where it may touch worker-owned engine state: on the
+// slot's worker behind everything already queued, or directly once the
+// worker has exited (a Close may still be draining — wait it out first)
+// and inside Store, which has no worker.
+func (sl *slot) onWorker(fn func()) {
+	if sl.svc == nil {
+		fn()
+	} else if err := sl.svc.Sync(0, fn); err != nil {
+		sl.svc.WaitClosed()
+		fn()
+	}
+}
+
+// traffic folds the slots' engine counters into one report, consistent
+// with every operation that completed before the call.
+func (ss slotSet) traffic() TrafficReport {
+	var rep TrafficReport
+	for _, sl := range ss {
+		if sl == nil {
+			continue
+		}
+		var c shard.Counters
+		sl.onWorker(func() { c = sl.sh.Snapshot() })
+		rep.Reads += c.Reads
+		rep.Writes += c.Writes
+		rep.DRAMReads += c.DRAMReads
+		rep.DRAMWrites += c.DRAMWrites
+		rep.TreeTopHits += c.TreeTopHits
+		rep.PrefetchIssued += c.PrefetchIssued
+		rep.PrefetchUsed += c.PrefetchUsed
+		rep.PrefetchStale += c.PrefetchStale
+		rep.StashPeak = max(rep.StashPeak, c.StashPeak)
+		// Slot-cache telemetry exists only on the blockfile engine with
+		// SlotCacheBytes > 0; every other backend contributes nothing.
+		if sc, ok := sl.be.(interface{ SlotCacheStats() (uint64, uint64) }); ok {
+			hits, misses := sc.SlotCacheStats()
+			rep.SlotCacheHits += hits
+			rep.SlotCacheMisses += misses
+		}
+	}
+	if ops := rep.Reads + rep.Writes; ops > 0 {
+		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)
+	}
+	return rep
+}
+
+// serviceStats merges the slots' services, plus any retired ones, at the
+// histogram level (serve.MergeStats).
+func (ss slotSet) serviceStats(retired []*serve.Service) ServiceStats {
+	svcs := make([]*serve.Service, 0, len(ss)+len(retired))
+	for _, sl := range ss {
+		if sl != nil {
+			svcs = append(svcs, sl.svc)
+		}
+	}
+	return serve.MergeStats(append(svcs, retired...))
+}
+
+// queueDepths lists the hosted slots' queue occupancy in shard order.
+func (ss slotSet) queueDepths() []int {
+	out := make([]int, 0, len(ss))
+	for _, sl := range ss {
+		if sl != nil {
+			out = append(out, sl.svc.QueueDepths()[0])
+		}
+	}
+	return out
+}
+
+// fsyncLag sums the durable backends' fsync count and cumulative wait;
+// the memory engine has no such telemetry and contributes zero.
+func (ss slotSet) fsyncLag() (count uint64, total time.Duration) {
+	for _, sl := range ss {
+		if sl == nil {
+			continue
+		}
+		if fs, ok := sl.be.(interface {
+			FsyncStats() (uint64, time.Duration)
+		}); ok {
+			n, d := fs.FsyncStats()
+			count += n
+			total += d
+		}
+	}
+	return count, total
+}
+
+// leafTrace copies shard s's recorded trace on its worker.
+func (sl *slot) leafTrace(s int) LeafTrace {
+	lt := LeafTrace{Shard: s}
+	sl.onWorker(func() {
+		lt.NumLeaves = sl.sh.DataLeaves()
+		if tr := sl.sh.Trace(); tr != nil {
+			lt.Leaves = append([]uint64(nil), tr.Leaves...)
+		}
+	})
+	return lt
+}
+
+func (ss slotSet) leafTraces() []LeafTrace {
+	out := make([]LeafTrace, 0, len(ss))
+	for s, sl := range ss {
+		if sl != nil {
+			out = append(out, sl.leafTrace(s))
+		}
+	}
+	return out
+}
+
+// enableTraces starts trace recording on every hosted shard and on any
+// slot adopted later. Call before serving starts.
+func (h *host) enableTraces() {
+	h.traceOn = true
+	for _, sl := range h.slots {
+		if sl != nil {
+			sl.sh.EnableTrace()
+		}
+	}
+}
+
+// wireStats is the one builder of the wire snapshot (the Stats op and the
+// handshake): service stats of live plus retired services, engine traffic
+// of the live slots, and the placement fields. A standalone store passes
+// no retired services and epoch 0, and owns every shard.
+func (h *host) wireStats(live slotSet, retired []*serve.Service, epoch uint64) wire.Stats {
+	ss, tr := live.serviceStats(retired), live.traffic()
+	first, owned := 0, 0
+	for s, sl := range live {
+		if sl == nil {
+			continue
+		}
+		if owned == 0 {
+			first = s
+		}
+		owned++
+	}
+	lat := func(l LatencySummary) wire.Latency {
+		return wire.Latency{N: l.N, MeanUs: l.MeanUs, P50Us: l.P50Us, P99Us: l.P99Us}
+	}
+	return wire.Stats{
+		Blocks:      h.router.Blocks(),
+		Shards:      uint32(h.router.Shards()),
+		Reads:       ss.Reads,
+		Writes:      ss.Writes,
+		DedupHits:   ss.DedupHits,
+		Sheds:       ss.Sheds,
+		ReadLat:     lat(ss.ReadLat),
+		WriteLat:    lat(ss.WriteLat),
+		QueueLat:    lat(ss.QueueLat),
+		ExecLat:     lat(ss.ExecLat),
+		EngineReads: tr.Reads, EngineWrites: tr.Writes,
+		DRAMReads: tr.DRAMReads, DRAMWrites: tr.DRAMWrites,
+		StashPeak:      uint32(tr.StashPeak),
+		TreeTopHits:    tr.TreeTopHits,
+		PrefetchIssued: tr.PrefetchIssued, PrefetchUsed: tr.PrefetchUsed, PrefetchStale: tr.PrefetchStale,
+		Epoch: epoch, FirstShard: uint32(first), OwnedShards: uint32(owned),
+	}
+}
+
+// close stops admission on every slot at once and lets them drain, flush
+// and checkpoint concurrently, each on its own worker. Idempotent: a
+// closed service re-reports its first outcome.
+func (ss slotSet) close() error {
+	errs := make([]error, len(ss))
+	var wg sync.WaitGroup
+	for s, sl := range ss {
+		if sl == nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = sl.svc.Close()
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}

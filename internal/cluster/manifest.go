@@ -1,7 +1,7 @@
 // Package cluster holds the multi-node placement layer of the oblivious
 // store: a manifest mapping contiguous shard ranges onto node addresses
-// under a monotonically increasing geometry epoch, and the declarative
-// server configuration the nodes and the cluster-routing client share.
+// under a monotonically increasing geometry epoch, and the node state a
+// durable node persists beside its shards.
 //
 // The placement map is deliberately tiny and public. Which node serves a
 // shard is a deterministic pure function of the public block id (the §6
@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -191,6 +192,13 @@ func Decode(data []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// strictUnmarshal is json.Unmarshal with unknown fields rejected.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Load reads and validates a manifest file.

@@ -145,35 +145,3 @@ func TestEvenSplit(t *testing.T) {
 		t.Fatal("more nodes than shards accepted")
 	}
 }
-
-func TestServerConfigLoad(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "server.json")
-	body := `{
-  "addr": "127.0.0.1:7071",
-  "shards": 4,
-  "blocks": 4096,
-  "dir": "/tmp/x",
-  "idle": "2m",
-  "manifest": "manifest.json"
-}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Addr != "127.0.0.1:7071" || c.Shards != 4 || c.Blocks != 4096 || c.Manifest != "manifest.json" {
-		t.Fatalf("config parsed wrong: %+v", c)
-	}
-	if got := int64(c.Idle); got != int64(2*60*1e9) {
-		t.Fatalf("idle = %d ns", got)
-	}
-	if err := os.WriteFile(path, []byte(`{"addrs": "typo"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(path); err == nil {
-		t.Fatal("unknown config key accepted")
-	}
-}

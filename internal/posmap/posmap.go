@@ -35,12 +35,11 @@ const (
 // Hierarchy tracks leaf assignments for the data space and every recursive
 // posmap space.
 type Hierarchy struct {
-	levels  int              // number of spaces with leaf assignments (incl. on-chip top)
-	blocks  []uint64         // logical block count per level
-	leaves  []uint64         // tree leaf count per level (set by Attach)
-	maps    []paged.Table    // per level: block index -> leaf+1
-	pending []map[uint64]int // reference-counted pending PAs (Palermo)
-	r       *rng.Rand
+	levels int           // number of spaces with leaf assignments (incl. on-chip top)
+	blocks []uint64      // logical block count per level
+	leaves []uint64      // tree leaf count per level (set by Attach)
+	maps   []paged.Table // per level: block index -> leaf+1
+	r      *rng.Rand
 }
 
 // New creates a hierarchy for nDataBlocks logical data blocks with the given
@@ -56,7 +55,6 @@ func New(nDataBlocks uint64, posLevels int, r *rng.Rand) *Hierarchy {
 	for l := 0; l <= posLevels; l++ {
 		h.blocks = append(h.blocks, n)
 		h.maps = append(h.maps, paged.New(n))
-		h.pending = append(h.pending, make(map[uint64]int))
 		n = (n + EntriesPerBlock - 1) / EntriesPerBlock
 	}
 	h.leaves = make([]uint64, posLevels+1)
@@ -118,8 +116,7 @@ func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {
 }
 
 // State deep-copies the materialized leaf assignments of every level for a
-// durable-store checkpoint. Pending marks are transient protocol state and
-// are not captured; checkpoints run at quiescence.
+// durable-store checkpoint.
 func (h *Hierarchy) State() []map[uint64]uint32 {
 	out := make([]map[uint64]uint32, h.levels)
 	for l := range h.maps {
@@ -149,25 +146,4 @@ func (h *Hierarchy) Restore(maps []map[uint64]uint32) error {
 		}
 	}
 	return nil
-}
-
-// MarkPending notes an in-flight access to block idx at level l (Palermo
-// Algorithm 2 marks PAs pending between remap and eviction). Calls nest.
-func (h *Hierarchy) MarkPending(l int, idx uint64) {
-	h.pending[l][idx]++
-}
-
-// ClearPending releases one pending reference.
-func (h *Hierarchy) ClearPending(l int, idx uint64) {
-	c := h.pending[l][idx]
-	if c <= 1 {
-		delete(h.pending[l], idx)
-		return
-	}
-	h.pending[l][idx] = c - 1
-}
-
-// Pending reports whether block idx at level l has an in-flight access.
-func (h *Hierarchy) Pending(l int, idx uint64) bool {
-	return h.pending[l][idx] > 0
 }

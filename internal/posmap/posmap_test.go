@@ -101,23 +101,6 @@ func TestLeafUniformity(t *testing.T) {
 	}
 }
 
-func TestPendingNesting(t *testing.T) {
-	h := newHier()
-	if h.Pending(0, 3) {
-		t.Fatal("fresh index must not be pending")
-	}
-	h.MarkPending(0, 3)
-	h.MarkPending(0, 3)
-	h.ClearPending(0, 3)
-	if !h.Pending(0, 3) {
-		t.Fatal("still one pending reference")
-	}
-	h.ClearPending(0, 3)
-	if h.Pending(0, 3) {
-		t.Fatal("pending must clear at zero references")
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	h := newHier()
 	defer func() {

@@ -167,12 +167,16 @@ type Config struct {
 	AdmissionDeadline time.Duration
 }
 
+// DefaultMaxBatch is Config.MaxBatch's default, exported because the
+// store sizes each shard's prefetch announce window from it.
+const DefaultMaxBatch = 64
+
 func (c *Config) defaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
 	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
+		c.MaxBatch = DefaultMaxBatch
 	}
 	if c.PipelineDepth == 0 {
 		c.PipelineDepth = 2

@@ -65,7 +65,13 @@ func NewServer(st *ShardedStore, cfg ServerConfig) (*Server, error) {
 	if st == nil {
 		return nil, fmt.Errorf("palermo: NewServer requires a store")
 	}
-	ns, err := netserve.New(serverStore{st}, netserve.Config{
+	return newServer(serverStore{st}, cfg)
+}
+
+// newServer maps ServerConfig onto the network layer for both the
+// standalone and the cluster server.
+func newServer(st netserve.Store, cfg ServerConfig) (*Server, error) {
+	ns, err := netserve.New(st, netserve.Config{
 		MaxInFlight:  cfg.MaxInFlight,
 		MaxBatch:     cfg.MaxBatch,
 		IdleTimeout:  cfg.IdleTimeout,
@@ -99,46 +105,10 @@ func (s *Server) Addr() net.Addr { return s.ns.Addr() }
 // connections. Idempotent.
 func (s *Server) Close() error { return s.ns.Close() }
 
-// serverStore adapts ShardedStore to the netserve.Store interface,
-// folding the service stats, traffic counters, and store geometry into
-// the single wire snapshot the Stats op returns.
-type serverStore struct {
-	st *ShardedStore
-}
+// serverStore adapts ShardedStore to the netserve.Store interface: the
+// request methods are the store's own, and Stats becomes the single wire
+// snapshot folding service stats, traffic counters and store geometry. A
+// standalone server has no placement: epoch 0, every shard owned.
+type serverStore struct{ *ShardedStore }
 
-func (a serverStore) Read(id uint64) ([]byte, error)  { return a.st.Read(id) }
-func (a serverStore) Write(id uint64, d []byte) error { return a.st.Write(id, d) }
-func (a serverStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	return a.st.ReadBatch(ids)
-}
-func (a serverStore) WriteBatch(ids []uint64, blocks [][]byte) error {
-	return a.st.WriteBatch(ids, blocks)
-}
-
-func (a serverStore) Stats() wire.Stats {
-	ss := a.st.Stats()
-	tr := a.st.Traffic()
-	return wire.Stats{
-		Blocks:      a.st.Blocks(),
-		Shards:      uint32(a.st.Shards()),
-		Reads:       ss.Reads,
-		Writes:      ss.Writes,
-		DedupHits:   ss.DedupHits,
-		Sheds:       ss.Sheds,
-		ReadLat:     toWireLatency(ss.ReadLat),
-		WriteLat:    toWireLatency(ss.WriteLat),
-		QueueLat:    toWireLatency(ss.QueueLat),
-		ExecLat:     toWireLatency(ss.ExecLat),
-		EngineReads: tr.Reads, EngineWrites: tr.Writes,
-		DRAMReads: tr.DRAMReads, DRAMWrites: tr.DRAMWrites,
-		StashPeak:      uint32(tr.StashPeak),
-		TreeTopHits:    tr.TreeTopHits,
-		PrefetchIssued: tr.PrefetchIssued, PrefetchUsed: tr.PrefetchUsed, PrefetchStale: tr.PrefetchStale,
-		// A standalone server has no placement: epoch 0, every shard owned.
-		Epoch: 0, FirstShard: 0, OwnedShards: uint32(a.st.Shards()),
-	}
-}
-
-func toWireLatency(l LatencySummary) wire.Latency {
-	return wire.Latency{N: l.N, MeanUs: l.MeanUs, P50Us: l.P50Us, P99Us: l.P99Us}
-}
+func (a serverStore) Stats() wire.Stats { return a.wireStats(a.slots, nil, 0) }

@@ -18,10 +18,8 @@ package palermo
 // (and what the backend additionally learns: the id's residue mod Shards).
 
 import (
-	"fmt"
 	"time"
 
-	"palermo/internal/backend"
 	"palermo/internal/serve"
 	"palermo/internal/shard"
 )
@@ -134,128 +132,32 @@ func (c *ShardedStoreConfig) defaults() {
 	}
 }
 
-// ShardedStore is a concurrent oblivious 64-byte-block store.
+// ShardedStore is a concurrent oblivious 64-byte-block store: a shard host
+// (host.go) that owns every slot.
 type ShardedStore struct {
-	router shard.Router
+	*host
+	// shards lists the slots' engines by shard index for the in-package
+	// equivalence suites, which arm traces on them before serving.
 	shards []*shard.Shard
-	svc    *serve.Service
-	bes    []backend.Backend // per-shard storage backends, kept for FsyncLag
 }
 
 // NewShardedStore builds the shards and starts their workers.
 func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
-	if err := validatePipelineDepth(cfg.PipelineDepth); err != nil {
-		return nil, err
-	}
-	if err := validateTreeTopLevels(cfg.TreeTopLevels); err != nil {
-		return nil, err
-	}
-	if err := validateCryptoWorkers(cfg.CryptoWorkers); err != nil {
-		return nil, err
-	}
-	if err := validatePrefetchDepth(cfg.PrefetchDepth); err != nil {
-		return nil, err
-	}
-	engine, err := resolveEngine(cfg.Engine, cfg.Backend)
+	h, err := newHost(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Backend = engine
-	cfg.Engine = ""
-	cfg.defaults()
-	if err := validateStoreParams(cfg.Blocks, cfg.Key); err != nil {
-		return nil, err
-	}
-	if cfg.Shards < 1 || cfg.Shards > MaxShards {
-		return nil, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, cfg.Shards)
-	}
-	if cfg.QueueDepth < 0 || cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("palermo: QueueDepth/MaxBatch must be >= 0")
-	}
-	router, err := shard.NewRouter(cfg.Blocks, cfg.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = BackendMemory
-	}
-	if err := validateSlotCacheBytes(cfg.SlotCacheBytes, cfg.Backend); err != nil {
-		return nil, err
-	}
-	bes, err := openBackends(cfg.Backend, cfg.Dir, cfg.Blocks, cfg.Shards, cfg.GroupCommit, cfg.PipelineDepth, cfg.SlotCacheBytes)
-	if err != nil {
-		return nil, err
-	}
-	st := &ShardedStore{router: router, bes: bes}
-	backends := make([]serve.Backend, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		sh, err := shard.New(i, cfg.Shards, router.ShardBlocks(i), cfg.Key, shard.DeriveSeed(cfg.Seed, i), bes[i])
+	st := &ShardedStore{host: h, shards: make([]*shard.Shard, len(h.slots))}
+	for s := range h.slots {
+		sl, err := h.openSlot(s, shard.DeriveSeed(h.cfg.Seed, s))
 		if err != nil {
-			for _, be := range bes {
-				if be != nil {
-					be.Close()
-				}
-			}
-			return nil, fmt.Errorf("palermo: %w", err)
+			h.slots.close()
+			return nil, err
 		}
-		applyCheckpointEvery(sh, cfg.CheckpointEvery)
-		sh.SetTreeTopLevels(cfg.TreeTopLevels)
-		sh.EnablePipeline(cfg.PipelineDepth)
-		sh.EnableCryptoPool(cfg.CryptoWorkers)
-		if cfg.Prefetch {
-			sh.EnablePrefetch(prefetchWindow(cfg.MaxBatch, cfg.PrefetchDepth, cfg.PosmapPrefetch))
-		}
-		st.shards = append(st.shards, sh)
-		backends[i] = stagedShard{sh}
+		h.adoptSlot(s, sl)
+		st.shards[s] = sl.sh
 	}
-	st.svc = serve.New(backends, serve.Config{
-		QueueDepth:        cfg.QueueDepth,
-		MaxBatch:          cfg.MaxBatch,
-		PipelineDepth:     cfg.PipelineDepth,
-		Prefetch:          cfg.Prefetch,
-		PrefetchDepth:     cfg.PrefetchDepth,
-		PosmapPrefetch:    cfg.PosmapPrefetch,
-		AdmissionDeadline: cfg.AdmissionDeadline,
-	})
 	return st, nil
-}
-
-// serveDefaultMaxBatch mirrors serve.Config's MaxBatch default for sizing
-// the shard prefetch window when the config leaves MaxBatch zero.
-const serveDefaultMaxBatch = 64
-
-// prefetchWindow sizes a shard's announce window for the planner's
-// horizon: one batch of distinct reads per predicted batch (the one-batch
-// planner never declines mid-plan at depth 1), doubled when posmap-group
-// siblings ride along. Sizing is a throughput knob, not correctness —
-// PrefetchSet declines gracefully past the window.
-func prefetchWindow(maxBatch, depth int, posmap bool) int {
-	w := maxInt(maxBatch, serveDefaultMaxBatch) * maxInt(depth, 1)
-	if posmap {
-		w *= 2
-	}
-	return w
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
-// concrete Access pointer becomes the service-layer Access interface. The
-// serve worker only drives the staged methods when the shard's pipeline is
-// enabled (PipelineDepth > 1 — both are wired from the same config knob).
-type stagedShard struct{ *shard.Shard }
-
-func (s stagedShard) BeginRead(id uint64) (serve.Access, error) {
-	return s.Shard.BeginRead(id)
-}
-
-func (s stagedShard) BeginWrite(id uint64, data []byte) (serve.Access, error) {
-	return s.Shard.BeginWrite(id, data)
 }
 
 // Blocks returns the total capacity in blocks.
@@ -267,26 +169,11 @@ func (s *ShardedStore) Shards() int { return s.router.Shards() }
 // Write stores a 64-byte block obliviously under the given block id. Safe
 // for concurrent use; writes to the same id from different goroutines are
 // serialized by the id's shard worker in arrival order.
-func (s *ShardedStore) Write(id uint64, data []byte) error {
-	if id >= s.Blocks() {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
-	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
-	}
-	sh, local := s.router.Route(id)
-	return s.svc.Write(sh, local, data)
-}
+func (s *ShardedStore) Write(id uint64, data []byte) error { return s.write(id, data) }
 
 // Read fetches a block obliviously. Reading a never-written block returns a
 // zero block after a full-protocol access, like Store.Read.
-func (s *ShardedStore) Read(id uint64) ([]byte, error) {
-	if id >= s.Blocks() {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
-	}
-	sh, local := s.router.Route(id)
-	return s.svc.Read(sh, local)
-}
+func (s *ShardedStore) Read(id uint64) ([]byte, error) { return s.read(id) }
 
 // ReadBatch fetches many blocks, submitting each shard's subset as one
 // atomic batch: duplicate ids inside the call are served by a single ORAM
@@ -294,74 +181,15 @@ func (s *ShardedStore) Read(id uint64) ([]byte, error) {
 // input order; on error, the first failure is returned after every
 // submitted request has completed.
 func (s *ShardedStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for _, id := range ids {
-		if id >= s.Blocks() {
-			return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
-		}
-	}
-	perShard := make([][]serve.Req, s.Shards())
-	perShardPos := make([][]int, s.Shards())
-	for i, id := range ids {
-		sh, local := s.router.Route(id)
-		perShard[sh] = append(perShard[sh], serve.Req{Op: serve.OpRead, ID: local})
-		perShardPos[sh] = append(perShardPos[sh], i)
-	}
-	return out, s.waitBatches(perShard, perShardPos, out)
+	return s.batch(serve.OpRead, ids, nil)
 }
 
 // WriteBatch stores blocks[i] under ids[i] for every i, submitting each
 // shard's subset as one atomic batch. Ordering between entries targeting
 // the same id follows their position in the call.
 func (s *ShardedStore) WriteBatch(ids []uint64, blocks [][]byte) error {
-	if len(ids) != len(blocks) {
-		return fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
-	}
-	for i, id := range ids {
-		if id >= s.Blocks() {
-			return fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
-		}
-		if len(blocks[i]) != BlockSize {
-			return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(blocks[i]))
-		}
-	}
-	perShard := make([][]serve.Req, s.Shards())
-	perShardPos := make([][]int, s.Shards())
-	for i, id := range ids {
-		sh, local := s.router.Route(id)
-		perShard[sh] = append(perShard[sh], serve.Req{Op: serve.OpWrite, ID: local, Data: blocks[i]})
-		perShardPos[sh] = append(perShardPos[sh], i)
-	}
-	return s.waitBatches(perShard, perShardPos, nil)
-}
-
-// waitBatches submits every shard's sub-batch, then waits for all futures,
-// scattering read payloads into out (when non-nil) by original position.
-func (s *ShardedStore) waitBatches(perShard [][]serve.Req, perShardPos [][]int, out [][]byte) error {
-	futs := make([][]*serve.Future, len(perShard))
-	var firstErr error
-	for sh, reqs := range perShard {
-		if len(reqs) == 0 {
-			continue
-		}
-		fs, err := s.svc.SubmitBatch(sh, reqs)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		futs[sh] = fs
-	}
-	for sh, fs := range futs {
-		for j, f := range fs {
-			data, err := f.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if out != nil && err == nil {
-				out[perShardPos[sh][j]] = data
-			}
-		}
-	}
-	return firstErr
+	_, err := s.batch(serve.OpWrite, ids, blocks)
+	return err
 }
 
 // ServiceStats is the service-layer snapshot ShardedStore.Stats returns:
@@ -374,29 +202,18 @@ type LatencySummary = serve.LatencySummary
 
 // Stats returns the service-layer snapshot: completed operations, dedup
 // fan-out hits, and latency percentiles. Safe to call at any time.
-func (s *ShardedStore) Stats() ServiceStats { return s.svc.Stats() }
+func (s *ShardedStore) Stats() ServiceStats { return s.slots.serviceStats(nil) }
 
 // QueueDepths reports each shard's instantaneous request-queue occupancy
 // (in queued submissions, index = shard). It is a point-in-time gauge for
 // operability surfaces, not a synchronized snapshot.
-func (s *ShardedStore) QueueDepths() []int { return s.svc.QueueDepths() }
+func (s *ShardedStore) QueueDepths() []int { return s.slots.queueDepths() }
 
 // FsyncLag aggregates the durable backends' fsync telemetry: how many
 // fsyncs the store has issued and the cumulative time spent waiting on
 // them. Backends without fsync telemetry (the memory engine) contribute
 // zero, so a memory store always reports (0, 0).
-func (s *ShardedStore) FsyncLag() (count uint64, total time.Duration) {
-	for _, be := range s.bes {
-		if fs, ok := be.(interface {
-			FsyncStats() (uint64, time.Duration)
-		}); ok {
-			n, d := fs.FsyncStats()
-			count += n
-			total += d
-		}
-	}
-	return count, total
-}
+func (s *ShardedStore) FsyncLag() (count uint64, total time.Duration) { return s.slots.fsyncLag() }
 
 // Snapshot returns Stats and Traffic together. It exists so in-process
 // stores and remote Clients satisfy one observation interface
@@ -411,48 +228,13 @@ func (s *ShardedStore) Snapshot() (ServiceStats, TrafficReport, error) {
 // shape. Shard counters are snapshotted on each shard's own worker (via a
 // queue barrier), so the report is consistent with every operation that
 // completed before the call; after Close the counters are read directly.
-func (s *ShardedStore) Traffic() TrafficReport {
-	var rep TrafficReport
-	for i, sh := range s.shards {
-		var c shard.Counters
-		if err := s.svc.Sync(i, func() { c = sh.Snapshot() }); err != nil {
-			// Service closed: wait out any still-draining workers (Close
-			// may be concurrent), then the direct read is race-free.
-			s.svc.WaitClosed()
-			c = sh.Snapshot()
-		}
-		rep.Reads += c.Reads
-		rep.Writes += c.Writes
-		rep.DRAMReads += c.DRAMReads
-		rep.DRAMWrites += c.DRAMWrites
-		rep.TreeTopHits += c.TreeTopHits
-		rep.PrefetchIssued += c.PrefetchIssued
-		rep.PrefetchUsed += c.PrefetchUsed
-		rep.PrefetchStale += c.PrefetchStale
-		if c.StashPeak > rep.StashPeak {
-			rep.StashPeak = c.StashPeak
-		}
-	}
-	if ops := rep.Reads + rep.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)
-	}
-	for _, be := range s.bes {
-		h, m := slotCacheStats(be)
-		rep.SlotCacheHits += h
-		rep.SlotCacheMisses += m
-	}
-	return rep
-}
+func (s *ShardedStore) Traffic() TrafficReport { return s.slots.traffic() }
 
 // EnableTraces starts recording every shard's operation/leaf trace (the
 // attacker-visible path randomness each access exposes). Call before the
 // store starts serving; the traces grow without bound, so this is a
 // measurement/audit mode, not a production default.
-func (s *ShardedStore) EnableTraces() {
-	for _, sh := range s.shards {
-		sh.EnableTrace()
-	}
-}
+func (s *ShardedStore) EnableTraces() { s.enableTraces() }
 
 // LeafTrace is one shard's recorded serving trace for security analysis:
 // the leaf each engine access exposed, and the shard's data-tree leaf
@@ -466,29 +248,13 @@ type LeafTrace struct {
 // LeafTraces snapshots every shard's recorded leaf trace (nil Leaves for
 // shards without EnableTraces). Traces are copied on each shard's own
 // worker goroutine, so the call is safe while the store is serving.
-func (s *ShardedStore) LeafTraces() []LeafTrace {
-	out := make([]LeafTrace, len(s.shards))
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		copyTrace := func() {
-			out[i].Shard = i
-			out[i].NumLeaves = sh.DataLeaves()
-			if tr := sh.Trace(); tr != nil {
-				out[i].Leaves = append([]uint64(nil), tr.Leaves...)
-			}
-		}
-		if err := s.svc.Sync(i, copyTrace); err != nil {
-			s.svc.WaitClosed()
-			copyTrace()
-		}
-	}
-	return out
-}
+func (s *ShardedStore) LeafTraces() []LeafTrace { return s.slots.leafTraces() }
 
 // Close stops accepting requests, drains everything already queued,
-// flushes and checkpoints each shard's backend on its own worker, and
-// waits for the workers to exit. Idempotent; operations submitted after
-// Close return an error satisfying errors.Is(err, ErrClosed). With the
-// WAL backend, a store reopened from the same Dir resumes exactly where
-// Close left it — payloads, protocol state, and traffic counters.
-func (s *ShardedStore) Close() error { return s.svc.Close() }
+// flushes and checkpoints each shard's backend on its own worker — all
+// shards concurrently — and waits for the workers to exit. Idempotent;
+// operations submitted after Close return an error satisfying
+// errors.Is(err, ErrClosed). With the WAL backend, a store reopened from
+// the same Dir resumes exactly where Close left it — payloads, protocol
+// state, and traffic counters.
+func (s *ShardedStore) Close() error { return s.slots.close() }

@@ -18,10 +18,7 @@ package palermo
 
 import (
 	"fmt"
-	"path/filepath"
 
-	"palermo/internal/backend"
-	"palermo/internal/backend/blockfile"
 	"palermo/internal/backend/wal"
 	"palermo/internal/shard"
 )
@@ -214,67 +211,6 @@ func resolveEngine(engine, backendAlias string) (string, error) {
 	}
 }
 
-func (c *StoreConfig) defaults() {
-	if c.Blocks == 0 {
-		c.Blocks = 1 << 20
-	}
-	if c.Key == nil {
-		c.Key = []byte("palermo-demo-key")
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Backend == "" {
-		c.Backend = BackendMemory
-	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
-	}
-}
-
-// openBackends validates the engine selection and opens one backend per
-// shard (nil entries select the in-memory default). For the durable
-// engines the directory gains a manifest pinning (blocks, shards,
-// engine) and one sub-directory per shard, so a Store and a 1-shard
-// ShardedStore are interchangeable over the same Dir.
-func openBackends(kind, dir string, blocks uint64, shards, groupCommit, pipelineDepth, slotCacheBytes int) ([]backend.Backend, error) {
-	switch kind {
-	case BackendMemory:
-		if dir != "" {
-			return nil, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", kind)
-		}
-		return make([]backend.Backend, shards), nil
-	case BackendWAL, BackendBlockfile:
-		if dir == "" {
-			return nil, fmt.Errorf("palermo: Engine %q requires Dir", kind)
-		}
-		if err := wal.EnsureManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: blocks, Shards: shards, Engine: kind}); err != nil {
-			return nil, fmt.Errorf("palermo: %w", err)
-		}
-		bes := make([]backend.Backend, shards)
-		for i := range bes {
-			var be backend.Backend
-			var err error
-			sdir := filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-			if kind == BackendBlockfile {
-				be, err = blockfile.Open(sdir, blockfile.Options{GroupCommit: groupCommit, CacheBytes: slotCacheBytes})
-			} else {
-				be, err = wal.Open(sdir, wal.Options{GroupCommit: groupCommit, CommitDepth: pipelineDepth})
-			}
-			if err != nil {
-				for _, open := range bes[:i] {
-					open.Close()
-				}
-				return nil, fmt.Errorf("palermo: %w", err)
-			}
-			bes[i] = be
-		}
-		return bes, nil
-	default:
-		return nil, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", kind, BackendMemory, BackendWAL, BackendBlockfile)
-	}
-}
-
 // DetectEngine reports the storage engine recorded in dir's manifest,
 // defaulting to BackendWAL when the directory has no readable manifest
 // yet (matching the historical meaning of "a durable directory"). Tools
@@ -287,24 +223,13 @@ func DetectEngine(dir string) string {
 	return BackendWAL
 }
 
-// applyCheckpointEvery maps the config knob onto the shard: 0 keeps the
-// shard default, negative disables periodic checkpoints.
-func applyCheckpointEvery(sh *shard.Shard, every int) {
-	switch {
-	case every < 0:
-		sh.SetCheckpointEvery(0)
-	case every > 0:
-		sh.SetCheckpointEvery(uint64(every))
-	}
-}
-
 // Store is an oblivious 64-byte-block store: the 1-shard special case of
 // the service layer's partition (the shard seals under global ids, which
-// coincide with block ids at stride 1, and uses Seed unchanged).
+// coincide with block ids at stride 1, and uses Seed unchanged). It is one
+// tuned shard-host slot with no worker — the single caller is the worker.
 type Store struct {
+	h        *host
 	sh       *shard.Shard
-	be       backend.Backend // storage backend, kept for cache telemetry (nil = memory)
-	blocks   uint64
 	closed   bool
 	closeErr error // first Close outcome, re-returned on later calls
 }
@@ -315,59 +240,38 @@ type Store struct {
 // Backend: BackendWAL, a populated Dir is recovered: checkpointed state
 // restores exactly and any post-checkpoint log tail is replayed.
 func NewStore(cfg StoreConfig) (*Store, error) {
-	if err := validatePipelineDepth(cfg.PipelineDepth); err != nil {
-		return nil, err
-	}
-	if err := validateTreeTopLevels(cfg.TreeTopLevels); err != nil {
-		return nil, err
-	}
-	if err := validateCryptoWorkers(cfg.CryptoWorkers); err != nil {
-		return nil, err
-	}
-	engine, err := resolveEngine(cfg.Engine, cfg.Backend)
+	h, err := newHost(ShardedStoreConfig{
+		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
+		Engine: cfg.Engine, Backend: cfg.Backend, Dir: cfg.Dir,
+		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
+		PipelineDepth: cfg.PipelineDepth, TreeTopLevels: cfg.TreeTopLevels,
+		CryptoWorkers: cfg.CryptoWorkers, SlotCacheBytes: cfg.SlotCacheBytes,
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Backend = engine
-	cfg.Engine = ""
-	cfg.defaults()
-	if err := validateStoreParams(cfg.Blocks, cfg.Key); err != nil {
-		return nil, err
-	}
-	if err := validateSlotCacheBytes(cfg.SlotCacheBytes, cfg.Backend); err != nil {
-		return nil, err
-	}
-	bes, err := openBackends(cfg.Backend, cfg.Dir, cfg.Blocks, 1, cfg.GroupCommit, cfg.PipelineDepth, cfg.SlotCacheBytes)
+	sl, err := h.openSlot(0, h.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := shard.New(0, 1, cfg.Blocks, cfg.Key, cfg.Seed, bes[0])
-	if err != nil {
-		if bes[0] != nil {
-			bes[0].Close()
-		}
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	applyCheckpointEvery(sh, cfg.CheckpointEvery)
-	sh.SetTreeTopLevels(cfg.TreeTopLevels)
-	sh.EnablePipeline(cfg.PipelineDepth)
-	sh.EnableCryptoPool(cfg.CryptoWorkers)
-	return &Store{sh: sh, be: bes[0], blocks: cfg.Blocks}, nil
+	h.tune(sl.sh)
+	h.slots[0] = sl
+	return &Store{h: h, sh: sl.sh}, nil
 }
 
 // Blocks returns the capacity in blocks.
-func (s *Store) Blocks() uint64 { return s.blocks }
+func (s *Store) Blocks() uint64 { return s.h.router.Blocks() }
 
 // Write stores a 64-byte block obliviously under the given block id.
 func (s *Store) Write(id uint64, data []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if id >= s.blocks {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, s.blocks)
+	if err := s.h.checkID(id); err != nil {
+		return err
 	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
+	if err := checkBlock(data); err != nil {
+		return err
 	}
 	return s.sh.Write(id, data)
 }
@@ -379,8 +283,8 @@ func (s *Store) Read(id uint64) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if id >= s.blocks {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.blocks)
+	if err := s.h.checkID(id); err != nil {
+		return nil, err
 	}
 	return s.sh.Read(id)
 }
@@ -425,28 +329,4 @@ type TrafficReport struct {
 }
 
 // Traffic returns the accumulated report.
-func (s *Store) Traffic() TrafficReport {
-	c := s.sh.Snapshot()
-	rep := TrafficReport{
-		Reads: c.Reads, Writes: c.Writes,
-		DRAMReads: c.DRAMReads, DRAMWrites: c.DRAMWrites,
-		StashPeak:      c.StashPeak,
-		TreeTopHits:    c.TreeTopHits,
-		PrefetchIssued: c.PrefetchIssued, PrefetchUsed: c.PrefetchUsed, PrefetchStale: c.PrefetchStale,
-	}
-	if ops := c.Reads + c.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(c.DRAMReads+c.DRAMWrites) / float64(ops)
-	}
-	rep.SlotCacheHits, rep.SlotCacheMisses = slotCacheStats(s.be)
-	return rep
-}
-
-// slotCacheStats duck-types a backend's slot-cache telemetry (the
-// blockfile engine with SlotCacheBytes > 0); every other backend reports
-// (0, 0).
-func slotCacheStats(be backend.Backend) (hits, misses uint64) {
-	if sc, ok := be.(interface{ SlotCacheStats() (uint64, uint64) }); ok {
-		return sc.SlotCacheStats()
-	}
-	return 0, 0
-}
+func (s *Store) Traffic() TrafficReport { return s.h.slots.traffic() }
