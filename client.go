@@ -20,6 +20,13 @@ package palermo
 // ReadBatch/WriteBatch calls are forwarded as single frames, never split
 // or merged, preserving their atomic dedup semantics.
 //
+// The mux coalesces by yielding, never by waiting: when its queue runs dry
+// it yields the processor once, so callers that were about to submit get
+// to, and flushes the socket only if none did. A lone call is flushed
+// after at most one yield; there is no timer and nothing to tune. Frames
+// are encoded in place into a buffer the mux owns, responses are read into
+// pooled buffers, and each block is copied exactly once, to its caller.
+//
 // Every operation has a *Ctx variant; cancelling the context abandons the
 // wait, and the eventual response is discarded. Operations against a
 // closed client or a draining server return an error satisfying
@@ -40,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +135,8 @@ type Client struct {
 
 	mu     sync.RWMutex // guards closed vs. in-flight submissions
 	closed bool
+
+	pool wire.BufPool // response frame buffers, recycled across connections
 
 	frames, ops, merged atomic.Uint64
 }
@@ -489,13 +499,23 @@ type callResult struct {
 	err   error
 }
 
-// pendingFrame tracks one sent request frame awaiting its response.
-// merged marks a frame the mux coalesced out of single-block calls: its
-// batch response fans back out to the individual callers.
+// pendingFrame tracks one sent request frame awaiting its response: the
+// one call whose own request it carries, or the single-block calls the mux
+// coalesced into it, whose batch response fans back out to them.
 type pendingFrame struct {
 	op     byte
-	merged bool
-	calls  []*call
+	one    *call
+	merged []*call
+}
+
+// resolveAll gives every call of the frame the same result.
+func (pf *pendingFrame) resolveAll(r callResult) {
+	if pf.one != nil {
+		pf.one.done <- r
+	}
+	for _, ca := range pf.merged {
+		ca.done <- r
+	}
 }
 
 // connSlot is one position in the connection pool. The slot outlives any
@@ -580,7 +600,7 @@ type clientConn struct {
 	sem   chan struct{} // in-flight window tokens
 
 	mu      sync.Mutex
-	pending map[uint64]*pendingFrame
+	pending map[uint64]pendingFrame
 	broken  error
 
 	muxDone    chan struct{}
@@ -593,7 +613,7 @@ func newClientConn(cl *Client, nc net.Conn) *clientConn {
 		nc:         nc,
 		sendq:      make(chan *call, cl.cfg.MaxInFlight),
 		sem:        make(chan struct{}, cl.cfg.MaxInFlight),
-		pending:    make(map[uint64]*pendingFrame),
+		pending:    make(map[uint64]pendingFrame),
 		muxDone:    make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
@@ -632,13 +652,11 @@ func (cc *clientConn) fail(err error) {
 		cc.broken = fmt.Errorf("palermo: client: connection lost: %w", err)
 	}
 	pend := cc.pending
-	cc.pending = make(map[uint64]*pendingFrame)
+	cc.pending = make(map[uint64]pendingFrame)
 	broken := cc.broken
 	cc.mu.Unlock()
 	for _, pf := range pend {
-		for _, ca := range pf.calls {
-			ca.done <- callResult{err: broken}
-		}
+		pf.resolveAll(callResult{err: broken})
 	}
 }
 
@@ -654,8 +672,27 @@ func (cc *clientConn) drainInFlight() {
 	}
 }
 
+// muxState is what the mux goroutine owns: the socket's write side and the
+// scratch its windows and frames are built in, reused from one to the next.
+type muxState struct {
+	cc    *clientConn
+	bw    *bufio.Writer
+	reqID uint64
+	dead  bool // the connection is done for: fail calls instead of sending
+
+	window, others, reads, writes []*call // one drain window, and its partition
+
+	frame  []byte   // the frame being encoded
+	ids    []uint64 // a coalesced frame's ids ...
+	blocks [][]byte // ... and blocks
+}
+
 // mux drains the send queue, coalescing concurrent single-block calls
 // into batch frames, and writes request frames until the queue closes.
+// It flushes the socket only when the queue is still empty after yielding
+// the processor once: callers about to submit get to, their frames share
+// the write (and their single-block calls a batch frame), and a lone call
+// waits for nothing but that one yield.
 func (cc *clientConn) mux() {
 	defer close(cc.muxDone)
 	// On any exit path, keep consuming the send queue and failing calls
@@ -667,150 +704,134 @@ func (cc *clientConn) mux() {
 			ca.done <- callResult{err: cc.brokenErr()}
 		}
 	}()
-	bw := bufio.NewWriter(cc.nc)
-	var reqID uint64
-	window := make([]*call, 0, cc.cl.cfg.BatchWindow)
-	closing := false
-	for !closing {
-		first, ok := <-cc.sendq
-		if !ok {
-			return
-		}
-		// Clamp coalescing to what the server accepts per frame, so a
-		// merged batch can never come back StatusBad.
-		maxWindow := cc.cl.cfg.BatchWindow
-		if limit := cc.cl.batchLimit(); maxWindow > limit {
-			maxWindow = limit
-		}
-		window = append(window[:0], first)
-		for len(window) < maxWindow {
-			select {
-			case more, open := <-cc.sendq:
-				if !open {
-					closing = true
-				} else {
-					window = append(window, more)
-					continue
-				}
-			default:
+	m := &muxState{cc: cc, bw: bufio.NewWriter(cc.nc)}
+	for first := range cc.sendq {
+		// The mux is the queue's only receiver, so a receive from a queue
+		// it has seen non-empty never blocks.
+		for yielded := false; ; first = <-cc.sendq {
+			// Clamp coalescing to what the server accepts per frame, so a
+			// merged batch can never come back StatusBad.
+			maxWindow := min(cc.cl.cfg.BatchWindow, cc.cl.batchLimit())
+			m.window = append(m.window[:0], first)
+			for len(m.window) < maxWindow && len(cc.sendq) > 0 {
+				m.window = append(m.window, <-cc.sendq)
 			}
-			break
-		}
-		// Partition the window into frame-sized groups: all single reads,
-		// all single writes, then every explicit batch/stats call alone.
-		var reads, writes []*call
-		groups := make([][]*call, 0, 2)
-		for _, ca := range window {
-			switch ca.op {
-			case wire.OpRead:
-				reads = append(reads, ca)
-			case wire.OpWrite:
-				writes = append(writes, ca)
-			default:
-				groups = append(groups, []*call{ca})
+			m.sendWindow()
+			if m.dead {
+				return
+			}
+			if len(cc.sendq) == 0 && !yielded {
+				yielded = true
+				runtime.Gosched()
+			}
+			if len(cc.sendq) == 0 {
+				break
 			}
 		}
-		if len(reads) > 0 {
-			groups = append(groups, reads)
-		}
-		if len(writes) > 0 {
-			groups = append(groups, writes)
-		}
-		for i, group := range groups {
-			if cc.sendGroup(bw, &reqID, group) {
-				continue
-			}
-			// The failed group's calls are already resolved (by sendFrame
-			// or, if the frame reached pending, by the reader's fail);
-			// resolve the never-sent remainder before exiting.
-			broken := cc.brokenErr()
-			for _, later := range groups[i+1:] {
-				for _, ca := range later {
-					ca.done <- callResult{err: broken}
-				}
-			}
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if err := m.bw.Flush(); err != nil {
 			cc.nc.Close() // reader notices and fails all pending
 			return
 		}
 	}
 }
 
-// sendGroup emits one frame for a group: a pass-through frame for an
-// explicit batch/stats/single call, a coalesced batch frame for several
-// single-block calls of the same kind.
-func (cc *clientConn) sendGroup(bw *bufio.Writer, reqID *uint64, group []*call) bool {
-	if len(group) == 1 {
-		ca := group[0]
-		return cc.sendFrame(bw, reqID, ca.op, cc.encode(ca), &pendingFrame{op: ca.op, calls: group})
+// sendWindow emits one window's frames: every explicit batch, stats or
+// admin call as its own frame, in arrival order, then the single-block
+// reads as one frame and the single-block writes as another.
+func (m *muxState) sendWindow() {
+	m.others, m.reads, m.writes = m.others[:0], m.reads[:0], m.writes[:0]
+	for _, ca := range m.window {
+		switch ca.op {
+		case wire.OpRead:
+			m.reads = append(m.reads, ca)
+		case wire.OpWrite:
+			m.writes = append(m.writes, ca)
+		default:
+			m.others = append(m.others, ca)
+		}
 	}
-	return cc.sendMerged(bw, reqID, group[0].op, group)
+	for _, ca := range m.others {
+		m.sendFrame(ca, nil)
+	}
+	for _, group := range [][]*call{m.reads, m.writes} {
+		switch len(group) {
+		case 0:
+		case 1:
+			m.sendFrame(group[0], nil)
+		default:
+			m.sendFrame(nil, group)
+		}
+	}
 }
 
-// sendMerged emits one frame for a window's single-block reads or writes:
-// a plain op for one call, a coalesced batch frame for several.
-func (cc *clientConn) sendMerged(bw *bufio.Writer, reqID *uint64, op byte, calls []*call) bool {
-	switch {
-	case len(calls) == 0:
-		return true
-	case len(calls) == 1:
-		return cc.sendFrame(bw, reqID, op, cc.encode(calls[0]), &pendingFrame{op: op, calls: calls})
-	}
-	cc.cl.merged.Add(uint64(len(calls)))
-	var payload []byte
-	var err error
-	if op == wire.OpRead {
-		ids := make([]uint64, len(calls))
-		for i, ca := range calls {
-			ids[i] = ca.id
-		}
-		payload, err = wire.AppendReadBatchReq(nil, ids)
-		op = wire.OpReadBatch
+// encode builds the frame of one call's own request, or of the batch
+// request that carries several single-block calls of one kind, in m.frame.
+func (m *muxState) encode(reqID uint64, one *call, merged []*call) (op byte, err error) {
+	if one != nil {
+		op = one.op
+		m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
+		switch op {
+		case wire.OpRead:
+			m.frame = wire.AppendReadReq(m.frame, one.id)
+		case wire.OpWrite:
+			m.frame = wire.AppendWriteReq(m.frame, one.id, one.data)
+		case wire.OpReadBatch:
+			m.frame, err = wire.AppendReadBatchReq(m.frame, one.ids)
+		case wire.OpWriteBatch:
+			m.frame, err = wire.AppendWriteBatchReq(m.frame, one.ids, one.blocks)
+		case wire.OpMigrate:
+			m.frame, err = wire.AppendMigrateReq(m.frame, uint32(one.id), one.target)
+		} // OpStats, OpManifest: no payload
 	} else {
-		ids := make([]uint64, len(calls))
-		blocks := make([][]byte, len(calls))
-		for i, ca := range calls {
-			ids[i], blocks[i] = ca.id, ca.data
+		m.ids, m.blocks = m.ids[:0], m.blocks[:0]
+		for _, ca := range merged {
+			m.ids = append(m.ids, ca.id)
+			m.blocks = append(m.blocks, ca.data)
 		}
-		payload, err = wire.AppendWriteBatchReq(nil, ids, blocks)
-		op = wire.OpWriteBatch
+		if merged[0].op == wire.OpRead {
+			op = wire.OpReadBatch
+			m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
+			m.frame, err = wire.AppendReadBatchReq(m.frame, m.ids)
+		} else {
+			op = wire.OpWriteBatch
+			m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
+			m.frame, err = wire.AppendWriteBatchReq(m.frame, m.ids, m.blocks)
+		}
 	}
-	if err != nil {
+	if err == nil && len(m.frame)-wire.HeaderLen > wire.MaxPayload {
+		err = fmt.Errorf("%w: payload is %d bytes, limit %d", wire.ErrFrameTooLarge, len(m.frame)-wire.HeaderLen, wire.MaxPayload)
+	}
+	m.frame = wire.EndFrame(m.frame, 0)
+	return op, err
+}
+
+// sendFrame encodes one request frame — one call's own, or the batch that
+// carries several single-block calls — takes its window token, registers
+// the pending entry and writes the frame. A failure marks the connection
+// dead, after which frames are not sent but failed: the calls of frames
+// sent earlier are resolved by the reader's fail.
+func (m *muxState) sendFrame(one *call, merged []*call) {
+	cc := m.cc
+	pf := pendingFrame{one: one}
+	if merged != nil {
+		// The entry outlives the window, so it takes a copy of the group.
+		pf.merged = append([]*call(nil), merged...)
+	}
+	die := func() {
+		m.dead = true
+		pf.resolveAll(callResult{err: cc.brokenErr()})
+	}
+	if m.dead {
+		die()
+		return
+	}
+	var err error
+	if pf.op, err = m.encode(m.reqID+1, one, merged); err != nil {
 		// Impossible by construction (sizes validated at the API); fail
 		// the calls rather than wedge them.
-		for _, ca := range calls {
-			ca.done <- callResult{err: err}
-		}
-		return true
+		pf.resolveAll(callResult{err: err})
+		return
 	}
-	return cc.sendFrame(bw, reqID, op, payload, &pendingFrame{op: op, merged: true, calls: calls})
-}
-
-// encode builds a call's request payload.
-func (cc *clientConn) encode(ca *call) []byte {
-	switch ca.op {
-	case wire.OpRead:
-		return wire.AppendReadReq(nil, ca.id)
-	case wire.OpWrite:
-		return wire.AppendWriteReq(nil, ca.id, ca.data)
-	case wire.OpReadBatch:
-		p, _ := wire.AppendReadBatchReq(nil, ca.ids)
-		return p
-	case wire.OpWriteBatch:
-		p, _ := wire.AppendWriteBatchReq(nil, ca.ids, ca.blocks)
-		return p
-	case wire.OpMigrate:
-		p, _ := wire.AppendMigrateReq(nil, uint32(ca.id), ca.target)
-		return p
-	}
-	return nil // OpStats, OpManifest
-}
-
-// sendFrame registers the pending entry and writes one request frame.
-// Returns false when the connection is done for (the mux must exit).
-func (cc *clientConn) sendFrame(bw *bufio.Writer, reqID *uint64, op byte, payload []byte, pf *pendingFrame) bool {
 	select {
 	case cc.sem <- struct{}{}: // in-flight window token free: proceed
 	default:
@@ -819,64 +840,51 @@ func (cc *clientConn) sendFrame(bw *bufio.Writer, reqID *uint64, op byte, payloa
 		// tokens can never arrive — an unflushed frame holding the whole
 		// window would deadlock the connection (e.g. MaxInFlight 1 with a
 		// window that splits into a read group and a write group).
-		if err := bw.Flush(); err != nil {
+		if err := m.bw.Flush(); err != nil {
 			cc.nc.Close() // reader notices and fails all pending
-			broken := cc.brokenErr()
-			for _, ca := range pf.calls {
-				ca.done <- callResult{err: broken}
-			}
-			return false
+			die()
+			return
 		}
 		select {
 		case cc.sem <- struct{}{}:
 		case <-cc.readerDone:
-			broken := cc.brokenErr()
-			for _, ca := range pf.calls {
-				ca.done <- callResult{err: broken}
-			}
-			return false
+			die()
+			return
 		}
 	}
-	*reqID++
-	id := *reqID
 	cc.mu.Lock()
 	if cc.broken != nil {
-		broken := cc.broken
 		cc.mu.Unlock()
 		<-cc.sem
-		for _, ca := range pf.calls {
-			ca.done <- callResult{err: broken}
-		}
-		return false
+		die()
+		return
 	}
-	cc.pending[id] = pf
+	m.reqID++
+	cc.pending[m.reqID] = pf
 	cc.mu.Unlock()
 	cc.cl.frames.Add(1)
 	// Count the operations the frame carries: each single-block call is
 	// one, an explicit batch call is its id count.
-	var ops uint64
-	for _, ca := range pf.calls {
-		if n := len(ca.ids); n > 0 {
-			ops += uint64(n)
-		} else {
-			ops++
-		}
+	if one != nil {
+		cc.cl.ops.Add(uint64(max(len(one.ids), 1)))
+	} else {
+		cc.cl.ops.Add(uint64(len(merged)))
+		cc.cl.merged.Add(uint64(len(merged)))
 	}
-	cc.cl.ops.Add(ops)
-	if err := wire.WriteFrame(bw, op, id, payload); err != nil {
+	if _, err := m.bw.Write(m.frame); err != nil {
 		cc.nc.Close() // poison the conn; reader fails everything pending
-		return false
+		m.dead = true
 	}
-	return true
 }
 
 // reader resolves response frames against the pending map until the
-// stream ends, then fails whatever is left.
+// stream ends, then fails whatever is left. Frames are read into pooled
+// buffers; resolve copies out what callers keep.
 func (cc *clientConn) reader() {
 	defer close(cc.readerDone)
 	br := bufio.NewReader(cc.nc)
 	for {
-		f, err := wire.ReadFrame(br)
+		f, fb, err := wire.ReadFrameBuf(br, &cc.cl.pool)
 		if err != nil {
 			cc.fail(err)
 			return
@@ -892,21 +900,21 @@ func (cc *clientConn) reader() {
 			return
 		}
 		<-cc.sem
-		cc.resolve(pf, f)
+		cc.resolve(&pf, f)
+		cc.cl.pool.Put(fb)
 	}
 }
 
 // resolve decodes one response frame and fans results out to the frame's
-// calls.
+// calls. The payload aliases a pooled buffer: every block is copied, once,
+// into what its caller receives.
 func (cc *clientConn) resolve(pf *pendingFrame, f wire.Frame) {
 	st, body, msg, err := wire.ParseResp(f.Payload)
 	if err == nil && st != wire.StatusOK {
 		err = remoteErr(st, msg)
 	}
 	if err != nil {
-		for _, ca := range pf.calls {
-			ca.done <- callResult{err: err}
-		}
+		pf.resolveAll(callResult{err: err})
 		return
 	}
 	switch pf.op {
@@ -915,44 +923,38 @@ func (cc *clientConn) resolve(pf *pendingFrame, f wire.Frame) {
 		if derr == nil {
 			blk = append([]byte(nil), blk...)
 		}
-		pf.calls[0].done <- callResult{data: blk, err: derr}
-	case wire.OpWrite, wire.OpWriteBatch:
-		for _, ca := range pf.calls {
-			ca.done <- callResult{}
-		}
+		pf.one.done <- callResult{data: blk, err: derr}
+	case wire.OpWrite, wire.OpWriteBatch, wire.OpMigrate:
+		pf.resolveAll(callResult{})
 	case wire.OpReadBatch:
 		blocks, derr := wire.ParseReadBatchResp(body)
-		if derr == nil && pf.merged && len(blocks) != len(pf.calls) {
-			derr = fmt.Errorf("palermo: client: merged batch answered %d of %d ops", len(blocks), len(pf.calls))
+		if derr == nil && pf.merged != nil && len(blocks) != len(pf.merged) {
+			derr = fmt.Errorf("palermo: client: merged batch answered %d of %d ops", len(blocks), len(pf.merged))
 		}
 		if derr != nil {
-			for _, ca := range pf.calls {
-				ca.done <- callResult{err: derr}
-			}
+			pf.resolveAll(callResult{err: derr})
 			return
 		}
-		if pf.merged {
-			for i, ca := range pf.calls {
+		if pf.merged != nil {
+			for i, ca := range pf.merged {
 				ca.done <- callResult{data: append([]byte(nil), blocks[i]...)}
 			}
 			return
 		}
-		out := make([][]byte, len(blocks))
-		for i, b := range blocks {
-			out[i] = append([]byte(nil), b...)
+		// The caller of an explicit batch owns every block: one backing
+		// array, and blocks' own slice headers re-pointed into it.
+		own := append([]byte(nil), body[len(body)-len(blocks)*wire.BlockBytes:]...)
+		for i := range blocks {
+			blocks[i] = own[i*wire.BlockBytes : (i+1)*wire.BlockBytes : (i+1)*wire.BlockBytes]
 		}
-		pf.calls[0].done <- callResult{batch: out}
+		pf.one.done <- callResult{batch: blocks}
 	case wire.OpStats:
 		stats, derr := wire.ParseStats(body)
-		pf.calls[0].done <- callResult{stats: stats, err: derr}
+		pf.one.done <- callResult{stats: stats, err: derr}
 	case wire.OpManifest:
-		pf.calls[0].done <- callResult{raw: append([]byte(nil), body...)}
-	case wire.OpMigrate:
-		pf.calls[0].done <- callResult{}
+		pf.one.done <- callResult{raw: append([]byte(nil), body...)}
 	default:
-		for _, ca := range pf.calls {
-			ca.done <- callResult{err: fmt.Errorf("palermo: client: unexpected response op %d", f.Op)}
-		}
+		pf.resolveAll(callResult{err: fmt.Errorf("palermo: client: unexpected response op %d", f.Op)})
 	}
 }
 

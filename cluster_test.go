@@ -12,12 +12,14 @@ package palermo
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"palermo/internal/cluster"
+	"palermo/internal/wire"
 )
 
 // testClusterNode is one running node of a test cluster.
@@ -339,8 +341,20 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 		t.Fatalf("read of unowned shard on target = %v, want ErrWrongEpoch", err)
 	}
 
+	// A stream of pipelined single-block reads of shard 0 on the source,
+	// kept up across the whole cutover.
+	stream := startShardStream(t, a.addr, ids)
+
 	if err := a.node.Migrate(0, b.addr); err != nil {
 		t.Fatalf("migrate: %v", err)
+	}
+
+	// Every streamed frame either completed on the source ahead of the
+	// cutover barrier or was answered wrong-epoch; the accounting below
+	// shows the rejected ones executed nothing.
+	streamed := stream.stop(t)
+	if streamed == 0 {
+		t.Fatal("no streamed read completed before the cutover; the stream tested nothing")
 	}
 
 	// The source now rejects shard 0 — whole frame, nothing executed.
@@ -364,15 +378,107 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 	}
 
 	// Exactly-once accounting: 4 writes + 4 reads total across the
-	// cluster, the wrong-epoch rejections and retries adding nothing.
+	// cluster, plus the streamed reads the source answered OK — the
+	// wrong-epoch rejections and retries adding nothing.
 	ss, _, err := cc.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Writes != uint64(len(ids)) || ss.Reads != uint64(len(ids)) {
+	if ss.Writes != uint64(len(ids)) || ss.Reads != uint64(len(ids))+streamed {
 		t.Fatalf("cluster served %d writes / %d reads, want %d / %d (lost or duplicated ops)",
-			ss.Writes, ss.Reads, len(ids), len(ids))
+			ss.Writes, ss.Reads, len(ids), uint64(len(ids))+streamed)
 	}
+}
+
+// shardStream keeps a window of pipelined single-block read frames in
+// flight on one raw connection to a node — the asynchronous request path,
+// with no client in between to retry or re-route.
+type shardStream struct {
+	nc      net.Conn
+	quit    chan struct{}
+	results chan error // the reader's verdict
+	ok      uint64     // frames answered StatusOK (valid after results)
+}
+
+// streamEnd marks the request id of the Stats frame the writer ends the
+// stream with; the id's low bits carry how many reads it sent.
+const streamEnd = 1 << 63
+
+func startShardStream(t *testing.T, addr string, ids []uint64) *shardStream {
+	t.Helper()
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &shardStream{nc: nc, quit: make(chan struct{}), results: make(chan error, 1)}
+	window := make(chan struct{}, 32)
+	go func() { // writer: request i reads ids[i % len(ids)]
+		for n := uint64(0); ; n++ {
+			select {
+			case window <- struct{}{}:
+			case <-s.quit:
+				wire.WriteFrame(nc, wire.OpStats, streamEnd|n, nil)
+				return
+			}
+			if wire.WriteFrame(nc, wire.OpRead, n, wire.AppendReadReq(nil, ids[n%uint64(len(ids))])) != nil {
+				return
+			}
+		}
+	}()
+	go func() { // reader: until every read the writer sent is answered
+		answered, sent, firstRejected := uint64(0), uint64(streamEnd), uint64(streamEnd)
+		for answered != sent {
+			f, err := wire.ReadFrame(nc)
+			if err != nil {
+				s.results <- err
+				return
+			}
+			if f.ReqID&streamEnd != 0 {
+				sent = f.ReqID &^ streamEnd
+				continue
+			}
+			<-window
+			answered++
+			status, body, msg, err := wire.ParseResp(f.Payload)
+			switch {
+			case err != nil:
+				s.results <- err
+				return
+			case status == wire.StatusOK:
+				// Requests reach the shard in order, so none can execute
+				// after one that was rejected.
+				if f.ReqID > firstRejected {
+					s.results <- fmt.Errorf("request %d executed after request %d was rejected wrong-epoch", f.ReqID, firstRejected)
+					return
+				}
+				if want := block(byte(0xA0 + f.ReqID%uint64(len(ids)))); !bytes.Equal(body, want) {
+					s.results <- fmt.Errorf("request %d read a wrong payload", f.ReqID)
+					return
+				}
+				s.ok++
+			case status == wire.StatusWrongEpoch:
+				firstRejected = min(firstRejected, f.ReqID)
+			default:
+				s.results <- fmt.Errorf("request %d answered status %d (%s): neither completed nor rejected wrong-epoch", f.ReqID, status, msg)
+				return
+			}
+		}
+		s.results <- nil
+	}()
+	return s
+}
+
+// stop ends the stream, waits for every frame sent to be answered and
+// returns how many the node answered OK.
+func (s *shardStream) stop(t *testing.T) uint64 {
+	t.Helper()
+	close(s.quit)
+	err := <-s.results
+	s.nc.Close()
+	if err != nil {
+		t.Fatalf("shard stream: %v", err)
+	}
+	return s.ok
 }
 
 // TestClientRedialRejectsEpochBump extends the redial-handshake

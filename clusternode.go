@@ -56,11 +56,12 @@ type ClusterNode struct {
 	addr string
 
 	// mu is the geometry lock. Request paths hold it shared across
-	// ownership-check + submit + wait, so a frame observes one placement:
-	// it is either fully executed under the epoch it was checked against
-	// or fully rejected. Migration cutover takes it exclusively only for
-	// the instants that change placement (holding the shard, flipping the
-	// manifest). It guards h.slots, each slot's held flag and h.traceOn.
+	// ownership check + enqueue (see submit), so a frame observes one
+	// placement: it is either fully executed under the epoch it was
+	// checked against or fully rejected. Migration cutover takes it
+	// exclusively only for the instants that change placement (holding
+	// the shard, flipping the manifest). It guards h.slots, each slot's
+	// held flag and h.traceOn.
 	mu     sync.RWMutex
 	h      *host
 	man    *cluster.Manifest
@@ -194,19 +195,34 @@ func (n *ClusterNode) wrongEpochLocked(err error) error {
 	return err
 }
 
-// Read fetches a block obliviously, if this node owns its shard.
-func (n *ClusterNode) Read(id uint64) ([]byte, error) {
+// submit and submitBatch are the host's completion-taking request forms
+// under the geometry lock, held shared across ownership check + enqueue
+// only: a migration's cutover sets the shard's held flag under the
+// exclusive lock and then drains the shard with a Sync barrier, so a frame
+// enqueued before the flip executes ahead of the barrier, under the epoch
+// it was checked against, and one arriving after it is rejected wrong-epoch
+// having executed nothing.
+func (n *ClusterNode) submit(op serve.Op, id uint64, data []byte, done serve.Completion) error {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	data, err := n.h.read(id)
-	return data, n.wrongEpochLocked(err)
+	return n.wrongEpochLocked(n.h.submit(op, id, data, done))
+}
+
+func (n *ClusterNode) submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func([][]byte, error)) error {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.wrongEpochLocked(n.h.submitBatch(op, ids, blocks, done))
+}
+
+// Read fetches a block obliviously, if this node owns its shard.
+func (n *ClusterNode) Read(id uint64) ([]byte, error) {
+	return await(n, serve.OpRead, id, nil)
 }
 
 // Write stores a block obliviously, if this node owns its shard.
 func (n *ClusterNode) Write(id uint64, data []byte) error {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.wrongEpochLocked(n.h.write(id, data))
+	_, err := await(n, serve.OpWrite, id, data)
+	return err
 }
 
 // ReadBatch fetches many blocks in one frame-atomic unit: every id's
@@ -214,19 +230,14 @@ func (n *ClusterNode) Write(id uint64, data []byte) error {
 // and each owned shard's subset is submitted as one atomic batch with the
 // §6 same-block dedup fan-out, exactly like ShardedStore.ReadBatch.
 func (n *ClusterNode) ReadBatch(ids []uint64) ([][]byte, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out, err := n.h.batch(serve.OpRead, ids, nil)
-	return out, n.wrongEpochLocked(err)
+	return awaitBatch(n, serve.OpRead, ids, nil)
 }
 
 // WriteBatch stores blocks[i] under ids[i], frame-atomically (see
 // ReadBatch).
 func (n *ClusterNode) WriteBatch(ids []uint64, blocks [][]byte) error {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	_, err := n.h.batch(serve.OpWrite, ids, blocks)
-	return n.wrongEpochLocked(err)
+	_, err := awaitBatch(n, serve.OpWrite, ids, blocks)
+	return err
 }
 
 // live snapshots the hosted slots (index = shard) so aggregates that
@@ -323,5 +334,5 @@ func NewClusterServer(n *ClusterNode, cfg ServerConfig) (*Server, error) {
 	if n == nil {
 		return nil, fmt.Errorf("palermo: NewClusterServer requires a node")
 	}
-	return newServer(n, cfg)
+	return newServer(nodeStore{wireRequests{n}, n}, cfg)
 }

@@ -102,17 +102,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	startMetrics(*metricsAddr, palermo.MetricsVars{
-		Service:     st.Stats,
-		Traffic:     st.Traffic,
-		QueueDepths: st.QueueDepths,
-		FsyncLag:    st.FsyncLag,
-	}, *pprofOn)
 	srv, err := palermo.NewServer(st, srvCfg)
 	if err != nil {
 		st.Close()
 		fatal(err)
 	}
+	startMetrics(*metricsAddr, palermo.MetricsVars{
+		Service:     st.Stats,
+		Traffic:     st.Traffic,
+		QueueDepths: st.QueueDepths,
+		FsyncLag:    st.FsyncLag,
+		Net:         srv.NetStats,
+	}, *pprofOn)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		st.Close()
@@ -152,17 +153,18 @@ func runCluster(addr, manifestPath string, storeCfg palermo.ShardedStoreConfig, 
 	if err != nil {
 		fatal(err)
 	}
-	startMetrics(metricsAddr, palermo.MetricsVars{
-		Service:     node.ServiceStats,
-		Traffic:     node.Traffic,
-		QueueDepths: node.QueueDepths,
-		FsyncLag:    node.FsyncLag,
-	}, pprofOn)
 	srv, err := palermo.NewClusterServer(node, srvCfg)
 	if err != nil {
 		node.Close()
 		fatal(err)
 	}
+	startMetrics(metricsAddr, palermo.MetricsVars{
+		Service:     node.ServiceStats,
+		Traffic:     node.Traffic,
+		QueueDepths: node.QueueDepths,
+		FsyncLag:    node.FsyncLag,
+		Net:         srv.NetStats,
+	}, pprofOn)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		node.Close()

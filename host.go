@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"palermo/internal/backend"
@@ -244,52 +245,49 @@ func (h *host) route(id uint64) (*slot, uint64, error) {
 	return nil, 0, notServed(s)
 }
 
-func (h *host) read(id uint64) ([]byte, error) {
-	if err := h.checkID(id); err != nil {
-		return nil, err
-	}
-	sl, local, err := h.route(id)
-	if err != nil {
-		return nil, err
-	}
-	return sl.svc.Read(0, local)
-}
-
-func (h *host) write(id uint64, data []byte) error {
+// submit is the completion-taking form of a single-block request:
+// validate, route, enqueue, return. done is the shard worker's completion
+// (serve.Completion: it must not block, runs exactly once, and never when
+// submit returns an error). data is copied before submit returns.
+func (h *host) submit(op serve.Op, id uint64, data []byte, done serve.Completion) error {
 	if err := h.checkID(id); err != nil {
 		return err
 	}
-	if err := checkBlock(data); err != nil {
-		return err
+	if op == serve.OpWrite {
+		if err := checkBlock(data); err != nil {
+			return err
+		}
 	}
 	sl, local, err := h.route(id)
 	if err != nil {
 		return err
 	}
-	return sl.svc.Write(0, local, data)
+	return sl.svc.SubmitFunc(0, op, local, data, done)
 }
 
-// batch serves ReadBatch (op OpRead, blocks unused) and WriteBatch: it
-// validates every entry, partitions the batch by shard, submits each
-// shard's subset as one atomic batch (so duplicate ids inside the call
-// share one ORAM access), then waits for every future and scatters read
-// payloads back to input order. If ANY id routes to a shard not served
-// here the whole batch is rejected before anything is submitted — the
-// frame atomicity behind the wrong-epoch status: a rejected frame executed
-// nothing, so a client retry cannot duplicate operations. On an execution
-// error the first failure is returned after every submitted request has
-// completed.
-func (h *host) batch(op serve.Op, ids []uint64, blocks [][]byte) ([][]byte, error) {
+// submitBatch is the completion-taking form of ReadBatch (op OpRead,
+// blocks unused) and WriteBatch: it validates every entry, partitions the
+// batch by shard and submits each shard's subset as one atomic batch (so
+// duplicate ids inside the call share one ORAM access). One countdown over
+// all sub-requests then calls done — on the worker that completes the last
+// of them — with the read payloads scattered back to input order, or with
+// the first failure once every submitted request has completed. If ANY id
+// routes to a shard not served here the whole batch is rejected before
+// anything is submitted — the frame atomicity behind the wrong-epoch
+// status: a rejected frame executed nothing, so a client retry cannot
+// duplicate operations. Like submit, an error return means nothing was
+// enqueued and done will not run; ids and blocks are dead once it returns.
+func (h *host) submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func([][]byte, error)) error {
 	if op == serve.OpWrite && len(ids) != len(blocks) {
-		return nil, fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
+		return fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
 	}
 	for i, id := range ids {
 		if err := h.checkID(id); err != nil {
-			return nil, err
+			return err
 		}
 		if op == serve.OpWrite {
 			if err := checkBlock(blocks[i]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -301,7 +299,7 @@ func (h *host) batch(op serve.Op, ids []uint64, blocks [][]byte) ([][]byte, erro
 	for i, id := range ids {
 		s, local := h.router.Route(id)
 		if sl := h.slots[s]; sl == nil || sl.held {
-			return nil, notServed(s)
+			return notServed(s)
 		}
 		req := serve.Req{Op: op, ID: local}
 		if op == serve.OpWrite {
@@ -311,34 +309,109 @@ func (h *host) batch(op serve.Op, ids []uint64, blocks [][]byte) ([][]byte, erro
 		}
 		reqs[s] = append(reqs[s], req)
 	}
-	var out [][]byte
+	j := &batchJoin{done: done}
 	if op == serve.OpRead {
-		out = make([][]byte, len(ids))
+		j.out = make([][]byte, len(ids))
 	}
-	futs := make([][]*serve.Future, len(reqs))
-	var firstErr error
+	// The submitter holds one count of its own, so the join cannot fire
+	// while sub-batches are still being enqueued.
+	j.left.Store(int64(len(ids)) + 1)
+	enqueued := false
 	for s, rs := range reqs {
 		if len(rs) == 0 {
 			continue
 		}
-		fs, err := h.slots[s].svc.SubmitBatch(0, rs)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		var at []int
+		if pos != nil {
+			at = pos[s]
 		}
-		futs[s] = fs
-	}
-	for s, fs := range futs {
-		for j, f := range fs {
-			data, err := f.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
+		err := h.slots[s].svc.SubmitBatchFunc(0, rs, func(i int, data []byte, err error) {
+			if err != nil {
+				j.fail(err)
+			} else if at != nil {
+				j.out[at[i]] = data
 			}
-			if out != nil && err == nil {
-				out[pos[s][j]] = data
-			}
+			j.release()
+		})
+		if err != nil {
+			// This shard's service is closing: its requests will never
+			// complete, the other shards' still do.
+			j.fail(err)
+			j.left.Add(-int64(len(rs)))
+			continue
 		}
+		enqueued = true
 	}
-	return out, firstErr
+	if !enqueued && j.err != nil {
+		return j.err
+	}
+	j.release()
+	return nil
+}
+
+// batchJoin is the countdown completion of one multi-shard batch: every
+// sub-request (and the submitter) releases one count, and whoever releases
+// the last calls done.
+type batchJoin struct {
+	left atomic.Int64
+	out  [][]byte // read payloads in the caller's order; nil for a write batch
+	done func([][]byte, error)
+
+	mu  sync.Mutex
+	err error // first failure
+}
+
+func (j *batchJoin) fail(err error) {
+	j.mu.Lock()
+	if j.err == nil {
+		j.err = err
+	}
+	j.mu.Unlock()
+}
+
+func (j *batchJoin) release() {
+	if j.left.Add(-1) == 0 {
+		// The atomic orders every out write and fail before this read.
+		j.done(j.out, j.err)
+	}
+}
+
+// submitter is the completion-taking request surface a ShardedStore
+// (through its host) and a ClusterNode (under its geometry lock) share.
+type submitter interface {
+	submit(op serve.Op, id uint64, data []byte, done serve.Completion) error
+	submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func([][]byte, error)) error
+}
+
+// await is the blocking form of submit: submit, then wait for the
+// completion (which never runs if the submit was refused).
+func await(s submitter, op serve.Op, id uint64, data []byte) ([]byte, error) {
+	type outcome struct {
+		data []byte
+		err  error
+	}
+	ch := make(chan outcome, 1)
+	err := s.submit(op, id, data, func(_ int, data []byte, err error) { ch <- outcome{data, err} })
+	if err != nil {
+		return nil, err
+	}
+	out := <-ch
+	return out.data, out.err
+}
+
+// awaitBatch is the blocking form of submitBatch.
+func awaitBatch(s submitter, op serve.Op, ids []uint64, blocks [][]byte) ([][]byte, error) {
+	type outcome struct {
+		blocks [][]byte
+		err    error
+	}
+	ch := make(chan outcome, 1)
+	err := s.submitBatch(op, ids, blocks, func(blocks [][]byte, err error) { ch <- outcome{blocks, err} })
+	if err != nil {
+		return nil, err
+	}
+	out := <-ch
+	return out.blocks, out.err
 }
 
 // --- snapshots ----------------------------------------------------------

@@ -3,13 +3,22 @@
 // applies the same bounded-queue back-pressure discipline as the in-process
 // service layer (internal/serve), extended across a socket.
 //
-// Connection anatomy: each accepted connection gets a reader goroutine
-// (decodes frames, dispatches requests) and a writer goroutine (serializes
-// responses). Requests execute on their own goroutines — the store is
-// already concurrent — bounded by a per-connection in-flight window: when
-// MaxInFlight requests are outstanding the reader stops reading, TCP flow
-// control fills the client's send window, and a pipelining client blocks
-// exactly like an in-process submitter at a full shard queue.
+// Connection anatomy: each accepted connection has exactly two goroutines.
+// The reader decodes a frame, takes an in-flight window token, submits the
+// request to the store with a completion, recycles the frame buffer and
+// reads the next frame — it never waits for a request. The completion runs
+// on the store's shard worker and only hands (op, request id, outcome) to
+// the connection's bounded reply queue; the token guarantees the queue has
+// room, so a worker can never block on a connection, however slow its
+// peer. The writer encodes every queued reply into one buffer and sends it
+// with a single write; when the queue runs dry it yields the processor
+// once — never a timer — so replies that were about to be queued share the
+// write. No goroutine exists per request; only the rare, long, blocking
+// ops (Stats and the ExtStore family) run on their own.
+//
+// When MaxInFlight requests are outstanding the reader stops reading, TCP
+// flow control fills the client's send window, and a pipelining client
+// blocks exactly like an in-process submitter at a full shard queue.
 //
 // Failure discipline: a payload the store rejects is answered with a typed
 // status and the connection continues; a framing violation (bad magic,
@@ -25,7 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"palermo/internal/serve"
@@ -47,13 +58,26 @@ var ErrWrongEpoch = errors.New("wrong geometry epoch: shard not owned by this no
 // Store is the concurrent oblivious store a server fronts. It must be safe
 // for concurrent use; *palermo.ShardedStore (behind the root package's
 // adapter) is the canonical implementation.
+//
+// The four data methods are completion-taking: they validate, enqueue and
+// return. A nil return promises that done runs exactly once with the
+// outcome, on a goroutine of the store's choosing, and done must not block
+// (serve.Completion; a single-block op's index argument is 0). A non-nil
+// return means nothing was enqueued and done will never run. Arguments
+// alias a pooled frame buffer: the store copies what it keeps before
+// returning.
 type Store interface {
-	Read(id uint64) ([]byte, error)
-	Write(id uint64, data []byte) error
-	ReadBatch(ids []uint64) ([][]byte, error)
-	WriteBatch(ids []uint64, blocks [][]byte) error
+	Read(id uint64, done serve.Completion) error
+	Write(id uint64, data []byte, done serve.Completion) error
+	ReadBatch(ids []uint64, done BatchCompletion) error
+	WriteBatch(ids []uint64, blocks [][]byte, done BatchCompletion) error
 	Stats() wire.Stats
 }
+
+// BatchCompletion receives a batch frame's outcome under the contract of
+// serve.Completion: the blocks of a ReadBatch in request order (nil for a
+// WriteBatch), or the first failure after every sub-request completed.
+type BatchCompletion = func(blocks [][]byte, err error)
 
 // ExtStore is the optional Store extension for request ops beyond the core
 // read/write/stats set — the cluster layer's manifest fetch and migration
@@ -123,6 +147,25 @@ type Server struct {
 	closed bool
 	done   chan struct{}
 	connWG sync.WaitGroup
+
+	respFrames, respWrites atomic.Uint64
+}
+
+// NetStats counts the reply side of the wire. Frames over Writes is the
+// coalescing factor: how many responses share one socket write.
+type NetStats struct {
+	ResponseFrames uint64 // response frames handed to a socket
+	ResponseWrites uint64 // socket writes that carried them
+	Connections    int    // connections open now
+}
+
+// NetStats snapshots the server's reply-path counters. All three are
+// functions of request counts and arrival timing only.
+func (s *Server) NetStats() NetStats {
+	s.mu.Lock()
+	n := len(s.conns)
+	s.mu.Unlock()
+	return NetStats{ResponseFrames: s.respFrames.Load(), ResponseWrites: s.respWrites.Load(), Connections: n}
 }
 
 // New builds a server (validating cfg). Call Serve to start accepting.
@@ -161,11 +204,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 		}
 		c := &conn{
-			srv:        s,
-			nc:         nc,
-			out:        make(chan *wire.FrameBuf, s.cfg.MaxInFlight),
-			sem:        make(chan struct{}, s.cfg.MaxInFlight),
-			writerDead: make(chan struct{}),
+			srv: s,
+			nc:  nc,
+			out: make(chan reply, s.cfg.MaxInFlight), // one slot per window token
+			sem: make(chan struct{}, s.cfg.MaxInFlight),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -227,28 +269,31 @@ func (s *Server) removeConn(c *conn) {
 
 // conn is one client connection.
 type conn struct {
-	srv        *Server
-	nc         net.Conn
-	out        chan *wire.FrameBuf // encoded response frames awaiting the writer
-	sem        chan struct{}       // in-flight window tokens
-	writerDead chan struct{}       // closed by the writer on its first write error
-	wg         sync.WaitGroup
+	srv *Server
+	nc  net.Conn
+	out chan reply    // outcomes awaiting the writer
+	sem chan struct{} // in-flight window tokens
 }
 
-// send queues a response frame for the writer. Every send selects on
-// writerDead so a connection whose writer can no longer deliver (write
-// error — the peer is gone or stopped reading) never parks the sender on
-// a full out channel: the frame is discarded instead. This matters most
-// for the reader's unknown-op reply path, which queues responses without
-// holding a window token and could otherwise block forever where Close's
-// read-deadline sweep cannot reach it.
-func (c *conn) send(out *wire.FrameBuf) {
-	select {
-	case c.out <- out:
-	case <-c.writerDead:
-		c.srv.pool.Put(out)
-	}
+// reply is one request's outcome on its way to the writer.
+type reply struct {
+	op     byte
+	reqID  uint64
+	data   []byte   // StatusOK body (nil for an ack), unless blocks is set
+	blocks [][]byte // StatusOK ReadBatch body
+	err    error    // non-nil: a typed error response (see errStatus)
 }
+
+// badRequest is the error of a well-framed request this layer rejects
+// itself; it is answered StatusBad.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// The window invariant: a request takes a token before it is dispatched
+// and its reply holds that token until the writer dequeues it, so tokens
+// outstanding >= replies queued and a send on out (capacity = token count)
+// never blocks — which is what lets completions run on shard workers.
 
 // run owns the connection lifecycle: spawn the writer, run the read loop,
 // then drain — wait for in-flight requests, flush their responses, close.
@@ -258,7 +303,11 @@ func (c *conn) run() {
 	writerDone := make(chan struct{})
 	go c.writer(writerDone)
 	c.readLoop()
-	c.wg.Wait()  // every dispatched request has queued its response
+	// Every token home means every dispatched request has completed and
+	// the writer has taken its reply.
+	for i := 0; i < cap(c.sem); i++ {
+		c.sem <- struct{}{}
+	}
 	close(c.out) // writer flushes the tail and exits
 	<-writerDone
 	c.nc.Close()
@@ -279,32 +328,107 @@ func (c *conn) readLoop() {
 			// connection; none end the server.
 			return
 		}
-		if !wire.IsRequest(f.Op) {
-			// Framing is intact, so the request id is trustworthy and the
-			// connection recoverable: answer and continue.
-			c.srv.pool.Put(fb)
-			out := c.beginResp(f.Op, f.ReqID, 32)
-			out.B = wire.AppendErrResp(out.B, wire.StatusBad, fmt.Sprintf("unknown op %d", f.Op))
-			out.B = wire.EndFrame(out.B, 0)
-			c.send(out)
-			continue
-		}
+		// Every frame is answered, so every frame takes a window token,
+		// the unknown op's StatusBad included.
 		select {
-		case c.sem <- struct{}{}: // in-flight window slot
+		case c.sem <- struct{}{}:
 		case <-c.srv.done:
 			c.srv.pool.Put(fb)
 			return
 		}
-		c.wg.Add(1)
-		go func(f wire.Frame, fb *wire.FrameBuf) {
-			defer c.wg.Done()
-			defer func() { <-c.sem }()
-			out := c.serve(f)
-			// The store copied what it needed (write payloads are copied at
-			// submission); the request frame is dead once served.
-			c.srv.pool.Put(fb)
-			c.send(out)
-		}(f, fb)
+		c.dispatch(f, fb)
+	}
+}
+
+// dispatch submits one request (its window token taken) and returns
+// without waiting for it: the store's completion queues the reply. A
+// request rejected here or by the store's submit is answered at once.
+func (c *conn) dispatch(f wire.Frame, fb *wire.FrameBuf) {
+	var err error
+	switch f.Op {
+	case wire.OpRead:
+		id, perr := wire.ParseReadReq(f.Payload)
+		if err = bad(perr); err == nil {
+			err = c.srv.st.Read(id, c.completion(f))
+		}
+	case wire.OpWrite:
+		id, block, perr := wire.ParseWriteReq(f.Payload)
+		if err = bad(perr); err == nil {
+			err = c.srv.st.Write(id, block, c.completion(f))
+		}
+	case wire.OpReadBatch:
+		ids, perr := wire.ParseReadBatchReq(f.Payload)
+		if err = c.badBatch(perr, len(ids)); err == nil {
+			err = c.srv.st.ReadBatch(ids, c.batchCompletion(f))
+		}
+	case wire.OpWriteBatch:
+		ids, blocks, perr := wire.ParseWriteBatchReq(f.Payload)
+		if err = c.badBatch(perr, len(ids)); err == nil {
+			err = c.srv.st.WriteBatch(ids, blocks, c.batchCompletion(f))
+		}
+	default:
+		// Stats and the extension ops are rare and may block for long (a
+		// migration streams a whole shard): they run beside the reader.
+		if ext, ok := c.srv.st.(ExtStore); wire.IsRequest(f.Op) && (ok || f.Op == wire.OpStats) {
+			go func() {
+				var body []byte
+				var err error
+				if f.Op == wire.OpStats {
+					ws := c.srv.st.Stats()
+					// Stamp the server's own limit so the handshake teaches
+					// clients how large a batch frame this server accepts.
+					ws.MaxBatch = uint32(c.srv.cfg.MaxBatch)
+					body = wire.AppendStats(nil, ws)
+				} else {
+					body, err = ext.ServeExt(f.Op, f.Payload)
+				}
+				c.srv.pool.Put(fb)
+				c.out <- reply{op: f.Op, reqID: f.ReqID, data: body, err: err}
+			}()
+			return
+		}
+		// Framing is intact, so the request id is trustworthy and the
+		// connection recoverable: answer and continue.
+		err = badRequest(fmt.Sprintf("unknown op %d", f.Op))
+	}
+	// The store copied what it keeps at submission; the frame is dead.
+	c.srv.pool.Put(fb)
+	if err != nil {
+		c.out <- reply{op: f.Op, reqID: f.ReqID, err: err}
+	}
+}
+
+// bad turns a request's parse error into its StatusBad answer.
+func bad(parseErr error) error {
+	if parseErr != nil {
+		return badRequest(parseErr.Error())
+	}
+	return nil
+}
+
+// badBatch is bad for a batch frame, which must also fit the server's
+// per-frame limit.
+func (c *conn) badBatch(parseErr error, n int) error {
+	if parseErr == nil && n > c.srv.cfg.MaxBatch {
+		return badRequest(fmt.Sprintf("batch of %d ops exceeds the server limit of %d", n, c.srv.cfg.MaxBatch))
+	}
+	return bad(parseErr)
+}
+
+// completion is what a single-block request hands the store: it runs on a
+// shard worker and must not block, which the window invariant guarantees
+// of the send.
+func (c *conn) completion(f wire.Frame) serve.Completion {
+	op, reqID := f.Op, f.ReqID
+	return func(_ int, data []byte, err error) {
+		c.out <- reply{op: op, reqID: reqID, data: data, err: err}
+	}
+}
+
+func (c *conn) batchCompletion(f wire.Frame) BatchCompletion {
+	op, reqID := f.Op, f.ReqID
+	return func(blocks [][]byte, err error) {
+		c.out <- reply{op: op, reqID: reqID, blocks: blocks, err: err}
 	}
 }
 
@@ -328,158 +452,98 @@ func (c *conn) armReadDeadline() bool {
 	}
 }
 
-// beginResp takes a pooled buffer and opens a response frame in it: the
-// caller appends the payload in place and seals it with wire.EndFrame —
-// one buffer per response, recycled after the write, no intermediate
-// payload allocation. sizeHint covers header + expected payload. Queueing
-// on c.out cannot deadlock: the writer drains out until it is closed, and
-// out is closed only after wg observes every dispatched request done.
-func (c *conn) beginResp(op byte, reqID uint64, sizeHint int) *wire.FrameBuf {
-	fb := c.srv.pool.Get(wire.HeaderLen + sizeHint)
-	fb.B = wire.BeginFrame(fb.B, wire.Resp(op), reqID)
-	return fb
-}
+// maxWriteBytes stops the writer gathering replies into one write once
+// its buffer is this large, and is the most buffer it keeps between
+// writes: a burst of large batch replies must not pin megabytes.
+const maxWriteBytes = 64 << 10
 
-// writer serializes response frames, returning each buffer to the pool
-// once written. After a write error it closes writerDead (so senders stop
-// queueing into a channel nobody will deliver from) and the socket — so
-// the reader stops feeding a connection whose responses can no longer be
-// delivered — and keeps draining (discarding) so request goroutines never
-// block on the dead connection.
+// writer sends replies: it blocks for one, encodes everything else already
+// queued behind it into the same buffer, yields the processor once if the
+// queue ran dry — shard workers about to complete a request get to queue
+// its reply — gathers again, and issues one Write under one deadline. A
+// lone reply is therefore sent after at most one yield, and how many
+// replies share a write depends only on when they arrived. After a write
+// error it closes the socket — so the reader stops feeding a connection
+// whose responses can no longer be delivered — and keeps draining
+// (discarding) so window tokens keep returning until run closes out.
 func (c *conn) writer(done chan struct{}) {
 	defer close(done)
+	var buf []byte
 	failed := false
-	for fb := range c.out {
+	for r := range c.out {
+		// The writer is the queue's only receiver, so a receive from a
+		// queue it has seen non-empty never blocks.
+		frames := uint64(0)
+		for yielded := false; ; r = <-c.out {
+			<-c.sem // dequeued: the reply's window token goes home
+			if !failed {
+				buf = appendReply(buf, r)
+				frames++
+			}
+			if len(buf) >= maxWriteBytes {
+				break
+			}
+			if len(c.out) == 0 && !yielded {
+				yielded = true
+				runtime.Gosched()
+			}
+			if len(c.out) == 0 {
+				break
+			}
+		}
 		if !failed {
+			// Counted before the write, so a peer that has read a reply
+			// finds it counted.
+			c.srv.respFrames.Add(frames)
+			c.srv.respWrites.Add(1)
 			c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-			if _, err := c.nc.Write(fb.B); err != nil {
+			if _, err := c.nc.Write(buf); err != nil {
 				failed = true
-				close(c.writerDead)
 				c.nc.Close()
 			}
 		}
-		c.srv.pool.Put(fb)
+		if cap(buf) > maxWriteBytes {
+			buf = nil
+		}
+		buf = buf[:0]
 	}
 }
 
-// serve executes one request and returns its fully encoded response frame
-// in a pooled buffer (built in place: header, status, body — no
-// intermediate payload allocation).
-func (c *conn) serve(f wire.Frame) *wire.FrameBuf {
-	switch f.Op {
-	case wire.OpRead:
-		id, err := wire.ParseReadReq(f.Payload)
-		if err != nil {
-			return c.badResp(f, err.Error())
+// appendReply appends one encoded response frame to buf, built in place:
+// header, status, body.
+func appendReply(buf []byte, r reply) []byte {
+	start := len(buf)
+	buf = wire.BeginFrame(buf, wire.Resp(r.op), r.reqID)
+	err := r.err
+	if err == nil && r.blocks != nil {
+		buf = append(buf, byte(wire.StatusOK))
+		if buf, err = wire.AppendReadBatchResp(buf, r.blocks); err != nil {
+			buf = buf[:start+wire.HeaderLen] // a store answered a malformed batch
 		}
-		data, err := c.srv.st.Read(id)
-		if err != nil {
-			return c.errResp(f, err)
-		}
-		out := c.beginResp(f.Op, f.ReqID, 1+wire.BlockBytes)
-		out.B = wire.AppendOKResp(out.B, data)
-		return c.endResp(out)
-
-	case wire.OpWrite:
-		id, block, err := wire.ParseWriteReq(f.Payload)
-		if err != nil {
-			return c.badResp(f, err.Error())
-		}
-		if err := c.srv.st.Write(id, block); err != nil {
-			return c.errResp(f, err)
-		}
-		out := c.beginResp(f.Op, f.ReqID, 1)
-		out.B = wire.AppendOKResp(out.B, nil)
-		return c.endResp(out)
-
-	case wire.OpReadBatch:
-		ids, err := wire.ParseReadBatchReq(f.Payload)
-		if err != nil {
-			return c.badResp(f, err.Error())
-		}
-		if len(ids) > c.srv.cfg.MaxBatch {
-			return c.badResp(f, fmt.Sprintf("batch of %d ops exceeds the server limit of %d", len(ids), c.srv.cfg.MaxBatch))
-		}
-		blocks, err := c.srv.st.ReadBatch(ids)
-		if err != nil {
-			return c.errResp(f, err)
-		}
-		out := c.beginResp(f.Op, f.ReqID, 1+4+len(blocks)*wire.BlockBytes)
-		out.B = append(out.B, byte(wire.StatusOK))
-		out.B, err = wire.AppendReadBatchResp(out.B, blocks)
-		if err != nil {
-			c.srv.pool.Put(out)
-			return c.errResp(f, err)
-		}
-		return c.endResp(out)
-
-	case wire.OpWriteBatch:
-		ids, blocks, err := wire.ParseWriteBatchReq(f.Payload)
-		if err != nil {
-			return c.badResp(f, err.Error())
-		}
-		if len(ids) > c.srv.cfg.MaxBatch {
-			return c.badResp(f, fmt.Sprintf("batch of %d ops exceeds the server limit of %d", len(ids), c.srv.cfg.MaxBatch))
-		}
-		if err := c.srv.st.WriteBatch(ids, blocks); err != nil {
-			return c.errResp(f, err)
-		}
-		out := c.beginResp(f.Op, f.ReqID, 1)
-		out.B = wire.AppendOKResp(out.B, nil)
-		return c.endResp(out)
-
-	case wire.OpStats:
-		ws := c.srv.st.Stats()
-		// Stamp the server's own limit so the handshake teaches clients
-		// how large a batch frame this server accepts.
-		ws.MaxBatch = uint32(c.srv.cfg.MaxBatch)
-		out := c.beginResp(f.Op, f.ReqID, 256)
-		out.B = append(out.B, byte(wire.StatusOK))
-		out.B = wire.AppendStats(out.B, ws)
-		return c.endResp(out)
+	} else if err == nil {
+		buf = wire.AppendOKResp(buf, r.data)
 	}
-	// Every other op wire.IsRequest admits (manifest fetch, the migrate
-	// family) belongs to the store's extension surface, if it has one.
-	if ext, ok := c.srv.st.(ExtStore); ok {
-		body, err := ext.ServeExt(f.Op, f.Payload)
-		if err != nil {
-			return c.errResp(f, err)
-		}
-		out := c.beginResp(f.Op, f.ReqID, 1+len(body))
-		out.B = wire.AppendOKResp(out.B, body)
-		return c.endResp(out)
+	if err != nil {
+		buf = wire.AppendErrResp(buf, errStatus(err), err.Error())
 	}
-	return c.badResp(f, fmt.Sprintf("unknown op %d", f.Op))
+	return wire.EndFrame(buf, start)
 }
 
-// endResp seals a response frame opened by beginResp.
-func (c *conn) endResp(out *wire.FrameBuf) *wire.FrameBuf {
-	out.B = wire.EndFrame(out.B, 0)
-	return out
-}
-
-// badResp encodes a StatusBad response for a malformed-but-framed request.
-func (c *conn) badResp(f wire.Frame, msg string) *wire.FrameBuf {
-	out := c.beginResp(f.Op, f.ReqID, 1+len(msg))
-	out.B = wire.AppendErrResp(out.B, wire.StatusBad, msg)
-	return c.endResp(out)
-}
-
-// errResp maps a store error onto a wire status: a closed/draining store
-// is distinguishable (the client maps it back to palermo.ErrClosed);
-// everything else carries its message.
-func (c *conn) errResp(f wire.Frame, err error) *wire.FrameBuf {
-	st := wire.StatusErr
+// errStatus maps an error onto a wire status: a closed/draining store is
+// distinguishable (the client maps it back to palermo.ErrClosed), as are a
+// shed request, a shard that moved and a request this layer rejected;
+// everything else is StatusErr with its message.
+func errStatus(err error) wire.Status {
+	var bad badRequest
 	switch {
+	case errors.As(err, &bad):
+		return wire.StatusBad
 	case errors.Is(err, serve.ErrClosed):
-		st = wire.StatusClosed
+		return wire.StatusClosed
 	case errors.Is(err, ErrWrongEpoch):
-		st = wire.StatusWrongEpoch
+		return wire.StatusWrongEpoch
 	case errors.Is(err, serve.ErrRetry):
-		st = wire.StatusRetry
+		return wire.StatusRetry
 	}
-	msg := err.Error()
-	out := c.beginResp(f.Op, f.ReqID, 1+len(msg))
-	out.B = wire.AppendErrResp(out.B, st, msg)
-	return c.endResp(out)
+	return wire.StatusErr
 }

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +34,7 @@ func newFakeStore() *fakeStore {
 	return &fakeStore{blocks: make(map[uint64][]byte)}
 }
 
-func (f *fakeStore) Read(id uint64) ([]byte, error) {
+func (f *fakeStore) read(id uint64) ([]byte, error) {
 	if f.gate != nil {
 		<-f.gate
 	}
@@ -48,7 +50,7 @@ func (f *fakeStore) Read(id uint64) ([]byte, error) {
 	return make([]byte, wire.BlockBytes), nil
 }
 
-func (f *fakeStore) Write(id uint64, data []byte) error {
+func (f *fakeStore) write(id uint64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -62,25 +64,57 @@ func (f *fakeStore) Write(id uint64, data []byte) error {
 	return nil
 }
 
-func (f *fakeStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for i, id := range ids {
-		b, err := f.Read(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
+// async is the one sync→async adapter between the map-backed fake and the
+// completion-taking Store: the operations of a frame run in order on a
+// goroutine of their own (a store of unbounded workers), over copies of
+// the arguments, which alias the server's frame buffer. A write's block is
+// nil for a read.
+func (f *fakeStore) async(ids []uint64, blocks [][]byte, done BatchCompletion) error {
+	ids = append([]uint64(nil), ids...)
+	for i, b := range blocks {
+		blocks[i] = append([]byte(nil), b...)
 	}
-	return out, nil
+	go func() {
+		var out [][]byte
+		for i, id := range ids {
+			var data []byte
+			var err error
+			if blocks == nil {
+				data, err = f.read(id)
+				out = append(out, data)
+			} else {
+				err = f.write(id, blocks[i])
+			}
+			if err != nil {
+				done(nil, err)
+				return
+			}
+		}
+		done(out, nil)
+	}()
+	return nil
 }
 
-func (f *fakeStore) WriteBatch(ids []uint64, blocks [][]byte) error {
-	for i, id := range ids {
-		if err := f.Write(id, blocks[i]); err != nil {
-			return err
+func (f *fakeStore) Read(id uint64, done serve.Completion) error {
+	return f.async([]uint64{id}, nil, func(blocks [][]byte, err error) {
+		if err != nil {
+			done(0, nil, err)
+		} else {
+			done(0, blocks[0], nil)
 		}
-	}
-	return nil
+	})
+}
+
+func (f *fakeStore) Write(id uint64, data []byte, done serve.Completion) error {
+	return f.async([]uint64{id}, [][]byte{data}, func(_ [][]byte, err error) { done(0, nil, err) })
+}
+
+func (f *fakeStore) ReadBatch(ids []uint64, done BatchCompletion) error {
+	return f.async(ids, nil, done)
+}
+
+func (f *fakeStore) WriteBatch(ids []uint64, blocks [][]byte, done BatchCompletion) error {
+	return f.async(ids, blocks, done)
 }
 
 func (f *fakeStore) Stats() wire.Stats {
@@ -702,6 +736,206 @@ func TestNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 	waitGoroutines(t, base)
+}
+
+// parkedStore accepts every request and completes none until release: the
+// store side of a pipelined burst with nothing spawned per request.
+type parkedStore struct {
+	mu      sync.Mutex
+	parked  []func()
+	arrived chan struct{} // one receive per parked request
+}
+
+func (p *parkedStore) park(complete func()) error {
+	p.mu.Lock()
+	p.parked = append(p.parked, complete)
+	p.mu.Unlock()
+	p.arrived <- struct{}{}
+	return nil
+}
+
+// release completes everything parked, on the caller's goroutine — as a
+// shard worker would.
+func (p *parkedStore) release() {
+	p.mu.Lock()
+	parked := p.parked
+	p.parked = nil
+	p.mu.Unlock()
+	for _, complete := range parked {
+		complete()
+	}
+}
+
+func (p *parkedStore) Read(id uint64, done serve.Completion) error {
+	return p.park(func() { done(0, make([]byte, wire.BlockBytes), nil) })
+}
+
+func (p *parkedStore) Write(id uint64, data []byte, done serve.Completion) error {
+	return p.park(func() { done(0, nil, nil) })
+}
+
+func (p *parkedStore) ReadBatch(ids []uint64, done BatchCompletion) error {
+	n := len(ids)
+	return p.park(func() {
+		blocks := make([][]byte, n)
+		for i := range blocks {
+			blocks[i] = make([]byte, wire.BlockBytes)
+		}
+		done(blocks, nil)
+	})
+}
+
+func (p *parkedStore) WriteBatch(ids []uint64, blocks [][]byte, done BatchCompletion) error {
+	return p.park(func() { done(nil, nil) })
+}
+
+func (p *parkedStore) Stats() wire.Stats { return wire.Stats{Blocks: 1 << 12, Shards: 1} }
+
+// TestCompletionNoGoroutinePerFrame: a pipelined burst of all four data
+// ops, every one of them in flight inside the store at once, must not add
+// a single goroutine — the reader submits and moves on, the store's
+// completion queues the reply.
+func TestCompletionNoGoroutinePerFrame(t *testing.T) {
+	const burst = 64
+	st := &parkedStore{arrived: make(chan struct{}, burst)}
+	addr, _ := startServer(t, st, Config{MaxInFlight: burst})
+	nc := dialRaw(t, addr)
+	// One round trip so the connection's own two goroutines exist.
+	request(t, nc, wire.OpStats, 1000, nil)
+	base := countGoroutines()
+
+	blk := make([]byte, wire.BlockBytes)
+	ids := []uint64{1, 2, 3}
+	rb, _ := wire.AppendReadBatchReq(nil, ids)
+	wb, _ := wire.AppendWriteBatchReq(nil, ids, [][]byte{blk, blk, blk})
+	for i := uint64(0); i < burst; i++ {
+		var err error
+		switch i % 4 {
+		case 0:
+			err = wire.WriteFrame(nc, wire.OpRead, i, wire.AppendReadReq(nil, i))
+		case 1:
+			err = wire.WriteFrame(nc, wire.OpWrite, i, wire.AppendWriteReq(nil, i, blk))
+		case 2:
+			err = wire.WriteFrame(nc, wire.OpReadBatch, i, rb)
+		case 3:
+			err = wire.WriteFrame(nc, wire.OpWriteBatch, i, wb)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < burst; i++ {
+		select {
+		case <-st.arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d pipelined requests reached the store", i, burst)
+		}
+	}
+	if n := countGoroutines(); n > base {
+		t.Fatalf("%d requests in flight grew the process from %d to %d goroutines; the data path must spawn none", burst, base, n)
+	}
+	st.release()
+	seen := make(map[uint64]bool)
+	for i := 0; i < burst; i++ {
+		f := readResp(t, nc)
+		if status, _, msg, err := wire.ParseResp(f.Payload); err != nil || status != wire.StatusOK {
+			t.Fatalf("request %d: status %v (%q), err %v", f.ReqID, status, msg, err)
+		}
+		seen[f.ReqID] = true
+	}
+	if len(seen) != burst {
+		t.Fatalf("answered %d of %d requests", len(seen), burst)
+	}
+}
+
+// countingListener counts the socket writes of the connections it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestCoalescedReplies: replies that are ready together leave in fewer
+// socket writes than frames — the writer drains its queue into one write —
+// and the server's exported counters say so; while a lone request's reply
+// is written at once, after no more than a yield: a solo round trip never
+// waits out a timer.
+func TestCoalescedReplies(t *testing.T) {
+	const burst = 32
+	st := &parkedStore{arrived: make(chan struct{}, burst)}
+	srv, err := New(st, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes atomic.Int64
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(countingListener{ln, &writes}) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+	nc := dialRaw(t, ln.Addr().String())
+
+	for i := uint64(0); i < burst; i++ {
+		if err := wire.WriteFrame(nc, wire.OpRead, i, wire.AppendReadReq(nil, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < burst; i++ {
+		<-st.arrived
+	}
+	st.release() // one worker completing a burst
+	for i := 0; i < burst; i++ {
+		readResp(t, nc)
+	}
+	if w := writes.Load(); w >= burst {
+		t.Fatalf("%d replies ready together took %d socket writes; the writer must coalesce", burst, w)
+	}
+	if ns := srv.NetStats(); ns.ResponseFrames != burst || int64(ns.ResponseWrites) != writes.Load() || ns.Connections != 1 {
+		t.Fatalf("NetStats = %+v, want %d frames in the %d writes counted on one connection", ns, burst, writes.Load())
+	}
+
+	// Solo round trips: each reply is its own write, and none is held back.
+	const solo = 200
+	rtt := make([]time.Duration, solo)
+	for i := range rtt {
+		t0 := time.Now()
+		if err := wire.WriteFrame(nc, wire.OpRead, uint64(burst+i), wire.AppendReadReq(nil, 1)); err != nil {
+			t.Fatal(err)
+		}
+		<-st.arrived
+		st.release()
+		readResp(t, nc)
+		rtt[i] = time.Since(t0)
+	}
+	slices.Sort(rtt)
+	if med := rtt[solo/2]; med > time.Millisecond {
+		t.Fatalf("median solo round trip %v: a lone reply is being held back", med)
+	}
+	if ns := srv.NetStats(); ns.ResponseFrames != burst+solo {
+		t.Fatalf("NetStats = %+v after %d more solo replies", ns, solo)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -1,16 +1,23 @@
 // Package serve is the concurrent request layer over a set of sharded
 // oblivious-store backends: per-shard worker goroutines, bounded request
 // queues with back-pressure, intra-batch same-block read deduplication
-// (one ORAM access fans out to every waiter), channel-based futures, and
+// (one ORAM access fans out to every waiter), completion callbacks, and
 // latency histograms (internal/stats).
 //
 // Concurrency discipline: each backend is confined to exactly one worker
 // goroutine — the engine-per-goroutine rule the sweep runner already
 // follows (DESIGN.md §4.2) — so ORAM engines need no locks and per-shard
 // request subsequences execute deterministically. Clients only touch
-// channels and their own futures. Back-pressure is the queue send itself:
-// when a shard's bounded queue is full, Submit blocks until the worker
-// drains, which bounds memory and keeps a closed-loop client honest.
+// channels and their own completions. Back-pressure is the queue send
+// itself: when a shard's bounded queue is full, a submit blocks until the
+// worker drains, which bounds memory and keeps a closed-loop client honest.
+//
+// A request's outcome is delivered through exactly one primitive, its
+// Completion, run on the shard worker. SubmitFunc and SubmitBatchFunc hand
+// the caller's completion to the worker directly (the network layer's
+// path: no goroutine waits per request); Submit, SubmitBatch and
+// Future.Wait are the same path with a completion that sends on the
+// future's channel.
 //
 // With a StagedBackend and PipelineDepth > 1 the worker becomes a
 // depth-D software pipeline (DESIGN.md §9): request k's backend I/O and
@@ -183,6 +190,14 @@ func (c *Config) defaults() {
 	}
 }
 
+// Completion receives one request's outcome: i is the request's index in
+// its submission (0 for a single operation), data the payload of a
+// successful read. It runs on the shard's worker goroutine, so it must not
+// block — everything queued behind the request waits for it. It is called
+// exactly once for every request of a submission that was accepted, and
+// never for a submission that returned an error.
+type Completion func(i int, data []byte, err error)
+
 // result is what a future resolves to.
 type result struct {
 	data []byte
@@ -193,6 +208,8 @@ type result struct {
 type Future struct {
 	done chan result
 }
+
+func newFuture() *Future { return &Future{done: make(chan result, 1)} }
 
 // Wait blocks until the request completes and returns its payload (reads)
 // and error.
@@ -209,8 +226,12 @@ type request struct {
 	fn    func()    // opSync only
 	t0    time.Time // submission (queue entry)
 	tExec time.Time // worker pickup (queue exit); set by the worker
-	done  chan result
+	i     int       // index in its submission, handed back to done
+	done  Completion
 }
+
+// resolve delivers the request's outcome: the one place a completion runs.
+func (r *request) resolve(data []byte, err error) { r.done(r.i, data, err) }
 
 // Service routes requests to per-shard workers.
 type Service struct {
@@ -377,45 +398,63 @@ func newLatHistogram() *stats.Histogram {
 // Shards returns the number of shard workers.
 func (s *Service) Shards() int { return len(s.workers) }
 
-// Submit enqueues one operation for a shard and returns its future. It
-// blocks while the shard's queue is full (back-pressure). Write data is
-// copied, so the caller may reuse its buffer immediately.
-func (s *Service) Submit(shard int, op Op, id uint64, data []byte) (*Future, error) {
-	if op != OpRead && op != OpWrite {
-		return nil, fmt.Errorf("serve: invalid op %d", op)
-	}
-	r := &request{op: op, id: id, t0: time.Now(), done: make(chan result, 1)}
-	if op == OpWrite {
-		r.data = append([]byte(nil), data...)
-	}
-	if err := s.enqueue(shard, []*request{r}); err != nil {
-		return nil, err
-	}
-	return &Future{done: r.done}, nil
+// SubmitFunc enqueues one operation for a shard; done receives its outcome
+// on the worker (see Completion). It blocks while the shard's queue is full
+// (back-pressure). Write data is copied, so the caller may reuse its buffer
+// as soon as SubmitFunc returns.
+func (s *Service) SubmitFunc(shard int, op Op, id uint64, data []byte, done Completion) error {
+	return s.SubmitBatchFunc(shard, []Req{{Op: op, ID: id, Data: data}}, done)
 }
 
-// SubmitBatch enqueues a batch atomically: the worker serves all of it as
-// one unit, so same-block reads inside the batch are guaranteed to
-// coalesce into a single ORAM access. Futures are returned in input order.
-func (s *Service) SubmitBatch(shard int, reqs []Req) ([]*Future, error) {
+// SubmitBatchFunc enqueues a batch atomically: the worker serves all of it
+// as one unit, so same-block reads inside the batch are guaranteed to
+// coalesce into a single ORAM access. done runs once per request, with the
+// request's index in reqs.
+func (s *Service) SubmitBatchFunc(shard int, reqs []Req, done Completion) error {
 	if len(reqs) == 0 {
-		return nil, nil
+		return nil
 	}
 	t0 := time.Now()
 	batch := make([]*request, len(reqs))
-	futs := make([]*Future, len(reqs))
 	for i, q := range reqs {
 		if q.Op != OpRead && q.Op != OpWrite {
-			return nil, fmt.Errorf("serve: invalid op %d at batch index %d", q.Op, i)
+			return fmt.Errorf("serve: invalid op %d at batch index %d", q.Op, i)
 		}
-		r := &request{op: q.Op, id: q.ID, t0: t0, done: make(chan result, 1)}
+		r := &request{op: q.Op, id: q.ID, t0: t0, i: i, done: done}
 		if q.Op == OpWrite {
 			r.data = append([]byte(nil), q.Data...)
 		}
 		batch[i] = r
-		futs[i] = &Future{done: r.done}
 	}
-	if err := s.enqueue(shard, batch); err != nil {
+	return s.enqueue(shard, batch)
+}
+
+// Submit is SubmitFunc with a future for a completion.
+func (s *Service) Submit(shard int, op Op, id uint64, data []byte) (*Future, error) {
+	f := newFuture()
+	err := s.SubmitFunc(shard, op, id, data, func(_ int, data []byte, err error) {
+		f.done <- result{data, err} // buffered: never blocks the worker
+	})
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// SubmitBatch is SubmitBatchFunc with one future per request, in input
+// order.
+func (s *Service) SubmitBatch(shard int, reqs []Req) ([]*Future, error) {
+	if len(reqs) == 0 {
+		return nil, nil
+	}
+	futs := make([]*Future, len(reqs))
+	for i := range futs {
+		futs[i] = newFuture()
+	}
+	err := s.SubmitBatchFunc(shard, reqs, func(i int, data []byte, err error) {
+		futs[i].done <- result{data, err}
+	})
+	if err != nil {
 		return nil, err
 	}
 	return futs, nil
@@ -445,11 +484,12 @@ func (s *Service) Write(shard int, id uint64, data []byte) error {
 // way to observe worker-owned state (backend counters, traces) while the
 // service is running.
 func (s *Service) Sync(shard int, fn func()) error {
-	r := &request{op: opSync, fn: fn, t0: time.Now(), done: make(chan result, 1)}
+	ran := make(chan struct{})
+	r := &request{op: opSync, fn: fn, t0: time.Now(), done: func(int, []byte, error) { close(ran) }}
 	if err := s.enqueue(shard, []*request{r}); err != nil {
 		return err
 	}
-	<-r.done
+	<-ran
 	return nil
 }
 
@@ -763,14 +803,14 @@ func (w *worker) serve(ops []*request, cache map[uint64][]byte) {
 			w.statMu.Lock()
 			w.sheds++
 			w.statMu.Unlock()
-			r.done <- result{err: ErrRetry}
+			r.resolve(nil, ErrRetry)
 			continue
 		}
 		switch r.op {
 		case opSync:
 			w.drainPipe(cache)
 			r.fn()
-			r.done <- result{}
+			r.resolve(nil, nil)
 		case OpRead:
 			// Order same-id operations: an in-flight access to this id from
 			// the current batch must land (populating the cache) before the
@@ -882,7 +922,7 @@ func (w *worker) plan(ops []*request) {
 
 // completeOne resolves the oldest in-flight access: wait out its I/O,
 // update the dedup cache (current-batch entries only), and finish its
-// future. Futures therefore resolve in begin order.
+// request. Requests therefore resolve in begin order.
 func (w *worker) completeOne(cache map[uint64][]byte) {
 	p := w.pipe[0]
 	copy(w.pipe, w.pipe[1:])
@@ -914,8 +954,7 @@ func (w *worker) drainPipe(cache map[uint64][]byte) {
 }
 
 // finish records latency — total per op class, plus the queue-wait and
-// execute split — and resolves the future (never blocks: done is
-// buffered).
+// execute split — and resolves the request.
 func (w *worker) finish(r *request, data []byte, err error) {
 	now := time.Now()
 	us := float64(now.Sub(r.t0)) / float64(time.Microsecond)
@@ -930,7 +969,7 @@ func (w *worker) finish(r *request, data []byte, err error) {
 	w.queueLat.Add(queueUs)
 	w.execLat.Add(execUs)
 	w.statMu.Unlock()
-	r.done <- result{data: data, err: err}
+	r.resolve(data, err)
 }
 
 // LatencySummary condenses one operation class's latency distribution.

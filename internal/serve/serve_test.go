@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -927,5 +928,103 @@ func TestServeDeepWindowDecline(t *testing.T) {
 	}
 	if b.claimed != 1 || b.totalOutstanding() != 0 {
 		t.Fatalf("claim accounting wrong: claimed %d, outstanding %d", b.claimed, b.totalOutstanding())
+	}
+}
+
+// TestCompletionExactlyOnce pins the completion contract: every operation
+// of an accepted submission has its completion run exactly once — through
+// normal completion, a backend error, dedup fan-out, an admission shed and
+// Close's drain, on the serial and on the pipelined worker — and a
+// submission that was refused never runs it.
+func TestCompletionExactlyOnce(t *testing.T) {
+	const failing = 7
+	failingMem := func() *memBackend {
+		b := newMemBackend()
+		b.hasFail, b.failOn = true, failing
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		backend Backend
+		cfg     Config
+		shed    bool
+	}{
+		{name: "serial", backend: failingMem(), cfg: Config{PipelineDepth: 1}},
+		{name: "pipelined", backend: &stagedMemBackend{memBackend: failingMem()}, cfg: Config{PipelineDepth: 4}},
+		{name: "shedding", backend: failingMem(), cfg: Config{AdmissionDeadline: 1}, shed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New([]Backend{tc.backend}, tc.cfg)
+			// One counter and one recorded error per submitted operation.
+			const singles, batches, perBatch = 64, 16, 8
+			fired := make([]atomic.Int32, singles+batches*perBatch)
+			errs := make([]error, len(fired))
+			var late atomic.Int32 // completions of refused submissions
+			var submitters sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				submitters.Add(1)
+				go func() {
+					defer submitters.Done()
+					for k := c; k < singles; k += 4 {
+						op := OpRead
+						if k%3 == 0 {
+							op = OpWrite
+						}
+						err := s.SubmitFunc(0, op, uint64(k%16), payload(uint64(k)), func(i int, _ []byte, err error) {
+							errs[k] = err
+							fired[k+i].Add(1)
+						})
+						if err != nil {
+							t.Error(err)
+						}
+					}
+					for b := c; b < batches; b += 4 {
+						reqs := make([]Req, perBatch)
+						for i := range reqs {
+							// Duplicate ids (dedup fan-out) and the failing id.
+							reqs[i] = Req{Op: OpRead, ID: uint64(failing - i%3)}
+						}
+						base := singles + b*perBatch
+						err := s.SubmitBatchFunc(0, reqs, func(i int, _ []byte, err error) {
+							errs[base+i] = err
+							fired[base+i].Add(1)
+						})
+						if err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+			}
+			submitters.Wait()
+			// Close drains: whatever is still queued completes before it returns.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for k := range fired {
+				if n := fired[k].Load(); n != 1 {
+					t.Fatalf("operation %d: completion ran %d times, want exactly once", k, n)
+				}
+			}
+			for k, err := range errs {
+				failed := k < singles && k%16 == failing || k >= singles && (k-singles)%perBatch%3 == 0
+				switch {
+				case tc.shed && !errors.Is(err, ErrRetry):
+					t.Fatalf("operation %d under a 1ns deadline = %v, want ErrRetry", k, err)
+				case !tc.shed && failed != (err != nil):
+					t.Fatalf("operation %d: err = %v, backend failure expected: %v", k, err, failed)
+				}
+			}
+			// Refused submissions: a closed service and an invalid op.
+			never := func(int, []byte, error) { late.Add(1) }
+			if err := s.SubmitFunc(0, OpRead, 1, nil, never); !errors.Is(err, ErrClosed) {
+				t.Fatalf("submit after Close = %v, want ErrClosed", err)
+			}
+			if err := s.SubmitBatchFunc(0, []Req{{Op: OpRead, ID: 1}, {Op: Op(99)}}, never); err == nil {
+				t.Fatal("a batch with an invalid op must be refused")
+			}
+			if n := late.Load(); n != 0 {
+				t.Fatalf("%d completions ran for refused submissions", n)
+			}
+		})
 	}
 }

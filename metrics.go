@@ -6,10 +6,11 @@ package palermo
 // client library, no dependency). palermo-server mounts it with
 // -metrics addr; embedders can mount it on their own mux.
 //
-// Everything exported here is derived from snapshots the store already
-// exposes (Stats/Traffic/QueueDepths/FsyncLag) — the endpoint observes
-// exactly what an in-process caller can, so scraping adds nothing to
-// the §6 adversary's view beyond the traffic of the scrape itself.
+// Everything exported here is derived from snapshots the store and its
+// server already expose (Stats/Traffic/QueueDepths/FsyncLag/NetStats) —
+// the endpoint observes exactly what an in-process caller can, so scraping
+// adds nothing to the §6 adversary's view beyond the traffic of the scrape
+// itself.
 
 import (
 	"fmt"
@@ -36,6 +37,10 @@ type MetricsVars struct {
 	// FsyncLag returns the durable backends' commit-path fsync count and
 	// cumulative wait (the WAL fsync lag).
 	FsyncLag func() (uint64, time.Duration)
+	// Net returns the network server's reply-path counters
+	// (Server.NetStats): response frames over socket writes is the
+	// coalescing factor behind a throughput change.
+	Net func() ServerNetStats
 }
 
 // NewMetricsHandler builds the /metrics handler over v.
@@ -99,6 +104,12 @@ func writeMetrics(b *strings.Builder, v MetricsVars) {
 		n, d := v.FsyncLag()
 		counter("palermo_fsyncs_total", n)
 		gauge("palermo_fsync_wait_seconds_total", d.Seconds())
+	}
+	if v.Net != nil {
+		ns := v.Net()
+		counter("palermo_net_response_frames_total", ns.ResponseFrames)
+		counter("palermo_net_response_writes_total", ns.ResponseWrites)
+		gauge("palermo_net_connections", float64(ns.Connections))
 	}
 }
 

@@ -681,3 +681,146 @@ func TestClientConfigValidation(t *testing.T) {
 		t.Error("dial to a dead port must fail")
 	}
 }
+
+// TestSlowReaderDoesNotStallShardWorker: request completions run on the
+// shard worker, so a connection whose peer stops reading must cost the
+// worker nothing — its replies wait in the connection's own bounded queue
+// while its writer sits in WriteTimeout — and a second connection to the
+// same (only) shard keeps completing reads meanwhile.
+func TestSlowReaderDoesNotStallShardWorker(t *testing.T) {
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 12, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv, err := NewServer(st, ServerConfig{WriteTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close() // prompt: its deadline sweep fails the stalled write
+		<-served
+	}()
+	// The stalled peer: megabytes of ReadBatch responses requested over a
+	// small receive window, none of them ever read.
+	stalled, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	stalled.(*net.TCPConn).SetReadBuffer(4 << 10)
+	const frames, perFrame = 48, 4096
+	payload, err := wire.AppendReadBatchReq(nil, make([]uint64, perFrame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < frames; i++ {
+		if err := wire.WriteFrame(stalled, wire.OpReadBatch, i, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The worker goes through every stalled frame although its replies
+	// cannot be delivered.
+	deadline := time.Now().Add(30 * time.Second)
+	for st.Stats().Reads < frames*perFrame {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard worker stalled behind the unread connection: %d of %d reads served", st.Stats().Reads, frames*perFrame)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cl, err := Dial(ln.Addr().String(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const reads = 200
+	t0 := time.Now()
+	for i := 0; i < reads; i++ {
+		if _, err := cl.Read(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(t0); d > 10*time.Second {
+		t.Fatalf("%d reads beside a stalled connection took %v", reads, d)
+	}
+	// The stall was real throughout: beyond the second connection's
+	// handshake and reads, the server has handed the sockets fewer replies
+	// than the first connection is owed.
+	if ns := srv.NetStats(); ns.ResponseFrames >= frames+1+reads {
+		t.Fatalf("the unread connection was never stalled (%+v); the test exercised nothing", ns)
+	}
+}
+
+// TestClientReadAllocs guards the allocation budget of one loopback
+// Client.Read after warm-up — client, wire, server and store together
+// (AllocsPerRun counts every goroutine's). The frame path allocates
+// nothing of its own in steady state: request frames are encoded in place
+// into the mux's buffer, response frames are read into pooled buffers and
+// replies are encoded into the connection's write buffer. What remains is
+// the call and its result channel, the pending-frame entry, the server's
+// completion closure, the service request, and the engine's and the
+// client's one copy each of the block: 12, where the parent commit made 21.
+func TestClientReadAllocs(t *testing.T) {
+	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 1}, ServerConfig{}, ClientConfig{})
+	id := uint64(0)
+	read := func() {
+		id = (id + 1) % 1024
+		if _, err := cl.Read(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2048; i++ {
+		read()
+	}
+	allocs := testing.AllocsPerRun(2000, read)
+	if allocs > 16 {
+		t.Errorf("a loopback Client.Read allocates %.0f times, ceiling 16", allocs)
+	}
+	t.Logf("allocations per loopback Client.Read: %.0f", allocs)
+}
+
+// TestCompletionBatchFirstError: a batch frame spanning both shards, one of
+// whose sub-batches fails, is answered with that first error — but only
+// once every sub-request that was submitted has completed: the frame's
+// countdown, not the failure, sends the reply.
+func TestCompletionBatchFirstError(t *testing.T) {
+	st, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2}, ServerConfig{}, ClientConfig{})
+	// Shard 1 refuses its sub-batch (its service is closed); shard 0's
+	// worker is held at a barrier, its sub-batch queued behind it.
+	if err := st.slots[1].svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	held, gate := make(chan struct{}), make(chan struct{})
+	go st.slots[0].svc.Sync(0, func() { close(held); <-gate })
+	<-held
+	ids := []uint64{0, 1, 2, 3, 4, 5} // even ids: shard 0, odd ids: shard 1
+	answered := make(chan error, 1)
+	go func() {
+		_, err := cl.ReadBatch(ids)
+		answered <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); st.QueueDepths()[0] == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the frame's shard-0 sub-batch never reached its queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-answered:
+		t.Fatalf("frame answered (%v) while shard 0's sub-requests were still queued", err)
+	default:
+	}
+	close(gate)
+	if err := <-answered; !errors.Is(err, ErrClosed) {
+		t.Fatalf("spanning batch = %v, want the failing sub-batch's ErrClosed", err)
+	}
+	if reads := st.Stats().Reads; reads != 3 {
+		t.Fatalf("%d of shard 0's 3 sub-requests had completed when the frame was answered", reads)
+	}
+}

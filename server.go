@@ -11,9 +11,10 @@ package palermo
 //	srv.Close() // graceful: drains in-flight requests, then
 //	st.Close()  // checkpoint + release the store
 //
-// The heavy lifting lives in internal/netserve (per-connection
-// reader/writer goroutines, pipelining, bounded in-flight windows,
-// graceful drain); this wrapper adapts the store and validates limits.
+// The heavy lifting lives in internal/netserve (per-connection reader and
+// writer goroutines, completion-driven pipelining, bounded in-flight
+// windows, graceful drain); this wrapper adapts the store and validates
+// limits.
 // DESIGN.md §8 describes the wire format and why the network layer
 // observes only the §VI adversary's view.
 
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"palermo/internal/netserve"
+	"palermo/internal/serve"
 	"palermo/internal/wire"
 )
 
@@ -65,7 +67,7 @@ func NewServer(st *ShardedStore, cfg ServerConfig) (*Server, error) {
 	if st == nil {
 		return nil, fmt.Errorf("palermo: NewServer requires a store")
 	}
-	return newServer(serverStore{st}, cfg)
+	return newServer(serverStore{wireRequests{st}, st}, cfg)
 }
 
 // newServer maps ServerConfig onto the network layer for both the
@@ -105,10 +107,55 @@ func (s *Server) Addr() net.Addr { return s.ns.Addr() }
 // connections. Idempotent.
 func (s *Server) Close() error { return s.ns.Close() }
 
-// serverStore adapts ShardedStore to the netserve.Store interface: the
-// request methods are the store's own, and Stats becomes the single wire
-// snapshot folding service stats, traffic counters and store geometry. A
-// standalone server has no placement: epoch 0, every shard owned.
-type serverStore struct{ *ShardedStore }
+// ServerNetStats counts the reply side of a server's wire: the response
+// frames it handed to its sockets, the writes that carried them — their ratio is
+// the coalescing factor, how many replies share one write — and the
+// connections open now. All three depend only on request counts and
+// arrival timing, never on block ids or payloads.
+type ServerNetStats = netserve.NetStats
 
-func (a serverStore) Stats() wire.Stats { return a.wireStats(a.slots, nil, 0) }
+// NetStats snapshots the server's reply-path counters.
+func (s *Server) NetStats() ServerNetStats { return s.ns.NetStats() }
+
+// wireRequests maps netserve.Store's four data methods onto a submitter.
+type wireRequests struct{ submitter }
+
+func (a wireRequests) Read(id uint64, done serve.Completion) error {
+	return a.submit(serve.OpRead, id, nil, done)
+}
+
+func (a wireRequests) Write(id uint64, data []byte, done serve.Completion) error {
+	return a.submit(serve.OpWrite, id, data, done)
+}
+
+func (a wireRequests) ReadBatch(ids []uint64, done netserve.BatchCompletion) error {
+	return a.submitBatch(serve.OpRead, ids, nil, done)
+}
+
+func (a wireRequests) WriteBatch(ids []uint64, blocks [][]byte, done netserve.BatchCompletion) error {
+	return a.submitBatch(serve.OpWrite, ids, blocks, done)
+}
+
+// serverStore is the netserve.Store of a ShardedStore: its requests, and
+// Stats as the single wire snapshot folding service stats, traffic counters
+// and store geometry. A standalone server has no placement: epoch 0, every
+// shard owned.
+type serverStore struct {
+	wireRequests
+	st *ShardedStore
+}
+
+func (a serverStore) Stats() wire.Stats { return a.st.wireStats(a.st.slots, nil, 0) }
+
+// nodeStore is the netserve.Store of a ClusterNode, which additionally
+// answers the cluster-only ops (netserve.ExtStore).
+type nodeStore struct {
+	wireRequests
+	n *ClusterNode
+}
+
+func (a nodeStore) Stats() wire.Stats { return a.n.Stats() }
+
+func (a nodeStore) ServeExt(op byte, payload []byte) ([]byte, error) {
+	return a.n.ServeExt(op, payload)
+}

@@ -169,11 +169,16 @@ func (s *ShardedStore) Shards() int { return s.router.Shards() }
 // Write stores a 64-byte block obliviously under the given block id. Safe
 // for concurrent use; writes to the same id from different goroutines are
 // serialized by the id's shard worker in arrival order.
-func (s *ShardedStore) Write(id uint64, data []byte) error { return s.write(id, data) }
+func (s *ShardedStore) Write(id uint64, data []byte) error {
+	_, err := await(s, serve.OpWrite, id, data)
+	return err
+}
 
 // Read fetches a block obliviously. Reading a never-written block returns a
 // zero block after a full-protocol access, like Store.Read.
-func (s *ShardedStore) Read(id uint64) ([]byte, error) { return s.read(id) }
+func (s *ShardedStore) Read(id uint64) ([]byte, error) {
+	return await(s, serve.OpRead, id, nil)
+}
 
 // ReadBatch fetches many blocks, submitting each shard's subset as one
 // atomic batch: duplicate ids inside the call are served by a single ORAM
@@ -181,14 +186,14 @@ func (s *ShardedStore) Read(id uint64) ([]byte, error) { return s.read(id) }
 // input order; on error, the first failure is returned after every
 // submitted request has completed.
 func (s *ShardedStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	return s.batch(serve.OpRead, ids, nil)
+	return awaitBatch(s, serve.OpRead, ids, nil)
 }
 
 // WriteBatch stores blocks[i] under ids[i] for every i, submitting each
 // shard's subset as one atomic batch. Ordering between entries targeting
 // the same id follows their position in the call.
 func (s *ShardedStore) WriteBatch(ids []uint64, blocks [][]byte) error {
-	_, err := s.batch(serve.OpWrite, ids, blocks)
+	_, err := awaitBatch(s, serve.OpWrite, ids, blocks)
 	return err
 }
 
