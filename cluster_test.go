@@ -396,8 +396,9 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 type shardStream struct {
 	nc      net.Conn
 	quit    chan struct{}
-	results chan error // the reader's verdict
-	ok      uint64     // frames answered StatusOK (valid after results)
+	results chan error    // the reader's verdict
+	served  chan struct{} // closed at the first frame answered StatusOK
+	ok      uint64        // frames answered StatusOK (valid after results)
 }
 
 // streamEnd marks the request id of the Stats frame the writer ends the
@@ -410,7 +411,7 @@ func startShardStream(t *testing.T, addr string, ids []uint64) *shardStream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &shardStream{nc: nc, quit: make(chan struct{}), results: make(chan error, 1)}
+	s := &shardStream{nc: nc, quit: make(chan struct{}), results: make(chan error, 1), served: make(chan struct{})}
 	window := make(chan struct{}, 32)
 	go func() { // writer: request i reads ids[i % len(ids)]
 		for n := uint64(0); ; n++ {
@@ -455,7 +456,9 @@ func startShardStream(t *testing.T, addr string, ids []uint64) *shardStream {
 					s.results <- fmt.Errorf("request %d read a wrong payload", f.ReqID)
 					return
 				}
-				s.ok++
+				if s.ok++; s.ok == 1 {
+					close(s.served)
+				}
 			case status == wire.StatusWrongEpoch:
 				firstRejected = min(firstRejected, f.ReqID)
 			default:
@@ -465,6 +468,13 @@ func startShardStream(t *testing.T, addr string, ids []uint64) *shardStream {
 		}
 		s.results <- nil
 	}()
+	// The stream is up once a read has been served; a caller that cuts the
+	// shard over right away would otherwise race the first frame.
+	select {
+	case <-s.served:
+	case err := <-s.results:
+		t.Fatalf("shard stream: %v", err)
+	}
 	return s
 }
 

@@ -321,8 +321,9 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 
 // TestPipelinedVsSerialEquivalence is the pipeline's determinism
 // contract: the same recorded op sequence through a ShardedStore at
-// PipelineDepth 1 (the serial executor) and at the default depth must be
-// indistinguishable — byte-identical read payloads, identical service op
+// PipelineDepth 1 (the serial executor), at the default depth (on the
+// memory engine 1, or 2 when a crypto pool asks for the stage) and at an
+// explicit depth 2 must be indistinguishable — byte-identical read payloads, identical service op
 // counts and dedup hits, and identical per-shard engine traces (same ops,
 // same order, same exposed leaves). The crypto pool rides the same
 // contract: CryptoWorkers 1 and 4 offload seal/unseal to worker
@@ -361,9 +362,10 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		depth, workers int
 	}{
-		{0, 0}, // 0 = the default depth (2), inline crypto
-		{0, 1}, // single crypto worker: ordering without parallelism
+		{0, 0}, // 0 = the default depth (1 here: nothing asks for the stage), inline crypto
+		{0, 1}, // single crypto worker (the default depth is 2 under a pool): ordering without parallelism
 		{0, 4}, // worker pool (capped at GOMAXPROCS internally)
+		{2, 0}, // the staged executor with inline crypto, which no default reaches on this engine
 	} {
 		name := fmt.Sprintf("depth=%d,cryptoWorkers=%d", tc.depth, tc.workers)
 		gotPayloads, gotStats, gotTraces := play(tc.depth, tc.workers)
@@ -406,7 +408,8 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 // durable backends and across a restart: identical workloads at depth 1
 // and depth 4 (small CheckpointEvery and GroupCommit so compactions and
 // commits fire mid-run), across every engine in {wal, blockfile} and
-// CryptoWorkers in {0, 1, 4}, must leave directories that recover to
+// CryptoWorkers in {0, 1, 4}, and again at the default depth and at
+// depth 2, must leave directories that recover to
 // identical stores — same payloads, same traffic counters, and identical
 // engine behavior for a post-recovery op sequence. The engine and worker
 // count may change what the bytes on disk look like, never what they
@@ -519,6 +522,30 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		for i := range wantPayloads {
 			if !bytes.Equal(wantPayloads[i], crossPayloads[i]) {
 				t.Fatalf("%s: cross-depth read %d diverged", name, i)
+			}
+		}
+	}
+
+	// The default depth — run-to-completion on wal with the fsync still on
+	// the committer goroutine, the staged executor on blockfile — and an
+	// explicit depth 2 leave directories that recover like the serial one.
+	for _, engine := range []string{BackendWAL, BackendBlockfile} {
+		for _, depth := range []int{0, 2} {
+			name := fmt.Sprintf("engine=%s,depth=%d", engine, depth)
+			dir := run(engine, depth, 0, 0)
+			for _, reopenDepth := range []int{depth, 1} {
+				gotRep, gotPayloads := reopen(dir, engine, reopenDepth, 0)
+				if reopenDepth == depth && wantRep != gotRep {
+					t.Fatalf("%s: recovered traffic diverged:\n serial wal %+v\n got        %+v", name, wantRep, gotRep)
+				}
+				if gotRep.Writes != wantRep.Writes {
+					t.Fatalf("%s reopened at depth %d: recovery lost writes: want %d, got %d", name, reopenDepth, wantRep.Writes, gotRep.Writes)
+				}
+				for i := range wantPayloads {
+					if !bytes.Equal(wantPayloads[i], gotPayloads[i]) {
+						t.Fatalf("%s reopened at depth %d: post-recovery read %d diverged from the serial WAL baseline", name, reopenDepth, i)
+					}
+				}
 			}
 		}
 	}

@@ -42,10 +42,14 @@ type slotSet []*slot
 // ShardedStore never changes slots after construction; ClusterNode guards
 // slots and traceOn with its geometry lock.
 type host struct {
-	cfg     ShardedStoreConfig
-	router  shard.Router
-	slots   slotSet
-	traceOn bool
+	cfg ShardedStoreConfig
+	// commitDepth is the WAL's: an unset PipelineDepth keeps the fsync on
+	// the committer goroutine (2) while the executor runs to completion.
+	commitDepth int
+	router      shard.Router
+	slots       slotSet
+	traceOn     bool
+	scratch     sync.Pool // of *batchScratch
 }
 
 // notServed is the host's rejection of an operation naming a shard it does
@@ -110,6 +114,15 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	if err := validateSlotCacheBytes(c.SlotCacheBytes, engine); err != nil {
 		return none, err
 	}
+	if c.PipelineDepth == 0 {
+		// A memory or wal backend call cannot block, so handing each op to an
+		// I/O goroutine costs more than it overlaps (DESIGN.md §9). Blockfile's
+		// stage coalesces puts; the planner and the crypto pool hang off it.
+		c.PipelineDepth = 1
+		if engine == BackendBlockfile || c.Prefetch || c.CryptoWorkers > 0 {
+			c.PipelineDepth = 2
+		}
+	}
 	return router, nil
 }
 
@@ -119,6 +132,10 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 // its own shard subdirectories, and a Store and a 1-shard ShardedStore
 // are interchangeable over one Dir. No slot is opened yet.
 func newHost(cfg ShardedStoreConfig) (*host, error) {
+	commitDepth := cfg.PipelineDepth // an explicit depth sets both
+	if commitDepth == 0 {
+		commitDepth = 2
+	}
 	router, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -128,7 +145,7 @@ func newHost(cfg ShardedStoreConfig) (*host, error) {
 			return nil, fmt.Errorf("palermo: %w", err)
 		}
 	}
-	return &host{cfg: cfg, router: router, slots: make(slotSet, cfg.Shards)}, nil
+	return &host{cfg: cfg, commitDepth: commitDepth, router: router, slots: make(slotSet, cfg.Shards)}, nil
 }
 
 func (h *host) shardDir(s int) string {
@@ -145,7 +162,7 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	var err error
 	switch h.cfg.Engine {
 	case BackendWAL:
-		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: h.cfg.PipelineDepth})
+		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: h.commitDepth})
 	case BackendBlockfile:
 		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, CacheBytes: h.cfg.SlotCacheBytes})
 	}
@@ -173,6 +190,9 @@ func (h *host) tune(sh *shard.Shard) {
 	sh.SetTreeTopLevels(h.cfg.TreeTopLevels)
 	if h.traceOn {
 		sh.EnableTrace()
+	}
+	if h.cfg.PipelineDepth <= 1 {
+		return // run to completion: no I/O stage, and nothing that rides it
 	}
 	sh.EnablePipeline(h.cfg.PipelineDepth)
 	sh.EnableCryptoPool(h.cfg.CryptoWorkers)
@@ -209,7 +229,8 @@ func (h *host) adoptSlot(s int, sl *slot) {
 // stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
 // concrete Access pointer becomes the service-layer Access interface. The
 // serve worker only drives the staged methods when the shard's pipeline is
-// enabled (PipelineDepth > 1 — both are wired from the same config knob).
+// enabled (resolved PipelineDepth > 1 — both are wired from the same
+// config knob); otherwise it calls Read and Write.
 type stagedShard struct{ *shard.Shard }
 
 func (s stagedShard) BeginRead(id uint64) (serve.Access, error) {
@@ -291,39 +312,58 @@ func (h *host) submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func
 			}
 		}
 	}
-	reqs := make([][]serve.Req, len(h.slots))
-	var pos [][]int // reads only: each request's position in the caller's order
-	if op == serve.OpRead {
-		pos = make([][]int, len(h.slots))
+	// Counting sort by shard into one pooled array (a submission copies its
+	// requests, so nothing here outlives the call).
+	sc, _ := h.scratch.Get().(*batchScratch)
+	if sc == nil {
+		sc = new(batchScratch)
 	}
-	for i, id := range ids {
-		s, local := h.router.Route(id)
+	defer h.scratch.Put(sc)
+	if cap(sc.end) < len(h.slots) || cap(sc.reqs) < len(ids) {
+		sc.end, sc.reqs = make([]int, len(h.slots)), make([]serve.Req, len(ids))
+	}
+	end, reqs := sc.end[:len(h.slots)], sc.reqs[:len(ids)]
+	clear(end)
+	for _, id := range ids {
+		s, _ := h.router.Route(id)
 		if sl := h.slots[s]; sl == nil || sl.held {
 			return notServed(s)
 		}
-		req := serve.Req{Op: op, ID: local}
-		if op == serve.OpWrite {
-			req.Data = blocks[i]
-		} else {
-			pos[s] = append(pos[s], i)
-		}
-		reqs[s] = append(reqs[s], req)
+		end[s]++
+	}
+	sum := 0
+	for s, n := range end {
+		end[s], sum = sum, sum+n // the sub-batch's start, until the scatter below fills it
 	}
 	j := &batchJoin{done: done}
 	if op == serve.OpRead {
 		j.out = make([][]byte, len(ids))
+		j.pos = make([]int, len(ids))
+	}
+	defer clear(reqs) // the pool must not pin the caller's blocks
+	for i, id := range ids {
+		s, local := h.router.Route(id)
+		k := end[s]
+		end[s]++
+		reqs[k] = serve.Req{Op: op, ID: local}
+		if op == serve.OpWrite {
+			reqs[k].Data = blocks[i]
+		} else {
+			j.pos[k] = i
+		}
 	}
 	// The submitter holds one count of its own, so the join cannot fire
 	// while sub-batches are still being enqueued.
 	j.left.Store(int64(len(ids)) + 1)
 	enqueued := false
-	for s, rs := range reqs {
+	for s, start := 0, 0; s < len(end); s, start = s+1, end[s] {
+		rs := reqs[start:end[s]]
 		if len(rs) == 0 {
 			continue
 		}
-		var at []int
-		if pos != nil {
-			at = pos[s]
+		var at []int // reads only: each request's position in the caller's order
+		if j.pos != nil {
+			at = j.pos[start:end[s]]
 		}
 		err := h.slots[s].svc.SubmitBatchFunc(0, rs, func(i int, data []byte, err error) {
 			if err != nil {
@@ -349,12 +389,19 @@ func (h *host) submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func
 	return nil
 }
 
+// batchScratch is submitBatch's pooled partition space.
+type batchScratch struct {
+	end  []int       // per shard: where its sub-batch ends in reqs
+	reqs []serve.Req // the batch, grouped by shard
+}
+
 // batchJoin is the countdown completion of one multi-shard batch: every
 // sub-request (and the submitter) releases one count, and whoever releases
 // the last calls done.
 type batchJoin struct {
 	left atomic.Int64
 	out  [][]byte // read payloads in the caller's order; nil for a write batch
+	pos  []int    // reads: the caller's position of each request, grouped by shard
 	done func([][]byte, error)
 
 	mu  sync.Mutex

@@ -33,6 +33,32 @@ func BenchmarkSealUnseal(b *testing.B) {
 	}
 }
 
+// BenchmarkSeal and BenchmarkOpen split the round trip: each is one
+// allocation (the output) and four AES blocks.
+func BenchmarkSeal(b *testing.B) {
+	s, _ := NewSealer([]byte("0123456789abcdef"))
+	pt := make([]byte, BlockBytes)
+	b.ReportAllocs()
+	b.SetBytes(BlockBytes)
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Seal(uint64(i), pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOpen(b *testing.B) {
+	s, _ := NewSealer([]byte("0123456789abcdef"))
+	ct, epoch, _ := s.Seal(9, make([]byte, BlockBytes))
+	b.ReportAllocs()
+	b.SetBytes(BlockBytes)
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Open(9, epoch, ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSealAtParallel measures the pure transform (SealAt) spread
 // across worker goroutines — the upper bound of what a CryptoWorkers
 // pool can recover from the single-core sealing wall.

@@ -11,8 +11,10 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // BlockBytes is the sealed payload granularity (one cache line).
@@ -74,9 +76,7 @@ func (s *Sealer) SealAt(addr, epoch uint64, plaintext []byte) ([]byte, error) {
 	if len(plaintext) != BlockBytes {
 		return nil, fmt.Errorf("crypt: plaintext must be %d bytes, got %d", BlockBytes, len(plaintext))
 	}
-	out := make([]byte, BlockBytes)
-	s.xcrypt(addr, epoch, plaintext, out)
-	return out, nil
+	return s.xcryptBlock(addr, epoch, plaintext), nil
 }
 
 // Epoch returns the per-seal counter's current value. The durable store
@@ -111,8 +111,11 @@ func (s *Sealer) Blob(addr, epoch uint64, in []byte) []byte {
 	if epoch >= 1<<40 {
 		panic(fmt.Sprintf("crypt: blob epoch %d exceeds the 40-bit IV field", epoch))
 	}
+	var iv [aes.BlockSize]byte
+	binary.LittleEndian.PutUint64(iv[0:8], addr)
+	binary.LittleEndian.PutUint64(iv[8:16], epoch)
 	out := make([]byte, len(in))
-	s.xcrypt(addr, epoch, in, out)
+	cipher.NewCTR(s.block, iv[:]).XORKeyStream(out, in)
 	return out
 }
 
@@ -121,14 +124,30 @@ func (s *Sealer) Open(addr, epoch uint64, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) != BlockBytes {
 		return nil, fmt.Errorf("crypt: ciphertext must be %d bytes, got %d", BlockBytes, len(ciphertext))
 	}
-	out := make([]byte, BlockBytes)
-	s.xcrypt(addr, epoch, ciphertext, out)
-	return out, nil
+	return s.xcryptBlock(addr, epoch, ciphertext), nil
 }
 
-func (s *Sealer) xcrypt(addr, epoch uint64, in, out []byte) {
-	var iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(iv[0:8], addr)
-	binary.LittleEndian.PutUint64(iv[8:16], epoch)
-	cipher.NewCTR(s.block, iv[:]).XORKeyStream(out, in)
+// xcryptBlock is Blob's transform for one BlockBytes payload, byte for
+// byte: the four keystream blocks are the encryptions of the IV
+// incremented as a 128-bit big-endian integer, which is what cipher.NewCTR
+// computes — minus its stream object and 512-byte buffer. Each
+// counter block is written into the output and encrypted in place, so the
+// output is the one allocation (Encrypt is an interface call: a counter on
+// the stack would escape) and it is exactly BlockBytes, which matters to
+// the backends that keep sealed blocks in memory.
+func (s *Sealer) xcryptBlock(addr, epoch uint64, in []byte) []byte {
+	out := make([]byte, BlockBytes)
+	// The IV is addr then epoch, little-endian; read back big-endian.
+	hi, lo := bits.ReverseBytes64(addr), bits.ReverseBytes64(epoch)
+	for i := 0; i < BlockBytes; i += aes.BlockSize {
+		ctr := out[i : i+aes.BlockSize]
+		binary.BigEndian.PutUint64(ctr[0:8], hi)
+		binary.BigEndian.PutUint64(ctr[8:16], lo)
+		s.block.Encrypt(ctr, ctr)
+		if lo++; lo == 0 {
+			hi++
+		}
+	}
+	subtle.XORBytes(out, out, in)
+	return out
 }

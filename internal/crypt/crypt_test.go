@@ -2,7 +2,11 @@ package crypt
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +153,76 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockTransformMatchesCTR pins the hand-rolled 64-byte keystream to
+// cipher.NewCTR over the same IV, which is what every sealed block on disk
+// was written with. The IV's last byte is the epoch's top byte, so epochs
+// from 0xFD.. up carry out of it within four blocks, and all-ones epochs
+// carry on into the address half.
+func TestBlockTransformMatchesCTR(t *testing.T) {
+	s, err := NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block, _ := aes.NewCipher(key)
+	r := rand.New(rand.NewSource(7))
+	type iv struct{ addr, epoch uint64 }
+	cases := []iv{
+		{0, 0}, {1, 1},
+		{0, ^uint64(0)}, {^uint64(0), ^uint64(0)}, {0xFF00000000000000, ^uint64(0)},
+		{^uint64(0), ^uint64(0) - 2}, {42, 0xFFFFFFFFFFFFFFFD},
+	}
+	for top := uint64(0xFD); top <= 0xFF; top++ {
+		for i := 0; i < 50; i++ {
+			cases = append(cases, iv{r.Uint64(), top<<56 | r.Uint64()>>8})
+			cases = append(cases, iv{r.Uint64(), top<<56 | 0x00FFFFFFFFFFFFFF})
+		}
+	}
+	for i := 0; i < 500; i++ {
+		cases = append(cases, iv{r.Uint64(), r.Uint64()})
+	}
+	in := make([]byte, BlockBytes)
+	want := make([]byte, BlockBytes)
+	for _, c := range cases {
+		r.Read(in)
+		var ivb [aes.BlockSize]byte
+		binary.LittleEndian.PutUint64(ivb[0:8], c.addr)
+		binary.LittleEndian.PutUint64(ivb[8:16], c.epoch)
+		cipher.NewCTR(block, ivb[:]).XORKeyStream(want, in)
+		sealed, err := s.SealAt(c.addr, c.epoch, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened, err := s.Open(c.addr, c.epoch, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealed, want) || !bytes.Equal(opened, want) {
+			t.Fatalf("addr %#x epoch %#x: block transform diverged from cipher.NewCTR", c.addr, c.epoch)
+		}
+		if c.epoch < 1<<40 {
+			if blob := s.Blob(c.addr, c.epoch, in); !bytes.Equal(blob, want) {
+				t.Fatalf("addr %#x epoch %#x: Blob diverged from the block transform", c.addr, c.epoch)
+			}
+		}
+		if cap(sealed) != BlockBytes {
+			t.Fatalf("sealed block exposes %d bytes of capacity, want %d", cap(sealed), BlockBytes)
+		}
+	}
+}
+
+// TestSealOpenAllocs: a seal or an open allocates its output and nothing
+// else.
+func TestSealOpenAllocs(t *testing.T) {
+	s, _ := NewSealer(key)
+	pt := bytes.Repeat([]byte{0xA5}, BlockBytes)
+	ct, epoch, _ := s.Seal(3, pt)
+	if n := testing.AllocsPerRun(1000, func() { s.Seal(3, pt) }); n != 1 {
+		t.Errorf("Seal allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.Open(3, epoch, ct) }); n != 1 {
+		t.Errorf("Open allocates %.0f times, want 1", n)
 	}
 }

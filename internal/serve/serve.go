@@ -19,12 +19,17 @@
 // Future.Wait are the same path with a completion that sends on the
 // future's channel.
 //
-// With a StagedBackend and PipelineDepth > 1 the worker becomes a
+// A worker runs every submission to completion: each op executes on the
+// worker, then the submission's latencies are recorded under one clock
+// read and its completions run — the stores' default over the memory and
+// wal engines, whose calls cannot block (DESIGN.md §9).
+//
+// With a StagedBackend and PipelineDepth > 1 the worker instead becomes a
 // depth-D software pipeline (DESIGN.md §9): request k's backend I/O and
 // WAL commit are in flight while request k+1's engine stage runs on the
 // worker. Engine work never leaves the worker goroutine and completions
 // resolve FIFO, so scheduling, dedup semantics, and per-shard
-// determinism are identical to the serial worker at every depth.
+// determinism are identical to the run-to-completion worker at every depth.
 package serve
 
 import (
@@ -218,20 +223,26 @@ func (f *Future) Wait() ([]byte, error) {
 	return r.data, r.err
 }
 
-// request is the internal queued form.
-type request struct {
-	op    Op
-	id    uint64
-	data  []byte
-	fn    func()    // opSync only
-	t0    time.Time // submission (queue entry)
-	tExec time.Time // worker pickup (queue exit); set by the worker
-	i     int       // index in its submission, handed back to done
-	done  Completion
+// submission is the internal queued form: one Submit* call's operations in
+// one slab, with what they share — the submit time and the completion.
+type submission struct {
+	t0   time.Time // submission (queue entry)
+	done Completion
+	fn   func() // Sync only (reqs is then one opSync request)
+	reqs []request
 }
 
-// resolve delivers the request's outcome: the one place a completion runs.
-func (r *request) resolve(data []byte, err error) { r.done(r.i, data, err) }
+// request is one operation of a submission. dup and recur are the served
+// batch's dedup marks (worker.mark): only an id that recurs is worth a
+// cache entry, only a repeat is worth a lookup.
+type request struct {
+	op    Op
+	dup   bool   // an earlier op of the served batch names this id
+	recur bool   // a later one does
+	id    uint64 // shard-local block id
+	data  []byte // write payload; a read's result until its submission resolves
+	err   error
+}
 
 // Service routes requests to per-shard workers.
 type Service struct {
@@ -250,7 +261,7 @@ type worker struct {
 	backend  Backend
 	staged   StagedBackend // non-nil: the pipelined executor is active
 	depth    int           // accesses kept in flight (PipelineDepth)
-	queue    chan []*request
+	queue    chan submission
 	maxBatch int
 	deadline time.Duration // admission deadline (0 = no shedding)
 
@@ -263,6 +274,9 @@ type worker struct {
 	pipe     []pendingOp
 	inflight map[uint64]int
 	batchSeq uint64
+
+	// lastOp is mark's scratch, empty between batches: the latest op per id.
+	lastOp map[uint64]*request
 
 	// Prefetch planner state (Config.Prefetch with a PrefetchBackend).
 	// pfSeen is the per-batch first-op scratch set.
@@ -311,14 +325,16 @@ type worker struct {
 	closeErr error
 }
 
-// pendingOp is one in-flight staged access awaiting completion.
+// pendingOp is one operation on the staged executor: what finish needs of
+// its submission, and the in-flight access awaiting completion.
 type pendingOp struct {
-	r    *request
-	acc  Access
-	id   uint64
-	wr   bool
-	data []byte // write plaintext, cached on success
-	seq  uint64 // batch tag (dedup-cache eligibility)
+	r     *request
+	i     int // index in its submission, handed back to done
+	t0    time.Time
+	tExec time.Time // worker pickup (queue exit)
+	done  Completion
+	acc   Access
+	seq   uint64 // batch tag (dedup-cache eligibility)
 }
 
 // predBatch is one predicted served batch of the deep planner's backlog:
@@ -328,9 +344,9 @@ type pendingOp struct {
 // applies — so a predicted batch's boundary never moves once the next
 // batch starts.
 type predBatch struct {
-	groups [][]*request
-	nops   int
-	ann    map[uint64]bool // accepted announces to claim (BeginRead) or drop
+	subs []submission
+	nops int
+	ann  map[uint64]bool // accepted announces to claim (BeginRead) or drop
 }
 
 // specLine is one speculative posmap-group announce: dropped (if still
@@ -349,7 +365,8 @@ func New(backends []Backend, cfg Config) *Service {
 		w := &worker{
 			backend:  b,
 			depth:    cfg.PipelineDepth,
-			queue:    make(chan []*request, cfg.QueueDepth),
+			queue:    make(chan submission, cfg.QueueDepth),
+			lastOp:   make(map[uint64]*request),
 			maxBatch: cfg.MaxBatch,
 			deadline: cfg.AdmissionDeadline,
 			readLat:  newLatHistogram(),
@@ -414,19 +431,17 @@ func (s *Service) SubmitBatchFunc(shard int, reqs []Req, done Completion) error 
 	if len(reqs) == 0 {
 		return nil
 	}
-	t0 := time.Now()
-	batch := make([]*request, len(reqs))
+	sub := submission{t0: time.Now(), done: done, reqs: make([]request, len(reqs))}
 	for i, q := range reqs {
 		if q.Op != OpRead && q.Op != OpWrite {
 			return fmt.Errorf("serve: invalid op %d at batch index %d", q.Op, i)
 		}
-		r := &request{op: q.Op, id: q.ID, t0: t0, i: i, done: done}
+		sub.reqs[i] = request{op: q.Op, id: q.ID}
 		if q.Op == OpWrite {
-			r.data = append([]byte(nil), q.Data...)
+			sub.reqs[i].data = append([]byte(nil), q.Data...)
 		}
-		batch[i] = r
 	}
-	return s.enqueue(shard, batch)
+	return s.enqueue(shard, sub)
 }
 
 // Submit is SubmitFunc with a future for a completion.
@@ -485,19 +500,19 @@ func (s *Service) Write(shard int, id uint64, data []byte) error {
 // service is running.
 func (s *Service) Sync(shard int, fn func()) error {
 	ran := make(chan struct{})
-	r := &request{op: opSync, fn: fn, t0: time.Now(), done: func(int, []byte, error) { close(ran) }}
-	if err := s.enqueue(shard, []*request{r}); err != nil {
+	sub := submission{t0: time.Now(), fn: fn, done: func(int, []byte, error) { close(ran) }, reqs: []request{{op: opSync}}}
+	if err := s.enqueue(shard, sub); err != nil {
 		return err
 	}
 	<-ran
 	return nil
 }
 
-// enqueue sends a batch to a shard's queue under the closed-state guard.
+// enqueue sends a submission to a shard's queue under the closed-state guard.
 // Holding the read lock across a blocking send is safe: workers drain until
 // their queue is closed, and Close cannot close queues until all in-flight
 // sends release the lock.
-func (s *Service) enqueue(shard int, batch []*request) error {
+func (s *Service) enqueue(shard int, sub submission) error {
 	if shard < 0 || shard >= len(s.workers) {
 		return fmt.Errorf("serve: shard %d out of range [0,%d)", shard, len(s.workers))
 	}
@@ -506,7 +521,7 @@ func (s *Service) enqueue(shard int, batch []*request) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.workers[shard].queue <- batch
+	s.workers[shard].queue <- sub
 	return nil
 }
 
@@ -565,39 +580,43 @@ func (w *worker) run() {
 		w.runDeep(cache)
 		return
 	}
+	var batch []submission // scratch, reused across served batches
 	for {
-		var batch []*request
-		var ok bool
-		if len(w.pipe) > 0 {
-			// Complete in-flight work before parking on an empty queue.
-			select {
-			case batch, ok = <-w.queue:
-			default:
-				w.drainPipe(cache)
-				batch, ok = <-w.queue
-			}
-		} else {
-			batch, ok = <-w.queue
-		}
+		sub, ok := w.next(cache)
 		if !ok {
 			return
 		}
-		ops := batch
-		for len(ops) < w.maxBatch {
+		batch = append(batch[:0], sub)
+	coalesce:
+		for nops := len(sub.reqs); nops < w.maxBatch; nops += len(sub.reqs) {
 			select {
-			case more, open := <-w.queue:
-				if !open {
-					w.serve(ops, cache)
-					return
+			case sub, ok = <-w.queue:
+				if !ok {
+					break coalesce // closed: serve what was queued, then exit
 				}
-				ops = append(ops, more...)
+				batch = append(batch, sub)
 			default:
-				goto full
+				break coalesce
 			}
 		}
-	full:
-		w.serve(ops, cache)
+		w.serve(batch, cache)
+		clear(batch) // an idle worker pins no caller's slab
 	}
+}
+
+// next blocks for the next queued submission, completing in-flight staged
+// work first rather than parking on an empty queue with it outstanding.
+func (w *worker) next(cache map[uint64][]byte) (submission, bool) {
+	if len(w.pipe) > 0 {
+		select {
+		case sub, ok := <-w.queue:
+			return sub, ok
+		default:
+			w.drainPipe(cache)
+		}
+	}
+	sub, ok := <-w.queue
+	return sub, ok
 }
 
 // runDeep is the worker loop of the deep planner (PrefetchDepth > 1 or
@@ -611,23 +630,11 @@ func (w *worker) run() {
 func (w *worker) runDeep(cache map[uint64][]byte) {
 	for {
 		if len(w.backlog) == 0 {
-			var batch []*request
-			var ok bool
-			if len(w.pipe) > 0 {
-				// Complete in-flight work before parking on an empty queue.
-				select {
-				case batch, ok = <-w.queue:
-				default:
-					w.drainPipe(cache)
-					batch, ok = <-w.queue
-				}
-			} else {
-				batch, ok = <-w.queue
-			}
+			sub, ok := w.next(cache)
 			if !ok {
 				return
 			}
-			w.push(batch)
+			w.push(sub)
 		}
 		w.fill()
 		for i, pb := range w.backlog {
@@ -638,33 +645,29 @@ func (w *worker) runDeep(cache map[uint64][]byte) {
 		}
 		pb := w.backlog[0]
 		w.backlog = w.backlog[1:]
-		ops := pb.groups[0]
-		for _, g := range pb.groups[1:] {
-			ops = append(ops, g...)
-		}
 		w.ann = pb.ann
-		w.serve(ops, cache)
+		w.serve(pb.subs, cache)
 		if w.qClosed && len(w.backlog) == 0 {
 			return
 		}
 	}
 }
 
-// push appends one submitted group to the backlog under the coalescing
-// rule: it joins the last predicted batch while that batch holds fewer
-// than maxBatch operations (a submitted batch is never split), otherwise
-// it starts the next one.
-func (w *worker) push(group []*request) {
+// push appends one submission to the backlog under the coalescing rule: it
+// joins the last predicted batch while that batch holds fewer than maxBatch
+// operations (a submission is never split), otherwise it starts the next
+// one.
+func (w *worker) push(sub submission) {
 	if n := len(w.backlog); n > 0 && w.backlog[n-1].nops < w.maxBatch {
 		pb := w.backlog[n-1]
-		pb.groups = append(pb.groups, group)
-		pb.nops += len(group)
+		pb.subs = append(pb.subs, sub)
+		pb.nops += len(sub.reqs)
 		return
 	}
 	w.backlog = append(w.backlog, &predBatch{
-		groups: [][]*request{group},
-		nops:   len(group),
-		ann:    make(map[uint64]bool),
+		subs: []submission{sub},
+		nops: len(sub.reqs),
+		ann:  make(map[uint64]bool),
 	})
 }
 
@@ -702,8 +705,9 @@ func (w *worker) fill() {
 func (w *worker) announceBatch(pb *predBatch) {
 	clear(w.pfSeen)
 	w.annBuf, w.annDemand = w.annBuf[:0], w.annDemand[:0]
-	for _, g := range pb.groups {
-		for _, r := range g {
+	for _, sub := range pb.subs {
+		for i := range sub.reqs {
+			r := &sub.reqs[i]
 			if r.op != OpRead && r.op != OpWrite {
 				continue
 			}
@@ -779,9 +783,10 @@ func (w *worker) dropUnclaimed() {
 }
 
 // serve executes one coalesced batch in arrival order. cache maps block id
-// to the plaintext most recently produced inside this batch; a read whose
-// id is cached is served by fan-out instead of a second ORAM access.
-func (w *worker) serve(ops []*request, cache map[uint64][]byte) {
+// to the plaintext most recently produced inside this batch for an id the
+// batch names again; a read whose id is cached is served by fan-out instead
+// of a second ORAM access.
+func (w *worker) serve(batch []submission, cache map[uint64][]byte) {
 	clear(cache)
 	if w.staged != nil {
 		w.batchSeq++
@@ -790,101 +795,160 @@ func (w *worker) serve(ops []*request, cache map[uint64][]byte) {
 	if w.prefetcher != nil && w.deep == nil {
 		// Deep mode announced this batch in runDeep's look-ahead pass (it
 		// always re-covers the front batch right before serving).
-		w.plan(ops)
+		w.plan(batch)
 	}
+	w.mark(batch)
 	now := time.Now()
-	for _, r := range ops {
-		r.tExec = now
-		// Overload shedding: a read or write whose admission deadline
-		// expired while queued is dropped here, before the engine or
-		// backend sees it — the request costs no ORAM access, emits no
-		// adversary-visible traffic, and is always safe to retry.
-		if w.deadline > 0 && r.op != opSync && now.Sub(r.t0) > w.deadline {
+	for bi := range batch {
+		sub := &batch[bi]
+		switch {
+		case w.deadline > 0 && sub.fn == nil && now.Sub(sub.t0) > w.deadline:
+			// Overload shedding: a submission whose admission deadline
+			// expired while queued is dropped here, before the engine or
+			// backend sees it — its requests cost no ORAM access, emit no
+			// adversary-visible traffic, and are always safe to retry.
 			w.statMu.Lock()
-			w.sheds++
+			w.sheds += uint64(len(sub.reqs))
 			w.statMu.Unlock()
-			r.resolve(nil, ErrRetry)
-			continue
-		}
-		switch r.op {
-		case opSync:
+			for i := range sub.reqs {
+				sub.done(i, nil, ErrRetry)
+			}
+		case sub.fn != nil: // Sync: behind everything queued ahead of it
 			w.drainPipe(cache)
-			r.fn()
-			r.resolve(nil, nil)
-		case OpRead:
-			// Order same-id operations: an in-flight access to this id from
-			// the current batch must land (populating the cache) before the
-			// read is served — the serial executor's arrival-order/dedup
-			// semantics, preserved across the pipeline.
-			for w.staged != nil && w.inflight[r.id] > 0 {
-				w.completeOne(cache)
+			sub.fn()
+			sub.done(0, nil, nil)
+		case w.staged == nil:
+			w.serveInline(sub, now, cache)
+		default:
+			for i := range sub.reqs {
+				w.begin(pendingOp{r: &sub.reqs[i], i: i, t0: sub.t0, tExec: now, done: sub.done, seq: w.batchSeq}, cache)
 			}
-			if data, ok := cache[r.id]; ok {
-				w.statMu.Lock()
-				w.dedup++
-				w.statMu.Unlock()
-				w.finish(r, append([]byte(nil), data...), nil)
-				continue
-			}
-			if w.staged == nil {
-				data, err := w.backend.Read(r.id)
-				if err == nil {
-					cache[r.id] = append([]byte(nil), data...)
-				}
-				w.finish(r, data, err)
-				continue
-			}
-			if len(w.pipe) >= w.depth {
-				w.completeOne(cache)
-			}
-			acc, err := w.staged.BeginRead(r.id)
-			if w.ann != nil && (w.ann[r.id] || w.annOut[r.id]) {
-				if err == nil {
-					// The Begin claimed this id's outstanding announce (the
-					// current batch's demand line, a speculative group line,
-					// or a future batch's early announce) — no batch-end
-					// drop needed, and the id is free to announce again.
-					delete(w.ann, r.id)
-					delete(w.annOut, r.id)
-				} else if w.ann[r.id] {
-					// A failed Begin never reaches the backend's claim path;
-					// release the announce immediately.
-					delete(w.ann, r.id)
-					delete(w.annOut, r.id)
-					w.dropper.DropPrefetch(r.id)
-				}
-			}
-			if err != nil {
-				w.finish(r, nil, err)
-				continue
-			}
-			w.pipe = append(w.pipe, pendingOp{r: r, acc: acc, id: r.id, seq: w.batchSeq})
-			w.inflight[r.id]++
-		case OpWrite:
-			if w.staged == nil {
-				err := w.backend.Write(r.id, r.data)
-				if err == nil {
-					cache[r.id] = append([]byte(nil), r.data...)
-				} else {
-					delete(cache, r.id) // never serve a stale fan-out after a failed write
-				}
-				w.finish(r, nil, err)
-				continue
-			}
-			if len(w.pipe) >= w.depth {
-				w.completeOne(cache)
-			}
-			acc, err := w.staged.BeginWrite(r.id, r.data)
-			if err != nil {
-				delete(cache, r.id)
-				w.finish(r, nil, err)
-				continue
-			}
-			w.pipe = append(w.pipe, pendingOp{r: r, acc: acc, id: r.id, wr: true, data: r.data, seq: w.batchSeq})
-			w.inflight[r.id]++
 		}
 	}
 	w.dropUnclaimed()
+}
+
+// mark is the dedup pre-pass: it flags every op whose id an earlier op of
+// the batch names (dup) or a later one does (recur), so a batch of distinct
+// ids never touches the cache. A shed submission's ops stay marked; that
+// costs at most a spare entry or a missed lookup.
+func (w *worker) mark(batch []submission) {
+	if len(batch) == 1 && len(batch[0].reqs) == 1 {
+		return
+	}
+	for _, sub := range batch {
+		for i := range sub.reqs {
+			r := &sub.reqs[i]
+			if r.op == opSync {
+				continue
+			}
+			if prev, ok := w.lastOp[r.id]; ok {
+				prev.recur, r.dup = true, true
+			}
+			w.lastOp[r.id] = r
+		}
+	}
+	clear(w.lastOp) // empty between batches: it must not pin their slabs
+}
+
+// serveInline runs one submission to completion on the worker — the
+// executor of a backend that is not staged. Every op executes, then one
+// clock read and one statMu section account for the whole slab, then its
+// completions run: a caller that has seen its completion also finds the op
+// in Stats, and submissions coalesced behind this one are not waited for.
+func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64][]byte) {
+	hits := 0
+	for i := range sub.reqs {
+		r := &sub.reqs[i]
+		if r.op == OpWrite {
+			r.err = w.backend.Write(r.id, r.data)
+			if r.err != nil {
+				delete(cache, r.id) // never serve a stale fan-out after a failed write
+			} else if r.recur {
+				cache[r.id] = r.data // the worker's own copy, never handed out
+			}
+			r.data = nil
+			continue
+		}
+		if r.dup {
+			if data, ok := cache[r.id]; ok {
+				r.data = append([]byte(nil), data...)
+				hits++
+				continue
+			}
+		}
+		r.data, r.err = w.backend.Read(r.id)
+		if r.recur && r.err == nil {
+			cache[r.id] = append([]byte(nil), r.data...)
+		}
+	}
+	us := float64(time.Since(sub.t0)) / float64(time.Microsecond)
+	queueUs := float64(tExec.Sub(sub.t0)) / float64(time.Microsecond)
+	w.statMu.Lock()
+	w.dedup += uint64(hits)
+	for i := range sub.reqs {
+		w.observe(sub.reqs[i].op, us, queueUs)
+	}
+	w.statMu.Unlock()
+	for i := range sub.reqs {
+		sub.done(i, sub.reqs[i].data, sub.reqs[i].err)
+	}
+}
+
+// begin runs one op of the staged executor: serve it from the dedup cache,
+// or begin its access and queue it on the pipe behind at most depth-1
+// others.
+func (w *worker) begin(p pendingOp, cache map[uint64][]byte) {
+	r := p.r
+	if r.op == OpRead {
+		// Order same-id operations: an in-flight access to this id from
+		// the current batch must land (populating the cache) before the
+		// read is served — the serial executor's arrival-order/dedup
+		// semantics, preserved across the pipeline.
+		for w.inflight[r.id] > 0 {
+			w.completeOne(cache)
+		}
+		if data, ok := cache[r.id]; ok {
+			w.statMu.Lock()
+			w.dedup++
+			w.statMu.Unlock()
+			w.finish(&p, append([]byte(nil), data...), nil)
+			return
+		}
+	}
+	if len(w.pipe) >= w.depth {
+		w.completeOne(cache)
+	}
+	var err error
+	if r.op == OpWrite {
+		if p.acc, err = w.staged.BeginWrite(r.id, r.data); err != nil {
+			delete(cache, r.id)
+		}
+	} else {
+		p.acc, err = w.staged.BeginRead(r.id)
+		if w.ann != nil && (w.ann[r.id] || w.annOut[r.id]) {
+			if err == nil {
+				// The Begin claimed this id's outstanding announce (the
+				// current batch's demand line, a speculative group line,
+				// or a future batch's early announce) — no batch-end
+				// drop needed, and the id is free to announce again.
+				delete(w.ann, r.id)
+				delete(w.annOut, r.id)
+			} else if w.ann[r.id] {
+				// A failed Begin never reaches the backend's claim path;
+				// release the announce immediately.
+				delete(w.ann, r.id)
+				delete(w.annOut, r.id)
+				w.dropper.DropPrefetch(r.id)
+			}
+		}
+	}
+	if err != nil {
+		w.finish(&p, nil, err)
+		return
+	}
+	w.pipe = append(w.pipe, p)
+	w.inflight[r.id]++
 }
 
 // plan is the batch-admission prefetch pass (DESIGN.md §10): before any of
@@ -895,21 +959,20 @@ func (w *worker) serve(ops []*request, cache map[uint64][]byte) {
 // why accepted ids are also tracked in w.ann (backends with DropPrefetch)
 // and released at batch end if unclaimed. Ids first touched by a write are
 // skipped (the write would just invalidate the fetched payload).
-func (w *worker) plan(ops []*request) {
+func (w *worker) plan(batch []submission) {
 	clear(w.pfSeen)
 	accepted := uint64(0)
-	for _, r := range ops {
-		if r.op != OpRead && r.op != OpWrite {
-			continue
-		}
-		if w.pfSeen[r.id] {
-			continue
-		}
-		w.pfSeen[r.id] = true
-		if r.op == OpRead && w.prefetcher.PrefetchRead(r.id) {
-			accepted++
-			if w.ann != nil {
-				w.ann[r.id] = true
+	for _, sub := range batch {
+		for _, r := range sub.reqs {
+			if r.op == opSync || w.pfSeen[r.id] {
+				continue
+			}
+			w.pfSeen[r.id] = true
+			if r.op == OpRead && w.prefetcher.PrefetchRead(r.id) {
+				accepted++
+				if w.ann != nil {
+					w.ann[r.id] = true
+				}
 			}
 		}
 	}
@@ -928,22 +991,23 @@ func (w *worker) completeOne(cache map[uint64][]byte) {
 	copy(w.pipe, w.pipe[1:])
 	w.pipe = w.pipe[:len(w.pipe)-1]
 	data, err := p.acc.Wait()
-	if p.seq == w.batchSeq {
-		if n := w.inflight[p.id]; n > 1 {
-			w.inflight[p.id] = n - 1
+	if r := p.r; p.seq == w.batchSeq {
+		if n := w.inflight[r.id]; n > 1 {
+			w.inflight[r.id] = n - 1
 		} else {
-			delete(w.inflight, p.id)
+			delete(w.inflight, r.id)
 		}
-		switch {
-		case p.wr && err == nil:
-			cache[p.id] = append([]byte(nil), p.data...)
-		case p.wr:
-			delete(cache, p.id) // never serve a stale fan-out after a failed write
-		case err == nil:
-			cache[p.id] = append([]byte(nil), data...)
+		switch wr := r.op == OpWrite; {
+		case wr && err != nil:
+			delete(cache, r.id) // never serve a stale fan-out after a failed write
+		case err != nil || !r.recur:
+		case wr:
+			cache[r.id] = r.data // the worker's own copy, never handed out
+		default:
+			cache[r.id] = append([]byte(nil), data...)
 		}
 	}
-	w.finish(p.r, data, err)
+	w.finish(&p, data, err)
 }
 
 // drainPipe completes every in-flight access.
@@ -953,23 +1017,26 @@ func (w *worker) drainPipe(cache map[uint64][]byte) {
 	}
 }
 
-// finish records latency — total per op class, plus the queue-wait and
-// execute split — and resolves the request.
-func (w *worker) finish(r *request, data []byte, err error) {
-	now := time.Now()
-	us := float64(now.Sub(r.t0)) / float64(time.Microsecond)
-	queueUs := float64(r.tExec.Sub(r.t0)) / float64(time.Microsecond)
-	execUs := float64(now.Sub(r.tExec)) / float64(time.Microsecond)
+// finish records a staged op's latency and runs its completion.
+func (w *worker) finish(p *pendingOp, data []byte, err error) {
+	us := float64(time.Since(p.t0)) / float64(time.Microsecond)
+	queueUs := float64(p.tExec.Sub(p.t0)) / float64(time.Microsecond)
 	w.statMu.Lock()
-	if r.op == OpRead {
+	w.observe(p.r.op, us, queueUs)
+	w.statMu.Unlock()
+	p.done(p.i, data, err)
+}
+
+// observe records one op's latency — total per op class, plus the
+// queue-wait and execute split. statMu is held.
+func (w *worker) observe(op Op, us, queueUs float64) {
+	if op == OpRead {
 		w.readLat.Add(us)
 	} else {
 		w.writeLat.Add(us)
 	}
 	w.queueLat.Add(queueUs)
-	w.execLat.Add(execUs)
-	w.statMu.Unlock()
-	r.resolve(data, err)
+	w.execLat.Add(us - queueUs)
 }
 
 // LatencySummary condenses one operation class's latency distribution.

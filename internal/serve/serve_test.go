@@ -130,6 +130,89 @@ func TestServeBatchDedup(t *testing.T) {
 	}
 }
 
+// TestServeInlineSubmission pins what the run-to-completion worker does
+// per submission instead of per op. A submission's operations are all in
+// Stats by the time its first completion runs. And a read that a later
+// submission of the same served batch dedups against is a private copy,
+// even though the first caller already owns its result (and scribbles on
+// it here).
+func TestServeInlineSubmission(t *testing.T) {
+	b := newMemBackend()
+	s := New([]Backend{b}, Config{})
+	defer s.Close()
+	if err := s.Write(0, 3, payload(3)); err != nil {
+		t.Fatal(err)
+	}
+	// Both submissions queue behind a barrier, so one batch serves them.
+	held, gate := make(chan struct{}), make(chan struct{})
+	go s.Sync(0, func() { close(held); <-gate })
+	<-held
+	var readsSeen [2]uint64
+	err := s.SubmitBatchFunc(0, []Req{{Op: OpRead, ID: 3}, {Op: OpRead, ID: 4}}, func(i int, data []byte, err error) {
+		readsSeen[i] = s.Stats().Reads
+		data[0] ^= 0xFF
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fut, err := s.Submit(0, OpRead, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	got, err := fut.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload(3)) {
+		t.Fatal("a deduplicated read saw the first caller's scribble")
+	}
+	if readsSeen != [2]uint64{2, 2} {
+		t.Fatalf("completions saw %v reads in Stats, want the whole submission (2) each", readsSeen)
+	}
+	if st := s.Stats(); st.DedupHits != 1 || st.Reads != 3 {
+		t.Fatalf("dedup hits %d, reads %d; want 1 and 3", st.DedupHits, st.Reads)
+	}
+}
+
+// staticBackend serves one shared block and allocates nothing, so an
+// allocation count over it is the service layer's own.
+type staticBackend struct{ block []byte }
+
+func (b staticBackend) Read(uint64) ([]byte, error) { return b.block, nil }
+func (b staticBackend) Write(uint64, []byte) error  { return nil }
+func (b staticBackend) Close() error                { return nil }
+
+// TestSubmitBatchAllocs guards the inline path's allocation budget: a
+// submission of 16 distinct reads costs submitter and worker together one
+// allocation, the request slab — no request per op, no dedup-cache copy
+// for an id that does not recur.
+func TestSubmitBatchAllocs(t *testing.T) {
+	s := New([]Backend{staticBackend{make([]byte, 64)}}, Config{})
+	defer s.Close()
+	reqs := make([]Req, 16)
+	for i := range reqs {
+		reqs[i] = Req{Op: OpRead, ID: uint64(i)}
+	}
+	left, served := len(reqs), make(chan struct{})
+	done := func(int, []byte, error) {
+		if left--; left == 0 {
+			left = len(reqs)
+			served <- struct{}{}
+		}
+	}
+	n := testing.AllocsPerRun(1000, func() {
+		if err := s.SubmitBatchFunc(0, reqs, done); err != nil {
+			t.Fatal(err)
+		}
+		<-served
+	})
+	if n > 2 {
+		t.Errorf("a 16-read submission allocates %.0f times, ceiling 2", n)
+	}
+	t.Logf("allocations per 16-read submission: %.0f", n)
+}
+
 func TestServeBatchWriteThenRead(t *testing.T) {
 	b := newMemBackend()
 	s := New([]Backend{b}, Config{})

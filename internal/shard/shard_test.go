@@ -319,3 +319,37 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 		t.Fatal("different shards produced identical leaf sequences")
 	}
 }
+
+// TestShardInlineAllocs guards the run-to-completion op path over the
+// memory backend: a read allocates its plaintext, a write to a stored
+// block its ciphertext, and the engine, the sealer's keystream and the
+// backend nothing.
+func TestShardInlineAllocs(t *testing.T) {
+	s, err := New(0, 1, 1<<10, testKey, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte{0x5A}, BlockBytes)
+	for id := uint64(0); id < 1<<10; id++ {
+		if err := s.Write(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := uint64(0)
+	if n := testing.AllocsPerRun(2000, func() {
+		id = (id + 37) % (1 << 10)
+		if _, err := s.Read(id); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("an inline Shard.Read allocates %.1f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		id = (id + 37) % (1 << 10)
+		if err := s.Write(id, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("an inline Shard.Write allocates %.1f times, want 1", n)
+	}
+}

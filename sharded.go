@@ -68,12 +68,15 @@ type ShardedStoreConfig struct {
 	CheckpointEvery int
 	// GroupCommit is WAL appends per fsync batch (default 32).
 	GroupCommit int
-	// PipelineDepth is each shard worker's in-flight access window: while
-	// request k's backend block vector (and WAL commit) is in flight,
-	// the worker runs request k+1's engine stage. 1 = strictly serial
-	// workers (the pre-pipeline behavior, bit-identical leaf traces and
-	// counters at every depth). Default 2; max MaxPipelineDepth. See
-	// StoreConfig.PipelineDepth for the durability interaction.
+	// PipelineDepth is each shard worker's in-flight access window: at
+	// depth > 1, while request k's backend block vector (and WAL commit) is
+	// in flight on the shard's I/O goroutine, the worker runs request k+1's
+	// engine stage. 1 = run-to-completion workers: no I/O goroutine, every
+	// op finishes on the worker before the next starts (bit-identical leaf
+	// traces and counters at every depth). Default: 1 for memory and wal,
+	// 2 for blockfile, and 2 on any engine when Prefetch or CryptoWorkers
+	// asks for the stage; max MaxPipelineDepth. See StoreConfig.PipelineDepth
+	// for the per-engine reasoning and the durability interaction.
 	PipelineDepth int
 	// TreeTopLevels pins each shard engine's resident tree-top cache to
 	// exactly this many levels (0 = hardware byte-budget default; max
@@ -84,8 +87,9 @@ type ShardedStoreConfig struct {
 	// Prefetch turns on the batch-admission prefetch planner: each shard
 	// worker announces an admitted batch's upcoming reads so their sealed-
 	// payload fetches run through the I/O goroutine ahead of the accesses'
-	// engine stages (DESIGN.md §10). Requires PipelineDepth > 1 to have
-	// any effect. Purely a scheduling change: served payloads, leaf
+	// engine stages (DESIGN.md §10). Rides the I/O stage: an unset
+	// PipelineDepth resolves to 2 with it on, an explicit 1 leaves it
+	// without effect. Purely a scheduling change: served payloads, leaf
 	// traces, and dedup semantics are identical with it on or off.
 	Prefetch bool
 	// PrefetchDepth extends the planner's horizon to this many predicted
@@ -104,7 +108,8 @@ type ShardedStoreConfig struct {
 	PosmapPrefetch bool
 	// CryptoWorkers offloads each shard's seal/unseal AES transforms to a
 	// bounded worker pool hung off its I/O stage (capped at GOMAXPROCS
-	// per shard; 0 = inline; requires PipelineDepth > 1). Determinism is
+	// per shard; 0 = inline; rides the I/O stage like Prefetch, so an
+	// explicit PipelineDepth 1 leaves it without effect). Determinism is
 	// unchanged at every worker count — see StoreConfig.CryptoWorkers.
 	CryptoWorkers int
 	// SlotCacheBytes budgets each shard blockfile backend's slot-level
@@ -126,9 +131,6 @@ func (c *ShardedStoreConfig) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
 	}
 }
 

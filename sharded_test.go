@@ -3,9 +3,11 @@ package palermo
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"palermo/internal/rng"
 	"palermo/internal/shard"
@@ -123,6 +125,99 @@ func TestShardedStoreDefaults(t *testing.T) {
 	if st.Blocks() != 1<<20 || st.Shards() != 4 {
 		t.Fatalf("defaults: %d blocks, %d shards", st.Blocks(), st.Shards())
 	}
+}
+
+// TestDefaultExecutorPerEngine pins which executor an unset PipelineDepth
+// resolves to: run-to-completion where a backend call cannot block (memory,
+// wal — no I/O goroutine, only the worker, plus the WAL's fsync committer),
+// the staged executor on blockfile, and the stage on any engine that asks
+// for it — by an explicit depth, or by a knob that rides it.
+func TestDefaultExecutorPerEngine(t *testing.T) {
+	const shards = 3
+	// Goroutines of earlier tests may still be exiting; wait them out so the
+	// deltas below are this test's own.
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for quiet := 0; quiet < 5; {
+			time.Sleep(2 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				quiet++
+			} else {
+				n, quiet = m, 0
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name      string
+		cfg       ShardedStoreConfig
+		pipelined bool
+		perShard  int // goroutines per shard
+	}{
+		{"memory", ShardedStoreConfig{}, false, 1},
+		{"wal", ShardedStoreConfig{Engine: BackendWAL}, false, 2},
+		{"blockfile", ShardedStoreConfig{Engine: BackendBlockfile}, true, 2},
+		{"memory depth 2", ShardedStoreConfig{PipelineDepth: 2}, true, 2},
+		{"memory prefetch", ShardedStoreConfig{Prefetch: true}, true, 2},      // the planner rides the stage
+		{"memory crypto pool", ShardedStoreConfig{CryptoWorkers: 1}, true, 3}, // so does the pool: + 1 worker
+		{"wal depth 1", ShardedStoreConfig{Engine: BackendWAL, PipelineDepth: 1}, false, 1},
+	} {
+		cfg := tc.cfg
+		cfg.Blocks, cfg.Shards = 1<<10, shards
+		if cfg.Engine != "" {
+			cfg.Dir = t.TempDir()
+		}
+		before := settled()
+		st, err := NewShardedStore(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := st.Write(7, block(7)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, sh := range st.shards {
+			if sh.Pipelined() != tc.pipelined {
+				t.Errorf("%s: shard %d Pipelined() = %v, want %v", tc.name, i, sh.Pipelined(), tc.pipelined)
+			}
+		}
+		if added := settled() - before; added != tc.perShard*shards {
+			t.Errorf("%s: %d shards run %d goroutines, want %d each", tc.name, shards, added, tc.perShard)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestShardedReadBatchAllocs guards the allocation budget of the inline
+// serving path: one ReadBatch(16) over two memory shards, one id repeated.
+// What remains is the call (result channel, its closure, the join, the
+// result and position arrays), per shard one request slab and one
+// completion closure, and per block its plaintext — the repeated id adds
+// the dedup cache's copy. 27, where the parent commit made 119.
+func TestShardedReadBatchAllocs(t *testing.T) {
+	st := testShardedStore(t, 2)
+	ids := make([]uint64, 16)
+	for i := range ids {
+		ids[i] = uint64(i * 37)
+		if err := st.Write(ids[i], block(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids[15] = ids[1]
+	read := func() {
+		if _, err := st.ReadBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		read()
+	}
+	allocs := testing.AllocsPerRun(1000, read)
+	if allocs > 28 {
+		t.Errorf("a ReadBatch(16) allocates %.0f times, ceiling 28", allocs)
+	}
+	t.Logf("allocations per ReadBatch(16): %.0f", allocs)
 }
 
 // TestShardedStoreMatchesReference drives a serial mixed workload and

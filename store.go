@@ -102,13 +102,21 @@ type StoreConfig struct {
 	// 1 = synchronous durability per write).
 	GroupCommit int
 	// PipelineDepth is how many accesses the store's executor keeps in
-	// flight: an access's backend block vector (and, with BackendWAL, its
-	// group commit's fsync) is in flight while the next access's engine
-	// transition runs. Depth 1 executes strictly serially — bit-identical
-	// to the pre-pipeline store; the determinism contract (leaf traces,
-	// counters, recovered state) is identical at every depth. Default 2.
-	// With GroupCommit 1, fsyncs stay synchronous regardless (the
-	// per-write durability promise). Max MaxPipelineDepth.
+	// flight. At depth 1 every access runs to completion before the next
+	// starts: no I/O goroutine exists and no op is handed between
+	// goroutines. At depth > 1 the shard starts an I/O stage, and an
+	// access's backend block vector is in flight on it while the next
+	// access's engine transition runs. The determinism contract (leaf
+	// traces, counters, recovered state) is identical at every depth.
+	// Default: 1 for memory and wal — their backend calls cannot block, so
+	// the hand-off costs more than it overlaps — and 2 for blockfile,
+	// whose stage coalesces queued puts into multi-slot writes, and for
+	// any engine when CryptoWorkers (or a sharded store's Prefetch) asks
+	// for the stage it rides (DESIGN.md §9). With BackendWAL the depth is
+	// also the commit pipeline's: at the default the group commit's fsync
+	// stays on the WAL's committer goroutine (commit depth 2), an explicit
+	// 1 makes it synchronous, and with GroupCommit 1 fsyncs are synchronous
+	// regardless (the per-write durability promise). Max MaxPipelineDepth.
 	PipelineDepth int
 	// TreeTopLevels pins the engine's per-space tree-top cache to exactly
 	// this many resident levels (0 keeps the hardware byte-budget default,
