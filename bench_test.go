@@ -82,24 +82,9 @@ func populateStore(b *testing.B, st *Store, buf []byte) {
 	}
 }
 
-// benchPipelineDepth reads the PALERMO_PIPELINE override (0/unset = the
-// config default; 1 = the serial executor) so the CI pipeline smoke and
-// BENCH_pipeline.json can compare depths on identical benchmarks.
-func benchPipelineDepth() int {
-	if s := os.Getenv("PALERMO_PIPELINE"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-// benchEngine / benchCryptoWorkers read the PALERMO_ENGINE and
-// PALERMO_CRYPTO_WORKERS overrides so the CI engine smoke and
-// BENCH_engine.json can compare storage engines and crypto-pool widths on
-// the identical benchmark: PALERMO_ENGINE picks "wal" (default) or
-// "blockfile", PALERMO_CRYPTO_WORKERS sets the parallel seal/unseal pool
-// (0/unset = inline crypto).
+// benchEngine reads the PALERMO_ENGINE override so the CI engine smoke can
+// compare storage engines on the identical benchmark: "wal" (default) or
+// "blockfile".
 func benchEngine() string {
 	if s := os.Getenv("PALERMO_ENGINE"); s != "" {
 		return s
@@ -107,22 +92,11 @@ func benchEngine() string {
 	return BackendWAL
 }
 
-func benchCryptoWorkers() int {
-	if s := os.Getenv("PALERMO_CRYPTO_WORKERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
 // BenchmarkStoreOpsDurable is BenchmarkStoreOps over a durable engine
 // (PALERMO_ENGINE; WAL by default): same 90/10 read/write mix, every
 // write committed under the group-commit policy. The delta against
 // BenchmarkStoreOps is the durability tax the BENCH_persist.json record
-// tracks; the delta between PALERMO_PIPELINE=1 and the default depth is
-// the pipeline win BENCH_pipeline.json tracks; the engine and
-// crypto-worker deltas are BENCH_engine.json's.
+// tracks; the engine delta is BENCH_engine.json's.
 func BenchmarkStoreOpsDurable(b *testing.B) {
 	slotCache := benchSlotCache()
 	if benchEngine() != BackendBlockfile {
@@ -132,8 +106,6 @@ func BenchmarkStoreOpsDurable(b *testing.B) {
 		Blocks:         1 << 16,
 		Engine:         benchEngine(),
 		Dir:            b.TempDir(),
-		PipelineDepth:  benchPipelineDepth(),
-		CryptoWorkers:  benchCryptoWorkers(),
 		SlotCacheBytes: slotCache,
 	})
 	if err != nil {
@@ -204,12 +176,9 @@ func BenchmarkShardedStoreOps(b *testing.B) {
 	}
 }
 
-// benchTreeTopLevels / benchPrefetch read the PALERMO_TREETOP and
-// PALERMO_PREFETCH overrides (mirroring PALERMO_PIPELINE) so the CI bench
-// smoke and BENCH_prefetch.json can compare serving configurations on the
-// identical benchmark: PALERMO_TREETOP pins the resident tree-top depth
-// (0/unset = byte-budget default), PALERMO_PREFETCH=1 turns the
-// batch-admission planner on.
+// benchTreeTopLevels reads the PALERMO_TREETOP override so the CI bench
+// smoke can compare resident tree-top depths on the identical benchmark
+// (0/unset = byte-budget default).
 func benchTreeTopLevels() int {
 	if s := os.Getenv("PALERMO_TREETOP"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
@@ -219,30 +188,8 @@ func benchTreeTopLevels() int {
 	return 0
 }
 
-func benchPrefetch() bool {
-	return os.Getenv("PALERMO_PREFETCH") == "1"
-}
-
-// benchPrefetchDepth / benchPosmapPrefetch / benchSlotCache read the
-// PALERMO_PREFETCH_DEPTH, PALERMO_POSMAP_PREFETCH, and PALERMO_SLOT_CACHE
-// overrides so the CI bench smoke and the BENCH records can sweep the deep
-// planner's look-ahead (batches; 0/unset = the one-batch default), the
-// posmap-group sibling announces (=1 turns them on), and the blockfile
-// slot read-cache budget (bytes per shard; 0/unset = cache off) on the
-// identical benchmarks.
-func benchPrefetchDepth() int {
-	if s := os.Getenv("PALERMO_PREFETCH_DEPTH"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-func benchPosmapPrefetch() bool {
-	return os.Getenv("PALERMO_POSMAP_PREFETCH") == "1"
-}
-
+// benchSlotCache reads the PALERMO_SLOT_CACHE override: the blockfile slot
+// read-cache budget in bytes per shard (0/unset = cache off).
 func benchSlotCache() int {
 	if s := os.Getenv("PALERMO_SLOT_CACHE"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
@@ -255,17 +202,11 @@ func benchSlotCache() int {
 // BenchmarkShardedServing is the serving-path configuration benchmark:
 // GOMAXPROCS closed-loop clients issuing Zipf-skewed (θ=0.99) 8-id read
 // batches with a 10% write mix against 4 shards — the workload the
-// tree-top cache and prefetch planner are built for. Sweep it with
-// PALERMO_TREETOP / PALERMO_PREFETCH / PALERMO_PIPELINE to regenerate
-// BENCH_prefetch.json and the EXPERIMENTS.md table.
+// tree-top cache is built for. Sweep it with PALERMO_TREETOP.
 func BenchmarkShardedServing(b *testing.B) {
 	st, err := NewShardedStore(ShardedStoreConfig{
 		Blocks: 1 << 16, Shards: 4,
-		PipelineDepth:  benchPipelineDepth(),
-		TreeTopLevels:  benchTreeTopLevels(),
-		Prefetch:       benchPrefetch(),
-		PrefetchDepth:  benchPrefetchDepth(),
-		PosmapPrefetch: benchPosmapPrefetch(),
+		TreeTopLevels: benchTreeTopLevels(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -302,9 +243,6 @@ func BenchmarkShardedServing(b *testing.B) {
 	if ops := tr.Reads + tr.Writes; ops > 0 {
 		b.ReportMetric(float64(tr.DRAMReads+tr.DRAMWrites)/float64(ops), "dram_lines/op")
 		b.ReportMetric(float64(tr.TreeTopHits)/float64(ops), "treetop_hits/op")
-	}
-	if tr.PrefetchIssued > 0 {
-		b.ReportMetric(float64(tr.PrefetchUsed)/float64(tr.PrefetchIssued)*100, "prefetch_used_pct")
 	}
 }
 

@@ -317,9 +317,8 @@ func (cl *Client) Snapshot() (ServiceStats, TrafficReport, error) {
 	tr := TrafficReport{
 		Reads: ws.EngineReads, Writes: ws.EngineWrites,
 		DRAMReads: ws.DRAMReads, DRAMWrites: ws.DRAMWrites,
-		StashPeak:      int(ws.StashPeak),
-		TreeTopHits:    ws.TreeTopHits,
-		PrefetchIssued: ws.PrefetchIssued, PrefetchUsed: ws.PrefetchUsed, PrefetchStale: ws.PrefetchStale,
+		StashPeak:   int(ws.StashPeak),
+		TreeTopHits: ws.TreeTopHits,
 	}
 	if ops := tr.Reads + tr.Writes; ops > 0 {
 		tr.AmplificationFactor = float64(tr.DRAMReads+tr.DRAMWrites) / float64(ops)

@@ -199,19 +199,6 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 
 	t.Run("static", func(t *testing.T) { run(t, cfg, -1) })
 	t.Run("migration", func(t *testing.T) { run(t, cfg, 200) })
-
-	// Deep prefetch on both nodes, migration mid-sequence: the multi-line
-	// planner (look-ahead across queued batches plus posmap-group sibling
-	// announces) is serving-path-only, so the cluster must still match the
-	// plain in-process reference leaf for leaf — and the migration barrier
-	// must neither leak announced prefetch window slots nor wedge on
-	// speculative lines parked in the transfer window.
-	deep := cfg
-	deep.PipelineDepth = 4
-	deep.Prefetch = true
-	deep.PrefetchDepth = 4
-	deep.PosmapPrefetch = true
-	t.Run("deep-prefetch-migration", func(t *testing.T) { run(t, deep, 200) })
 }
 
 // TestClusterWrongEpochReroute pins the staleness contract: after a

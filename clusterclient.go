@@ -420,7 +420,6 @@ func (cc *ClusterClient) Snapshot() (ServiceStats, TrafficReport, error) {
 		ss.Writes += s.Writes
 		ss.DedupHits += s.DedupHits
 		ss.Sheds += s.Sheds
-		ss.PrefetchPlanned += s.PrefetchPlanned
 		ss.ReadLat = mergeLatApprox(ss.ReadLat, s.ReadLat)
 		ss.WriteLat = mergeLatApprox(ss.WriteLat, s.WriteLat)
 		ss.QueueLat = mergeLatApprox(ss.QueueLat, s.QueueLat)
@@ -430,9 +429,6 @@ func (cc *ClusterClient) Snapshot() (ServiceStats, TrafficReport, error) {
 		tr.DRAMReads += t.DRAMReads
 		tr.DRAMWrites += t.DRAMWrites
 		tr.TreeTopHits += t.TreeTopHits
-		tr.PrefetchIssued += t.PrefetchIssued
-		tr.PrefetchUsed += t.PrefetchUsed
-		tr.PrefetchStale += t.PrefetchStale
 		if t.StashPeak > tr.StashPeak {
 			tr.StashPeak = t.StashPeak
 		}

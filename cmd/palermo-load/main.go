@@ -111,7 +111,7 @@ func main() {
 		}
 		if *addr != "" {
 			switch f.Name {
-			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "crypto-workers", "verify", "treetop", "prefetch", "prefetch-depth", "posmap-prefetch", "slot-cache", "trace", "admission":
+			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "verify", "treetop", "slot-cache", "trace", "admission":
 				fatal(fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name))
 			}
 		}
@@ -368,10 +368,9 @@ func printResult(res loadgen.Result) {
 	fmt.Printf("  DRAM lines/op %.1f  stash peak %d\n",
 		res.Traffic.AmplificationFactor, res.Traffic.StashPeak)
 	tr := res.Traffic
-	if tr.TreeTopHits > 0 || tr.PrefetchIssued > 0 {
-		fmt.Printf("  tree-top hits %d (%.1f KiB of path I/O absorbed)  prefetch issued %d / used %d / stale %d\n",
-			tr.TreeTopHits, float64(tr.TreeTopHits)*palermo.BlockSize/1024,
-			tr.PrefetchIssued, tr.PrefetchUsed, tr.PrefetchStale)
+	if tr.TreeTopHits > 0 {
+		fmt.Printf("  tree-top hits %d (%.1f KiB of path I/O absorbed)\n",
+			tr.TreeTopHits, float64(tr.TreeTopHits)*palermo.BlockSize/1024)
 	}
 	if tr.SlotCacheHits+tr.SlotCacheMisses > 0 {
 		fmt.Printf("  slot cache hits %d / misses %d (%.1f%% of slot reads served resident)\n",
@@ -400,10 +399,6 @@ func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[s
 		"lines_per_op":      res.Traffic.AmplificationFactor,
 		"tree_top_hits":     float64(res.Traffic.TreeTopHits),
 		"bytes_saved":       float64(res.Traffic.TreeTopHits) * palermo.BlockSize,
-		"prefetch_issued":   float64(res.Traffic.PrefetchIssued),
-		"prefetch_used":     float64(res.Traffic.PrefetchUsed),
-		"prefetch_stale":    float64(res.Traffic.PrefetchStale),
-		"prefetch_planned":  float64(stats.PrefetchPlanned),
 		"slot_cache_hits":   float64(res.Traffic.SlotCacheHits),
 		"slot_cache_misses": float64(res.Traffic.SlotCacheMisses),
 	}

@@ -10,8 +10,8 @@
 //
 // -serve-trace switches the audit target from the simulator to the live
 // serving path: it consumes the per-shard leaf traces a
-// `palermo-load -trace FILE` run recorded (any config — tree-top cache
-// and prefetch planner included, since neither touches leaf selection)
+// `palermo-load -trace FILE` run recorded (any config — the tree-top
+// cache included, since it does not touch leaf selection)
 // and asserts each shard's exposed leaf stream is statistically uniform.
 // A non-uniform shard exits non-zero, so CI can gate on it.
 package main

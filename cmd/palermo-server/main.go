@@ -8,15 +8,15 @@
 //	palermo-server -addr :7070 -shards 8            # public listener, 8 shards
 //	palermo-server -dir /data/palermo               # durable WAL backend under -dir
 //	palermo-server -max-inflight 128 -idle 5m       # per-conn window + idle reaping
-//	palermo-server -pipeline 4 -treetop 6 -prefetch # serving-path optimizations (§10)
+//	palermo-server -treetop 6                       # resident tree-top cache levels (§10)
 //	palermo-server -admission 50ms                  # shed queued requests older than 50ms (retry status)
 //	palermo-server -metrics 127.0.0.1:9090 -pprof   # plain-text /metrics + pprof operability listener
 //	palermo-server -config node.json                # flags from a reviewed JSON file
 //	palermo-server -manifest cluster.json -addr ... # cluster node: serve owned shards only
 //
 // -config overlays a JSON file onto the flags by name: each key sets the
-// flag spelled the same with '_' for '-' ("prefetch_depth" is
-// -prefetch-depth, "max_inflight" is -max-inflight), durations are Go
+// flag spelled the same with '_' for '-' ("group_commit" is
+// -group-commit, "max_inflight" is -max-inflight), durations are Go
 // strings ("2m") or integer nanoseconds, a zero value keeps the flag's
 // default, and an unknown key is an error (internal/cliconf.Overlay). A
 // flag explicitly set on the command line overrides its file value, so

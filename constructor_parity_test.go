@@ -32,25 +32,18 @@ func TestConstructorParity(t *testing.T) {
 		{name: "Backend wal without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
 		{name: "Engine blockfile without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}},
 		{name: "Engine and Backend disagree", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Backend: BackendWAL}, dir: true},
-		{name: "PipelineDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
-		{name: "PipelineDepth beyond cap", cfg: ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
 		{name: "TreeTopLevels beyond cap", cfg: ShardedStoreConfig{Blocks: 1 << 10, TreeTopLevels: MaxTreeTopLevels + 1}},
-		{name: "CryptoWorkers negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, CryptoWorkers: -1}},
 		{name: "SlotCacheBytes on wal", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, SlotCacheBytes: 4096}, dir: true},
 		{name: "Shards negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, sharded: true},
 		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
 		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
 		{name: "QueueDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, sharded: true},
 		{name: "MaxBatch negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}, sharded: true},
-		{name: "PrefetchDepth beyond cap", cfg: ShardedStoreConfig{Blocks: 1 << 10, PrefetchDepth: MaxPrefetchDepth + 1}, sharded: true},
 
 		{name: "zero value defaults", ok: true},
 		{name: "Key AES-128", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}, ok: true},
 		{name: "Key AES-192", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 24)}, ok: true},
 		{name: "Key AES-256", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 32)}, ok: true},
-		{name: "PipelineDepth serial", cfg: ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: 1}, ok: true},
-		{name: "PipelineDepth max", cfg: ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}, ok: true},
-		{name: "PipelineDepth durable serial", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, PipelineDepth: 1}, dir: true, ok: true},
 		{name: "CheckpointEvery negative disables", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, CheckpointEvery: -1}, dir: true, ok: true},
 		{name: "GroupCommit negative defaults", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, GroupCommit: -1}, dir: true, ok: true},
 		{name: "GroupCommit synchronous", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, GroupCommit: 1}, dir: true, ok: true},
@@ -92,8 +85,8 @@ func TestConstructorParity(t *testing.T) {
 				c := withDir()
 				return NewStore(StoreConfig{
 					Blocks: c.Blocks, Key: c.Key, Seed: c.Seed, Engine: c.Engine, Backend: c.Backend, Dir: c.Dir,
-					CheckpointEvery: c.CheckpointEvery, GroupCommit: c.GroupCommit, PipelineDepth: c.PipelineDepth,
-					TreeTopLevels: c.TreeTopLevels, CryptoWorkers: c.CryptoWorkers, SlotCacheBytes: c.SlotCacheBytes,
+					CheckpointEvery: c.CheckpointEvery, GroupCommit: c.GroupCommit,
+					TreeTopLevels: c.TreeTopLevels, SlotCacheBytes: c.SlotCacheBytes,
 				})
 			}
 		}

@@ -632,7 +632,7 @@ func TestBlockfileReopenContinuesSealing(t *testing.T) {
 // TestEngineAliasAndMismatchValidation covers the Engine/Backend plumbing:
 // the two fields are aliases that must agree when both are set, the
 // manifest pins a directory's engine so reopening under the other one is
-// refused, and CryptoWorkers rejects negatives eagerly.
+// refused.
 func TestEngineAliasAndMismatchValidation(t *testing.T) {
 	// Engine and Backend disagreeing is a configuration error.
 	if _, err := NewStore(StoreConfig{
@@ -651,9 +651,6 @@ func TestEngineAliasAndMismatchValidation(t *testing.T) {
 	// Unknown engine names fail the same way unknown backends always have.
 	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: "tape", Dir: t.TempDir()}); err == nil {
 		t.Fatal("unknown engine accepted")
-	}
-	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, CryptoWorkers: -1}); err == nil {
-		t.Fatal("negative CryptoWorkers accepted")
 	}
 
 	// The manifest pins the engine: a WAL dir refuses to reopen as

@@ -42,15 +42,17 @@ type slotSet []*slot
 // ShardedStore never changes slots after construction; ClusterNode guards
 // slots and traceOn with its geometry lock.
 type host struct {
-	cfg ShardedStoreConfig
-	// commitDepth is the WAL's: an unset PipelineDepth keeps the fsync on
-	// the committer goroutine (2) while the executor runs to completion.
-	commitDepth int
-	router      shard.Router
-	slots       slotSet
-	traceOn     bool
-	scratch     sync.Pool // of *batchScratch
+	cfg     ShardedStoreConfig
+	router  shard.Router
+	slots   slotSet
+	traceOn bool
+	scratch sync.Pool // of *batchScratch
 }
+
+// walCommitDepth keeps the WAL's group-commit fsync on its committer
+// goroutine, one batch ahead of the shard worker (wal.Options.CommitDepth;
+// GroupCommit 1 stays synchronous inside wal regardless).
+const walCommitDepth = 2
 
 // notServed is the host's rejection of an operation naming a shard it does
 // not currently serve (never produced by a ShardedStore, which hosts every
@@ -65,16 +67,7 @@ func (s notServed) Error() string { return fmt.Sprintf("palermo: shard %d is not
 // engine failures.
 func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	var none shard.Router
-	if err := validatePipelineDepth(c.PipelineDepth); err != nil {
-		return none, err
-	}
 	if err := validateTreeTopLevels(c.TreeTopLevels); err != nil {
-		return none, err
-	}
-	if err := validateCryptoWorkers(c.CryptoWorkers); err != nil {
-		return none, err
-	}
-	if err := validatePrefetchDepth(c.PrefetchDepth); err != nil {
 		return none, err
 	}
 	engine, err := resolveEngine(c.Engine, c.Backend)
@@ -114,15 +107,6 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	if err := validateSlotCacheBytes(c.SlotCacheBytes, engine); err != nil {
 		return none, err
 	}
-	if c.PipelineDepth == 0 {
-		// A memory or wal backend call cannot block, so handing each op to an
-		// I/O goroutine costs more than it overlaps (DESIGN.md §9). Blockfile's
-		// stage coalesces puts; the planner and the crypto pool hang off it.
-		c.PipelineDepth = 1
-		if engine == BackendBlockfile || c.Prefetch || c.CryptoWorkers > 0 {
-			c.PipelineDepth = 2
-		}
-	}
 	return router, nil
 }
 
@@ -132,10 +116,6 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 // its own shard subdirectories, and a Store and a 1-shard ShardedStore
 // are interchangeable over one Dir. No slot is opened yet.
 func newHost(cfg ShardedStoreConfig) (*host, error) {
-	commitDepth := cfg.PipelineDepth // an explicit depth sets both
-	if commitDepth == 0 {
-		commitDepth = 2
-	}
 	router, err := cfg.normalize()
 	if err != nil {
 		return nil, err
@@ -145,7 +125,7 @@ func newHost(cfg ShardedStoreConfig) (*host, error) {
 			return nil, fmt.Errorf("palermo: %w", err)
 		}
 	}
-	return &host{cfg: cfg, commitDepth: commitDepth, router: router, slots: make(slotSet, cfg.Shards)}, nil
+	return &host{cfg: cfg, router: router, slots: make(slotSet, cfg.Shards)}, nil
 }
 
 func (h *host) shardDir(s int) string {
@@ -162,7 +142,7 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	var err error
 	switch h.cfg.Engine {
 	case BackendWAL:
-		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: h.commitDepth})
+		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth})
 	case BackendBlockfile:
 		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, CacheBytes: h.cfg.SlotCacheBytes})
 	}
@@ -191,22 +171,6 @@ func (h *host) tune(sh *shard.Shard) {
 	if h.traceOn {
 		sh.EnableTrace()
 	}
-	if h.cfg.PipelineDepth <= 1 {
-		return // run to completion: no I/O stage, and nothing that rides it
-	}
-	sh.EnablePipeline(h.cfg.PipelineDepth)
-	sh.EnableCryptoPool(h.cfg.CryptoWorkers)
-	if h.cfg.Prefetch {
-		// One batch of distinct reads per predicted batch (the one-batch
-		// planner never declines mid-plan at depth 1), doubled when
-		// posmap-group siblings ride along. Sizing is a throughput knob, not
-		// correctness — PrefetchSet declines gracefully past the window.
-		w := max(h.cfg.MaxBatch, serve.DefaultMaxBatch) * max(h.cfg.PrefetchDepth, 1)
-		if h.cfg.PosmapPrefetch {
-			w *= 2
-		}
-		sh.EnablePrefetch(w)
-	}
 }
 
 // adoptSlot tunes a bare slot, starts its worker and installs it as shard
@@ -214,31 +178,12 @@ func (h *host) tune(sh *shard.Shard) {
 // shared Service because migration adds and removes slots at run time.
 func (h *host) adoptSlot(s int, sl *slot) {
 	h.tune(sl.sh)
-	sl.svc = serve.New([]serve.Backend{stagedShard{sl.sh}}, serve.Config{
+	sl.svc = serve.New([]serve.Backend{sl.sh}, serve.Config{
 		QueueDepth:        h.cfg.QueueDepth,
 		MaxBatch:          h.cfg.MaxBatch,
-		PipelineDepth:     h.cfg.PipelineDepth,
-		Prefetch:          h.cfg.Prefetch,
-		PrefetchDepth:     h.cfg.PrefetchDepth,
-		PosmapPrefetch:    h.cfg.PosmapPrefetch,
 		AdmissionDeadline: h.cfg.AdmissionDeadline,
 	})
 	h.slots[s] = sl
-}
-
-// stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
-// concrete Access pointer becomes the service-layer Access interface. The
-// serve worker only drives the staged methods when the shard's pipeline is
-// enabled (resolved PipelineDepth > 1 — both are wired from the same
-// config knob); otherwise it calls Read and Write.
-type stagedShard struct{ *shard.Shard }
-
-func (s stagedShard) BeginRead(id uint64) (serve.Access, error) {
-	return s.Shard.BeginRead(id)
-}
-
-func (s stagedShard) BeginWrite(id uint64, data []byte) (serve.Access, error) {
-	return s.Shard.BeginWrite(id, data)
 }
 
 // --- requests -----------------------------------------------------------
@@ -491,9 +436,6 @@ func (ss slotSet) traffic() TrafficReport {
 		rep.DRAMReads += c.DRAMReads
 		rep.DRAMWrites += c.DRAMWrites
 		rep.TreeTopHits += c.TreeTopHits
-		rep.PrefetchIssued += c.PrefetchIssued
-		rep.PrefetchUsed += c.PrefetchUsed
-		rep.PrefetchStale += c.PrefetchStale
 		rep.StashPeak = max(rep.StashPeak, c.StashPeak)
 		// Slot-cache telemetry exists only on the blockfile engine with
 		// SlotCacheBytes > 0; every other backend contributes nothing.
@@ -615,10 +557,9 @@ func (h *host) wireStats(live slotSet, retired []*serve.Service, epoch uint64) w
 		ExecLat:     lat(ss.ExecLat),
 		EngineReads: tr.Reads, EngineWrites: tr.Writes,
 		DRAMReads: tr.DRAMReads, DRAMWrites: tr.DRAMWrites,
-		StashPeak:      uint32(tr.StashPeak),
-		TreeTopHits:    tr.TreeTopHits,
-		PrefetchIssued: tr.PrefetchIssued, PrefetchUsed: tr.PrefetchUsed, PrefetchStale: tr.PrefetchStale,
-		Epoch: epoch, FirstShard: uint32(first), OwnedShards: uint32(owned),
+		StashPeak:   uint32(tr.StashPeak),
+		TreeTopHits: tr.TreeTopHits,
+		Epoch:       epoch, FirstShard: uint32(first), OwnedShards: uint32(owned),
 	}
 }
 

@@ -79,7 +79,7 @@ type VectorBackend interface {
 
 // Vector returns b's native vector form when it implements VectorBackend,
 // or a loop adapter otherwise — so third-party Backend implementations
-// keep working under the pipelined executor unchanged.
+// keep working under the shard's vector writes unchanged.
 func Vector(b Backend) VectorBackend {
 	if vb, ok := b.(VectorBackend); ok {
 		return vb

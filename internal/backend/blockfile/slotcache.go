@@ -7,7 +7,7 @@ package blockfile
 // byte budget admits (DESIGN.md §14).
 //
 // Coherence is trivial because the backend is single-owner: every Get,
-// Put, and Checkpoint runs on the shard's I/O goroutine, so the cache
+// Put, and Checkpoint runs on the shard's worker goroutine, so the cache
 // needs no locks and can never race a write. Writes invalidate their
 // slots (the next read refills from disk), checkpoints clear the cache
 // outright, and a vectored run is served from the cache only when every

@@ -29,16 +29,11 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 	fs.Uint64Var(&c.Blocks, "blocks", 1<<18, "store capacity in 64-byte blocks (0 = store default)")
 	fs.Uint64Var(&c.Seed, "seed", 1, "base seed (store shards, and palermo-load's client streams, derive from it)")
 	fs.IntVar(&c.QueueDepth, "queue", 0, "per-shard queue depth (0 = default)")
-	fs.IntVar(&c.PipelineDepth, "pipeline", 0, "per-shard pipeline depth (default: 1 for memory and wal, 2 for blockfile; 1 = run-to-completion workers, no I/O goroutine)")
 	fs.IntVar(&c.TreeTopLevels, "treetop", 0, "resident tree-top cache levels per engine space (0 = byte-budget default)")
-	fs.BoolVar(&c.Prefetch, "prefetch", false, "enable the batch-admission prefetch planner (rides the I/O stage: -pipeline 1 leaves it without effect)")
-	fs.IntVar(&c.PrefetchDepth, "prefetch-depth", 0, "planner look-ahead in predicted batches (0/1 = one-batch planner; needs -prefetch)")
-	fs.BoolVar(&c.PosmapPrefetch, "posmap-prefetch", false, "also announce each planned read's posmap-group sibling lines (needs -prefetch)")
 	fs.StringVar(&c.Dir, "dir", "", "durable store directory (selects a durable engine; see -engine)")
 	fs.StringVar(&c.Engine, "engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged direct-I/O slots); reopen auto-detects from the manifest`)
 	fs.IntVar(&c.GroupCommit, "group-commit", 0, "durable-log appends per fsync batch (0 = default)")
 	fs.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "writes between WAL compaction checkpoints (0 = default, <0 disables)")
-	fs.IntVar(&c.CryptoWorkers, "crypto-workers", 0, "parallel seal/unseal workers per shard (0 = inline; rides the I/O stage: -pipeline 1 leaves it without effect)")
 	fs.IntVar(&c.SlotCacheBytes, "slot-cache", 0, "blockfile slot read-cache budget in bytes per shard (0 = off; needs -engine blockfile)")
 	fs.DurationVar(&c.AdmissionDeadline, "admission", 0, "overload-shedding admission deadline: queued requests older than this are dropped with a retry status (0 = never shed)")
 	return func() (palermo.ShardedStoreConfig, error) {
@@ -59,7 +54,7 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 
 // Overlay applies the JSON object in the file at path to fs, after
 // fs.Parse: each key sets the flag of the same name with '_' for '-'
-// (prefetch_depth → -prefetch-depth) unless that flag was given on the
+// (group_commit → -group-commit) unless that flag was given on the
 // command line, which wins. A zero value (0, false, "") leaves the flag's
 // default alone, the flags' own zero-means-default convention. Durations
 // are Go strings ("2m") or integer nanoseconds. Unknown keys and values of

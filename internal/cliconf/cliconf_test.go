@@ -19,6 +19,7 @@ type serverFlags struct {
 	addr     *string
 	idle     *time.Duration
 	manifest *string
+	pprof    *bool
 }
 
 func newServerFlags() *serverFlags {
@@ -29,6 +30,7 @@ func newServerFlags() *serverFlags {
 		addr:     fs.String("addr", "127.0.0.1:7070", ""),
 		idle:     fs.Duration("idle", 2*time.Minute, ""),
 		manifest: fs.String("manifest", "", ""),
+		pprof:    fs.Bool("pprof", false, ""),
 	}
 }
 
@@ -47,8 +49,8 @@ func TestOverlayLoad(t *testing.T) {
   "shards": 4,
   "blocks": 4096,
   "dir": "/tmp/x",
-  "prefetch_depth": 3,
-  "prefetch": true,
+  "group_commit": 3,
+  "pprof": true,
   "queue": 0,
   "idle": "90s",
   "admission": 5000000,
@@ -66,7 +68,7 @@ func TestOverlayLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *sf.addr != "127.0.0.1:7071" || c.Shards != 4 || c.Blocks != 4096 || *sf.manifest != "manifest.json" ||
-		c.Dir != "/tmp/x" || c.PrefetchDepth != 3 || !c.Prefetch {
+		c.Dir != "/tmp/x" || c.GroupCommit != 3 || !*sf.pprof {
 		t.Fatalf("config applied wrong: addr %s manifest %s store %+v", *sf.addr, *sf.manifest, c)
 	}
 	if *sf.idle != 90*time.Second || c.AdmissionDeadline != 5*time.Millisecond {
@@ -89,7 +91,9 @@ func TestOverlayStrict(t *testing.T) {
 		"unknown key":         `{"addrs": "typo"}`,
 		"config key":          `{"config": "other.json"}`,
 		"string for a number": `{"shards": "4"}`,
-		"number for a bool":   `{"prefetch": 1}`,
+		"number for a bool":   `{"pprof": 1}`,
+		"a deleted knob":      `{"prefetch": true}`,
+		"another":             `{"pipeline": 2}`,
 		"bad duration":        `{"idle": "soon"}`,
 		"fractional count":    `{"shards": 1.5}`,
 		"not an object":       `[1, 2]`,
@@ -106,7 +110,7 @@ func TestOverlayStrict(t *testing.T) {
 }
 
 func TestOverlayCommandLineBeatsFile(t *testing.T) {
-	path := writeConfig(t, `{"addr": "127.0.0.1:7071", "shards": 8, "idle": "5m", "pipeline": 4}`)
+	path := writeConfig(t, `{"addr": "127.0.0.1:7071", "shards": 8, "idle": "5m", "treetop": 4}`)
 	sf := newServerFlags()
 	if err := sf.fs.Parse([]string{"-addr", ":9000", "-shards", "2", "-idle", "0"}); err != nil {
 		t.Fatal(err)
@@ -122,8 +126,8 @@ func TestOverlayCommandLineBeatsFile(t *testing.T) {
 	if *sf.addr != ":9000" || c.Shards != 2 || *sf.idle != 0 {
 		t.Fatalf("file overrode the command line: addr %s shards %d idle %v", *sf.addr, c.Shards, *sf.idle)
 	}
-	if c.PipelineDepth != 4 {
-		t.Fatalf("file value for a flag the command line left alone was dropped: pipeline %d", c.PipelineDepth)
+	if c.TreeTopLevels != 4 {
+		t.Fatalf("file value for a flag the command line left alone was dropped: treetop %d", c.TreeTopLevels)
 	}
 }
 

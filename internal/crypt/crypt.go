@@ -21,14 +21,8 @@ import (
 const BlockBytes = 64
 
 // Sealer encrypts/decrypts 64-byte blocks with AES-CTR under per-seal
-// unique counters.
-//
-// Concurrency: the epoch counter (Assign, Seal, Epoch, SetEpoch, Blob)
-// is confined to the sealer's owner goroutine. The pure transforms —
-// SealAt and Open — touch only the immutable cipher.Block and are safe
-// to call from any number of goroutines concurrently, which is what lets
-// a shard's crypto worker pool run seals and unseals off-thread while
-// every counter draw stays on the owner in submission order.
+// unique counters. It is confined to its owner goroutine, like the engine
+// it seals for.
 type Sealer struct {
 	block cipher.Block
 	epoch uint64
@@ -48,35 +42,11 @@ func NewSealer(key []byte) (*Sealer, error) {
 // unique IV; the caller stores epoch alongside the block (real designs keep
 // it in the bucket header).
 func (s *Sealer) Seal(addr uint64, plaintext []byte) (ciphertext []byte, epoch uint64, err error) {
-	epoch = s.Assign()
-	ciphertext, err = s.SealAt(addr, epoch, plaintext)
-	if err != nil {
-		return nil, 0, err
-	}
-	return ciphertext, epoch, nil
-}
-
-// Assign draws the next sealing epoch from the counter without sealing
-// anything. Seal is exactly Assign followed by SealAt; splitting them
-// lets an executor bump the counter in submission order on the owner
-// goroutine while the AES transform itself runs on a worker. Every
-// assigned epoch must be sealed (or durably reserved) exactly once —
-// an assigned-but-unsealed epoch is a skipped IV, which is safe; an
-// epoch sealed twice under one addr would repeat an IV.
-func (s *Sealer) Assign() uint64 {
-	s.epoch++
-	return s.epoch
-}
-
-// SealAt encrypts plaintext (must be BlockBytes long) under a
-// pre-assigned epoch from Assign. Pure transform: no counter state is
-// touched, so concurrent SealAt calls (distinct (addr, epoch) pairs)
-// are safe.
-func (s *Sealer) SealAt(addr, epoch uint64, plaintext []byte) ([]byte, error) {
 	if len(plaintext) != BlockBytes {
-		return nil, fmt.Errorf("crypt: plaintext must be %d bytes, got %d", BlockBytes, len(plaintext))
+		return nil, 0, fmt.Errorf("crypt: plaintext must be %d bytes, got %d", BlockBytes, len(plaintext))
 	}
-	return s.xcryptBlock(addr, epoch, plaintext), nil
+	s.epoch++
+	return s.xcryptBlock(addr, s.epoch, plaintext), s.epoch, nil
 }
 
 // Epoch returns the per-seal counter's current value. The durable store

@@ -300,7 +300,6 @@ func deltaStats(end, base palermo.ServiceStats, runRead, runWrite palermo.Latenc
 	end.Reads -= base.Reads
 	end.Writes -= base.Writes
 	end.DedupHits -= base.DedupHits
-	end.PrefetchPlanned -= base.PrefetchPlanned
 	end.Sheds -= base.Sheds
 	end.ReadLat = deltaLatency(end.ReadLat, base.ReadLat, runRead)
 	end.WriteLat = deltaLatency(end.WriteLat, base.WriteLat, runWrite)
@@ -339,9 +338,6 @@ func deltaTraffic(end, base palermo.TrafficReport) palermo.TrafficReport {
 	end.DRAMReads -= base.DRAMReads
 	end.DRAMWrites -= base.DRAMWrites
 	end.TreeTopHits -= base.TreeTopHits
-	end.PrefetchIssued -= base.PrefetchIssued
-	end.PrefetchUsed -= base.PrefetchUsed
-	end.PrefetchStale -= base.PrefetchStale
 	end.AmplificationFactor = 0
 	if ops := end.Reads + end.Writes; ops > 0 {
 		end.AmplificationFactor = float64(end.DRAMReads+end.DRAMWrites) / float64(ops)

@@ -221,19 +221,36 @@ func (e *Ring) ResetPeaks() {
 	}
 }
 
-// Access implements Engine: one served LLC miss across the full hierarchy.
-// It is the serial composition of the staged pipeline — Plan then Apply
-// back to back with no I/O in between (see staged.go).
+// Access implements Engine: one served LLC miss across the full hierarchy
+// — the posmap remaps, path reads, stash merge and evictions of every
+// level, top of the recursion first.
 //
 // Plan lifetime: in address mode every access returns a freshly allocated
 // plan, because timing controllers keep plans while they replay them. In
 // count-only mode (RingConfig.CountTraffic) the returned plan is the
-// engine's own and is overwritten by the next Access, Apply or
-// DummyAccess; callers read what they need (Reads, Writes, Val, DataLeaf,
-// StashAfter) before the next access and keep no reference.
+// engine's own and is overwritten by the next Access or DummyAccess;
+// callers read what they need (Reads, Writes, Val, DataLeaf, StashAfter)
+// before the next access and keep no reference.
 func (e *Ring) Access(pa uint64, write bool, val uint64) *Plan {
-	op := e.PlanAccess(pa, write, val)
-	return op.Apply()
+	if pa >= e.cfg.NLines {
+		panic(fmt.Sprintf("oram: PA %d outside protected space of %d lines", pa, e.cfg.NLines))
+	}
+	e.reqID++
+	plan := e.newPlan()
+	plan.ReqID, plan.PA, plan.Write = e.reqID, pa, write
+	groupIdx := pa / uint64(e.cfg.DataSlotLines)
+	for l := len(e.spaces) - 1; l >= 0; l-- {
+		idx := e.pm.Index(l, groupIdx)
+		if l == 0 {
+			plan.FromStash = e.spaces[0].Stash.Contains(otree.BlockID(idx))
+		}
+		got := e.accessLevel(&plan.Levels[l], l, idx, l == 0 && write, val)
+		if l == 0 {
+			plan.Val = got
+		}
+	}
+	e.finishPlan(plan)
+	return plan
 }
 
 // newPlan returns the plan the next access fills: zeroed, with Levels and

@@ -20,16 +20,10 @@
 // future's channel.
 //
 // A worker runs every submission to completion: each op executes on the
-// worker, then the submission's latencies are recorded under one clock
-// read and its completions run — the stores' default over the memory and
-// wal engines, whose calls cannot block (DESIGN.md §9).
-//
-// With a StagedBackend and PipelineDepth > 1 the worker instead becomes a
-// depth-D software pipeline (DESIGN.md §9): request k's backend I/O and
-// WAL commit are in flight while request k+1's engine stage runs on the
-// worker. Engine work never leaves the worker goroutine and completions
-// resolve FIFO, so scheduling, dedup semantics, and per-shard
-// determinism are identical to the run-to-completion worker at every depth.
+// worker — a run of consecutive writes as one Backend.WriteMany, so a
+// durable engine frames and commits it as a unit — then the submission's
+// latencies are recorded under one clock read and its completions run. A
+// worker is the only goroutine its shard has (DESIGN.md §9).
 package serve
 
 import (
@@ -73,59 +67,17 @@ type Req struct {
 	Data []byte
 }
 
-// Backend is one shard's store, owned by its worker goroutine. Close is
+// Backend is one shard's store, owned by its worker goroutine. WriteMany
+// performs the writes data[i] -> ids[i] in slice order and reports each
+// one's outcome in errs[i]; when it returns, every write it reported
+// successful has been accepted by the store, as after Write. Close is
 // called by the worker itself after its queue has drained, so a durable
 // backend flushes and checkpoints on the same goroutine that owns it.
 type Backend interface {
 	Read(local uint64) ([]byte, error)
 	Write(local uint64, data []byte) error
+	WriteMany(ids []uint64, data [][]byte, errs []error)
 	Close() error
-}
-
-// Access is one staged operation a StagedBackend has begun: the engine
-// stage is done, the I/O stage is in flight. Wait resolves it (on the
-// worker goroutine).
-type Access interface {
-	Wait() ([]byte, error)
-}
-
-// StagedBackend is the optional Backend extension the pipelined worker
-// drives: Begin runs the access's deterministic engine stage and launches
-// its backend I/O vector, so the worker can begin the next request's
-// engine stage while up to PipelineDepth accesses' I/O (and a durable
-// backend's group commit) is in flight. shard.Shard implements it once
-// its pipeline is enabled.
-type StagedBackend interface {
-	Backend
-	BeginRead(local uint64) (Access, error)
-	BeginWrite(local uint64, data []byte) (Access, error)
-}
-
-// PrefetchBackend is the optional StagedBackend extension the batch-
-// admission planner drives: PrefetchRead announces an upcoming read so the
-// backend can move its payload fetch ahead of the access's engine stage
-// (declining — returning false — is always safe). The worker announces
-// only distinct ids whose first operation in the admitted batch is a read,
-// which is exactly the set its dedup discipline turns into one BeginRead
-// each — so every accepted announcement is claimed by the batch it planned.
-type PrefetchBackend interface {
-	PrefetchRead(local uint64) bool
-}
-
-// DeepPrefetchBackend is the multi-line extension the deep planner
-// (Config.PrefetchDepth > 1 or Config.PosmapPrefetch) drives. PrefetchSet
-// announces a whole fetch set in one vectored request and reports how many
-// leading lines were accepted; DropPrefetch releases an accepted announce
-// whose read will never materialize (an overload shed, an expired
-// speculative line) so announce window slots cannot leak; PosmapGroup
-// names the announced id's position-map-group siblings — the contiguous
-// data lines its level-1 posmap line covers — for speculative warming.
-// shard.Shard implements it.
-type DeepPrefetchBackend interface {
-	PrefetchBackend
-	PrefetchSet(locals []uint64) int
-	DropPrefetch(local uint64) bool
-	PosmapGroup(local uint64, dst []uint64) []uint64
 }
 
 // Config tunes the service. The zero value uses the defaults.
@@ -138,37 +90,6 @@ type Config struct {
 	// submitted batch is never split, so an atomic SubmitBatch larger than
 	// MaxBatch still dedups as one unit. Default 64.
 	MaxBatch int
-	// PipelineDepth is how many accesses a shard worker keeps in flight
-	// through a StagedBackend: request k's backend I/O and WAL commit
-	// overlap request k+1's engine stage. 1 serves strictly serially —
-	// bit-identical to the pre-pipeline worker; backends that are not
-	// StagedBackends always serve serially. Default 2.
-	PipelineDepth int
-	// Prefetch turns on the batch-admission planner: when a backend is a
-	// PrefetchBackend (and the pipeline is active), each admitted batch's
-	// upcoming reads are announced up front so their payload fetches run
-	// ahead of the accesses' engine stages. Purely a scheduling change —
-	// served payloads, dedup semantics, and per-shard determinism are
-	// untouched (the differential suite pins this). Default off.
-	Prefetch bool
-	// PrefetchDepth is how many predicted served batches ahead the
-	// admission planner announces read fetch sets, counted in batches of
-	// MaxBatch operations: the worker pulls queued submissions into a
-	// backlog, predicts the batch boundaries its own coalescing rule will
-	// produce (submitted batches are never split and batches only grow at
-	// the tail, so predictions never invalidate), and announces each
-	// predicted batch's first-op-read ids before the current batch
-	// finishes executing. 0 or 1 keeps today's one-batch planner
-	// bit-exactly. Only meaningful with Prefetch and a
-	// DeepPrefetchBackend. Default 1.
-	PrefetchDepth int
-	// PosmapPrefetch additionally announces each planned read's
-	// position-map-group siblings (DeepPrefetchBackend.PosmapGroup): the
-	// contiguous data lines the access's level-1 posmap line covers, so
-	// one announce warms the whole recursive hierarchy's backend lines.
-	// Speculative lines nobody reads are dropped after the planning
-	// horizon passes. Requires Prefetch. Default off.
-	PosmapPrefetch bool
 	// AdmissionDeadline bounds how long a request may wait in its shard
 	// queue before the worker sheds it: a request picked up more than this
 	// long after submission is answered ErrRetry without executing, so an
@@ -179,19 +100,12 @@ type Config struct {
 	AdmissionDeadline time.Duration
 }
 
-// DefaultMaxBatch is Config.MaxBatch's default, exported because the
-// store sizes each shard's prefetch announce window from it.
-const DefaultMaxBatch = 64
-
 func (c *Config) defaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
 	if c.MaxBatch == 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
+		c.MaxBatch = 64
 	}
 }
 
@@ -259,56 +173,17 @@ type Service struct {
 // worker owns one backend.
 type worker struct {
 	backend  Backend
-	staged   StagedBackend // non-nil: the pipelined executor is active
-	depth    int           // accesses kept in flight (PipelineDepth)
 	queue    chan submission
 	maxBatch int
 	deadline time.Duration // admission deadline (0 = no shedding)
 
-	// Pipeline state (staged executor only). pipe is the in-flight FIFO;
-	// inflight counts per-id in-flight accesses begun in the current
-	// coalesced batch, so same-batch dedup still collapses duplicate reads
-	// onto one ORAM access; batchSeq tags pipe entries with their batch so
-	// a completion from a previous batch never pollutes the current
-	// batch's dedup cache.
-	pipe     []pendingOp
-	inflight map[uint64]int
-	batchSeq uint64
-
 	// lastOp is mark's scratch, empty between batches: the latest op per id.
 	lastOp map[uint64]*request
 
-	// Prefetch planner state (Config.Prefetch with a PrefetchBackend).
-	// pfSeen is the per-batch first-op scratch set.
-	prefetcher PrefetchBackend
-	pfSeen     map[uint64]bool
-	planned    uint64 // announcements the backend accepted (under statMu)
-
-	// Claim/drop accounting (a DeepPrefetchBackend). ann is the current
-	// batch's accepted-but-unclaimed announce set: a BeginRead of the id
-	// claims it, and whatever remains at batch end — a shed read, a failed
-	// Begin — is released with DropPrefetch so announce window slots never
-	// leak.
-	dropper interface{ DropPrefetch(local uint64) bool }
-	ann     map[uint64]bool
-
-	// Deep planner state (PrefetchDepth > 1 or PosmapPrefetch). backlog
-	// holds queued submissions chunked into the exact batches the
-	// coalescing rule will serve; annOut tracks every id with an
-	// outstanding announce across all predicted batches (one claim each);
-	// spec is the FIFO of speculative posmap-group lines with their expiry
-	// batch; serveSeq counts served batches for that expiry.
-	deep      DeepPrefetchBackend
-	deepDepth int
-	posmap    bool
-	backlog   []*predBatch
-	qClosed   bool
-	annOut    map[uint64]bool
-	spec      []specLine
-	serveSeq  uint64
-	annBuf    []uint64 // announce-set scratch, issue order
-	annDemand []bool   // parallel to annBuf: demand line (vs speculative sibling)
-	groupBuf  []uint64 // PosmapGroup scratch
+	// WriteMany's argument scratch, empty between write runs.
+	ids  []uint64
+	data [][]byte
+	errs []error
 
 	// statMu guards the histograms and counters below; they are written by
 	// the worker once per completed request and read by Stats.
@@ -325,38 +200,6 @@ type worker struct {
 	closeErr error
 }
 
-// pendingOp is one operation on the staged executor: what finish needs of
-// its submission, and the in-flight access awaiting completion.
-type pendingOp struct {
-	r     *request
-	i     int // index in its submission, handed back to done
-	t0    time.Time
-	tExec time.Time // worker pickup (queue exit)
-	done  Completion
-	acc   Access
-	seq   uint64 // batch tag (dedup-cache eligibility)
-}
-
-// predBatch is one predicted served batch of the deep planner's backlog:
-// the submission groups the coalescing rule will serve as one batch, plus
-// the announce set accepted on its behalf. Groups only ever append while
-// nops < maxBatch — the same greedy rule the legacy coalescing loop
-// applies — so a predicted batch's boundary never moves once the next
-// batch starts.
-type predBatch struct {
-	subs []submission
-	nops int
-	ann  map[uint64]bool // accepted announces to claim (BeginRead) or drop
-}
-
-// specLine is one speculative posmap-group announce: dropped (if still
-// unclaimed) once serveSeq passes expire, the planning horizon after its
-// announcing batch.
-type specLine struct {
-	id     uint64
-	expire uint64
-}
-
 // New starts one worker goroutine per backend.
 func New(backends []Backend, cfg Config) *Service {
 	cfg.defaults()
@@ -364,7 +207,6 @@ func New(backends []Backend, cfg Config) *Service {
 	for _, b := range backends {
 		w := &worker{
 			backend:  b,
-			depth:    cfg.PipelineDepth,
 			queue:    make(chan submission, cfg.QueueDepth),
 			lastOp:   make(map[uint64]*request),
 			maxBatch: cfg.MaxBatch,
@@ -373,26 +215,6 @@ func New(backends []Backend, cfg Config) *Service {
 			writeLat: newLatHistogram(),
 			queueLat: newLatHistogram(),
 			execLat:  newLatHistogram(),
-		}
-		if sb, ok := b.(StagedBackend); ok && cfg.PipelineDepth > 1 {
-			w.staged = sb
-			w.inflight = make(map[uint64]int)
-			if pb, ok := b.(PrefetchBackend); ok && cfg.Prefetch {
-				w.prefetcher = pb
-				w.pfSeen = make(map[uint64]bool)
-				if dp, ok := b.(DeepPrefetchBackend); ok {
-					// Claim/drop accounting needs DropPrefetch; backends
-					// without it keep the legacy fire-and-forget planner.
-					w.dropper = dp
-					w.ann = make(map[uint64]bool)
-					if cfg.PrefetchDepth > 1 || cfg.PosmapPrefetch {
-						w.deep = dp
-						w.deepDepth = max(cfg.PrefetchDepth, 1)
-						w.posmap = cfg.PosmapPrefetch
-						w.annOut = make(map[uint64]bool)
-					}
-				}
-			}
 		}
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
@@ -563,32 +385,17 @@ func (s *Service) Closed() bool {
 // calling it on an open service blocks until someone calls Close.
 func (s *Service) WaitClosed() { s.wg.Wait() }
 
-// run is the worker loop: receive a batch, opportunistically coalesce more
-// queued submissions up to maxBatch operations, serve, repeat. With a
-// staged backend, in-flight accesses are carried across batches while the
-// queue stays busy — the cross-request overlap of the pipeline — and
-// drained whenever the queue goes idle, so a lone request never waits for
-// a successor. On queue close, everything already queued is still served
-// and the pipeline drained before the backend closes.
+// run is the worker loop: receive a submission, opportunistically coalesce
+// more queued ones up to maxBatch operations, serve, repeat. On queue close,
+// everything already queued is still served before the backend closes.
 func (w *worker) run() {
 	cache := make(map[uint64][]byte)
-	defer func() {
-		w.drainPipe(cache)
-		w.closeErr = w.backend.Close()
-	}()
-	if w.deep != nil {
-		w.runDeep(cache)
-		return
-	}
 	var batch []submission // scratch, reused across served batches
-	for {
-		sub, ok := w.next(cache)
-		if !ok {
-			return
-		}
+	for sub := range w.queue {
 		batch = append(batch[:0], sub)
 	coalesce:
 		for nops := len(sub.reqs); nops < w.maxBatch; nops += len(sub.reqs) {
+			var ok bool
 			select {
 			case sub, ok = <-w.queue:
 				if !ok {
@@ -602,184 +409,7 @@ func (w *worker) run() {
 		w.serve(batch, cache)
 		clear(batch) // an idle worker pins no caller's slab
 	}
-}
-
-// next blocks for the next queued submission, completing in-flight staged
-// work first rather than parking on an empty queue with it outstanding.
-func (w *worker) next(cache map[uint64][]byte) (submission, bool) {
-	if len(w.pipe) > 0 {
-		select {
-		case sub, ok := <-w.queue:
-			return sub, ok
-		default:
-			w.drainPipe(cache)
-		}
-	}
-	sub, ok := <-w.queue
-	return sub, ok
-}
-
-// runDeep is the worker loop of the deep planner (PrefetchDepth > 1 or
-// PosmapPrefetch): queued submissions are pulled into a backlog chunked by
-// the exact coalescing rule the legacy loop applies, fetch sets are
-// announced for up to deepDepth predicted batches ahead, and then the
-// front batch is served — so batch k+1's (and its posmap groups') backend
-// lines are already moving while batch k's engine stages run. Served
-// batches, dedup semantics, and engine-stage order are identical to the
-// legacy loop; only announce timing differs.
-func (w *worker) runDeep(cache map[uint64][]byte) {
-	for {
-		if len(w.backlog) == 0 {
-			sub, ok := w.next(cache)
-			if !ok {
-				return
-			}
-			w.push(sub)
-		}
-		w.fill()
-		for i, pb := range w.backlog {
-			if i >= w.deepDepth {
-				break
-			}
-			w.announceBatch(pb)
-		}
-		pb := w.backlog[0]
-		w.backlog = w.backlog[1:]
-		w.ann = pb.ann
-		w.serve(pb.subs, cache)
-		if w.qClosed && len(w.backlog) == 0 {
-			return
-		}
-	}
-}
-
-// push appends one submission to the backlog under the coalescing rule: it
-// joins the last predicted batch while that batch holds fewer than maxBatch
-// operations (a submission is never split), otherwise it starts the next
-// one.
-func (w *worker) push(sub submission) {
-	if n := len(w.backlog); n > 0 && w.backlog[n-1].nops < w.maxBatch {
-		pb := w.backlog[n-1]
-		pb.subs = append(pb.subs, sub)
-		pb.nops += len(sub.reqs)
-		return
-	}
-	w.backlog = append(w.backlog, &predBatch{
-		subs: []submission{sub},
-		nops: len(sub.reqs),
-		ann:  make(map[uint64]bool),
-	})
-}
-
-// fill pulls queued submissions without blocking until the backlog covers
-// deepDepth full predicted batches (or the queue is empty/closed), giving
-// the announce pass its look-ahead.
-func (w *worker) fill() {
-	for !w.qClosed {
-		if n := len(w.backlog); n > w.deepDepth ||
-			(n == w.deepDepth && w.backlog[n-1].nops >= w.maxBatch) {
-			return
-		}
-		select {
-		case group, ok := <-w.queue:
-			if !ok {
-				w.qClosed = true
-				return
-			}
-			w.push(group)
-		default:
-			return
-		}
-	}
-}
-
-// announceBatch announces one predicted batch's fetch set: each distinct
-// id whose first operation in the batch is a read (the legacy plan rule),
-// plus — with PosmapPrefetch — its position-map-group siblings as
-// speculative lines. Ids with an announce already outstanding anywhere in
-// the horizon are skipped (one claim each), so re-running the pass after
-// the batch grows announces only the new ids. The whole set goes to the
-// backend as one vectored PrefetchSet; the accepted prefix is recorded
-// for claim/drop accounting — demand lines on the batch, speculative ones
-// on the expiry FIFO.
-func (w *worker) announceBatch(pb *predBatch) {
-	clear(w.pfSeen)
-	w.annBuf, w.annDemand = w.annBuf[:0], w.annDemand[:0]
-	for _, sub := range pb.subs {
-		for i := range sub.reqs {
-			r := &sub.reqs[i]
-			if r.op != OpRead && r.op != OpWrite {
-				continue
-			}
-			if w.pfSeen[r.id] {
-				continue
-			}
-			w.pfSeen[r.id] = true
-			if r.op != OpRead {
-				continue
-			}
-			if !w.annOut[r.id] {
-				w.annOut[r.id] = true
-				w.annBuf = append(w.annBuf, r.id)
-				w.annDemand = append(w.annDemand, true)
-			}
-			if w.posmap {
-				w.groupBuf = w.deep.PosmapGroup(r.id, w.groupBuf[:0])
-				for _, sib := range w.groupBuf {
-					if sib == r.id || w.annOut[sib] {
-						continue
-					}
-					w.annOut[sib] = true
-					w.annBuf = append(w.annBuf, sib)
-					w.annDemand = append(w.annDemand, false)
-				}
-			}
-		}
-	}
-	if len(w.annBuf) == 0 {
-		return
-	}
-	n := w.deep.PrefetchSet(w.annBuf)
-	for i, id := range w.annBuf {
-		if i >= n {
-			delete(w.annOut, id) // declined (window full): free for a retry
-			continue
-		}
-		if w.annDemand[i] {
-			pb.ann[id] = true
-		} else {
-			w.spec = append(w.spec, specLine{id: id, expire: w.serveSeq + uint64(w.deepDepth)})
-		}
-	}
-	if n > 0 {
-		w.statMu.Lock()
-		w.planned += uint64(n)
-		w.statMu.Unlock()
-	}
-}
-
-// dropUnclaimed releases every announce the finished batch did not claim —
-// a shed read, a failed Begin — plus speculative group lines whose
-// planning horizon has passed. DropPrefetch on a line a read consumed in
-// the meantime is a no-op, so expiry needs no consumption tracking.
-func (w *worker) dropUnclaimed() {
-	if w.dropper == nil {
-		return
-	}
-	for id := range w.ann {
-		w.dropper.DropPrefetch(id)
-		delete(w.annOut, id)
-	}
-	clear(w.ann)
-	w.serveSeq++
-	for len(w.spec) > 0 && w.spec[0].expire <= w.serveSeq {
-		sl := w.spec[0]
-		w.spec = w.spec[1:]
-		if w.annOut[sl.id] {
-			w.dropper.DropPrefetch(sl.id)
-			delete(w.annOut, sl.id)
-		}
-	}
+	w.closeErr = w.backend.Close()
 }
 
 // serve executes one coalesced batch in arrival order. cache maps block id
@@ -788,15 +418,6 @@ func (w *worker) dropUnclaimed() {
 // of a second ORAM access.
 func (w *worker) serve(batch []submission, cache map[uint64][]byte) {
 	clear(cache)
-	if w.staged != nil {
-		w.batchSeq++
-		clear(w.inflight) // earlier batches' entries no longer feed this cache
-	}
-	if w.prefetcher != nil && w.deep == nil {
-		// Deep mode announced this batch in runDeep's look-ahead pass (it
-		// always re-covers the front batch right before serving).
-		w.plan(batch)
-	}
 	w.mark(batch)
 	now := time.Now()
 	for bi := range batch {
@@ -814,18 +435,12 @@ func (w *worker) serve(batch []submission, cache map[uint64][]byte) {
 				sub.done(i, nil, ErrRetry)
 			}
 		case sub.fn != nil: // Sync: behind everything queued ahead of it
-			w.drainPipe(cache)
 			sub.fn()
 			sub.done(0, nil, nil)
-		case w.staged == nil:
-			w.serveInline(sub, now, cache)
 		default:
-			for i := range sub.reqs {
-				w.begin(pendingOp{r: &sub.reqs[i], i: i, t0: sub.t0, tExec: now, done: sub.done, seq: w.batchSeq}, cache)
-			}
+			w.serveInline(sub, now, cache)
 		}
 	}
-	w.dropUnclaimed()
 }
 
 // mark is the dedup pre-pass: it flags every op whose id an earlier op of
@@ -851,23 +466,23 @@ func (w *worker) mark(batch []submission) {
 	clear(w.lastOp) // empty between batches: it must not pin their slabs
 }
 
-// serveInline runs one submission to completion on the worker — the
-// executor of a backend that is not staged. Every op executes, then one
-// clock read and one statMu section account for the whole slab, then its
-// completions run: a caller that has seen its completion also finds the op
-// in Stats, and submissions coalesced behind this one are not waited for.
+// serveInline runs one submission to completion on the worker. Every op
+// executes, then one clock read and one statMu section account for the
+// whole slab, then its completions run: a caller that has seen its
+// completion also finds the op in Stats, a write is completed only after
+// the backend accepted it, and submissions coalesced behind this one are
+// not waited for.
 func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64][]byte) {
 	hits := 0
-	for i := range sub.reqs {
+	for i := 0; i < len(sub.reqs); i++ {
 		r := &sub.reqs[i]
 		if r.op == OpWrite {
-			r.err = w.backend.Write(r.id, r.data)
-			if r.err != nil {
-				delete(cache, r.id) // never serve a stale fan-out after a failed write
-			} else if r.recur {
-				cache[r.id] = r.data // the worker's own copy, never handed out
+			end := i + 1
+			for end < len(sub.reqs) && sub.reqs[end].op == OpWrite {
+				end++
 			}
-			r.data = nil
+			w.writeRun(sub.reqs[i:end], cache)
+			i = end - 1
 			continue
 		}
 		if r.dup {
@@ -895,136 +510,35 @@ func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64]
 	}
 }
 
-// begin runs one op of the staged executor: serve it from the dedup cache,
-// or begin its access and queue it on the pipe behind at most depth-1
-// others.
-func (w *worker) begin(p pendingOp, cache map[uint64][]byte) {
-	r := p.r
-	if r.op == OpRead {
-		// Order same-id operations: an in-flight access to this id from
-		// the current batch must land (populating the cache) before the
-		// read is served — the serial executor's arrival-order/dedup
-		// semantics, preserved across the pipeline.
-		for w.inflight[r.id] > 0 {
-			w.completeOne(cache)
-		}
-		if data, ok := cache[r.id]; ok {
-			w.statMu.Lock()
-			w.dedup++
-			w.statMu.Unlock()
-			w.finish(&p, append([]byte(nil), data...), nil)
-			return
-		}
-	}
-	if len(w.pipe) >= w.depth {
-		w.completeOne(cache)
-	}
-	var err error
-	if r.op == OpWrite {
-		if p.acc, err = w.staged.BeginWrite(r.id, r.data); err != nil {
-			delete(cache, r.id)
-		}
+// writeRun executes a run of consecutive writes of one submission — as one
+// WriteMany when there is more than one — and settles the dedup cache in
+// run order.
+func (w *worker) writeRun(run []request, cache map[uint64][]byte) {
+	if len(run) == 1 {
+		run[0].err = w.backend.Write(run[0].id, run[0].data)
 	} else {
-		p.acc, err = w.staged.BeginRead(r.id)
-		if w.ann != nil && (w.ann[r.id] || w.annOut[r.id]) {
-			if err == nil {
-				// The Begin claimed this id's outstanding announce (the
-				// current batch's demand line, a speculative group line,
-				// or a future batch's early announce) — no batch-end
-				// drop needed, and the id is free to announce again.
-				delete(w.ann, r.id)
-				delete(w.annOut, r.id)
-			} else if w.ann[r.id] {
-				// A failed Begin never reaches the backend's claim path;
-				// release the announce immediately.
-				delete(w.ann, r.id)
-				delete(w.annOut, r.id)
-				w.dropper.DropPrefetch(r.id)
-			}
+		for i := range run {
+			w.ids = append(w.ids, run[i].id)
+			w.data = append(w.data, run[i].data)
+			w.errs = append(w.errs, nil)
 		}
-	}
-	if err != nil {
-		w.finish(&p, nil, err)
-		return
-	}
-	w.pipe = append(w.pipe, p)
-	w.inflight[r.id]++
-}
-
-// plan is the batch-admission prefetch pass (DESIGN.md §10): before any of
-// the batch executes, announce each distinct id whose first operation is a
-// read. Those are exactly the ids the dedup discipline turns into one
-// BeginRead each, so every accepted announcement is consumed within the
-// batch — unless the read is shed at pickup or its Begin fails, which is
-// why accepted ids are also tracked in w.ann (backends with DropPrefetch)
-// and released at batch end if unclaimed. Ids first touched by a write are
-// skipped (the write would just invalidate the fetched payload).
-func (w *worker) plan(batch []submission) {
-	clear(w.pfSeen)
-	accepted := uint64(0)
-	for _, sub := range batch {
-		for _, r := range sub.reqs {
-			if r.op == opSync || w.pfSeen[r.id] {
-				continue
-			}
-			w.pfSeen[r.id] = true
-			if r.op == OpRead && w.prefetcher.PrefetchRead(r.id) {
-				accepted++
-				if w.ann != nil {
-					w.ann[r.id] = true
-				}
-			}
+		w.backend.WriteMany(w.ids, w.data, w.errs)
+		for i := range run {
+			run[i].err = w.errs[i]
 		}
+		clear(w.data) // an idle worker pins no caller's slab
+		clear(w.errs)
+		w.ids, w.data, w.errs = w.ids[:0], w.data[:0], w.errs[:0]
 	}
-	if accepted > 0 {
-		w.statMu.Lock()
-		w.planned += accepted
-		w.statMu.Unlock()
-	}
-}
-
-// completeOne resolves the oldest in-flight access: wait out its I/O,
-// update the dedup cache (current-batch entries only), and finish its
-// request. Requests therefore resolve in begin order.
-func (w *worker) completeOne(cache map[uint64][]byte) {
-	p := w.pipe[0]
-	copy(w.pipe, w.pipe[1:])
-	w.pipe = w.pipe[:len(w.pipe)-1]
-	data, err := p.acc.Wait()
-	if r := p.r; p.seq == w.batchSeq {
-		if n := w.inflight[r.id]; n > 1 {
-			w.inflight[r.id] = n - 1
-		} else {
-			delete(w.inflight, r.id)
-		}
-		switch wr := r.op == OpWrite; {
-		case wr && err != nil:
+	for i := range run {
+		r := &run[i]
+		if r.err != nil {
 			delete(cache, r.id) // never serve a stale fan-out after a failed write
-		case err != nil || !r.recur:
-		case wr:
+		} else if r.recur {
 			cache[r.id] = r.data // the worker's own copy, never handed out
-		default:
-			cache[r.id] = append([]byte(nil), data...)
 		}
+		r.data = nil
 	}
-	w.finish(&p, data, err)
-}
-
-// drainPipe completes every in-flight access.
-func (w *worker) drainPipe(cache map[uint64][]byte) {
-	for len(w.pipe) > 0 {
-		w.completeOne(cache)
-	}
-}
-
-// finish records a staged op's latency and runs its completion.
-func (w *worker) finish(p *pendingOp, data []byte, err error) {
-	us := float64(time.Since(p.t0)) / float64(time.Microsecond)
-	queueUs := float64(p.tExec.Sub(p.t0)) / float64(time.Microsecond)
-	w.statMu.Lock()
-	w.observe(p.r.op, us, queueUs)
-	w.statMu.Unlock()
-	p.done(p.i, data, err)
 }
 
 // observe records one op's latency — total per op class, plus the
@@ -1049,14 +563,14 @@ type LatencySummary struct {
 // Stats is a point-in-time service snapshot. ReadLat/WriteLat are
 // submission-to-completion totals per op class; QueueLat/ExecLat split the
 // same interval (across both classes) into time spent waiting in the shard
-// queue versus executing on the worker, so a pipeline win (shorter
-// execute, emptier queue) is attributable from the snapshot alone.
+// queue versus executing on the worker.
 type Stats struct {
 	Reads, Writes uint64 // completed operations
 	DedupHits     uint64 // reads served by intra-batch fan-out
-	// PrefetchPlanned counts batch-admission read announcements the
-	// backend accepted (Config.Prefetch). How many were consumed or went
-	// stale is the backend's accounting (shard.Counters → TrafficReport).
+	// PrefetchPlanned is always zero.
+	//
+	// Deprecated: the benchmark still reads it; delete with the ROADMAP
+	// item 1 benchmark PR.
 	PrefetchPlanned uint64
 	// Sheds counts requests dropped at worker pickup because their
 	// admission deadline (Config.AdmissionDeadline) had expired. Shed
@@ -1106,7 +620,6 @@ func MergeStats(svcs []*Service) Stats {
 		for _, w := range s.workers {
 			w.statMu.Lock()
 			out.DedupHits += w.dedup
-			out.PrefetchPlanned += w.planned
 			out.Sheds += w.sheds
 			reads.Merge(w.readLat)
 			writes.Merge(w.writeLat)

@@ -19,6 +19,7 @@ type memBackend struct {
 	accesses int // backend touches (what dedup is supposed to save)
 	failOn   uint64
 	hasFail  bool
+	vectors  []int // the length of each WriteMany call, in order
 	closes   int   // Close calls observed (workers must close exactly once)
 	closeErr error // injected Close failure
 }
@@ -43,6 +44,13 @@ func (m *memBackend) Write(local uint64, data []byte) error {
 	}
 	m.blocks[local] = append([]byte(nil), data...)
 	return nil
+}
+
+func (m *memBackend) WriteMany(ids []uint64, data [][]byte, errs []error) {
+	m.vectors = append(m.vectors, len(ids))
+	for i, id := range ids {
+		errs[i] = m.Write(id, data[i])
+	}
 }
 
 func (m *memBackend) Close() error {
@@ -183,6 +191,8 @@ func (b staticBackend) Read(uint64) ([]byte, error) { return b.block, nil }
 func (b staticBackend) Write(uint64, []byte) error  { return nil }
 func (b staticBackend) Close() error                { return nil }
 
+func (b staticBackend) WriteMany([]uint64, [][]byte, []error) {}
+
 // TestSubmitBatchAllocs guards the inline path's allocation budget: a
 // submission of 16 distinct reads costs submitter and worker together one
 // allocation, the request slab — no request per op, no dedup-cache copy
@@ -266,6 +276,85 @@ func TestServeFailedWriteNotCached(t *testing.T) {
 	// The read must hit the backend (and fail itself), never a stale cache.
 	if _, err := futs[1].Wait(); err == nil {
 		t.Fatal("read after failed write served from cache")
+	}
+}
+
+// TestServeWriteRuns: each run of consecutive writes in a submission
+// reaches the backend as one WriteMany (a lone write as a Write), reads
+// split the runs, and no write of the submission is completed before its
+// run returned from the backend.
+func TestServeWriteRuns(t *testing.T) {
+	b := newMemBackend()
+	s := New([]Backend{b}, Config{})
+	defer s.Close()
+	ops := []Op{OpWrite, OpWrite, OpWrite, OpRead, OpWrite, OpWrite, OpRead, OpWrite}
+	reqs := make([]Req, len(ops))
+	for i, op := range ops {
+		reqs[i] = Req{Op: op, ID: uint64(i % 3), Data: payload(uint64(100 + i))}
+	}
+	var completed, early atomic.Int32
+	served := make(chan struct{})
+	err := s.SubmitBatchFunc(0, reqs, func(i int, data []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		if len(b.vectors) != 2 || b.accesses != 6 {
+			early.Add(1) // a completion ran before the submission's last write
+		}
+		// Both reads name id 0, which op 0 wrote: they fan out from the
+		// worker's copy of that write and cost no backend access.
+		if ops[i] == OpRead && binary.LittleEndian.Uint64(data) != 100 {
+			t.Errorf("op %d read %d, want 100", i, binary.LittleEndian.Uint64(data))
+		}
+		if completed.Add(1) == int32(len(ops)) {
+			close(served)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d completions ran before every write run had returned", n)
+	}
+	if !reflect.DeepEqual(b.vectors, []int{3, 2}) {
+		t.Fatalf("WriteMany calls of %v writes, want [3 2] (the lone trailing write is a Write)", b.vectors)
+	}
+	for id, want := range map[uint64]uint64{0: 100, 1: 107, 2: 105} {
+		data, err := s.Read(0, id)
+		if err != nil || binary.LittleEndian.Uint64(data) != want {
+			t.Fatalf("id %d = %d, %v; want %d", id, binary.LittleEndian.Uint64(data), err, want)
+		}
+	}
+}
+
+// TestServeWriteRunFailure: a write the vector reports failed resolves with
+// that error and is not cached; its neighbours in the run are unaffected.
+func TestServeWriteRunFailure(t *testing.T) {
+	b := newMemBackend()
+	b.hasFail, b.failOn = true, 4
+	s := New([]Backend{b}, Config{})
+	defer s.Close()
+	futs, err := s.SubmitBatch(0, []Req{
+		{Op: OpWrite, ID: 4, Data: payload(1)},
+		{Op: OpWrite, ID: 5, Data: payload(2)},
+		{Op: OpRead, ID: 4},
+		{Op: OpRead, ID: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := futs[0].Wait(); err == nil {
+		t.Fatal("injected write failure not reported")
+	}
+	if _, err := futs[1].Wait(); err != nil {
+		t.Fatalf("write beside the failed one: %v", err)
+	}
+	if _, err := futs[2].Wait(); err == nil {
+		t.Fatal("read after failed write served from cache")
+	}
+	if data, err := futs[3].Wait(); err != nil || binary.LittleEndian.Uint64(data) != 2 {
+		t.Fatalf("read of the successful write = %v, %v", data, err)
 	}
 }
 
@@ -415,293 +504,6 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 }
 
-// stagedMemBackend wraps memBackend with the StagedBackend surface: the
-// engine-stage analog (the backend map op and access count) runs at
-// Begin on the worker, while completion arrives asynchronously over a
-// channel — so the pipelined worker's FIFO, dedup, and ordering logic is
-// exercised with genuinely overlapped completions under -race.
-type stagedMemBackend struct {
-	*memBackend
-	beginReads, beginWrites int
-}
-
-type fakeAccess struct{ ch chan result }
-
-func (a fakeAccess) Wait() ([]byte, error) {
-	r := <-a.ch
-	return r.data, r.err
-}
-
-func (s *stagedMemBackend) BeginRead(id uint64) (Access, error) {
-	s.beginReads++
-	data, err := s.memBackend.Read(id)
-	ch := make(chan result, 1)
-	go func() { ch <- result{data: data, err: err} }()
-	return fakeAccess{ch}, nil
-}
-
-func (s *stagedMemBackend) BeginWrite(id uint64, data []byte) (Access, error) {
-	s.beginWrites++
-	err := s.memBackend.Write(id, data)
-	ch := make(chan result, 1)
-	go func() { ch <- result{err: err} }()
-	return fakeAccess{ch}, nil
-}
-
-// TestServePipelinedBatchDedup is TestServeBatchDedup through the
-// pipelined worker: duplicate reads inside an atomic batch still collapse
-// onto one backend access even with accesses in flight.
-func TestServePipelinedBatchDedup(t *testing.T) {
-	b := &stagedMemBackend{memBackend: newMemBackend()}
-	s := New([]Backend{b}, Config{PipelineDepth: 4})
-	defer s.Close()
-	if err := s.Write(0, 7, payload(7)); err != nil {
-		t.Fatal(err)
-	}
-	var before int
-	if err := s.Sync(0, func() { before = b.accesses }); err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]Req, 32)
-	for i := range reqs {
-		reqs[i] = Req{Op: OpRead, ID: 7}
-	}
-	futs, err := s.SubmitBatch(0, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var results [][]byte
-	for _, f := range futs {
-		data, err := f.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, data)
-	}
-	var after int
-	if err := s.Sync(0, func() { after = b.accesses }); err != nil {
-		t.Fatal(err)
-	}
-	if after-before != 1 {
-		t.Fatalf("32 same-block reads cost %d backend accesses, want 1", after-before)
-	}
-	for i, r := range results {
-		if !bytes.Equal(r, results[0]) {
-			t.Fatalf("waiter %d got a different payload", i)
-		}
-	}
-	if st := s.Stats(); st.DedupHits != 31 {
-		t.Fatalf("dedup hits = %d, want 31", st.DedupHits)
-	}
-}
-
-// prefetchMemBackend adds the PrefetchBackend surface to the staged mock:
-// announcements are recorded (worker-goroutine calls, like BeginRead, so
-// plain fields suffice) and always accepted.
-type prefetchMemBackend struct {
-	*stagedMemBackend
-	announced []uint64
-}
-
-func (p *prefetchMemBackend) PrefetchRead(local uint64) bool {
-	p.announced = append(p.announced, local)
-	return true
-}
-
-// TestServePrefetchDedupOneAccess: an intra-batch duplicate read whose
-// path the planner prefetched still fans out — the planner announces the
-// id once (first-op-read dedup inside plan()), and the batch costs one
-// backend access however many waiters share it.
-func TestServePrefetchDedupOneAccess(t *testing.T) {
-	b := &prefetchMemBackend{stagedMemBackend: &stagedMemBackend{memBackend: newMemBackend()}}
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true})
-	defer s.Close()
-	if err := s.Write(0, 7, payload(7)); err != nil {
-		t.Fatal(err)
-	}
-	var before int
-	if err := s.Sync(0, func() { before = b.accesses }); err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]Req, 32)
-	for i := range reqs {
-		reqs[i] = Req{Op: OpRead, ID: 7}
-	}
-	futs, err := s.SubmitBatch(0, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		data, err := f.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if binary.LittleEndian.Uint64(data) != 7 {
-			t.Fatalf("waiter %d read wrong payload", i)
-		}
-	}
-	var after int
-	var announced []uint64
-	if err := s.Sync(0, func() { after = b.accesses; announced = append([]uint64(nil), b.announced...) }); err != nil {
-		t.Fatal(err)
-	}
-	if after-before != 1 {
-		t.Fatalf("32 same-block prefetched reads cost %d backend accesses, want 1", after-before)
-	}
-	if len(announced) != 1 || announced[0] != 7 {
-		t.Fatalf("planner announced %v, want exactly one announcement for id 7", announced)
-	}
-	st := s.Stats()
-	if st.DedupHits != 31 {
-		t.Fatalf("dedup hits = %d, want 31", st.DedupHits)
-	}
-	if st.PrefetchPlanned != 1 {
-		t.Fatalf("PrefetchPlanned = %d, want 1", st.PrefetchPlanned)
-	}
-}
-
-// TestServePrefetchSkipsWriteFirstIds: an id first touched by a write in
-// the batch must not be announced — its read would fan out from the write,
-// leaving the prefetched path unclaimed.
-func TestServePrefetchSkipsWriteFirstIds(t *testing.T) {
-	b := &prefetchMemBackend{stagedMemBackend: &stagedMemBackend{memBackend: newMemBackend()}}
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true})
-	defer s.Close()
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 3, Data: payload(99)},
-		{Op: OpRead, ID: 3},
-		{Op: OpRead, ID: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var announced []uint64
-	if err := s.Sync(0, func() { announced = append([]uint64(nil), b.announced...) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(announced) != 1 || announced[0] != 5 {
-		t.Fatalf("planner announced %v, want only the read-first id 5", announced)
-	}
-}
-
-// TestServePipelinedWriteThenRead: arrival-order visibility and fan-out
-// from an in-flight write, through the pipeline.
-func TestServePipelinedWriteThenRead(t *testing.T) {
-	b := &stagedMemBackend{memBackend: newMemBackend()}
-	s := New([]Backend{b}, Config{PipelineDepth: 4})
-	defer s.Close()
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 3, Data: payload(99)},
-		{Op: OpRead, ID: 3},
-		{Op: OpRead, ID: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := futs[0].Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs[1:] {
-		data, err := f.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if binary.LittleEndian.Uint64(data) != 99 {
-			t.Fatal("read did not observe same-batch write")
-		}
-	}
-	var accesses int
-	if err := s.Sync(0, func() { accesses = b.accesses }); err != nil {
-		t.Fatal(err)
-	}
-	if accesses != 1 {
-		t.Fatalf("write+2 reads cost %d backend accesses, want 1 (reads fan out from the write)", accesses)
-	}
-}
-
-// TestServePipelinedFailedWriteNotCached: a failed in-flight write never
-// feeds the fan-out cache.
-func TestServePipelinedFailedWriteNotCached(t *testing.T) {
-	mb := newMemBackend()
-	mb.hasFail, mb.failOn = true, 4
-	b := &stagedMemBackend{memBackend: mb}
-	s := New([]Backend{b}, Config{PipelineDepth: 4})
-	defer s.Close()
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 4, Data: payload(1)},
-		{Op: OpRead, ID: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := futs[0].Wait(); err == nil {
-		t.Fatal("injected write failure not reported")
-	}
-	if _, err := futs[1].Wait(); err == nil {
-		t.Fatal("read after failed write served from cache")
-	}
-}
-
-// TestServePipelinedConcurrentClients is the pipelined variant of the
-// back-pressure/race audit, with a serial-depth control: the two
-// configurations must agree on every client's read-your-write view.
-func TestServePipelinedConcurrentClients(t *testing.T) {
-	for _, depth := range []int{1, 4} {
-		backends := []Backend{
-			&stagedMemBackend{memBackend: newMemBackend()},
-			&stagedMemBackend{memBackend: newMemBackend()},
-		}
-		s := New(backends, Config{QueueDepth: 4, MaxBatch: 8, PipelineDepth: depth})
-		const clients, opsPer = 8, 150
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < opsPer; i++ {
-					id := uint64(c*opsPer + i%7)
-					shard := c % 2
-					want := uint64(c<<32) | uint64(i)
-					if err := s.Write(shard, id, payload(want)); err != nil {
-						errs <- err
-						return
-					}
-					got, err := s.Read(shard, id)
-					if err != nil {
-						errs <- err
-						return
-					}
-					if binary.LittleEndian.Uint64(got) != want {
-						errs <- fmt.Errorf("depth %d: client %d read stale data", depth, c)
-						return
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-		st := s.Stats()
-		if st.Reads != clients*opsPer || st.Writes != clients*opsPer {
-			t.Fatalf("depth %d stats ops: %+v", depth, st)
-		}
-		if st.QueueLat.N != 2*clients*opsPer || st.ExecLat.N != st.QueueLat.N {
-			t.Fatalf("depth %d: queue/exec histograms missed ops: %+v", depth, st)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestServeStatsBreakdown: the queue-wait/execute split covers every
 // completed op and stays internally consistent.
 func TestServeStatsBreakdown(t *testing.T) {
@@ -771,254 +573,10 @@ func TestServeNoDeadlineNeverSheds(t *testing.T) {
 	}
 }
 
-// deepMemBackend adds the DeepPrefetchBackend surface: vectored announces
-// with a configurable acceptance cap, posmap groups from a lookup table,
-// and shard-style claim accounting — a BeginRead consumes an outstanding
-// announce, DropPrefetch releases one — so announce-window leaks are
-// directly observable as a nonzero outstanding count. All mutation happens
-// on the worker goroutine; tests read the fields after Close or via Sync.
-type deepMemBackend struct {
-	*prefetchMemBackend
-	sets        [][]uint64          // every PrefetchSet call's accepted prefix
-	dropped     []uint64            // DropPrefetch claims, in order
-	outstanding map[uint64]int      // announced minus claimed/dropped, per id
-	groups      map[uint64][]uint64 // PosmapGroup answers
-	accept      int                 // max lines accepted per announce call (0 = all)
-	claimed     int                 // BeginReads that consumed an announce
-}
-
-func newDeepMemBackend() *deepMemBackend {
-	return &deepMemBackend{
-		prefetchMemBackend: &prefetchMemBackend{stagedMemBackend: &stagedMemBackend{memBackend: newMemBackend()}},
-		outstanding:        make(map[uint64]int),
-		groups:             make(map[uint64][]uint64),
-	}
-}
-
-func (d *deepMemBackend) PrefetchRead(local uint64) bool {
-	if d.accept > 0 && d.totalOutstanding() >= d.accept {
-		return false
-	}
-	d.announced = append(d.announced, local)
-	d.outstanding[local]++
-	return true
-}
-
-func (d *deepMemBackend) PrefetchSet(locals []uint64) int {
-	n := len(locals)
-	if d.accept > 0 && n > d.accept-d.totalOutstanding() {
-		n = d.accept - d.totalOutstanding()
-		if n < 0 {
-			n = 0
-		}
-	}
-	if n > 0 {
-		d.sets = append(d.sets, append([]uint64(nil), locals[:n]...))
-	}
-	for _, l := range locals[:n] {
-		d.announced = append(d.announced, l)
-		d.outstanding[l]++
-	}
-	return n
-}
-
-func (d *deepMemBackend) DropPrefetch(local uint64) bool {
-	if d.outstanding[local] == 0 {
-		return false
-	}
-	d.outstanding[local]--
-	d.dropped = append(d.dropped, local)
-	return true
-}
-
-func (d *deepMemBackend) PosmapGroup(local uint64, dst []uint64) []uint64 {
-	return append(dst, d.groups[local]...)
-}
-
-func (d *deepMemBackend) BeginRead(id uint64) (Access, error) {
-	if d.outstanding[id] > 0 {
-		d.outstanding[id]--
-		d.claimed++
-	}
-	return d.stagedMemBackend.BeginRead(id)
-}
-
-func (d *deepMemBackend) totalOutstanding() int {
-	n := 0
-	for _, c := range d.outstanding {
-		n += c
-	}
-	return n
-}
-
-// TestServeShedReleasesAnnounces is the announce-leak regression: a read
-// announced by the planner and then shed at the admission deadline never
-// reaches BeginRead, so its accepted announce must be released with
-// DropPrefetch at batch end — otherwise each shed permanently burns a
-// shard prefetch-window slot.
-func TestServeShedReleasesAnnounces(t *testing.T) {
-	b := newDeepMemBackend()
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true, AdmissionDeadline: 1}) // 1ns: shed everything
-	for i := 0; i < 8; i++ {
-		if _, err := s.Read(0, uint64(i)); !errors.Is(err, ErrRetry) {
-			t.Fatalf("read %d under 1ns deadline = %v, want ErrRetry", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.announced) == 0 {
-		t.Fatal("planner announced nothing; the regression is untested")
-	}
-	if n := b.totalOutstanding(); n != 0 {
-		t.Fatalf("%d announce window slots leaked after sheds (announced %d, dropped %d, claimed %d)",
-			n, len(b.announced), len(b.dropped), b.claimed)
-	}
-	if len(b.dropped) != len(b.announced) {
-		t.Fatalf("dropped %d of %d announces; shed reads claim nothing", len(b.dropped), len(b.announced))
-	}
-}
-
-// TestServeDeepPlannerBacklog: with PrefetchDepth 2 and MaxBatch 2, six
-// queued reads chunk into three predicted batches and each id is announced
-// exactly once, in arrival order, through vectored PrefetchSet calls — the
-// look-ahead covers future batches without re-announcing ids already out.
-func TestServeDeepPlannerBacklog(t *testing.T) {
-	b := newDeepMemBackend()
-	s := New([]Backend{b}, Config{
-		PipelineDepth: 4, Prefetch: true, PrefetchDepth: 2,
-		MaxBatch: 2, QueueDepth: 16,
-	})
-	// Park the worker in a Sync so the six submissions queue behind it and
-	// the planner sees a real backlog when it wakes.
-	gate := make(chan struct{})
-	syncDone := make(chan error, 1)
-	go func() { syncDone <- s.Sync(0, func() { <-gate }) }()
-	var futs []*Future
-	for id := uint64(10); id < 16; id++ {
-		f, err := s.Submit(0, OpRead, id, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
-	}
-	close(gate)
-	if err := <-syncDone; err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{10, 11, 12, 13, 14, 15}
-	if !reflect.DeepEqual(b.announced, want) {
-		t.Fatalf("announced %v, want each id once in arrival order %v", b.announced, want)
-	}
-	if n := b.totalOutstanding(); n != 0 {
-		t.Fatalf("%d announces neither claimed nor dropped", n)
-	}
-	if len(b.dropped) != 0 {
-		t.Fatalf("dropped %v; every announced read was served and must claim", b.dropped)
-	}
-	if b.claimed != len(want) {
-		t.Fatalf("claimed %d announces, want %d", b.claimed, len(want))
-	}
-}
-
-// TestServeDeepPosmapSiblings: with PosmapPrefetch on, a read's announce
-// set carries its posmap-group siblings. A sibling the batch also reads is
-// claimed by that read (announced once, demand-promoted, never dropped); a
-// sibling nobody reads expires with the planning horizon and is released.
-func TestServeDeepPosmapSiblings(t *testing.T) {
-	b := newDeepMemBackend()
-	b.groups[7] = []uint64{7, 8}
-	b.groups[20] = []uint64{20, 21}
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true, PosmapPrefetch: true})
-	// Batch 1: reads 7 and 8 — 8 rides 7's group announce and is claimed
-	// by its own read, not re-announced.
-	futs, err := s.SubmitBatch(0, []Req{{Op: OpRead, ID: 7}, {Op: OpRead, ID: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var announced, dropped []uint64
-	if err := s.Sync(0, func() {
-		announced = append([]uint64(nil), b.announced...)
-		dropped = append([]uint64(nil), b.dropped...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint64{7, 8}; !reflect.DeepEqual(announced, want) {
-		t.Fatalf("announced %v, want %v (sibling announced once, as part of the set)", announced, want)
-	}
-	if len(dropped) != 0 {
-		t.Fatalf("dropped %v; both lines were read and claimed", dropped)
-	}
-	// Batch 2: read 20 alone — sibling 21 is speculative, nobody reads it,
-	// and it must be dropped when its horizon expires, freeing the slot.
-	if _, err := s.Read(0, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(0, 5); err != nil { // one more batch pushes the horizon past 21
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	foundDrop := false
-	for _, id := range b.dropped {
-		if id == 21 {
-			foundDrop = true
-		}
-	}
-	if !foundDrop {
-		t.Fatalf("speculative sibling 21 never released (dropped %v)", b.dropped)
-	}
-	if n := b.totalOutstanding(); n != 0 {
-		t.Fatalf("%d announces leaked at close", n)
-	}
-}
-
-// TestServeDeepWindowDecline: announce-set lines the backend declines
-// (window full) are forgotten, the declined reads still serve as plain
-// demand fetches, and nothing leaks or double-claims.
-func TestServeDeepWindowDecline(t *testing.T) {
-	b := newDeepMemBackend()
-	b.accept = 1 // window of one: every multi-line set is truncated
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true, PrefetchDepth: 4})
-	futs, err := s.SubmitBatch(0, []Req{{Op: OpRead, ID: 30}, {Op: OpRead, ID: 31}, {Op: OpRead, ID: 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.announced) != 1 || b.announced[0] != 30 {
-		t.Fatalf("announced %v, want only the accepted prefix [30]", b.announced)
-	}
-	if b.claimed != 1 || b.totalOutstanding() != 0 {
-		t.Fatalf("claim accounting wrong: claimed %d, outstanding %d", b.claimed, b.totalOutstanding())
-	}
-}
-
 // TestCompletionExactlyOnce pins the completion contract: every operation
 // of an accepted submission has its completion run exactly once — through
 // normal completion, a backend error, dedup fan-out, an admission shed and
-// Close's drain, on the serial and on the pipelined worker — and a
-// submission that was refused never runs it.
+// Close's drain — and a submission that was refused never runs it.
 func TestCompletionExactlyOnce(t *testing.T) {
 	const failing = 7
 	failingMem := func() *memBackend {
@@ -1032,8 +590,7 @@ func TestCompletionExactlyOnce(t *testing.T) {
 		cfg     Config
 		shed    bool
 	}{
-		{name: "serial", backend: failingMem(), cfg: Config{PipelineDepth: 1}},
-		{name: "pipelined", backend: &stagedMemBackend{memBackend: failingMem()}, cfg: Config{PipelineDepth: 4}},
+		{name: "serial", backend: failingMem()},
 		{name: "shedding", backend: failingMem(), cfg: Config{AdmissionDeadline: 1}, shed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -36,32 +36,22 @@ type SealedBlock struct {
 }
 
 // ExportBlocks snapshots every sealed block currently stored — migration
-// phase 1, taken while the shard keeps serving. Under the pipeline it runs
-// as an I/O-queue barrier, so the snapshot is consistent with every write
-// queued before the call; pair it with StartTee in the same Sync closure
-// and the snapshot plus the tee cover the write stream exactly once.
+// phase 1, taken while the shard keeps serving. No write is ever left
+// undelivered between operations (WriteMany delivers its last vector
+// before it returns), so the snapshot holds every write served before the
+// call; pair it with StartTee in the same Sync closure and the snapshot
+// plus the tee cover the write stream exactly once. The stored blocks are
+// collected by probing every local id (backends expose no iterator;
+// capacities are small enough that a linear probe is cheap), and
+// ciphertexts are copied so the snapshot stays valid while the shard keeps
+// writing.
 func (s *Shard) ExportBlocks() ([]SealedBlock, error) {
-	if s.closed {
-		return nil, fmt.Errorf("shard: shard %d is closed", s.index)
+	if err := s.unusable(); err != nil {
+		return nil, err
 	}
-	if s.ioErr != nil {
-		return nil, s.ioErr
-	}
-	if s.ioq != nil {
-		res := s.ioRound(ioReq{kind: ioSnapshot})
-		return res.snap, res.err
-	}
-	return s.snapshotBlocks(s.be.Get), nil
-}
-
-// snapshotBlocks collects the stored blocks by probing every local id
-// (backends expose no iterator; capacities are small enough that a linear
-// probe is cheap). Ciphertexts are copied so the snapshot stays valid
-// while the shard keeps writing.
-func (s *Shard) snapshotBlocks(get func(uint64) (backend.Sealed, bool)) []SealedBlock {
 	var out []SealedBlock
 	for local := uint64(0); local < s.blocks; local++ {
-		if sb, ok := get(local); ok {
+		if sb, ok := s.be.Get(local); ok {
 			out = append(out, SealedBlock{
 				Local: local,
 				Epoch: sb.Epoch,
@@ -69,7 +59,7 @@ func (s *Shard) snapshotBlocks(get func(uint64) (backend.Sealed, bool)) []Sealed
 			})
 		}
 	}
-	return out
+	return out, nil
 }
 
 // StartTee begins duplicating every subsequently sealed write into an
@@ -104,7 +94,7 @@ func (s *Shard) teeWrite(local uint64, ct []byte, epoch uint64) {
 
 // ExportMeta seals and returns the shard's exact controller metadata — the
 // checkpoint blob, handed to the caller instead of the backend. Call it
-// quiesced (inside a Sync closure, which drains the pipeline): the blob
+// quiesced (inside a Sync closure): the blob
 // then describes the precise end of the shard's served history, and
 // RestoreMeta on the receiving side continues that history bit-exactly.
 // Like checkpoint, the blob's sealing epoch is reserved from the shard's
@@ -135,13 +125,10 @@ func (s *Shard) ExportMeta() ([]byte, uint64, error) {
 }
 
 // ImportBlocks loads a migrated shard's sealed payloads into the backend.
-// Pre-serving only: call on a freshly built shard, before EnablePipeline,
-// followed by RestoreMeta (the payloads are meaningless until the engine
-// metadata that indexes them is restored).
+// Pre-serving only: call on a freshly built shard, followed by RestoreMeta
+// (the payloads are meaningless until the engine metadata that indexes
+// them is restored).
 func (s *Shard) ImportBlocks(blocks []SealedBlock) error {
-	if s.ioq != nil {
-		return fmt.Errorf("shard: ImportBlocks must run before EnablePipeline")
-	}
 	for _, b := range blocks {
 		if b.Local >= s.blocks {
 			return fmt.Errorf("shard: imported block %d outside shard %d capacity %d", b.Local, s.index, s.blocks)
@@ -158,9 +145,6 @@ func (s *Shard) ImportBlocks(blocks []SealedBlock) error {
 // ExportMeta blob: engine, sealer counter, and traffic counters, exactly
 // the checkpoint-recovery path with no tail to replay. Pre-serving only.
 func (s *Shard) RestoreMeta(meta []byte, metaEpoch uint64) error {
-	if s.ioq != nil {
-		return fmt.Errorf("shard: RestoreMeta must run before EnablePipeline")
-	}
 	return s.recover(meta, metaEpoch, nil)
 }
 

@@ -25,12 +25,14 @@ func migratePayload(seed, id uint64) []byte {
 // shard — and demands the migrated shard continue the source's exact
 // protocol history: byte-identical reads, element-wise identical leaf
 // traces, and continued counters, against an unmigrated reference shard
-// serving the same operation sequence.
+// serving the same operation sequence with scalar writes. In the vector
+// case the source and the target take every run of consecutive writes as
+// one WriteMany: the tee must still capture each sealed write exactly once.
 func TestMigrateRoundTrip(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		name := "serial"
-		if pipelined {
-			name = "pipelined"
+	for _, vector := range []bool{false, true} {
+		name := "scalar"
+		if vector {
+			name = "vector"
 		}
 		t.Run(name, func(t *testing.T) {
 			const blocks, seed = 1 << 8, 17
@@ -40,33 +42,58 @@ func TestMigrateRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				sh.EnableTrace()
-				if pipelined {
-					sh.EnablePipeline(4)
-				}
 				return sh
 			}
 			ref, src := mk(), mk()
-			both := func(f func(sh *Shard) error) {
+			// run applies n random ops to ref, writes one at a time, and to
+			// sh, whose reads must agree — with each run of consecutive
+			// writes as one vector in the vector case.
+			run := func(sh *Shard, r *rng.Rand, paySeed uint64, n int) {
 				t.Helper()
-				if err := f(ref); err != nil {
-					t.Fatal(err)
+				var locals []uint64
+				var pays [][]byte
+				flush := func() {
+					t.Helper()
+					errs := make([]error, len(locals))
+					sh.WriteMany(locals, pays, errs)
+					for _, err := range errs {
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					locals, pays = nil, nil
 				}
-				if err := f(src); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r := rng.New(99)
-			randOps := func(n int) {
 				for i := 0; i < n; i++ {
 					local := r.Uint64n(blocks)
 					if r.Intn(3) > 0 {
-						pay := migratePayload(seed, local)
-						both(func(sh *Shard) error { return sh.Write(local, pay) })
-					} else {
-						both(func(sh *Shard) error { _, err := sh.Read(local); return err })
+						pay := migratePayload(paySeed, local)
+						if err := ref.Write(local, pay); err != nil {
+							t.Fatal(err)
+						}
+						if vector {
+							locals, pays = append(locals, local), append(pays, pay)
+						} else if err := sh.Write(local, pay); err != nil {
+							t.Fatal(err)
+						}
+						continue
+					}
+					flush()
+					a, err := ref.Read(local)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := sh.Read(local)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(a, b) {
+						t.Fatalf("op %d: read of %d diverges from the reference", i, local)
 					}
 				}
+				flush()
 			}
+			r := rng.New(99)
+			randOps := func(n int) { run(src, r, seed, n) }
 
 			// Prefix history on both shards.
 			randOps(200)
@@ -80,8 +107,6 @@ func TestMigrateRoundTrip(t *testing.T) {
 			randOps(120) // writes here reach the target only via the tee
 
 			// Cutover barrier: capture the tail and the exact engine state.
-			// (Write/Read above are Begin+Wait back to back, so the pipeline
-			// is already drained — as it is inside the cluster node's Sync.)
 			tail := src.StopTee()
 			meta, metaEpoch, err := src.ExportMeta()
 			if err != nil {
@@ -109,9 +134,6 @@ func TestMigrateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst.EnableTrace()
-			if pipelined {
-				dst.EnablePipeline(4)
-			}
 
 			// The counters moved with the metadata.
 			refSnap, dstSnap := ref.Snapshot(), dst.Snapshot()
@@ -122,31 +144,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 
 			// Suffix history: the migrated shard must continue the source's
 			// protocol history bit-exactly.
-			suffix := rng.New(7)
-			for i := 0; i < 150; i++ {
-				local := suffix.Uint64n(blocks)
-				if suffix.Intn(3) > 0 {
-					pay := migratePayload(seed+1, local)
-					if err := ref.Write(local, pay); err != nil {
-						t.Fatal(err)
-					}
-					if err := dst.Write(local, pay); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					a, err := ref.Read(local)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := dst.Read(local)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(a, b) {
-						t.Fatalf("op %d: migrated read of %d diverges", i, local)
-					}
-				}
-			}
+			run(dst, rng.New(7), seed+1, 150)
 
 			// Leaf traces: source prefix + target suffix == reference, element-wise.
 			src.Retire()

@@ -117,14 +117,8 @@ type Counters struct {
 
 	// TreeTopHits counts line movements the engine's tree-top cache
 	// absorbed (traffic against resident top levels that never left the
-	// controller; bytes saved = 64 * TreeTopHits). Since-open, like the
-	// prefetch counters below — observability, not durable protocol state.
+	// controller; bytes saved = 64 * TreeTopHits).
 	TreeTopHits uint64
-
-	// Prefetch planner counters (staged.go): issued backend fetches, how
-	// many a read consumed, and how many were discarded as stale because a
-	// write to the same block landed between issue and use.
-	PrefetchIssued, PrefetchUsed, PrefetchStale uint64
 }
 
 // DefaultCheckpointEvery is how many writes a durable shard absorbs
@@ -143,36 +137,18 @@ type Shard struct {
 	blocks  uint64
 	engine  *oram.Ring
 	sealer  *crypt.Sealer
-	be      backend.Backend
+	be      backend.VectorBackend
 	durable bool
 
-	// Staged-execution state (staged.go). Until EnablePipeline, ioq is nil
-	// and the shard runs the serial executor.
-	ioq      chan ioReq
-	resq     chan ioRes // FIFO access results (Wait order == Begin order)
-	ioDone   chan struct{}
-	vbe      backend.VectorBackend
-	beginSeq uint64
-	waitSeq  uint64
-	ioErr    error // first I/O-stage failure: the shard wedges fail-fast
-
-	// Parallel seal/unseal pool (crypto.go). Until EnableCryptoPool,
-	// cpool is nil and all crypto runs inline on the owner goroutine.
-	cpool *cryptoPool
-
-	// Prefetch planner state (staged.go). Until EnablePrefetch, pfq is nil
-	// and PrefetchRead is a no-op. All fields owner-confined except pfq,
-	// which the I/O goroutine publishes prefetched payloads through.
-	pfq           chan ioRes
-	pfWindow      int
-	pfIssuedQ     []pfIssue           // issue-order FIFO (matches pfq result order)
-	pfParked      map[uint64][]pfSlot // results drained for other locals
-	pfPending     map[uint64]int      // issued-not-yet-consumed count per local
-	pfVer         map[uint64]uint64   // bumped by a write while a prefetch is pending
-	pfOutstanding int
-	pfIssuedN     uint64
-	pfUsedN       uint64
-	pfStaleN      uint64
+	// Vector-write state (WriteMany): the sealed puts staged for the next
+	// PutMany, never non-empty between calls; lenFloor is the last stored-
+	// block count the backend reported (the count only grows), which spares
+	// the checkpoint trigger a flush per write; failed is the first vector
+	// failure, after which the engine is ahead of the backend and the shard
+	// serves nothing.
+	puts     []backend.PutOp
+	lenFloor uint64
+	failed   error
 
 	ckptEvery uint64 // writes between automatic checkpoints (durable only)
 	sinceCkpt uint64
@@ -246,10 +222,9 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 		return nil, err
 	}
 	if engine.Config().DataSlotLines != 1 {
-		// The shard stores one sealed payload per engine PA, so the staged
-		// executor's FetchSet ids coincide with shard-local ids only at
-		// slot width 1. A wider engine here would silently split the read
-		// and write key spaces — refuse loudly instead.
+		// The shard stores one sealed payload per engine PA and checks every
+		// read against the epoch the engine holds for it; a wider engine
+		// keeps one epoch per line group — refuse loudly instead.
 		return nil, fmt.Errorf("shard: engine DataSlotLines must be 1, got %d", engine.Config().DataSlotLines)
 	}
 	if be == nil {
@@ -261,7 +236,7 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 		blocks:    blocks,
 		engine:    engine,
 		sealer:    sealer,
-		be:        be,
+		be:        backend.Vector(be),
 		durable:   be.Durable(),
 		ckptEvery: DefaultCheckpointEvery,
 	}
@@ -325,20 +300,34 @@ func (s *Shard) EnableTrace() { s.trace = &Trace{} }
 // Only safe once the shard is quiesced (service closed or via Sync).
 func (s *Shard) Trace() *Trace { return s.trace }
 
-// Write stores a 64-byte block obliviously under the shard-local id.
+// maxVector caps the sealed puts WriteMany hands the backend in one
+// PutMany: the blockfile engine's longest coalesced slot run, and far under
+// the WAL's 65 536-record batch limit.
+const maxVector = 128
+
+// EnablePipeline does nothing: a shard runs every operation to completion
+// on its caller's goroutine and starts none of its own (DESIGN.md §9).
+//
+// Deprecated: benchmark/layers still calls it; delete with the ROADMAP
+// item 1 benchmark PR.
+func (s *Shard) EnablePipeline(int) {}
+
+// unusable reports why the shard can serve nothing: it is closed, or a
+// vector write failed after the engine had advanced past it.
+func (s *Shard) unusable() error {
+	if s.closed {
+		return fmt.Errorf("palermo: shard %d is closed", s.index)
+	}
+	return s.failed
+}
+
+// checkWrite rejects a write before it touches the sealer or the engine.
 //
 // Errors here surface verbatim through the public Store/ShardedStore API,
 // so they carry the palermo: prefix and name the global (public) block id,
 // never the shard-local one.
-func (s *Shard) Write(local uint64, data []byte) error {
-	if s.ioq != nil {
-		// Staged executor owns the backend: route through it (Begin+Wait
-		// back to back is the depth-1 schedule of the pipeline).
-		a, err := s.BeginWrite(local, data)
-		if err != nil {
-			return err
-		}
-		_, err = a.Wait()
+func (s *Shard) checkWrite(local uint64, data []byte) error {
+	if err := s.unusable(); err != nil {
 		return err
 	}
 	if local >= s.blocks {
@@ -346,6 +335,26 @@ func (s *Shard) Write(local uint64, data []byte) error {
 	}
 	if len(data) != BlockBytes {
 		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockBytes, len(data))
+	}
+	return nil
+}
+
+// applyWrite runs the engine transition of a write sealed under epoch and
+// counts it.
+func (s *Shard) applyWrite(local, epoch uint64) {
+	plan := s.engine.Access(local, true, epoch)
+	s.writes++
+	s.trafficR += uint64(plan.Reads())
+	s.trafficW += uint64(plan.Writes())
+	s.record(local, true, plan.DataLeaf)
+}
+
+// Write stores a 64-byte block obliviously under the shard-local id: seal,
+// one backend Put, the engine transition, the checkpoint trigger. A Put the
+// backend refuses leaves the engine where it was.
+func (s *Shard) Write(local uint64, data []byte) error {
+	if err := s.checkWrite(local, data); err != nil {
+		return err
 	}
 	global := s.Global(local)
 	ct, epoch, err := s.sealer.Seal(global, data)
@@ -356,31 +365,98 @@ func (s *Shard) Write(local uint64, data []byte) error {
 		return fmt.Errorf("palermo: backend write of block %d: %w", global, err)
 	}
 	s.teeWrite(local, ct, epoch)
-	plan := s.engine.Access(local, true, epoch)
-	s.writes++
-	s.trafficR += uint64(plan.Reads())
-	s.trafficW += uint64(plan.Writes())
-	s.record(local, true, plan.DataLeaf)
-	return s.maybeCheckpoint(global)
+	s.applyWrite(local, epoch)
+	return s.maybeCheckpoint(global, nil)
+}
+
+// WriteMany is the vector form of Write: it stores data[i] under locals[i]
+// for every i and reports each write's outcome in errs[i] (three slices of
+// one length). Sealing and the engine transitions run in slice order, so
+// ciphertexts, leaf traces, counters and checkpoint bytes are those of the
+// same writes made one Write at a time; what differs is that the sealed
+// puts reach the backend as PutMany vectors of at most maxVector, which a
+// durable engine frames, coalesces and commits as a unit. No put is left
+// undelivered when WriteMany returns. A vector the backend refuses fails
+// every write in it, and because the engine has already advanced past
+// them the shard serves nothing afterwards (Close reports the cause).
+func (s *Shard) WriteMany(locals []uint64, data [][]byte, errs []error) {
+	first := 0 // errs[first:i+1] are the outcomes of the writes staged in s.puts
+	for i, local := range locals {
+		if errs[i] = s.checkWrite(local, data[i]); errs[i] != nil {
+			continue
+		}
+		global := s.Global(local)
+		ct, epoch, err := s.sealer.Seal(global, data[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		s.puts = append(s.puts, backend.PutOp{Local: local, Sb: backend.Sealed{Ct: ct, Epoch: epoch}})
+		s.applyWrite(local, epoch)
+		errs[i] = s.maybeCheckpoint(global, errs[first:i+1])
+		if len(s.puts) == maxVector {
+			s.flush(errs[first : i+1])
+		}
+		if len(s.puts) == 0 {
+			first = i + 1
+		}
+	}
+	s.flush(errs[first:])
+}
+
+// flush hands the staged puts to the backend as one vector, then to a live
+// migration tee; staged holds their writes' outcomes. A refused vector
+// fails each of those writes and the shard.
+func (s *Shard) flush(staged []error) error {
+	if len(s.puts) == 0 {
+		return nil
+	}
+	err := s.be.PutMany(s.puts)
+	if err != nil {
+		err = fmt.Errorf("palermo: backend write of %d blocks from block %d: %w", len(s.puts), s.Global(s.puts[0].Local), err)
+		s.failed = err
+		for i := range staged {
+			if staged[i] == nil {
+				staged[i] = err
+			}
+		}
+	} else if s.teeOn {
+		for _, p := range s.puts {
+			s.teeWrite(p.Local, p.Sb.Ct, p.Sb.Epoch)
+		}
+	}
+	s.puts = s.puts[:0]
+	return err
 }
 
 // maybeCheckpoint runs the deterministic compaction trigger after a
-// durable write. Compact only once the log tail is also a meaningful
+// durable write; staged is the outcomes of the writes WriteMany has staged
+// (nil from Write). Compact only once the log tail is also a meaningful
 // fraction of the stored blocks: a snapshot rewrites every block, so a
 // pure write-count trigger would cost O(store size) I/O every ckptEvery
 // writes on a populated store. This keeps compaction I/O amortized O(1)
-// per logged write. Under the pipeline, beLen is a queue barrier, so the
-// trigger fires at exactly the same points of the operation stream as the
-// serial executor.
-func (s *Shard) maybeCheckpoint(global uint64) error {
+// per logged write. The stored-block count decides, so the staged puts are
+// delivered before it is read: the trigger fires at the same points of the
+// operation stream, over the same stored set, whether the writes arrive
+// one at a time or as a vector. The count never shrinks, so while the tail
+// is short of a quarter of the last count read there is nothing to ask.
+func (s *Shard) maybeCheckpoint(global uint64, staged []error) error {
 	if s.ckptEvery == 0 || !s.durable {
 		return nil
 	}
 	s.sinceCkpt++
-	if s.sinceCkpt >= s.ckptEvery && s.sinceCkpt*4 >= uint64(s.beLen()) {
-		if err := s.checkpoint(); err != nil {
-			return fmt.Errorf("palermo: checkpoint after block %d: %w", global, err)
-		}
+	if s.sinceCkpt < s.ckptEvery || s.sinceCkpt*4 < s.lenFloor {
+		return nil
+	}
+	if err := s.flush(staged); err != nil {
+		return err
+	}
+	s.lenFloor = uint64(s.be.Len())
+	if s.sinceCkpt*4 < s.lenFloor {
+		return nil
+	}
+	if err := s.checkpoint(); err != nil {
+		return fmt.Errorf("palermo: checkpoint after block %d: %w", global, err)
 	}
 	return nil
 }
@@ -388,12 +464,8 @@ func (s *Shard) maybeCheckpoint(global uint64) error {
 // Read fetches a block obliviously by shard-local id. Unwritten blocks read
 // as zeros after a full-protocol access, exactly like the single Store.
 func (s *Shard) Read(local uint64) ([]byte, error) {
-	if s.ioq != nil {
-		a, err := s.BeginRead(local)
-		if err != nil {
-			return nil, err
-		}
-		return a.Wait()
+	if err := s.unusable(); err != nil {
+		return nil, err
 	}
 	if local >= s.blocks {
 		return nil, fmt.Errorf("palermo: internal: block %d outside shard %d capacity %d", s.Global(local), s.index, s.blocks)
@@ -425,9 +497,8 @@ func (s *Shard) Snapshot() Counters {
 	return Counters{
 		Reads: s.reads, Writes: s.writes,
 		DRAMReads: s.trafficR, DRAMWrites: s.trafficW,
-		StashPeak:      s.engine.StashMax(0),
-		TreeTopHits:    s.topHitsBase + s.engine.TopHits(),
-		PrefetchIssued: s.pfIssuedN, PrefetchUsed: s.pfUsedN, PrefetchStale: s.pfStaleN,
+		StashPeak:   s.engine.StashMax(0),
+		TreeTopHits: s.topHitsBase + s.engine.TopHits(),
 	}
 }
 
@@ -466,14 +537,7 @@ func (s *Shard) checkpoint() error {
 			buf.Len(), crypt.MaxBlobBytes)
 	}
 	ct := s.sealer.Blob(s.metaAddr(), blobEpoch, buf.Bytes())
-	if s.ioq != nil {
-		// Barrier through the I/O stage: every put queued ahead is applied
-		// before the backend snapshots, so the sealed engine state and the
-		// persisted block set describe the same operation-stream point.
-		if res := s.ioRound(ioReq{kind: ioCheckpoint, meta: ct, metaEpoch: blobEpoch}); res.err != nil {
-			return res.err
-		}
-	} else if err := s.be.Checkpoint(ct, blobEpoch); err != nil {
+	if err := s.be.Checkpoint(ct, blobEpoch); err != nil {
 		return err
 	}
 	s.sinceCkpt = 0
@@ -526,11 +590,8 @@ func (s *Shard) recover(meta []byte, metaEpoch uint64, tail []backend.TailOp) er
 			return fmt.Errorf("shard: recovered write to block %d outside shard %d capacity %d",
 				op.Local, s.index, s.blocks)
 		}
-		plan := s.engine.Access(op.Local, true, op.Epoch)
-		s.writes++
+		s.applyWrite(op.Local, op.Epoch) // no trace is armed yet
 		replayed++
-		s.trafficR += uint64(plan.Reads())
-		s.trafficW += uint64(plan.Writes())
 		if op.Epoch > s.sealer.Epoch() {
 			s.sealer.SetEpoch(op.Epoch)
 		}
@@ -549,27 +610,19 @@ func (s *Shard) recover(meta []byte, metaEpoch uint64, tail []backend.TailOp) er
 // counters. Idempotent. Both the checkpoint's and the backend's close
 // errors are surfaced — a wedged backend reports its root-cause error
 // through Close, which must not be masked by the checkpoint's generic
-// closed-guard failure.
+// closed-guard failure. A shard that failed a vector write reports that
+// failure again and writes no checkpoint: its engine is ahead of the
+// backend, and the last checkpoint plus the log tail is the state to
+// recover.
 func (s *Shard) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	ckErr := s.checkpoint()
-	var clErr error
-	if s.ioq != nil {
-		clErr = s.ioRound(ioReq{kind: ioClose}).err
-		<-s.ioDone
-		if s.cpool != nil {
-			// The I/O loop has exited and every access is resolved, so no
-			// job is outstanding: the workers drain and exit.
-			s.cpool.close()
-			s.cpool = nil
-		}
-	} else {
-		clErr = s.be.Close()
+	if s.failed != nil {
+		return errors.Join(s.failed, s.be.Close())
 	}
-	return errors.Join(ckErr, clErr)
+	return errors.Join(s.checkpoint(), s.be.Close())
 }
 
 func (s *Shard) record(local uint64, write bool, leaf uint64) {

@@ -662,8 +662,9 @@ type Stats struct {
 	MaxBatch uint32
 
 	// Version 3 counters: protocol lines the resident tree-top cache
-	// absorbed (bytes saved = 64 * TreeTopHits) and the prefetch planner's
-	// issued/consumed/invalidated fetch accounting.
+	// absorbed (bytes saved = 64 * TreeTopHits), and three counters of a
+	// prefetch planner that no longer exists: servers send them as zero and
+	// clients ignore them; they keep the version-5 byte layout.
 	TreeTopHits    uint64
 	PrefetchIssued uint64
 	PrefetchUsed   uint64

@@ -30,7 +30,7 @@ type MetricsVars struct {
 	// dedup hits, shed counts, and the queue/exec latency split.
 	Service func() ServiceStats
 	// Traffic returns the engine counters (ORAM and DRAM traffic,
-	// tree-top hits, prefetch accounting).
+	// tree-top hits, slot-cache accounting).
 	Traffic func() TrafficReport
 	// QueueDepths returns each shard's instantaneous queue occupancy.
 	QueueDepths func() []int
@@ -92,9 +92,6 @@ func writeMetrics(b *strings.Builder, v MetricsVars) {
 		counter("palermo_dram_reads_total", tr.DRAMReads)
 		counter("palermo_dram_writes_total", tr.DRAMWrites)
 		counter("palermo_treetop_hits_total", tr.TreeTopHits)
-		counter("palermo_prefetch_issued_total", tr.PrefetchIssued)
-		counter("palermo_prefetch_used_total", tr.PrefetchUsed)
-		counter("palermo_prefetch_stale_total", tr.PrefetchStale)
 		counter("palermo_slot_cache_hits_total", tr.SlotCacheHits)
 		counter("palermo_slot_cache_misses_total", tr.SlotCacheMisses)
 		gauge("palermo_stash_peak", float64(tr.StashPeak))

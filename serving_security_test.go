@@ -1,11 +1,9 @@
 package palermo
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"palermo/internal/rng"
@@ -13,16 +11,15 @@ import (
 )
 
 // TestServingLeafUniformityWithCachePrefetch is the live-path counterpart
-// of TestSecurityEndToEnd: with the tree-top cache pinned and the
-// batch-admission prefetch planner on, every shard's exposed leaf stream
-// must remain statistically uniform under a skewed (Zipf) workload — the
-// cache only absorbs traffic above a fixed level boundary and the planner
-// only reorders when fetches are issued, so neither may leave a
-// workload-shaped dent in the path selections.
+// of TestSecurityEndToEnd: with the tree-top cache pinned, every shard's
+// exposed leaf stream must remain statistically uniform under a skewed
+// (Zipf) workload — the cache only absorbs traffic above a fixed level
+// boundary, so it may not leave a workload-shaped dent in the path
+// selections.
 func TestServingLeafUniformityWithCachePrefetch(t *testing.T) {
 	st, err := NewShardedStore(ShardedStoreConfig{
 		Blocks: 1 << 12, Shards: 2, Seed: 11,
-		PipelineDepth: 4, TreeTopLevels: 4, Prefetch: true,
+		TreeTopLevels: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +48,8 @@ func TestServingLeafUniformityWithCachePrefetch(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.TreeTopHits == 0 || tr.PrefetchUsed == 0 {
-		t.Fatalf("features under audit never fired: %d tree-top hits, %d prefetches used",
-			tr.TreeTopHits, tr.PrefetchUsed)
+	if tr.TreeTopHits == 0 {
+		t.Fatal("the tree-top cache under audit never absorbed a line")
 	}
 	if len(traces) != 2 {
 		t.Fatalf("recorded %d shard traces, want 2", len(traces))
@@ -67,75 +63,9 @@ func TestServingLeafUniformityWithCachePrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !leaf.Uniform(0.001) {
-			t.Fatalf("shard %d leaf stream rejected as non-uniform with cache+prefetch on: %v",
+			t.Fatalf("shard %d leaf stream rejected as non-uniform with the tree-top cache pinned: %v",
 				trace.Shard, leaf)
 		}
-	}
-}
-
-// TestShardedStorePrefetchDuplicateReads drives the dedup × prefetch
-// interaction through the real engine under concurrency (run with -race):
-// batches stuffed with duplicate hot ids, whose paths the planner
-// prefetches, must still collapse each distinct id onto one engine access
-// — dedup hits stay high, prefetches are claimed not leaked, and every
-// waiter reads the freshest payload.
-func TestShardedStorePrefetchDuplicateReads(t *testing.T) {
-	st, err := NewShardedStore(ShardedStoreConfig{
-		Blocks: 1 << 10, Shards: 2, Seed: 3,
-		PipelineDepth: 4, TreeTopLevels: 2, Prefetch: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	want := block(0x5A)
-	if err := st.Write(42, want); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r := rng.New(uint64(c + 100))
-			ids := make([]uint64, 0, 16)
-			for i := 0; i < 60; i++ {
-				ids = ids[:0]
-				for j := 0; j < 16; j++ {
-					if j%2 == 0 {
-						ids = append(ids, 42) // hot duplicate in every batch
-					} else {
-						ids = append(ids, r.Uint64n(1<<10))
-					}
-				}
-				got, err := st.ReadBatch(ids)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for k, id := range ids {
-					if id == 42 && !bytes.Equal(got[k], want) {
-						t.Errorf("duplicate hot read %d returned a stale payload", k)
-						return
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	ss := st.Stats()
-	tr := st.Traffic()
-	// Each 16-id batch carries 8 copies of id 42; at least those 7
-	// duplicates per batch must dedup (4 clients × 60 batches × 7).
-	if ss.DedupHits < 4*60*7 {
-		t.Fatalf("dedup hits %d with prefetch on, want >= %d", ss.DedupHits, 4*60*7)
-	}
-	if tr.PrefetchUsed == 0 {
-		t.Fatal("planner never delivered a used prefetch")
-	}
-	if tr.PrefetchIssued < tr.PrefetchUsed+tr.PrefetchStale {
-		t.Fatalf("prefetch accounting leaked: issued %d < used %d + stale %d",
-			tr.PrefetchIssued, tr.PrefetchUsed, tr.PrefetchStale)
 	}
 }
 

@@ -66,52 +66,15 @@ type ShardedStoreConfig struct {
 	// checkpoints; compaction also waits for the log tail to reach a
 	// quarter of the shard's stored blocks — see StoreConfig).
 	CheckpointEvery int
-	// GroupCommit is WAL appends per fsync batch (default 32).
+	// GroupCommit is durable-log appends per fsync batch (default 32; see
+	// StoreConfig.GroupCommit for the crash-loss window).
 	GroupCommit int
-	// PipelineDepth is each shard worker's in-flight access window: at
-	// depth > 1, while request k's backend block vector (and WAL commit) is
-	// in flight on the shard's I/O goroutine, the worker runs request k+1's
-	// engine stage. 1 = run-to-completion workers: no I/O goroutine, every
-	// op finishes on the worker before the next starts (bit-identical leaf
-	// traces and counters at every depth). Default: 1 for memory and wal,
-	// 2 for blockfile, and 2 on any engine when Prefetch or CryptoWorkers
-	// asks for the stage; max MaxPipelineDepth. See StoreConfig.PipelineDepth
-	// for the per-engine reasoning and the durability interaction.
-	PipelineDepth int
 	// TreeTopLevels pins each shard engine's resident tree-top cache to
 	// exactly this many levels (0 = hardware byte-budget default; max
 	// MaxTreeTopLevels). Access-pattern-neutral: per-shard leaf traces,
 	// payloads, and checkpoints are bit-identical at any setting — only
 	// backend/DRAM traffic shrinks. See StoreConfig.TreeTopLevels.
 	TreeTopLevels int
-	// Prefetch turns on the batch-admission prefetch planner: each shard
-	// worker announces an admitted batch's upcoming reads so their sealed-
-	// payload fetches run through the I/O goroutine ahead of the accesses'
-	// engine stages (DESIGN.md §10). Rides the I/O stage: an unset
-	// PipelineDepth resolves to 2 with it on, an explicit 1 leaves it
-	// without effect. Purely a scheduling change: served payloads, leaf
-	// traces, and dedup semantics are identical with it on or off.
-	Prefetch bool
-	// PrefetchDepth extends the planner's horizon to this many predicted
-	// served batches: queued submissions are chunked by the worker's own
-	// coalescing rule and each predicted batch's read set is announced
-	// before the current batch finishes executing (DESIGN.md §14). 0 or 1
-	// keeps the one-batch planner bit-exactly; requires Prefetch,
-	// otherwise it is ignored. Max MaxPrefetchDepth. Default 1.
-	PrefetchDepth int
-	// PosmapPrefetch additionally announces each planned read's
-	// position-map-group siblings — the contiguous data lines its level-1
-	// posmap line covers — so one announce warms the recursive hierarchy's
-	// backend lines (DESIGN.md §14). Speculative lines nobody reads are
-	// dropped after the planning horizon. Access-pattern-neutral like
-	// Prefetch; requires Prefetch, otherwise it is ignored. Default off.
-	PosmapPrefetch bool
-	// CryptoWorkers offloads each shard's seal/unseal AES transforms to a
-	// bounded worker pool hung off its I/O stage (capped at GOMAXPROCS
-	// per shard; 0 = inline; rides the I/O stage like Prefetch, so an
-	// explicit PipelineDepth 1 leaves it without effect). Determinism is
-	// unchanged at every worker count — see StoreConfig.CryptoWorkers.
-	CryptoWorkers int
 	// SlotCacheBytes budgets each shard blockfile backend's slot-level
 	// read cache (per shard, not total). Served bytes are identical at
 	// every budget; see StoreConfig.SlotCacheBytes. Requires Engine
@@ -192,8 +155,10 @@ func (s *ShardedStore) ReadBatch(ids []uint64) ([][]byte, error) {
 }
 
 // WriteBatch stores blocks[i] under ids[i] for every i, submitting each
-// shard's subset as one atomic batch. Ordering between entries targeting
-// the same id follows their position in the call.
+// shard's subset as one atomic batch, which the shard applies in order and
+// hands to its backend in vectors (DESIGN.md §9): the outcome is that of
+// the same writes made one Write at a time. Ordering between entries
+// targeting the same id follows their position in the call.
 func (s *ShardedStore) WriteBatch(ids []uint64, blocks [][]byte) error {
 	_, err := awaitBatch(s, serve.OpWrite, ids, blocks)
 	return err

@@ -3,6 +3,7 @@ package palermo
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -79,8 +80,6 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"Key bad length", ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("not-a-valid-aes-key")}},
 		{"QueueDepth negative", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}},
 		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}},
-		{"PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
-		{"PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
 		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
 		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
 		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
@@ -102,8 +101,6 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"Shards equal Blocks", ShardedStoreConfig{Blocks: 8, Shards: 8}},
 		{"QueueDepth explicit", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}},
 		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
-		{"PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
-		{"PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
 		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
 		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
 	}
@@ -127,11 +124,10 @@ func TestShardedStoreDefaults(t *testing.T) {
 	}
 }
 
-// TestDefaultExecutorPerEngine pins which executor an unset PipelineDepth
-// resolves to: run-to-completion where a backend call cannot block (memory,
-// wal — no I/O goroutine, only the worker, plus the WAL's fsync committer),
-// the staged executor on blockfile, and the stage on any engine that asks
-// for it — by an explicit depth, or by a knob that rides it.
+// TestDefaultExecutorPerEngine pins the one executor: on every engine a
+// store runs one goroutine per shard, its worker (plus, on the WAL, the
+// engine's own fsync committer), and the deprecated Shard.EnablePipeline
+// changes neither that count nor a served byte or an exposed leaf.
 func TestDefaultExecutorPerEngine(t *testing.T) {
 	const shards = 3
 	// Goroutines of earlier tests may still be exiting; wait them out so the
@@ -148,43 +144,46 @@ func TestDefaultExecutorPerEngine(t *testing.T) {
 		}
 		return n
 	}
+	ops := recordNetOps(1<<10, 120)
 	for _, tc := range []struct {
-		name      string
-		cfg       ShardedStoreConfig
-		pipelined bool
-		perShard  int // goroutines per shard
+		engine   string
+		perShard int // goroutines per shard
 	}{
-		{"memory", ShardedStoreConfig{}, false, 1},
-		{"wal", ShardedStoreConfig{Engine: BackendWAL}, false, 2},
-		{"blockfile", ShardedStoreConfig{Engine: BackendBlockfile}, true, 2},
-		{"memory depth 2", ShardedStoreConfig{PipelineDepth: 2}, true, 2},
-		{"memory prefetch", ShardedStoreConfig{Prefetch: true}, true, 2},      // the planner rides the stage
-		{"memory crypto pool", ShardedStoreConfig{CryptoWorkers: 1}, true, 3}, // so does the pool: + 1 worker
-		{"wal depth 1", ShardedStoreConfig{Engine: BackendWAL, PipelineDepth: 1}, false, 1},
+		{BackendMemory, 1},
+		{BackendWAL, 2},
+		{BackendBlockfile, 1},
 	} {
-		cfg := tc.cfg
-		cfg.Blocks, cfg.Shards = 1<<10, shards
-		if cfg.Engine != "" {
-			cfg.Dir = t.TempDir()
-		}
-		before := settled()
-		st, err := NewShardedStore(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if err := st.Write(7, block(7)); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for i, sh := range st.shards {
-			if sh.Pipelined() != tc.pipelined {
-				t.Errorf("%s: shard %d Pipelined() = %v, want %v", tc.name, i, sh.Pipelined(), tc.pipelined)
+		run := func(enable bool) (payloads [][]byte, traces []LeafTrace) {
+			t.Helper()
+			cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: shards, Engine: tc.engine}
+			if tc.engine != BackendMemory {
+				cfg.Dir = t.TempDir()
 			}
+			before := settled()
+			st, err := NewShardedStore(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.engine, err)
+			}
+			st.EnableTraces()
+			if enable {
+				for _, sh := range st.shards {
+					sh.EnablePipeline(4)
+				}
+			}
+			payloads = playNetOps(t, st, ops)
+			if added := settled() - before; added != tc.perShard*shards {
+				t.Errorf("%s (EnablePipeline %v): %d shards run %d goroutines, want %d each", tc.engine, enable, shards, added, tc.perShard)
+			}
+			traces = st.LeafTraces()
+			if err := st.Close(); err != nil {
+				t.Fatalf("%s: %v", tc.engine, err)
+			}
+			return payloads, traces
 		}
-		if added := settled() - before; added != tc.perShard*shards {
-			t.Errorf("%s: %d shards run %d goroutines, want %d each", tc.name, shards, added, tc.perShard)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		wantPayloads, wantTraces := run(false)
+		gotPayloads, gotTraces := run(true)
+		if !reflect.DeepEqual(gotPayloads, wantPayloads) || !reflect.DeepEqual(gotTraces, wantTraces) {
+			t.Errorf("%s: EnablePipeline(4) changed what the store served", tc.engine)
 		}
 	}
 }

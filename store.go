@@ -87,7 +87,7 @@ type StoreConfig struct {
 	// so existing callers and configs keep working. Setting both to
 	// different values is an error.
 	Backend string
-	// Dir is the durable store directory (BackendWAL only). Reopening a
+	// Dir is the durable store directory (durable engines only). Reopening a
 	// populated Dir recovers the persisted state; the directory's manifest
 	// pins Blocks (and shard count) so a mismatched reopen fails loudly.
 	Dir string
@@ -98,26 +98,12 @@ type StoreConfig struct {
 	// quarter of the stored blocks, keeping snapshot I/O amortized O(1)
 	// per write.
 	CheckpointEvery int
-	// GroupCommit is how many WAL appends share one fsync (default 32;
-	// 1 = synchronous durability per write).
+	// GroupCommit is how many durable-log appends share one fsync (default
+	// 32; 1 = synchronous durability per write). A crash loses at most the
+	// un-fsynced tail: up to GroupCommit − 1 records plus one write vector
+	// (a ShardedStore's WriteBatch reaches a shard's log in vectors of up
+	// to 128 records, each appended and committed as a unit).
 	GroupCommit int
-	// PipelineDepth is how many accesses the store's executor keeps in
-	// flight. At depth 1 every access runs to completion before the next
-	// starts: no I/O goroutine exists and no op is handed between
-	// goroutines. At depth > 1 the shard starts an I/O stage, and an
-	// access's backend block vector is in flight on it while the next
-	// access's engine transition runs. The determinism contract (leaf
-	// traces, counters, recovered state) is identical at every depth.
-	// Default: 1 for memory and wal — their backend calls cannot block, so
-	// the hand-off costs more than it overlaps — and 2 for blockfile,
-	// whose stage coalesces queued puts into multi-slot writes, and for
-	// any engine when CryptoWorkers (or a sharded store's Prefetch) asks
-	// for the stage it rides (DESIGN.md §9). With BackendWAL the depth is
-	// also the commit pipeline's: at the default the group commit's fsync
-	// stays on the WAL's committer goroutine (commit depth 2), an explicit
-	// 1 makes it synchronous, and with GroupCommit 1 fsyncs are synchronous
-	// regardless (the per-write durability promise). Max MaxPipelineDepth.
-	PipelineDepth int
 	// TreeTopLevels pins the engine's per-space tree-top cache to exactly
 	// this many resident levels (0 keeps the hardware byte-budget default,
 	// ~6 levels; max MaxTreeTopLevels). Every path access touches the top
@@ -126,15 +112,6 @@ type StoreConfig struct {
 	// setting (DESIGN.md §10) — only the DRAM traffic report shrinks
 	// (TrafficReport.TreeTopHits counts the absorbed lines).
 	TreeTopLevels int
-	// CryptoWorkers offloads seal/unseal AES transforms to a bounded
-	// worker pool hung off the pipelined executor (capped at GOMAXPROCS;
-	// 0 keeps crypto inline on the shard's owner goroutine; requires
-	// PipelineDepth > 1, otherwise it is ignored). Workers run only the
-	// pure ciphertext↔plaintext transforms with owner-assigned epochs —
-	// every engine transition, RNG draw, and counter stays on the owner —
-	// so leaf traces, counters, and checkpoint bytes are bit-identical at
-	// every worker count (DESIGN.md §12).
-	CryptoWorkers int
 	// SlotCacheBytes budgets the blockfile engine's slot-level read cache:
 	// recently read 512-byte sealed slots stay resident (CLOCK eviction)
 	// so repeated tree-top and posmap-group reads skip the pread. Gets are
@@ -145,50 +122,15 @@ type StoreConfig struct {
 	SlotCacheBytes int
 }
 
-// MaxPipelineDepth caps PipelineDepth for both store flavors: beyond a
-// few dozen in-flight accesses the overlap is saturated and only the
-// crash-loss window of a durable backend keeps growing.
-const MaxPipelineDepth = 64
-
 // MaxTreeTopLevels caps TreeTopLevels for both store flavors: 2^24 resident
 // buckets is already far past any engine geometry's depth (the engine
 // clamps to its actual depth), so larger values are configuration typos.
 const MaxTreeTopLevels = 24
 
-// validatePipelineDepth rejects nonsensical depths; 0 means default.
-func validatePipelineDepth(d int) error {
-	if d < 0 || d > MaxPipelineDepth {
-		return fmt.Errorf("palermo: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, d)
-	}
-	return nil
-}
-
 // validateTreeTopLevels rejects nonsensical cache pins; 0 means default.
 func validateTreeTopLevels(k int) error {
 	if k < 0 || k > MaxTreeTopLevels {
 		return fmt.Errorf("palermo: TreeTopLevels must be in [0, %d], got %d", MaxTreeTopLevels, k)
-	}
-	return nil
-}
-
-// validateCryptoWorkers rejects negative pool sizes; 0 means inline.
-// (The pool itself caps the count at GOMAXPROCS.)
-func validateCryptoWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("palermo: CryptoWorkers must be >= 0, got %d", n)
-	}
-	return nil
-}
-
-// MaxPrefetchDepth caps the deep planner's look-ahead for both sharded
-// flavors: beyond a few dozen predicted batches the announce window — not
-// the horizon — is the binding resource, so larger values are typos.
-const MaxPrefetchDepth = 64
-
-// validatePrefetchDepth rejects nonsensical look-aheads; 0 means default.
-func validatePrefetchDepth(d int) error {
-	if d < 0 || d > MaxPrefetchDepth {
-		return fmt.Errorf("palermo: PrefetchDepth must be in [0, %d], got %d", MaxPrefetchDepth, d)
 	}
 	return nil
 }
@@ -252,8 +194,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
 		Engine: cfg.Engine, Backend: cfg.Backend, Dir: cfg.Dir,
 		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
-		PipelineDepth: cfg.PipelineDepth, TreeTopLevels: cfg.TreeTopLevels,
-		CryptoWorkers: cfg.CryptoWorkers, SlotCacheBytes: cfg.SlotCacheBytes,
+		TreeTopLevels: cfg.TreeTopLevels, SlotCacheBytes: cfg.SlotCacheBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -325,9 +266,10 @@ type TrafficReport struct {
 	// the lines actually moved.
 	TreeTopHits uint64
 
-	// Prefetch planner accounting (ShardedStoreConfig.Prefetch): payload
-	// fetches issued at batch admission, how many a read consumed, and how
-	// many a superseding write invalidated before use.
+	// PrefetchIssued, PrefetchUsed and PrefetchStale are always zero.
+	//
+	// Deprecated: the benchmark still reads them; delete with the ROADMAP
+	// item 1 benchmark PR.
 	PrefetchIssued, PrefetchUsed, PrefetchStale uint64
 
 	// Blockfile slot-cache accounting (SlotCacheBytes > 0): slots a

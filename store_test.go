@@ -141,8 +141,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"Backend unknown", StoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
 		{"Backend memory with Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
 		{"Backend wal without Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
-		{"PipelineDepth negative", StoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
-		{"PipelineDepth beyond cap", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
 	}
 	for _, tc := range rejected {
 		_, err := NewStore(tc.cfg)
@@ -165,9 +163,6 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
 		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
 		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
-		{"PipelineDepth serial", StoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
-		{"PipelineDepth max", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
-		{"PipelineDepth durable serial", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewStore(tc.cfg)
