@@ -19,6 +19,7 @@ import (
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/blockfile"
+	"palermo/internal/backend/durable"
 	"palermo/internal/backend/wal"
 	"palermo/internal/serve"
 	"palermo/internal/shard"
@@ -121,7 +122,7 @@ func newHost(cfg ShardedStoreConfig) (*host, error) {
 		return nil, err
 	}
 	if cfg.Dir != "" {
-		if err := wal.EnsureManifest(cfg.Dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: cfg.Blocks, Shards: cfg.Shards, Engine: cfg.Engine}); err != nil {
+		if err := durable.EnsureManifest(cfg.Dir, durable.Manifest{Version: durable.ManifestVersion, Blocks: cfg.Blocks, Shards: cfg.Shards, Engine: cfg.Engine}); err != nil {
 			return nil, fmt.Errorf("palermo: %w", err)
 		}
 	}

@@ -6,14 +6,15 @@
 // of RAM-bound (the WAL backend keeps every sealed block in a map and
 // rewrites all of them per snapshot).
 //
-// On-disk layout (one directory per shard):
+// On-disk layout (one directory per shard; the lock, the log and snapshot
+// framing and every recovery rule of the two metadata files are the
+// durable-log core's, package durable):
 //
 //	blocks.dat  fixed SlotBytes slots; slot i at offset i*SlotBytes:
 //	            magic | reserved | local(8) | epoch(8) | ct[64] |
 //	            crc32(header+payload) | zero padding to the sector
-//	meta.log    magic | seq | crc32(header), then 20-byte records:
-//	            local(8) | epoch(8) | crc32(record)
-//	meta.snap   magic | seq | metaEpoch | metaLen | meta | crc32
+//	meta.log    core log of 20-byte records: local | epoch | crc32
+//	meta.snap   core envelope with no payload section
 //
 // blocks.dat is opened with O_DIRECT where the filesystem supports it
 // (buffered fallback elsewhere — same format, so directories move
@@ -33,9 +34,8 @@
 // epoch fields, while the restored sealer skips past the reservation so
 // no observed IV is ever reused.
 //
-// Recovery on Open replays the metadata log (truncating a torn tail;
-// refusing mid-log corruption, exactly the WAL discipline), then scans
-// every slot header against it. A valid slot whose epoch exceeds both
+// Recovery on Open replays the metadata log, then scans every slot header
+// against it. A valid slot whose epoch exceeds both
 // the checkpoint and its last logged record is an orphan: its pwrite
 // completed but the crash took the buffered log record — the slot
 // itself is the durable evidence, so recovery synthesizes its tail op,
@@ -56,32 +56,23 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"palermo/internal/backend"
+	"palermo/internal/backend/durable"
 	"palermo/internal/crypt"
 )
 
 const (
-	logMagic  = "PBFLOG01"
-	snapMagic = "PBFSNP01"
-
-	headerSize = 8 + 8 + 4 // magic, seq, crc
+	headerSize = durable.HeaderSize
 	recSize    = 8 + 8 + 4 // local, epoch, crc
 
 	dataName = "blocks.dat"
 	logName  = "meta.log"
 	snapName = "meta.snap"
-
-	// DefaultGroupCommit is how many metadata records share one
-	// data+log sync pair (matches the WAL backend's cadence).
-	DefaultGroupCommit = 32
 
 	// reserveChunk is how far ahead of the highest assigned epoch each
 	// reservation record reaches: one reservation fsync covers the next
@@ -98,13 +89,18 @@ const (
 	maxSlots = 1 << 40
 )
 
-// MaxGroupCommit caps the group-commit batch (same bound as the WAL).
-const MaxGroupCommit = 1 << 16
+var format = durable.Format{
+	Engine:  "blockfile",
+	LogName: logName, LogMagic: "PBFLOG01",
+	SnapName: snapName, SnapMagic: "PBFSNP01",
+	RecordSize: recSize,
+}
 
 // Options tunes a blockfile backend.
 type Options struct {
-	// GroupCommit is the number of put records per sync pair (default
-	// DefaultGroupCommit; 1 = synchronous durability for every write).
+	// GroupCommit is the number of put records per data+log sync pair
+	// (default durable.DefaultGroupCommit, the WAL's cadence; 1 =
+	// synchronous durability for every write).
 	GroupCommit int
 	// NoDirect forces buffered I/O even where O_DIRECT is available
 	// (benchmark comparisons; the format is identical).
@@ -115,15 +111,6 @@ type Options struct {
 	// their slots and Checkpoint clears the cache, so served bytes are
 	// identical at every budget. 0 (the default) disables the cache.
 	CacheBytes int
-}
-
-func (o *Options) defaults() {
-	if o.GroupCommit <= 0 {
-		o.GroupCommit = DefaultGroupCommit
-	}
-	if o.GroupCommit > MaxGroupCommit {
-		o.GroupCommit = MaxGroupCommit
-	}
 }
 
 // Backend is a durable paged block-state backend over one directory.
@@ -155,38 +142,62 @@ type Backend struct {
 	closed  bool
 	failErr error
 
-	// Commit-path fsync telemetry (atomics: FsyncStats reads them from
-	// any goroutine while the owner is mid-sync).
-	fsyncN     atomic.Uint64
-	fsyncNanos atomic.Uint64
+	durable.Fsync // commit-path (data+log) fsync telemetry; FsyncStats
 }
 
 // Open creates or recovers the backend rooted at dir. The directory is
 // exclusively locked for the backend's lifetime.
 func Open(dir string, opt Options) (*Backend, error) {
-	opt.defaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("blockfile: %w", err)
-	}
-	lock, err := lockDir(dir)
+	opt.GroupCommit = durable.GroupCommit(opt.GroupCommit)
+	lock, err := format.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	b := &Backend{dir: dir, opt: opt, lockF: lock}
-	fail := func(err error) (*Backend, error) {
-		b.unlock()
-		return nil, err
+	if err := b.load(); err != nil {
+		return nil, b.fail(err) // closes what was opened, releases the lock
 	}
-	if err := b.loadSnapshot(); err != nil {
-		return fail(err)
-	}
-	recs, maxReserve, err := b.recoverLog()
+	b.scratch = alignedBuf(maxRunSlots * SlotBytes)
+	b.cache = newSlotCache(opt.CacheBytes)
+	b.bw = bufio.NewWriterSize(b.logF, b.opt.GroupCommit*recSize+recSize)
+	return b, nil
+}
+
+// load recovers the metadata files, reconciles every slot with them, and
+// leaves the log and the slot file open.
+func (b *Backend) load() error {
+	snap, err := format.LoadSnapshot(b.dir)
 	if err != nil {
-		return fail(err)
+		return err
+	}
+	if snap != nil {
+		if len(snap.Payload) != 0 {
+			return fmt.Errorf("blockfile: %s holds %d bytes past its metadata", b.path(snapName), len(snap.Payload))
+		}
+		b.seq, b.meta, b.metaEpoch = snap.Seq, snap.Meta, snap.MetaEpoch
+	}
+	// Replay the metadata log: write records in order, plus the highest
+	// reservation bound. A torn tail is simply cut (no synthetic
+	// reservation is needed, unlike the WAL: a reservation record is only
+	// acknowledged after its own sync completes, so a torn one never had
+	// dependent slot writes, and torn write records' epochs are covered by
+	// their slots — valid slots replay as orphans, torn slots fall under
+	// the standing reservation).
+	var recs []backend.TailOp
+	var maxReserve uint64
+	b.logF, err = format.Recover(b.dir, b.seq, durable.Replay{Apply: func(rec []byte) {
+		if local, epoch := durable.Fields(rec); local == backend.EpochReserveLocal {
+			maxReserve = max(maxReserve, epoch)
+		} else {
+			recs = append(recs, backend.TailOp{Local: local, Epoch: epoch})
+		}
+	}})
+	if err != nil {
+		return err
 	}
 	orphans, err := b.scanSlots(recs)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	b.tail = mergeByEpoch(recs, orphans)
 	if maxReserve > 0 {
@@ -195,23 +206,12 @@ func Open(dir string, opt Options) (*Backend, error) {
 		// a torn slot carried before recovery zeroed it.
 		b.tail = append(b.tail, backend.TailOp{Local: backend.EpochReserveLocal, Epoch: maxReserve})
 	}
-	b.reserved = maxUint64(maxReserve, b.metaEpoch)
-
-	f, direct, err := openDataFile(b.path(dataName), opt.NoDirect)
+	b.reserved = max(maxReserve, b.metaEpoch)
+	b.dataF, b.direct, err = openDataFile(b.path(dataName), b.opt.NoDirect)
 	if err != nil {
-		return fail(fmt.Errorf("blockfile: %w", err))
+		return fmt.Errorf("blockfile: %w", err)
 	}
-	b.dataF, b.direct = f, direct
-	b.scratch = alignedBuf(maxRunSlots * SlotBytes)
-	b.cache = newSlotCache(opt.CacheBytes)
-	lf, err := os.OpenFile(b.path(logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		f.Close()
-		return fail(fmt.Errorf("blockfile: %w", err))
-	}
-	b.logF = lf
-	b.bw = bufio.NewWriterSize(lf, b.opt.GroupCommit*recSize+recSize)
-	return b, nil
+	return nil
 }
 
 // Direct reports whether the slot file is open with O_DIRECT.
@@ -224,13 +224,6 @@ func (b *Backend) unlock() {
 		b.lockF.Close()
 		b.lockF = nil
 	}
-}
-
-func maxUint64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- presence bitmap ---------------------------------------------------
@@ -262,13 +255,6 @@ func (b *Backend) Durable() bool { return true }
 // Recovered implements backend.Backend.
 func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
 	return b.meta, b.metaEpoch, b.tail
-}
-
-func (b *Backend) closedErr() error {
-	if b.failErr != nil {
-		return b.failErr
-	}
-	return fmt.Errorf("blockfile: backend is closed")
 }
 
 func validatePut(local uint64, sb backend.Sealed) error {
@@ -407,34 +393,12 @@ func (b *Backend) readRunCached(locals []uint64, out []backend.Sealed, ok []bool
 	return true
 }
 
-// Put implements backend.Backend: reserve the epoch if needed, pwrite
-// the slot, append the metadata record, and commit per the group-commit
-// policy.
+// Put implements backend.Backend: a vector of one — reserve the epoch if
+// needed, pwrite the slot, append the metadata record, and commit per the
+// group-commit policy.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
-	if b.closed {
-		return b.closedErr()
-	}
-	if err := validatePut(local, sb); err != nil {
-		return err
-	}
-	if err := b.ensureReserved(sb.Epoch); err != nil {
-		return err
-	}
 	one := [1]backend.PutOp{{Local: local, Sb: sb}}
-	if err := b.writeRun(one[:]); err != nil {
-		return err
-	}
-	if err := b.appendRecord(local, sb.Epoch); err != nil {
-		return err
-	}
-	b.pending++
-	if b.pending >= b.opt.GroupCommit {
-		if err := b.commit(); err != nil {
-			return err
-		}
-	}
-	b.markPresent(local)
-	return nil
+	return b.PutMany(one[:])
 }
 
 // PutMany implements backend.VectorBackend: slots are written as
@@ -445,7 +409,7 @@ func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 // exactly like the WAL.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	if len(ops) == 0 {
 		return nil
@@ -535,21 +499,10 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 	return nil
 }
 
-// frameRec builds one CRC-framed metadata record.
-func frameRec(local, epoch uint64) [recSize]byte {
-	var rec [recSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], local)
-	binary.LittleEndian.PutUint64(rec[8:16], epoch)
-	binary.LittleEndian.PutUint32(rec[16:20], crc32.ChecksumIEEE(rec[:16]))
-	return rec
-}
-
-func recIntact(rec []byte) bool {
-	return crc32.ChecksumIEEE(rec[:recSize-4]) == binary.LittleEndian.Uint32(rec[recSize-4:])
-}
-
+// appendRecord frames and buffers one metadata record.
 func (b *Backend) appendRecord(local, epoch uint64) error {
-	rec := frameRec(local, epoch)
+	var rec [recSize]byte
+	durable.Frame(rec[:], local, epoch, nil)
 	if _, err := b.bw.Write(rec[:]); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
@@ -563,39 +516,21 @@ func (b *Backend) commit() error {
 	if err := b.bw.Flush(); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
-	if err := b.timedSync(b.dataF); err != nil {
+	if err := durable.TimedSync(&b.Fsync, b.dataF); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
-	if err := b.timedSync(b.logF); err != nil {
+	if err := durable.TimedSync(&b.Fsync, b.logF); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
 	b.pending = 0
 	return nil
 }
 
-// timedSync fsyncs f and charges the wait to the backend's commit-path
-// fsync telemetry.
-func (b *Backend) timedSync(f *os.File) error {
-	t0 := time.Now()
-	err := f.Sync()
-	b.fsyncN.Add(1)
-	b.fsyncNanos.Add(uint64(time.Since(t0)))
-	return err
-}
-
-// FsyncStats reports how many commit-path (data+log) fsyncs the backend
-// has issued and the cumulative time spent waiting on them. Checkpoint
-// and recovery fsyncs are rare one-offs and are not counted. Safe to
-// call from any goroutine at any time.
-func (b *Backend) FsyncStats() (count uint64, total time.Duration) {
-	return b.fsyncN.Load(), time.Duration(b.fsyncNanos.Load())
-}
-
 // Flush implements backend.Backend. Failure semantics follow the WAL:
 // any flush or sync failure wedges the backend (the fsync-retry trap).
 func (b *Backend) Flush() error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	return b.commit()
 }
@@ -606,7 +541,7 @@ func (b *Backend) Flush() error {
 // many blocks the store holds.
 func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	// Durably reserve the blob's sealing epoch in the *current* log
 	// before any sealed snapshot byte reaches disk: a crash
@@ -619,12 +554,14 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 		return err
 	}
 	newSeq := b.seq + 1
-	if err := b.writeSnapshot(newSeq, meta, metaEpoch); err != nil {
+	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, nil, b.fail)
+	if err != nil {
 		return err
 	}
-	if err := b.resetLog(newSeq); err != nil {
-		return b.fail(err)
-	}
+	b.logF.Close()
+	b.logF = f
+	b.bw.Reset(f)
+	b.pending = 0
 	b.seq = newSeq
 	b.meta = append([]byte(nil), meta...)
 	b.metaEpoch = metaEpoch
@@ -681,217 +618,6 @@ func (b *Backend) fail(err error) error {
 	}
 	b.unlock()
 	return err
-}
-
-// --- snapshot ----------------------------------------------------------
-
-// writeSnapshot persists the sealed metadata blob atomically (temp +
-// rename + dirsync). No payload bytes: the slots are the payload store.
-func (b *Backend) writeSnapshot(seq uint64, meta []byte, metaEpoch uint64) error {
-	tmp := b.path(snapName + ".tmp")
-	buf := make([]byte, 0, 8+8+8+4+len(meta)+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, metaEpoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	buf = append(buf, meta...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	_, werr := f.Write(buf)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blockfile: snapshot: %w", werr)
-	}
-	if err := os.Rename(tmp, b.path(snapName)); err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	return syncDir(b.dir)
-}
-
-func (b *Backend) loadSnapshot() error {
-	data, err := os.ReadFile(b.path(snapName))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	if len(data) < 8+8+8+4+4 || string(data[:8]) != snapMagic {
-		return fmt.Errorf("blockfile: %s is not a palermo metadata snapshot", b.path(snapName))
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return fmt.Errorf("blockfile: snapshot CRC mismatch (corrupt %s)", b.path(snapName))
-	}
-	b.seq = binary.LittleEndian.Uint64(body[8:16])
-	b.metaEpoch = binary.LittleEndian.Uint64(body[16:24])
-	metaLen := int(binary.LittleEndian.Uint32(body[24:28]))
-	if 28+metaLen != len(body) {
-		return fmt.Errorf("blockfile: snapshot metadata length %d does not match file", metaLen)
-	}
-	if metaLen > 0 {
-		b.meta = append([]byte(nil), body[28:28+metaLen]...)
-	}
-	return nil
-}
-
-// --- log recovery ------------------------------------------------------
-
-// recoverLog replays the metadata log: write records in order, plus the
-// highest reservation bound. A torn tail is truncated (no synthetic
-// reservation is needed, unlike the WAL: a reservation record is only
-// acknowledged after its own sync completes, so a torn one never had
-// dependent slot writes, and torn write records' epochs are covered by
-// their slots — valid slots replay as orphans, torn slots fall under
-// the standing reservation). Mid-log corruption is refused.
-func (b *Backend) recoverLog() (recs []backend.TailOp, maxReserve uint64, err error) {
-	path := b.path(logName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if b.seq > 0 {
-			return nil, 0, fmt.Errorf("blockfile: %s is missing but a checkpoint-%d snapshot exists (log removed externally)", path, b.seq)
-		}
-		return nil, 0, b.resetLogInit()
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("blockfile: %w", err)
-	}
-	if len(data) < headerSize || string(data[:8]) != logMagic ||
-		crc32.ChecksumIEEE(data[:16]) != binary.LittleEndian.Uint32(data[16:20]) {
-		return nil, 0, fmt.Errorf("blockfile: %s has a corrupt header", path)
-	}
-	seq := binary.LittleEndian.Uint64(data[8:16])
-	if seq < b.seq {
-		// Crash between snapshot rename and log reset: every record here
-		// is already folded into the snapshot's metadata. Discard.
-		return nil, 0, b.resetLogInit()
-	}
-	if seq > b.seq {
-		return nil, 0, fmt.Errorf("blockfile: %s is at checkpoint %d but the snapshot is at %d (missing or rolled-back snapshot)",
-			path, seq, b.seq)
-	}
-	off := headerSize
-	for off+recSize <= len(data) {
-		rec := data[off : off+recSize]
-		if !recIntact(rec) {
-			if err := corruptionCheck(data, off, path); err != nil {
-				return nil, 0, err
-			}
-			break
-		}
-		local := binary.LittleEndian.Uint64(rec[0:8])
-		epoch := binary.LittleEndian.Uint64(rec[8:16])
-		if local == backend.EpochReserveLocal {
-			if epoch > maxReserve {
-				maxReserve = epoch
-			}
-		} else {
-			recs = append(recs, backend.TailOp{Local: local, Epoch: epoch})
-		}
-		off += recSize
-	}
-	if off < len(data) {
-		// Torn group-commit tail: truncate to the last intact record.
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, 0, fmt.Errorf("blockfile: %w", err)
-		}
-		werr := f.Truncate(int64(off))
-		if werr == nil {
-			werr = f.Sync()
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return nil, 0, fmt.Errorf("blockfile: %w", werr)
-		}
-	}
-	return recs, maxReserve, nil
-}
-
-// corruptionCheck distinguishes a crash tail from mid-log corruption:
-// fixed-size framing keeps alignment, so any intact record beyond the
-// damage proves acknowledged writes would be dropped by truncation —
-// refuse instead (the WAL's rule).
-func corruptionCheck(data []byte, badOff int, path string) error {
-	for o := badOff + recSize; o+recSize <= len(data); o += recSize {
-		if recIntact(data[o : o+recSize]) {
-			return fmt.Errorf("blockfile: %s is corrupt at offset %d (intact records follow — not a crash tail)", path, badOff)
-		}
-	}
-	return nil
-}
-
-func writeLogHeader(path string, seq uint64) error {
-	var hdr [headerSize]byte
-	copy(hdr[0:8], logMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	_, werr := f.Write(hdr[:])
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(path)
-		return fmt.Errorf("blockfile: %w", werr)
-	}
-	return nil
-}
-
-// resetLogInit writes a fresh empty log during Open (no handle yet).
-func (b *Backend) resetLogInit() error {
-	tmp := b.path(logName + ".tmp")
-	if err := writeLogHeader(tmp, b.seq); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, b.path(logName)); err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	return syncDir(b.dir)
-}
-
-// resetLog atomically replaces the log with an empty one at seq. Any
-// failure is non-recoverable (Checkpoint wedges): the snapshot already
-// carries seq, so appending to an older-seq log would feed writes a
-// later recovery throws away.
-func (b *Backend) resetLog(seq uint64) error {
-	tmp := b.path(logName + ".tmp")
-	if err := writeLogHeader(tmp, seq); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, b.path(logName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	if err := syncDir(b.dir); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(b.path(logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	b.logF.Close()
-	b.logF = f
-	b.bw.Reset(f)
-	b.pending = 0
-	return nil
 }
 
 // --- slot scan ---------------------------------------------------------
@@ -997,17 +723,4 @@ func mergeByEpoch(recs, orphans []backend.TailOp) []backend.TailOp {
 	}
 	out = append(out, recs[i:]...)
 	return append(out, orphans[j:]...)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
-		return fmt.Errorf("blockfile: %w", err)
-	}
-	return nil
 }

@@ -1,0 +1,9 @@
+package durable
+
+// SetSyncDir swaps the directory-sync step for the engine-level tests in
+// package durable_test, and returns the function that restores it.
+func SetSyncDir(f func(dir string) error) (restore func()) {
+	old := syncDir
+	syncDir = f
+	return func() { syncDir = old }
+}

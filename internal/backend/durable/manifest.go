@@ -1,4 +1,4 @@
-package wal
+package durable
 
 import (
 	"encoding/json"
@@ -37,60 +37,46 @@ const manifestName = "manifest.json"
 // each other — the loser falls through to verification and errors out.
 func EnsureManifest(dir string, m Manifest) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return fmt.Errorf("durable: %w", err)
 	}
 	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+	if _, err := os.Lstat(path); os.IsNotExist(err) {
 		buf, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("durable: %w", err)
 		}
 		f, err := os.CreateTemp(dir, manifestName+"-*.tmp")
 		if err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("durable: %w", err)
 		}
-		tmp := f.Name()
-		_, werr := f.Write(append(buf, '\n'))
-		if werr == nil {
-			werr = f.Sync() // contents durable before the name is
+		if err := finish(f, bytesOf(append(buf, '\n'))); err != nil {
+			return fmt.Errorf("durable: %w", err)
 		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
+		err = os.Link(f.Name(), path)
+		os.Remove(f.Name())
+		if err == nil {
+			err = syncDir(dir)
 		}
-		if werr != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("wal: %w", werr)
+		// Losing the creation race is not a failure: the winner's manifest
+		// is verified below like any existing one.
+		if err != nil && !os.IsExist(err) {
+			return fmt.Errorf("durable: %w", err)
 		}
-		linkErr := os.Link(tmp, path)
-		os.Remove(tmp)
-		if linkErr == nil {
-			return syncDir(dir)
-		}
-		if !os.IsExist(linkErr) {
-			return fmt.Errorf("wal: %w", linkErr)
-		}
-		// Lost the creation race: verify against the winner's manifest.
-		if data, err = os.ReadFile(path); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	} else if err != nil {
-		return fmt.Errorf("wal: %w", err)
 	}
-	var got Manifest
-	if err := json.Unmarshal(data, &got); err != nil {
-		return fmt.Errorf("wal: corrupt %s: %w", path, err)
+	got, err := ReadManifest(dir)
+	if err != nil {
+		return err
 	}
 	if got.Version != m.Version {
-		return fmt.Errorf("wal: %s was written by layout version %d, this build reads %d", dir, got.Version, m.Version)
+		return fmt.Errorf("durable: %s was written by layout version %d, this build reads %d", dir, got.Version, m.Version)
 	}
 	if got.Blocks != m.Blocks || got.Shards != m.Shards {
-		return fmt.Errorf("wal: %s holds a %d-block/%d-shard store, config asks for %d/%d",
+		return fmt.Errorf("durable: %s holds a %d-block/%d-shard store, config asks for %d/%d",
 			dir, got.Blocks, got.Shards, m.Blocks, m.Shards)
 	}
-	if normalizeEngine(got.Engine) != normalizeEngine(m.Engine) {
-		return fmt.Errorf("wal: %s holds a %q-engine store, config asks for %q",
-			dir, normalizeEngine(got.Engine), normalizeEngine(m.Engine))
+	if got.Engine != normalizeEngine(m.Engine) {
+		return fmt.Errorf("durable: %s holds a %q-engine store, config asks for %q",
+			dir, got.Engine, normalizeEngine(m.Engine))
 	}
 	return nil
 }
@@ -109,11 +95,11 @@ func normalizeEngine(e string) string {
 func ReadManifest(dir string) (Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return Manifest{}, fmt.Errorf("wal: %w", err)
+		return Manifest{}, fmt.Errorf("durable: %w", err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Manifest{}, fmt.Errorf("wal: corrupt %s: %w", filepath.Join(dir, manifestName), err)
+		return Manifest{}, fmt.Errorf("durable: corrupt %s: %w", filepath.Join(dir, manifestName), err)
 	}
 	m.Engine = normalizeEngine(m.Engine)
 	return m, nil

@@ -3,12 +3,13 @@
 // into an atomically-replaced snapshot file, and replayed on open so a
 // store survives restarts and crashes.
 //
-// On-disk layout (one directory per shard):
+// On-disk layout (one directory per shard; the lock, the log header, the
+// record and snapshot framing and every recovery rule are the durable-log
+// core's, package durable — this package adds what the payloads mean):
 //
-//	snapshot   magic | seq | metaEpoch | metaLen | meta | nBlocks |
-//	           nBlocks × (local, epoch, ct[64]) | crc32(all preceding)
-//	wal.log    magic | seq | crc32(header), then records:
-//	           local(8) | epoch(8) | ct(64) | crc32(record)   = 84 bytes
+//	snapshot   core envelope, payload section = nBlocks |
+//	           nBlocks × (local, epoch, ct[64])
+//	wal.log    core log of 84-byte records: local | epoch | ct[64] | crc32
 //
 // A PutMany vector of more than one block is framed as a record *batch*:
 // a header record (local = batchLocal, epoch = member count) followed by
@@ -20,20 +21,11 @@
 // goroutine (the §9 commit pipeline), overlapping the next accesses'
 // engine work, with Flush/Checkpoint/Close acting as full barriers.
 //
-// Both files are written through temp-file + rename, so each is either the
-// old version or the new one, never a torn mixture. The log's seq ties it
-// to the snapshot it follows: a crash between snapshot rename and log
-// reset leaves an older-seq log whose records are already folded into the
-// snapshot, and recovery discards it instead of double-applying.
-//
-// Recovery on Open loads the snapshot (if any), then replays log records
-// until the first short or CRC-failing record — the torn group-commit
-// tail a crash can leave — and truncates the file there, folding in a
-// durable epoch reservation covering the discarded records. A CRC failure
-// *followed by intact records* is storage corruption rather than a crash
-// tail, and Open refuses it instead of silently dropping the acknowledged
-// writes behind it. What a crash loses is therefore exactly the writes
-// the group-commit policy had not yet fsynced, and nothing else.
+// Recovery on Open loads the snapshot (if any), then replays the log's
+// intact records; when a torn group-commit tail is cut, a durable epoch
+// reservation covering the discarded records is folded in over it. What a
+// crash loses is therefore exactly the writes the group-commit policy had
+// not yet fsynced, and nothing else.
 //
 // The log records only (local id, ciphertext, epoch) in access order —
 // precisely the view the untrusted storage of the paper's §VI threat model
@@ -45,44 +37,40 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"palermo/internal/backend"
+	"palermo/internal/backend/durable"
 	"palermo/internal/crypt"
 )
 
 const (
-	logMagic  = "PALWAL01"
-	snapMagic = "PALSNP01"
-
-	headerSize = 8 + 8 + 4                    // magic, seq, crc
+	headerSize = durable.HeaderSize
 	recordSize = 8 + 8 + crypt.BlockBytes + 4 // local, epoch, ct, crc
 	logName    = "wal.log"
 	snapName   = "snapshot"
 
-	// DefaultGroupCommit is how many appended records share one fsync.
-	DefaultGroupCommit = 32
-
 	// batchLocal is the reserved Local value of a batch header record: the
 	// record's epoch field carries the count of records that follow as one
-	// atomic batch (a whole access's path write, appended by PutMany).
-	// Recovery applies a batch only if every member record is intact; a
-	// batch cut short by a crash is discarded whole, so a torn tail can
-	// never persist half a path write. Like EpochReserveLocal, real block
-	// ids (capped at 2^40) can never collide with it.
+	// atomic batch (a whole access's path write, appended by PutMany). Like
+	// EpochReserveLocal, real block ids (capped at 2^40) can never collide
+	// with it.
 	batchLocal = ^uint64(0) - 1
 )
+
+var format = durable.Format{
+	Engine:  "wal",
+	LogName: logName, LogMagic: "PALWAL01",
+	SnapName: snapName, SnapMagic: "PALSNP01",
+	RecordSize: recordSize,
+}
 
 // Options tunes a WAL backend.
 type Options struct {
 	// GroupCommit is the number of Put records per fsync batch (default
-	// DefaultGroupCommit; 1 = synchronous durability for every write).
+	// durable.DefaultGroupCommit; 1 = synchronous durability for every
+	// write).
 	GroupCommit int
 	// CommitDepth enables the commit pipeline: when > 1 (and GroupCommit
 	// > 1), a filled group-commit batch is flushed to the file by the
@@ -96,21 +84,12 @@ type Options struct {
 	CommitDepth int
 }
 
-// MaxGroupCommit caps the fsync batch (and with it the write buffer and
-// the worst-case crash-loss window).
-const MaxGroupCommit = 1 << 16
-
 // MaxCommitDepth caps the commit pipeline (and with it how many fsync
 // batches a crash can lose beyond the buffered tail).
 const MaxCommitDepth = 64
 
 func (o *Options) defaults() {
-	if o.GroupCommit <= 0 {
-		o.GroupCommit = DefaultGroupCommit
-	}
-	if o.GroupCommit > MaxGroupCommit {
-		o.GroupCommit = MaxGroupCommit
-	}
+	o.GroupCommit = durable.GroupCommit(o.GroupCommit)
 	if o.CommitDepth > MaxCommitDepth {
 		o.CommitDepth = MaxCommitDepth
 	}
@@ -146,10 +125,7 @@ type Backend struct {
 	cmu         sync.Mutex
 	commitErr   error // first asynchronous fsync failure (wedges on next op)
 
-	// Commit-path fsync telemetry (atomics: FsyncStats reads them from
-	// any goroutine while the owner or committer is mid-sync).
-	fsyncN     atomic.Uint64
-	fsyncNanos atomic.Uint64
+	durable.Fsync // commit-path (log) fsync telemetry; FsyncStats
 }
 
 // commitReq is one fsync handed to the committer goroutine. A non-nil
@@ -165,30 +141,15 @@ type commitReq struct {
 // (same or different process) fails instead of corrupting the live log.
 func Open(dir string, opt Options) (*Backend, error) {
 	opt.defaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	lock, err := lockDir(dir)
+	lock, err := format.OpenDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	b := &Backend{dir: dir, opt: opt, lockF: lock, blocks: make(map[uint64]backend.Sealed)}
-	fail := func(err error) (*Backend, error) {
-		b.unlock()
-		return nil, err
+	if err := b.load(); err != nil {
+		return nil, b.fail(err) // releases the lock
 	}
-	if err := b.loadSnapshot(); err != nil {
-		return fail(err)
-	}
-	if err := b.recoverLog(); err != nil {
-		return fail(err)
-	}
-	f, err := os.OpenFile(b.path(logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("wal: %w", err))
-	}
-	b.logF = f
-	b.bw = bufio.NewWriterSize(f, b.opt.GroupCommit*recordSize+recordSize)
+	b.bw = bufio.NewWriterSize(b.logF, b.opt.GroupCommit*recordSize+recordSize)
 	if b.opt.CommitDepth > 1 {
 		b.commitq = make(chan commitReq, b.opt.CommitDepth-1)
 		b.committerWG = make(chan struct{})
@@ -204,7 +165,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 func (b *Backend) committer() {
 	defer close(b.committerWG)
 	for req := range b.commitq {
-		err := b.timedSync(req.f)
+		err := durable.TimedSync(&b.Fsync, req.f)
 		if err != nil {
 			err = fmt.Errorf("wal: pipelined commit: %w", err)
 			b.cmu.Lock()
@@ -217,25 +178,6 @@ func (b *Backend) committer() {
 			req.done <- err
 		}
 	}
-}
-
-// timedSync fsyncs f and charges the wait to the backend's commit-path
-// fsync telemetry.
-func (b *Backend) timedSync(f *os.File) error {
-	t0 := time.Now()
-	err := f.Sync()
-	b.fsyncN.Add(1)
-	b.fsyncNanos.Add(uint64(time.Since(t0)))
-	return err
-}
-
-// FsyncStats reports how many commit-path (log) fsyncs the backend has
-// issued and the cumulative time spent waiting on them — the durability
-// lag an operability surface wants to watch. Checkpoint and recovery
-// fsyncs are rare one-offs and are not counted. Safe to call from any
-// goroutine at any time.
-func (b *Backend) FsyncStats() (count uint64, total time.Duration) {
-	return b.fsyncN.Load(), time.Duration(b.fsyncNanos.Load())
 }
 
 // asyncErr returns the first pipelined-commit failure, if any.
@@ -266,8 +208,6 @@ func (b *Backend) unlock() {
 	}
 }
 
-func (b *Backend) path(name string) string { return filepath.Join(b.dir, name) }
-
 // Get implements backend.Backend.
 func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
 	sb, ok := b.blocks[local]
@@ -285,15 +225,6 @@ func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
 	return b.meta, b.metaEpoch, b.tail
 }
 
-// closedErr is the failure every operation on a closed backend returns:
-// the wedging root cause when there is one, a plain closed error else.
-func (b *Backend) closedErr() error {
-	if b.failErr != nil {
-		return b.failErr
-	}
-	return fmt.Errorf("wal: backend is closed")
-}
-
 // validatePut rejects malformed or reserved-id puts before any byte is
 // framed.
 func validatePut(local uint64, sb backend.Sealed) error {
@@ -307,28 +238,11 @@ func validatePut(local uint64, sb backend.Sealed) error {
 }
 
 // Put implements backend.Backend: append a CRC-framed record and commit
-// (fsync, possibly pipelined) once every GroupCommit records.
+// (fsync, possibly pipelined) once every GroupCommit records — a vector
+// of one, which PutMany frames as a plain record.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
-	if b.closed {
-		return b.closedErr()
-	}
-	if err := validatePut(local, sb); err != nil {
-		return err
-	}
-	if err := b.appendRecord(local, sb.Epoch, sb.Ct); err != nil {
-		return err
-	}
-	b.pending++
-	if b.pending >= b.opt.GroupCommit {
-		if err := b.commit(); err != nil {
-			// Leave the in-memory map untouched: the engine above has not
-			// applied this write either, so live state stays consistent
-			// even though the record may land after a restart.
-			return err
-		}
-	}
-	b.blocks[local] = sb
-	return nil
+	one := [1]backend.PutOp{{Local: local, Sb: sb}}
+	return b.PutMany(one[:])
 }
 
 // GetMany implements backend.VectorBackend with direct map lookups.
@@ -343,19 +257,19 @@ func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
 // one record per block, recovered all-or-nothing — and counts len(ops)
 // records toward the group-commit policy (commit cadence is identical to
 // len(ops) scalar Puts; only the framing and the fsync overlap differ).
-// A single-op vector appends a plain record, byte-identical to Put.
+// A single-op vector appends a plain record.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	if len(ops) == 0 {
 		return nil
 	}
-	if len(ops) > MaxGroupCommit {
+	if len(ops) > durable.MaxGroupCommit {
 		// The batch header's count shares the recovery sanity bound; a
 		// larger vector would be acknowledged now and rejected as mid-log
 		// corruption at the next Open.
-		return fmt.Errorf("wal: vector of %d blocks exceeds the %d-record batch limit", len(ops), MaxGroupCommit)
+		return fmt.Errorf("wal: vector of %d blocks exceeds the %d-record batch limit", len(ops), durable.MaxGroupCommit)
 	}
 	for _, op := range ops {
 		if err := validatePut(op.Local, op.Sb); err != nil {
@@ -363,7 +277,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		}
 	}
 	if len(ops) > 1 {
-		if err := b.appendRecord(batchLocal, uint64(len(ops)), zeroBlock[:]); err != nil {
+		if err := b.appendRecord(batchLocal, uint64(len(ops)), nil); err != nil {
 			return err
 		}
 	}
@@ -375,6 +289,9 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	b.pending += len(ops)
 	if b.pending >= b.opt.GroupCommit {
 		if err := b.commit(); err != nil {
+			// Leave the in-memory map untouched: the engine above has not
+			// applied these writes either, so live state stays consistent
+			// even though the records may land after a restart.
 			return err
 		}
 	}
@@ -383,10 +300,6 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	}
 	return nil
 }
-
-// zeroBlock is the payload of header-only records (batch headers, epoch
-// reservations).
-var zeroBlock [crypt.BlockBytes]byte
 
 // commit completes one group-commit batch: synchronously (Flush) without a
 // pipeline, or by flushing the buffer and handing the fsync to the
@@ -407,20 +320,11 @@ func (b *Backend) commit() error {
 	return nil
 }
 
-// frameRecord builds one CRC-framed log record.
-func frameRecord(local, epoch uint64, ct []byte) [recordSize]byte {
-	var rec [recordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], local)
-	binary.LittleEndian.PutUint64(rec[8:16], epoch)
-	copy(rec[16:16+crypt.BlockBytes], ct)
-	crc := crc32.ChecksumIEEE(rec[:recordSize-4])
-	binary.LittleEndian.PutUint32(rec[recordSize-4:], crc)
-	return rec
-}
-
-// appendRecord frames and buffers one log record.
+// appendRecord frames and buffers one log record. Header-only records
+// (batch headers, epoch reservations) pass a nil ct and carry zeros.
 func (b *Backend) appendRecord(local, epoch uint64, ct []byte) error {
-	rec := frameRecord(local, epoch, ct)
+	var rec [recordSize]byte
+	durable.Frame(rec[:], local, epoch, ct)
 	if _, err := b.bw.Write(rec[:]); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -437,7 +341,7 @@ func (b *Backend) appendRecord(local, epoch uint64, ct []byte) error {
 // diverge (the classic fsync-retry trap).
 func (b *Backend) Flush() error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	if err := b.asyncErr(); err != nil {
 		return b.fail(err)
@@ -455,7 +359,7 @@ func (b *Backend) Flush() error {
 		if err := <-done; err != nil {
 			return b.fail(err)
 		}
-	} else if err := b.timedSync(b.logF); err != nil {
+	} else if err := durable.TimedSync(&b.Fsync, b.logF); err != nil {
 		return b.fail(fmt.Errorf("wal: %w", err))
 	}
 	b.pending = 0
@@ -463,33 +367,33 @@ func (b *Backend) Flush() error {
 }
 
 // Checkpoint implements backend.Backend: write a fresh snapshot of every
-// stored block plus the sealed metadata blob, then reset the log. The
-// snapshot lands first (temp + rename); only then is the log replaced with
-// an empty one carrying the new sequence number.
+// stored block plus the sealed metadata blob, then reset the log
+// (durable.Format.Checkpoint has the ordering and the wedge rule).
 func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	if b.closed {
-		return b.closedErr()
+		return format.ClosedErr(b.failErr)
 	}
 	// Durably reserve the blob's sealing epoch in the *current* log before
 	// any sealed snapshot byte reaches disk: if we crash mid-checkpoint,
 	// recovery folds the reservation in and the restored sealer can never
 	// re-issue this checkpoint's IV for different plaintext.
-	if err := b.appendRecord(backend.EpochReserveLocal, metaEpoch, make([]byte, crypt.BlockBytes)); err != nil {
+	if err := b.appendRecord(backend.EpochReserveLocal, metaEpoch, nil); err != nil {
 		return err
 	}
 	if err := b.Flush(); err != nil {
 		return err
 	}
 	newSeq := b.seq + 1
-	if err := b.writeSnapshot(newSeq, meta, metaEpoch); err != nil {
+	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, b.writeBlocks, b.fail)
+	if err != nil {
 		return err
 	}
-	// The snapshot now carries newSeq. If the log cannot be swapped to
-	// match, the backend must wedge: appending to the old-seq log would
-	// acknowledge writes that a later recovery discards as pre-snapshot.
-	if err := b.resetLog(newSeq); err != nil {
-		return b.fail(err)
-	}
+	// Buffered records are discarded with the old log — the snapshot
+	// written just before already folds them in.
+	b.logF.Close()
+	b.logF = f
+	b.bw.Reset(f)
+	b.pending = 0
 	b.seq = newSeq
 	b.meta = append([]byte(nil), meta...)
 	b.metaEpoch = metaEpoch
@@ -519,111 +423,17 @@ func (b *Backend) Close() error {
 	return err
 }
 
-// writeSnapshot persists the full block set + metadata atomically.
-func (b *Backend) writeSnapshot(seq uint64, meta []byte, metaEpoch uint64) error {
-	tmp := b.path(snapName + ".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+// writeBlocks is the snapshot's payload section: every stored block.
+func (b *Backend) writeBlocks(w *bufio.Writer) {
+	var u [16]byte
+	binary.LittleEndian.PutUint64(u[:8], uint64(len(b.blocks)))
+	w.Write(u[:8])
+	for local, sb := range b.blocks {
+		binary.LittleEndian.PutUint64(u[0:8], local)
+		binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
+		w.Write(u[:])
+		w.Write(sb.Ct)
 	}
-	crc := crc32.NewIEEE()
-	w := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<16)
-
-	put64 := func(v uint64) error {
-		var u [8]byte
-		binary.LittleEndian.PutUint64(u[:], v)
-		_, err := w.Write(u[:])
-		return err
-	}
-	put32 := func(v uint32) error {
-		var u [4]byte
-		binary.LittleEndian.PutUint32(u[:], v)
-		_, err := w.Write(u[:])
-		return err
-	}
-
-	writeErr := func() error {
-		if _, err := w.Write([]byte(snapMagic)); err != nil {
-			return err
-		}
-		if err := put64(seq); err != nil {
-			return err
-		}
-		if err := put64(metaEpoch); err != nil {
-			return err
-		}
-		if err := put32(uint32(len(meta))); err != nil {
-			return err
-		}
-		if _, err := w.Write(meta); err != nil {
-			return err
-		}
-		if err := put64(uint64(len(b.blocks))); err != nil {
-			return err
-		}
-		for local, sb := range b.blocks {
-			if err := put64(local); err != nil {
-				return err
-			}
-			if err := put64(sb.Epoch); err != nil {
-				return err
-			}
-			if _, err := w.Write(sb.Ct); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		// Trailer CRC covers everything written so far; it does not pass
-		// through the hashing writer (w is already flushed).
-		var u [4]byte
-		binary.LittleEndian.PutUint32(u[:], crc.Sum32())
-		if _, err := f.Write(u[:]); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); writeErr == nil {
-		writeErr = cerr
-	}
-	if writeErr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", writeErr)
-	}
-	if err := os.Rename(tmp, b.path(snapName)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return syncDir(b.dir)
-}
-
-// resetLog atomically replaces the log with an empty one at seq, pointing
-// the append handle at the new file. Buffered records are discarded — the
-// snapshot written just before already folds them in. Any failure is
-// non-recoverable for the caller (Checkpoint wedges the backend): the
-// on-disk snapshot already carries seq, so continuing to append to an
-// older-seq log would feed writes a later recovery throws away.
-func (b *Backend) resetLog(seq uint64) error {
-	tmp := b.path(logName + ".tmp")
-	if err := writeLogHeader(tmp, seq); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, b.path(logName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(b.dir); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(b.path(logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	b.logF.Close()
-	b.logF = f
-	b.bw.Reset(f)
-	b.pending = 0
-	return nil
 }
 
 // fail wedges the backend after a non-recoverable mid-operation error:
@@ -643,264 +453,83 @@ func (b *Backend) fail(err error) error {
 	return err
 }
 
-func writeLogHeader(path string, seq uint64) error {
-	var hdr [headerSize]byte
-	copy(hdr[0:8], logMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
-	f, err := os.Create(path)
+// load rebuilds the block map from the snapshot and the log tail, and
+// leaves the log open for appending.
+func (b *Backend) load() error {
+	snap, err := format.LoadSnapshot(b.dir)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
-	_, werr := f.Write(hdr[:])
-	if werr == nil {
-		werr = f.Sync()
+	if snap != nil {
+		b.seq, b.meta, b.metaEpoch = snap.Seq, snap.Meta, snap.MetaEpoch
+		if err := b.loadBlocks(snap.Payload); err != nil {
+			return err
+		}
 	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(path)
-		return fmt.Errorf("wal: %w", werr)
-	}
-	return nil
+	b.logF, err = format.Recover(b.dir, b.seq, durable.Replay{
+		// A batch header's next `epoch` records form one atomic batch (a
+		// whole access's path write): recovery never persists half of one.
+		Group: func(rec []byte) int {
+			local, n := durable.Fields(rec)
+			switch {
+			case local != batchLocal:
+				return 0
+			case n == 0 || n > durable.MaxGroupCommit:
+				return -1
+			}
+			return int(n)
+		},
+		Apply: func(recs []byte) {
+			if local, _ := durable.Fields(recs); local == batchLocal {
+				recs = recs[recordSize:]
+			}
+			for ; len(recs) > 0; recs = recs[recordSize:] {
+				local, epoch := durable.Fields(recs)
+				if local != backend.EpochReserveLocal {
+					ct := append([]byte(nil), recs[16:16+crypt.BlockBytes]...)
+					b.blocks[local] = backend.Sealed{Ct: ct, Epoch: epoch}
+				}
+				b.tail = append(b.tail, backend.TailOp{Local: local, Epoch: epoch})
+			}
+		},
+		// The bytes of a torn tail were nevertheless observed by the
+		// (untrusted) disk, and every appended record consumes exactly one
+		// sealing epoch, so the crashed process consumed at most one epoch
+		// per discarded record past the last recovered one. Surface that
+		// bound as a synthetic reservation, durable in the tail's place, so
+		// the shard's sealer skips the observed-but-lost epochs instead of
+		// re-issuing their IVs.
+		Torn: func(records int) []byte {
+			last := b.metaEpoch
+			for _, op := range b.tail {
+				last = max(last, op.Epoch)
+			}
+			reserve := backend.TailOp{Local: backend.EpochReserveLocal, Epoch: last + uint64(records)}
+			b.tail = append(b.tail, reserve)
+			rec := make([]byte, recordSize)
+			durable.Frame(rec, reserve.Local, reserve.Epoch, nil)
+			return rec
+		},
+	})
+	return err
 }
 
-// loadSnapshot reads and verifies the snapshot file, if present.
-func (b *Backend) loadSnapshot() error {
-	data, err := os.ReadFile(b.path(snapName))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < 8+8+8+4+8+4 || string(data[:8]) != snapMagic {
-		return fmt.Errorf("wal: %s is not a palermo snapshot", b.path(snapName))
-	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return fmt.Errorf("wal: snapshot CRC mismatch (corrupt %s)", b.path(snapName))
-	}
-	off := 8
-	b.seq = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	b.metaEpoch = binary.LittleEndian.Uint64(body[off:])
-	off += 8
-	metaLen := int(binary.LittleEndian.Uint32(body[off:]))
-	off += 4
-	if off+metaLen > len(body) {
-		return fmt.Errorf("wal: snapshot metadata overruns file")
-	}
-	if metaLen > 0 {
-		b.meta = append([]byte(nil), body[off:off+metaLen]...)
-	}
-	off += metaLen
-	if off+8 > len(body) {
+// loadBlocks parses the snapshot's payload section.
+func (b *Backend) loadBlocks(body []byte) error {
+	if len(body) < 8 {
 		return fmt.Errorf("wal: snapshot block count overruns file")
 	}
-	n := binary.LittleEndian.Uint64(body[off:])
-	off += 8
+	n := binary.LittleEndian.Uint64(body)
+	body = body[8:]
 	const blockRec = 8 + 8 + crypt.BlockBytes
 	// Divide instead of multiplying: an absurd n would overflow n*blockRec
 	// and turn this validation into a slice-bounds panic below.
-	if rest := uint64(len(body) - off); rest/blockRec != n || rest%blockRec != 0 {
-		return fmt.Errorf("wal: snapshot holds %d bytes of blocks, expected %d records", len(body)-off, n)
+	if rest := uint64(len(body)); rest/blockRec != n || rest%blockRec != 0 {
+		return fmt.Errorf("wal: snapshot holds %d bytes of blocks, expected %d records", len(body), n)
 	}
-	for i := uint64(0); i < n; i++ {
-		local := binary.LittleEndian.Uint64(body[off:])
-		epoch := binary.LittleEndian.Uint64(body[off+8:])
-		ct := append([]byte(nil), body[off+16:off+16+crypt.BlockBytes]...)
-		b.blocks[local] = backend.Sealed{Ct: ct, Epoch: epoch}
-		off += blockRec
-	}
-	return nil
-}
-
-// recoverLog replays the record tail of the current log, truncating at the
-// first torn or corrupt record, and discards a stale pre-checkpoint log.
-func (b *Backend) recoverLog() error {
-	path := b.path(logName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if b.seq > 0 {
-			// No crash ordering this code produces leaves a snapshot
-			// without a log (resetLog replaces it via rename) — the log
-			// was removed externally, along with any acknowledged
-			// post-checkpoint writes it held. Refuse rather than silently
-			// reinitializing over them.
-			return fmt.Errorf("wal: %s is missing but a checkpoint-%d snapshot exists (log removed externally)", path, b.seq)
-		}
-		return b.resetLogInit()
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if len(data) < headerSize || string(data[:8]) != logMagic ||
-		crc32.ChecksumIEEE(data[:16]) != binary.LittleEndian.Uint32(data[16:20]) {
-		return fmt.Errorf("wal: %s has a corrupt header", path)
-	}
-	seq := binary.LittleEndian.Uint64(data[8:16])
-	if seq < b.seq {
-		// Crash between snapshot rename and log reset: every record in
-		// this log is already folded into the snapshot. Discard it.
-		return b.resetLogInit()
-	}
-	if seq > b.seq {
-		// A log ahead of the snapshot cannot come from any crash ordering
-		// this code produces (the log is reset strictly after the snapshot
-		// rename) — the snapshot is missing or rolled back. Refuse rather
-		// than silently reinitializing over acknowledged writes.
-		return fmt.Errorf("wal: %s is at checkpoint %d but the snapshot is at %d (missing or rolled-back snapshot)",
-			path, seq, b.seq)
-	}
-	off := headerSize
-scan:
-	for off+recordSize <= len(data) {
-		rec := data[off : off+recordSize]
-		if !recordIntact(rec) {
-			// A torn tail ends the log; a bad record *followed by intact
-			// ones* is mid-log corruption of acknowledged writes (records
-			// are fixed-size, so alignment survives). Truncating through
-			// corruption would silently drop the valid records behind it —
-			// fail loudly and leave the file for inspection instead.
-			if err := corruptionCheck(data, off, off+recordSize, path); err != nil {
-				return err
-			}
-			break
-		}
-		local := binary.LittleEndian.Uint64(rec[0:8])
-		epoch := binary.LittleEndian.Uint64(rec[8:16])
-		if local == batchLocal {
-			// Batch header: the next `epoch` records form one atomic batch
-			// (a whole access's path write). Apply it only when every
-			// member is intact; a batch the crash cut short is discarded
-			// whole, so recovery never persists half an access.
-			n := int(epoch)
-			if epoch == 0 || epoch > MaxGroupCommit {
-				if err := corruptionCheck(data, off, off+recordSize, path); err != nil {
-					return err
-				}
-				break
-			}
-			if off+(n+1)*recordSize > len(data) {
-				break // file ends inside the batch: torn at the header
-			}
-			for j := 0; j < n; j++ {
-				mOff := off + (j+1)*recordSize
-				if !recordIntact(data[mOff : mOff+recordSize]) {
-					if err := corruptionCheck(data, mOff, mOff+recordSize, path); err != nil {
-						return err
-					}
-					break scan // torn inside the batch: truncate at the header
-				}
-			}
-			for j := 0; j < n; j++ {
-				m := data[off+(j+1)*recordSize:]
-				mLocal := binary.LittleEndian.Uint64(m[0:8])
-				mEpoch := binary.LittleEndian.Uint64(m[8:16])
-				if mLocal != backend.EpochReserveLocal {
-					ct := append([]byte(nil), m[16:16+crypt.BlockBytes]...)
-					b.blocks[mLocal] = backend.Sealed{Ct: ct, Epoch: mEpoch}
-				}
-				b.tail = append(b.tail, backend.TailOp{Local: mLocal, Epoch: mEpoch})
-			}
-			off += (n + 1) * recordSize
-			continue
-		}
-		if local != backend.EpochReserveLocal {
-			ct := append([]byte(nil), rec[16:16+crypt.BlockBytes]...)
-			b.blocks[local] = backend.Sealed{Ct: ct, Epoch: epoch}
-		}
-		b.tail = append(b.tail, backend.TailOp{Local: local, Epoch: epoch})
-		off += recordSize
-	}
-	if off < len(data) {
-		// Torn group-commit tail: truncate to the last intact record. The
-		// discarded bytes were nevertheless observed by the (untrusted)
-		// disk, and every appended record consumes exactly one sealing
-		// epoch, so the crashed process consumed at most one epoch per
-		// discarded record past the last recovered one. Surface that bound
-		// as a synthetic reservation so the shard's sealer skips the
-		// observed-but-lost epochs instead of re-issuing their IVs.
-		torn := (uint64(len(data)-off) + recordSize - 1) / recordSize
-		last := b.metaEpoch
-		for _, op := range b.tail {
-			if op.Epoch > last {
-				last = op.Epoch
-			}
-		}
-		b.tail = append(b.tail, backend.TailOp{Local: backend.EpochReserveLocal, Epoch: last + torn})
-		// Persist the reservation over the torn bytes BEFORE truncating:
-		// a second crash at any point in this sequence either still sees
-		// the torn bytes (and recomputes the same bound) or sees the
-		// durable reservation — the disk-observed epochs are never
-		// forgotten. Only then is the leftover garbage cut off.
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		rec := frameRecord(backend.EpochReserveLocal, last+torn, make([]byte, crypt.BlockBytes))
-		_, werr := f.WriteAt(rec[:], int64(off))
-		if werr == nil {
-			werr = f.Sync()
-		}
-		if werr == nil {
-			werr = f.Truncate(int64(off + recordSize))
-		}
-		if werr == nil {
-			werr = f.Sync()
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("wal: %w", werr)
-		}
-	}
-	return nil
-}
-
-// recordIntact reports whether one fixed-size record passes its CRC.
-func recordIntact(rec []byte) bool {
-	return crc32.ChecksumIEEE(rec[:recordSize-4]) == binary.LittleEndian.Uint32(rec[recordSize-4:])
-}
-
-// corruptionCheck distinguishes a crash tail from mid-log corruption: a
-// bad record at badOff is a truncatable tail only if no intact record
-// follows scanFrom. Fixed-size framing keeps alignment, so any intact
-// record beyond the damage proves acknowledged writes would be dropped by
-// truncation — refuse instead.
-func corruptionCheck(data []byte, badOff, scanFrom int, path string) error {
-	for o := scanFrom; o+recordSize <= len(data); o += recordSize {
-		if recordIntact(data[o : o+recordSize]) {
-			return fmt.Errorf("wal: %s is corrupt at offset %d (intact records follow — not a crash tail)", path, badOff)
-		}
-	}
-	return nil
-}
-
-// resetLogInit writes a fresh empty log during Open (no handle yet).
-func (b *Backend) resetLogInit() error {
-	tmp := b.path(logName + ".tmp")
-	if err := writeLogHeader(tmp, b.seq); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, b.path(logName)); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return syncDir(b.dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+	for ; len(body) > 0; body = body[blockRec:] {
+		ct := append([]byte(nil), body[16:16+crypt.BlockBytes]...)
+		b.blocks[binary.LittleEndian.Uint64(body)] = backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(body[8:])}
 	}
 	return nil
 }

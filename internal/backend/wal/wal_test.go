@@ -288,27 +288,6 @@ func TestWALDirSingleOwner(t *testing.T) {
 	r.Close()
 }
 
-func TestManifestGuardsConfig(t *testing.T) {
-	dir := t.TempDir()
-	m := Manifest{Version: ManifestVersion, Blocks: 1 << 10, Shards: 4}
-	if err := EnsureManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := EnsureManifest(dir, m); err != nil {
-		t.Fatalf("matching reopen rejected: %v", err)
-	}
-	bad := m
-	bad.Shards = 8
-	if err := EnsureManifest(dir, bad); err == nil {
-		t.Fatal("shard-count mismatch accepted")
-	}
-	bad = m
-	bad.Blocks = 1 << 11
-	if err := EnsureManifest(dir, bad); err == nil {
-		t.Fatal("capacity mismatch accepted")
-	}
-}
-
 // crashWithoutSync simulates the process dying between append and fsync:
 // buffered records reach the OS through the file write (a killed process
 // does not lose the page cache) but no fsync runs, no Close checkpoint is

@@ -16,8 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"palermo/internal/backend/durable"
 )
 
 // Range assigns the contiguous shard interval [From, To) to one node.
@@ -214,40 +215,16 @@ func Load(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// Save writes the manifest atomically (temp file + rename in the target
-// directory), so a crash mid-write never leaves a torn manifest behind.
+// Save replaces the manifest file atomically and durably (the store's one
+// discipline for that, durable.ReplaceFile): a crash mid-write never
+// leaves a torn manifest behind, and a power loss after Save returns
+// cannot undo it.
 func (m *Manifest) Save(path string) error {
 	buf, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	return atomicWrite(path, buf)
-}
-
-// atomicWrite writes data to path via a same-directory temp file + rename.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err := durable.ReplaceFile(path, buf); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"palermo/internal/backend/durable"
 )
 
 // nodeStateName is the per-node durable cluster state file inside a
@@ -46,11 +48,15 @@ func LoadNodeState(dir string) (*NodeState, error) {
 	return &ns, nil
 }
 
-// Save persists the node state atomically into dir.
+// Save persists the node state into dir atomically and durably — it is the
+// §11 migration commit, so the directory entry is fsynced too.
 func (ns *NodeState) Save(dir string) error {
 	buf, err := json.MarshalIndent(ns, "", "  ")
 	if err != nil {
 		return fmt.Errorf("cluster: encode node state: %w", err)
 	}
-	return atomicWrite(filepath.Join(dir, nodeStateName), append(buf, '\n'))
+	if err := durable.ReplaceFile(filepath.Join(dir, nodeStateName), append(buf, '\n')); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return nil
 }

@@ -19,7 +19,7 @@ package palermo
 import (
 	"fmt"
 
-	"palermo/internal/backend/wal"
+	"palermo/internal/backend/durable"
 	"palermo/internal/shard"
 )
 
@@ -167,7 +167,7 @@ func resolveEngine(engine, backendAlias string) (string, error) {
 // reopening an existing store use it so the operator never has to
 // restate the engine the directory was created with.
 func DetectEngine(dir string) string {
-	if m, err := wal.ReadManifest(dir); err == nil {
+	if m, err := durable.ReadManifest(dir); err == nil {
 		return m.Engine
 	}
 	return BackendWAL
