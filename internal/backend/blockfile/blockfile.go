@@ -35,15 +35,15 @@
 // no observed IV is ever reused.
 //
 // Recovery on Open replays the metadata log, then scans every slot header
-// against it. A valid slot whose epoch exceeds both
-// the checkpoint and its last logged record is an orphan: its pwrite
-// completed but the crash took the buffered log record — the slot
-// itself is the durable evidence, so recovery synthesizes its tail op,
-// ordered by epoch (the per-shard sealing counter is a monotone LSN:
-// epoch order is submission order). Torn or stale slots are zeroed —
-// discarded whole, never served half-written — under the covering
-// reservation. Wrong-key reopens are rejected above this layer by the
-// shard's checkpoint decode, as with the WAL.
+// against it. A valid slot whose epoch exceeds both the checkpoint and
+// its last logged record is an orphan: its pwrite completed but the
+// crash took the buffered log record — the slot itself is the durable
+// evidence, so recovery synthesizes its tail op, ordered by epoch (the
+// per-shard sealing counter is a monotone LSN: epoch order is submission
+// order). Torn or stale slots are zeroed — discarded whole, never served
+// half-written — under the covering reservation. Wrong-key reopens are
+// rejected above this layer by the shard's checkpoint decode, as with
+// the WAL.
 //
 // The slot file stores exactly the view the untrusted storage of the
 // paper's §VI threat model already observes — (local id, ciphertext,

@@ -15,8 +15,10 @@ import (
 )
 
 var engines = map[string]func(dir string) (backend.Backend, error){
-	"wal":       func(dir string) (backend.Backend, error) { return wal.Open(dir, wal.Options{GroupCommit: 1}) },
-	"blockfile": func(dir string) (backend.Backend, error) { return blockfile.Open(dir, blockfile.Options{GroupCommit: 1}) },
+	"wal": func(dir string) (backend.Backend, error) { return wal.Open(dir, wal.Options{GroupCommit: 1}) },
+	"blockfile": func(dir string) (backend.Backend, error) {
+		return blockfile.Open(dir, blockfile.Options{GroupCommit: 1})
+	},
 }
 
 func ct(fill byte) []byte { return bytes.Repeat([]byte{fill}, crypt.BlockBytes) }

@@ -101,23 +101,26 @@ func (f *Format) Recover(dir string, snapSeq uint64, r Replay) (*os.File, error)
 	}
 	rs := f.RecordSize
 	off := HeaderSize
-scan:
 	for off+rs <= len(data) {
-		n, bad := 0, off
+		n, bad := 0, -1 // followers in this record's group; offset of a failing record
 		if !intact(data[off : off+rs]) {
-			n = -1
+			bad = off
 		} else if r.Group != nil {
-			n = r.Group(data[off : off+rs])
-		}
-		if n >= 0 && off+(n+1)*rs > len(data) {
-			break // the file ends inside the group: torn at its first record
-		}
-		for j := 1; j <= n && bad == off; j++ {
-			if !intact(data[off+j*rs : off+(j+1)*rs]) {
-				bad = off + j*rs
+			if n = r.Group(data[off : off+rs]); n < 0 {
+				bad = off
 			}
 		}
-		if n < 0 || bad != off {
+		if bad < 0 {
+			if off+(n+1)*rs > len(data) {
+				break // the file ends inside the group: torn at its first record
+			}
+			for j := 1; j <= n && bad < 0; j++ {
+				if !intact(data[off+j*rs : off+(j+1)*rs]) {
+					bad = off + j*rs
+				}
+			}
+		}
+		if bad >= 0 {
 			// A torn tail ends the log; a bad record *followed by intact
 			// ones* is mid-log corruption of acknowledged writes (records
 			// are fixed-size, so alignment survives). Truncating through
@@ -128,7 +131,7 @@ scan:
 					return nil, fmt.Errorf("%s: %s is corrupt at offset %d (intact records follow — not a crash tail)", f.Engine, path, bad)
 				}
 			}
-			break scan
+			break // a group torn inside is cut from its first record
 		}
 		r.Apply(data[off : off+(n+1)*rs])
 		off += (n + 1) * rs
