@@ -51,8 +51,10 @@ type host struct {
 }
 
 // walCommitDepth keeps the WAL's group-commit fsync on its committer
-// goroutine, one batch ahead of the shard worker (wal.Options.CommitDepth;
-// GroupCommit 1 stays synchronous inside wal regardless).
+// goroutine: one batch in the fsync, one queued behind it and one filling
+// the buffer before the shard worker waits — a crash window of three
+// batches (wal.Options.CommitDepth; GroupCommit 1 stays synchronous inside
+// wal regardless).
 const walCommitDepth = 2
 
 // notServed is the host's rejection of an operation naming a shard it does
@@ -143,7 +145,7 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	var err error
 	switch h.cfg.Engine {
 	case BackendWAL:
-		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth})
+		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth, Capacity: h.router.ShardBlocks(s)})
 	case BackendBlockfile:
 		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, CacheBytes: h.cfg.SlotCacheBytes})
 	}

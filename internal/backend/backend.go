@@ -14,17 +14,24 @@
 // secrets — so Checkpoint only ever receives it pre-sealed as an opaque
 // blob.
 //
-// Implementations: memory (the process-private map the store always had —
-// the default) and wal (a CRC-framed append-only log with group-committed
-// fsync and compacted snapshots, surviving restarts and crashes).
+// Implementations: memory (process-private, the default), wal (a
+// CRC-framed append-only log with group-committed fsync and compacted
+// snapshots, mirrored in RAM, surviving restarts and crashes) and blockfile
+// (one slot per block in a file, read back on demand). memory and the WAL's
+// mirror keep their blocks in one container, package slab.
 //
 // A Backend is confined to its shard's worker goroutine, exactly like the
 // ORAM engine above it, so implementations need no internal locking.
 package backend
 
-// Sealed is one sealed block as the untrusted storage sees it. Put takes
-// ownership of Ct and Get returns the stored slice; callers must not
-// mutate either (the sealing layer allocates a fresh ciphertext per seal).
+// Sealed is one sealed block as the untrusted storage sees it.
+//
+// Ownership: Put and PutMany copy Ct before they return, so the caller owns
+// its buffer again and may seal the next block into the same bytes (the
+// shard does). A Sealed that Get or GetMany returns belongs to the backend:
+// its Ct may alias the backend's own storage, must not be written, and is
+// valid only until the next Put of the same id — whoever keeps a block
+// longer than that (a migration snapshot, a tee) copies it.
 type Sealed struct {
 	Ct    []byte
 	Epoch uint64
@@ -110,10 +117,11 @@ func (v loopVector) PutMany(ops []PutOp) error {
 // Backend stores a shard's sealed blocks keyed by shard-local id, plus the
 // shard's sealed metadata checkpoints.
 type Backend interface {
-	// Get returns the sealed block stored under local, if any.
+	// Get returns the sealed block stored under local, if any; the result
+	// is valid until the next Put of local (see Sealed).
 	Get(local uint64) (Sealed, bool)
-	// Put stores a sealed block under local, overwriting any prior value.
-	// Durable implementations append the write to stable storage subject to
+	// Put stores a copy of a sealed block under local, overwriting any
+	// prior value. Durable implementations append the write to stable storage subject to
 	// their group-commit policy; an un-fsynced tail may be lost on crash.
 	Put(local uint64, sb Sealed) error
 	// Len returns the number of distinct ids currently stored.
@@ -128,7 +136,9 @@ type Backend interface {
 	Checkpoint(meta []byte, metaEpoch uint64) error
 	// Recovered returns what opening the backend found: the meta blob of
 	// the last completed Checkpoint (nil if none) and the ordered log tail
-	// written after it (empty after a clean Close).
+	// written after it (empty after a clean Close). It hands them over:
+	// the backend keeps neither, and a second call returns no blob and no
+	// tail. Checkpoint does not retain meta either.
 	Recovered() (meta []byte, metaEpoch uint64, tail []TailOp)
 	// Flush forces buffered writes to stable storage (no-op when not
 	// durable).

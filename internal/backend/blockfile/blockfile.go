@@ -133,9 +133,9 @@ type Backend struct {
 
 	reserved uint64 // highest durably reserved sealing epoch
 
-	meta      []byte
+	meta      []byte // what load found, until Recovered hands it over
 	metaEpoch uint64
-	tail      []backend.TailOp
+	tail      []backend.TailOp // likewise
 	seq       uint64
 
 	pending int
@@ -252,9 +252,12 @@ func (b *Backend) Len() int { return b.count }
 // Durable implements backend.Backend.
 func (b *Backend) Durable() bool { return true }
 
-// Recovered implements backend.Backend.
+// Recovered implements backend.Backend, and hands the blob and the tail
+// over: nothing here reads them again.
 func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
-	return b.meta, b.metaEpoch, b.tail
+	meta, tail := b.meta, b.tail
+	b.meta, b.tail = nil, nil
+	return meta, b.metaEpoch, tail
 }
 
 func validatePut(local uint64, sb backend.Sealed) error {
@@ -563,9 +566,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	b.bw.Reset(f)
 	b.pending = 0
 	b.seq = newSeq
-	b.meta = append([]byte(nil), meta...)
-	b.metaEpoch = metaEpoch
-	b.tail = nil
+	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
 	if b.cache != nil {
 		// Checkpoints change no slot bytes, but they are the natural
 		// epoch boundary for discarding resident state wholesale — the

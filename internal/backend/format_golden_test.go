@@ -2,8 +2,10 @@
 // Put/PutMany/Checkpoint sequence with caller-chosen metadata bytes and an
 // un-checkpointed tail must leave byte-identical files behind, commit after
 // commit. wal.log, meta.log, blocks.dat and meta.snap are compared by
-// sha256; the WAL snapshot writes its blocks in map order, so it is decoded
-// here (independently of the engine's loader) and compared in canonical,
+// sha256; the WAL snapshot wrote its blocks in map order when this was
+// recorded (ascending since the mirror became a slab; wal's
+// TestSnapshotBytesReproducible pins that), so it is decoded here
+// (independently of the engine's loader) and compared in canonical,
 // id-sorted form. Recorded at the commit before the durable-log core was
 // factored out; `go test ./internal/backend -run FormatGolden -update`
 // re-records, and is only legitimate when a disk format changes on purpose.

@@ -1,52 +1,50 @@
-// Package memory is the default block-state backend: the process-private
-// map the store has always used, extracted behind the backend interface.
-// It is byte-identical in behavior to the pre-backend store (the shard
-// determinism and replay tests enforce this) and evaporates on process
-// exit.
+// Package memory is the default block-state backend: sealed blocks held in
+// process memory (one slab, package slab) behind the backend interface. It
+// answers exactly as the map it replaced did (the shard determinism and
+// replay tests enforce this) and evaporates on process exit.
 package memory
 
-import "palermo/internal/backend"
+import (
+	"fmt"
 
-// Backend holds sealed blocks in a Go map.
+	"palermo/internal/backend"
+	"palermo/internal/backend/slab"
+)
+
+// Backend holds sealed blocks in a slab; Get, GetMany and Len are the
+// slab's own.
 type Backend struct {
-	blocks map[uint64]backend.Sealed
+	*slab.Slab
 }
 
-// New creates an empty in-memory backend.
-func New() *Backend {
-	return &Backend{blocks: make(map[uint64]backend.Sealed)}
-}
+// New creates an empty in-memory backend for a caller that does not know
+// its capacity (slab.New(0): ids below paged.DirectKeys).
+func New() *Backend { return NewSized(0) }
 
-// Get implements backend.Backend.
-func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
-	sb, ok := b.blocks[local]
-	return sb, ok
-}
+// NewSized creates an empty in-memory backend for ids in [0, blocks).
+func NewSized(blocks uint64) *Backend { return &Backend{slab.New(blocks)} }
 
 // Put implements backend.Backend.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
-	b.blocks[local] = sb
+	if err := b.Slab.Put(local, sb); err != nil {
+		return fmt.Errorf("memory: %w", err)
+	}
 	return nil
 }
 
-// GetMany implements backend.VectorBackend with direct map lookups.
-func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
-	for i, local := range locals {
-		out[i], ok[i] = b.blocks[local]
-	}
-}
-
-// PutMany implements backend.VectorBackend: the whole vector lands in the
-// map in order (never partially — map stores cannot fail).
+// PutMany implements backend.VectorBackend: the vector lands in order,
+// whole or (on a refused member, checked before any is stored) not at all.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	for _, op := range ops {
-		b.blocks[op.Local] = op.Sb
+		if err := b.Check(op.Local, op.Sb); err != nil {
+			return fmt.Errorf("memory: %w", err)
+		}
+	}
+	for _, op := range ops {
+		b.Slab.Put(op.Local, op.Sb) // checked above
 	}
 	return nil
 }
-
-// Len implements backend.Backend.
-func (b *Backend) Len() int { return len(b.blocks) }
 
 // Durable implements backend.Backend: memory never survives exit.
 func (b *Backend) Durable() bool { return false }
@@ -55,7 +53,7 @@ func (b *Backend) Durable() bool { return false }
 // storage to compact; shards skip metadata encoding when !Durable).
 func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error { return nil }
 
-// Recovered implements backend.Backend: a fresh map never recovers state.
+// Recovered implements backend.Backend: a fresh slab never recovers state.
 func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) { return nil, 0, nil }
 
 // Flush implements backend.Backend as a no-op.

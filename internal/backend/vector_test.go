@@ -1,5 +1,5 @@
 // Cross-backend vector property test: GetMany/PutMany must mean exactly
-// "N scalar Gets/Puts" on every implementation — the memory map, the WAL
+// "N scalar Gets/Puts" on every implementation — the memory slab, the WAL
 // log, the blockfile slot file, and the loop adapter backend.Vector wraps
 // around scalar-only backends. Duplicate and aliasing locals inside one
 // vector are the sharp edge: a run-coalescing implementation (blockfile)
@@ -135,7 +135,7 @@ func TestGetManyDuplicateAliasingConsistency(t *testing.T) {
 	for fi, fl := range flavors {
 		t.Run(fl.name, func(t *testing.T) {
 			vb := fl.open(t)
-			expect := make(map[uint64]backend.Sealed) // model: last-wins
+			expect := make(map[uint64]backend.PutOp) // model: the last put of each local wins
 			for _, p := range puts {
 				if p.vector {
 					if err := vb.PutMany(p.ops); err != nil {
@@ -147,7 +147,7 @@ func TestGetManyDuplicateAliasingConsistency(t *testing.T) {
 					}
 				}
 				for _, op := range p.ops {
-					expect[op.Local] = op.Sb
+					expect[op.Local] = op
 				}
 			}
 			if got, want := vb.Len(), len(expect); got != want {
@@ -162,7 +162,8 @@ func TestGetManyDuplicateAliasingConsistency(t *testing.T) {
 				for i, local := range locals {
 					// Position-wise agreement with the model and with the
 					// scalar path.
-					want, present := expect[local]
+					last, present := expect[local]
+					want := last.Sb
 					if ok[i] != present {
 						t.Fatalf("query %d pos %d (local %d): ok=%v, model present=%v", qi, i, local, ok[i], present)
 					}

@@ -8,7 +8,8 @@
 // core's, package durable — this package adds what the payloads mean):
 //
 //	snapshot   core envelope, payload section = nBlocks |
-//	           nBlocks × (local, epoch, ct[64])
+//	           nBlocks × (local, epoch, ct[64]), ascending by local
+//	           (any order loads: older versions wrote map order)
 //	wal.log    core log of 84-byte records: local | epoch | ct[64] | crc32
 //
 // A PutMany vector of more than one block is framed as a record *batch*:
@@ -42,6 +43,7 @@ import (
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
+	"palermo/internal/backend/slab"
 	"palermo/internal/crypt"
 )
 
@@ -76,12 +78,24 @@ type Options struct {
 	// > 1), a filled group-commit batch is flushed to the file by the
 	// owner goroutine and fsynced on a dedicated committer goroutine, so
 	// the owner overlaps the next accesses' engine work with the previous
-	// batch's fsync. Up to CommitDepth-1 fsyncs may be in flight; a full
-	// pipeline blocks the owner (bounded crash window). 0 or 1 keeps
-	// every fsync synchronous — bit-identical to the pre-pipeline
-	// behavior. GroupCommit == 1 always commits synchronously: it is the
-	// per-write durability promise, which an in-flight fsync would break.
+	// batch's fsync. The owner blocks only when it has a batch to hand
+	// over and the queue (CommitDepth-1 requests behind the one being
+	// synced) is full, so a crash can lose up to CommitDepth+1 batches of
+	// acknowledged writes: the one in the committer's fsync, CommitDepth-1
+	// queued, and the one filling the buffer. A batch is GroupCommit-1
+	// records plus the put that filled it, so scalar Puts leave at most
+	// (CommitDepth+1)×GroupCommit − 1 acknowledged records un-fsynced (95
+	// at a store's depth 2 and the default 32), and every PutMany vector
+	// of v records that closes a batch adds v−1 to that. 0 or 1 keeps
+	// every fsync synchronous (one batch: GroupCommit−1 records plus one
+	// vector) — bit-identical to the pre-pipeline behavior. GroupCommit ==
+	// 1 always commits synchronously: it is the per-write durability
+	// promise, which an in-flight fsync would break.
 	CommitDepth int
+	// Capacity is the shard's block capacity, which sizes the in-memory
+	// mirror's index (slab.New); ids at or beyond it are refused. Zero
+	// means unknown: a direct index, ids below paged.DirectKeys.
+	Capacity uint64
 }
 
 // MaxCommitDepth caps the commit pipeline (and with it how many fsync
@@ -103,12 +117,15 @@ type Backend struct {
 	dir string
 	opt Options
 
-	blocks map[uint64]backend.Sealed
+	blocks *slab.Slab // the RAM mirror of snapshot + log: every stored block
 
-	meta      []byte // sealed metadata blob of the last checkpoint (nil if none)
+	// What load found, until Recovered hands it to the shard: the sealed
+	// metadata blob of the last checkpoint (nil if none) and the log
+	// records after it. metaEpoch and seq stay current across checkpoints.
+	meta      []byte
 	metaEpoch uint64
-	tail      []backend.TailOp // log records recovered after the last checkpoint
-	seq       uint64           // checkpoint sequence the current log follows
+	tail      []backend.TailOp
+	seq       uint64 // checkpoint sequence the current log follows
 
 	logF    *os.File
 	lockF   *os.File // holds the directory's exclusive flock
@@ -122,6 +139,7 @@ type Backend struct {
 	// the next accesses run while the batch reaches stable storage.
 	commitq     chan commitReq
 	committerWG chan struct{}
+	barrier     chan error // Flush's reply channel, reused: one barrier at a time
 	cmu         sync.Mutex
 	commitErr   error // first asynchronous fsync failure (wedges on next op)
 
@@ -145,7 +163,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{dir: dir, opt: opt, lockF: lock, blocks: make(map[uint64]backend.Sealed)}
+	b := &Backend{dir: dir, opt: opt, lockF: lock, blocks: slab.New(opt.Capacity)}
 	if err := b.load(); err != nil {
 		return nil, b.fail(err) // releases the lock
 	}
@@ -153,10 +171,14 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if b.opt.CommitDepth > 1 {
 		b.commitq = make(chan commitReq, b.opt.CommitDepth-1)
 		b.committerWG = make(chan struct{})
+		b.barrier = make(chan error, 1)
 		go b.committer()
 	}
 	return b, nil
 }
+
+// syncLog is the committer's fsync; a variable so a test can stall it.
+var syncLog = durable.TimedSync
 
 // committer is the fsync stage of the commit pipeline: it syncs batches in
 // submission order and records the first failure, which wedges the backend
@@ -165,7 +187,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 func (b *Backend) committer() {
 	defer close(b.committerWG)
 	for req := range b.commitq {
-		err := durable.TimedSync(&b.Fsync, req.f)
+		err := syncLog(&b.Fsync, req.f)
 		if err != nil {
 			err = fmt.Errorf("wal: pipelined commit: %w", err)
 			b.cmu.Lock()
@@ -208,31 +230,38 @@ func (b *Backend) unlock() {
 	}
 }
 
-// Get implements backend.Backend.
-func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
-	sb, ok := b.blocks[local]
-	return sb, ok
+// Get implements backend.Backend; the result aliases the mirror until the
+// next Put of local.
+func (b *Backend) Get(local uint64) (backend.Sealed, bool) { return b.blocks.Get(local) }
+
+// GetMany implements backend.VectorBackend.
+func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
+	b.blocks.GetMany(locals, out, ok)
 }
 
 // Len implements backend.Backend.
-func (b *Backend) Len() int { return len(b.blocks) }
+func (b *Backend) Len() int { return b.blocks.Len() }
 
 // Durable implements backend.Backend.
 func (b *Backend) Durable() bool { return true }
 
-// Recovered implements backend.Backend.
+// Recovered implements backend.Backend, and hands the blob and the tail
+// over: the shard folds them in once, and a backend that kept them would
+// hold a checkpoint's worth of dead bytes for its lifetime.
 func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
-	return b.meta, b.metaEpoch, b.tail
+	meta, tail := b.meta, b.tail
+	b.meta, b.tail = nil, nil
+	return meta, b.metaEpoch, tail
 }
 
-// validatePut rejects malformed or reserved-id puts before any byte is
-// framed.
-func validatePut(local uint64, sb backend.Sealed) error {
-	if len(sb.Ct) != crypt.BlockBytes {
-		return fmt.Errorf("wal: ciphertext must be %d bytes, got %d", crypt.BlockBytes, len(sb.Ct))
-	}
+// validatePut rejects malformed, reserved-id or out-of-capacity puts
+// before any byte is framed.
+func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 	if local == backend.EpochReserveLocal || local == batchLocal {
 		return fmt.Errorf("wal: block id %d is reserved", local)
+	}
+	if err := b.blocks.Check(local, sb); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }
@@ -243,13 +272,6 @@ func validatePut(local uint64, sb backend.Sealed) error {
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 	one := [1]backend.PutOp{{Local: local, Sb: sb}}
 	return b.PutMany(one[:])
-}
-
-// GetMany implements backend.VectorBackend with direct map lookups.
-func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
-	for i, local := range locals {
-		out[i], ok[i] = b.blocks[local]
-	}
 }
 
 // PutMany implements backend.VectorBackend: the whole vector is appended
@@ -272,7 +294,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		return fmt.Errorf("wal: vector of %d blocks exceeds the %d-record batch limit", len(ops), durable.MaxGroupCommit)
 	}
 	for _, op := range ops {
-		if err := validatePut(op.Local, op.Sb); err != nil {
+		if err := b.validatePut(op.Local, op.Sb); err != nil {
 			return err
 		}
 	}
@@ -289,14 +311,14 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	b.pending += len(ops)
 	if b.pending >= b.opt.GroupCommit {
 		if err := b.commit(); err != nil {
-			// Leave the in-memory map untouched: the engine above has not
-			// applied these writes either, so live state stays consistent
-			// even though the records may land after a restart.
+			// Leave the mirror untouched: the engine above has not applied
+			// these writes either, so live state stays consistent even
+			// though the records may land after a restart.
 			return err
 		}
 	}
 	for _, op := range ops {
-		b.blocks[op.Local] = op.Sb
+		b.blocks.Put(op.Local, op.Sb) // validated above
 	}
 	return nil
 }
@@ -304,7 +326,9 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 // commit completes one group-commit batch: synchronously (Flush) without a
 // pipeline, or by flushing the buffer and handing the fsync to the
 // committer goroutine with one. A full pipeline blocks here — bounding how
-// many acknowledged-but-unsynced batches a crash can lose.
+// many acknowledged-but-unsynced batches a crash can lose: one the
+// committer is syncing, CommitDepth−1 queued behind it, and the one
+// filling the buffer (Options.CommitDepth has the count in records).
 func (b *Backend) commit() error {
 	if b.commitq == nil {
 		return b.Flush()
@@ -320,12 +344,24 @@ func (b *Backend) commit() error {
 	return nil
 }
 
-// appendRecord frames and buffers one log record. Header-only records
-// (batch headers, epoch reservations) pass a nil ct and carry zeros.
+// appendRecord frames one log record straight into the write buffer (a
+// record built on the stack escapes through bufio's io.Writer and costs a
+// heap allocation per append). Header-only records (batch headers, epoch
+// reservations) pass a nil ct and carry zeros.
 func (b *Backend) appendRecord(local, epoch uint64, ct []byte) error {
-	var rec [recordSize]byte
-	durable.Frame(rec[:], local, epoch, ct)
-	if _, err := b.bw.Write(rec[:]); err != nil {
+	if b.bw.Available() < recordSize {
+		// What Write does with a record that does not fit: hand the buffer
+		// to the file (no fsync) and start over.
+		if err := b.bw.Flush(); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
+	rec := b.bw.AvailableBuffer()[:recordSize]
+	if ct == nil {
+		clear(rec[16 : 16+crypt.BlockBytes]) // Frame leaves the payload bytes as they are
+	}
+	durable.Frame(rec, local, epoch, ct)
+	if _, err := b.bw.Write(rec); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
@@ -354,9 +390,8 @@ func (b *Backend) Flush() error {
 		// and its outcome received, so when Flush returns, every record the
 		// backend ever acknowledged is on stable storage (or the backend is
 		// wedged).
-		done := make(chan error, 1)
-		b.commitq <- commitReq{f: b.logF, done: done}
-		if err := <-done; err != nil {
+		b.commitq <- commitReq{f: b.logF, done: b.barrier}
+		if err := <-b.barrier; err != nil {
 			return b.fail(err)
 		}
 	} else if err := durable.TimedSync(&b.Fsync, b.logF); err != nil {
@@ -395,9 +430,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	b.bw.Reset(f)
 	b.pending = 0
 	b.seq = newSeq
-	b.meta = append([]byte(nil), meta...)
-	b.metaEpoch = metaEpoch
-	b.tail = nil
+	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
 	return nil
 }
 
@@ -423,17 +456,19 @@ func (b *Backend) Close() error {
 	return err
 }
 
-// writeBlocks is the snapshot's payload section: every stored block.
+// writeBlocks is the snapshot's payload section: every stored block,
+// straight from the mirror in ascending id order, so one stored set always
+// writes the same bytes.
 func (b *Backend) writeBlocks(w *bufio.Writer) {
 	var u [16]byte
-	binary.LittleEndian.PutUint64(u[:8], uint64(len(b.blocks)))
+	binary.LittleEndian.PutUint64(u[:8], uint64(b.blocks.Len()))
 	w.Write(u[:8])
-	for local, sb := range b.blocks {
+	b.blocks.Range(func(local uint64, sb backend.Sealed) {
 		binary.LittleEndian.PutUint64(u[0:8], local)
 		binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
 		w.Write(u[:])
 		w.Write(sb.Ct)
-	}
+	})
 }
 
 // fail wedges the backend after a non-recoverable mid-operation error:
@@ -453,8 +488,8 @@ func (b *Backend) fail(err error) error {
 	return err
 }
 
-// load rebuilds the block map from the snapshot and the log tail, and
-// leaves the log open for appending.
+// load rebuilds the mirror from the snapshot and the log tail, and leaves
+// the log open for appending.
 func (b *Backend) load() error {
 	snap, err := format.LoadSnapshot(b.dir)
 	if err != nil {
@@ -466,6 +501,7 @@ func (b *Backend) load() error {
 			return err
 		}
 	}
+	var applyErr error
 	b.logF, err = format.Recover(b.dir, b.seq, durable.Replay{
 		// A batch header's next `epoch` records form one atomic batch (a
 		// whole access's path write): recovery never persists half of one.
@@ -486,8 +522,12 @@ func (b *Backend) load() error {
 			for ; len(recs) > 0; recs = recs[recordSize:] {
 				local, epoch := durable.Fields(recs)
 				if local != backend.EpochReserveLocal {
-					ct := append([]byte(nil), recs[16:16+crypt.BlockBytes]...)
-					b.blocks[local] = backend.Sealed{Ct: ct, Epoch: epoch}
+					// Copied into the mirror; a record only this directory's
+					// capacity rules out is reported once replay is over.
+					err := b.blocks.Put(local, backend.Sealed{Ct: recs[16 : 16+crypt.BlockBytes], Epoch: epoch})
+					if err != nil && applyErr == nil {
+						applyErr = fmt.Errorf("wal: %s: %w", logName, err)
+					}
 				}
 				b.tail = append(b.tail, backend.TailOp{Local: local, Epoch: epoch})
 			}
@@ -511,6 +551,9 @@ func (b *Backend) load() error {
 			return rec
 		},
 	})
+	if err == nil {
+		err = applyErr // Open's fail closes the log
+	}
 	return err
 }
 
@@ -528,8 +571,10 @@ func (b *Backend) loadBlocks(body []byte) error {
 		return fmt.Errorf("wal: snapshot holds %d bytes of blocks, expected %d records", len(body), n)
 	}
 	for ; len(body) > 0; body = body[blockRec:] {
-		ct := append([]byte(nil), body[16:16+crypt.BlockBytes]...)
-		b.blocks[binary.LittleEndian.Uint64(body)] = backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(body[8:])}
+		sb := backend.Sealed{Ct: body[16 : 16+crypt.BlockBytes], Epoch: binary.LittleEndian.Uint64(body[8:])}
+		if err := b.blocks.Put(binary.LittleEndian.Uint64(body), sb); err != nil {
+			return fmt.Errorf("wal: %s: %w", snapName, err)
+		}
 	}
 	return nil
 }

@@ -46,7 +46,20 @@ func (s *Sealer) Seal(addr uint64, plaintext []byte) (ciphertext []byte, epoch u
 		return nil, 0, fmt.Errorf("crypt: plaintext must be %d bytes, got %d", BlockBytes, len(plaintext))
 	}
 	s.epoch++
-	return s.xcryptBlock(addr, s.epoch, plaintext), s.epoch, nil
+	return s.xcryptBlock(make([]byte, BlockBytes), addr, s.epoch, plaintext), s.epoch, nil
+}
+
+// SealInto is Seal writing the ciphertext into dst (BlockBytes long, not
+// overlapping plaintext) instead of allocating it: for a caller that hands
+// the ciphertext to a store that copies it and can seal the next block
+// into the same bytes.
+func (s *Sealer) SealInto(dst []byte, addr uint64, plaintext []byte) (epoch uint64, err error) {
+	if len(plaintext) != BlockBytes || len(dst) != BlockBytes {
+		return 0, fmt.Errorf("crypt: plaintext and destination must be %d bytes, got %d and %d", BlockBytes, len(plaintext), len(dst))
+	}
+	s.epoch++
+	s.xcryptBlock(dst, addr, s.epoch, plaintext)
+	return s.epoch, nil
 }
 
 // Epoch returns the per-seal counter's current value. The durable store
@@ -94,19 +107,17 @@ func (s *Sealer) Open(addr, epoch uint64, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) != BlockBytes {
 		return nil, fmt.Errorf("crypt: ciphertext must be %d bytes, got %d", BlockBytes, len(ciphertext))
 	}
-	return s.xcryptBlock(addr, epoch, ciphertext), nil
+	return s.xcryptBlock(make([]byte, BlockBytes), addr, epoch, ciphertext), nil
 }
 
 // xcryptBlock is Blob's transform for one BlockBytes payload, byte for
 // byte: the four keystream blocks are the encryptions of the IV
 // incremented as a 128-bit big-endian integer, which is what cipher.NewCTR
 // computes — minus its stream object and 512-byte buffer. Each
-// counter block is written into the output and encrypted in place, so the
-// output is the one allocation (Encrypt is an interface call: a counter on
-// the stack would escape) and it is exactly BlockBytes, which matters to
-// the backends that keep sealed blocks in memory.
-func (s *Sealer) xcryptBlock(addr, epoch uint64, in []byte) []byte {
-	out := make([]byte, BlockBytes)
+// counter block is written into out (BlockBytes long, not overlapping in)
+// and encrypted in place, so the transform allocates nothing of its own
+// (Encrypt is an interface call: a counter on the stack would escape).
+func (s *Sealer) xcryptBlock(out []byte, addr, epoch uint64, in []byte) []byte {
 	// The IV is addr then epoch, little-endian; read back big-endian.
 	hi, lo := bits.ReverseBytes64(addr), bits.ReverseBytes64(epoch)
 	for i := 0; i < BlockBytes; i += aes.BlockSize {

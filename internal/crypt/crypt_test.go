@@ -153,3 +153,40 @@ func TestSealOpenAllocs(t *testing.T) {
 		t.Errorf("Open allocates %.0f times, want 1", n)
 	}
 }
+
+// TestSealIntoMatchesSeal: sealing into caller-owned bytes is Seal — same
+// counter, same ciphertext for the same (addr, epoch) — minus the
+// allocation, and it refuses a destination that is not one block.
+func TestSealIntoMatchesSeal(t *testing.T) {
+	a, _ := NewSealer(key)
+	b, _ := NewSealer(key)
+	dst := make([]byte, BlockBytes)
+	for i := 0; i < 50; i++ {
+		pt := bytes.Repeat([]byte{byte(i)}, BlockBytes)
+		want, wantEpoch, err := a.Seal(uint64(i*7), pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := b.SealInto(dst, uint64(i*7), pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epoch != wantEpoch || !bytes.Equal(dst, want) {
+			t.Fatalf("seal %d: SealInto gave epoch %d, Seal %d; ciphertexts equal: %v", i, epoch, wantEpoch, bytes.Equal(dst, want))
+		}
+	}
+	pt := make([]byte, BlockBytes)
+	before := b.Epoch()
+	if _, err := b.SealInto(make([]byte, BlockBytes-1), 0, pt); err == nil {
+		t.Fatal("short destination must error")
+	}
+	if _, err := b.SealInto(dst, 0, pt[:32]); err == nil {
+		t.Fatal("short plaintext must error")
+	}
+	if b.Epoch() != before {
+		t.Fatal("a refused seal consumed an epoch")
+	}
+	if n := testing.AllocsPerRun(1000, func() { b.SealInto(dst, 3, pt) }); n != 0 {
+		t.Errorf("SealInto allocates %.0f times, want 0", n)
+	}
+}

@@ -1,7 +1,10 @@
 package otree
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"sort"
 	"testing"
 
 	"palermo/internal/paged"
@@ -125,5 +128,52 @@ func TestNewTreeTopLevels(t *testing.T) {
 	tt := NewTreeTopLevels(g, 2)
 	if !tt.Cached(1) || tt.Cached(2) {
 		t.Fatalf("Cached boundary wrong for k=2")
+	}
+}
+
+// TestStateMatchesPerBucketCopies: State carves every bucket's slices out
+// of two arrays; what it returns, and the gob bytes a checkpoint makes of
+// it, must be those of the export that copied each bucket on its own — on
+// a store with empty, reset and occupied buckets — in a handful of
+// allocations whatever the bucket count.
+func TestStateMatchesPerBucketCopies(t *testing.T) {
+	s := NewStore(UniformWide(1<<10, 4, 5, 1, 0, 0), rng.New(7))
+	driveStore(s)
+	var want []BucketState
+	s.index.Range(func(node uint64, ref uint32) {
+		b := s.at(ref)
+		want = append(want, BucketState{
+			Node:     node,
+			Blocks:   append([]BlockEntry(nil), b.Blocks...),
+			Used:     append([]uint64(nil), b.used...),
+			Accessed: b.Accessed,
+		})
+	})
+	sort.Slice(want, func(i, j int) bool { return want[i].Node < want[j].Node })
+	got := s.State()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("State differs from the per-bucket export")
+	}
+	var gb, wb bytes.Buffer
+	if err := gob.NewEncoder(&gb).Encode(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&wb).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+		t.Fatal("gob of State differs from gob of the per-bucket export")
+	}
+	// A carved slice must not reach its neighbour's bytes through append.
+	for i := range got {
+		if b := got[i].Blocks; len(b) > 0 && cap(b) != len(b) {
+			t.Fatalf("bucket %d: Blocks has spare capacity %d into the shared array", got[i].Node, cap(b)-len(b))
+		}
+	}
+	if len(got) < 100 {
+		t.Fatalf("only %d buckets materialized", len(got))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.State() }); allocs > 8 {
+		t.Fatalf("State makes %.0f allocations for %d buckets, want a constant handful", allocs, len(got))
 	}
 }

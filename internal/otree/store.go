@@ -216,20 +216,40 @@ type BucketState struct {
 }
 
 // State exports every materialized bucket, sorted by node id so the
-// checkpoint layout is deterministic. Slices are copied.
+// checkpoint layout is deterministic. Slices are copies, carved out of two
+// arrays sized once (a checkpoint of 2^15 blocks exports ~4.4 k buckets:
+// two allocations instead of two per bucket); an empty one stays nil.
 func (s *Store) State() []BucketState {
+	nBlocks, nUsed := 0, 0
+	s.index.Range(func(_ uint64, ref uint32) {
+		b := s.at(ref)
+		nBlocks += len(b.Blocks)
+		nUsed += len(b.used)
+	})
+	blocks, used := make([]BlockEntry, 0, nBlocks), make([]uint64, 0, nUsed)
 	out := make([]BucketState, 0, s.Materialized())
 	s.index.Range(func(node uint64, ref uint32) {
 		b := s.at(ref)
 		out = append(out, BucketState{
 			Node:     node,
-			Blocks:   append([]BlockEntry(nil), b.Blocks...),
-			Used:     append([]uint64(nil), b.used...),
+			Blocks:   carve(&blocks, b.Blocks),
+			Used:     carve(&used, b.used),
 			Accessed: b.Accessed,
 		})
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
+}
+
+// carve appends a copy of src to arena, which has room for it, and returns
+// the copy capped at its own length; nil for an empty src.
+func carve[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[n:len(*arena):len(*arena)]
 }
 
 // Restore replaces the store's contents with a previously exported State.

@@ -1,9 +1,10 @@
-// Package paged provides the one index structure of the ORAM engine's hot
-// path: a direct-indexed table from small integer keys (tree nodes, block
-// ids) to non-zero uint32 values, whose pages are allocated on first touch.
+// Package paged provides the one index structure of the serving hot path:
+// a direct-indexed table from small integer keys (tree nodes, block ids) to
+// non-zero uint32 values, whose pages are allocated on first touch.
 //
-// It replaces the three Go maps the engine used to consult on every access
-// (bucket store, position map, stash index). A lookup is two dependent
+// It replaces the four Go maps an access used to consult: three in the
+// engine (bucket store, position map, stash index) and the sealed-block
+// store under it (internal/backend/slab). A lookup is two dependent
 // loads and no hashing; memory is one 256-byte page per 64-key run that has
 // ever held a value plus one directory pointer per run below the highest
 // key touched, so a fully used table costs 4 bytes a key where a map costs
@@ -104,8 +105,9 @@ func (t *Table) Len() int {
 	return t.live
 }
 
-// Range calls fn for every key present, in no particular order (a direct
-// table happens to enumerate ascending; callers that need an order sort).
+// Range calls fn for every key present: in ascending key order from a
+// direct table (the sealed-block slab writes snapshots in that order), in
+// no particular order from a sparse one, whose callers sort.
 func (t *Table) Range(fn func(i uint64, v uint32)) {
 	if t.sparse != nil {
 		for k, v := range t.sparse {

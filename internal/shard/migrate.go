@@ -43,8 +43,9 @@ type SealedBlock struct {
 // plus the tee cover the write stream exactly once. The stored blocks are
 // collected by probing every local id (backends expose no iterator;
 // capacities are small enough that a linear probe is cheap), and
-// ciphertexts are copied so the snapshot stays valid while the shard keeps
-// writing.
+// ciphertexts are copied: a Get result is the backend's own bytes, good
+// only until the next Put of that id, and the shard keeps writing while
+// the snapshot streams.
 func (s *Shard) ExportBlocks() ([]SealedBlock, error) {
 	if err := s.unusable(); err != nil {
 		return nil, err
@@ -82,14 +83,13 @@ func (s *Shard) StopTee() []SealedBlock {
 	return buf
 }
 
-// teeWrite records one sealed write while the tee is armed. The ct slice
-// is aliased, not copied: the sealer allocates a fresh ciphertext per seal
-// and no layer mutates it afterwards.
+// teeWrite records one sealed write while the tee is armed. The ciphertext
+// is copied: ct is the shard's staging arena, which the next write reseals.
 func (s *Shard) teeWrite(local uint64, ct []byte, epoch uint64) {
 	if !s.teeOn {
 		return
 	}
-	s.teeBuf = append(s.teeBuf, SealedBlock{Local: local, Epoch: epoch, Ct: ct})
+	s.teeBuf = append(s.teeBuf, SealedBlock{Local: local, Epoch: epoch, Ct: append([]byte(nil), ct...)})
 }
 
 // ExportMeta seals and returns the shard's exact controller metadata — the
@@ -133,8 +133,7 @@ func (s *Shard) ImportBlocks(blocks []SealedBlock) error {
 		if b.Local >= s.blocks {
 			return fmt.Errorf("shard: imported block %d outside shard %d capacity %d", b.Local, s.index, s.blocks)
 		}
-		sb := backend.Sealed{Ct: append([]byte(nil), b.Ct...), Epoch: b.Epoch}
-		if err := s.be.Put(b.Local, sb); err != nil {
+		if err := s.be.Put(b.Local, backend.Sealed{Ct: b.Ct, Epoch: b.Epoch}); err != nil { // Put copies
 			return fmt.Errorf("shard: import of block %d: %w", b.Local, err)
 		}
 	}

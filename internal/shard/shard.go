@@ -127,8 +127,8 @@ const DefaultCheckpointEvery = 4096
 
 // Shard is one oblivious store partition: a private Palermo-variant Ring
 // engine plus a private sealer counter-domain, with sealed payloads stored
-// through a pluggable backend (process-private map by default, durable WAL
-// optionally). Not safe for concurrent use — the service layer confines
+// through a pluggable backend (process-private memory by default, durable
+// WAL optionally). Not safe for concurrent use — the service layer confines
 // each shard to one worker goroutine (the same engine-per-goroutine
 // discipline as the sweep runner).
 type Shard struct {
@@ -141,12 +141,15 @@ type Shard struct {
 	durable bool
 
 	// Vector-write state (WriteMany): the sealed puts staged for the next
-	// PutMany, never non-empty between calls; lenFloor is the last stored-
-	// block count the backend reported (the count only grows), which spares
-	// the checkpoint trigger a flush per write; failed is the first vector
-	// failure, after which the engine is ahead of the backend and the shard
-	// serves nothing.
+	// PutMany, never non-empty between calls; stage holds their ciphertexts
+	// (put i in block i — the backend copies what it stores, so every write
+	// seals into the same arena and allocates no ciphertext); lenFloor is
+	// the last stored-block count the backend reported (the count only
+	// grows), which spares the checkpoint trigger a flush per write; failed
+	// is the first vector failure, after which the engine is ahead of the
+	// backend and the shard serves nothing.
 	puts     []backend.PutOp
+	stage    []byte // maxVector sealed blocks
 	lenFloor uint64
 	failed   error
 
@@ -193,7 +196,7 @@ type shardState struct {
 // per-shard epoch counters can never collide on an (addr, epoch) pair.
 //
 // be supplies sealed-payload storage; nil selects the default in-memory
-// backend (the pre-backend behavior, byte for byte). A durable backend
+// backend, sized to blocks (the pre-backend behavior, byte for byte). A durable backend
 // that recovered a checkpoint and/or a log tail is folded in here: the
 // engine restores the checkpointed metadata exactly, then replays the
 // tail's writes through the full protocol so metadata and payloads
@@ -228,7 +231,7 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 		return nil, fmt.Errorf("shard: engine DataSlotLines must be 1, got %d", engine.Config().DataSlotLines)
 	}
 	if be == nil {
-		be = memory.New()
+		be = memory.NewSized(blocks)
 	}
 	s := &Shard{
 		index:     index,
@@ -238,6 +241,7 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 		sealer:    sealer,
 		be:        backend.Vector(be),
 		durable:   be.Durable(),
+		stage:     make([]byte, maxVector*BlockBytes),
 		ckptEvery: DefaultCheckpointEvery,
 	}
 	meta, metaEpoch, tail := be.Recovered()
@@ -357,7 +361,8 @@ func (s *Shard) Write(local uint64, data []byte) error {
 		return err
 	}
 	global := s.Global(local)
-	ct, epoch, err := s.sealer.Seal(global, data)
+	ct := s.stage[:BlockBytes]
+	epoch, err := s.sealer.SealInto(ct, global, data)
 	if err != nil {
 		return err
 	}
@@ -386,7 +391,8 @@ func (s *Shard) WriteMany(locals []uint64, data [][]byte, errs []error) {
 			continue
 		}
 		global := s.Global(local)
-		ct, epoch, err := s.sealer.Seal(global, data[i])
+		ct := s.stage[len(s.puts)*BlockBytes:][:BlockBytes]
+		epoch, err := s.sealer.SealInto(ct, global, data[i])
 		if err != nil {
 			errs[i] = err
 			continue

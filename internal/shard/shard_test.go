@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"palermo/internal/backend"
 	"palermo/internal/backend/wal"
 	"palermo/internal/rng"
 )
@@ -321,35 +322,51 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 }
 
 // TestShardInlineAllocs guards the run-to-completion op path over the
-// memory backend: a read allocates its plaintext, a write to a stored
-// block its ciphertext, and the engine, the sealer's keystream and the
-// backend nothing.
+// memory backend and over the WAL (ids already stored, no checkpoint inside
+// the run): a read allocates its plaintext; a write seals into the shard's
+// staging arena, is framed into the log's buffer and copied into the
+// backend's slab, and allocates nothing — nor do the engine and the
+// sealer's keystream.
 func TestShardInlineAllocs(t *testing.T) {
-	s, err := New(0, 1, 1<<10, testKey, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{0x5A}, BlockBytes)
-	for id := uint64(0); id < 1<<10; id++ {
-		if err := s.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id := uint64(0)
-	if n := testing.AllocsPerRun(2000, func() {
-		id = (id + 37) % (1 << 10)
-		if _, err := s.Read(id); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 1 {
-		t.Errorf("an inline Shard.Read allocates %.1f times, want 1", n)
-	}
-	if n := testing.AllocsPerRun(2000, func() {
-		id = (id + 37) % (1 << 10)
-		if err := s.Write(id, data); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 1 {
-		t.Errorf("an inline Shard.Write allocates %.1f times, want 1", n)
+	for _, engine := range []string{"memory", "wal"} {
+		t.Run(engine, func(t *testing.T) {
+			var be backend.Backend
+			if engine == "wal" {
+				w, err := wal.Open(t.TempDir(), wal.Options{CommitDepth: 2, Capacity: 1 << 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				be = w
+			}
+			s, err := New(0, 1, 1<<10, testKey, 5, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			s.SetCheckpointEvery(0)
+			data := bytes.Repeat([]byte{0x5A}, BlockBytes)
+			for id := uint64(0); id < 1<<10; id++ {
+				if err := s.Write(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := uint64(0)
+			if n := testing.AllocsPerRun(2000, func() {
+				id = (id + 37) % (1 << 10)
+				if _, err := s.Read(id); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 1 {
+				t.Errorf("an inline Shard.Read allocates %.1f times, want 1", n)
+			}
+			if n := testing.AllocsPerRun(2000, func() {
+				id = (id + 37) % (1 << 10)
+				if err := s.Write(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("an inline Shard.Write allocates %.2f times, want 0", n)
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@ import (
 // order — and fails its failAt-th PutMany (1-based) or every Checkpoint on
 // command.
 type recBackend struct {
-	blocks   map[uint64]backend.Sealed
-	calls    []string // "put", "putmany:<n>", "checkpoint"
+	latest   map[uint64]int // local -> index in puts of its last store
+	calls    []string       // "put", "putmany:<n>", "checkpoint"
 	puts     []backend.PutOp
 	metas    []sealedMeta
 	vectors  int
@@ -27,7 +27,7 @@ type recBackend struct {
 	closed   bool
 }
 
-func newRecBackend() *recBackend { return &recBackend{blocks: make(map[uint64]backend.Sealed)} }
+func newRecBackend() *recBackend { return &recBackend{latest: make(map[uint64]int)} }
 
 // sealedMeta is one checkpoint blob and the epoch it is sealed under.
 type sealedMeta struct {
@@ -38,8 +38,11 @@ type sealedMeta struct {
 var errInjected = errors.New("backend: injected failure")
 
 func (b *recBackend) Get(local uint64) (backend.Sealed, bool) {
-	sb, ok := b.blocks[local]
-	return sb, ok
+	i, ok := b.latest[local]
+	if !ok {
+		return backend.Sealed{}, false
+	}
+	return b.puts[i].Sb, true
 }
 
 func (b *recBackend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
@@ -48,10 +51,17 @@ func (b *recBackend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
 	}
 }
 
+// store keeps a copy of one put, as the Backend contract requires (the
+// shard reseals into the same staging bytes).
+func (b *recBackend) store(local uint64, sb backend.Sealed) {
+	sb.Ct = append([]byte(nil), sb.Ct...)
+	b.latest[local] = len(b.puts)
+	b.puts = append(b.puts, backend.PutOp{Local: local, Sb: sb})
+}
+
 func (b *recBackend) Put(local uint64, sb backend.Sealed) error {
 	b.calls = append(b.calls, "put")
-	b.puts = append(b.puts, backend.PutOp{Local: local, Sb: sb})
-	b.blocks[local] = sb
+	b.store(local, sb)
 	return nil
 }
 
@@ -61,8 +71,7 @@ func (b *recBackend) PutMany(ops []backend.PutOp) error {
 		return errInjected
 	}
 	for _, op := range ops {
-		b.puts = append(b.puts, op)
-		b.blocks[op.Local] = op.Sb
+		b.store(op.Local, op.Sb)
 	}
 	return nil
 }
@@ -76,7 +85,7 @@ func (b *recBackend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	return nil
 }
 
-func (b *recBackend) Len() int                                      { return len(b.blocks) }
+func (b *recBackend) Len() int                                      { return len(b.latest) }
 func (b *recBackend) Durable() bool                                 { return true }
 func (b *recBackend) Recovered() ([]byte, uint64, []backend.TailOp) { return nil, 0, nil }
 func (b *recBackend) Flush() error                                  { return nil }

@@ -67,7 +67,8 @@ type ShardedStoreConfig struct {
 	// quarter of the shard's stored blocks — see StoreConfig).
 	CheckpointEvery int
 	// GroupCommit is durable-log appends per fsync batch (default 32; see
-	// StoreConfig.GroupCommit for the crash-loss window).
+	// StoreConfig.GroupCommit for the crash-loss window: one batch per
+	// shard on the blockfile engine, up to three on the WAL).
 	GroupCommit int
 	// TreeTopLevels pins each shard engine's resident tree-top cache to
 	// exactly this many levels (0 = hardware byte-budget default; max

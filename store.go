@@ -100,9 +100,16 @@ type StoreConfig struct {
 	CheckpointEvery int
 	// GroupCommit is how many durable-log appends share one fsync (default
 	// 32; 1 = synchronous durability per write). A crash loses at most the
-	// un-fsynced tail: up to GroupCommit − 1 records plus one write vector
-	// (a ShardedStore's WriteBatch reaches a shard's log in vectors of up
-	// to 128 records, each appended and committed as a unit).
+	// un-fsynced tail, counted in batches of up to GroupCommit − 1 records
+	// plus the write vector that filled the batch (a ShardedStore's
+	// WriteBatch reaches a shard's log in vectors of up to 128 records,
+	// each appended and committed as a unit). The blockfile engine fsyncs
+	// each batch before it acknowledges the write that filled it: one
+	// batch. The WAL engine fsyncs on a committer goroutine and lets three
+	// batches of acknowledged writes pile up behind a slow fsync before
+	// writers wait — up to 3 × GroupCommit − 1 single-block writes (95 at
+	// the default), more when vectors close the batches
+	// (wal.Options.CommitDepth has the arithmetic).
 	GroupCommit int
 	// TreeTopLevels pins the engine's per-space tree-top cache to exactly
 	// this many resident levels (0 keeps the hardware byte-budget default,
