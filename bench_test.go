@@ -7,37 +7,17 @@ package palermo
 //
 // Scale: the paper measures up to 50M ORAM requests per point; benches
 // default to hundreds per point (thousands of DRAM events each), which is
-// where the shapes stabilize. Raise with -benchtime or the PALERMO_REQS
-// environment variable for tighter numbers.
+// where the shapes stabilize. The request counts are fixed here; scale a
+// figure with `palermo-bench -fig N -requests R -parallel W` instead.
 
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"palermo/internal/rng"
 )
-
-func benchOpts(requests int) Options {
-	if s := os.Getenv("PALERMO_REQS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			requests = v
-		}
-	}
-	// PALERMO_WORKERS pins the sweep worker pool (0/unset = all cores,
-	// 1 = serial), e.g. to compare 1-worker vs 4-worker wall-clock on
-	// BenchmarkFig10_EndToEnd. Results are identical at any setting.
-	workers := 0
-	if s := os.Getenv("PALERMO_WORKERS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			workers = v
-		}
-	}
-	return Options{Requests: requests, Workers: workers}
-}
 
 // BenchmarkStoreOps measures the synchronous single-tree Store: the
 // serving-path baseline the sharded service is compared against
@@ -47,73 +27,57 @@ func BenchmarkStoreOps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	buf := bytes.Repeat([]byte{0xA5}, BlockSize)
-	populateStore(b, st, buf)
-	r := rng.New(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := r.Uint64n(1 << 16)
-		if id%10 == 0 {
-			if err := st.Write(id, buf); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := st.Read(id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	storeMix(b, st)
 }
 
-// populateStore writes every block once before the timer starts, so the
-// 90/10 mix reads a loaded store. Without this the write ids (id%10 == 0)
-// and read ids (everything else) are disjoint sets and every read misses
-// the backend entirely — which both understates read cost and makes the
-// blockfile slot read cache unmeasurable (an absent slot is not a cache
-// event).
-func populateStore(b *testing.B, st *Store, buf []byte) {
+// BenchmarkStoreOpsDurable is BenchmarkStoreOps over each durable engine,
+// and over the blockfile engine with a 16 MiB slot read cache: every write
+// committed under the group-commit policy. The delta against
+// BenchmarkStoreOps is the durability tax, the delta between rows the
+// engine's and the cache's (EXPERIMENTS.md records both).
+func BenchmarkStoreOpsDurable(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		engine    string
+		slotCache int
+	}{
+		{"engine=wal", BackendWAL, 0},
+		{"engine=blockfile", BackendBlockfile, 0},
+		{"engine=blockfile/slotcache=16MiB", BackendBlockfile, 16 << 20},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := NewStore(StoreConfig{
+				Blocks:         1 << 16,
+				Engine:         c.engine,
+				Dir:            b.TempDir(),
+				SlotCacheBytes: c.slotCache,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			storeMix(b, st)
+			if tr := st.Traffic(); tr.SlotCacheHits+tr.SlotCacheMisses > 0 {
+				b.ReportMetric(float64(tr.SlotCacheHits)/float64(tr.SlotCacheHits+tr.SlotCacheMisses)*100, "slot_cache_hit_pct")
+			}
+		})
+	}
+}
+
+// storeMix writes every block once before the timer starts, then times a
+// 90/10 read/write mix over uniform ids and reports ops/s. Without the
+// population pass the write ids (id%10 == 0) and read ids (everything
+// else) are disjoint sets and every read misses the backend entirely —
+// which both understates read cost and makes the blockfile slot read cache
+// unmeasurable (an absent slot is not a cache event).
+func storeMix(b *testing.B, st *Store) {
 	b.Helper()
+	buf := bytes.Repeat([]byte{0xA5}, BlockSize)
 	for id := uint64(0); id < 1<<16; id++ {
 		if err := st.Write(id, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// benchEngine reads the PALERMO_ENGINE override so the CI engine smoke can
-// compare storage engines on the identical benchmark: "wal" (default) or
-// "blockfile".
-func benchEngine() string {
-	if s := os.Getenv("PALERMO_ENGINE"); s != "" {
-		return s
-	}
-	return BackendWAL
-}
-
-// BenchmarkStoreOpsDurable is BenchmarkStoreOps over a durable engine
-// (PALERMO_ENGINE; WAL by default): same 90/10 read/write mix, every
-// write committed under the group-commit policy. The delta against
-// BenchmarkStoreOps is the durability tax the BENCH_persist.json record
-// tracks; the engine delta is BENCH_engine.json's.
-func BenchmarkStoreOpsDurable(b *testing.B) {
-	slotCache := benchSlotCache()
-	if benchEngine() != BackendBlockfile {
-		slotCache = 0 // the cache is a blockfile feature
-	}
-	st, err := NewStore(StoreConfig{
-		Blocks:         1 << 16,
-		Engine:         benchEngine(),
-		Dir:            b.TempDir(),
-		SlotCacheBytes: slotCache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	buf := bytes.Repeat([]byte{0xA5}, BlockSize)
-	populateStore(b, st, buf)
 	r := rng.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -130,9 +94,6 @@ func BenchmarkStoreOpsDurable(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	if tr := st.Traffic(); tr.SlotCacheHits+tr.SlotCacheMisses > 0 {
-		b.ReportMetric(float64(tr.SlotCacheHits)/float64(tr.SlotCacheHits+tr.SlotCacheMisses)*100, "slot_cache_hit_pct")
-	}
 }
 
 // BenchmarkShardedStoreOps measures the concurrent service layer at 1, 2,
@@ -176,38 +137,12 @@ func BenchmarkShardedStoreOps(b *testing.B) {
 	}
 }
 
-// benchTreeTopLevels reads the PALERMO_TREETOP override so the CI bench
-// smoke can compare resident tree-top depths on the identical benchmark
-// (0/unset = byte-budget default).
-func benchTreeTopLevels() int {
-	if s := os.Getenv("PALERMO_TREETOP"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
-// benchSlotCache reads the PALERMO_SLOT_CACHE override: the blockfile slot
-// read-cache budget in bytes per shard (0/unset = cache off).
-func benchSlotCache() int {
-	if s := os.Getenv("PALERMO_SLOT_CACHE"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
-
 // BenchmarkShardedServing is the serving-path configuration benchmark:
 // GOMAXPROCS closed-loop clients issuing Zipf-skewed (θ=0.99) 8-id read
 // batches with a 10% write mix against 4 shards — the workload the
-// tree-top cache is built for. Sweep it with PALERMO_TREETOP.
+// tree-top cache is built for.
 func BenchmarkShardedServing(b *testing.B) {
-	st, err := NewShardedStore(ShardedStoreConfig{
-		Blocks: 1 << 16, Shards: 4,
-		TreeTopLevels: benchTreeTopLevels(),
-	})
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 16, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +184,7 @@ func BenchmarkShardedServing(b *testing.B) {
 func BenchmarkFig03_RingBandwidth(b *testing.B) {
 	var sync float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig3(benchOpts(600))
+		res, err := Fig3(Options{Requests: 600})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +199,7 @@ func BenchmarkFig03_RingBandwidth(b *testing.B) {
 func BenchmarkFig04_PrefetchDummies(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig4(benchOpts(500))
+		res, err := Fig4(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +218,7 @@ func BenchmarkFig04_PrefetchDummies(b *testing.B) {
 func BenchmarkFig09_SecurityLatency(b *testing.B) {
 	var worstMI float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig9(benchOpts(2500))
+		res, err := Fig9(Options{Requests: 2500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +238,7 @@ func BenchmarkFig09_SecurityLatency(b *testing.B) {
 func BenchmarkFig10_EndToEnd(b *testing.B) {
 	var palermoGM, pfGM float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig10(benchOpts(500))
+		res, err := Fig10(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -326,7 +261,7 @@ func BenchmarkFig10_EndToEnd(b *testing.B) {
 func BenchmarkFig11_Parallelism(b *testing.B) {
 	var outR, bwR float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig11(benchOpts(600))
+		res, err := Fig11(Options{Requests: 600})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +277,7 @@ func BenchmarkFig11_Parallelism(b *testing.B) {
 func BenchmarkFig12_StashBound(b *testing.B) {
 	var worst int
 	for i := 0; i < b.N; i++ {
-		res, err := Fig12(benchOpts(1000))
+		res, err := Fig12(Options{Requests: 1000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +297,7 @@ func BenchmarkFig12_StashBound(b *testing.B) {
 func BenchmarkFig13_PrefetchSweep(b *testing.B) {
 	var llmBest float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig13(benchOpts(500))
+		res, err := Fig13(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,7 +321,7 @@ func BenchmarkFig13_PrefetchSweep(b *testing.B) {
 func BenchmarkFig14a_SweepZ(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig14a(benchOpts(400))
+		res, err := Fig14a(Options{Requests: 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -401,7 +336,7 @@ func BenchmarkFig14a_SweepZ(b *testing.B) {
 func BenchmarkFig14b_SweepPE(b *testing.B) {
 	var at8 float64
 	for i := 0; i < b.N; i++ {
-		res, err := Fig14b(benchOpts(400))
+		res, err := Fig14b(Options{Requests: 400})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -438,7 +373,7 @@ func BenchmarkTab02_Workloads(b *testing.B) {
 func BenchmarkAblation_ERHoisting(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, err := AblationHoisting(benchOpts(500))
+		res, err := AblationHoisting(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,7 +388,7 @@ func BenchmarkAblation_ERHoisting(b *testing.B) {
 func BenchmarkAblation_TreeTopCache(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, err := AblationTreeTop(benchOpts(500))
+		res, err := AblationTreeTop(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -468,7 +403,7 @@ func BenchmarkAblation_TreeTopCache(b *testing.B) {
 func BenchmarkAblation_SWGranularity(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, err := AblationCommitGranularity(benchOpts(500))
+		res, err := AblationCommitGranularity(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -483,7 +418,7 @@ func BenchmarkAblation_SWGranularity(b *testing.B) {
 func BenchmarkExt_PathMesh(b *testing.B) {
 	var pathG, ringG float64
 	for i := 0; i < b.N; i++ {
-		pg, rg, err := AblationPathMesh(benchOpts(500))
+		pg, rg, err := AblationPathMesh(Options{Requests: 500})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +434,7 @@ func BenchmarkExt_PathMesh(b *testing.B) {
 func BenchmarkExt_TenantIsolation(b *testing.B) {
 	var mi float64
 	for i := 0; i < b.N; i++ {
-		rep, err := TenantIsolation(benchOpts(2000))
+		rep, err := TenantIsolation(Options{Requests: 2000})
 		if err != nil {
 			b.Fatal(err)
 		}

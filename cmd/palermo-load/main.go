@@ -111,7 +111,7 @@ func main() {
 		}
 		if *addr != "" {
 			switch f.Name {
-			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "verify", "treetop", "slot-cache", "trace", "admission":
+			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "verify", "slot-cache", "trace", "admission":
 				fatal(fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name))
 			}
 		}
@@ -538,10 +538,10 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// benchRecord matches the BENCH_*.json schema palermo-bench writes, so the
-// serving path joins the same perf trajectory. The figure name ("load" for
-// in-process, "net" for -addr) doubles as the file name suffix, so one
-// sweep leaves both records side by side for the network-tax diff.
+// benchRecord is the JSON record -json writes, one run's metrics. The
+// figure name ("load" for in-process, "net" for -addr) doubles as the file
+// name suffix, so one sweep leaves both records side by side for the
+// network-tax diff.
 type benchRecord struct {
 	Figure      string             `json:"figure"`
 	Requests    int                `json:"requests"`

@@ -8,7 +8,6 @@
 //	palermo-server -addr :7070 -shards 8            # public listener, 8 shards
 //	palermo-server -dir /data/palermo               # durable WAL backend under -dir
 //	palermo-server -max-inflight 128 -idle 5m       # per-conn window + idle reaping
-//	palermo-server -treetop 6                       # resident tree-top cache levels (§10)
 //	palermo-server -admission 50ms                  # shed queued requests older than 50ms (retry status)
 //	palermo-server -metrics 127.0.0.1:9090 -pprof   # plain-text /metrics + pprof operability listener
 //	palermo-server -config node.json                # flags from a reviewed JSON file

@@ -24,16 +24,14 @@ func TestConstructorParity(t *testing.T) {
 		{name: "Key short", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("bad")}},
 		{name: "Key off-size", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 17)}},
 		{name: "Key oversize", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 64)}},
-		{name: "Backend unknown", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
+		{name: "Engine unknown", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
 		{name: "Engine unknown with Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: "tape"}, dir: true},
-		{name: "Backend memory with Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendMemory}, dir: true},
 		{name: "Engine memory with Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory}, dir: true},
 		{name: "bare Dir, no engine", cfg: ShardedStoreConfig{Blocks: 1 << 10}, dir: true},
-		{name: "Backend wal without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
+		{name: "Engine wal without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 		{name: "Engine blockfile without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}},
-		{name: "Engine and Backend disagree", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Backend: BackendWAL}, dir: true},
-		{name: "TreeTopLevels beyond cap", cfg: ShardedStoreConfig{Blocks: 1 << 10, TreeTopLevels: MaxTreeTopLevels + 1}},
 		{name: "SlotCacheBytes on wal", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, SlotCacheBytes: 4096}, dir: true},
+		{name: "SlotCacheBytes below one slot", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, SlotCacheBytes: 100}, dir: true},
 		{name: "Shards negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, sharded: true},
 		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
 		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
@@ -44,10 +42,9 @@ func TestConstructorParity(t *testing.T) {
 		{name: "Key AES-128", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}, ok: true},
 		{name: "Key AES-192", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 24)}, ok: true},
 		{name: "Key AES-256", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 32)}, ok: true},
-		{name: "CheckpointEvery negative disables", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, CheckpointEvery: -1}, dir: true, ok: true},
-		{name: "GroupCommit negative defaults", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, GroupCommit: -1}, dir: true, ok: true},
-		{name: "GroupCommit synchronous", cfg: ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL, GroupCommit: 1}, dir: true, ok: true},
-		{name: "Engine and Backend agree", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Backend: BackendWAL}, dir: true, ok: true},
+		{name: "CheckpointEvery negative disables", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, CheckpointEvery: -1}, dir: true, ok: true},
+		{name: "GroupCommit negative defaults", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: -1}, dir: true, ok: true},
+		{name: "GroupCommit synchronous", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: 1}, dir: true, ok: true},
 		{name: "SlotCacheBytes on blockfile", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, SlotCacheBytes: 4096}, dir: true, ok: true},
 		{name: "Shards equal Blocks", cfg: ShardedStoreConfig{Blocks: 8, Shards: 8}, sharded: true, ok: true},
 		{name: "QueueDepth explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}, sharded: true, ok: true},
@@ -84,9 +81,9 @@ func TestConstructorParity(t *testing.T) {
 			builds["NewStore"] = func() (closer, error) {
 				c := withDir()
 				return NewStore(StoreConfig{
-					Blocks: c.Blocks, Key: c.Key, Seed: c.Seed, Engine: c.Engine, Backend: c.Backend, Dir: c.Dir,
+					Blocks: c.Blocks, Key: c.Key, Seed: c.Seed, Engine: c.Engine, Dir: c.Dir,
 					CheckpointEvery: c.CheckpointEvery, GroupCommit: c.GroupCommit,
-					TreeTopLevels: c.TreeTopLevels, SlotCacheBytes: c.SlotCacheBytes,
+					SlotCacheBytes: c.SlotCacheBytes,
 				})
 			}
 		}

@@ -328,18 +328,18 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 // byte-identical read payloads, identical service op counts and dedup
 // hits, and identical per-shard engine traces (same ops, same order, same
 // exposed leaves). What an engine does with a put never reaches the
-// protocol.
+// protocol. (The tree-top budget's neutrality is the engine's contract:
+// internal/oram TestTreeTopBytesNeutral.)
 func TestPipelinedVsSerialEquivalence(t *testing.T) {
 	const blocks = 1 << 12
 	const shards = 3
 	ops := recordNetOps(blocks, 400)
 
-	play := func(engine string, treetop, slotCache int) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace) {
+	play := func(engine string, slotCache int) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace) {
 		t.Helper()
 		cfg := ShardedStoreConfig{
 			Blocks: blocks, Shards: shards, Seed: 77, Engine: engine,
-			CheckpointEvery: 32, GroupCommit: 4,
-			TreeTopLevels: treetop, SlotCacheBytes: slotCache,
+			CheckpointEvery: 32, GroupCommit: 4, SlotCacheBytes: slotCache,
 		}
 		if engine != BackendMemory {
 			cfg.Dir = t.TempDir()
@@ -362,19 +362,17 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		return payloads, stats, traces
 	}
 
-	wantPayloads, wantStats, wantTraces := play(BackendMemory, 0, 0)
+	wantPayloads, wantStats, wantTraces := play(BackendMemory, 0)
 	for _, tc := range []struct {
-		engine             string
-		treetop, slotCache int
+		engine    string
+		slotCache int
 	}{
-		{BackendMemory, 6, 0},
-		{BackendWAL, 0, 0},
-		{BackendWAL, 6, 0},
-		{BackendBlockfile, 0, 0},
-		{BackendBlockfile, 6, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
+		{BackendWAL, 0},
+		{BackendBlockfile, 0},
+		{BackendBlockfile, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
 	} {
-		name := fmt.Sprintf("engine=%s,treetop=%d,slotCache=%d", tc.engine, tc.treetop, tc.slotCache)
-		gotPayloads, gotStats, gotTraces := play(tc.engine, tc.treetop, tc.slotCache)
+		name := fmt.Sprintf("engine=%s,slotCache=%d", tc.engine, tc.slotCache)
+		gotPayloads, gotStats, gotTraces := play(tc.engine, tc.slotCache)
 
 		if len(gotPayloads) != len(wantPayloads) {
 			t.Fatalf("%s: returned %d read payloads, memory %d", name, len(gotPayloads), len(wantPayloads))
@@ -413,20 +411,18 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 // TestPipelinedDurableEquivalence extends the contract through the
 // durable backends and across a restart: identical workloads (small
 // CheckpointEvery and GroupCommit so compactions and commits fire mid-run)
-// on every engine in {wal, blockfile}, tree-top pin and slot-cache budget
-// must leave directories that recover to identical stores — same payloads,
+// on every engine in {wal, blockfile} and slot-cache budget must leave directories that recover to identical stores — same payloads,
 // same traffic counters, and identical engine behavior for a post-recovery
 // op sequence. The engine may change what the bytes on disk look like,
 // never what they mean.
 func TestPipelinedDurableEquivalence(t *testing.T) {
 	const blocks = 1 << 10
-	run := func(engine string, treetop, slotCache int) (dir string) {
+	run := func(engine string, slotCache int) (dir string) {
 		t.Helper()
 		dir = t.TempDir()
 		st, err := NewStore(StoreConfig{
 			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9,
-			CheckpointEvery: 32, GroupCommit: 4,
-			TreeTopLevels: treetop, SlotCacheBytes: slotCache,
+			CheckpointEvery: 32, GroupCommit: 4, SlotCacheBytes: slotCache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -448,11 +444,10 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		return dir
 	}
 
-	reopen := func(dir, engine string, treetop, slotCache int) (rep TrafficReport, payloads [][]byte) {
+	reopen := func(dir, engine string, slotCache int) (rep TrafficReport, payloads [][]byte) {
 		t.Helper()
 		st, err := NewStore(StoreConfig{
-			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9,
-			TreeTopLevels: treetop, SlotCacheBytes: slotCache,
+			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9, SlotCacheBytes: slotCache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -472,26 +467,23 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		return rep, payloads
 	}
 
-	baseDir := run(BackendWAL, 0, 0)
-	wantRep, wantPayloads := reopen(baseDir, BackendWAL, 0, 0)
+	baseDir := run(BackendWAL, 0)
+	wantRep, wantPayloads := reopen(baseDir, BackendWAL, 0)
 	for _, tc := range []struct {
 		engine    string
-		treetop   int
 		slotCache int
 	}{
-		{BackendWAL, 6, 0},
-		{BackendBlockfile, 0, 0},
-		{BackendBlockfile, 6, 0},
+		{BackendBlockfile, 0},
 		// Slot read cache on: the blockfile serves hot slots from memory.
 		// Byte-identical payloads and protocol counters; only the
 		// SlotCacheHits/Misses telemetry may be nonzero.
-		{BackendBlockfile, 0, 64 << 10},
-		{BackendBlockfile, 0, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
+		{BackendBlockfile, 64 << 10},
+		{BackendBlockfile, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
 	} {
 		engine := tc.engine
-		name := fmt.Sprintf("engine=%s,treetop=%d,slotCache=%d", engine, tc.treetop, tc.slotCache)
-		dir := run(engine, tc.treetop, tc.slotCache)
-		gotRep, gotPayloads := reopen(dir, engine, tc.treetop, tc.slotCache)
+		name := fmt.Sprintf("engine=%s,slotCache=%d", engine, tc.slotCache)
+		dir := run(engine, tc.slotCache)
+		gotRep, gotPayloads := reopen(dir, engine, tc.slotCache)
 		if tc.slotCache > 0 {
 			// The cache is pure telemetry at the protocol level: zero the
 			// counters for the struct compare, but demand the cache actually
@@ -500,16 +492,6 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 				t.Fatalf("%s: slot cache enabled but never touched", name)
 			}
 			gotRep.SlotCacheHits, gotRep.SlotCacheMisses = 0, 0
-		}
-		if tc.treetop > 0 {
-			// A pinned top moves lines between the DRAM counters and
-			// TreeTopHits; their sum, like everything else, must not move.
-			gotMoved := gotRep.DRAMReads + gotRep.DRAMWrites + gotRep.TreeTopHits
-			if wantMoved := wantRep.DRAMReads + wantRep.DRAMWrites + wantRep.TreeTopHits; gotMoved != wantMoved {
-				t.Fatalf("%s: recovered protocol line total %d != baseline %d", name, gotMoved, wantMoved)
-			}
-			gotRep.DRAMReads, gotRep.DRAMWrites, gotRep.TreeTopHits = wantRep.DRAMReads, wantRep.DRAMWrites, wantRep.TreeTopHits
-			gotRep.AmplificationFactor = wantRep.AmplificationFactor
 		}
 		if wantRep != gotRep {
 			t.Fatalf("%s: recovered traffic diverged:\n wal baseline %+v\n got          %+v", name, wantRep, gotRep)
@@ -525,7 +507,7 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		// count and the logical payloads. Reopening a cache-written
 		// directory with the cache off must be equally lossless: the cache
 		// never touches the format.
-		crossRep, crossPayloads := reopen(dir, engine, 0, 0)
+		crossRep, crossPayloads := reopen(dir, engine, 0)
 		if crossRep.Writes != wantRep.Writes {
 			t.Fatalf("%s: cross-config recovery lost writes: want %d, got %d", name, wantRep.Writes, crossRep.Writes)
 		}
@@ -704,170 +686,24 @@ func TestWriteBatchLargerThanWALBatchLimit(t *testing.T) {
 	}
 }
 
-// TestCachePrefetchEquivalence is the protocol-neutrality contract for the
-// resident tree-top cache: the same recorded op sequence through a
-// ShardedStore at the byte-budget default and at every pinned depth must
-// be indistinguishable at the protocol level — byte-identical read
-// payloads, identical service op counts, and identical per-shard engine
-// traces (same ops, same order, same exposed leaves). Only the DRAM
-// traffic split may differ: cached levels move lines from
-// DRAMReads/DRAMWrites into TreeTopHits, and the accounting identity
-// (emitted + absorbed == baseline) must hold exactly.
-func TestCachePrefetchEquivalence(t *testing.T) {
-	const blocks = 1 << 12
-	const shards = 3
-	ops := recordNetOps(blocks, 400)
-
-	play := func(treetop int) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace, rep TrafficReport) {
-		t.Helper()
-		st, err := NewShardedStore(ShardedStoreConfig{
-			Blocks: blocks, Shards: shards, Seed: 77, TreeTopLevels: treetop,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sh := range st.shards {
-			sh.EnableTrace()
-		}
-		payloads = playNetOps(t, st, ops)
-		stats = st.Stats()
-		rep = st.Traffic()
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, sh := range st.shards {
-			traces = append(traces, sh.Trace())
-		}
-		return payloads, stats, traces, rep
-	}
-
-	wantPayloads, wantStats, wantTraces, wantRep := play(0)
-	baselineMoved := wantRep.DRAMReads + wantRep.DRAMWrites + wantRep.TreeTopHits
-	for _, treetop := range []int{1, 4, 6} {
-		gotPayloads, gotStats, gotTraces, gotRep := play(treetop)
-		name := fmt.Sprintf("treetop=%d", treetop)
-		for i := range wantPayloads {
-			if !bytes.Equal(gotPayloads[i], wantPayloads[i]) {
-				t.Fatalf("%s: read payload %d diverged from baseline", name, i)
-			}
-		}
-		if gotStats.Reads != wantStats.Reads || gotStats.Writes != wantStats.Writes ||
-			gotStats.DedupHits != wantStats.DedupHits {
-			t.Fatalf("%s: service counts diverged: %d/%d/%d vs baseline %d/%d/%d",
-				name, gotStats.Reads, gotStats.Writes, gotStats.DedupHits,
-				wantStats.Reads, wantStats.Writes, wantStats.DedupHits)
-		}
-		for i := range wantTraces {
-			want, got := wantTraces[i], gotTraces[i]
-			if len(got.Ops) != len(want.Ops) {
-				t.Fatalf("%s: shard %d served %d engine ops, baseline %d", name, i, len(got.Ops), len(want.Ops))
-			}
-			for j := range want.Ops {
-				if got.Ops[j] != want.Ops[j] || got.Leaves[j] != want.Leaves[j] {
-					t.Fatalf("%s: shard %d op %d diverged from baseline", name, i, j)
-				}
-			}
-		}
-		// Total protocol lines are invariant; only their DRAM/absorbed
-		// split moves, and a deeper pinned top absorbs at least as much.
-		if moved := gotRep.DRAMReads + gotRep.DRAMWrites + gotRep.TreeTopHits; moved != baselineMoved {
-			t.Fatalf("%s: protocol line total %d != baseline %d (absorption must be exact)",
-				name, moved, baselineMoved)
-		}
-		// A pinned top absorbs at least what the byte-budget default does
-		// (at this small tree the budget already covers every level, so
-		// equality is the expected ceiling — the shrink curve itself is
-		// TestTreeTopLevelsNeutral's job).
-		if treetop >= 6 && gotRep.TreeTopHits < wantRep.TreeTopHits {
-			t.Fatalf("%s: pinned top absorbed %d lines, baseline budget absorbed %d",
-				name, gotRep.TreeTopHits, wantRep.TreeTopHits)
-		}
-	}
-}
-
 // TestDurableMixedConfigReopen: the durable format is config-neutral. A
-// directory written under one tree-top pin or slot-cache budget must
-// reopen bit-exact under any other — same recovered payloads, same
-// recovered engine behavior for a post-recovery op sequence — because
-// neither cache touches protocol state, only how its traffic is served.
+// blockfile directory written with the slot read cache on must reopen
+// bit-exact with the cache off or at another budget — same recovered
+// engine behavior for a post-recovery op sequence — because the cache
+// holds only copies of committed ciphertext and never touches the format.
 func TestDurableMixedConfigReopen(t *testing.T) {
 	const blocks = 1 << 10
-	dir := t.TempDir()
-	st, err := NewShardedStore(ShardedStoreConfig{
-		Blocks: blocks, Shards: 2, Seed: 13,
-		Backend: BackendWAL, Dir: dir, CheckpointEvery: 32, GroupCommit: 4,
-		TreeTopLevels: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rng.New(77)
 	wrote := make(map[uint64]byte)
 	for i := 0; i < 300; i++ {
-		id := r.Uint64n(blocks)
-		b := byte(i)
-		if err := st.Write(id, block(b)); err != nil {
-			t.Fatal(err)
-		}
-		wrote[id] = b
+		wrote[r.Uint64n(blocks)] = byte(i)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reopen := func(treetop int) [][]byte {
-		t.Helper()
-		st, err := NewShardedStore(ShardedStoreConfig{
-			Blocks: blocks, Shards: 2, Seed: 13,
-			Backend: BackendWAL, Dir: dir, TreeTopLevels: treetop,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, b := range wrote {
-			got, err := st.Read(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, block(b)) {
-				t.Fatalf("treetop=%d: block %d lost its payload across reopen", treetop, id)
-			}
-		}
-		// A deterministic post-recovery sequence probes the recovered
-		// engine state beyond the stamped blocks.
-		var payloads [][]byte
-		for i := uint64(0); i < 64; i++ {
-			data, err := st.Read(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payloads = append(payloads, data)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return payloads
-	}
-
-	want := reopen(0) // the byte-budget default reopens the pinned dir
-	for _, treetop := range []int{4, 6} {
-		got := reopen(treetop)
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("treetop=%d: post-recovery read %d diverged", treetop, i)
-			}
-		}
-	}
-
-	// Blockfile half: a directory written with the slot read cache on must
-	// reopen bit-exact with the cache off, and vice versa — the cache holds
-	// only copies of committed ciphertext and never touches the format.
 	bfDir := t.TempDir()
 	bfReopen := func(slotCache int, stamp bool) [][]byte {
 		t.Helper()
 		st, err := NewShardedStore(ShardedStoreConfig{
 			Blocks: blocks, Shards: 2, Seed: 13,
-			Backend: BackendBlockfile, Dir: bfDir, CheckpointEvery: 32, GroupCommit: 4,
+			Engine: BackendBlockfile, Dir: bfDir, CheckpointEvery: 32, GroupCommit: 4,
 			SlotCacheBytes: slotCache,
 		})
 		if err != nil {

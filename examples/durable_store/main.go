@@ -35,10 +35,10 @@ const (
 
 func cfg(dir string) palermo.ShardedStoreConfig {
 	return palermo.ShardedStoreConfig{
-		Blocks:  blocks,
-		Shards:  2,
-		Backend: palermo.BackendWAL,
-		Dir:     dir,
+		Blocks: blocks,
+		Shards: 2,
+		Engine: palermo.BackendWAL,
+		Dir:    dir,
 		// GroupCommit 1 = every write fsyncs before returning, so the
 		// kill in life 1 loses nothing. Raise it and the kill may cost
 		// up to GroupCommit-1 trailing writes per shard — never more.

@@ -65,22 +65,10 @@ type notServed int
 func (s notServed) Error() string { return fmt.Sprintf("palermo: shard %d is not served here", int(s)) }
 
 // normalize validates the configuration and fills in its defaults in
-// place; on return Engine names the resolved storage engine and Backend
-// is cleared. Rejecting here keeps bad values from surfacing as deep
-// engine failures.
+// place. Rejecting here keeps bad values from surfacing as deep engine
+// failures.
 func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	var none shard.Router
-	if err := validateTreeTopLevels(c.TreeTopLevels); err != nil {
-		return none, err
-	}
-	engine, err := resolveEngine(c.Engine, c.Backend)
-	if err != nil {
-		return none, err
-	}
-	if engine == "" {
-		engine = BackendMemory
-	}
-	c.Engine, c.Backend = engine, ""
 	c.defaults()
 	if err := validateStoreParams(c.Blocks, c.Key); err != nil {
 		return none, err
@@ -95,19 +83,19 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	if err != nil {
 		return none, fmt.Errorf("palermo: %w", err)
 	}
-	switch engine {
+	switch c.Engine {
 	case BackendMemory:
 		if c.Dir != "" {
-			return none, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", engine)
+			return none, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", c.Engine)
 		}
 	case BackendWAL, BackendBlockfile:
 		if c.Dir == "" {
-			return none, fmt.Errorf("palermo: Engine %q requires Dir", engine)
+			return none, fmt.Errorf("palermo: Engine %q requires Dir", c.Engine)
 		}
 	default:
-		return none, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", engine, BackendMemory, BackendWAL, BackendBlockfile)
+		return none, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", c.Engine, BackendMemory, BackendWAL, BackendBlockfile)
 	}
-	if err := validateSlotCacheBytes(c.SlotCacheBytes, engine); err != nil {
+	if err := validateSlotCacheBytes(c.SlotCacheBytes, c.Engine); err != nil {
 		return none, err
 	}
 	return router, nil
@@ -170,7 +158,6 @@ func (h *host) tune(sh *shard.Shard) {
 	case every > 0:
 		sh.SetCheckpointEvery(uint64(every))
 	}
-	sh.SetTreeTopLevels(h.cfg.TreeTopLevels)
 	if h.traceOn {
 		sh.EnableTrace()
 	}

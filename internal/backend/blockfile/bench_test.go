@@ -13,7 +13,7 @@ import (
 // 512-byte slot pwrite per block (consecutive locals coalesced into
 // vectored writes) plus a 20-byte metadata record, synced every
 // GroupCommit records. Comparable point for BenchmarkWALAppend's
-// groupcommit sweep (BENCH_engine.json tracks gc=32).
+// groupcommit sweep (EXPERIMENTS.md records gc=32).
 func BenchmarkBlockfilePutMany(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xA5}, crypt.BlockBytes)
 	const batch = 8 // one Ring ORAM path's worth of evictions

@@ -63,8 +63,9 @@ func newSlotCache(cacheBytes int) *slotCache {
 }
 
 // get returns the resident copy of local, if any, marking it recently
-// used. The returned ciphertext is a fresh allocation: callers up the
-// stack own their Sealed buffers (Get documents the same contract).
+// used. The returned ciphertext is a copy: a Get result may alias the
+// backend only until the next Put of that id, and a later read's put can
+// hand this entry to a different id, which is no Put of this one.
 func (c *slotCache) get(local uint64) (backend.Sealed, bool) {
 	i, ok := c.idx[local]
 	if !ok {

@@ -12,7 +12,7 @@ import (
 // BenchmarkWALAppend measures the durable write path in isolation: one
 // CRC-framed 84-byte record per Put, fsynced every GroupCommit records.
 // The group-commit sweep shows the fsync amortization the serving path
-// relies on (BENCH_persist.json tracks the gc=32 point).
+// relies on (EXPERIMENTS.md records the gc=32 point).
 func BenchmarkWALAppend(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xA5}, crypt.BlockBytes)
 	for _, gc := range []int{1, 32, 256} {

@@ -29,7 +29,6 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 	fs.Uint64Var(&c.Blocks, "blocks", 1<<18, "store capacity in 64-byte blocks (0 = store default)")
 	fs.Uint64Var(&c.Seed, "seed", 1, "base seed (store shards, and palermo-load's client streams, derive from it)")
 	fs.IntVar(&c.QueueDepth, "queue", 0, "per-shard queue depth (0 = default)")
-	fs.IntVar(&c.TreeTopLevels, "treetop", 0, "resident tree-top cache levels per engine space (0 = byte-budget default)")
 	fs.StringVar(&c.Dir, "dir", "", "durable store directory (selects a durable engine; see -engine)")
 	fs.StringVar(&c.Engine, "engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged direct-I/O slots); reopen auto-detects from the manifest`)
 	fs.IntVar(&c.GroupCommit, "group-commit", 0, "durable-log appends per fsync batch (0 = default)")

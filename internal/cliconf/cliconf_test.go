@@ -110,7 +110,7 @@ func TestOverlayStrict(t *testing.T) {
 }
 
 func TestOverlayCommandLineBeatsFile(t *testing.T) {
-	path := writeConfig(t, `{"addr": "127.0.0.1:7071", "shards": 8, "idle": "5m", "treetop": 4}`)
+	path := writeConfig(t, `{"addr": "127.0.0.1:7071", "shards": 8, "idle": "5m", "group_commit": 4}`)
 	sf := newServerFlags()
 	if err := sf.fs.Parse([]string{"-addr", ":9000", "-shards", "2", "-idle", "0"}); err != nil {
 		t.Fatal(err)
@@ -126,8 +126,8 @@ func TestOverlayCommandLineBeatsFile(t *testing.T) {
 	if *sf.addr != ":9000" || c.Shards != 2 || *sf.idle != 0 {
 		t.Fatalf("file overrode the command line: addr %s shards %d idle %v", *sf.addr, c.Shards, *sf.idle)
 	}
-	if c.TreeTopLevels != 4 {
-		t.Fatalf("file value for a flag the command line left alone was dropped: treetop %d", c.TreeTopLevels)
+	if c.GroupCommit != 4 {
+		t.Fatalf("file value for a flag the command line left alone was dropped: group_commit %d", c.GroupCommit)
 	}
 }
 

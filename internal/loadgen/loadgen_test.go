@@ -357,8 +357,8 @@ func (s *slowTarget) ReadBatch(ids []uint64) ([][]byte, error) {
 	return s.glitchTarget.ReadBatch(ids)
 }
 
-// TestRunReportsClippedPercentiles: regression for BENCH_openloop.json's
-// x200 row, whose read p99 was exactly 20480 µs — the histogram ceiling
+// TestRunReportsClippedPercentiles: regression for the open-loop
+// record's x200 row, whose read p99 was exactly 20480 µs — the histogram ceiling
 // printed as if it had been measured. Samples beyond the ceiling must be
 // counted in the result, and a percentile that falls among them must be
 // marked as a lower bound while one below them is not.

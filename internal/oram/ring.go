@@ -28,19 +28,11 @@ type RingConfig struct {
 	NLines        uint64 // protected cache lines (16 GB/64 B = 2^28 in Table III)
 	Z, S, A       int    // bucket real capacity, dummy budget, eviction period
 	PosLevels     int    // ORAM-resident posmap levels (paper: 2)
-	TreeTopBytes  uint64 // per-level tree-top cache capacity
+	TreeTopBytes  uint64 // per-space tree-top cache: the largest top that fits (otree.NewTreeTop)
 	DataSlotLines int    // prefetch width: cache lines per data-tree slot (>=1)
 	AlignBytes    uint64 // physical region alignment (DRAM row span)
 	Seed          uint64
 	Variant       RingVariant
-
-	// TreeTopLevels, when > 0, pins every level's tree-top cache to
-	// exactly that many resident levels (clamped per tree to its depth),
-	// overriding the TreeTopBytes budget — the serving path's explicit k
-	// knob. The cache gates traffic emission only, never protocol state:
-	// leaf sequences, stash contents, and checkpoint bytes are
-	// bit-identical at every k.
-	TreeTopLevels int
 
 	// CountTraffic elides DRAM address lists from plans (Phase.NR/NW
 	// carry the counts instead). For engines whose plans nobody replays —
@@ -61,9 +53,6 @@ func (c *RingConfig) Validate() error {
 	}
 	if c.PosLevels < 0 {
 		return fmt.Errorf("oram: PosLevels must be >= 0")
-	}
-	if c.TreeTopLevels < 0 {
-		return fmt.Errorf("oram: TreeTopLevels must be >= 0, got %d", c.TreeTopLevels)
 	}
 	if c.DataSlotLines == 0 {
 		c.DataSlotLines = 1
@@ -144,24 +133,10 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	for l, g := range geos {
 		pm.Attach(l, g.NumLeaves())
 		sp := NewSpace(l, g, cfg.TreeTopBytes, r, pm)
-		if cfg.TreeTopLevels > 0 {
-			sp.SetTopLevels(cfg.TreeTopLevels)
-		}
 		sp.CountOnly = cfg.CountTraffic
 		e.spaces = append(e.spaces, sp)
 	}
 	return e, nil
-}
-
-// SetTopLevels pins every space's tree-top cache to exactly k levels
-// (overriding the byte-budget default). Traffic accounting is all it
-// changes — protocol trajectories stay bit-identical — so it is safe to
-// call on a live engine between accesses; callers normally invoke it right
-// after NewRing.
-func (e *Ring) SetTopLevels(k int) {
-	for _, sp := range e.spaces {
-		sp.SetTopLevels(k)
-	}
 }
 
 // SetCountTraffic toggles count-only traffic mode (see RingConfig.CountTraffic).

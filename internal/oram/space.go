@@ -59,14 +59,6 @@ func NewSpace(level int, g otree.Geometry, treeTopBytes uint64, r *rng.Rand, pm 
 	}
 }
 
-// SetTopLevels pins the space's tree-top cache to exactly k levels
-// (overriding the byte-budget sizing). Traffic emission is the only thing
-// the cache gates — protocol state transitions never consult it — so any k
-// yields bit-identical leaf sequences, stash states, and checkpoint bytes.
-func (sp *Space) SetTopLevels(k int) {
-	sp.Top = otree.NewTreeTopLevels(sp.Geo, k)
-}
-
 // leafOf returns the current mapped leaf of a block of this level.
 func (sp *Space) leafOf(id otree.BlockID) uint64 { return sp.pm.Leaf(sp.Level, uint64(id)) }
 

@@ -4,21 +4,22 @@ import (
 	"reflect"
 	"testing"
 
+	"palermo/internal/otree"
 	"palermo/internal/rng"
 )
 
-func ringWith(t *testing.T, seed uint64, topLevels int, countTraffic bool) *Ring {
+func ringWith(t *testing.T, seed, treeTopBytes uint64, countTraffic bool) *Ring {
 	t.Helper()
 	e, err := NewRing(RingConfig{
-		NLines:        4096,
-		Z:             4,
-		S:             5,
-		A:             3,
-		PosLevels:     2,
-		Seed:          seed,
-		Variant:       VariantPalermo,
-		TreeTopLevels: topLevels,
-		CountTraffic:  countTraffic,
+		NLines:       4096,
+		Z:            4,
+		S:            5,
+		A:            3,
+		PosLevels:    2,
+		TreeTopBytes: treeTopBytes,
+		Seed:         seed,
+		Variant:      VariantPalermo,
+		CountTraffic: countTraffic,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,80 +107,109 @@ func TestPlanLifetime(t *testing.T) {
 	}
 }
 
-// TestTreeTopLevelsNeutral: the tree-top cache gates traffic emission only.
-// Any k must leave the attacker-visible leaf sequence, returned values, and
-// exported engine state bit-identical; only DRAM traffic shrinks.
-func TestTreeTopLevelsNeutral(t *testing.T) {
+// treeTopBudgets are the TreeTopBytes the neutrality tests sweep: none,
+// budgets that keep exactly the top 1, 2 and 4 levels of the data tree
+// resident, and the serving engine's 256 KiB (Table III).
+func treeTopBudgets(t *testing.T) []uint64 {
+	t.Helper()
+	g := ringWith(t, 1, 0, false).Space(0).Geo
+	budgets := []uint64{0}
+	for _, k := range []int{1, 2, 4} {
+		var b uint64
+		for l := 0; l < k; l++ {
+			b += (uint64(1) << l) * uint64(g.Levels[l].Slots()*g.SlotLines+1) * otree.BlockBytes
+		}
+		if got := otree.NewTreeTop(g, b).Levels(); got != k {
+			t.Fatalf("budget %d keeps %d levels, want %d", b, got, k)
+		}
+		budgets = append(budgets, b)
+	}
+	return append(budgets, 256<<10)
+}
+
+// TestTreeTopBytesNeutral: the tree-top cache gates traffic emission only.
+// Any budget must leave the attacker-visible leaf sequence, returned
+// values, and exported engine state bit-identical; only DRAM traffic
+// shrinks, and never grows with a larger budget.
+func TestTreeTopBytesNeutral(t *testing.T) {
 	base := ringWith(t, 9, 0, false)
 	bt := driveRing(base, 2000)
 	baseState := base.State()
 	prevTraffic := -1
-	for _, k := range []int{1, 2, 4, 8} {
-		e := ringWith(t, 9, k, false)
+	for _, budget := range treeTopBudgets(t)[1:] {
+		e := ringWith(t, 9, budget, false)
 		tr := driveRing(e, 2000)
 		total := 0
 		for i := range bt.leaves {
 			if bt.leaves[i] != tr.leaves[i] {
-				t.Fatalf("k=%d access %d: leaf sequence diverged (obliviousness-neutrality broken)", k, i)
+				t.Fatalf("budget %d access %d: leaf sequence diverged (obliviousness-neutrality broken)", budget, i)
 			}
 			if bt.vals[i] != tr.vals[i] {
-				t.Fatalf("k=%d access %d: value diverged", k, i)
+				t.Fatalf("budget %d access %d: value diverged", budget, i)
 			}
 			if tr.reads[i] > bt.reads[i] || tr.writes[i] > bt.writes[i] {
-				t.Fatalf("k=%d access %d: cached config emitted MORE traffic", k, i)
+				t.Fatalf("budget %d access %d: cached config emitted MORE traffic", budget, i)
 			}
 			total += tr.reads[i] + tr.writes[i]
 		}
 		if !reflect.DeepEqual(e.State(), baseState) {
-			t.Fatalf("k=%d: exported engine state diverged from k=0", k)
+			t.Fatalf("budget %d: exported engine state diverged from no cache", budget)
 		}
 		if e.TopHits() == 0 {
-			t.Fatalf("k=%d: no cache hits recorded", k)
+			t.Fatalf("budget %d: no cache hits recorded", budget)
 		}
 		if prevTraffic >= 0 && total > prevTraffic {
-			t.Fatalf("k=%d: traffic grew relative to smaller cache (%d > %d)", k, total, prevTraffic)
+			t.Fatalf("budget %d: traffic grew relative to smaller cache (%d > %d)", budget, total, prevTraffic)
 		}
 		prevTraffic = total
 	}
 }
 
 // TestTreeTopHitsAccountTraffic: suppressed lines + emitted lines must equal
-// the k=0 line totals exactly — the cache absorbs traffic, never loses it.
+// the uncached line totals exactly at every budget — the cache absorbs
+// traffic, never loses it.
 func TestTreeTopHitsAccountTraffic(t *testing.T) {
-	base := ringWith(t, 13, 0, false)
-	cached := ringWith(t, 13, 4, true)
-	bt := driveRing(base, 1500)
-	ct := driveRing(cached, 1500)
-	baseLines, cachedLines := 0, 0
+	bt := driveRing(ringWith(t, 13, 0, false), 1500)
+	baseLines := 0
 	for i := range bt.reads {
 		baseLines += bt.reads[i] + bt.writes[i]
-		cachedLines += ct.reads[i] + ct.writes[i]
 	}
-	if got := cachedLines + int(cached.TopHits()); got != baseLines {
-		t.Fatalf("line accounting leak: emitted %d + absorbed %d = %d, want %d",
-			cachedLines, cached.TopHits(), got, baseLines)
-	}
-	if cached.TopHits() == 0 {
-		t.Fatal("expected nonzero absorbed traffic at k=4")
+	for _, budget := range treeTopBudgets(t)[1:] {
+		cached := ringWith(t, 13, budget, true)
+		ct := driveRing(cached, 1500)
+		cachedLines := 0
+		for i := range ct.reads {
+			cachedLines += ct.reads[i] + ct.writes[i]
+		}
+		if got := cachedLines + int(cached.TopHits()); got != baseLines {
+			t.Fatalf("budget %d: line accounting leak: emitted %d + absorbed %d = %d, want %d",
+				budget, cachedLines, cached.TopHits(), got, baseLines)
+		}
+		if cached.TopHits() == 0 {
+			t.Fatalf("budget %d: expected nonzero absorbed traffic", budget)
+		}
 	}
 }
 
-// TestTreeTopCheckpointAcrossConfigs: a checkpoint taken at one k must
-// restore into an engine configured with a different k and continue with a
+// TestTreeTopCheckpointAcrossConfigs: a checkpoint taken at one budget must
+// restore into an engine built with another and continue with a
 // bit-identical trajectory (mixed-config durable reopen).
 func TestTreeTopCheckpointAcrossConfigs(t *testing.T) {
-	a := ringWith(t, 21, 0, false)
-	driveRing(a, 800)
-	st := a.State()
-	reopened := ringWith(t, 99, 3, true) // different seed: RNG state comes from the checkpoint
-	if err := reopened.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	ta := driveRing(a, 400)
-	tb := driveRing(reopened, 400)
-	for i := range ta.leaves {
-		if ta.leaves[i] != tb.leaves[i] || ta.vals[i] != tb.vals[i] {
-			t.Fatalf("access %d after mixed-config restore diverged", i)
+	budgets := treeTopBudgets(t)
+	for i, from := range budgets {
+		to := budgets[len(budgets)-1-i]
+		a := ringWith(t, 21, from, false)
+		driveRing(a, 800)
+		reopened := ringWith(t, 99, to, true) // different seed: RNG state comes from the checkpoint
+		if err := reopened.Restore(a.State()); err != nil {
+			t.Fatal(err)
+		}
+		ta := driveRing(a, 400)
+		tb := driveRing(reopened, 400)
+		for j := range ta.leaves {
+			if ta.leaves[j] != tb.leaves[j] || ta.vals[j] != tb.vals[j] {
+				t.Fatalf("budget %d -> %d: access %d after restore diverged", from, to, j)
+			}
 		}
 	}
 }

@@ -116,21 +116,6 @@ func TestBucketPointerStable(t *testing.T) {
 	}
 }
 
-// TestNewTreeTopLevels clamps to the tree depth and disables at k <= 0.
-func TestNewTreeTopLevels(t *testing.T) {
-	g := UniformWide(1<<8, 4, 5, 1, 0, 0)
-	if got := NewTreeTopLevels(g, 1000).Levels(); got != g.Depth+1 {
-		t.Fatalf("Levels = %d, want clamp to %d", got, g.Depth+1)
-	}
-	if got := NewTreeTopLevels(g, -1).Levels(); got != 0 {
-		t.Fatalf("Levels = %d, want 0 for negative k", got)
-	}
-	tt := NewTreeTopLevels(g, 2)
-	if !tt.Cached(1) || tt.Cached(2) {
-		t.Fatalf("Cached boundary wrong for k=2")
-	}
-}
-
 // TestStateMatchesPerBucketCopies: State carves every bucket's slices out
 // of two arrays; what it returns, and the gob bytes a checkpoint makes of
 // it, must be those of the export that copied each bucket on its own — on

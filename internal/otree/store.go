@@ -309,19 +309,6 @@ func NewTreeTop(g Geometry, capacityBytes uint64) TreeTop {
 	return TreeTop{levels: k}
 }
 
-// NewTreeTopLevels pins the cache to exactly k levels (clamped to the
-// tree's depth+1), bypassing the byte-budget sizing — the serving-path
-// TreeTopLevels knob. k <= 0 disables the cache entirely.
-func NewTreeTopLevels(g Geometry, k int) TreeTop {
-	if k < 0 {
-		k = 0
-	}
-	if k > g.Depth+1 {
-		k = g.Depth + 1
-	}
-	return TreeTop{levels: k}
-}
-
 // Levels returns how many top levels are cached.
 func (t TreeTop) Levels() int { return t.levels }
 

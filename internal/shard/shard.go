@@ -270,17 +270,6 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 // Call before the shard starts serving.
 func (s *Shard) SetCheckpointEvery(n uint64) { s.ckptEvery = n }
 
-// SetTreeTopLevels pins the engine's tree-top cache to exactly k levels per
-// space (k <= 0 keeps the byte-budget default). Purely a traffic-accounting
-// change — leaf traces, payloads, and checkpoints are bit-identical at any
-// k (DESIGN.md §10) — but call it before the shard starts serving so
-// counter snapshots are taken against one consistent setting.
-func (s *Shard) SetTreeTopLevels(k int) {
-	if k > 0 {
-		s.engine.SetTopLevels(k)
-	}
-}
-
 // DataLeaves returns the data-tree leaf count of the shard's engine (the
 // modulus for uniformity analysis of recorded leaf traces).
 func (s *Shard) DataLeaves() uint64 {

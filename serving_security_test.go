@@ -11,16 +11,14 @@ import (
 )
 
 // TestServingLeafUniformityWithCachePrefetch is the live-path counterpart
-// of TestSecurityEndToEnd: with the tree-top cache pinned, every shard's
-// exposed leaf stream must remain statistically uniform under a skewed
-// (Zipf) workload — the cache only absorbs traffic above a fixed level
-// boundary, so it may not leave a workload-shaped dent in the path
+// of TestSecurityEndToEnd: with the serving engine's tree-top cache (the
+// 256 KiB budget, which at this geometry covers the whole tree), every
+// shard's exposed leaf stream must remain statistically uniform under a
+// skewed (Zipf) workload — the cache only absorbs traffic above a fixed
+// level boundary, so it may not leave a workload-shaped dent in the path
 // selections.
 func TestServingLeafUniformityWithCachePrefetch(t *testing.T) {
-	st, err := NewShardedStore(ShardedStoreConfig{
-		Blocks: 1 << 12, Shards: 2, Seed: 11,
-		TreeTopLevels: 4,
-	})
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 12, Shards: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func TestServingLeafUniformityWithCachePrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !leaf.Uniform(0.001) {
-			t.Fatalf("shard %d leaf stream rejected as non-uniform with the tree-top cache pinned: %v",
+			t.Fatalf("shard %d leaf stream rejected as non-uniform with the tree-top cache on: %v",
 				trace.Shard, leaf)
 		}
 	}

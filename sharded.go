@@ -53,10 +53,6 @@ type ShardedStoreConfig struct {
 	// BackendWAL, or BackendBlockfile (durable engines require Dir; each
 	// shard owns a sub-directory). See StoreConfig for the full semantics.
 	Engine string
-	// Backend is the original name of the Engine knob, kept as an alias
-	// so existing callers and configs keep working. Setting both to
-	// different values is an error.
-	Backend string
 	// Dir is the durable store directory (durable engines only). Its
 	// manifest pins Blocks, Shards, and the engine, so reopening with a
 	// different geometry fails instead of silently mis-routing ids.
@@ -70,12 +66,6 @@ type ShardedStoreConfig struct {
 	// StoreConfig.GroupCommit for the crash-loss window: one batch per
 	// shard on the blockfile engine, up to three on the WAL).
 	GroupCommit int
-	// TreeTopLevels pins each shard engine's resident tree-top cache to
-	// exactly this many levels (0 = hardware byte-budget default; max
-	// MaxTreeTopLevels). Access-pattern-neutral: per-shard leaf traces,
-	// payloads, and checkpoints are bit-identical at any setting — only
-	// backend/DRAM traffic shrinks. See StoreConfig.TreeTopLevels.
-	TreeTopLevels int
 	// SlotCacheBytes budgets each shard blockfile backend's slot-level
 	// read cache (per shard, not total). Served bytes are identical at
 	// every budget; see StoreConfig.SlotCacheBytes. Requires Engine
@@ -95,6 +85,9 @@ func (c *ShardedStoreConfig) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
+	}
+	if c.Engine == "" {
+		c.Engine = BackendMemory
 	}
 }
 

@@ -80,9 +80,9 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"Key bad length", ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("not-a-valid-aes-key")}},
 		{"QueueDepth negative", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}},
 		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}},
-		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
-		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
-		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
+		{"Engine unknown", ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
+		{"Engine memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
+		{"Engine wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 	}
 	for _, tc := range rejected {
 		_, err := NewShardedStore(tc.cfg)
@@ -101,8 +101,8 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"Shards equal Blocks", ShardedStoreConfig{Blocks: 8, Shards: 8}},
 		{"QueueDepth explicit", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}},
 		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
-		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewShardedStore(tc.cfg)

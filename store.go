@@ -19,6 +19,7 @@ package palermo
 import (
 	"fmt"
 
+	"palermo/internal/backend/blockfile"
 	"palermo/internal/backend/durable"
 	"palermo/internal/shard"
 )
@@ -83,10 +84,6 @@ type StoreConfig struct {
 	// Engine selects the storage engine: BackendMemory (default),
 	// BackendWAL, or BackendBlockfile. The durable engines require Dir.
 	Engine string
-	// Backend is the original name of the Engine knob, kept as an alias
-	// so existing callers and configs keep working. Setting both to
-	// different values is an error.
-	Backend string
 	// Dir is the durable store directory (durable engines only). Reopening a
 	// populated Dir recovers the persisted state; the directory's manifest
 	// pins Blocks (and shard count) so a mismatched reopen fails loudly.
@@ -111,61 +108,31 @@ type StoreConfig struct {
 	// the default), more when vectors close the batches
 	// (wal.Options.CommitDepth has the arithmetic).
 	GroupCommit int
-	// TreeTopLevels pins the engine's per-space tree-top cache to exactly
-	// this many resident levels (0 keeps the hardware byte-budget default,
-	// ~6 levels; max MaxTreeTopLevels). Every path access touches the top
-	// levels regardless of the key, so residency is access-pattern-neutral:
-	// leaf traces, payloads, and checkpoints are bit-identical at any
-	// setting (DESIGN.md §10) — only the DRAM traffic report shrinks
-	// (TrafficReport.TreeTopHits counts the absorbed lines).
-	TreeTopLevels int
 	// SlotCacheBytes budgets the blockfile engine's slot-level read cache:
 	// recently read 512-byte sealed slots stay resident (CLOCK eviction)
 	// so repeated tree-top and posmap-group reads skip the pread. Gets are
 	// served from the cache only when the whole vectored run is resident;
 	// writes invalidate their slots and checkpoints clear the cache, so
 	// served bytes are identical at every budget (DESIGN.md §14). 0 (the
-	// default) disables the cache. Requires Engine BackendBlockfile.
+	// default) disables the cache; any other budget must hold at least one
+	// slot. Requires Engine BackendBlockfile.
 	SlotCacheBytes int
 }
 
-// MaxTreeTopLevels caps TreeTopLevels for both store flavors: 2^24 resident
-// buckets is already far past any engine geometry's depth (the engine
-// clamps to its actual depth), so larger values are configuration typos.
-const MaxTreeTopLevels = 24
-
-// validateTreeTopLevels rejects nonsensical cache pins; 0 means default.
-func validateTreeTopLevels(k int) error {
-	if k < 0 || k > MaxTreeTopLevels {
-		return fmt.Errorf("palermo: TreeTopLevels must be in [0, %d], got %d", MaxTreeTopLevels, k)
-	}
-	return nil
-}
-
-// validateSlotCacheBytes rejects negative budgets and budgets on engines
-// without a slot cache; 0 means off.
+// validateSlotCacheBytes rejects negative budgets, budgets below one
+// cached slot (which the engine would run with no cache at all) and
+// budgets on engines without a slot cache; 0 means off.
 func validateSlotCacheBytes(n int, engine string) error {
 	if n < 0 {
 		return fmt.Errorf("palermo: SlotCacheBytes must be >= 0, got %d", n)
+	}
+	if n > 0 && n < blockfile.SlotBytes {
+		return fmt.Errorf("palermo: SlotCacheBytes must be 0 or at least one %d-byte slot, got %d", blockfile.SlotBytes, n)
 	}
 	if n > 0 && engine != BackendBlockfile {
 		return fmt.Errorf("palermo: SlotCacheBytes requires Engine %q, got %q", BackendBlockfile, engine)
 	}
 	return nil
-}
-
-// resolveEngine folds the Engine/Backend alias pair into one selector:
-// Engine wins when only it is set, Backend keeps old callers working,
-// and a contradictory pair is refused rather than silently picking one.
-func resolveEngine(engine, backendAlias string) (string, error) {
-	switch {
-	case engine == "":
-		return backendAlias, nil
-	case backendAlias == "" || backendAlias == engine:
-		return engine, nil
-	default:
-		return "", fmt.Errorf("palermo: Engine %q and Backend %q disagree (they are aliases; set one)", engine, backendAlias)
-	}
 }
 
 // DetectEngine reports the storage engine recorded in dir's manifest,
@@ -193,15 +160,15 @@ type Store struct {
 
 // NewStore builds a store. Invalid configurations (zero or overflowing
 // capacity after defaulting, bad key lengths, backend/Dir mismatches) are
-// rejected here rather than surfacing as a deep engine failure. With
-// Backend: BackendWAL, a populated Dir is recovered: checkpointed state
+// rejected here rather than surfacing as a deep engine failure. With a
+// durable Engine, a populated Dir is recovered: checkpointed state
 // restores exactly and any post-checkpoint log tail is replayed.
 func NewStore(cfg StoreConfig) (*Store, error) {
 	h, err := newHost(ShardedStoreConfig{
 		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
-		Engine: cfg.Engine, Backend: cfg.Backend, Dir: cfg.Dir,
+		Engine: cfg.Engine, Dir: cfg.Dir,
 		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
-		TreeTopLevels: cfg.TreeTopLevels, SlotCacheBytes: cfg.SlotCacheBytes,
+		SlotCacheBytes: cfg.SlotCacheBytes,
 	})
 	if err != nil {
 		return nil, err

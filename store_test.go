@@ -138,9 +138,9 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"Key short", StoreConfig{Blocks: 1 << 10, Key: []byte("bad")}},
 		{"Key off-size", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 17)}},
 		{"Key oversize", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 64)}},
-		{"Backend unknown", StoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
-		{"Backend memory with Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
-		{"Backend wal without Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
+		{"Engine unknown", StoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
+		{"Engine memory with Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
+		{"Engine wal without Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 	}
 	for _, tc := range rejected {
 		_, err := NewStore(tc.cfg)
@@ -160,9 +160,9 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"Key AES-256", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 32)}},
 		{"Blocks zero defaults", StoreConfig{}},
 		{"Seed zero defaults", StoreConfig{Blocks: 1 << 10, Seed: 0}},
-		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
-		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
+		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewStore(tc.cfg)
