@@ -241,15 +241,14 @@ func (cl *Client) ReadBatchCtx(ctx context.Context, ids []uint64) ([][]byte, err
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	if limit := cl.batchLimit(); len(ids) > limit {
-		return nil, fmt.Errorf("palermo: batch of %d ops exceeds the server limit of %d", len(ids), limit)
+	ca, err := cl.batchCall(ids, nil)
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range ids {
-		if id >= cl.blocks {
-			return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, cl.blocks)
-		}
-	}
-	r, err := cl.do(ctx, &call{op: wire.OpReadBatch, ids: append([]uint64(nil), ids...)})
+	// A cancelled wait may return while the frame is still queued, so the
+	// call takes its own copy.
+	ca.ids = append([]uint64(nil), ids...)
+	r, err := cl.do(ctx, &ca)
 	if err != nil {
 		return nil, err
 	}
@@ -269,21 +268,49 @@ func (cl *Client) WriteBatchCtx(ctx context.Context, ids []uint64, blocks [][]by
 	if len(ids) == 0 {
 		return nil
 	}
-	if limit := cl.batchLimit(); len(ids) > limit {
-		return fmt.Errorf("palermo: batch of %d ops exceeds the server limit of %d", len(ids), limit)
+	ca, err := cl.batchCall(ids, blocks)
+	if err != nil {
+		return err
 	}
-	cp := make([][]byte, len(blocks))
-	for i, id := range ids {
-		if id >= cl.blocks {
-			return fmt.Errorf("palermo: block %d outside capacity %d", id, cl.blocks)
-		}
-		if len(blocks[i]) != BlockSize {
-			return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(blocks[i]))
-		}
-		cp[i] = append([]byte(nil), blocks[i]...)
+	ca.ids, ca.blocks = append([]uint64(nil), ids...), make([][]byte, len(blocks))
+	for i, b := range blocks {
+		ca.blocks[i] = append([]byte(nil), b...)
 	}
-	_, err := cl.do(ctx, &call{op: wire.OpWriteBatch, ids: append([]uint64(nil), ids...), blocks: cp})
+	_, err = cl.do(ctx, &ca)
 	return err
+}
+
+// batchCall checks a batch frame against the server's per-frame limit and
+// the store's geometry, and builds its call: a write when blocks is
+// non-nil, else a read. The call aliases ids and blocks, so they must stay
+// unchanged until it resolves.
+func (cl *Client) batchCall(ids []uint64, blocks [][]byte) (call, error) {
+	if limit := cl.batchLimit(); len(ids) > limit {
+		return call{}, fmt.Errorf("palermo: batch of %d ops exceeds the server limit of %d", len(ids), limit)
+	}
+	if err := checkBatch(cl.blocks, ids, blocks); err != nil {
+		return call{}, err
+	}
+	if blocks == nil {
+		return call{op: wire.OpReadBatch, ids: ids}, nil
+	}
+	return call{op: wire.OpWriteBatch, ids: ids, blocks: blocks}, nil
+}
+
+// checkBatch checks a batch's ids against a store of the given capacity
+// and, for a write (blocks non-nil), the size of every block.
+func checkBatch(capacity uint64, ids []uint64, blocks [][]byte) error {
+	for i, id := range ids {
+		if id >= capacity {
+			return fmt.Errorf("palermo: block %d outside capacity %d", id, capacity)
+		}
+		if blocks != nil {
+			if err := checkBlock(blocks[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Stats fetches the remote service-layer snapshot.
@@ -443,38 +470,47 @@ func (cl *Client) Close() error {
 
 // do submits one call and waits for its result or ctx cancellation.
 func (cl *Client) do(ctx context.Context, ca *call) (callResult, error) {
+	if err := cl.start(ctx, ca); err != nil {
+		return callResult{}, err
+	}
+	return ca.wait(ctx)
+}
+
+// start queues ca on one of the pool's connections; wait then collects its
+// result. A call that start refused never reaches the server.
+func (cl *Client) start(ctx context.Context, ca *call) error {
 	ca.done = make(chan callResult, 1)
+	// Holding the read lock across the (blocking, back-pressured) send is
+	// the same discipline as serve.Service.enqueue: Close cannot close
+	// sendq until every in-flight send has released the lock.
 	cl.mu.RLock()
+	defer cl.mu.RUnlock()
 	if cl.closed {
-		cl.mu.RUnlock()
-		return callResult{}, fmt.Errorf("palermo: client: %w", ErrClosed)
+		return fmt.Errorf("palermo: client: %w", ErrClosed)
 	}
 	slot := cl.slots[cl.next.Add(1)%uint64(len(cl.slots))]
 	cc, err := slot.conn(cl)
 	if err != nil {
-		cl.mu.RUnlock()
-		return callResult{}, err
+		return err
 	}
-	// Holding the read lock across the (blocking, back-pressured) send is
-	// the same discipline as serve.Service.enqueue: Close cannot close
-	// sendq until every in-flight send has released the lock.
 	select {
 	case cc.sendq <- ca:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	case <-cc.readerDone:
-		err = cc.brokenErr()
+		return cc.brokenErr()
 	}
-	cl.mu.RUnlock()
-	if err != nil {
-		return callResult{}, err
-	}
+}
+
+// wait returns the result of a started call, or ctx's error if ctx ends
+// first: the reader then resolves into the buffered channel later and the
+// result is garbage-collected.
+func (ca *call) wait(ctx context.Context) (callResult, error) {
 	select {
 	case r := <-ca.done:
 		return r, r.err
 	case <-ctx.Done():
-		// Abandon the wait; the reader resolves into the buffered channel
-		// later and the result is garbage-collected.
 		return callResult{}, ctx.Err()
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -201,11 +203,6 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 	t.Run("migration", func(t *testing.T) { run(t, cfg, 200) })
 }
 
-// TestClusterWrongEpochReroute pins the staleness contract: after a
-// migration, a client still routing by the old manifest gets its frame
-// rejected whole with a wrong-epoch status (nothing executed), while the
-// cluster client refetches and re-routes transparently with every
-// operation executing exactly once — counts prove no loss or duplication.
 // TestClusterPartialShed: one node drowning (an admission deadline no
 // queued request can meet) while its peer serves normally. Ops routed to
 // the shedding node must come back ErrRetry through the scatter/gather
@@ -287,6 +284,13 @@ func TestClusterPartialShed(t *testing.T) {
 	}
 }
 
+// TestClusterWrongEpochReroute pins the staleness contract: after a
+// migration, a client still routing by the old manifest gets its frame
+// rejected whole with a wrong-epoch status (nothing executed), while the
+// cluster client refetches and re-routes transparently with every
+// operation executing exactly once — counts prove no loss or duplication.
+// A committed migration costs the stale client no backoff, and a write
+// batch re-routes only the frame that was rejected.
 func TestClusterWrongEpochReroute(t *testing.T) {
 	const blocks = 1 << 12
 	const shards = 3
@@ -295,13 +299,18 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 	defer b.stop(t)
 	defer a.stop(t)
 
-	// A cluster client dialed before the migration (stale manifest) and a
-	// plain client pinned to the source node.
+	// Two cluster clients dialed before the migration (stale manifest) and
+	// a plain client pinned to the source node.
 	cc, err := DialCluster([]string{a.addr, b.addr}, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cc.Close()
+	cc2, err := DialCluster([]string{a.addr, b.addr}, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc2.Close()
 	direct, err := Dial(a.addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -348,12 +357,17 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 	if _, err := direct.Read(0); !errors.Is(err, ErrWrongEpoch) {
 		t.Fatalf("stale read on source = %v, want ErrWrongEpoch", err)
 	}
-	// A batch mixing a migrated and a kept shard through the stale-manifest
-	// cluster client: the rejected group re-routes, the kept group does not
-	// re-execute.
+	// A batch of the migrated shard through the stale-manifest cluster
+	// client: the source rejects it, and the refresh finds the committed
+	// epoch-2 manifest, so it re-routes at once — a backoff is only for a
+	// cutover still in flight.
+	start := time.Now()
 	got, err := cc.ReadBatch(ids)
 	if err != nil {
 		t.Fatalf("post-migration batch through stale client: %v", err)
+	}
+	if took := time.Since(start); took >= wrongEpochBackoff {
+		t.Fatalf("stale client took %v to re-route after a committed migration, want under the %v backoff", took, wrongEpochBackoff)
 	}
 	for i, id := range ids {
 		if want := block(byte(0xA0 + i)); !bytes.Equal(got[i], want) {
@@ -364,16 +378,197 @@ func TestClusterWrongEpochReroute(t *testing.T) {
 		t.Fatalf("client epoch after re-route = %d, want 2", got)
 	}
 
-	// Exactly-once accounting: 4 writes + 4 reads total across the
+	// A write batch through the second stale client spanning the migrated
+	// shard 0 and the kept shards 1 (still on a) and 2 (on b): b's frame
+	// executes at once, a's is rejected whole and re-routed by shard.
+	wids := []uint64{12, 13, 14, 15, 16, 17}
+	wblocks := make([][]byte, len(wids))
+	for i := range wblocks {
+		wblocks[i] = block(byte(0xC0 + i))
+	}
+	if err := cc2.WriteBatch(wids, wblocks); err != nil {
+		t.Fatalf("post-migration write batch through stale client: %v", err)
+	}
+
+	// Exactly-once accounting: 4 + 6 writes and 4 reads total across the
 	// cluster, plus the streamed reads the source answered OK — the
 	// wrong-epoch rejections and retries adding nothing.
 	ss, _, err := cc.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Writes != uint64(len(ids)) || ss.Reads != uint64(len(ids))+streamed {
+	if wantW := uint64(len(ids) + len(wids)); ss.Writes != wantW || ss.Reads != uint64(len(ids))+streamed {
 		t.Fatalf("cluster served %d writes / %d reads, want %d / %d (lost or duplicated ops)",
-			ss.Writes, ss.Reads, len(ids), uint64(len(ids))+streamed)
+			ss.Writes, ss.Reads, wantW, uint64(len(ids))+streamed)
+	}
+	got, err = cc2.ReadBatch(wids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range wids {
+		if !bytes.Equal(got[i], wblocks[i]) {
+			t.Fatalf("block %d of the re-routed write batch reads back wrong", id)
+		}
+	}
+}
+
+// TestClusterConcurrentMigration drives one cluster client from several
+// goroutines while a shard migrates under them: every scatter reads the
+// route table while a refresh replaces it, and stale frames re-route while
+// others are in flight. Every operation still executes exactly once: each
+// caller reads back what it wrote, and the cluster's counts equal the
+// operations issued. Under -race this audits the gather's sharing.
+func TestClusterConcurrentMigration(t *testing.T) {
+	a, b := startClusterPair(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 3, Seed: 3}, false)
+	defer b.stop(t)
+	defer a.stop(t)
+	cc, err := DialCluster([]string{a.addr, b.addr}, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+
+	const callers = 4
+	var rounds, reads, writes atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Caller c owns ids c, c+4, ..., c+20, which span all three shards.
+			ids := make([]uint64, 6)
+			blocks := make([][]byte, len(ids))
+			for i := range ids {
+				ids[i] = uint64(c + i*callers)
+			}
+			for round := 0; ; round++ {
+				for i := range blocks {
+					blocks[i] = block(byte(c<<6 + round + i))
+				}
+				if err := cc.WriteBatch(ids, blocks); err != nil {
+					t.Errorf("caller %d: write batch: %v", c, err)
+					return
+				}
+				got, err := cc.ReadBatch(ids)
+				if err != nil {
+					t.Errorf("caller %d: read batch: %v", c, err)
+					return
+				}
+				one, err := cc.Read(ids[round%len(ids)])
+				if err != nil {
+					t.Errorf("caller %d: read: %v", c, err)
+					return
+				}
+				for i := range ids {
+					if !bytes.Equal(got[i], blocks[i]) {
+						t.Errorf("caller %d: block %d reads back wrong in round %d", c, ids[i], round)
+						return
+					}
+				}
+				if !bytes.Equal(one, blocks[round%len(ids)]) {
+					t.Errorf("caller %d: single read of block %d wrong in round %d", c, ids[round%len(ids)], round)
+					return
+				}
+				writes.Add(uint64(len(ids)))
+				reads.Add(uint64(len(ids)) + 1)
+				rounds.Add(1)
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	waitRounds := func(n uint64) {
+		for deadline := time.Now().Add(10 * time.Second); rounds.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the callers stopped making progress")
+				return
+			}
+		}
+	}
+	waitRounds(callers)
+	if err := a.node.Migrate(0, b.addr); err != nil {
+		t.Errorf("migrate: %v", err)
+	}
+	waitRounds(rounds.Load() + 2*callers)
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := cc.Epoch(); got != 2 {
+		t.Fatalf("client epoch after the migration = %d, want 2", got)
+	}
+	ss, _, err := cc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.Writes != writes.Load() || ss.Reads != reads.Load() {
+		t.Fatalf("cluster served %d writes / %d reads, callers issued %d / %d (lost or duplicated ops)",
+			ss.Writes, ss.Reads, writes.Load(), reads.Load())
+	}
+}
+
+// TestClusterBatchAllocs guards the allocation budget of the cluster
+// client over two one-shard nodes, counted like TestClientReadAllocs
+// across client, wire, servers and stores together. A batch costs its two
+// node frames plus the gather's flat per-call arrays (the goroutine-per-
+// group scatter made 75 for the ReadBatch row and 88 for the WriteBatch);
+// a single op costs exactly what a direct Client.Read to its node does.
+func TestClusterBatchAllocs(t *testing.T) {
+	a, b := startClusterPair(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 2}, false)
+	defer b.stop(t)
+	defer a.stop(t)
+	cc, err := DialCluster([]string{a.addr, b.addr}, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	direct, err := Dial(a.addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	// Even ids live on node a, odd ids on node b.
+	ids := make([]uint64, 16)
+	blocks := make([][]byte, len(ids))
+	for i := range ids {
+		ids[i], blocks[i] = uint64(i), block(byte(i))
+	}
+	// Allocations per op, counted over runs of ten ops: the race detector
+	// drops a random share of sync.Pool puts, and a count rounded down per
+	// run of one op would flip between neighbouring integers.
+	allocs := func(op func() error) float64 {
+		run := func() {
+			for i := 0; i < 10; i++ {
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 50; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(100, run) / 10
+	}
+	readBatch := allocs(func() error { _, err := cc.ReadBatch(ids); return err })
+	writeBatch := allocs(func() error { return cc.WriteBatch(ids, blocks) })
+	read := allocs(func() error { _, err := cc.Read(2); return err })
+	directRead := allocs(func() error { _, err := direct.Read(2); return err })
+	t.Logf("allocations: ReadBatch(16) %.1f, WriteBatch(16) %.1f, Read %.1f, direct Client.Read %.1f",
+		readBatch, writeBatch, read, directRead)
+	if readBatch > 60 {
+		t.Errorf("ClusterClient.ReadBatch(16) allocates %.1f times, ceiling 60", readBatch)
+	}
+	if writeBatch > 50 {
+		t.Errorf("ClusterClient.WriteBatch(16) allocates %.1f times, ceiling 50", writeBatch)
+	}
+	if read > directRead+0.5 {
+		t.Errorf("ClusterClient.Read allocates %.1f times, a direct Client.Read %.1f", read, directRead)
 	}
 }
 

@@ -17,8 +17,11 @@ package palermo
 // staleness (retries exhausted, no node answering) surfaces to the caller.
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,12 +30,15 @@ import (
 )
 
 // wrongEpochRetries bounds how many manifest-refresh-and-retry rounds an
-// operation attempts before surfacing ErrWrongEpoch; the backoff gives an
-// in-flight migration cutover time to flip placement.
+// operation attempts before surfacing ErrWrongEpoch. The backoff is taken
+// only while a refresh finds no newer manifest, to give an in-flight
+// migration cutover time to flip placement.
 const (
 	wrongEpochRetries = 10
 	wrongEpochBackoff = 25 * time.Millisecond
 )
+
+var errClusterClosed = fmt.Errorf("palermo: cluster client: %w", ErrClosed)
 
 // ClusterClient is a remote handle on a multi-node cluster store.
 type ClusterClient struct {
@@ -41,9 +47,13 @@ type ClusterClient struct {
 
 	mu      sync.RWMutex
 	man     *cluster.Manifest
-	clients map[string]*Client
-	parked  []*Client // superseded by an epoch bump; closed at Close
+	clients map[string]*Client // by node address
+	parked  []*Client          // superseded by an epoch bump; closed at Close
 	closed  bool
+	// The route table of man, rebuilt each time a manifest is adopted:
+	// shard → node index, and node index → client.
+	owner []int
+	nodes []*Client
 }
 
 // DialCluster connects to the cluster reachable via addrs: it fetches the
@@ -60,6 +70,7 @@ func DialCluster(addrs []string, cfg ClientConfig) (*ClusterClient, error) {
 	}
 	cfg.defaults()
 	cc := &ClusterClient{cfg: cfg, clients: make(map[string]*Client)}
+	var man *cluster.Manifest
 	var firstErr error
 	for _, addr := range addrs {
 		cl, err := Dial(addr, cfg)
@@ -77,84 +88,82 @@ func DialCluster(addrs []string, cfg ClientConfig) (*ClusterClient, error) {
 			}
 			continue
 		}
-		man, err := cluster.Decode(raw)
+		m, err := cluster.Decode(raw)
 		if err != nil {
 			cl.Close()
+			cc.Close()
 			return nil, fmt.Errorf("palermo: manifest from %s: %w", addr, err)
 		}
-		if cc.man == nil || man.Epoch > cc.man.Epoch {
-			cc.man = man
+		if man == nil || m.Epoch > man.Epoch {
+			man = m
 		}
 		cc.clients[addr] = cl
 	}
-	if cc.man == nil {
-		cc.closeAll()
+	if man == nil {
+		cc.Close()
 		return nil, fmt.Errorf("palermo: no cluster node reachable: %w", firstErr)
 	}
-	router, err := shard.NewRouter(cc.man.Blocks, int(cc.man.Shards))
+	router, err := shard.NewRouter(man.Blocks, int(man.Shards))
 	if err != nil {
-		cc.closeAll()
+		cc.Close()
 		return nil, fmt.Errorf("palermo: %w", err)
 	}
 	cc.router = router
-	if err := cc.ensureClientsLocked(); err != nil {
-		cc.closeAll()
+	if err := cc.adoptLocked(man); err != nil {
+		cc.Close()
 		return nil, err
 	}
 	return cc, nil
 }
 
-func (cc *ClusterClient) closeAll() {
-	for _, cl := range cc.clients {
-		cl.Close()
-	}
-	for _, cl := range cc.parked {
-		cl.Close()
-	}
-}
-
-// ensureClientsLocked dials a client for every manifest node that lacks
-// one pinned at the current epoch. A client pinned at an older epoch is
-// parked (never closed mid-flight — an operation may still hold it) and
-// replaced, so redials inside the pool can never resurrect a stale
-// geometry. Callers hold mu exclusively (or have exclusive access).
-func (cc *ClusterClient) ensureClientsLocked() error {
-	var firstErr error
-	for _, addr := range cc.man.Nodes() {
+// adoptLocked makes man the routing authority: it dials a client for every
+// node of man that lacks one pinned at man's epoch, then rebuilds the
+// route table. A client pinned at an older epoch is parked (never closed
+// mid-flight — an operation may still hold it) and replaced, so redials
+// inside the pool can never resurrect a stale geometry. If that redial
+// fails the stale client stays: its requests either succeed (the node
+// still owns the shard) or fail loudly with wrong-epoch. A node that has
+// no client and cannot be dialed leaves the current manifest in place.
+// Callers hold mu exclusively (or have exclusive access).
+func (cc *ClusterClient) adoptLocked(man *cluster.Manifest) error {
+	addrs := man.Nodes()
+	nodes := make([]*Client, len(addrs))
+	for n, addr := range addrs {
 		cl, ok := cc.clients[addr]
-		if ok && cl.Epoch() == cc.man.Epoch {
-			continue
-		}
-		fresh, err := Dial(addr, cc.cfg)
-		if err != nil {
-			// Keep a stale client rather than no client: its requests
-			// either succeed (the node still owns the shard) or fail
-			// loudly with wrong-epoch.
-			if firstErr == nil && !ok {
-				firstErr = fmt.Errorf("palermo: dial cluster node %s: %w", addr, err)
+		if !ok || cl.Epoch() != man.Epoch {
+			fresh, err := Dial(addr, cc.cfg)
+			switch {
+			case err != nil && !ok:
+				return fmt.Errorf("palermo: dial cluster node %s: %w", addr, err)
+			case err != nil: // keep the stale client
+			case fresh.Blocks() != man.Blocks || fresh.Shards() != int(man.Shards):
+				fresh.Close()
+				return fmt.Errorf("palermo: node %s serves %d blocks / %d shards, manifest says %d / %d",
+					addr, fresh.Blocks(), fresh.Shards(), man.Blocks, man.Shards)
+			default:
+				if ok {
+					cc.parked = append(cc.parked, cl)
+				}
+				cc.clients[addr], cl = fresh, fresh
 			}
-			continue
 		}
-		if fresh.Blocks() != cc.man.Blocks || fresh.Shards() != int(cc.man.Shards) {
-			fresh.Close()
-			return fmt.Errorf("palermo: node %s serves %d blocks / %d shards, manifest says %d / %d",
-				addr, fresh.Blocks(), fresh.Shards(), cc.man.Blocks, cc.man.Shards)
-		}
-		if ok {
-			cc.parked = append(cc.parked, cl)
-		}
-		cc.clients[addr] = fresh
+		nodes[n] = cl
 	}
-	return firstErr
+	owner := make([]int, man.Shards)
+	for s := range owner {
+		owner[s] = slices.Index(addrs, man.Owner(s))
+	}
+	cc.man, cc.owner, cc.nodes = man, owner, nodes
+	return nil
 }
 
-// refresh refetches the manifest from every known node, adopts the highest
-// epoch (never regressing), and refreshes the client pool against it.
+// refresh refetches the manifest from every known node and adopts the
+// highest epoch (never regressing).
 func (cc *ClusterClient) refresh() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.closed {
-		return fmt.Errorf("palermo: cluster client: %w", ErrClosed)
+		return errClusterClosed
 	}
 	best := cc.man
 	for _, cl := range cc.clients {
@@ -170,43 +179,39 @@ func (cc *ClusterClient) refresh() error {
 			best = m
 		}
 	}
-	cc.man = best
-	return cc.ensureClientsLocked()
+	return cc.adoptLocked(best)
 }
 
-// clientFor resolves an id to (owning client, current epoch).
-func (cc *ClusterClient) clientFor(id uint64) (*Client, error) {
+// clientFor resolves an id to its owning node's client, and the epoch of
+// the manifest that routed it.
+func (cc *ClusterClient) clientFor(id uint64) (*Client, uint64, error) {
 	s, _ := cc.router.Route(id)
 	cc.mu.RLock()
 	defer cc.mu.RUnlock()
 	if cc.closed {
-		return nil, fmt.Errorf("palermo: cluster client: %w", ErrClosed)
+		return nil, 0, errClusterClosed
 	}
-	addr := cc.man.Owner(s)
-	cl, ok := cc.clients[addr]
-	if !ok {
-		return nil, fmt.Errorf("palermo: no connection to node %s (owner of shard %d)", addr, s)
-	}
-	return cl, nil
+	return cc.nodes[cc.owner[s]], cc.man.Epoch, nil
 }
 
-// retryWrongEpoch runs op, and on a wrong-epoch rejection refetches the
-// manifest, re-routes, and retries. Safe because a rejected frame executed
-// none of its operations.
-func (cc *ClusterClient) retryWrongEpoch(op func() error) error {
-	var err error
-	for attempt := 0; attempt <= wrongEpochRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * wrongEpochBackoff)
-			if rerr := cc.refresh(); rerr != nil {
-				return rerr
-			}
-		}
-		if err = op(); err == nil || !errors.Is(err, ErrWrongEpoch) {
+// retryWrongEpoch runs op until no node rejects it wrong-epoch, refreshing
+// the manifest before each retry — safe because a rejected frame executed
+// none of its operations. op reports the epoch it was routed under; the
+// loop backs off only when the refresh finds no epoch past it, because
+// the cutover is still in flight.
+func (cc *ClusterClient) retryWrongEpoch(op func() (routed uint64, err error)) error {
+	for attempt := 1; ; attempt++ {
+		routed, err := op()
+		if !errors.Is(err, ErrWrongEpoch) || attempt > wrongEpochRetries {
 			return err
 		}
+		if err := cc.refresh(); err != nil {
+			return err
+		}
+		if cc.Epoch() <= routed {
+			time.Sleep(time.Duration(attempt) * wrongEpochBackoff)
+		}
 	}
-	return err
 }
 
 // Blocks returns the cluster store's capacity in blocks.
@@ -224,72 +229,26 @@ func (cc *ClusterClient) Epoch() uint64 {
 
 // Read fetches a block obliviously from the owning node.
 func (cc *ClusterClient) Read(id uint64) ([]byte, error) {
-	if id >= cc.Blocks() {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, cc.Blocks())
-	}
 	var out []byte
-	err := cc.retryWrongEpoch(func() error {
-		cl, err := cc.clientFor(id)
-		if err != nil {
-			return err
+	err := cc.retryWrongEpoch(func() (uint64, error) {
+		cl, epoch, err := cc.clientFor(id)
+		if err == nil {
+			out, err = cl.Read(id)
 		}
-		out, err = cl.Read(id)
-		return err
+		return epoch, err
 	})
 	return out, err
 }
 
 // Write stores a block obliviously on the owning node.
 func (cc *ClusterClient) Write(id uint64, data []byte) error {
-	if id >= cc.Blocks() {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, cc.Blocks())
-	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
-	}
-	return cc.retryWrongEpoch(func() error {
-		cl, err := cc.clientFor(id)
-		if err != nil {
-			return err
+	return cc.retryWrongEpoch(func() (uint64, error) {
+		cl, epoch, err := cc.clientFor(id)
+		if err == nil {
+			err = cl.Write(id, data)
 		}
-		return cl.Write(id, data)
+		return epoch, err
 	})
-}
-
-// batchGroup is one node's slice of a scattered batch.
-type batchGroup struct {
-	cl  *Client
-	ids []uint64
-	pos []int
-}
-
-// partition splits positions of ids into per-owning-node groups under the
-// current manifest.
-func (cc *ClusterClient) partition(ids []uint64, positions []int) ([]*batchGroup, error) {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	if cc.closed {
-		return nil, fmt.Errorf("palermo: cluster client: %w", ErrClosed)
-	}
-	byAddr := make(map[string]*batchGroup)
-	var out []*batchGroup
-	for _, i := range positions {
-		s, _ := cc.router.Route(ids[i])
-		addr := cc.man.Owner(s)
-		g, ok := byAddr[addr]
-		if !ok {
-			cl, have := cc.clients[addr]
-			if !have {
-				return nil, fmt.Errorf("palermo: no connection to node %s (owner of shard %d)", addr, s)
-			}
-			g = &batchGroup{cl: cl}
-			byAddr[addr] = g
-			out = append(out, g)
-		}
-		g.ids = append(g.ids, ids[i])
-		g.pos = append(g.pos, i)
-	}
-	return out, nil
 }
 
 // ReadBatch fetches many blocks, one frame per owning node, all nodes in
@@ -300,25 +259,11 @@ func (cc *ClusterClient) partition(ids []uint64, positions []int) ([]*batchGroup
 // rejected node's group is re-routed and retried (the frame executed
 // nothing), so no block is read twice into a different position.
 func (cc *ClusterClient) ReadBatch(ids []uint64) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for _, id := range ids {
-		if id >= cc.Blocks() {
-			return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, cc.Blocks())
-		}
+	if err := checkBatch(cc.Blocks(), ids, nil); err != nil {
+		return nil, err
 	}
-	return out, cc.scatter(ids, func(g *batchGroup) error {
-		blocks, err := g.cl.ReadBatch(g.ids)
-		if err != nil {
-			return err
-		}
-		if len(blocks) != len(g.ids) {
-			return fmt.Errorf("palermo: node answered %d of %d batch reads", len(blocks), len(g.ids))
-		}
-		for j, p := range g.pos {
-			out[p] = blocks[j]
-		}
-		return nil
-	})
+	out := make([][]byte, len(ids))
+	return out, cc.batch(ids, nil, out)
 }
 
 // WriteBatch stores blocks[i] under ids[i], one frame per owning node (see
@@ -327,71 +272,106 @@ func (cc *ClusterClient) WriteBatch(ids []uint64, blocks [][]byte) error {
 	if len(ids) != len(blocks) {
 		return fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
 	}
-	for i, id := range ids {
-		if id >= cc.Blocks() {
-			return fmt.Errorf("palermo: block %d outside capacity %d", id, cc.Blocks())
-		}
-		if len(blocks[i]) != BlockSize {
-			return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(blocks[i]))
-		}
+	if err := checkBatch(cc.Blocks(), ids, blocks); err != nil {
+		return err
 	}
-	return cc.scatter(ids, func(g *batchGroup) error {
-		sub := make([][]byte, len(g.pos))
-		for j, p := range g.pos {
-			sub[j] = blocks[p]
-		}
-		return g.cl.WriteBatch(g.ids, sub)
-	})
+	return cc.batch(ids, blocks, nil)
 }
 
-// scatter partitions the batch by owner, runs every group concurrently,
-// and retries (after a manifest refresh) exactly the groups a node
-// rejected with wrong-epoch. Non-epoch errors surface immediately.
-func (cc *ClusterClient) scatter(ids []uint64, serve func(*batchGroup) error) error {
+// batch scatters a read (blocks nil) or write batch until every position
+// has executed once: each retry re-routes only the positions whose frame a
+// node rejected wrong-epoch.
+func (cc *ClusterClient) batch(ids []uint64, blocks, out [][]byte) error {
 	pending := make([]int, len(ids))
 	for i := range pending {
 		pending[i] = i
 	}
-	var err error
-	for attempt := 0; attempt <= wrongEpochRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * wrongEpochBackoff)
-			if rerr := cc.refresh(); rerr != nil {
-				return rerr
-			}
-		}
-		var groups []*batchGroup
-		groups, err = cc.partition(ids, pending)
-		if err != nil {
-			return err
-		}
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for gi, g := range groups {
-			wg.Add(1)
-			go func(gi int, g *batchGroup) {
-				defer wg.Done()
-				errs[gi] = serve(g)
-			}(gi, g)
-		}
-		wg.Wait()
-		pending = pending[:0]
-		err = nil
-		for gi, gerr := range errs {
-			if gerr == nil {
-				continue
-			}
-			if !errors.Is(gerr, ErrWrongEpoch) {
-				return gerr // a real failure beats more re-routing
-			}
-			err = gerr
-			pending = append(pending, groups[gi].pos...)
-		}
-		if len(pending) == 0 {
-			return nil
+	return cc.retryWrongEpoch(func() (routed uint64, err error) {
+		pending, routed, err = cc.scatter(ids, blocks, out, pending)
+		return routed, err
+	})
+}
+
+// scatter makes one attempt at the batch positions in pending. It
+// counting-sorts them by owning node into flat arrays, the way
+// host.submitBatch sorts a batch by shard, starts one frame per node, then
+// waits on each in turn; a read's results land in out at their positions.
+// It returns the positions of the frames a node rejected wrong-epoch,
+// which executed nothing, the epoch of the manifest that routed them and,
+// once every started frame has completed, the first other error.
+func (cc *ClusterClient) scatter(ids []uint64, blocks, out [][]byte, pending []int) ([]int, uint64, error) {
+	cc.mu.RLock()
+	owner, nodes, routed, closed := cc.owner, cc.nodes, cc.man.Epoch, cc.closed
+	cc.mu.RUnlock()
+	if closed {
+		return nil, 0, errClusterClosed
+	}
+	// Node n's frame is [end[n-1], end[n]) of gids, pos and gblocks.
+	end := make([]int, len(nodes))
+	for _, p := range pending {
+		s, _ := cc.router.Route(ids[p])
+		end[owner[s]]++
+	}
+	for n, sum := 0, 0; n < len(end); n++ {
+		end[n], sum = sum, sum+end[n]
+	}
+	gids, pos := make([]uint64, len(pending)), make([]int, len(pending))
+	var gblocks [][]byte
+	if blocks != nil {
+		gblocks = make([][]byte, len(pending))
+	}
+	for _, p := range pending {
+		s, _ := cc.router.Route(ids[p])
+		k := end[owner[s]]
+		end[owner[s]]++
+		gids[k], pos[k] = ids[p], p
+		if blocks != nil {
+			gblocks[k] = blocks[p]
 		}
 	}
-	return err
+	ctx := context.Background()
+	calls := make([]call, len(nodes))
+	var err error
+	for n, start := 0, 0; n < len(nodes) && err == nil; start, n = end[n], n+1 {
+		if start == end[n] {
+			continue
+		}
+		var bs [][]byte
+		if blocks != nil {
+			bs = gblocks[start:end[n]]
+		}
+		if calls[n], err = nodes[n].batchCall(gids[start:end[n]], bs); err == nil {
+			err = nodes[n].start(ctx, &calls[n])
+		}
+		if err != nil {
+			calls[n] = call{} // never queued: nothing to wait for
+		}
+	}
+	rejected, wrongEpoch := pending[:0], error(nil)
+	for n, start := 0, 0; n < len(nodes); start, n = end[n], n+1 {
+		if calls[n].done == nil {
+			continue
+		}
+		r, werr := calls[n].wait(ctx)
+		switch at := pos[start:end[n]]; {
+		case errors.Is(werr, ErrWrongEpoch):
+			rejected, wrongEpoch = append(rejected, at...), werr
+			continue
+		case werr == nil && out != nil && len(r.batch) != len(at):
+			werr = fmt.Errorf("palermo: node answered %d of %d batch reads", len(r.batch), len(at))
+		case werr == nil && out != nil:
+			for j, p := range at {
+				out[p] = r.batch[j]
+			}
+		}
+		if err == nil {
+			err = werr
+		}
+	}
+	if err == nil {
+		err = wrongEpoch
+	}
+	return rejected, routed, err
 }
 
 // Snapshot merges every node's service and traffic counters into one
@@ -404,10 +384,7 @@ func (cc *ClusterClient) scatter(ids []uint64, serve func(*batchGroup) error) er
 // an approximation.
 func (cc *ClusterClient) Snapshot() (ServiceStats, TrafficReport, error) {
 	cc.mu.RLock()
-	clients := make([]*Client, 0, len(cc.clients))
-	for _, cl := range cc.clients {
-		clients = append(clients, cl)
-	}
+	clients := slices.Collect(maps.Values(cc.clients))
 	cc.mu.RUnlock()
 	var ss ServiceStats
 	var tr TrafficReport
@@ -459,18 +436,19 @@ func mergeLatApprox(a, b LatencySummary) LatencySummary {
 	}
 }
 
-// NetStats sums the per-node client wire counters.
+// allLocked lists every client of the pool, current and parked. Callers
+// hold mu.
+func (cc *ClusterClient) allLocked() []*Client {
+	return append(slices.Collect(maps.Values(cc.clients)), cc.parked...)
+}
+
+// NetStats sums the wire counters of every node client, current and
+// superseded.
 func (cc *ClusterClient) NetStats() ClientNetStats {
 	cc.mu.RLock()
 	defer cc.mu.RUnlock()
 	var out ClientNetStats
-	for _, cl := range cc.clients {
-		ns := cl.NetStats()
-		out.FramesSent += ns.FramesSent
-		out.Ops += ns.Ops
-		out.MergedOps += ns.MergedOps
-	}
-	for _, cl := range cc.parked {
+	for _, cl := range cc.allLocked() {
 		ns := cl.NetStats()
 		out.FramesSent += ns.FramesSent
 		out.Ops += ns.Ops
@@ -487,11 +465,7 @@ func (cc *ClusterClient) Close() error {
 		return nil
 	}
 	cc.closed = true
-	clients := make([]*Client, 0, len(cc.clients)+len(cc.parked))
-	for _, cl := range cc.clients {
-		clients = append(clients, cl)
-	}
-	clients = append(clients, cc.parked...)
+	clients := cc.allLocked()
 	cc.parked = nil
 	cc.mu.Unlock()
 	var errs []error
