@@ -272,9 +272,9 @@ func (n *ClusterNode) ServiceStats() ServiceStats {
 }
 
 // QueueDepths reports each owned shard's instantaneous request-queue
-// occupancy, in ascending shard order (pair with OwnedShards for the
-// shard indices). A point-in-time gauge, not a synchronized snapshot.
-func (n *ClusterNode) QueueDepths() []int { return n.live().queueDepths() }
+// occupancy, keyed by shard. A point-in-time gauge, not a synchronized
+// snapshot.
+func (n *ClusterNode) QueueDepths() map[int]int { return n.live().queueDepths() }
 
 // FsyncLag aggregates the owned shards' durable-backend fsync telemetry
 // (count and cumulative wait); memory-backed nodes report (0, 0).

@@ -36,7 +36,6 @@ func TestConstructorParity(t *testing.T) {
 		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
 		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
 		{name: "QueueDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, sharded: true},
-		{name: "MaxBatch negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}, sharded: true},
 
 		{name: "zero value defaults", ok: true},
 		{name: "Key AES-128", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}, ok: true},
@@ -48,7 +47,6 @@ func TestConstructorParity(t *testing.T) {
 		{name: "SlotCacheBytes on blockfile", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, SlotCacheBytes: 4096}, dir: true, ok: true},
 		{name: "Shards equal Blocks", cfg: ShardedStoreConfig{Blocks: 8, Shards: 8}, sharded: true, ok: true},
 		{name: "QueueDepth explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}, sharded: true, ok: true},
-		{name: "MaxBatch explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}, sharded: true, ok: true},
 	}
 	type closer interface{ Close() error }
 	const addr = "node-a:7070"

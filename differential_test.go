@@ -232,7 +232,7 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range local.shards {
+	for _, sh := range engines(local) {
 		sh.EnableTrace()
 	}
 	wantPayloads := playNetOps(t, local, ops)
@@ -246,7 +246,7 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range remoteStore.shards {
+	for _, sh := range engines(remoteStore) {
 		sh.EnableTrace()
 	}
 	srv, err := NewServer(remoteStore, ServerConfig{})
@@ -301,8 +301,8 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 			wantStats.Reads, wantStats.Writes, wantStats.DedupHits)
 	}
 	// Identical per-shard engine traces: same ops, same order, same leaves.
-	for i := range local.shards {
-		want, got := local.shards[i].Trace(), remoteStore.shards[i].Trace()
+	for i := range engines(local) {
+		want, got := engines(local)[i].Trace(), engines(remoteStore)[i].Trace()
 		if len(want.Ops) == 0 {
 			t.Fatalf("shard %d served nothing", i)
 		}
@@ -348,7 +348,7 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range engines(st) {
 			sh.EnableTrace()
 		}
 		payloads = playNetOps(t, st, ops)
@@ -356,7 +356,7 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range engines(st) {
 			traces = append(traces, sh.Trace())
 		}
 		return payloads, stats, traces

@@ -76,8 +76,8 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	if c.Shards < 1 || c.Shards > MaxShards {
 		return none, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, c.Shards)
 	}
-	if c.QueueDepth < 0 || c.MaxBatch < 0 {
-		return none, fmt.Errorf("palermo: QueueDepth/MaxBatch must be >= 0")
+	if c.QueueDepth < 0 {
+		return none, fmt.Errorf("palermo: QueueDepth must be >= 0")
 	}
 	router, err := shard.NewRouter(c.Blocks, c.Shards)
 	if err != nil {
@@ -164,13 +164,12 @@ func (h *host) tune(sh *shard.Shard) {
 }
 
 // adoptSlot tunes a bare slot, starts its worker and installs it as shard
-// s. Every slot is its own one-worker Service rather than worker i of one
-// shared Service because migration adds and removes slots at run time.
+// s. A serve.Service is one shard's worker, so migration adds and removes
+// slots at run time without touching any other shard's.
 func (h *host) adoptSlot(s int, sl *slot) {
 	h.tune(sl.sh)
-	sl.svc = serve.New([]serve.Backend{sl.sh}, serve.Config{
+	sl.svc = serve.New(sl.sh, serve.Config{
 		QueueDepth:        h.cfg.QueueDepth,
-		MaxBatch:          h.cfg.MaxBatch,
 		AdmissionDeadline: h.cfg.AdmissionDeadline,
 	})
 	h.slots[s] = sl
@@ -218,7 +217,7 @@ func (h *host) submit(op serve.Op, id uint64, data []byte, done serve.Completion
 	if err != nil {
 		return err
 	}
-	return sl.svc.SubmitFunc(0, op, local, data, done)
+	return sl.svc.SubmitFunc(op, local, data, done)
 }
 
 // submitBatch is the completion-taking form of ReadBatch (op OpRead,
@@ -300,7 +299,7 @@ func (h *host) submitBatch(op serve.Op, ids []uint64, blocks [][]byte, done func
 		if j.pos != nil {
 			at = j.pos[start:end[s]]
 		}
-		err := h.slots[s].svc.SubmitBatchFunc(0, rs, func(i int, data []byte, err error) {
+		err := h.slots[s].svc.SubmitBatchFunc(rs, func(i int, data []byte, err error) {
 			if err != nil {
 				j.fail(err)
 			} else if at != nil {
@@ -405,7 +404,7 @@ func awaitBatch(s submitter, op serve.Op, ids []uint64, blocks [][]byte) ([][]by
 func (sl *slot) onWorker(fn func()) {
 	if sl.svc == nil {
 		fn()
-	} else if err := sl.svc.Sync(0, fn); err != nil {
+	} else if err := sl.svc.Sync(fn); err != nil {
 		sl.svc.WaitClosed()
 		fn()
 	}
@@ -453,12 +452,12 @@ func (ss slotSet) serviceStats(retired []*serve.Service) ServiceStats {
 	return serve.MergeStats(append(svcs, retired...))
 }
 
-// queueDepths lists the hosted slots' queue occupancy in shard order.
-func (ss slotSet) queueDepths() []int {
-	out := make([]int, 0, len(ss))
-	for _, sl := range ss {
+// queueDepths maps each hosted shard to its queue occupancy.
+func (ss slotSet) queueDepths() map[int]int {
+	out := make(map[int]int, len(ss))
+	for s, sl := range ss {
 		if sl != nil {
-			out = append(out, sl.svc.QueueDepths()[0])
+			out[s] = sl.svc.QueueDepth()
 		}
 	}
 	return out

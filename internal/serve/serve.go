@@ -1,28 +1,26 @@
-// Package serve is the concurrent request layer over a set of sharded
-// oblivious-store backends: per-shard worker goroutines, bounded request
-// queues with back-pressure, intra-batch same-block read deduplication
-// (one ORAM access fans out to every waiter), completion callbacks, and
-// latency histograms (internal/stats).
+// Package serve is one shard's request layer: a worker goroutine that owns
+// the shard's backend, a bounded request queue with back-pressure,
+// intra-batch same-block read deduplication (one ORAM access fans out to
+// every waiter), completion callbacks, and latency histograms
+// (internal/stats). A sharded store runs one Service per shard.
 //
-// Concurrency discipline: each backend is confined to exactly one worker
+// Concurrency discipline: the backend is confined to exactly one worker
 // goroutine — the engine-per-goroutine rule the sweep runner already
-// follows (DESIGN.md §4.2) — so ORAM engines need no locks and per-shard
-// request subsequences execute deterministically. Clients only touch
-// channels and their own completions. Back-pressure is the queue send
-// itself: when a shard's bounded queue is full, a submit blocks until the
-// worker drains, which bounds memory and keeps a closed-loop client honest.
+// follows (DESIGN.md §4.2) — so ORAM engines need no locks and the shard's
+// request sequence executes deterministically. Clients only touch the
+// queue and their own completions. Back-pressure is the queue send itself:
+// when the bounded queue is full, a submit blocks until the worker drains,
+// which bounds memory and keeps a closed-loop client honest.
 //
 // A request's outcome is delivered through exactly one primitive, its
-// Completion, run on the shard worker. SubmitFunc and SubmitBatchFunc hand
-// the caller's completion to the worker directly (the network layer's
-// path: no goroutine waits per request); Submit, SubmitBatch and
-// Future.Wait are the same path with a completion that sends on the
-// future's channel.
+// Completion, run on the worker. SubmitFunc and SubmitBatchFunc hand the
+// caller's completion to the worker directly, so no goroutine waits per
+// request; a blocking caller passes a completion that sends on a channel.
 //
-// A worker runs every submission to completion: each op executes on the
+// The worker runs every submission to completion: each op executes on the
 // worker — a run of consecutive writes as one Backend.WriteMany, so a
 // durable engine frames and commits it as a unit — then the submission's
-// latencies are recorded under one clock read and its completions run. A
+// latencies are recorded under one clock read and its completions run. The
 // worker is the only goroutine its shard has (DESIGN.md §9).
 package serve
 
@@ -82,17 +80,12 @@ type Backend interface {
 
 // Config tunes the service. The zero value uses the defaults.
 type Config struct {
-	// QueueDepth bounds each shard's request queue, counted in queued
-	// submissions (a batch counts once). Default 256.
+	// QueueDepth bounds the request queue, counted in queued submissions
+	// (a batch counts once). Default 256.
 	QueueDepth int
-	// MaxBatch caps how many operations a worker coalesces into one
-	// served batch when draining its queue opportunistically. A single
-	// submitted batch is never split, so an atomic SubmitBatch larger than
-	// MaxBatch still dedups as one unit. Default 64.
-	MaxBatch int
-	// AdmissionDeadline bounds how long a request may wait in its shard
-	// queue before the worker sheds it: a request picked up more than this
-	// long after submission is answered ErrRetry without executing, so an
+	// AdmissionDeadline bounds how long a request may wait in the queue
+	// before the worker sheds it: a request picked up more than this long
+	// after submission is answered ErrRetry without executing, so an
 	// overloaded service degrades by shedding instead of by unbounded
 	// queueing delay. Sheds happen strictly before any engine or backend
 	// access. 0 (the default) disables shedding — every queued request
@@ -100,14 +93,11 @@ type Config struct {
 	AdmissionDeadline time.Duration
 }
 
-func (c *Config) defaults() {
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-}
+// maxBatch caps how many operations the worker coalesces into one served
+// batch when draining its queue opportunistically. A single submission is
+// never split, so an atomic SubmitBatchFunc larger than maxBatch still
+// dedups as one unit.
+const maxBatch = 64
 
 // Completion receives one request's outcome: i is the request's index in
 // its submission (0 for a single operation), data the payload of a
@@ -116,26 +106,6 @@ func (c *Config) defaults() {
 // exactly once for every request of a submission that was accepted, and
 // never for a submission that returned an error.
 type Completion func(i int, data []byte, err error)
-
-// result is what a future resolves to.
-type result struct {
-	data []byte
-	err  error
-}
-
-// Future resolves to one request's outcome.
-type Future struct {
-	done chan result
-}
-
-func newFuture() *Future { return &Future{done: make(chan result, 1)} }
-
-// Wait blocks until the request completes and returns its payload (reads)
-// and error.
-func (f *Future) Wait() ([]byte, error) {
-	r := <-f.done
-	return r.data, r.err
-}
 
 // submission is the internal queued form: one Submit* call's operations in
 // one slab, with what they share — the submit time and the completion.
@@ -158,23 +128,21 @@ type request struct {
 	err   error
 }
 
-// Service routes requests to per-shard workers.
+// Service is one shard's worker behind its bounded queue. It holds only
+// what submitters share; everything the worker writes lives in its own
+// allocation, which keeps the read lock every submit takes off the cache
+// lines the worker writes per batch.
 type Service struct {
-	cfg     Config
-	workers []*worker
-
-	mu       sync.RWMutex // guards closed vs. in-flight queue sends
-	closed   bool
-	wg       sync.WaitGroup
-	errOnce  sync.Once // collects worker close errors exactly once
-	closeErr error
+	mu     sync.RWMutex // guards closed vs. in-flight queue sends
+	closed bool
+	wg     sync.WaitGroup
+	w      *worker
 }
 
-// worker owns one backend.
+// worker owns the backend.
 type worker struct {
 	backend  Backend
 	queue    chan submission
-	maxBatch int
 	deadline time.Duration // admission deadline (0 = no shedding)
 
 	// lastOp is mark's scratch, empty between batches: the latest op per id.
@@ -186,7 +154,7 @@ type worker struct {
 	errs []error
 
 	// statMu guards the histograms and counters below; they are written by
-	// the worker once per completed request and read by Stats.
+	// the worker once per completed request and read by MergeStats.
 	statMu   sync.Mutex
 	readLat  *stats.Histogram
 	writeLat *stats.Histogram
@@ -200,29 +168,27 @@ type worker struct {
 	closeErr error
 }
 
-// New starts one worker goroutine per backend.
-func New(backends []Backend, cfg Config) *Service {
-	cfg.defaults()
-	s := &Service{cfg: cfg}
-	for _, b := range backends {
-		w := &worker{
-			backend:  b,
-			queue:    make(chan submission, cfg.QueueDepth),
-			lastOp:   make(map[uint64]*request),
-			maxBatch: cfg.MaxBatch,
-			deadline: cfg.AdmissionDeadline,
-			readLat:  newLatHistogram(),
-			writeLat: newLatHistogram(),
-			queueLat: newLatHistogram(),
-			execLat:  newLatHistogram(),
-		}
-		s.workers = append(s.workers, w)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			w.run()
-		}()
+// New starts the worker goroutine that owns b.
+func New(b Backend, cfg Config) *Service {
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 256
 	}
+	w := &worker{
+		backend:  b,
+		queue:    make(chan submission, cfg.QueueDepth),
+		lastOp:   make(map[uint64]*request),
+		deadline: cfg.AdmissionDeadline,
+		readLat:  newLatHistogram(),
+		writeLat: newLatHistogram(),
+		queueLat: newLatHistogram(),
+		execLat:  newLatHistogram(),
+	}
+	s := &Service{w: w}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		w.run()
+	}()
 	return s
 }
 
@@ -234,22 +200,19 @@ func newLatHistogram() *stats.Histogram {
 	return stats.NewHistogram(4096, 5)
 }
 
-// Shards returns the number of shard workers.
-func (s *Service) Shards() int { return len(s.workers) }
-
-// SubmitFunc enqueues one operation for a shard; done receives its outcome
-// on the worker (see Completion). It blocks while the shard's queue is full
+// SubmitFunc enqueues one operation; done receives its outcome on the
+// worker (see Completion). It blocks while the queue is full
 // (back-pressure). Write data is copied, so the caller may reuse its buffer
 // as soon as SubmitFunc returns.
-func (s *Service) SubmitFunc(shard int, op Op, id uint64, data []byte, done Completion) error {
-	return s.SubmitBatchFunc(shard, []Req{{Op: op, ID: id, Data: data}}, done)
+func (s *Service) SubmitFunc(op Op, id uint64, data []byte, done Completion) error {
+	return s.SubmitBatchFunc([]Req{{Op: op, ID: id, Data: data}}, done)
 }
 
 // SubmitBatchFunc enqueues a batch atomically: the worker serves all of it
 // as one unit, so same-block reads inside the batch are guaranteed to
 // coalesce into a single ORAM access. done runs once per request, with the
 // request's index in reqs.
-func (s *Service) SubmitBatchFunc(shard int, reqs []Req, done Completion) error {
+func (s *Service) SubmitBatchFunc(reqs []Req, done Completion) error {
 	if len(reqs) == 0 {
 		return nil
 	}
@@ -263,123 +226,53 @@ func (s *Service) SubmitBatchFunc(shard int, reqs []Req, done Completion) error 
 			sub.reqs[i].data = append([]byte(nil), q.Data...)
 		}
 	}
-	return s.enqueue(shard, sub)
+	return s.enqueue(sub)
 }
 
-// Submit is SubmitFunc with a future for a completion.
-func (s *Service) Submit(shard int, op Op, id uint64, data []byte) (*Future, error) {
-	f := newFuture()
-	err := s.SubmitFunc(shard, op, id, data, func(_ int, data []byte, err error) {
-		f.done <- result{data, err} // buffered: never blocks the worker
-	})
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// SubmitBatch is SubmitBatchFunc with one future per request, in input
-// order.
-func (s *Service) SubmitBatch(shard int, reqs []Req) ([]*Future, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	futs := make([]*Future, len(reqs))
-	for i := range futs {
-		futs[i] = newFuture()
-	}
-	err := s.SubmitBatchFunc(shard, reqs, func(i int, data []byte, err error) {
-		futs[i].done <- result{data, err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return futs, nil
-}
-
-// Read performs a synchronous oblivious read on a shard.
-func (s *Service) Read(shard int, id uint64) ([]byte, error) {
-	f, err := s.Submit(shard, OpRead, id, nil)
-	if err != nil {
-		return nil, err
-	}
-	return f.Wait()
-}
-
-// Write performs a synchronous oblivious write on a shard.
-func (s *Service) Write(shard int, id uint64, data []byte) error {
-	f, err := s.Submit(shard, OpWrite, id, data)
-	if err != nil {
-		return err
-	}
-	_, err = f.Wait()
-	return err
-}
-
-// Sync runs fn on the shard's worker goroutine, after every operation
-// queued ahead of it, and returns once fn completes. It is the race-free
-// way to observe worker-owned state (backend counters, traces) while the
-// service is running.
-func (s *Service) Sync(shard int, fn func()) error {
+// Sync runs fn on the worker goroutine, after every operation queued ahead
+// of it, and returns once fn completes. It is the race-free way to observe
+// worker-owned state (backend counters, traces) while the service is
+// running.
+func (s *Service) Sync(fn func()) error {
 	ran := make(chan struct{})
 	sub := submission{t0: time.Now(), fn: fn, done: func(int, []byte, error) { close(ran) }, reqs: []request{{op: opSync}}}
-	if err := s.enqueue(shard, sub); err != nil {
+	if err := s.enqueue(sub); err != nil {
 		return err
 	}
 	<-ran
 	return nil
 }
 
-// enqueue sends a submission to a shard's queue under the closed-state guard.
-// Holding the read lock across a blocking send is safe: workers drain until
-// their queue is closed, and Close cannot close queues until all in-flight
-// sends release the lock.
-func (s *Service) enqueue(shard int, sub submission) error {
-	if shard < 0 || shard >= len(s.workers) {
-		return fmt.Errorf("serve: shard %d out of range [0,%d)", shard, len(s.workers))
-	}
+// enqueue sends a submission to the queue under the closed-state guard.
+// Holding the read lock across a blocking send is safe: the worker drains
+// until its queue is closed, and Close cannot close the queue until all
+// in-flight sends release the lock.
+func (s *Service) enqueue(sub submission) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.workers[shard].queue <- sub
+	s.w.queue <- sub
 	return nil
 }
 
 // Close stops accepting requests, drains every already-queued request to
-// completion, closes each backend on its own worker goroutine (flushing
-// and checkpointing durable backends), and waits for all workers to exit.
-// Idempotent; every call returns the first backend close error.
+// completion, closes the backend on the worker goroutine (flushing and
+// checkpointing a durable backend), and waits for the worker to exit.
+// Idempotent; every call returns the backend's close error.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		for _, w := range s.workers {
-			close(w.queue)
-		}
+		close(s.w.queue)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	s.errOnce.Do(func() {
-		for _, w := range s.workers {
-			if w.closeErr != nil {
-				s.closeErr = w.closeErr
-				break
-			}
-		}
-	})
-	return s.closeErr
+	return s.w.closeErr
 }
 
-// Closed reports whether Close has begun.
-func (s *Service) Closed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closed
-}
-
-// WaitClosed blocks until every worker goroutine has exited. Only
+// WaitClosed blocks until the worker goroutine has exited. Only
 // meaningful once Close has begun (a concurrent Close may still be
 // draining queued requests when other callers observe closed errors);
 // calling it on an open service blocks until someone calls Close.
@@ -394,7 +287,7 @@ func (w *worker) run() {
 	for sub := range w.queue {
 		batch = append(batch[:0], sub)
 	coalesce:
-		for nops := len(sub.reqs); nops < w.maxBatch; nops += len(sub.reqs) {
+		for nops := len(sub.reqs); nops < maxBatch; nops += len(sub.reqs) {
 			var ok bool
 			select {
 			case sub, ok = <-w.queue:
@@ -469,9 +362,9 @@ func (w *worker) mark(batch []submission) {
 // serveInline runs one submission to completion on the worker. Every op
 // executes, then one clock read and one statMu section account for the
 // whole slab, then its completions run: a caller that has seen its
-// completion also finds the op in Stats, a write is completed only after
-// the backend accepted it, and submissions coalesced behind this one are
-// not waited for.
+// completion also finds the op in MergeStats, a write is completed only
+// after the backend accepted it, and submissions coalesced behind this one
+// are not waited for.
 func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64][]byte) {
 	hits := 0
 	for i := 0; i < len(sub.reqs); i++ {
@@ -584,49 +477,36 @@ type Stats struct {
 	ExecLat  LatencySummary // worker pickup -> completion
 }
 
-// QueueDepths reports each shard's current request-queue occupancy (in
-// queued submissions — a batch counts once). A point-in-time operability
-// reading for the /metrics surface; safe at any time, including after
-// Close (closed queues read 0).
-func (s *Service) QueueDepths() []int {
-	out := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = len(w.queue)
-	}
-	return out
-}
+// QueueDepth reports the request queue's current occupancy (in queued
+// submissions — a batch counts once). A point-in-time operability reading
+// for the /metrics surface; safe at any time, including after Close (a
+// closed queue reads 0).
+func (s *Service) QueueDepth() int { return len(s.w.queue) }
 
-// Stats aggregates counters and latency percentiles across all shards. Safe
-// to call at any time, including while requests are in flight. Percentiles
-// are bucketed upper bounds (5µs resolution, clamped at the ~20ms
-// histogram range).
-func (s *Service) Stats() Stats {
-	return MergeStats([]*Service{s})
-}
-
-// MergeStats aggregates the snapshots of several Services with exactly the
-// arithmetic Stats applies across one Service's workers: counters sum and
-// latency histograms merge at the bucket level, so the combined percentiles
-// are those of the pooled samples — not a lossy summary-of-summaries. The
-// cluster node uses it to report one service snapshot across its per-shard
-// Services (including the retired ones of migrated-away shards, whose
-// served-operation history stays on this node). Safe at any time; a closed
-// Service contributes its final counters.
+// MergeStats aggregates the snapshots of several Services: counters sum
+// and latency histograms merge at the bucket level, so the combined
+// percentiles are those of the pooled samples — not a lossy
+// summary-of-summaries. Percentiles are bucketed upper bounds (5µs
+// resolution, clamped at the ~20ms histogram range). A store reports one
+// snapshot across its per-shard Services this way, and a cluster node
+// includes the retired ones of migrated-away shards, whose
+// served-operation history stays on that node. Safe at any time,
+// including while requests are in flight; a closed Service contributes its
+// final counters.
 func MergeStats(svcs []*Service) Stats {
 	var out Stats
 	reads, writes := newLatHistogram(), newLatHistogram()
 	queued, execed := newLatHistogram(), newLatHistogram()
 	for _, s := range svcs {
-		for _, w := range s.workers {
-			w.statMu.Lock()
-			out.DedupHits += w.dedup
-			out.Sheds += w.sheds
-			reads.Merge(w.readLat)
-			writes.Merge(w.writeLat)
-			queued.Merge(w.queueLat)
-			execed.Merge(w.execLat)
-			w.statMu.Unlock()
-		}
+		w := s.w
+		w.statMu.Lock()
+		out.DedupHits += w.dedup
+		out.Sheds += w.sheds
+		reads.Merge(w.readLat)
+		writes.Merge(w.writeLat)
+		queued.Merge(w.queueLat)
+		execed.Merge(w.execLat)
+		w.statMu.Unlock()
 	}
 	out.Reads = reads.N()
 	out.Writes = writes.N()

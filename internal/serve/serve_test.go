@@ -64,60 +64,104 @@ func payload(v uint64) []byte {
 	return b
 }
 
+// outcome is one request's result, as its completion delivered it.
+type outcome struct {
+	data []byte
+	err  error
+}
+
+// pending holds one buffered outcome per request of a submission, so a
+// completion never blocks the worker on the test.
+type pending []chan outcome
+
+// submit enqueues reqs as one atomic submission without waiting for it.
+func submit(s *Service, reqs ...Req) (pending, error) {
+	p := make(pending, len(reqs))
+	for i := range p {
+		p[i] = make(chan outcome, 1)
+	}
+	if err := s.SubmitBatchFunc(reqs, func(i int, data []byte, err error) { p[i] <- outcome{data, err} }); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// wait blocks until request i of the submission completes.
+func (p pending) wait(i int) ([]byte, error) {
+	o := <-p[i]
+	return o.data, o.err
+}
+
+func read(s *Service, id uint64) ([]byte, error) {
+	p, err := submit(s, Req{Op: OpRead, ID: id})
+	if err != nil {
+		return nil, err
+	}
+	return p.wait(0)
+}
+
+func write(s *Service, id uint64, data []byte) error {
+	p, err := submit(s, Req{Op: OpWrite, ID: id, Data: data})
+	if err != nil {
+		return err
+	}
+	_, err = p.wait(0)
+	return err
+}
+
+func snapshot(s *Service) Stats { return MergeStats([]*Service{s}) }
+
 func TestServeReadWrite(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
-	if err := s.Write(0, 5, payload(42)); err != nil {
+	if err := write(s, 5, payload(42)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(0, 5)
+	got, err := read(s, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if binary.LittleEndian.Uint64(got) != 42 {
 		t.Fatal("round trip failed")
 	}
-	if _, err := s.Read(3, 0); err == nil {
-		t.Fatal("out-of-range shard must error")
-	}
-	if _, err := s.Submit(0, Op(9), 0, nil); err == nil {
+	if _, err := submit(s, Req{Op: Op(9)}); err == nil {
 		t.Fatal("invalid op must error")
 	}
 }
 
 func TestServeBatchDedup(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
-	if err := s.Write(0, 7, payload(7)); err != nil {
+	if err := write(s, 7, payload(7)); err != nil {
 		t.Fatal(err)
 	}
 	var before int
-	if err := s.Sync(0, func() { before = b.accesses }); err != nil {
+	if err := s.Sync(func() { before = b.accesses }); err != nil {
 		t.Fatal(err)
 	}
 
 	// 32 reads of the same block submitted atomically: exactly one backend
-	// access, every future resolves to an identical private copy.
+	// access, every waiter receives an identical private copy.
 	reqs := make([]Req, 32)
 	for i := range reqs {
 		reqs[i] = Req{Op: OpRead, ID: 7}
 	}
-	futs, err := s.SubmitBatch(0, reqs)
+	p, err := submit(s, reqs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var results [][]byte
-	for _, f := range futs {
-		data, err := f.Wait()
+	for i := range p {
+		data, err := p.wait(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		results = append(results, data)
 	}
 	var after int
-	if err := s.Sync(0, func() { after = b.accesses }); err != nil {
+	if err := s.Sync(func() { after = b.accesses }); err != nil {
 		t.Fatal(err)
 	}
 	if after-before != 1 {
@@ -133,42 +177,101 @@ func TestServeBatchDedup(t *testing.T) {
 	if bytes.Equal(results[0], results[1]) {
 		t.Fatal("waiters share a payload buffer")
 	}
-	if st := s.Stats(); st.DedupHits != 31 {
+	if st := snapshot(s); st.DedupHits != 31 {
 		t.Fatalf("dedup hits = %d, want 31", st.DedupHits)
+	}
+}
+
+// TestServeCoalescingCap pins the worker's coalescing cap. One atomic
+// submission is never split, however large: 100 reads of one id cost one
+// backend access. Separate submissions queued together are coalesced
+// into served batches of at most maxBatch operations: 100 single reads
+// of one id, released at once from behind a barrier, are served as 64 and
+// 36 — one access and the rest dedup hits per batch.
+func TestServeCoalescingCap(t *testing.T) {
+	const n = 100
+	b := newMemBackend()
+	s := New(b, Config{QueueDepth: 2 * n})
+	defer s.Close()
+	accesses := func() (a int) {
+		if err := s.Sync(func() { a = b.accesses }); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	reqs := make([]Req, n)
+	for i := range reqs {
+		reqs[i] = Req{Op: OpRead, ID: 9}
+	}
+	p, err := submit(s, reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p {
+		if _, err := p.wait(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := accesses(); a != 1 {
+		t.Fatalf("one atomic submission of %d same-id reads cost %d accesses, want 1 (never split)", n, a)
+	}
+
+	hits := snapshot(s).DedupHits
+	held, gate := make(chan struct{}), make(chan struct{})
+	go s.Sync(func() { close(held); <-gate })
+	<-held
+	singles := make([]pending, n)
+	for i := range singles {
+		if singles[i], err = submit(s, Req{Op: OpRead, ID: 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate)
+	for _, p := range singles {
+		if _, err := p.wait(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := accesses() - 1; a != 2 {
+		t.Fatalf("%d queued single reads of one id cost %d accesses, want 2 (batches of %d and %d)", n, a, maxBatch, n-maxBatch)
+	}
+	if got := snapshot(s).DedupHits - hits; got != n-2 {
+		t.Fatalf("%d queued single reads of one id: %d dedup hits, want %d", n, got, n-2)
 	}
 }
 
 // TestServeInlineSubmission pins what the run-to-completion worker does
 // per submission instead of per op. A submission's operations are all in
-// Stats by the time its first completion runs. And a read that a later
-// submission of the same served batch dedups against is a private copy,
-// even though the first caller already owns its result (and scribbles on
-// it here).
+// the stats by the time its first completion runs. And a read that a
+// later submission of the same served batch dedups against is a private
+// copy, even though the first caller already owns its result (and
+// scribbles on it here).
 func TestServeInlineSubmission(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
-	if err := s.Write(0, 3, payload(3)); err != nil {
+	if err := write(s, 3, payload(3)); err != nil {
 		t.Fatal(err)
 	}
 	// Both submissions queue behind a barrier, so one batch serves them.
 	held, gate := make(chan struct{}), make(chan struct{})
-	go s.Sync(0, func() { close(held); <-gate })
+	go s.Sync(func() { close(held); <-gate })
 	<-held
 	var readsSeen [2]uint64
-	err := s.SubmitBatchFunc(0, []Req{{Op: OpRead, ID: 3}, {Op: OpRead, ID: 4}}, func(i int, data []byte, err error) {
-		readsSeen[i] = s.Stats().Reads
+	err := s.SubmitBatchFunc([]Req{{Op: OpRead, ID: 3}, {Op: OpRead, ID: 4}}, func(i int, data []byte, err error) {
+		readsSeen[i] = snapshot(s).Reads
 		data[0] ^= 0xFF
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fut, err := s.Submit(0, OpRead, 3, nil)
+	p, err := submit(s, Req{Op: OpRead, ID: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	close(gate)
-	got, err := fut.Wait()
+	got, err := p.wait(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +279,9 @@ func TestServeInlineSubmission(t *testing.T) {
 		t.Fatal("a deduplicated read saw the first caller's scribble")
 	}
 	if readsSeen != [2]uint64{2, 2} {
-		t.Fatalf("completions saw %v reads in Stats, want the whole submission (2) each", readsSeen)
+		t.Fatalf("completions saw %v reads in the stats, want the whole submission (2) each", readsSeen)
 	}
-	if st := s.Stats(); st.DedupHits != 1 || st.Reads != 3 {
+	if st := snapshot(s); st.DedupHits != 1 || st.Reads != 3 {
 		t.Fatalf("dedup hits %d, reads %d; want 1 and 3", st.DedupHits, st.Reads)
 	}
 }
@@ -198,7 +301,7 @@ func (b staticBackend) WriteMany([]uint64, [][]byte, []error) {}
 // allocation, the request slab — no request per op, no dedup-cache copy
 // for an id that does not recur.
 func TestSubmitBatchAllocs(t *testing.T) {
-	s := New([]Backend{staticBackend{make([]byte, 64)}}, Config{})
+	s := New(staticBackend{make([]byte, 64)}, Config{})
 	defer s.Close()
 	reqs := make([]Req, 16)
 	for i := range reqs {
@@ -212,7 +315,7 @@ func TestSubmitBatchAllocs(t *testing.T) {
 		}
 	}
 	n := testing.AllocsPerRun(1000, func() {
-		if err := s.SubmitBatchFunc(0, reqs, done); err != nil {
+		if err := s.SubmitBatchFunc(reqs, done); err != nil {
 			t.Fatal(err)
 		}
 		<-served
@@ -225,23 +328,23 @@ func TestSubmitBatchAllocs(t *testing.T) {
 
 func TestServeBatchWriteThenRead(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
 	// In one atomic batch: write id 3, then read it twice. Reads must see
 	// the write (arrival order) and be served from the batch cache.
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 3, Data: payload(99)},
-		{Op: OpRead, ID: 3},
-		{Op: OpRead, ID: 3},
-	})
+	p, err := submit(s,
+		Req{Op: OpWrite, ID: 3, Data: payload(99)},
+		Req{Op: OpRead, ID: 3},
+		Req{Op: OpRead, ID: 3},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := futs[0].Wait(); err != nil {
+	if _, err := p.wait(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range futs[1:] {
-		data, err := f.Wait()
+	for i := 1; i < len(p); i++ {
+		data, err := p.wait(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +353,7 @@ func TestServeBatchWriteThenRead(t *testing.T) {
 		}
 	}
 	var accesses int
-	if err := s.Sync(0, func() { accesses = b.accesses }); err != nil {
+	if err := s.Sync(func() { accesses = b.accesses }); err != nil {
 		t.Fatal(err)
 	}
 	if accesses != 1 {
@@ -261,20 +364,20 @@ func TestServeBatchWriteThenRead(t *testing.T) {
 func TestServeFailedWriteNotCached(t *testing.T) {
 	b := newMemBackend()
 	b.hasFail, b.failOn = true, 4
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 4, Data: payload(1)},
-		{Op: OpRead, ID: 4},
-	})
+	p, err := submit(s,
+		Req{Op: OpWrite, ID: 4, Data: payload(1)},
+		Req{Op: OpRead, ID: 4},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := futs[0].Wait(); err == nil {
+	if _, err := p.wait(0); err == nil {
 		t.Fatal("injected write failure not reported")
 	}
 	// The read must hit the backend (and fail itself), never a stale cache.
-	if _, err := futs[1].Wait(); err == nil {
+	if _, err := p.wait(1); err == nil {
 		t.Fatal("read after failed write served from cache")
 	}
 }
@@ -285,7 +388,7 @@ func TestServeFailedWriteNotCached(t *testing.T) {
 // run returned from the backend.
 func TestServeWriteRuns(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
 	ops := []Op{OpWrite, OpWrite, OpWrite, OpRead, OpWrite, OpWrite, OpRead, OpWrite}
 	reqs := make([]Req, len(ops))
@@ -294,7 +397,7 @@ func TestServeWriteRuns(t *testing.T) {
 	}
 	var completed, early atomic.Int32
 	served := make(chan struct{})
-	err := s.SubmitBatchFunc(0, reqs, func(i int, data []byte, err error) {
+	err := s.SubmitBatchFunc(reqs, func(i int, data []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -321,7 +424,7 @@ func TestServeWriteRuns(t *testing.T) {
 		t.Fatalf("WriteMany calls of %v writes, want [3 2] (the lone trailing write is a Write)", b.vectors)
 	}
 	for id, want := range map[uint64]uint64{0: 100, 1: 107, 2: 105} {
-		data, err := s.Read(0, id)
+		data, err := read(s, id)
 		if err != nil || binary.LittleEndian.Uint64(data) != want {
 			t.Fatalf("id %d = %d, %v; want %d", id, binary.LittleEndian.Uint64(data), err, want)
 		}
@@ -333,53 +436,53 @@ func TestServeWriteRuns(t *testing.T) {
 func TestServeWriteRunFailure(t *testing.T) {
 	b := newMemBackend()
 	b.hasFail, b.failOn = true, 4
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
-	futs, err := s.SubmitBatch(0, []Req{
-		{Op: OpWrite, ID: 4, Data: payload(1)},
-		{Op: OpWrite, ID: 5, Data: payload(2)},
-		{Op: OpRead, ID: 4},
-		{Op: OpRead, ID: 5},
-	})
+	p, err := submit(s,
+		Req{Op: OpWrite, ID: 4, Data: payload(1)},
+		Req{Op: OpWrite, ID: 5, Data: payload(2)},
+		Req{Op: OpRead, ID: 4},
+		Req{Op: OpRead, ID: 5},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := futs[0].Wait(); err == nil {
+	if _, err := p.wait(0); err == nil {
 		t.Fatal("injected write failure not reported")
 	}
-	if _, err := futs[1].Wait(); err != nil {
+	if _, err := p.wait(1); err != nil {
 		t.Fatalf("write beside the failed one: %v", err)
 	}
-	if _, err := futs[2].Wait(); err == nil {
+	if _, err := p.wait(2); err == nil {
 		t.Fatal("read after failed write served from cache")
 	}
-	if data, err := futs[3].Wait(); err != nil || binary.LittleEndian.Uint64(data) != 2 {
+	if data, err := p.wait(3); err != nil || binary.LittleEndian.Uint64(data) != 2 {
 		t.Fatalf("read of the successful write = %v, %v", data, err)
 	}
 }
 
 func TestServeSyncOrdering(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{QueueDepth: 64})
+	s := New(b, Config{QueueDepth: 64})
 	defer s.Close()
 	// Sync observes every operation queued ahead of it.
-	var futs []*Future
+	var subs []pending
 	for i := 0; i < 20; i++ {
-		f, err := s.Submit(0, OpWrite, uint64(i), payload(uint64(i)))
+		p, err := submit(s, Req{Op: OpWrite, ID: uint64(i), Data: payload(uint64(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		futs = append(futs, f)
+		subs = append(subs, p)
 	}
 	var n int
-	if err := s.Sync(0, func() { n = len(b.blocks) }); err != nil {
+	if err := s.Sync(func() { n = len(b.blocks) }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 20 {
 		t.Fatalf("Sync ran before queued writes: saw %d blocks", n)
 	}
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
+	for _, p := range subs {
+		if _, err := p.wait(0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,38 +490,35 @@ func TestServeSyncOrdering(t *testing.T) {
 
 func TestServeCloseDrainsAndRejects(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{QueueDepth: 128})
-	var futs []*Future
+	s := New(b, Config{QueueDepth: 128})
+	var subs []pending
 	for i := 0; i < 50; i++ {
-		f, err := s.Submit(0, OpWrite, uint64(i), payload(uint64(i)))
+		p, err := submit(s, Req{Op: OpWrite, ID: uint64(i), Data: payload(uint64(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		futs = append(futs, f)
+		subs = append(subs, p)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Everything queued before Close completed.
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
+	for _, p := range subs {
+		if _, err := p.wait(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(b.blocks) != 50 {
 		t.Fatalf("close dropped writes: %d/50 applied", len(b.blocks))
 	}
-	if _, err := s.Submit(0, OpRead, 0, nil); err == nil {
+	if _, err := submit(s, Req{Op: OpRead}); err == nil {
 		t.Fatal("submit after close must error")
 	}
-	if err := s.Sync(0, func() {}); err == nil {
+	if err := s.Sync(func() {}); err == nil {
 		t.Fatal("sync after close must error")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal("close must be idempotent")
-	}
-	if !s.Closed() {
-		t.Fatal("Closed() = false after Close")
 	}
 	if b.closes != 1 {
 		t.Fatalf("backend closed %d times, want exactly once", b.closes)
@@ -426,41 +526,43 @@ func TestServeCloseDrainsAndRejects(t *testing.T) {
 }
 
 func TestServeErrClosedSentinel(t *testing.T) {
-	s := New([]Backend{newMemBackend()}, Config{})
+	s := New(newMemBackend(), Config{})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(0, OpRead, 0, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want errors.Is(_, ErrClosed)", err)
+	never := func(int, []byte, error) { t.Error("a refused submission's completion ran") }
+	if err := s.SubmitFunc(OpRead, 0, nil, never); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitFunc after Close = %v, want errors.Is(_, ErrClosed)", err)
 	}
-	if _, err := s.SubmitBatch(0, []Req{{Op: OpRead, ID: 0}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitBatch after Close = %v, want errors.Is(_, ErrClosed)", err)
+	if err := s.SubmitBatchFunc([]Req{{Op: OpRead, ID: 0}}, never); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitBatchFunc after Close = %v, want errors.Is(_, ErrClosed)", err)
 	}
 }
 
 func TestServeClosePropagatesBackendError(t *testing.T) {
-	good, bad := newMemBackend(), newMemBackend()
-	bad.closeErr = fmt.Errorf("disk full")
-	s := New([]Backend{good, bad}, Config{})
+	b := newMemBackend()
+	b.closeErr = fmt.Errorf("disk full")
+	s := New(b, Config{})
 	if err := s.Close(); err == nil || err.Error() != "disk full" {
 		t.Fatalf("Close = %v, want the backend's close error", err)
 	}
 	// Repeated Close keeps returning the same error (idempotent outcome),
-	// without re-closing backends.
+	// without re-closing the backend.
 	if err := s.Close(); err == nil || err.Error() != "disk full" {
 		t.Fatalf("second Close = %v, want the same error", err)
 	}
-	if good.closes != 1 || bad.closes != 1 {
-		t.Fatalf("backends closed (%d, %d) times, want exactly once each", good.closes, bad.closes)
+	if b.closes != 1 {
+		t.Fatalf("backend closed %d times, want exactly once", b.closes)
 	}
 }
 
 func TestServeConcurrentClients(t *testing.T) {
-	// Many clients over few shards with a tiny queue, exercising
+	// Many clients over two shards' Services with tiny queues, exercising
 	// back-pressure and the race detector across the full submit path.
-	backends := []Backend{newMemBackend(), newMemBackend()}
-	s := New(backends, Config{QueueDepth: 4, MaxBatch: 8})
-	defer s.Close()
+	svcs := []*Service{New(newMemBackend(), Config{QueueDepth: 4}), New(newMemBackend(), Config{QueueDepth: 4})}
+	for _, s := range svcs {
+		defer s.Close()
+	}
 	const clients, opsPer = 8, 200
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -468,17 +570,17 @@ func TestServeConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			s := svcs[c%2]
 			for i := 0; i < opsPer; i++ {
 				// Each client owns a disjoint id range so reads verify
 				// exactly against the client's own writes.
 				id := uint64(c*opsPer + i%7)
-				shard := c % 2
 				want := uint64(c<<32) | uint64(i)
-				if err := s.Write(shard, id, payload(want)); err != nil {
+				if err := write(s, id, payload(want)); err != nil {
 					errs <- err
 					return
 				}
-				got, err := s.Read(shard, id)
+				got, err := read(s, id)
 				if err != nil {
 					errs <- err
 					return
@@ -495,7 +597,7 @@ func TestServeConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := MergeStats(svcs)
 	if st.Reads != clients*opsPer || st.Writes != clients*opsPer {
 		t.Fatalf("stats ops: %+v", st)
 	}
@@ -508,14 +610,14 @@ func TestServeConcurrentClients(t *testing.T) {
 // completed op and stays internally consistent.
 func TestServeStatsBreakdown(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
 	for i := 0; i < 40; i++ {
-		if err := s.Write(0, uint64(i), payload(uint64(i))); err != nil {
+		if err := write(s, uint64(i), payload(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := snapshot(s)
 	if st.QueueLat.N != 40 || st.ExecLat.N != 40 {
 		t.Fatalf("breakdown N = %d/%d, want 40/40", st.QueueLat.N, st.ExecLat.N)
 	}
@@ -531,17 +633,17 @@ func TestServeStatsBreakdown(t *testing.T) {
 // touched: a shed is invisible in the adversary's access view.
 func TestServeAdmissionDeadlineSheds(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{AdmissionDeadline: 1}) // 1ns
+	s := New(b, Config{AdmissionDeadline: 1}) // 1ns
 	defer s.Close()
 	for i := 0; i < 8; i++ {
-		if err := s.Write(0, uint64(i), payload(uint64(i))); !errors.Is(err, ErrRetry) {
+		if err := write(s, uint64(i), payload(uint64(i))); !errors.Is(err, ErrRetry) {
 			t.Fatalf("write %d under 1ns deadline = %v, want ErrRetry", i, err)
 		}
-		if _, err := s.Read(0, uint64(i)); !errors.Is(err, ErrRetry) {
+		if _, err := read(s, uint64(i)); !errors.Is(err, ErrRetry) {
 			t.Fatalf("read %d under 1ns deadline = %v, want ErrRetry", i, err)
 		}
 	}
-	st := s.Stats()
+	st := snapshot(s)
 	if st.Sheds != 16 {
 		t.Fatalf("Sheds = %d, want 16", st.Sheds)
 	}
@@ -561,14 +663,14 @@ func TestServeAdmissionDeadlineSheds(t *testing.T) {
 // pre-existing behavior every current caller relies on.
 func TestServeNoDeadlineNeverSheds(t *testing.T) {
 	b := newMemBackend()
-	s := New([]Backend{b}, Config{})
+	s := New(b, Config{})
 	defer s.Close()
 	for i := 0; i < 32; i++ {
-		if err := s.Write(0, uint64(i), payload(uint64(i))); err != nil {
+		if err := write(s, uint64(i), payload(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := s.Stats(); st.Sheds != 0 || st.Writes != 32 {
+	if st := snapshot(s); st.Sheds != 0 || st.Writes != 32 {
 		t.Fatalf("deadline-free service shed: %+v", st)
 	}
 }
@@ -594,7 +696,7 @@ func TestCompletionExactlyOnce(t *testing.T) {
 		{name: "shedding", backend: failingMem(), cfg: Config{AdmissionDeadline: 1}, shed: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New([]Backend{tc.backend}, tc.cfg)
+			s := New(tc.backend, tc.cfg)
 			// One counter and one recorded error per submitted operation.
 			const singles, batches, perBatch = 64, 16, 8
 			fired := make([]atomic.Int32, singles+batches*perBatch)
@@ -610,7 +712,7 @@ func TestCompletionExactlyOnce(t *testing.T) {
 						if k%3 == 0 {
 							op = OpWrite
 						}
-						err := s.SubmitFunc(0, op, uint64(k%16), payload(uint64(k)), func(i int, _ []byte, err error) {
+						err := s.SubmitFunc(op, uint64(k%16), payload(uint64(k)), func(i int, _ []byte, err error) {
 							errs[k] = err
 							fired[k+i].Add(1)
 						})
@@ -625,7 +727,7 @@ func TestCompletionExactlyOnce(t *testing.T) {
 							reqs[i] = Req{Op: OpRead, ID: uint64(failing - i%3)}
 						}
 						base := singles + b*perBatch
-						err := s.SubmitBatchFunc(0, reqs, func(i int, _ []byte, err error) {
+						err := s.SubmitBatchFunc(reqs, func(i int, _ []byte, err error) {
 							errs[base+i] = err
 							fired[base+i].Add(1)
 						})
@@ -656,10 +758,10 @@ func TestCompletionExactlyOnce(t *testing.T) {
 			}
 			// Refused submissions: a closed service and an invalid op.
 			never := func(int, []byte, error) { late.Add(1) }
-			if err := s.SubmitFunc(0, OpRead, 1, nil, never); !errors.Is(err, ErrClosed) {
+			if err := s.SubmitFunc(OpRead, 1, nil, never); !errors.Is(err, ErrClosed) {
 				t.Fatalf("submit after Close = %v, want ErrClosed", err)
 			}
-			if err := s.SubmitBatchFunc(0, []Req{{Op: OpRead, ID: 1}, {Op: Op(99)}}, never); err == nil {
+			if err := s.SubmitBatchFunc([]Req{{Op: OpRead, ID: 1}, {Op: Op(99)}}, never); err == nil {
 				t.Fatal("a batch with an invalid op must be refused")
 			}
 			if n := late.Load(); n != 0 {

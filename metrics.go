@@ -14,9 +14,11 @@ package palermo
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strings"
 	"time"
 )
@@ -32,8 +34,9 @@ type MetricsVars struct {
 	// Traffic returns the engine counters (ORAM and DRAM traffic,
 	// tree-top hits, slot-cache accounting).
 	Traffic func() TrafficReport
-	// QueueDepths returns each shard's instantaneous queue occupancy.
-	QueueDepths func() []int
+	// QueueDepths returns each hosted shard's instantaneous queue
+	// occupancy, keyed by shard index.
+	QueueDepths func() map[int]int
 	// FsyncLag returns the durable backends' commit-path fsync count and
 	// cumulative wait (the WAL fsync lag).
 	FsyncLag func() (uint64, time.Duration)
@@ -81,8 +84,8 @@ func writeMetrics(b *strings.Builder, v MetricsVars) {
 	if v.QueueDepths != nil {
 		depths := v.QueueDepths()
 		fmt.Fprintf(b, "# TYPE palermo_queue_depth gauge\n")
-		for i, d := range depths {
-			fmt.Fprintf(b, "palermo_queue_depth{shard=\"%d\"} %d\n", i, d)
+		for _, s := range slices.Sorted(maps.Keys(depths)) {
+			fmt.Fprintf(b, "palermo_queue_depth{shard=\"%d\"} %d\n", s, depths[s])
 		}
 	}
 	if v.Traffic != nil {

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"palermo/internal/cluster"
 )
 
 func scrape(t *testing.T, url string) string {
@@ -84,6 +86,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.Header.Get("Content-Type") == "text/plain; charset=utf-8" &&
 		resp.ContentLength > 0 && resp.Header.Get("X-Content-Type-Options") != "" {
 		t.Fatal("pprof mounted without being enabled")
+	}
+}
+
+// TestMetricsClusterNodeQueueDepthLabels: a cluster node labels each queue
+// depth with the shard it belongs to, not with its position among the
+// shards the node owns. Node b of an even two-node split owns shard 1 only.
+func TestMetricsClusterNodeQueueDepthLabels(t *testing.T) {
+	man, err := cluster.EvenSplit(1<<10, 2, []string{"a:1", "b:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewClusterNode(ClusterNodeConfig{Addr: "b:1"}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	var b strings.Builder
+	writeMetrics(&b, MetricsVars{QueueDepths: node.QueueDepths})
+	body := b.String()
+	if !strings.Contains(body, `palermo_queue_depth{shard="1"}`) || strings.Contains(body, `shard="0"`) {
+		t.Fatalf("a node owning only shard 1 exported:\n%s", body)
 	}
 }
 

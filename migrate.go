@@ -299,7 +299,7 @@ func (n *ClusterNode) Migrate(shardIdx int, target string) error {
 	var snap []shard.SealedBlock
 	var expErr error
 	sh := sl.sh
-	if err := sl.svc.Sync(0, func() {
+	if err := sl.svc.Sync(func() {
 		snap, expErr = sh.ExportBlocks()
 		if expErr == nil {
 			sh.StartTee()
@@ -323,7 +323,7 @@ func (n *ClusterNode) Migrate(shardIdx int, target string) error {
 	var tail []shard.SealedBlock
 	var meta []byte
 	var metaEpoch uint64
-	if err := sl.svc.Sync(0, func() {
+	if err := sl.svc.Sync(func() {
 		tail = sh.StopTee()
 		meta, metaEpoch, expErr = sh.ExportMeta()
 	}); err != nil {

@@ -797,7 +797,7 @@ func TestCompletionBatchFirstError(t *testing.T) {
 		t.Fatal(err)
 	}
 	held, gate := make(chan struct{}), make(chan struct{})
-	go st.slots[0].svc.Sync(0, func() { close(held); <-gate })
+	go st.slots[0].svc.Sync(func() { close(held); <-gate })
 	<-held
 	ids := []uint64{0, 1, 2, 3, 4, 5} // even ids: shard 0, odd ids: shard 1
 	answered := make(chan error, 1)

@@ -38,9 +38,6 @@ type ShardedStoreConfig struct {
 	// QueueDepth bounds each shard's request queue (in submissions);
 	// a full queue blocks submitters (back-pressure). Default 256.
 	QueueDepth int
-	// MaxBatch caps how many queued operations one shard worker coalesces
-	// into a single dedup window. Default 64.
-	MaxBatch int
 	// AdmissionDeadline sheds overload: a request that waited in its shard
 	// queue longer than this is dropped by the worker *before any engine
 	// access* and fails with an error satisfying errors.Is(err, ErrRetry).
@@ -95,9 +92,6 @@ func (c *ShardedStoreConfig) defaults() {
 // (host.go) that owns every slot.
 type ShardedStore struct {
 	*host
-	// shards lists the slots' engines by shard index for the in-package
-	// equivalence suites, which arm traces on them before serving.
-	shards []*shard.Shard
 }
 
 // NewShardedStore builds the shards and starts their workers.
@@ -106,7 +100,6 @@ func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStore{host: h, shards: make([]*shard.Shard, len(h.slots))}
 	for s := range h.slots {
 		sl, err := h.openSlot(s, shard.DeriveSeed(h.cfg.Seed, s))
 		if err != nil {
@@ -114,9 +107,8 @@ func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
 			return nil, err
 		}
 		h.adoptSlot(s, sl)
-		st.shards[s] = sl.sh
 	}
-	return st, nil
+	return &ShardedStore{host: h}, nil
 }
 
 // Blocks returns the total capacity in blocks.
@@ -171,9 +163,9 @@ type LatencySummary = serve.LatencySummary
 func (s *ShardedStore) Stats() ServiceStats { return s.slots.serviceStats(nil) }
 
 // QueueDepths reports each shard's instantaneous request-queue occupancy
-// (in queued submissions, index = shard). It is a point-in-time gauge for
+// (in queued submissions), keyed by shard. It is a point-in-time gauge for
 // operability surfaces, not a synchronized snapshot.
-func (s *ShardedStore) QueueDepths() []int { return s.slots.queueDepths() }
+func (s *ShardedStore) QueueDepths() map[int]int { return s.slots.queueDepths() }
 
 // FsyncLag aggregates the durable backends' fsync telemetry: how many
 // fsyncs the store has issued and the cumulative time spent waiting on

@@ -24,6 +24,16 @@ func testShardedStore(t *testing.T, shards int) *ShardedStore {
 	return st
 }
 
+// engines lists st's shard engines by shard index, for the suites that arm
+// traces on them before serving and read those traces back.
+func engines(st *ShardedStore) []*shard.Shard {
+	out := make([]*shard.Shard, len(st.slots))
+	for s, sl := range st.slots {
+		out[s] = sl.sh
+	}
+	return out
+}
+
 func TestShardedStoreRoundTrip(t *testing.T) {
 	st := testShardedStore(t, 4)
 	if err := st.Write(7, block(0xAA)); err != nil {
@@ -79,7 +89,6 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"Blocks just past cap", ShardedStoreConfig{Blocks: MaxBlocks + 1}},
 		{"Key bad length", ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("not-a-valid-aes-key")}},
 		{"QueueDepth negative", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}},
-		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}},
 		{"Engine unknown", ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
 		{"Engine memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
 		{"Engine wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
@@ -100,7 +109,6 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"zero value defaults", ShardedStoreConfig{}},
 		{"Shards equal Blocks", ShardedStoreConfig{Blocks: 8, Shards: 8}},
 		{"QueueDepth explicit", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}},
-		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
 		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
 		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
 	}
@@ -166,7 +174,7 @@ func TestDefaultExecutorPerEngine(t *testing.T) {
 			}
 			st.EnableTraces()
 			if enable {
-				for _, sh := range st.shards {
+				for _, sh := range engines(st) {
 					sh.EnablePipeline(4)
 				}
 			}
@@ -375,7 +383,7 @@ func TestShardedStorePathDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range st.shards {
+	for _, sh := range engines(st) {
 		sh.EnableTrace() // before any request: the workers are idle
 	}
 	var wg sync.WaitGroup
@@ -399,7 +407,7 @@ func TestShardedStorePathDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i, sh := range st.shards {
+	for i, sh := range engines(st) {
 		trace := sh.Trace()
 		if len(trace.Ops) == 0 {
 			t.Fatalf("shard %d served nothing", i)
