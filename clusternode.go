@@ -115,7 +115,7 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 		return nil, fmt.Errorf("palermo: configured %d shards, manifest has %d", sc.Shards, man.Shards)
 	}
 	sc.Blocks, sc.Shards = man.Blocks, int(man.Shards)
-	h, err := newHost(sc)
+	h, err := newHost(sc, true)
 	if err != nil {
 		return nil, err
 	}

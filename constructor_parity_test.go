@@ -1,9 +1,12 @@
 package palermo
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"palermo/internal/cluster"
+	"palermo/internal/shard"
 )
 
 // TestConstructorParity feeds every invalid and boundary configuration
@@ -36,6 +39,10 @@ func TestConstructorParity(t *testing.T) {
 		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
 		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
 		{name: "QueueDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, sharded: true},
+		// Refused by arithmetic before any shard is built: every front end's
+		// shard (1 for NewStore, 4 by default otherwise) is past the size
+		// whose checkpoint always fits one sealed blob.
+		{name: "durable shard past the sealable size", cfg: ShardedStoreConfig{Blocks: 4 * (shard.MaxSealableBlocks() + 1), Engine: BackendWAL}, dir: true},
 
 		{name: "zero value defaults", ok: true},
 		{name: "Key AES-128", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}, ok: true},
@@ -94,5 +101,18 @@ func TestConstructorParity(t *testing.T) {
 				t.Errorf("%s: %s accepted = %v, want %v (err: %v)", row.name, name, err == nil, row.ok, err)
 			}
 		}
+	}
+}
+
+// TestClusterShardSealable: a cluster shard seals its state into one blob
+// to migrate, so a ClusterNode refuses a shard past the sealable size on
+// the memory engine too, naming the limit in blocks.
+func TestClusterShardSealable(t *testing.T) {
+	const addr = "node-a:7070"
+	limit := shard.MaxSealableBlocks()
+	man := &cluster.Manifest{Epoch: 1, Blocks: limit + 1, Shards: 1, Ranges: []cluster.Range{{From: 0, To: 1, Addr: addr}}}
+	_, err := NewClusterNode(ClusterNodeConfig{Addr: addr, Store: ShardedStoreConfig{Engine: BackendMemory}}, man)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d blocks", limit)) {
+		t.Fatalf("a memory ClusterNode over one shard of %d blocks: %v, want a refusal naming the %d-block limit", limit+1, err, limit)
 	}
 }

@@ -66,8 +66,9 @@ func (s notServed) Error() string { return fmt.Sprintf("palermo: shard %d is not
 
 // normalize validates the configuration and fills in its defaults in
 // place. Rejecting here keeps bad values from surfacing as deep engine
-// failures.
-func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
+// failures. cluster marks a ClusterNode's configuration: its shards seal
+// their state into a blob to migrate, whatever the engine.
+func (c *ShardedStoreConfig) normalize(cluster bool) (shard.Router, error) {
 	var none shard.Router
 	c.defaults()
 	if err := validateStoreParams(c.Blocks, c.Key); err != nil {
@@ -98,6 +99,13 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 	if err := validateSlotCacheBytes(c.SlotCacheBytes, c.Engine); err != nil {
 		return none, err
 	}
+	// A durable shard seals its whole state into one blob at every
+	// checkpoint, a cluster shard at every migration: refuse a shard whose
+	// worst-case state could outgrow it, before any write is acknowledged.
+	if limit := shard.MaxSealableBlocks(); (cluster || c.Engine != BackendMemory) && router.ShardBlocks(0) > limit {
+		return none, fmt.Errorf("palermo: a durable or cluster shard holds at most %d blocks (its checkpoint must fit one sealed blob), got %d per shard; raise Shards",
+			limit, router.ShardBlocks(0))
+	}
 	return router, nil
 }
 
@@ -105,9 +113,10 @@ func (c *ShardedStoreConfig) normalize() (shard.Router, error) {
 // manifest. The manifest records the GLOBAL geometry and engine — every
 // node of a cluster agrees on it even though each directory holds only
 // its own shard subdirectories, and a Store and a 1-shard ShardedStore
-// are interchangeable over one Dir. No slot is opened yet.
-func newHost(cfg ShardedStoreConfig) (*host, error) {
-	router, err := cfg.normalize()
+// are interchangeable over one Dir. No slot is opened yet. cluster is
+// normalize's.
+func newHost(cfg ShardedStoreConfig, cluster bool) (*host, error) {
+	router, err := cfg.normalize(cluster)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ package slab
 
 import (
 	"fmt"
-	"slices"
 
 	"palermo/internal/backend"
 	"palermo/internal/crypt"
@@ -125,15 +124,5 @@ func (s *Slab) Len() int { return int(s.n) }
 // Range calls fn for every stored block in ascending id order, under the
 // aliasing rule of Get. fn must not Put.
 func (s *Slab) Range(fn func(id uint64, sb backend.Sealed)) {
-	if s.limit <= paged.DirectKeys {
-		// A direct table enumerates ascending.
-		s.index.Range(func(id uint64, ref uint32) { fn(id, s.sealed(ref)) })
-		return
-	}
-	ids := make([]uint64, 0, s.n)
-	s.index.Range(func(id uint64, _ uint32) { ids = append(ids, id) })
-	slices.Sort(ids)
-	for _, id := range ids {
-		fn(id, s.sealed(s.index.Get(id)))
-	}
+	s.index.Ascending(func(id uint64, ref uint32) { fn(id, s.sealed(ref)) })
 }

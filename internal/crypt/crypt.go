@@ -88,8 +88,23 @@ const MaxBlobBytes = (1 << 24) * 16
 // blobs under distinct epochs cannot overlap while len(in) is at most
 // MaxBlobBytes.
 func (s *Sealer) Blob(addr, epoch uint64, in []byte) []byte {
-	if len(in) > MaxBlobBytes {
-		panic(fmt.Sprintf("crypt: blob of %d bytes exceeds the %d-byte CTR span", len(in), MaxBlobBytes))
+	out := make([]byte, len(in))
+	s.blobStream(addr, epoch, len(in)).XORKeyStream(out, in)
+	return out
+}
+
+// BlobInPlace is Blob transforming buf itself: a caller that owns the
+// plaintext (a checkpoint encoded into a buffer of its own) seals it
+// without a second buffer of the same size.
+func (s *Sealer) BlobInPlace(addr, epoch uint64, buf []byte) {
+	s.blobStream(addr, epoch, len(buf)).XORKeyStream(buf, buf)
+}
+
+// blobStream is the keystream of a blob of n bytes under (addr, epoch),
+// after the guards Blob documents.
+func (s *Sealer) blobStream(addr, epoch uint64, n int) cipher.Stream {
+	if n > MaxBlobBytes {
+		panic(fmt.Sprintf("crypt: blob of %d bytes exceeds the %d-byte CTR span", n, MaxBlobBytes))
 	}
 	if epoch >= 1<<40 {
 		panic(fmt.Sprintf("crypt: blob epoch %d exceeds the 40-bit IV field", epoch))
@@ -97,9 +112,7 @@ func (s *Sealer) Blob(addr, epoch uint64, in []byte) []byte {
 	var iv [aes.BlockSize]byte
 	binary.LittleEndian.PutUint64(iv[0:8], addr)
 	binary.LittleEndian.PutUint64(iv[8:16], epoch)
-	out := make([]byte, len(in))
-	cipher.NewCTR(s.block, iv[:]).XORKeyStream(out, in)
-	return out
+	return cipher.NewCTR(s.block, iv[:])
 }
 
 // Open decrypts a block sealed under (addr, epoch).

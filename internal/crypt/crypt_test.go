@@ -133,6 +133,10 @@ func TestBlockTransformMatchesCTR(t *testing.T) {
 			if blob := s.Blob(c.addr, c.epoch, in); !bytes.Equal(blob, want) {
 				t.Fatalf("addr %#x epoch %#x: Blob diverged from the block transform", c.addr, c.epoch)
 			}
+			buf := bytes.Clone(in)
+			if s.BlobInPlace(c.addr, c.epoch, buf); !bytes.Equal(buf, want) {
+				t.Fatalf("addr %#x epoch %#x: BlobInPlace diverged from the block transform", c.addr, c.epoch)
+			}
 		}
 		if cap(sealed) != BlockBytes {
 			t.Fatalf("sealed block exposes %d bytes of capacity, want %d", cap(sealed), BlockBytes)

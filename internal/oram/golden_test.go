@@ -6,12 +6,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"hash"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"palermo/internal/codec"
 	"palermo/internal/rng"
 )
 
@@ -249,29 +251,67 @@ func TestGoldenTrajectories(t *testing.T) {
 	}
 }
 
-// TestGoldenAcrossCheckpoint restores the golden engine from its own State
-// half-way and requires the second half to land on the same recorded
-// digests: State/Restore round-trips everything the trajectory depends on.
+// TestGoldenAcrossCheckpoint restores the golden engine from its own
+// checkpoint half-way and requires the second half to land on the same
+// recorded digests: State/Restore, and at serving geometries the binary
+// AppendState/LoadState, round-trip everything the trajectory depends on.
+// (A paper-scale engine's dense position map would be 1 GiB.)
 func TestGoldenAcrossCheckpoint(t *testing.T) {
 	want := readGolden(t)
+	restores := map[string]func(dst, src *Ring) error{
+		"State/Restore": func(dst, src *Ring) error { return dst.Restore(src.State()) },
+		"AppendState/LoadState": func(dst, src *Ring) error {
+			r := codec.NewReader(src.AppendState(nil))
+			if err := dst.LoadState(r); err != nil {
+				return err
+			}
+			if r.Len() != 0 {
+				return fmt.Errorf("%d bytes left after LoadState", r.Len())
+			}
+			return nil
+		},
+	}
 	for name, cfg := range goldenConfigs() {
-		e, err := NewRing(cfg)
-		if err != nil {
-			t.Fatal(err)
+		for how, restore := range restores {
+			if how == "AppendState/LoadState" && cfg.NLines > 1<<20 {
+				continue
+			}
+			e, err := NewRing(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &digestWriter{h: sha256.New()}
+			r := rng.New(0xfeed)
+			runGolden(e, r, d, goldenAccesses/2)
+			e2, err := NewRing(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restore(e2, e); err != nil {
+				t.Fatalf("%s: %s: %v", name, how, err)
+			}
+			runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
+			if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State())}); got != want[name] {
+				t.Errorf("%s: trajectory through %s differs from the golden\n got  %+v\n want %+v", name, how, got, want[name])
+			}
 		}
-		d := &digestWriter{h: sha256.New()}
-		r := rng.New(0xfeed)
-		runGolden(e, r, d, goldenAccesses/2)
-		e2, err := NewRing(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e2.Restore(e.State()); err != nil {
-			t.Fatal(err)
-		}
-		runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
-		if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State())}); got != want[name] {
-			t.Errorf("%s: trajectory through a State/Restore differs from the golden\n got  %+v\n want %+v", name, got, want[name])
-		}
+	}
+}
+
+// TestMaxStateBytesBoundsGolden: the golden serving engine's encoding,
+// after its whole stream, stays within MaxStateBytes.
+func TestMaxStateBytesBoundsGolden(t *testing.T) {
+	cfg := goldenConfigs()["serving-2^15-count-palermo"]
+	e, err := NewRing(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runGolden(e, rng.New(0xfeed), &digestWriter{h: sha256.New()}, goldenAccesses)
+	bound, err := MaxStateBytes(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.AppendState(nil)); uint64(n) > bound {
+		t.Fatalf("%d-byte state beyond the %d-byte bound", n, bound)
 	}
 }

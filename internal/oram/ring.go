@@ -63,6 +63,22 @@ func (c *RingConfig) Validate() error {
 	return nil
 }
 
+// hierarchy builds the position-map hierarchy of a validated configuration:
+// one level per data slot group, then PosLevels recursive levels.
+func (c *RingConfig) hierarchy(r *rng.Rand) *posmap.Hierarchy {
+	dataBlocks := (c.NLines + uint64(c.DataSlotLines) - 1) / uint64(c.DataSlotLines)
+	return posmap.New(dataBlocks, c.PosLevels, r)
+}
+
+// levelGeometry is the (unplaced) tree of hierarchy level l over blocks.
+func (c *RingConfig) levelGeometry(l int, blocks uint64) otree.Geometry {
+	lines := 1
+	if l == 0 {
+		lines = c.DataSlotLines
+	}
+	return otree.UniformWide(blocks, c.Z, c.S, lines, 0, 0)
+}
+
 // DefaultRingConfig is the classic RingORAM configuration (Z,S,A) = (4,5,3)
 // protecting a 16 GB space with 3-level recursion and the paper's Table III
 // cache provisioning.
@@ -116,16 +132,10 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 		return nil, err
 	}
 	r := rng.New(cfg.Seed)
-	dataBlocks := (cfg.NLines + uint64(cfg.DataSlotLines) - 1) / uint64(cfg.DataSlotLines)
-	pm := posmap.New(dataBlocks, cfg.PosLevels, r)
-
+	pm := cfg.hierarchy(r)
 	geos := make([]otree.Geometry, pm.Levels())
-	for l := 0; l < pm.Levels(); l++ {
-		lines := 1
-		if l == 0 {
-			lines = cfg.DataSlotLines
-		}
-		geos[l] = otree.UniformWide(pm.Blocks(l), cfg.Z, cfg.S, lines, 0, 0)
+	for l := range geos {
+		geos[l] = cfg.levelGeometry(l, pm.Blocks(l))
 	}
 	geos = Layout(geos, cfg.AlignBytes)
 

@@ -1,10 +1,12 @@
 package otree
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
 
+	"palermo/internal/codec"
 	"palermo/internal/paged"
 	"palermo/internal/rng"
 )
@@ -206,8 +208,126 @@ func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 	b.clearUsed()
 }
 
-// BucketState is the serializable form of one materialized bucket, used by
-// durable-store checkpoints. Used mirrors the consumed-slot bitset.
+// Widths of AppendState's output: the bucket count (uint32); per bucket a
+// header — node (uint32), touch count (uint16), block count and bitset
+// word count (uint8 each) — then each block's id (uint32) and value
+// (uint64), then each consumed-slot bitset word (uint64).
+const (
+	StateFixedBytes  = 4
+	stateBucketBytes = 4 + 2 + 1 + 1
+	StateEntryBytes  = 4 + 8
+	stateWordBytes   = 8
+)
+
+// StateNodeBytes bounds the bytes AppendState spends on one bucket of g
+// beside its blocks: the header and the longest bitset. It refuses a
+// geometry whose buckets the header's fields cannot describe.
+func StateNodeBytes(g Geometry) (uint64, error) {
+	words := 0
+	for _, spec := range g.Levels {
+		if spec.Z > math.MaxUint8 || bitsetWords(spec.Slots()) > math.MaxUint8 { // then Slots fits uint16
+			return 0, fmt.Errorf("otree: a bucket of Z=%d, %d slots does not fit the checkpoint format", spec.Z, spec.Slots())
+		}
+		words = max(words, bitsetWords(spec.Slots()))
+	}
+	return stateBucketBytes + stateWordBytes*uint64(words), nil
+}
+
+// bitsetWords is the longest consumed-slot bitset a bucket of slots grows.
+func bitsetWords(slots int) int { return (slots + 63) / 64 }
+
+// AppendState appends the checkpoint encoding of every materialized bucket
+// to dst, in ascending node order straight from the live buckets. Nodes and
+// block ids are written as uint32: the engine's checkpointable geometries
+// stay far below 2^32 blocks (oram.MaxStateBytes).
+func (s *Store) AppendState(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Materialized()))
+	s.index.Ascending(func(node uint64, ref uint32) {
+		b := s.at(ref)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(node))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(b.Accessed))
+		dst = append(dst, uint8(len(b.Blocks)), uint8(len(b.used)))
+		for _, e := range b.Blocks {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
+			dst = binary.LittleEndian.AppendUint64(dst, e.Val)
+		}
+		for _, w := range b.used {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	})
+	return dst
+}
+
+// LoadState replaces the store's contents with an AppendState encoding
+// read from r. It refuses nodes out of ascending order or outside the
+// tree, a bucket holding more than Z blocks or a block id at or beyond
+// blocks, and a bitset longer than the bucket's slots or whose consumed
+// slots are not its touch count (which must leave a slot free). Each
+// bucket's blocks and bitset are carved out of two arrays with room for Z
+// blocks and a full bitset, so the buckets later refill in place. On error
+// the store is partly overwritten.
+func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
+	n := r.Count("buckets", s.g.NumNodes(), stateBucketBytes)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	maxZ, maxWords := 0, 0
+	for _, spec := range s.g.Levels {
+		maxZ, maxWords = max(maxZ, spec.Z), max(maxWords, bitsetWords(spec.Slots()))
+	}
+	entries, words := make([]BlockEntry, n*maxZ), make([]uint64, n*maxWords)
+	s.index.Reset()
+	s.slab = nil
+	next := uint64(0) // the lowest node the next bucket may name
+	for i := range n {
+		node, accessed := uint64(r.Uint32()), int(r.Uint16())
+		nBlocks, nWords := int(r.Uint8()), int(r.Uint8())
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if node < next || node >= s.g.NumNodes() {
+			return r.Failf("bucket node %d out of order or outside a tree of %d nodes", node, s.g.NumNodes())
+		}
+		next = node + 1
+		spec := s.g.Levels[s.g.NodeLevel(node)]
+		if nBlocks > spec.Z || accessed >= spec.Slots() || nWords > bitsetWords(spec.Slots()) {
+			return r.Failf("bucket %d: %d blocks, %d touches, %d bitset words do not fit Z=%d, %d slots",
+				node, nBlocks, accessed, nWords, spec.Z, spec.Slots())
+		}
+		b := Bucket{
+			Blocks:   entries[i*maxZ : i*maxZ+nBlocks : i*maxZ+spec.Z],
+			used:     words[i*maxWords : i*maxWords+nWords : (i+1)*maxWords],
+			Accessed: accessed,
+		}
+		for k := range b.Blocks {
+			b.Blocks[k] = BlockEntry{ID: BlockID(r.Uint32()), Val: r.Uint64()}
+			if uint64(b.Blocks[k].ID) >= blocks {
+				return r.Failf("bucket %d holds block %d of %d", node, b.Blocks[k].ID, blocks)
+			}
+		}
+		consumed := 0
+		for k := range b.used {
+			b.used[k] = r.Uint64()
+			if rem := spec.Slots() - 64*k; rem < 64 && b.used[k]>>uint(rem) != 0 {
+				return r.Failf("bucket %d consumed a slot beyond its %d", node, spec.Slots())
+			}
+			consumed += bits.OnesCount64(b.used[k])
+		}
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if consumed != accessed {
+			// Every touch consumes exactly one slot; a bitset that
+			// disagrees would send a later free-slot pick past its end.
+			return r.Failf("bucket %d: %d touches but %d consumed slots", node, accessed, consumed)
+		}
+		*s.Bucket(node) = b
+	}
+	return nil
+}
+
+// BucketState is one materialized bucket as a value: the form checkpoints
+// took before AppendState. Used mirrors the consumed-slot bitset.
 type BucketState struct {
 	Node     uint64
 	Blocks   []BlockEntry
@@ -215,10 +335,10 @@ type BucketState struct {
 	Accessed int
 }
 
-// State exports every materialized bucket, sorted by node id so the
-// checkpoint layout is deterministic. Slices are copies, carved out of two
-// arrays sized once (a checkpoint of 2^15 blocks exports ~4.4 k buckets:
-// two allocations instead of two per bucket); an empty one stays nil.
+// State exports every materialized bucket in ascending node order. Slices
+// are copies, carved out of two arrays sized once (a store of 2^15 blocks
+// exports ~4.4 k buckets: two allocations instead of two per bucket); an
+// empty one stays nil.
 func (s *Store) State() []BucketState {
 	nBlocks, nUsed := 0, 0
 	s.index.Range(func(_ uint64, ref uint32) {
@@ -228,7 +348,7 @@ func (s *Store) State() []BucketState {
 	})
 	blocks, used := make([]BlockEntry, 0, nBlocks), make([]uint64, 0, nUsed)
 	out := make([]BucketState, 0, s.Materialized())
-	s.index.Range(func(node uint64, ref uint32) {
+	s.index.Ascending(func(node uint64, ref uint32) {
 		b := s.at(ref)
 		out = append(out, BucketState{
 			Node:     node,
@@ -237,7 +357,6 @@ func (s *Store) State() []BucketState {
 			Accessed: b.Accessed,
 		})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 

@@ -19,6 +19,11 @@
 // determinism goldens (internal/oram/testdata).
 package paged
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 const (
 	pageBits = 6
 	pageLen  = 1 << pageBits
@@ -106,8 +111,7 @@ func (t *Table) Len() int {
 }
 
 // Range calls fn for every key present: in ascending key order from a
-// direct table (the sealed-block slab writes snapshots in that order), in
-// no particular order from a sparse one, whose callers sort.
+// direct table, in no particular order from a sparse one (Ascending sorts).
 func (t *Table) Range(fn func(i uint64, v uint32)) {
 	if t.sparse != nil {
 		for k, v := range t.sparse {
@@ -125,6 +129,60 @@ func (t *Table) Range(fn func(i uint64, v uint32)) {
 			}
 		}
 	}
+}
+
+// Ascending is Range in ascending key order from either representation:
+// a sparse table sorts a copy of its keys first (one allocation), a direct
+// one already ranges that way. Checkpoints and snapshots write in this
+// order, so one content always encodes to the same bytes.
+func (t *Table) Ascending(fn func(i uint64, v uint32)) {
+	if t.sparse == nil {
+		t.Range(fn)
+		return
+	}
+	keys := make([]uint64, 0, len(t.sparse))
+	for k := range t.sparse {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		fn(k, t.sparse[k])
+	}
+}
+
+// AppendDense appends the values of keys [0, n) to dst as little-endian
+// uint32s, 0 for an absent key: 4n bytes whatever the table holds. Keys
+// at or beyond n are not written.
+func (t *Table) AppendDense(dst []byte, n uint64) []byte {
+	off := len(dst)
+	dst = append(dst, make([]byte, 4*n)...)
+	out := dst[off:]
+	put := func(i uint64, v uint32) {
+		if i < n {
+			binary.LittleEndian.PutUint32(out[4*i:], v)
+		}
+	}
+	if t.sparse != nil {
+		for k, v := range t.sparse {
+			put(k, v)
+		}
+		return dst
+	}
+	for p, pg := range t.dir {
+		if pg == nil {
+			continue
+		}
+		base := uint64(p) << pageBits
+		if base >= n {
+			break
+		}
+		for o, v := range pg {
+			if v != 0 {
+				put(base|uint64(o), v)
+			}
+		}
+	}
+	return dst
 }
 
 // Reset empties the table, keeping its representation.

@@ -1,6 +1,7 @@
 package paged
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"palermo/internal/rng"
@@ -8,8 +9,8 @@ import (
 
 // TestTableMatchesMap drives the direct and the sparse representation and
 // a plain map through one random Set/Get sequence (including removals and
-// overwrites) and requires all three to agree on every Get, on Len, and on
-// what Range enumerates.
+// overwrites) and requires all three to agree on every Get, on Len, on
+// what Range enumerates, on Ascending's order and on AppendDense's bytes.
 func TestTableMatchesMap(t *testing.T) {
 	const keys = 5000
 	direct, sparse := New(keys), New(DirectKeys+1)
@@ -49,6 +50,25 @@ func TestTableMatchesMap(t *testing.T) {
 		})
 		if len(seen) != len(ref) {
 			t.Fatalf("%s: Range visited %d keys, want %d", name, len(seen), len(ref))
+		}
+		n, next := 0, uint64(0)
+		tb.Ascending(func(k uint64, v uint32) {
+			if k < next || ref[k] != v {
+				t.Fatalf("%s: Ascending(%d) = %d after key %d, want %d", name, k, v, next, ref[k])
+			}
+			n, next = n+1, k+1
+		})
+		if n != len(ref) {
+			t.Fatalf("%s: Ascending visited %d keys, want %d", name, n, len(ref))
+		}
+		dense := tb.AppendDense([]byte{0xAA}, keys-1) // a prefix byte, and one key cut off
+		if len(dense) != 1+4*(keys-1) || dense[0] != 0xAA {
+			t.Fatalf("%s: AppendDense wrote %d bytes after the prefix", name, len(dense)-1)
+		}
+		for k := uint64(0); k < keys-1; k++ {
+			if v := binary.LittleEndian.Uint32(dense[1+4*k:]); v != ref[k] {
+				t.Fatalf("%s: AppendDense key %d = %d, want %d", name, k, v, ref[k])
+			}
 		}
 		tb.Reset()
 		if tb.Len() != 0 || tb.Get(last) != 0 {

@@ -14,8 +14,10 @@
 package posmap
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"palermo/internal/codec"
 	"palermo/internal/paged"
 	"palermo/internal/rng"
 )
@@ -115,8 +117,47 @@ func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {
 	h.maps[l].Set(idx, uint32(leaf)+1)
 }
 
-// State deep-copies the materialized leaf assignments of every level for a
-// durable-store checkpoint.
+// StateEntryBytes is the width of one block's entry in AppendState's
+// output: every level is written dense, one entry per block.
+const StateEntryBytes = 4
+
+// AppendState appends the checkpoint encoding of every level's leaf
+// assignments to dst: level by level, Blocks(l) little-endian uint32s,
+// each the block's leaf + 1, 0 for a block not assigned yet — exactly the
+// value the level's table holds. Its length is a function of the geometry
+// alone.
+func (h *Hierarchy) AppendState(dst []byte) []byte {
+	for l := range h.maps {
+		dst = h.maps[l].AppendDense(dst, h.blocks[l])
+	}
+	return dst
+}
+
+// LoadState replaces the leaf assignments with an AppendState encoding
+// read from r, refusing a leaf outside its level's tree (Attach must have
+// run). On error the hierarchy is partly overwritten.
+func (h *Hierarchy) LoadState(r *codec.Reader) error {
+	for l := range h.maps {
+		src := r.Bytes(StateEntryBytes * int(h.blocks[l]))
+		if src == nil {
+			return r.Failf("posmap level %d truncated", l)
+		}
+		h.maps[l].Reset()
+		for i := uint64(0); i < h.blocks[l]; i++ {
+			v := binary.LittleEndian.Uint32(src[StateEntryBytes*i:])
+			if uint64(v) > h.leaves[l] {
+				return r.Failf("posmap level %d block %d maps to leaf %d of %d", l, i, v-1, h.leaves[l])
+			}
+			if v != 0 {
+				h.maps[l].Set(i, v)
+			}
+		}
+	}
+	return nil
+}
+
+// State deep-copies the materialized leaf assignments of every level (the
+// form checkpoints took before AppendState).
 func (h *Hierarchy) State() []map[uint64]uint32 {
 	out := make([]map[uint64]uint32, h.levels)
 	for l := range h.maps {

@@ -16,12 +16,9 @@ package shard
 // the cluster node calls these inside serve.Service.Sync closures.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"palermo/internal/backend"
-	"palermo/internal/crypt"
 )
 
 // SealedBlock is one sealed payload in migration transit: the shard-local
@@ -97,32 +94,10 @@ func (s *Shard) teeWrite(local uint64, ct []byte, epoch uint64) {
 // quiesced (inside a Sync closure): the blob
 // then describes the precise end of the shard's served history, and
 // RestoreMeta on the receiving side continues that history bit-exactly.
-// Like checkpoint, the blob's sealing epoch is reserved from the shard's
-// own counter first, so a restored sealer can never re-issue its IV.
-func (s *Shard) ExportMeta() ([]byte, uint64, error) {
-	blobEpoch := s.sealer.Epoch() + 1
-	if blobEpoch >= 1<<40 {
-		return nil, 0, fmt.Errorf("shard: sealing counter %d exhausted the 40-bit IV field; re-key the store", blobEpoch)
-	}
-	s.sealer.SetEpoch(blobEpoch)
-	st := shardState{
-		Index: s.index, Stride: s.stride, Blocks: s.blocks,
-		SealEpoch: blobEpoch,
-		Reads:     s.reads, Writes: s.writes,
-		TrafficR: s.trafficR, TrafficW: s.trafficW,
-		TopHits: s.topHitsBase + s.engine.TopHits(),
-		Engine:  s.engine.State(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return nil, 0, fmt.Errorf("shard: encode migration state: %w", err)
-	}
-	if buf.Len() > crypt.MaxBlobBytes {
-		return nil, 0, fmt.Errorf("shard: migration state is %d bytes, beyond the %d-byte sealing span",
-			buf.Len(), crypt.MaxBlobBytes)
-	}
-	return s.sealer.Blob(s.metaAddr(), blobEpoch, buf.Bytes()), blobEpoch, nil
-}
+// Like checkpoint's, the blob comes from sealState, which reserves its
+// sealing epoch from the shard's own counter first, so a restored sealer
+// can never re-issue its IV.
+func (s *Shard) ExportMeta() ([]byte, uint64, error) { return s.sealState() }
 
 // ImportBlocks loads a migrated shard's sealed payloads into the backend.
 // Pre-serving only: call on a freshly built shard, followed by RestoreMeta

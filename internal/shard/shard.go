@@ -16,8 +16,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -155,6 +153,7 @@ type Shard struct {
 
 	ckptEvery uint64 // writes between automatic checkpoints (durable only)
 	sinceCkpt uint64
+	stateLen  int // bytes of the last checkpoint plaintext, which sizes the next one's buffer
 	closed    bool
 	retired   bool // surrendered by a completed migration: checkpoints become no-ops (migrate.go)
 
@@ -170,21 +169,17 @@ type Shard struct {
 	trace *Trace
 }
 
-// shardState is the gob-encoded controller metadata a durable backend
-// checkpoints: the full ORAM engine state (leaf maps, stash residents,
-// bucket permutation counters) plus the sealer counter and the shard's
-// served-traffic counters. It is sealed before it leaves the trusted
-// boundary — it contains position maps, which the untrusted backend must
-// never see in plaintext.
-type shardState struct {
-	Index, Stride int
-	Blocks        uint64
-	SealEpoch     uint64
-	Reads, Writes uint64
-	TrafficR      uint64
-	TrafficW      uint64
-	TopHits       uint64 // tree-top-absorbed lines (TrafficR/W's missing half)
-	Engine        *oram.RingState
+// engineConfig is the engine every shard runs: Palermo's over blocks lines
+// with the given seed. Nothing in the serving path replays per-access DRAM
+// address lists — shards consume only the plan's counts, value, and leaf —
+// so the engine runs in count-only traffic mode and skips the per-access
+// address-slice growth (the simulator keeps full address plans).
+func engineConfig(blocks, seed uint64) oram.RingConfig {
+	cfg := oram.PalermoRingConfig()
+	cfg.NLines = blocks
+	cfg.Seed = seed
+	cfg.CountTraffic = true
+	return cfg
 }
 
 // New builds shard index of stride total shards with the given local
@@ -212,15 +207,7 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 	if err != nil {
 		return nil, err
 	}
-	cfg := oram.PalermoRingConfig()
-	cfg.NLines = blocks
-	cfg.Seed = engineSeed
-	// Nothing in the serving path replays per-access DRAM address lists —
-	// shards consume only the plan's counts, value, and leaf — so the
-	// engine runs in count-only traffic mode and skips the per-access
-	// address-slice growth (the simulator keeps full address plans).
-	cfg.CountTraffic = true
-	engine, err := oram.NewRing(cfg)
+	engine, err := oram.NewRing(engineConfig(blocks, engineSeed))
 	if err != nil {
 		return nil, err
 	}
@@ -497,12 +484,9 @@ func (s *Shard) Snapshot() Counters {
 	}
 }
 
-// checkpoint seals the shard's complete controller metadata and hands it
-// to the backend together with an implicit copy of every sealed block
-// (Backend.Checkpoint compacts the log around it). The blob's sealing
-// epoch is reserved from the shard's own counter *before* the state is
-// encoded, so the checkpointed SealEpoch already covers it and a restored
-// sealer can never re-issue the blob's IV.
+// checkpoint seals the shard's complete controller metadata (sealState)
+// and hands it to the backend together with an implicit copy of every
+// sealed block (Backend.Checkpoint compacts the log around it).
 func (s *Shard) checkpoint() error {
 	// A retired shard (surrendered by migration) must never seal another
 	// checkpoint blob: the new owner continues this shard's sealing-epoch
@@ -510,29 +494,11 @@ func (s *Shard) checkpoint() error {
 	if !s.durable || s.retired {
 		return nil
 	}
-	blobEpoch := s.sealer.Epoch() + 1
-	if blobEpoch >= 1<<40 {
-		return fmt.Errorf("shard: sealing counter %d exhausted the 40-bit IV field; re-key the store", blobEpoch)
+	blob, blobEpoch, err := s.sealState()
+	if err != nil {
+		return err
 	}
-	s.sealer.SetEpoch(blobEpoch)
-	st := shardState{
-		Index: s.index, Stride: s.stride, Blocks: s.blocks,
-		SealEpoch: blobEpoch,
-		Reads:     s.reads, Writes: s.writes,
-		TrafficR: s.trafficR, TrafficW: s.trafficW,
-		TopHits: s.topHitsBase + s.engine.TopHits(),
-		Engine:  s.engine.State(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return fmt.Errorf("shard: encode checkpoint: %w", err)
-	}
-	if buf.Len() > crypt.MaxBlobBytes {
-		return fmt.Errorf("shard: checkpoint state is %d bytes, beyond the %d-byte sealing span (shard too populated for durable checkpoints)",
-			buf.Len(), crypt.MaxBlobBytes)
-	}
-	ct := s.sealer.Blob(s.metaAddr(), blobEpoch, buf.Bytes())
-	if err := s.be.Checkpoint(ct, blobEpoch); err != nil {
+	if err := s.be.Checkpoint(blob, blobEpoch); err != nil {
 		return err
 	}
 	s.sinceCkpt = 0
@@ -555,21 +521,10 @@ func (s *Shard) recover(meta []byte, metaEpoch uint64, tail []backend.TailOp) er
 			return fmt.Errorf("shard: checkpoint metadata out of range (epoch %d, %d bytes): corrupt store", metaEpoch, len(meta))
 		}
 		plain := s.sealer.Blob(s.metaAddr(), metaEpoch, meta)
-		var st shardState
-		if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&st); err != nil {
-			return fmt.Errorf("shard: checkpoint undecodable (wrong key or corrupt store): %w", err)
+		if err := s.restoreState(plain); err != nil {
+			return err
 		}
-		if st.Index != s.index || st.Stride != s.stride || st.Blocks != s.blocks {
-			return fmt.Errorf("shard: checkpoint is for shard %d/%d over %d blocks, opened as %d/%d over %d",
-				st.Index, st.Stride, st.Blocks, s.index, s.stride, s.blocks)
-		}
-		if err := s.engine.Restore(st.Engine); err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		s.sealer.SetEpoch(st.SealEpoch)
-		s.reads, s.writes = st.Reads, st.Writes
-		s.trafficR, s.trafficW = st.TrafficR, st.TrafficW
-		s.topHitsBase = st.TopHits
+		s.stateLen = len(plain)
 	}
 	replayed := uint64(0)
 	for _, op := range tail {

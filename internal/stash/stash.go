@@ -16,8 +16,10 @@
 package stash
 
 import (
+	"encoding/binary"
 	"fmt"
 
+	"palermo/internal/codec"
 	"palermo/internal/otree"
 	"palermo/internal/paged"
 )
@@ -204,9 +206,9 @@ func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int, dst []otre
 	return out
 }
 
-// State is the serializable stash state for durable-store checkpoints:
-// live entries in insertion order plus the statistics the serving layer
-// reports across a restart.
+// State is the stash state as a value — live entries in insertion order
+// plus the statistics the serving layer reports across a restart — the
+// form checkpoints took before AppendState.
 type State struct {
 	Entries  []Entry
 	MaxSeen  int
@@ -236,6 +238,59 @@ func (s *Stash) Restore(st State) {
 	// the checkpointed statistics are authoritative.
 	s.maxSeen = st.MaxSeen
 	s.overflow = st.Overflow
+}
+
+// Widths of AppendState's output: MaxSeen (uint32), Overflow (uint64) and
+// the entry count (uint32), then per entry its id and leaf (uint32 each)
+// and its value (uint64).
+const (
+	StateFixedBytes = 4 + 8 + 4
+	StateEntryBytes = 4 + 4 + 8
+)
+
+// AppendState appends the checkpoint encoding of the stash to dst: the
+// statistics, then the live entries in insertion order (so restoring them
+// reproduces the eviction-selection order exactly). Ids and leaves are
+// written as uint32: the engine's checkpointable geometries stay far below
+// 2^32 blocks (oram.MaxStateBytes).
+func (s *Stash) AppendState(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.maxSeen))
+	dst = binary.LittleEndian.AppendUint64(dst, s.overflow)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.live))
+	for i := s.head; i != none; i = s.slab[i].next {
+		e := &s.slab[i].e
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Leaf))
+		dst = binary.LittleEndian.AppendUint64(dst, e.Val)
+	}
+	return dst
+}
+
+// LoadState replaces the stash contents and statistics with an AppendState
+// encoding read from r, refusing an id at or beyond blocks, a repeated id
+// and a leaf at or beyond leaves. The configured capacity is kept. On error
+// the stash is partly overwritten.
+func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64) error {
+	maxSeen, overflow := r.Uint32(), r.Uint64()
+	n := r.Count("stash entries", blocks, StateEntryBytes)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	s.Restore(State{})
+	for range n {
+		e := Entry{ID: otree.BlockID(r.Uint32()), Leaf: uint64(r.Uint32()), Val: r.Uint64()}
+		switch {
+		case uint64(e.ID) >= blocks:
+			return r.Failf("stash entry for block %d of %d", e.ID, blocks)
+		case e.Leaf >= leaves:
+			return r.Failf("stash entry for block %d maps to leaf %d of %d", e.ID, e.Leaf, leaves)
+		case s.Contains(e.ID):
+			return r.Failf("stash holds block %d twice", e.ID)
+		}
+		s.Put(e)
+	}
+	s.maxSeen, s.overflow = int(maxSeen), overflow
+	return nil
 }
 
 // Sample records the current occupancy for stash-over-time plots (Fig 12).

@@ -96,7 +96,7 @@ type ShardedStore struct {
 
 // NewShardedStore builds the shards and starts their workers.
 func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
-	h, err := newHost(cfg)
+	h, err := newHost(cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,7 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		Engine: cfg.Engine, Dir: cfg.Dir,
 		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
 		SlotCacheBytes: cfg.SlotCacheBytes,
-	})
+	}, false)
 	if err != nil {
 		return nil, err
 	}
