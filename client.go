@@ -13,19 +13,18 @@ package palermo
 // Concurrency model: a Client is safe for any number of goroutines. Each
 // pooled connection runs a mux goroutine (serializes request frames) and a
 // reader goroutine (resolves responses by request id), so one connection
-// carries many in-flight operations. Concurrent single-block operations
-// that arrive inside one mux drain window are coalesced into
-// ReadBatch/WriteBatch frames automatically — closed-loop clients get
-// frame batching without changing their call sites. Explicit
-// ReadBatch/WriteBatch calls are forwarded as single frames, never split
-// or merged, preserving their atomic dedup semantics.
+// carries many in-flight operations. Every call is exactly one request
+// frame: concurrent single-block calls are batched where they meet, by the
+// shard worker (DESIGN.md §6), and an explicit ReadBatch/WriteBatch is one
+// frame, never split or merged, preserving its atomic dedup semantics.
 //
-// The mux coalesces by yielding, never by waiting: when its queue runs dry
-// it yields the processor once, so callers that were about to submit get
-// to, and flushes the socket only if none did. A lone call is flushed
-// after at most one yield; there is no timer and nothing to tune. Frames
-// are encoded in place into a buffer the mux owns, responses are read into
-// pooled buffers, and each block is copied exactly once, to its caller.
+// Frames share a write(2) by yielding, never by waiting: when its queue
+// runs dry the mux yields the processor once, so callers that were about
+// to submit get to, and flushes the socket only if none did. A lone call
+// is flushed after at most one yield; there is no timer and nothing to
+// tune. Frames are encoded in place into a buffer the mux owns, responses
+// are read into pooled buffers, and each block is copied exactly once, to
+// its caller.
 //
 // Every operation has a *Ctx variant; cancelling the context abandons the
 // wait, and the eventual response is discarded. Operations against a
@@ -35,9 +34,11 @@ package palermo
 // A connection that breaks (server restart, idle-timeout reap, network
 // fault) fails its in-flight operations, and the next operation routed to
 // its pool slot re-dials transparently — a long-lived client survives
-// server idle disconnects. The redial repeats the Stats handshake, so a
-// restarted server's batch limit takes effect and a geometry change (a
-// different store at the same address) fails loudly instead of being
+// server idle disconnects. Dial and a redial open a connection the same
+// way: a TCP dial and a Stats handshake under one DialTimeout deadline, so
+// a peer that accepts and never answers fails the open instead of hanging
+// it, a restarted server's batch limit takes effect, and a geometry change
+// (a different store at the same address) fails loudly instead of being
 // silently adapted to. Close waits for outstanding responses;
 // ClientConfig.CloseTimeout bounds that wait against a stalled peer.
 
@@ -60,15 +61,8 @@ type ClientConfig struct {
 	// Conns is the connection-pool size; operations round-robin across it.
 	// Default 1.
 	Conns int
-	// MaxInFlight bounds each connection's outstanding request frames;
-	// further submissions block (the client half of the server's window).
-	// Default 64.
-	MaxInFlight int
-	// BatchWindow caps how many concurrent single-block operations one mux
-	// drain coalesces into a ReadBatch/WriteBatch frame. 1 disables
-	// coalescing. Default 32.
-	BatchWindow int
-	// DialTimeout bounds each connection attempt. Default 5s.
+	// DialTimeout bounds each connection attempt: the TCP dial and the
+	// Stats handshake together. Default 5s.
 	DialTimeout time.Duration
 	// CloseTimeout bounds how long Close waits for outstanding responses
 	// before force-closing the sockets and failing the pending operations
@@ -77,15 +71,14 @@ type ClientConfig struct {
 	CloseTimeout time.Duration
 }
 
+// clientInFlight bounds each connection's outstanding request frames;
+// further submissions block. It is the client half of the server's
+// window, and equal to that window's default.
+const clientInFlight = 64
+
 func (c *ClientConfig) defaults() {
 	if c.Conns == 0 {
 		c.Conns = 1
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 64
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 32
 	}
 	if c.DialTimeout == 0 {
 		c.DialTimeout = 5 * time.Second
@@ -93,11 +86,8 @@ func (c *ClientConfig) defaults() {
 }
 
 func (c ClientConfig) validate() error {
-	if c.Conns < 0 || c.MaxInFlight < 0 || c.BatchWindow < 0 {
-		return fmt.Errorf("palermo: Conns/MaxInFlight/BatchWindow must be >= 0")
-	}
-	if c.BatchWindow > wire.MaxOps {
-		return fmt.Errorf("palermo: BatchWindow %d exceeds the wire format's %d-op frame limit", c.BatchWindow, wire.MaxOps)
+	if c.Conns < 0 {
+		return fmt.Errorf("palermo: Conns must be >= 0")
 	}
 	if c.DialTimeout < 0 {
 		return fmt.Errorf("palermo: DialTimeout must be >= 0")
@@ -109,13 +99,13 @@ func (c ClientConfig) validate() error {
 }
 
 // ClientNetStats counts the client side of the wire: how many request
-// frames were sent and how many operations they carried. MergedOps is the
-// automatic-batching win — single-block calls that shared a coalesced
-// batch frame instead of paying their own round trip.
+// frames were sent and how many operations they carried.
 type ClientNetStats struct {
 	FramesSent uint64
 	Ops        uint64
-	MergedOps  uint64
+	// Deprecated: always zero. The client sends every call as its own
+	// frame; concurrent single-block calls are batched by the shard worker.
+	MergedOps uint64
 }
 
 // Client is a remote handle on a served store.
@@ -128,9 +118,9 @@ type Client struct {
 	shards int
 	epoch  uint64 // geometry epoch pinned at Dial (0 from a standalone server)
 
-	// serverMaxBatch is the per-frame op limit the handshake learned (0
-	// until then): the mux clamps its coalescing window to it and explicit
-	// batches beyond it fail client-side instead of as a remote StatusBad.
+	// serverMaxBatch is the per-frame op limit the latest handshake
+	// learned: explicit batches beyond it fail client-side instead of as a
+	// remote StatusBad.
 	serverMaxBatch atomic.Uint64
 
 	mu     sync.RWMutex // guards closed vs. in-flight submissions
@@ -138,7 +128,7 @@ type Client struct {
 
 	pool wire.BufPool // response frame buffers, recycled across connections
 
-	frames, ops, merged atomic.Uint64
+	frames, ops atomic.Uint64
 }
 
 // Dial connects to a palermo server, performs the Stats handshake to
@@ -150,25 +140,78 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	cfg.defaults()
 	cl := &Client{cfg: cfg, addr: addr}
 	for i := 0; i < cfg.Conns; i++ {
-		nc, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		cc, err := cl.open(i == 0)
 		if err != nil {
 			cl.Close()
 			return nil, fmt.Errorf("palermo: dial %s: %w", addr, err)
 		}
 		slot := &connSlot{}
-		slot.cur.Store(newClientConn(cl, nc))
+		slot.cur.Store(cc)
 		cl.slots = append(cl.slots, slot)
 	}
-	ws, err := cl.wireStats(context.Background())
-	if err != nil {
-		cl.Close()
-		return nil, fmt.Errorf("palermo: dial %s: handshake: %w", addr, err)
-	}
-	cl.blocks = ws.Blocks
-	cl.shards = int(ws.Shards)
-	cl.epoch = ws.Epoch
-	cl.serverMaxBatch.Store(uint64(ws.MaxBatch))
 	return cl, nil
+}
+
+// open dials a connection and performs the Stats handshake on it
+// synchronously, both under one DialTimeout deadline, before the
+// connection's mux and reader start. The first connection of a client
+// pins its geometry; every later one (the rest of the pool at Dial, or a
+// redial after a server restart) must report the same, or it is a
+// different store, which silent adaptation would paper over. Every
+// handshake refreshes the server's batch limit.
+func (cl *Client) open(first bool) (*clientConn, error) {
+	deadline := time.Now().Add(cl.cfg.DialTimeout)
+	nc, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", cl.addr)
+	if err != nil {
+		return nil, err
+	}
+	_ = nc.SetDeadline(deadline) // fails only on a closed socket, which the exchange reports
+	body, err := roundTrip(nc, wire.OpStats, 1, nil)
+	var ws wire.Stats
+	if err == nil {
+		ws, err = wire.ParseStats(body)
+	}
+	if err == nil {
+		err = nc.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("handshake: %w", err)
+	}
+	if first {
+		cl.blocks, cl.shards, cl.epoch = ws.Blocks, int(ws.Shards), ws.Epoch
+	} else if ws.Blocks != cl.blocks || int(ws.Shards) != cl.shards || ws.Epoch != cl.epoch {
+		nc.Close()
+		return nil, fmt.Errorf("server geometry changed (%d blocks / %d shards, epoch %d; client expects %d / %d, epoch %d); dial a new client",
+			ws.Blocks, ws.Shards, ws.Epoch, cl.blocks, cl.shards, cl.epoch)
+	}
+	cl.serverMaxBatch.Store(uint64(ws.MaxBatch))
+	return newClientConn(cl, nc), nil
+}
+
+// roundTrip writes one request frame on a connection that has no reader
+// of its own and reads the response, which must answer op under reqID. It
+// returns the body of an OK response and maps any other status to an
+// error. The handshake of Client.open and the migration stream use it.
+func roundTrip(nc net.Conn, op byte, reqID uint64, payload []byte) ([]byte, error) {
+	if err := wire.WriteFrame(nc, op, reqID, payload); err != nil {
+		return nil, err
+	}
+	f, err := wire.ReadFrame(nc)
+	if err != nil {
+		return nil, err
+	}
+	if f.Op != wire.Resp(op) || f.ReqID != reqID {
+		return nil, fmt.Errorf("response (op %d, id %d) does not answer request (op %d, id %d)", f.Op, f.ReqID, op, reqID)
+	}
+	st, body, msg, err := wire.ParseResp(f.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if st != wire.StatusOK {
+		return nil, remoteErr(st, msg)
+	}
+	return body, nil
 }
 
 // batchLimit returns the largest batch frame this client may send: the
@@ -329,10 +372,11 @@ func (cl *Client) Traffic() (TrafficReport, error) {
 // internal/loadgen.Target, so the load generator drives remote stores
 // exactly like in-process ones.
 func (cl *Client) Snapshot() (ServiceStats, TrafficReport, error) {
-	ws, err := cl.wireStats(context.Background())
+	r, err := cl.do(context.Background(), &call{op: wire.OpStats})
 	if err != nil {
 		return ServiceStats{}, TrafficReport{}, err
 	}
+	ws := r.stats
 	ss := ServiceStats{
 		Reads: ws.Reads, Writes: ws.Writes, DedupHits: ws.DedupHits,
 		Sheds:    ws.Sheds,
@@ -392,21 +436,9 @@ func fromWireLatency(l wire.Latency) LatencySummary {
 	return LatencySummary{N: l.N, MeanUs: l.MeanUs, P50Us: l.P50Us, P99Us: l.P99Us}
 }
 
-func (cl *Client) wireStats(ctx context.Context) (wire.Stats, error) {
-	r, err := cl.do(ctx, &call{op: wire.OpStats})
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	return r.stats, nil
-}
-
 // NetStats returns the client-side wire counters.
 func (cl *Client) NetStats() ClientNetStats {
-	return ClientNetStats{
-		FramesSent: cl.frames.Load(),
-		Ops:        cl.ops.Load(),
-		MergedOps:  cl.merged.Load(),
-	}
+	return ClientNetStats{FramesSent: cl.frames.Load(), Ops: cl.ops.Load()}
 }
 
 // Close shuts the client down gracefully: stop accepting operations,
@@ -534,25 +566,6 @@ type callResult struct {
 	err   error
 }
 
-// pendingFrame tracks one sent request frame awaiting its response: the
-// one call whose own request it carries, or the single-block calls the mux
-// coalesced into it, whose batch response fans back out to them.
-type pendingFrame struct {
-	op     byte
-	one    *call
-	merged []*call
-}
-
-// resolveAll gives every call of the frame the same result.
-func (pf *pendingFrame) resolveAll(r callResult) {
-	if pf.one != nil {
-		pf.one.done <- r
-	}
-	for _, ca := range pf.merged {
-		ca.done <- r
-	}
-}
-
 // connSlot is one position in the connection pool. The slot outlives any
 // single TCP connection: when the current one breaks, the next operation
 // routed here dials a replacement. Broken predecessors are parked in
@@ -577,53 +590,13 @@ func (s *connSlot) conn(cl *Client) (*clientConn, error) {
 	if cc = s.cur.Load(); !cc.isBroken() {
 		return cc, nil // another caller already replaced it
 	}
-	nc, err := net.DialTimeout("tcp", cl.addr, cl.cfg.DialTimeout)
+	fresh, err := cl.open(false)
 	if err != nil {
 		return nil, fmt.Errorf("palermo: client: redial %s: %w", cl.addr, err)
 	}
-	// Repeat the Stats handshake on the fresh socket: the server may have
-	// restarted since Dial, so the advertised batch limit must be
-	// refreshed — and a changed geometry means this is a different store,
-	// which silent adaptation would paper over.
-	ws, err := cl.rawHandshake(nc)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("palermo: client: redial %s: handshake: %w", cl.addr, err)
-	}
-	if (cl.blocks != 0 || cl.shards != 0) && (ws.Blocks != cl.blocks || int(ws.Shards) != cl.shards || ws.Epoch != cl.epoch) {
-		nc.Close()
-		return nil, fmt.Errorf("palermo: client: redial %s: server geometry changed (%d blocks / %d shards, epoch %d; client expects %d / %d, epoch %d); dial a new client",
-			cl.addr, ws.Blocks, ws.Shards, ws.Epoch, cl.blocks, cl.shards, cl.epoch)
-	}
-	cl.serverMaxBatch.Store(uint64(ws.MaxBatch))
 	s.retired = append(s.retired, cc)
-	fresh := newClientConn(cl, nc)
 	s.cur.Store(fresh)
 	return fresh, nil
-}
-
-// rawHandshake performs one synchronous Stats exchange directly on a
-// socket that has no mux or reader yet (a redial's fresh connection).
-func (cl *Client) rawHandshake(nc net.Conn) (wire.Stats, error) {
-	if to := cl.cfg.DialTimeout; to > 0 {
-		nc.SetDeadline(time.Now().Add(to))
-		defer nc.SetDeadline(time.Time{})
-	}
-	if err := wire.WriteFrame(nc, wire.OpStats, 1, nil); err != nil {
-		return wire.Stats{}, err
-	}
-	f, err := wire.ReadFrame(nc)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	st, body, msg, err := wire.ParseResp(f.Payload)
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	if st != wire.StatusOK {
-		return wire.Stats{}, remoteErr(st, msg)
-	}
-	return wire.ParseStats(body)
 }
 
 // clientConn is one pooled connection: a mux goroutine owns the write
@@ -635,7 +608,7 @@ type clientConn struct {
 	sem   chan struct{} // in-flight window tokens
 
 	mu      sync.Mutex
-	pending map[uint64]pendingFrame
+	pending map[uint64]*call // by request id
 	broken  error
 
 	muxDone    chan struct{}
@@ -646,9 +619,9 @@ func newClientConn(cl *Client, nc net.Conn) *clientConn {
 	cc := &clientConn{
 		cl:         cl,
 		nc:         nc,
-		sendq:      make(chan *call, cl.cfg.MaxInFlight),
-		sem:        make(chan struct{}, cl.cfg.MaxInFlight),
-		pending:    make(map[uint64]pendingFrame),
+		sendq:      make(chan *call, clientInFlight),
+		sem:        make(chan struct{}, clientInFlight),
+		pending:    make(map[uint64]*call),
 		muxDone:    make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
@@ -687,11 +660,11 @@ func (cc *clientConn) fail(err error) {
 		cc.broken = fmt.Errorf("palermo: client: connection lost: %w", err)
 	}
 	pend := cc.pending
-	cc.pending = make(map[uint64]pendingFrame)
+	cc.pending = make(map[uint64]*call)
 	broken := cc.broken
 	cc.mu.Unlock()
-	for _, pf := range pend {
-		pf.resolveAll(callResult{err: broken})
+	for _, ca := range pend {
+		ca.done <- callResult{err: broken}
 	}
 }
 
@@ -708,26 +681,19 @@ func (cc *clientConn) drainInFlight() {
 }
 
 // muxState is what the mux goroutine owns: the socket's write side and the
-// scratch its windows and frames are built in, reused from one to the next.
+// buffer frames are encoded in, reused from one frame to the next.
 type muxState struct {
 	cc    *clientConn
 	bw    *bufio.Writer
 	reqID uint64
-	dead  bool // the connection is done for: fail calls instead of sending
-
-	window, others, reads, writes []*call // one drain window, and its partition
-
-	frame  []byte   // the frame being encoded
-	ids    []uint64 // a coalesced frame's ids ...
-	blocks [][]byte // ... and blocks
+	frame []byte
 }
 
-// mux drains the send queue, coalescing concurrent single-block calls
-// into batch frames, and writes request frames until the queue closes.
-// It flushes the socket only when the queue is still empty after yielding
-// the processor once: callers about to submit get to, their frames share
-// the write (and their single-block calls a batch frame), and a lone call
-// waits for nothing but that one yield.
+// mux drains the send queue, writing one request frame per call, until
+// the queue closes. It flushes the socket only when the queue is still
+// empty after yielding the processor once: callers about to submit get
+// to, their frames share the write, and a lone call waits for nothing but
+// that one yield.
 func (cc *clientConn) mux() {
 	defer close(cc.muxDone)
 	// On any exit path, keep consuming the send queue and failing calls
@@ -740,19 +706,11 @@ func (cc *clientConn) mux() {
 		}
 	}()
 	m := &muxState{cc: cc, bw: bufio.NewWriter(cc.nc)}
-	for first := range cc.sendq {
+	for ca := range cc.sendq {
 		// The mux is the queue's only receiver, so a receive from a queue
 		// it has seen non-empty never blocks.
-		for yielded := false; ; first = <-cc.sendq {
-			// Clamp coalescing to what the server accepts per frame, so a
-			// merged batch can never come back StatusBad.
-			maxWindow := min(cc.cl.cfg.BatchWindow, cc.cl.batchLimit())
-			m.window = append(m.window[:0], first)
-			for len(m.window) < maxWindow && len(cc.sendq) > 0 {
-				m.window = append(m.window, <-cc.sendq)
-			}
-			m.sendWindow()
-			if m.dead {
+		for yielded := false; ; ca = <-cc.sendq {
+			if !m.send(ca) {
 				return
 			}
 			if len(cc.sendq) == 0 && !yielded {
@@ -770,146 +728,77 @@ func (cc *clientConn) mux() {
 	}
 }
 
-// sendWindow emits one window's frames: every explicit batch, stats or
-// admin call as its own frame, in arrival order, then the single-block
-// reads as one frame and the single-block writes as another.
-func (m *muxState) sendWindow() {
-	m.others, m.reads, m.writes = m.others[:0], m.reads[:0], m.writes[:0]
-	for _, ca := range m.window {
-		switch ca.op {
-		case wire.OpRead:
-			m.reads = append(m.reads, ca)
-		case wire.OpWrite:
-			m.writes = append(m.writes, ca)
-		default:
-			m.others = append(m.others, ca)
-		}
-	}
-	for _, ca := range m.others {
-		m.sendFrame(ca, nil)
-	}
-	for _, group := range [][]*call{m.reads, m.writes} {
-		switch len(group) {
-		case 0:
-		case 1:
-			m.sendFrame(group[0], nil)
-		default:
-			m.sendFrame(nil, group)
-		}
-	}
-}
-
-// encode builds the frame of one call's own request, or of the batch
-// request that carries several single-block calls of one kind, in m.frame.
-func (m *muxState) encode(reqID uint64, one *call, merged []*call) (op byte, err error) {
-	if one != nil {
-		op = one.op
-		m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
-		switch op {
-		case wire.OpRead:
-			m.frame = wire.AppendReadReq(m.frame, one.id)
-		case wire.OpWrite:
-			m.frame = wire.AppendWriteReq(m.frame, one.id, one.data)
-		case wire.OpReadBatch:
-			m.frame, err = wire.AppendReadBatchReq(m.frame, one.ids)
-		case wire.OpWriteBatch:
-			m.frame, err = wire.AppendWriteBatchReq(m.frame, one.ids, one.blocks)
-		case wire.OpMigrate:
-			m.frame, err = wire.AppendMigrateReq(m.frame, uint32(one.id), one.target)
-		} // OpStats, OpManifest: no payload
-	} else {
-		m.ids, m.blocks = m.ids[:0], m.blocks[:0]
-		for _, ca := range merged {
-			m.ids = append(m.ids, ca.id)
-			m.blocks = append(m.blocks, ca.data)
-		}
-		if merged[0].op == wire.OpRead {
-			op = wire.OpReadBatch
-			m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
-			m.frame, err = wire.AppendReadBatchReq(m.frame, m.ids)
-		} else {
-			op = wire.OpWriteBatch
-			m.frame = wire.BeginFrame(m.frame[:0], op, reqID)
-			m.frame, err = wire.AppendWriteBatchReq(m.frame, m.ids, m.blocks)
-		}
-	}
+// encode builds ca's request frame in m.frame.
+func (m *muxState) encode(reqID uint64, ca *call) (err error) {
+	m.frame = wire.BeginFrame(m.frame[:0], ca.op, reqID)
+	switch ca.op {
+	case wire.OpRead:
+		m.frame = wire.AppendReadReq(m.frame, ca.id)
+	case wire.OpWrite:
+		m.frame = wire.AppendWriteReq(m.frame, ca.id, ca.data)
+	case wire.OpReadBatch:
+		m.frame, err = wire.AppendReadBatchReq(m.frame, ca.ids)
+	case wire.OpWriteBatch:
+		m.frame, err = wire.AppendWriteBatchReq(m.frame, ca.ids, ca.blocks)
+	case wire.OpMigrate:
+		m.frame, err = wire.AppendMigrateReq(m.frame, uint32(ca.id), ca.target)
+	} // OpStats, OpManifest: no payload
 	if err == nil && len(m.frame)-wire.HeaderLen > wire.MaxPayload {
 		err = fmt.Errorf("%w: payload is %d bytes, limit %d", wire.ErrFrameTooLarge, len(m.frame)-wire.HeaderLen, wire.MaxPayload)
 	}
 	m.frame = wire.EndFrame(m.frame, 0)
-	return op, err
+	return err
 }
 
-// sendFrame encodes one request frame — one call's own, or the batch that
-// carries several single-block calls — takes its window token, registers
-// the pending entry and writes the frame. A failure marks the connection
-// dead, after which frames are not sent but failed: the calls of frames
-// sent earlier are resolved by the reader's fail.
-func (m *muxState) sendFrame(one *call, merged []*call) {
+// send encodes ca's request frame, takes its window token, registers ca
+// as pending and writes the frame into the socket buffer. It reports
+// false once the connection is done for: ca has then been failed, and the
+// calls of frames sent earlier are failed by the reader.
+func (m *muxState) send(ca *call) bool {
 	cc := m.cc
-	pf := pendingFrame{one: one}
-	if merged != nil {
-		// The entry outlives the window, so it takes a copy of the group.
-		pf.merged = append([]*call(nil), merged...)
+	die := func() bool {
+		ca.done <- callResult{err: cc.brokenErr()}
+		return false
 	}
-	die := func() {
-		m.dead = true
-		pf.resolveAll(callResult{err: cc.brokenErr()})
-	}
-	if m.dead {
-		die()
-		return
-	}
-	var err error
-	if pf.op, err = m.encode(m.reqID+1, one, merged); err != nil {
+	if err := m.encode(m.reqID+1, ca); err != nil {
 		// Impossible by construction (sizes validated at the API); fail
-		// the calls rather than wedge them.
-		pf.resolveAll(callResult{err: err})
-		return
+		// the call rather than wedge it.
+		ca.done <- callResult{err: err}
+		return true
 	}
 	select {
 	case cc.sem <- struct{}{}: // in-flight window token free: proceed
 	default:
-		// The window is full. Frames this drain already buffered must
-		// reach the server before we block, or the responses that release
-		// tokens can never arrive — an unflushed frame holding the whole
-		// window would deadlock the connection (e.g. MaxInFlight 1 with a
-		// window that splits into a read group and a write group).
+		// The window is full. Frames already buffered must reach the
+		// server before we block, or the responses that release tokens can
+		// never arrive: unflushed frames holding the whole window would
+		// deadlock the connection.
 		if err := m.bw.Flush(); err != nil {
 			cc.nc.Close() // reader notices and fails all pending
-			die()
-			return
+			return die()
 		}
 		select {
 		case cc.sem <- struct{}{}:
 		case <-cc.readerDone:
-			die()
-			return
+			return die()
 		}
 	}
 	cc.mu.Lock()
 	if cc.broken != nil {
 		cc.mu.Unlock()
 		<-cc.sem
-		die()
-		return
+		return die()
 	}
 	m.reqID++
-	cc.pending[m.reqID] = pf
+	cc.pending[m.reqID] = ca
 	cc.mu.Unlock()
 	cc.cl.frames.Add(1)
-	// Count the operations the frame carries: each single-block call is
-	// one, an explicit batch call is its id count.
-	if one != nil {
-		cc.cl.ops.Add(uint64(max(len(one.ids), 1)))
-	} else {
-		cc.cl.ops.Add(uint64(len(merged)))
-		cc.cl.merged.Add(uint64(len(merged)))
-	}
+	cc.cl.ops.Add(uint64(max(len(ca.ids), 1))) // an explicit batch carries len(ids) ops
 	if _, err := m.bw.Write(m.frame); err != nil {
 		cc.nc.Close() // poison the conn; reader fails everything pending
-		m.dead = true
+		return false
 	}
+	return true
 }
 
 // reader resolves response frames against the pending map until the
@@ -925,7 +814,7 @@ func (cc *clientConn) reader() {
 			return
 		}
 		cc.mu.Lock()
-		pf, ok := cc.pending[f.ReqID]
+		ca, ok := cc.pending[f.ReqID]
 		delete(cc.pending, f.ReqID)
 		cc.mu.Unlock()
 		if !ok {
@@ -935,62 +824,40 @@ func (cc *clientConn) reader() {
 			return
 		}
 		<-cc.sem
-		cc.resolve(&pf, f)
+		ca.done <- resolve(ca.op, f.Payload)
 		cc.cl.pool.Put(fb)
 	}
 }
 
-// resolve decodes one response frame and fans results out to the frame's
-// calls. The payload aliases a pooled buffer: every block is copied, once,
-// into what its caller receives.
-func (cc *clientConn) resolve(pf *pendingFrame, f wire.Frame) {
-	st, body, msg, err := wire.ParseResp(f.Payload)
-	if err == nil && st != wire.StatusOK {
+// resolve decodes the response payload to a request of op. The payload
+// aliases a pooled buffer: every block is copied, once, into what the
+// caller receives.
+func resolve(op byte, payload []byte) (r callResult) {
+	st, body, msg, err := wire.ParseResp(payload)
+	switch {
+	case err != nil:
+	case st != wire.StatusOK:
 		err = remoteErr(st, msg)
-	}
-	if err != nil {
-		pf.resolveAll(callResult{err: err})
-		return
-	}
-	switch pf.op {
-	case wire.OpRead:
-		blk, derr := wire.ParseReadResp(body)
-		if derr == nil {
-			blk = append([]byte(nil), blk...)
+	case op == wire.OpRead:
+		if r.data, err = wire.ParseReadResp(body); err == nil {
+			r.data = append([]byte(nil), r.data...)
 		}
-		pf.one.done <- callResult{data: blk, err: derr}
-	case wire.OpWrite, wire.OpWriteBatch, wire.OpMigrate:
-		pf.resolveAll(callResult{})
-	case wire.OpReadBatch:
-		blocks, derr := wire.ParseReadBatchResp(body)
-		if derr == nil && pf.merged != nil && len(blocks) != len(pf.merged) {
-			derr = fmt.Errorf("palermo: client: merged batch answered %d of %d ops", len(blocks), len(pf.merged))
-		}
-		if derr != nil {
-			pf.resolveAll(callResult{err: derr})
-			return
-		}
-		if pf.merged != nil {
-			for i, ca := range pf.merged {
-				ca.done <- callResult{data: append([]byte(nil), blocks[i]...)}
+	case op == wire.OpReadBatch:
+		if r.batch, err = wire.ParseReadBatchResp(body); err == nil {
+			// The caller owns every block: one backing array, and the
+			// batch's own slice headers re-pointed into it.
+			own := append([]byte(nil), body[len(body)-len(r.batch)*wire.BlockBytes:]...)
+			for i := range r.batch {
+				r.batch[i] = own[i*wire.BlockBytes : (i+1)*wire.BlockBytes : (i+1)*wire.BlockBytes]
 			}
-			return
 		}
-		// The caller of an explicit batch owns every block: one backing
-		// array, and blocks' own slice headers re-pointed into it.
-		own := append([]byte(nil), body[len(body)-len(blocks)*wire.BlockBytes:]...)
-		for i := range blocks {
-			blocks[i] = own[i*wire.BlockBytes : (i+1)*wire.BlockBytes : (i+1)*wire.BlockBytes]
-		}
-		pf.one.done <- callResult{batch: blocks}
-	case wire.OpStats:
-		stats, derr := wire.ParseStats(body)
-		pf.one.done <- callResult{stats: stats, err: derr}
-	case wire.OpManifest:
-		pf.one.done <- callResult{raw: append([]byte(nil), body...)}
-	default:
-		pf.resolveAll(callResult{err: fmt.Errorf("palermo: client: unexpected response op %d", f.Op)})
-	}
+	case op == wire.OpStats:
+		r.stats, err = wire.ParseStats(body)
+	case op == wire.OpManifest:
+		r.raw = append([]byte(nil), body...)
+	} // OpWrite, OpWriteBatch, OpMigrate: an OK status is the whole answer
+	r.err = err
+	return r
 }
 
 // remoteErr maps a wire status onto the client error surface: a draining

@@ -452,7 +452,6 @@ func (cc *ClusterClient) NetStats() ClientNetStats {
 		ns := cl.NetStats()
 		out.FramesSent += ns.FramesSent
 		out.Ops += ns.Ops
-		out.MergedOps += ns.MergedOps
 	}
 	return out
 }

@@ -22,8 +22,8 @@
 //
 // With -addr the generator dials a running cmd/palermo-server instead of
 // building an in-process store: the same closed-loop workload runs over
-// real sockets through palermo.Client (request pipelining, automatic
-// batching of concurrent small ops), and the perf record is written as
+// real sockets through palermo.Client (request pipelining, one frame per
+// call), and the perf record is written as
 // BENCH_net.json instead of BENCH_load.json — so the network tax over the
 // in-process numbers is one diff away. Comma-separated addresses select
 // the cluster-routing client instead: every id is routed to its owning
@@ -305,13 +305,11 @@ func runRemote(addrs []string, conns, clients, ops int, duration time.Duration, 
 	}
 
 	printResult(res)
-	fmt.Printf("  wire: %d frames for %d ops (%d coalesced into shared batch frames)\n",
-		net.FramesSent, net.Ops, net.MergedOps)
+	fmt.Printf("  wire: %d frames for %d ops\n", net.FramesSent, net.Ops)
 	if jsonDir != "" {
 		metrics := loadMetrics(res, clients, readRatio, zipf)
 		metrics["conns"] = float64(conns)
 		metrics["frames_sent"] = float64(net.FramesSent)
-		metrics["merged_ops"] = float64(net.MergedOps)
 		if err := writeRecord(jsonDir, figure, ops, seed, shards, res, metrics); err != nil {
 			fatal(err)
 		}

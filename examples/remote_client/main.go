@@ -4,10 +4,12 @@
 // orchestration: a ShardedStore goes behind palermo.Server on a loopback
 // socket, a palermo.Client dials it, and the same operations an in-process
 // caller would issue — single reads/writes, an atomic batch with duplicate
-// ids, concurrent small reads that the client coalesces into shared batch
-// frames — travel the wire protocol instead of a function call. At the
-// end it prints the server-side stats next to the client's frame counters,
-// so the automatic-batching win is visible.
+// ids, concurrent small reads of a few hot ids — travel the wire protocol
+// instead of a function call. At the end it prints the server-side stats
+// next to the client's frame counters: the client sends one frame per
+// call, and the concurrent reads of one id are batched where they meet,
+// by the shard worker, which serves them with one ORAM access and counts
+// the rest as dedup fan-outs.
 //
 // In a real deployment the server half is cmd/palermo-server and the
 // client half is this file minus the server setup (dial the server's
@@ -54,10 +56,7 @@ func main() {
 	fmt.Printf("serving %d blocks across %d shards on %s\n", blocks, shards, ln.Addr())
 
 	// Client half: dial, then use it exactly like a ShardedStore.
-	cl, err := palermo.Dial(ln.Addr().String(), palermo.ClientConfig{
-		MaxInFlight: 4, // small window => concurrent reads visibly coalesce
-		BatchWindow: 16,
-	})
+	cl, err := palermo.Dial(ln.Addr().String(), palermo.ClientConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +82,9 @@ func main() {
 	fmt.Printf("batch of 3 (one duplicate): identical payloads %v\n",
 		bytes.Equal(batch[0], batch[2]))
 
-	// Concurrent single reads share coalesced ReadBatch frames.
+	// Concurrent single reads, each its own frame; those of one id that
+	// meet in a shard's queue share one ORAM access.
+	before := cl.NetStats()
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
@@ -95,16 +96,16 @@ func main() {
 		}(i)
 	}
 	wg.Wait()
+	ns := cl.NetStats()
 
 	stats, err := cl.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
-	ns := cl.NetStats()
+	fmt.Printf("%d concurrent reads: client sent %d frames for %d ops\n",
+		readers, ns.FramesSent-before.FramesSent, ns.Ops-before.Ops)
 	fmt.Printf("server served %d reads, %d writes (%d dedup fan-outs)\n",
 		stats.Reads, stats.Writes, stats.DedupHits)
-	fmt.Printf("client sent %d frames for %d ops (%d reads rode shared batch frames)\n",
-		ns.FramesSent, ns.Ops, ns.MergedOps)
 
 	// Teardown order matters: drain the network layer, then the store.
 	if err := cl.Close(); err != nil {

@@ -409,24 +409,8 @@ type migrateConn struct {
 
 func (mc *migrateConn) roundTrip(op byte, payload []byte) error {
 	mc.reqID++
-	if err := wire.WriteFrame(mc.nc, op, mc.reqID, payload); err != nil {
-		return err
-	}
-	f, err := wire.ReadFrame(mc.nc)
-	if err != nil {
-		return err
-	}
-	if f.Op != wire.Resp(op) || f.ReqID != mc.reqID {
-		return fmt.Errorf("out-of-order migration response (op %d, id %d)", f.Op, f.ReqID)
-	}
-	st, _, msg, err := wire.ParseResp(f.Payload)
-	if err != nil {
-		return err
-	}
-	if st != wire.StatusOK {
-		return remoteErr(st, msg)
-	}
-	return nil
+	_, err := roundTrip(mc.nc, op, mc.reqID, payload)
+	return err
 }
 
 // sendBlocks streams sealed blocks in MaxMigrateBlocks-sized frames (an

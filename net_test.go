@@ -1,8 +1,9 @@
 package palermo
 
 // Tests for the public network surface: Server/Client config validation,
-// the automatic batching path, context cancellation, ErrClosed mapping
-// across the wire, and clean teardown (no goroutine leaks under -race).
+// one frame per call, the bounded connection opener, context cancellation,
+// ErrClosed mapping across the wire, and clean teardown (no goroutine
+// leaks under -race).
 
 import (
 	"bytes"
@@ -116,12 +117,11 @@ func TestClientExplicitBatch(t *testing.T) {
 	}
 }
 
-// TestClientAutoBatching forces coalescing: with a 1-frame in-flight
-// window, concurrent single reads pile up in the mux queue and must ride
-// shared ReadBatch frames.
-func TestClientAutoBatching(t *testing.T) {
-	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2}, ServerConfig{},
-		ClientConfig{MaxInFlight: 1, BatchWindow: 16})
+// TestClientOneFramePerCall: concurrent single reads of one id each get
+// their own frame and the right payload; batching them is the shard
+// worker's job, not the client's.
+func TestClientOneFramePerCall(t *testing.T) {
+	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2}, ServerConfig{}, ClientConfig{})
 	if err := cl.Write(5, block(0x77)); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestClientAutoBatching(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			got, err := cl.Read(5)
 			if err != nil {
@@ -138,51 +138,7 @@ func TestClientAutoBatching(t *testing.T) {
 				return
 			}
 			if !bytes.Equal(got, block(0x77)) {
-				errs <- errors.New("coalesced read returned wrong payload")
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	ns := cl.NetStats()
-	if ns.MergedOps == 0 {
-		t.Fatalf("no reads were coalesced: %+v", ns)
-	}
-	if ns.FramesSent >= ns.Ops {
-		t.Fatalf("batching saved no frames: %+v", ns)
-	}
-}
-
-// TestClientHonorsServerBatchLimit: the handshake teaches the client the
-// server's MaxBatch, so (a) coalesced frames stay under it even when
-// BatchWindow is larger, and (b) oversized explicit batches fail
-// client-side with a descriptive error instead of a remote StatusBad.
-func TestClientHonorsServerBatchLimit(t *testing.T) {
-	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2},
-		ServerConfig{MaxBatch: 2},
-		ClientConfig{MaxInFlight: 1, BatchWindow: 16})
-	if err := cl.Write(3, block(0x42)); err != nil {
-		t.Fatal(err)
-	}
-	// Concurrent single reads pile up behind the 1-frame window; merged
-	// frames must be clamped to 2 ops, so every read still succeeds.
-	const n = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := cl.Read(3)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.Equal(got, block(0x42)) {
-				errs <- errors.New("clamped coalesced read returned wrong payload")
+				errs <- errors.New("concurrent read returned wrong payload")
 			}
 		}()
 	}
@@ -191,7 +147,17 @@ func TestClientHonorsServerBatchLimit(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Explicit batches beyond the learned limit fail before the wire.
+	if ns := cl.NetStats(); ns.FramesSent != ns.Ops || ns.Ops != n+1 {
+		t.Fatalf("want one frame for each of %d ops: %+v", n+1, ns)
+	}
+}
+
+// TestClientHonorsServerBatchLimit: the handshake teaches the client the
+// server's MaxBatch, so oversized explicit batches fail client-side with a
+// descriptive error instead of a remote StatusBad.
+func TestClientHonorsServerBatchLimit(t *testing.T) {
+	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2},
+		ServerConfig{MaxBatch: 2}, ClientConfig{})
 	if _, err := cl.ReadBatch([]uint64{1, 2, 3}); err == nil || !strings.Contains(err.Error(), "server limit of 2") {
 		t.Fatalf("over-limit explicit batch: %v", err)
 	}
@@ -200,17 +166,16 @@ func TestClientHonorsServerBatchLimit(t *testing.T) {
 	}
 }
 
-// TestClientMixedWindowSmallInFlight is the regression test for a mux
-// deadlock: a coalescing window holding both reads and writes splits into
-// two frames, and with MaxInFlight 1 the second frame used to block on
-// the in-flight window while the first sat unflushed in the bufio.Writer
-// — the server never saw it, so the token never came back and every
-// caller (and Close) hung forever. sendFrame must flush buffered frames
-// before blocking on the window.
-func TestClientMixedWindowSmallInFlight(t *testing.T) {
-	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 1}, ServerConfig{},
-		ClientConfig{MaxInFlight: 1, BatchWindow: 16})
-	const n = 64
+// TestClientMixedWindowFull is the regression test for a mux deadlock:
+// with more concurrent calls than the in-flight window, the mux keeps
+// buffering frames while its queue refills, and when the window is full
+// the frames holding its tokens may all still sit unflushed in the
+// bufio.Writer — the server never sees them, so no token comes back and
+// every caller (and Close) hangs. send must flush buffered frames before
+// blocking on the window.
+func TestClientMixedWindowFull(t *testing.T) {
+	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 1}, ServerConfig{}, ClientConfig{})
+	const n = 4 * clientInFlight
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(i int) {
@@ -222,14 +187,16 @@ func TestClientMixedWindowSmallInFlight(t *testing.T) {
 			}
 		}(i)
 	}
+	timeout := time.After(10 * time.Second)
 	for i := 0; i < n; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("mixed read/write window deadlocked with MaxInFlight 1")
+		case <-timeout:
+			cl.slots[0].cur.Load().nc.Close() // unwedge the cleanup's Close
+			t.Fatalf("mixed calls deadlocked on a full window: %d of %d answered", i, n)
 		}
 	}
 }
@@ -270,8 +237,8 @@ func TestClientRedialsBrokenConn(t *testing.T) {
 // TestClientCloseTimeout: Close against a peer that stalls completely
 // after the handshake must give up after CloseTimeout, failing every
 // pending operation instead of hanging forever. The nasty case: with a
-// stalled peer and MaxInFlight 1, one op holds the window token, one sits
-// in the send queue, and further submitters park inside do() holding the
+// stalled peer, sent writes hold the whole in-flight window, more fill the
+// send queue, and further submitters park inside start() holding the
 // client's read lock — so even Close's write-lock acquisition is wedged
 // until the force-close timer breaks the jam.
 func TestClientCloseTimeout(t *testing.T) {
@@ -298,15 +265,11 @@ func TestClientCloseTimeout(t *testing.T) {
 		wire.WriteFrame(nc, wire.Resp(wire.OpStats), f.ReqID, wire.AppendOKResp(nil, body))
 		<-stop
 	}()
-	cl, err := Dial(ln.Addr().String(), ClientConfig{
-		MaxInFlight:  1,
-		BatchWindow:  1, // no coalescing: every write is its own frame
-		CloseTimeout: 200 * time.Millisecond,
-	})
+	cl, err := Dial(ln.Addr().String(), ClientConfig{CloseTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers = 6
+	const writers = 2*clientInFlight + 8 // the window, the send queue, and parked submitters
 	writeErr := make(chan error, writers)
 	for i := 0; i < writers; i++ {
 		go func(i int) { writeErr <- cl.Write(uint64(i), block(byte(i))) }(i)
@@ -401,7 +364,7 @@ func TestClientRedialRefreshesHandshake(t *testing.T) {
 // wire: disjoint id ownership per goroutine, exact read verification.
 func TestClientConcurrentHammer(t *testing.T) {
 	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2}, ServerConfig{},
-		ClientConfig{Conns: 2, BatchWindow: 8})
+		ClientConfig{Conns: 2})
 	const clients = 8
 	const opsPer = 60
 	var wg sync.WaitGroup
@@ -663,9 +626,6 @@ func TestClientConfigValidation(t *testing.T) {
 		cfg  ClientConfig
 	}{
 		{"negative Conns", ClientConfig{Conns: -1}},
-		{"negative MaxInFlight", ClientConfig{MaxInFlight: -1}},
-		{"negative BatchWindow", ClientConfig{BatchWindow: -1}},
-		{"BatchWindow beyond wire limit", ClientConfig{BatchWindow: 1<<16 + 1}},
 		{"negative DialTimeout", ClientConfig{DialTimeout: -time.Second}},
 		{"negative CloseTimeout", ClientConfig{CloseTimeout: -time.Second}},
 	}
@@ -679,6 +639,41 @@ func TestClientConfigValidation(t *testing.T) {
 	// A dead address surfaces a dial error, not a hang.
 	if _, err := Dial("127.0.0.1:1", ClientConfig{DialTimeout: 200 * time.Millisecond}); err == nil {
 		t.Error("dial to a dead port must fail")
+	}
+}
+
+// TestDialSilentPeer: a peer that accepts the connection and never
+// answers the handshake must fail Dial within DialTimeout, not hang it.
+func TestDialSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close() // held open, never read or written, until the listener closes
+		}
+	}()
+	dialed := make(chan error, 1)
+	go func() {
+		cl, err := Dial(ln.Addr().String(), ClientConfig{DialTimeout: 200 * time.Millisecond})
+		if err == nil {
+			cl.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if err == nil || !strings.Contains(err.Error(), "handshake") {
+			t.Fatalf("Dial to a silent peer = %v, want a handshake error", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Dial to a silent peer still blocked after 3 s with a 200 ms DialTimeout")
 	}
 }
 
@@ -763,9 +758,9 @@ func TestSlowReaderDoesNotStallShardWorker(t *testing.T) {
 // nothing of its own in steady state: request frames are encoded in place
 // into the mux's buffer, response frames are read into pooled buffers and
 // replies are encoded into the connection's write buffer. What remains is
-// the call and its result channel, the pending-frame entry, the server's
-// completion closure, the service request, and the engine's and the
-// client's one copy each of the block: 12, where the parent commit made 21.
+// the call and its result channel, the server's completion closure, the
+// service request, and the engine's and the client's one copy each of the
+// block: 9 when last measured.
 func TestClientReadAllocs(t *testing.T) {
 	_, cl := startNetStore(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 1}, ServerConfig{}, ClientConfig{})
 	id := uint64(0)
