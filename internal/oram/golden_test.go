@@ -44,11 +44,17 @@ func goldenConfigs() map[string]RingConfig {
 	paperPalermo.Seed = 0x5eed
 	paperBaseline := BandwidthRingConfig()
 	paperBaseline.Seed = 0x5eed
+	// (32,56,42) has 88 slots, the widest ZSASweep point: the only golden
+	// whose consumed-slot bitsets use a second word.
+	wide := serving
+	wide.Z, wide.S, wide.A = 32, 56, 42
 	return map[string]RingConfig{
 		"serving-2^15-count-palermo":   serving,
 		"paper-2^28-address-palermo":   paperPalermo,
 		"paper-2^28-address-baseline":  paperBaseline,
 		"serving-2^15-address-palermo": func() RingConfig { c := serving; c.CountTraffic = false; return c }(),
+		"wide-2^15-count-palermo":      wide,
+		"wide-2^15-address-palermo":    func() RingConfig { c := wide; c.CountTraffic = false; return c }(),
 	}
 }
 
