@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,31 @@ func smallPath(seed uint64) *Path {
 		panic(err)
 	}
 	return e
+}
+
+// TestRingConfigValidate: the shapes the engine refuses, each with an error
+// that names what is wrong, next to the widest it accepts.
+func TestRingConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		z, s, a int
+		want    string // "" = accepted
+	}{
+		{"paper", 16, 27, 20, ""},
+		{"widest ZSASweep point", 32, 56, 42, ""},
+		{"at the slot limit", 64, 64, 1, ""},
+		{"one slot beyond the limit", 64, 65, 1, "Z+S = 129 slots exceeds the 128-slot bucket limit"},
+		{"no dummy budget", 4, 0, 3, "Z/S/A must be positive"},
+	} {
+		cfg := RingConfig{NLines: 4096, Z: tc.z, S: tc.s, A: tc.a}
+		err := cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // checkAll reads every previously written PA and verifies the value.

@@ -51,6 +51,9 @@ func (c *RingConfig) Validate() error {
 	if c.Z <= 0 || c.S <= 0 || c.A <= 0 {
 		return fmt.Errorf("oram: Z/S/A must be positive, got (%d,%d,%d)", c.Z, c.S, c.A)
 	}
+	if c.Z+c.S > otree.MaxSlots {
+		return fmt.Errorf("oram: Z+S = %d slots exceeds the %d-slot bucket limit", c.Z+c.S, otree.MaxSlots)
+	}
 	if c.PosLevels < 0 {
 		return fmt.Errorf("oram: PosLevels must be >= 0")
 	}

@@ -59,6 +59,38 @@ func TestFreeSlotSelectMatchesScan(t *testing.T) {
 	}
 }
 
+// FuzzSelectFree: for arbitrary bitset words, 1..MaxSlots slots and any k
+// below the free count, the branch-free select returns the scan's offset —
+// from the one- or two-word slice the test above builds and from the
+// two-word form a bucket always passes.
+func FuzzSelectFree(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint8(43), uint8(0))
+	f.Add(^uint64(0)>>1, uint64(0), uint8(88), uint8(5))
+	f.Add(^uint64(0), ^uint64(0)>>1, uint8(128), uint8(0))
+	f.Add(uint64(0x5555555555555555), uint64(0xaaaaaaaaaaaaaaaa), uint8(100), uint8(40))
+	f.Fuzz(func(t *testing.T, w0, w1 uint64, rawSlots, rawK uint8) {
+		slots := 1 + int(rawSlots)%MaxSlots
+		used := []uint64{w0, w1}
+		free := 0
+		for off := 0; off < slots; off++ {
+			if used[off/64]&(1<<(off%64)) == 0 {
+				free++
+			}
+		}
+		if free == 0 {
+			return
+		}
+		k := int(rawK) % free
+		want := scanFree(used, slots, k)
+		if got := selectFree(used, slots, k); got != want {
+			t.Fatalf("slots=%d used=%x k=%d: select=%d scan=%d", slots, used, k, got, want)
+		}
+		if got := selectFree(used[:(slots+63)/64], slots, k); got != want {
+			t.Fatalf("slots=%d used=%x k=%d: select over %d words=%d scan=%d", slots, used, k, (slots+63)/64, got, want)
+		}
+	})
+}
+
 // driveStore runs a fixed operation sequence touching every kind of store
 // mutation and returns the exported state.
 func driveStore(s *Store) []BucketState {

@@ -112,26 +112,63 @@ func (b *Bucket) find(id BlockID) int {
 // Contains reports whether the bucket currently holds id as a valid block.
 func (b *Bucket) Contains(id BlockID) bool { return b.find(id) >= 0 }
 
+// MaxSlots is the widest bucket (Z+S) the consumed-slot bitset holds: two
+// 64-bit words.
+const MaxSlots = 128
+
 // selectFree returns the offset of the k-th (from 0) clear bit among the
-// first slots bits of used: popcount skips whole words, then the k lower
-// free offsets of the word are cleared one instruction each. used must
-// cover slots bits and k must be below the number of clear ones.
+// first slots bits of used, without a data-dependent branch: the word is
+// chosen by a mask from one popcount, the byte and the bit inside it by
+// selectInWord. used holds one word, or two when slots exceeds 64; slots is
+// at most MaxSlots and k below the number of clear bits.
 func selectFree(used []uint64, slots, k int) int {
-	for w := 0; ; w++ {
-		free := ^used[w]
-		if rem := slots - w*64; rem < 64 {
-			free &= 1<<uint(rem) - 1
-		}
-		if n := bits.OnesCount64(free); k >= n {
-			k -= n
-			continue
-		}
-		for ; k > 0; k-- {
-			free &= free - 1
-		}
-		return w*64 + bits.TrailingZeros64(free)
+	var hi uint64
+	if len(used) > 1 {
+		hi = used[1]
 	}
+	free0 := ^used[0] & (1<<uint(slots) - 1) // a shift of 64 or more is 0: all ones
+	free1 := ^hi & (1<<uint(max(slots-64, 0)) - 1)
+	n0 := bits.OnesCount64(free0)
+	// second is all ones when the k-th free slot lies in the second word.
+	second := -uint64(uint(n0-k-1) >> (bits.UintSize - 1))
+	free := free0 ^ (free0^free1)&second
+	return int(64&second) + selectInWord(free, k-n0&int(second))
 }
+
+const (
+	bytes1 = 0x0101010101010101 // 1 in every byte
+	bytes8 = 0x8080808080808080 // the high bit of every byte
+)
+
+// selectInWord returns the position of the k-th (from 0) set bit of x, k
+// below its popcount. The bytes' popcounts are summed into inclusive
+// prefixes by one multiply (none exceeds 64, so no byte carries into the
+// next); the bytes whose prefix is at most k lie wholly before the bit, and
+// one per-byte compare counts them; selectInByte finishes inside the byte.
+func selectInWord(x uint64, k int) int {
+	c := x - x>>1&0x5555555555555555
+	c = c&0x3333333333333333 + c>>2&0x3333333333333333
+	c = (c + c>>4) & 0x0f0f0f0f0f0f0f0f
+	prefix := c * bytes1
+	// Byte i of the difference keeps its high bit iff k >= prefix_i.
+	shift := uint(bits.OnesCount64((uint64(k)*bytes1|bytes8-prefix)&bytes8)) * 8
+	before := int(prefix << 8 >> shift & 0xff)
+	return int(shift) + int(selectInByte[x>>shift&0xff][(k-before)&7])
+}
+
+// selectInByte[b][k] is the position of the k-th set bit of byte b.
+var selectInByte = func() (t [256][8]uint8) {
+	for b := range 256 {
+		k := 0
+		for i := range 8 {
+			if b>>i&1 != 0 {
+				t[b][k] = uint8(i)
+				k++
+			}
+		}
+	}
+	return t
+}()
 
 // freeSlot picks a uniformly random unconsumed slot offset, modelling the
 // random permutation's effect on DRAM addresses within the bucket (the
