@@ -501,9 +501,9 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	leaf := e.Posmap().Leaf(0, 42)
 	path := e.Space(0).Geo.PathNodes(nil, leaf)
 	removed := false
-	for _, n := range path {
-		if e.Space(0).Store.Bucket(n).Contains(42) {
-			entry, _, ok := e.Space(0).Store.ReadSlot(n, 42)
+	for lv, n := range path {
+		if b := e.Space(0).Store.Bucket(n); b.Contains(42) {
+			entry, _, ok := e.Space(0).Store.ReadSlot(b, lv, 42)
 			if ok && entry.ID == 42 {
 				removed = true // block consumed without entering the stash
 			}

@@ -323,9 +323,11 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	}
 	*la = LevelAccess{Level: l, Evict: evict, Phases: phases}
 
+	// The path's nodes and buckets, resolved once (index == tree level).
 	path := sp.path(leaf)
+	buckets := sp.buckets(path)
 
-	// LM: load node metadata along the path (path index == tree level).
+	// LM: load node metadata along the path.
 	lm := la.beginPhase(PhaseLM)
 	sp.reserve(lm, 1, 0)
 	for lv, n := range path {
@@ -335,9 +337,9 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	// Palermo hoists the reshuffle before the reads (PreCheck at S-1).
 	if e.cfg.Variant == VariantPalermo {
 		er := la.beginPhase(PhaseER)
-		for _, n := range path {
-			if sp.Store.NeedsReset(n, 1) {
-				sp.resetNode(er, n)
+		for lv, b := range buckets {
+			if sp.Store.NeedsReset(b, lv, 1) {
+				sp.resetNode(er, lv, path[lv])
 			}
 		}
 	}
@@ -348,9 +350,9 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	sp.reserve(rp, sp.Geo.SlotLines, 0)
 	found := false
 	var got uint64
-	for lv, n := range path {
-		entry, slot, ok := sp.Store.ReadSlot(n, want)
-		sp.emitSlotRead(rp, lv, n, slot)
+	for lv, b := range buckets {
+		entry, slot, ok := sp.Store.ReadSlot(b, lv, want)
+		sp.emitSlotRead(rp, lv, path[lv], slot)
 		if ok {
 			found = true
 			got = entry.Val
@@ -385,9 +387,9 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	// Baseline EarlyReshuffle trails the access (Algorithm 1 line 16).
 	if e.cfg.Variant == VariantBaseline {
 		er := la.beginPhase(PhaseER)
-		for _, n := range path {
-			if sp.Store.NeedsReset(n, 0) {
-				sp.resetNode(er, n)
+		for lv, b := range buckets {
+			if sp.Store.NeedsReset(b, lv, 0) {
+				sp.resetNode(er, lv, path[lv])
 			}
 		}
 	}

@@ -35,9 +35,11 @@ type Space struct {
 	pm *posmap.Hierarchy // the hierarchy holding this level's leaf assignments
 
 	// Per-access scratch (engine-per-goroutine rule): the path's nodes and
-	// the blocks an eviction moves from the stash into one bucket.
-	pathBuf []uint64
-	pushBuf []otree.BlockEntry
+	// buckets, and the blocks an eviction moves from the stash into one
+	// bucket.
+	pathBuf   []uint64
+	bucketBuf []*otree.Bucket
+	pushBuf   []otree.BlockEntry
 }
 
 // HardwareStashTags is the Table III per-level stash budget.
@@ -81,6 +83,12 @@ func (sp *Space) pushInto(node uint64, z int) {
 func (sp *Space) path(leaf uint64) []uint64 {
 	sp.pathBuf = sp.Geo.PathNodes(sp.pathBuf[:0], leaf)
 	return sp.pathBuf
+}
+
+// buckets fills the space's scratch bucket buffer for path (index = level).
+func (sp *Space) buckets(path []uint64) []*otree.Bucket {
+	sp.bucketBuf = sp.Store.PathBuckets(sp.bucketBuf[:0], path)
+	return sp.bucketBuf
 }
 
 // reserve sizes ph's address lists for a phase that touches perLevelR read
@@ -186,11 +194,10 @@ func (sp *Space) emitMetaWrite(ph *Phase, lvl int, node uint64) {
 }
 
 // resetNode performs the functional half of ResetBucket (Algorithm 1 lines
-// 42-50) on node along the path to leaf: pull the unused real blocks into
-// the stash, push back eligible stash blocks, and emit the padded DRAM
-// traffic (Z slot reads, full-bucket writes).
-func (sp *Space) resetNode(ph *Phase, node uint64) {
-	lvl := sp.Geo.NodeLevel(node)
+// 42-50) on node, at level lvl of the path to leaf: pull the unused real
+// blocks into the stash, push back eligible stash blocks, and emit the
+// padded DRAM traffic (Z slot reads, full-bucket writes).
+func (sp *Space) resetNode(ph *Phase, lvl int, node uint64) {
 	spec := sp.Geo.Levels[lvl]
 
 	sp.stashPulled(sp.Store.ResetPull(node))

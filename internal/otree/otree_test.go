@@ -138,11 +138,16 @@ func TestBitRevCounterCoversAllLeaves(t *testing.T) {
 	}
 }
 
+// readSlot is ReadSlot on node's bucket at node's level.
+func readSlot(st *Store, node uint64, want BlockID) (BlockEntry, int, bool) {
+	return st.ReadSlot(st.Bucket(node), st.g.NodeLevel(node), want)
+}
+
 func TestStoreReadSlotRealAndDummy(t *testing.T) {
 	g := Uniform(64, 4, 5, 0, 1<<40)
 	st := NewStore(g, rng.New(1))
 	st.WriteBucket(3, []BlockEntry{{ID: 42, Val: 99}})
-	e, slot, ok := st.ReadSlot(3, 42)
+	e, slot, ok := readSlot(st, 3, 42)
 	if !ok || e.ID != 42 || e.Val != 99 {
 		t.Fatalf("real read failed: %+v ok=%v", e, ok)
 	}
@@ -153,7 +158,7 @@ func TestStoreReadSlotRealAndDummy(t *testing.T) {
 		t.Fatal("block must be removed after real read")
 	}
 	// Same block again: dummy.
-	e, _, ok = st.ReadSlot(3, 42)
+	e, _, ok = readSlot(st, 3, 42)
 	if ok || e.ID != Dummy {
 		t.Fatal("second read must be a dummy")
 	}
@@ -167,7 +172,7 @@ func TestStoreSlotsNeverRepeatBeforeReset(t *testing.T) {
 	st := NewStore(g, rng.New(7))
 	seen := make(map[int]bool)
 	for i := 0; i < 9; i++ { // Z+S = 9 slots
-		_, slot, _ := st.ReadSlot(5, Dummy-1)
+		_, slot, _ := readSlot(st, 5, Dummy-1)
 		if seen[slot] {
 			t.Fatalf("slot %d consumed twice before reset", slot)
 		}
@@ -179,9 +184,9 @@ func TestStoreResetRestoresSlots(t *testing.T) {
 	g := Uniform(64, 4, 5, 0, 1<<40)
 	st := NewStore(g, rng.New(7))
 	for i := 0; i < 5; i++ {
-		st.ReadSlot(2, Dummy-1)
+		readSlot(st, 2, Dummy-1)
 	}
-	if !st.NeedsReset(2, 0) {
+	if !st.NeedsReset(st.Bucket(2), g.NodeLevel(2), 0) {
 		t.Fatal("bucket must need reset after S=5 touches")
 	}
 	pulled := st.ResetPull(2)
@@ -192,7 +197,7 @@ func TestStoreResetRestoresSlots(t *testing.T) {
 		t.Fatal("reset must clear accessed count")
 	}
 	for i := 0; i < 9; i++ {
-		st.ReadSlot(2, Dummy-1) // must not panic: all slots fresh again
+		readSlot(st, 2, Dummy-1) // must not panic: all slots fresh again
 	}
 }
 
@@ -251,8 +256,8 @@ func TestLazyMaterialization(t *testing.T) {
 	if st.Materialized() != 0 {
 		t.Fatal("fresh store must have no buckets")
 	}
-	st.ReadSlot(12345, Dummy-1)
-	st.ReadSlot(99999, Dummy-1)
+	readSlot(st, 12345, Dummy-1)
+	readSlot(st, 99999, Dummy-1)
 	if st.Materialized() != 2 {
 		t.Fatalf("materialized = %d, want 2", st.Materialized())
 	}
@@ -292,7 +297,7 @@ func TestReadSlotPresenceProperty(t *testing.T) {
 		if present {
 			st.WriteBucket(node, []BlockEntry{{ID: id, Val: 1}})
 		}
-		_, _, ok := st.ReadSlot(node, id)
+		_, _, ok := readSlot(st, node, id)
 		return ok == present
 	}
 	if err := quick.Check(f, nil); err != nil {

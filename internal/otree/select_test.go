@@ -98,11 +98,12 @@ func driveStore(s *Store) []BucketState {
 	for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
 		for l := 0; l <= g.Depth; l++ {
 			node := g.NodeAt(leaf, l)
-			if s.NeedsReset(node, 1) {
+			b := s.Bucket(node)
+			if s.NeedsReset(b, l, 1) {
 				s.ResetPull(node)
 				s.WriteBucket(node, []BlockEntry{{ID: BlockID(node), Val: leaf}})
 			}
-			s.ReadSlot(node, BlockID(node))
+			s.ReadSlot(b, l, BlockID(node))
 		}
 	}
 	return s.State()

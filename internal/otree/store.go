@@ -186,18 +186,26 @@ func (s *Store) freeSlot(b *Bucket, slots int) int {
 	return selectFree(b.used, slots, s.r.Intn(free))
 }
 
-// ReadSlot performs RingORAM's ReadBucket: it consumes exactly one slot of
-// node. If want is present in the bucket the real block is removed and
-// returned with ok=true; otherwise an unused dummy is consumed. The returned
-// slot offset determines the DRAM address touched.
+// PathBuckets appends the buckets of nodes (a root→leaf path, so index ==
+// level) to dst, materializing them in path order, and returns it. An
+// access resolves its path once and hands each bucket, with its level, to
+// NeedsReset and ReadSlot.
+func (s *Store) PathBuckets(dst []*Bucket, nodes []uint64) []*Bucket {
+	for _, n := range nodes {
+		dst = append(dst, s.Bucket(n))
+	}
+	return dst
+}
+
+// ReadSlot performs RingORAM's ReadBucket on b, a bucket at level lvl: it
+// consumes exactly one slot. If want is present in the bucket the real
+// block is removed and returned with ok=true; otherwise an unused dummy is
+// consumed. The returned slot offset determines the DRAM address touched.
 //
 // The RingORAM invariant guarantees a usable slot exists whenever
 // Accessed < S at entry (the early-reshuffle rule resets before exhaustion).
-func (s *Store) ReadSlot(node uint64, want BlockID) (e BlockEntry, slot int, ok bool) {
-	b := s.Bucket(node)
-	lvl := s.g.NodeLevel(node)
-	slots := s.g.Levels[lvl].Slots()
-	slot = s.freeSlot(b, slots)
+func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot int, ok bool) {
+	slot = s.freeSlot(b, s.g.Levels[lvl].Slots())
 	b.setUsed(slot)
 	b.Accessed++
 	if i := b.find(want); i >= 0 {
@@ -208,14 +216,10 @@ func (s *Store) ReadSlot(node uint64, want BlockID) (e BlockEntry, slot int, ok 
 	return BlockEntry{ID: Dummy}, slot, false
 }
 
-// NeedsReset reports whether the node has consumed its guaranteed dummy
-// budget: after S touches a further ReadSlot may find no unused dummy.
-func (s *Store) NeedsReset(node uint64, margin int) bool {
-	b, ok := s.peek(node)
-	if !ok {
-		return false
-	}
-	lvl := s.g.NodeLevel(node)
+// NeedsReset reports whether b, a bucket at level lvl, has consumed its
+// guaranteed dummy budget: after S touches a further ReadSlot may find no
+// unused dummy.
+func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
 	return b.Accessed >= s.g.Levels[lvl].S-margin
 }
 
