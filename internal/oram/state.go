@@ -198,7 +198,9 @@ func (e *Ring) Restore(st *RingState) error {
 		sp.Accesses = ss.Accesses
 		sp.Evictor.Restore(ss.Evictor)
 		sp.Stash.Restore(ss.Stash)
-		sp.Store.Restore(ss.Buckets)
+		if err := sp.Store.Restore(ss.Buckets); err != nil {
+			return err
+		}
 	}
 	return nil
 }

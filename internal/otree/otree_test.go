@@ -162,8 +162,8 @@ func TestStoreReadSlotRealAndDummy(t *testing.T) {
 	if ok || e.ID != Dummy {
 		t.Fatal("second read must be a dummy")
 	}
-	if st.Bucket(3).Accessed != 2 {
-		t.Fatalf("accessed = %d, want 2", st.Bucket(3).Accessed)
+	if st.Bucket(3).accessed != 2 {
+		t.Fatalf("accessed = %d, want 2", st.Bucket(3).accessed)
 	}
 }
 
@@ -193,7 +193,7 @@ func TestStoreResetRestoresSlots(t *testing.T) {
 	if len(pulled) != 0 {
 		t.Fatalf("empty bucket pulled %d blocks", len(pulled))
 	}
-	if st.Bucket(2).Accessed != 0 {
+	if st.Bucket(2).accessed != 0 {
 		t.Fatal("reset must clear accessed count")
 	}
 	for i := 0; i < 9; i++ {

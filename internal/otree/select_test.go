@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"palermo/internal/paged"
 	"palermo/internal/rng"
@@ -91,6 +92,15 @@ func FuzzSelectFree(f *testing.F) {
 	})
 }
 
+// TestBucketSize: a bucket with its inline bitset is no larger than the
+// three-slice bucket it replaced (56 bytes); every materialized node costs
+// one, so growth shows in the serving heap.
+func TestBucketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Bucket{}); n > 56 {
+		t.Fatalf("Bucket is %d bytes, want at most 56", n)
+	}
+}
+
 // driveStore runs a fixed operation sequence touching every kind of store
 // mutation and returns the exported state.
 func driveStore(s *Store) []BucketState {
@@ -127,7 +137,9 @@ func TestStoreRepresentationParity(t *testing.T) {
 		t.Fatalf("Materialized = %d / %d, State has %d", direct.Materialized(), sparse.Materialized(), len(sd))
 	}
 	for _, s := range []*Store{NewStore(g, rng.New(7)), sparse} {
-		s.Restore(sd)
+		if err := s.Restore(sd); err != nil {
+			t.Fatal(err)
+		}
 		if got := s.State(); !reflect.DeepEqual(got, sd) {
 			t.Fatalf("State/Restore round trip diverged")
 		}
@@ -140,7 +152,7 @@ func TestBucketPointerStable(t *testing.T) {
 	g := UniformWide(1<<12, 4, 5, 1, 0, 0)
 	s := NewStore(g, rng.New(1))
 	first := s.Bucket(0)
-	first.Blocks = append(first.Blocks, BlockEntry{ID: 9, Val: 9})
+	s.WriteBucket(0, []BlockEntry{{ID: 9, Val: 9}})
 	for n := uint64(1); n < g.NumNodes(); n++ {
 		s.Bucket(n)
 	}
@@ -162,9 +174,9 @@ func TestStateMatchesPerBucketCopies(t *testing.T) {
 		b := s.at(ref)
 		want = append(want, BucketState{
 			Node:     node,
-			Blocks:   append([]BlockEntry(nil), b.Blocks...),
-			Used:     append([]uint64(nil), b.used...),
-			Accessed: b.Accessed,
+			Blocks:   append([]BlockEntry(nil), b.blocks...),
+			Used:     append([]uint64(nil), b.used[:b.words]...),
+			Accessed: int(b.accessed),
 		})
 	})
 	sort.Slice(want, func(i, j int) bool { return want[i].Node < want[j].Node })

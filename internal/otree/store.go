@@ -20,25 +20,20 @@ type BlockEntry struct {
 // Bucket is the functional state of one tree node. A zero-value bucket is a
 // freshly reset, empty bucket (all slots valid dummies). Slot permutation is
 // tracked as a bitset of consumed slot offsets: RingORAM invalidates the
-// touched slot on every access and never re-reads it before a reset.
+// touched slot on every access and never re-reads it before a reset. The
+// bitset lives inline (MaxSlots bits), so a bucket is one object.
 type Bucket struct {
-	Blocks   []BlockEntry // valid real blocks currently stored; capacity survives resets
-	used     []uint64     // bitset of slot offsets consumed since the last reset
-	Accessed int          // touches since the last reset
-}
-
-func (b *Bucket) setUsed(off int) {
-	for len(b.used) <= off/64 {
-		b.used = append(b.used, 0)
-	}
-	b.used[off/64] |= 1 << (off % 64)
+	blocks   []BlockEntry // valid real blocks currently stored; capacity survives resets
+	used     [MaxSlots / 64]uint64
+	accessed uint16 // touches since the last reset
+	// words is the bitset length a checkpoint records: 0 until the
+	// bucket's first touch, then every word its slots span.
+	words uint8
 }
 
 func (b *Bucket) clearUsed() {
-	for i := range b.used {
-		b.used[i] = 0
-	}
-	b.Accessed = 0
+	b.used = [MaxSlots / 64]uint64{}
+	b.accessed = 0
 }
 
 // Buckets live in fixed-size chunks so a *Bucket stays valid while later
@@ -99,10 +94,10 @@ func (s *Store) peek(node uint64) (*Bucket, bool) {
 // Materialized returns the number of buckets touched so far.
 func (s *Store) Materialized() int { return s.index.Len() }
 
-// find returns the index of id in b.Blocks, or -1.
+// find returns the index of id in b.blocks, or -1.
 func (b *Bucket) find(id BlockID) int {
-	for i := range b.Blocks {
-		if b.Blocks[i].ID == id {
+	for i := range b.blocks {
+		if b.blocks[i].ID == id {
 			return i
 		}
 	}
@@ -176,14 +171,12 @@ var selectInByte = func() (t [256][8]uint8) {
 // offset is equivalent for timing and the permutation is re-randomized on
 // reset).
 func (s *Store) freeSlot(b *Bucket, slots int) int {
-	free := slots - b.Accessed
+	free := slots - int(b.accessed)
 	if free <= 0 {
 		panic("otree: ReadSlot on exhausted bucket (protocol must reset first)")
 	}
-	for len(b.used) <= (slots-1)/64 {
-		b.used = append(b.used, 0)
-	}
-	return selectFree(b.used, slots, s.r.Intn(free))
+	b.words = max(b.words, uint8(bitsetWords(slots)))
+	return selectFree(b.used[:], slots, s.r.Intn(free))
 }
 
 // PathBuckets appends the buckets of nodes (a root→leaf path, so index ==
@@ -206,11 +199,11 @@ func (s *Store) PathBuckets(dst []*Bucket, nodes []uint64) []*Bucket {
 // Accessed < S at entry (the early-reshuffle rule resets before exhaustion).
 func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot int, ok bool) {
 	slot = s.freeSlot(b, s.g.Levels[lvl].Slots())
-	b.setUsed(slot)
-	b.Accessed++
+	b.used[slot>>6] |= 1 << (slot & 63)
+	b.accessed++
 	if i := b.find(want); i >= 0 {
-		e = b.Blocks[i]
-		b.Blocks = append(b.Blocks[:i], b.Blocks[i+1:]...)
+		e = b.blocks[i]
+		b.blocks = append(b.blocks[:i], b.blocks[i+1:]...)
 		return e, slot, true
 	}
 	return BlockEntry{ID: Dummy}, slot, false
@@ -220,7 +213,7 @@ func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot i
 // guaranteed dummy budget: after S touches a further ReadSlot may find no
 // unused dummy.
 func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
-	return b.Accessed >= s.g.Levels[lvl].S-margin
+	return int(b.accessed) >= s.g.Levels[lvl].S-margin
 }
 
 // ResetPull removes and returns all valid real blocks from node, modelling
@@ -231,8 +224,8 @@ func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
 // the pulled blocks to the stash.
 func (s *Store) ResetPull(node uint64) []BlockEntry {
 	b := s.Bucket(node)
-	blocks := b.Blocks
-	b.Blocks = blocks[:0]
+	blocks := b.blocks
+	b.blocks = blocks[:0]
 	b.clearUsed()
 	return blocks
 }
@@ -245,7 +238,7 @@ func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 		panic(fmt.Sprintf("otree: writing %d blocks into Z=%d bucket", len(blocks), s.g.Levels[lvl].Z))
 	}
 	b := s.Bucket(node)
-	b.Blocks = append(b.Blocks[:0], blocks...)
+	b.blocks = append(b.blocks[:0], blocks...)
 	b.clearUsed()
 }
 
@@ -262,19 +255,21 @@ const (
 
 // StateNodeBytes bounds the bytes AppendState spends on one bucket of g
 // beside its blocks: the header and the longest bitset. It refuses a
-// geometry whose buckets the header's fields cannot describe.
+// geometry whose buckets are wider than the inline bitset (MaxSlots, which
+// the header's fields also describe).
 func StateNodeBytes(g Geometry) (uint64, error) {
 	words := 0
 	for _, spec := range g.Levels {
-		if spec.Z > math.MaxUint8 || bitsetWords(spec.Slots()) > math.MaxUint8 { // then Slots fits uint16
-			return 0, fmt.Errorf("otree: a bucket of Z=%d, %d slots does not fit the checkpoint format", spec.Z, spec.Slots())
+		if spec.Slots() > MaxSlots {
+			return 0, fmt.Errorf("otree: a bucket of Z=%d, %d slots exceeds the %d-slot limit", spec.Z, spec.Slots(), MaxSlots)
 		}
 		words = max(words, bitsetWords(spec.Slots()))
 	}
 	return stateBucketBytes + stateWordBytes*uint64(words), nil
 }
 
-// bitsetWords is the longest consumed-slot bitset a bucket of slots grows.
+// bitsetWords is the consumed-slot bitset length of a touched bucket of
+// slots.
 func bitsetWords(slots int) int { return (slots + 63) / 64 }
 
 // AppendState appends the checkpoint encoding of every materialized bucket
@@ -286,13 +281,13 @@ func (s *Store) AppendState(dst []byte) []byte {
 	s.index.Ascending(func(node uint64, ref uint32) {
 		b := s.at(ref)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(node))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(b.Accessed))
-		dst = append(dst, uint8(len(b.Blocks)), uint8(len(b.used)))
-		for _, e := range b.Blocks {
+		dst = binary.LittleEndian.AppendUint16(dst, b.accessed)
+		dst = append(dst, uint8(len(b.blocks)), b.words)
+		for _, e := range b.blocks {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
 			dst = binary.LittleEndian.AppendUint64(dst, e.Val)
 		}
-		for _, w := range b.used {
+		for _, w := range b.used[:b.words] {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
 	})
@@ -304,19 +299,19 @@ func (s *Store) AppendState(dst []byte) []byte {
 // tree, a bucket holding more than Z blocks or a block id at or beyond
 // blocks, and a bitset longer than the bucket's slots or whose consumed
 // slots are not its touch count (which must leave a slot free). Each
-// bucket's blocks and bitset are carved out of two arrays with room for Z
-// blocks and a full bitset, so the buckets later refill in place. On error
-// the store is partly overwritten.
+// bucket's blocks are carved out of one array with room for Z blocks, so
+// the buckets later refill in place. On error the store is partly
+// overwritten.
 func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 	n := r.Count("buckets", s.g.NumNodes(), stateBucketBytes)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	maxZ, maxWords := 0, 0
+	maxZ := 0
 	for _, spec := range s.g.Levels {
-		maxZ, maxWords = max(maxZ, spec.Z), max(maxWords, bitsetWords(spec.Slots()))
+		maxZ = max(maxZ, spec.Z)
 	}
-	entries, words := make([]BlockEntry, n*maxZ), make([]uint64, n*maxWords)
+	entries := make([]BlockEntry, n*maxZ)
 	s.index.Reset()
 	s.slab = nil
 	next := uint64(0) // the lowest node the next bucket may name
@@ -331,23 +326,23 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 		}
 		next = node + 1
 		spec := s.g.Levels[s.g.NodeLevel(node)]
-		if nBlocks > spec.Z || accessed >= spec.Slots() || nWords > bitsetWords(spec.Slots()) {
+		if nBlocks > spec.Z || accessed >= spec.Slots() || nWords > bitsetWords(min(spec.Slots(), MaxSlots)) {
 			return r.Failf("bucket %d: %d blocks, %d touches, %d bitset words do not fit Z=%d, %d slots",
 				node, nBlocks, accessed, nWords, spec.Z, spec.Slots())
 		}
 		b := Bucket{
-			Blocks:   entries[i*maxZ : i*maxZ+nBlocks : i*maxZ+spec.Z],
-			used:     words[i*maxWords : i*maxWords+nWords : (i+1)*maxWords],
-			Accessed: accessed,
+			blocks:   entries[i*maxZ : i*maxZ+nBlocks : i*maxZ+spec.Z],
+			accessed: uint16(accessed),
+			words:    uint8(nWords),
 		}
-		for k := range b.Blocks {
-			b.Blocks[k] = BlockEntry{ID: BlockID(r.Uint32()), Val: r.Uint64()}
-			if uint64(b.Blocks[k].ID) >= blocks {
-				return r.Failf("bucket %d holds block %d of %d", node, b.Blocks[k].ID, blocks)
+		for k := range b.blocks {
+			b.blocks[k] = BlockEntry{ID: BlockID(r.Uint32()), Val: r.Uint64()}
+			if uint64(b.blocks[k].ID) >= blocks {
+				return r.Failf("bucket %d holds block %d of %d", node, b.blocks[k].ID, blocks)
 			}
 		}
 		consumed := 0
-		for k := range b.used {
+		for k := range nWords {
 			b.used[k] = r.Uint64()
 			if rem := spec.Slots() - 64*k; rem < 64 && b.used[k]>>uint(rem) != 0 {
 				return r.Failf("bucket %d consumed a slot beyond its %d", node, spec.Slots())
@@ -384,8 +379,8 @@ func (s *Store) State() []BucketState {
 	nBlocks, nUsed := 0, 0
 	s.index.Range(func(_ uint64, ref uint32) {
 		b := s.at(ref)
-		nBlocks += len(b.Blocks)
-		nUsed += len(b.used)
+		nBlocks += len(b.blocks)
+		nUsed += int(b.words)
 	})
 	blocks, used := make([]BlockEntry, 0, nBlocks), make([]uint64, 0, nUsed)
 	out := make([]BucketState, 0, s.Materialized())
@@ -393,9 +388,9 @@ func (s *Store) State() []BucketState {
 		b := s.at(ref)
 		out = append(out, BucketState{
 			Node:     node,
-			Blocks:   carve(&blocks, b.Blocks),
-			Used:     carve(&used, b.used),
-			Accessed: b.Accessed,
+			Blocks:   carve(&blocks, b.blocks),
+			Used:     carve(&used, b.used[:b.words]),
+			Accessed: int(b.accessed),
 		})
 	})
 	return out
@@ -413,16 +408,24 @@ func carve[T any](arena *[]T, src []T) []T {
 }
 
 // Restore replaces the store's contents with a previously exported State.
-func (s *Store) Restore(bs []BucketState) {
+// It refuses a bitset longer than the inline one or a touch count beyond
+// its 16 bits; on error the store is partly overwritten.
+func (s *Store) Restore(bs []BucketState) error {
 	s.index.Reset()
 	s.slab = nil
 	for _, st := range bs {
-		*s.Bucket(st.Node) = Bucket{
-			Blocks:   append([]BlockEntry(nil), st.Blocks...),
-			used:     append([]uint64(nil), st.Used...),
-			Accessed: st.Accessed,
+		if len(st.Used) > len(Bucket{}.used) || st.Accessed < 0 || st.Accessed > math.MaxUint16 {
+			return fmt.Errorf("otree: bucket %d: %d bitset words, %d touches do not fit a bucket", st.Node, len(st.Used), st.Accessed)
 		}
+		b := Bucket{
+			blocks:   append([]BlockEntry(nil), st.Blocks...),
+			accessed: uint16(st.Accessed),
+			words:    uint8(len(st.Used)),
+		}
+		copy(b.used[:], st.Used)
+		*s.Bucket(st.Node) = b
 	}
+	return nil
 }
 
 // Occupancy returns the number of valid real blocks in node (0 for
@@ -432,14 +435,14 @@ func (s *Store) Occupancy(node uint64) int {
 	if !ok {
 		return 0
 	}
-	return len(b.Blocks)
+	return len(b.blocks)
 }
 
 // ForEachBlock calls fn for every valid real block in every materialized
 // bucket (testing/invariant checking).
 func (s *Store) ForEachBlock(fn func(node uint64, e BlockEntry)) {
 	s.index.Range(func(node uint64, ref uint32) {
-		for _, e := range s.at(ref).Blocks {
+		for _, e := range s.at(ref).blocks {
 			fn(node, e)
 		}
 	})
