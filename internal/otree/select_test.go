@@ -101,6 +101,36 @@ func TestBucketSize(t *testing.T) {
 	}
 }
 
+// TestBucketFilterTracksBlocks: after every kind of store mutation each
+// bucket's id filter is the one its blocks give, and a block whose filter
+// bit it shares with a removed one is still found.
+func TestBucketFilterTracksBlocks(t *testing.T) {
+	s := NewStore(UniformWide(1<<10, 4, 5, 1, 0, 0), rng.New(7))
+	check := func(when string) {
+		t.Helper()
+		s.index.Range(func(node uint64, ref uint32) {
+			b := s.at(ref)
+			want := b.filter
+			b.refilter()
+			if b.filter != want {
+				t.Fatalf("%s: bucket %d filter %x, its blocks give %x", when, node, want, b.filter)
+			}
+		})
+	}
+	st := driveStore(s)
+	check("driven")
+	if err := s.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	check("restored")
+	s.WriteBucket(3, []BlockEntry{{ID: 5}, {ID: 5 + 64}, {ID: 6}})
+	readSlot(s, 3, 5)
+	if !s.Bucket(3).Contains(5+64) || s.Bucket(3).Contains(5) {
+		t.Fatal("removing block 5 lost block 69, which shares its filter bit")
+	}
+	check("after a colliding removal")
+}
+
 // driveStore runs a fixed operation sequence touching every kind of store
 // mutation and returns the exported state.
 func driveStore(s *Store) []BucketState {

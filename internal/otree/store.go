@@ -23,7 +23,11 @@ type BlockEntry struct {
 // touched slot on every access and never re-reads it before a reset. The
 // bitset lives inline (MaxSlots bits), so a bucket is one object.
 type Bucket struct {
-	blocks   []BlockEntry // valid real blocks currently stored; capacity survives resets
+	blocks []BlockEntry // valid real blocks currently stored; capacity survives resets
+	// filter has bit id mod 64 set for every block in blocks, so a lookup
+	// scans only a bucket that can hold the id. It is kept in step with
+	// every change to blocks (refilter).
+	filter   uint64
 	used     [MaxSlots / 64]uint64
 	accessed uint16 // touches since the last reset
 	// words is the bitset length a checkpoint records: 0 until the
@@ -94,8 +98,22 @@ func (s *Store) peek(node uint64) (*Bucket, bool) {
 // Materialized returns the number of buckets touched so far.
 func (s *Store) Materialized() int { return s.index.Len() }
 
+// idBit is id's bit in a bucket's filter.
+func idBit(id BlockID) uint64 { return 1 << (id & 63) }
+
+// refilter recomputes the id filter from the block list.
+func (b *Bucket) refilter() {
+	b.filter = 0
+	for _, e := range b.blocks {
+		b.filter |= idBit(e.ID)
+	}
+}
+
 // find returns the index of id in b.blocks, or -1.
 func (b *Bucket) find(id BlockID) int {
+	if b.filter&idBit(id) == 0 {
+		return -1
+	}
 	for i := range b.blocks {
 		if b.blocks[i].ID == id {
 			return i
@@ -204,6 +222,7 @@ func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot i
 	if i := b.find(want); i >= 0 {
 		e = b.blocks[i]
 		b.blocks = append(b.blocks[:i], b.blocks[i+1:]...)
+		b.refilter()
 		return e, slot, true
 	}
 	return BlockEntry{ID: Dummy}, slot, false
@@ -225,7 +244,7 @@ func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
 func (s *Store) ResetPull(node uint64) []BlockEntry {
 	b := s.Bucket(node)
 	blocks := b.blocks
-	b.blocks = blocks[:0]
+	b.blocks, b.filter = blocks[:0], 0
 	b.clearUsed()
 	return blocks
 }
@@ -239,6 +258,7 @@ func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 	}
 	b := s.Bucket(node)
 	b.blocks = append(b.blocks[:0], blocks...)
+	b.refilter()
 	b.clearUsed()
 }
 
@@ -341,6 +361,7 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 				return r.Failf("bucket %d holds block %d of %d", node, b.blocks[k].ID, blocks)
 			}
 		}
+		b.refilter()
 		consumed := 0
 		for k := range nWords {
 			b.used[k] = r.Uint64()
@@ -423,6 +444,7 @@ func (s *Store) Restore(bs []BucketState) error {
 			words:    uint8(len(st.Used)),
 		}
 		copy(b.used[:], st.Used)
+		b.refilter()
 		*s.Bucket(st.Node) = b
 	}
 	return nil
