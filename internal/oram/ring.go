@@ -329,9 +329,13 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 
 	// LM: load node metadata along the path.
 	lm := la.beginPhase(PhaseLM)
-	sp.reserve(lm, 1, 0)
-	for lv, n := range path {
-		sp.emitMetaRead(lm, lv, n)
+	if sp.CountOnly {
+		sp.countPathReads(lm, 1)
+	} else {
+		sp.reserve(lm, 1, 0)
+		for lv, n := range path {
+			sp.emitMetaRead(lm, lv, n)
+		}
 	}
 
 	// Palermo hoists the reshuffle before the reads (PreCheck at S-1).
@@ -347,12 +351,18 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	// RP: one slot per node; the real block (if tree-resident) moves to the
 	// stash, everything else is a consumed dummy.
 	rp := la.beginPhase(PhaseRP)
-	sp.reserve(rp, sp.Geo.SlotLines, 0)
+	if sp.CountOnly {
+		sp.countPathReads(rp, sp.Geo.SlotLines)
+	} else {
+		sp.reserve(rp, sp.Geo.SlotLines, 0)
+	}
 	found := false
 	var got uint64
 	for lv, b := range buckets {
 		entry, slot, ok := sp.Store.ReadSlot(b, lv, want)
-		sp.emitSlotRead(rp, lv, path[lv], slot)
+		if !sp.CountOnly {
+			sp.emitSlotRead(rp, lv, path[lv], slot)
+		}
 		if ok {
 			found = true
 			got = entry.Val

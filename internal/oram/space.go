@@ -107,6 +107,15 @@ func (sp *Space) reserve(ph *Phase, perLevelR, perLevelW int) {
 	}
 }
 
+// countPathReads accounts, in count-only mode, a read of lines cache lines
+// from every node of a path by arithmetic: the tree-top levels are cache
+// hits, the rest phase reads — what one emit call per node adds up to.
+func (sp *Space) countPathReads(ph *Phase, lines int) {
+	cached := min(sp.Top.Levels(), sp.Geo.Depth+1)
+	sp.TopHits += uint64(cached * lines)
+	ph.NR += (sp.Geo.Depth + 1 - cached) * lines
+}
+
 // emitSlotRead accounts one logical slot read of node at level lvl
 // (SlotLines consecutive lines): tree-top-cached levels count as cache
 // hits, count-only mode bumps the phase counter, address mode appends the
