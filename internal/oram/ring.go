@@ -283,16 +283,16 @@ func (e *Ring) finishPlan(plan *Plan) {
 // la, and returns the block's value.
 func (e *Ring) accessLevel(la *LevelAccess, l int, idx uint64, storeWrite bool, val uint64) uint64 {
 	sp := e.spaces[l]
+	// Line 7-8: remap before the path access becomes visible on the bus.
 	var leaf uint64
 	if e.cfg.Variant == VariantPalermo && sp.Stash.Contains(otree.BlockID(idx)) {
 		// Algorithm 2 line 5: pending PAs read a fresh uniform leaf so two
 		// overlapped accesses to one PA never expose the same path twice.
 		leaf = e.r.Uint64n(sp.Geo.NumLeaves())
+		e.pm.Remap(l, idx)
 	} else {
-		leaf = e.pm.Leaf(l, idx)
+		leaf = e.pm.LeafRemap(l, idx)
 	}
-	// Line 7-8: remap before the path access becomes visible on the bus.
-	e.pm.Remap(l, idx)
 	return e.accessLevelLeaf(la, l, otree.BlockID(idx), leaf, storeWrite, val)
 }
 

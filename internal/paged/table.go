@@ -102,6 +102,29 @@ func (t *Table) Set(i uint64, v uint32) {
 	*slot = v
 }
 
+// Swap stores v, which must not be 0, under key i and returns the value it
+// replaced (0 for an absent key): a Get and a Set in one lookup.
+func (t *Table) Swap(i uint64, v uint32) uint32 {
+	if t.sparse != nil {
+		old := t.sparse[i]
+		t.sparse[i] = v
+		return old
+	}
+	if p := i >> pageBits; p < uint64(len(t.dir)) {
+		if pg := t.dir[p]; pg != nil {
+			slot := &pg[i&(pageLen-1)]
+			old := *slot
+			if old == 0 {
+				t.live++
+			}
+			*slot = v
+			return old
+		}
+	}
+	t.Set(i, v)
+	return 0
+}
+
 // Len returns the number of keys present.
 func (t *Table) Len() int {
 	if t.sparse != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestTableMatchesMap drives the direct and the sparse representation and
-// a plain map through one random Set/Get sequence (including removals and
-// overwrites) and requires all three to agree on every Get, on Len, on
+// a plain map through one random Set/Swap/Get sequence (including removals
+// and overwrites) and requires all three to agree on every Get, on Len, on
 // what Range enumerates, on Ascending's order and on AppendDense's bytes.
 func TestTableMatchesMap(t *testing.T) {
 	const keys = 5000
@@ -26,6 +26,12 @@ func TestTableMatchesMap(t *testing.T) {
 			direct.Set(k, 0)
 			sparse.Set(k, 0)
 			delete(ref, k)
+		case 1:
+			v := uint32(r.Uint64n(1<<32-1)) + 1
+			if d, s, w := direct.Swap(k, v), sparse.Swap(k, v), ref[k]; d != w || s != w {
+				t.Fatalf("step %d: Swap(%d) returned direct=%d sparse=%d want %d", i, k, d, s, w)
+			}
+			ref[k] = v
 		default:
 			v := uint32(r.Uint64n(1<<32-1)) + 1
 			direct.Set(k, v)

@@ -111,6 +111,25 @@ func (h *Hierarchy) Remap(l int, idx uint64) uint64 {
 	return uint64(leaf)
 }
 
+// LeafRemap is Leaf then Remap — block idx's current leaf at level l,
+// drawn on first touch, is returned and replaced by a fresh one — with the
+// same draws in the same order, in one table lookup.
+func (h *Hierarchy) LeafRemap(l int, idx uint64) uint64 {
+	if idx >= h.blocks[l] {
+		panic(fmt.Sprintf("posmap: level %d index %d out of range %d", l, idx, h.blocks[l]))
+	}
+	if h.leaves[l] == 0 {
+		panic(fmt.Sprintf("posmap: level %d not attached", l))
+	}
+	leaf := uint32(h.r.Uint64n(h.leaves[l]))
+	if old := h.maps[l].Swap(idx, leaf+1); old != 0 {
+		return uint64(old - 1)
+	}
+	// First touch: the draw above was Leaf's; Remap draws the next one.
+	h.maps[l].Set(idx, uint32(h.r.Uint64n(h.leaves[l]))+1)
+	return uint64(leaf)
+}
+
 // SetLeaf forces a specific assignment (PrORAM maps a whole prefetch group
 // to one leaf).
 func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {

@@ -1,6 +1,7 @@
 package posmap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -42,6 +43,30 @@ func TestIndex(t *testing.T) {
 	}
 	if h.Index(2, 12345) != 12345/256 {
 		t.Fatalf("level-2 index = %d", h.Index(2, 12345))
+	}
+}
+
+// TestLeafRemapIsLeafThenRemap: on a direct and a sparse (beyond
+// paged.DirectKeys) level, LeafRemap returns what Leaf returned and leaves
+// the assignments and the generator where Leaf then Remap left them,
+// first touches included.
+func TestLeafRemapIsLeafThenRemap(t *testing.T) {
+	for _, blocks := range []uint64{1 << 12, 1<<20 + 1} {
+		a, b := New(blocks, 0, rng.New(9)), New(blocks, 0, rng.New(9))
+		a.Attach(0, 1<<10)
+		b.Attach(0, 1<<10)
+		pick := rng.New(4)
+		for i := 0; i < 20000; i++ {
+			idx := pick.Uint64n(blocks) % 3000 // revisit blocks often
+			want := a.Leaf(0, idx)
+			a.Remap(0, idx)
+			if got := b.LeafRemap(0, idx); got != want {
+				t.Fatalf("blocks=%d step %d idx %d: LeafRemap=%d, Leaf=%d", blocks, i, idx, got, want)
+			}
+		}
+		if a.r.State() != b.r.State() || !reflect.DeepEqual(a.State(), b.State()) {
+			t.Fatalf("blocks=%d: LeafRemap left a different generator or assignment", blocks)
+		}
 	}
 }
 
