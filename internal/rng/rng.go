@@ -7,7 +7,10 @@
 // (e.g., leaf selection must not perturb workload generation).
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256** PRNG. Create with New; the zero value is invalid.
 type Rand struct {
@@ -69,32 +72,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n(0)")
 	}
 	// Lemire's nearly-divisionless bounded generation with rejection.
-	hi, lo := mul128(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul128(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-	_ = lo
 	return hi
-}
-
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	w0 := t & mask
-	k := t >> 32
-	t = aHi*bLo + k
-	w1 := t & mask
-	w2 := t >> 32
-	t = aLo*bHi + w1
-	k = t >> 32
-	hi = aHi*bHi + w2 + k
-	lo = (t << 32) + w0
-	return hi, lo
 }
 
 // Intn returns a uniform int in [0, n).
