@@ -116,18 +116,14 @@ func (sp *Space) countPathReads(ph *Phase, lines int) {
 	ph.NR += (sp.Geo.Depth + 1 - cached) * lines
 }
 
-// emitSlotRead accounts one logical slot read of node at level lvl
-// (SlotLines consecutive lines): tree-top-cached levels count as cache
-// hits, count-only mode bumps the phase counter, address mode appends the
-// DRAM addresses.
+// emitSlotRead accounts, in address mode, one logical slot read of node at
+// level lvl (SlotLines consecutive lines): tree-top-cached levels count as
+// cache hits, the others append their DRAM addresses (count-only mode uses
+// countPathReads).
 func (sp *Space) emitSlotRead(ph *Phase, lvl int, node uint64, slot int) {
 	lines := sp.Geo.SlotLines
 	if sp.Top.Cached(lvl) {
 		sp.TopHits += uint64(lines)
-		return
-	}
-	if sp.CountOnly {
-		ph.NR += lines
 		return
 	}
 	base := sp.Geo.SlotAddr(node, slot)
@@ -176,14 +172,11 @@ func (sp *Space) emitBucketWrite(ph *Phase, lvl int, node uint64, slots int) {
 	}
 }
 
-// emitMetaRead accounts the node-metadata line read.
+// emitMetaRead accounts, in address mode, the node-metadata line read
+// (count-only mode uses countPathReads).
 func (sp *Space) emitMetaRead(ph *Phase, lvl int, node uint64) {
 	if sp.Top.Cached(lvl) {
 		sp.TopHits++
-		return
-	}
-	if sp.CountOnly {
-		ph.NR++
 		return
 	}
 	ph.Reads = append(ph.Reads, sp.Geo.MetaAddr(node))

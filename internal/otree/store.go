@@ -17,6 +17,13 @@ type BlockEntry struct {
 	Val uint64 // payload carried through the simulator for correctness checks
 }
 
+// MaxSlots is the widest bucket (Z+S) the consumed-slot bitset holds: two
+// 64-bit words.
+const (
+	MaxSlots  = 128
+	usedWords = MaxSlots / 64
+)
+
 // Bucket is the functional state of one tree node. A zero-value bucket is a
 // freshly reset, empty bucket (all slots valid dummies). Slot permutation is
 // tracked as a bitset of consumed slot offsets: RingORAM invalidates the
@@ -28,7 +35,7 @@ type Bucket struct {
 	// scans only a bucket that can hold the id. It is kept in step with
 	// every change to blocks (refilter).
 	filter   uint64
-	used     [MaxSlots / 64]uint64
+	used     [usedWords]uint64
 	accessed uint16 // touches since the last reset
 	// words is the bitset length a checkpoint records: 0 until the
 	// bucket's first touch, then every word its slots span.
@@ -36,7 +43,7 @@ type Bucket struct {
 }
 
 func (b *Bucket) clearUsed() {
-	b.used = [MaxSlots / 64]uint64{}
+	b.used = [usedWords]uint64{}
 	b.accessed = 0
 }
 
@@ -125,10 +132,6 @@ func (b *Bucket) find(id BlockID) int {
 // Contains reports whether the bucket currently holds id as a valid block.
 func (b *Bucket) Contains(id BlockID) bool { return b.find(id) >= 0 }
 
-// MaxSlots is the widest bucket (Z+S) the consumed-slot bitset holds: two
-// 64-bit words.
-const MaxSlots = 128
-
 // selectFree returns the offset of the k-th (from 0) clear bit among the
 // first slots bits of used, without a data-dependent branch: the word is
 // chosen by a mask from one popcount, the byte and the bit inside it by
@@ -213,8 +216,9 @@ func (s *Store) PathBuckets(dst []*Bucket, nodes []uint64) []*Bucket {
 // block is removed and returned with ok=true; otherwise an unused dummy is
 // consumed. The returned slot offset determines the DRAM address touched.
 //
-// The RingORAM invariant guarantees a usable slot exists whenever
-// Accessed < S at entry (the early-reshuffle rule resets before exhaustion).
+// The RingORAM invariant guarantees a usable slot exists whenever b has
+// had fewer than S touches at entry (the early-reshuffle rule resets before
+// exhaustion).
 func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot int, ok bool) {
 	slot = s.freeSlot(b, s.g.Levels[lvl].Slots())
 	b.used[slot>>6] |= 1 << (slot & 63)
@@ -435,7 +439,7 @@ func (s *Store) Restore(bs []BucketState) error {
 	s.index.Reset()
 	s.slab = nil
 	for _, st := range bs {
-		if len(st.Used) > len(Bucket{}.used) || st.Accessed < 0 || st.Accessed > math.MaxUint16 {
+		if len(st.Used) > usedWords || st.Accessed < 0 || st.Accessed > math.MaxUint16 {
 			return fmt.Errorf("otree: bucket %d: %d bitset words, %d touches do not fit a bucket", st.Node, len(st.Used), st.Accessed)
 		}
 		b := Bucket{
