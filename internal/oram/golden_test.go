@@ -21,7 +21,9 @@ import (
 // trajectory, recorded once (at the commit before the engine's hot-path
 // data structures were rebuilt) and compared on every run since. A
 // representation change that drifts one RNG draw, leaf, slot offset, stash
-// order or checkpoint field changes a digest.
+// order or checkpoint field changes a digest. The checkpoint-encoding
+// digests and the 2^21 entry were added later, recorded by the build before
+// the value-typed state export was deleted.
 //
 //	go test ./internal/oram -run Golden -update   # re-record (only when the protocol itself changes)
 
@@ -33,6 +35,7 @@ const goldenAccesses = 20000
 type goldenDigests struct {
 	Trace string `json:"trace"` // per-access DataLeaf, Val, Reads, Writes, StashAfter, and every phase
 	State string `json:"state"` // the final RingState, canonically ordered
+	Bin   string `json:"bin"`   // the final checkpoint encoding (binDigest)
 }
 
 func goldenConfigs() map[string]RingConfig {
@@ -40,6 +43,10 @@ func goldenConfigs() map[string]RingConfig {
 	serving.NLines = 1 << 15
 	serving.Seed = 0x5eed
 	serving.CountTraffic = true
+	// At 2^21 lines the level-0 position map is past paged.DirectKeys, so
+	// it is the sparse table while the levels above it are direct.
+	straddle := serving
+	straddle.NLines = 1 << 21
 	paperPalermo := PalermoRingConfig()
 	paperPalermo.Seed = 0x5eed
 	paperBaseline := BandwidthRingConfig()
@@ -50,6 +57,7 @@ func goldenConfigs() map[string]RingConfig {
 	wide.Z, wide.S, wide.A = 32, 56, 42
 	return map[string]RingConfig{
 		"serving-2^15-count-palermo":   serving,
+		"serving-2^21-count-palermo":   straddle,
 		"paper-2^28-address-palermo":   paperPalermo,
 		"paper-2^28-address-baseline":  paperBaseline,
 		"serving-2^15-address-palermo": func() RingConfig { c := serving; c.CountTraffic = false; return c }(),
@@ -167,6 +175,37 @@ func digestState(st *RingState) string {
 	return d.sum()
 }
 
+// paperScale reports whether cfg is a 2^28-line paper geometry, whose
+// dense position map AppendState cannot afford: its encoding is 1.15 GB
+// (Palermo) and 2.4 GB (baseline) of heap.
+func paperScale(cfg RingConfig) bool { return cfg.NLines >= 1<<28 }
+
+// binDigest is the SHA-256 of the engine's checkpoint encoding,
+// AppendState's bytes. At paper scale it covers every section but the
+// dense position map — the header, each level's counters, its stash
+// (Stash.AppendState) and its buckets (Store.AppendState) — and the trace
+// digest covers every leaf that map serves.
+func binDigest(e *Ring) string {
+	if !paperScale(e.Config()) {
+		sum := sha256.Sum256(e.AppendState(nil))
+		return hex.EncodeToString(sum[:])
+	}
+	buf := binary.LittleEndian.AppendUint64(nil, e.reqID)
+	buf = binary.LittleEndian.AppendUint64(buf, e.lastDataLeaf)
+	for _, w := range e.r.State() {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.spaces)))
+	for _, sp := range e.spaces {
+		buf = binary.LittleEndian.AppendUint64(buf, sp.Accesses)
+		buf = binary.LittleEndian.AppendUint64(buf, sp.Evictor.State())
+		buf = sp.Stash.AppendState(buf)
+		buf = sp.Store.AppendState(buf)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
 // goldenOp draws the i-th operation of the mixed stream: 10 % dummies,
 // the rest split evenly between reads and writes; half the addresses come
 // from a 4096-line hot set (so blocks are found in the tree and in the
@@ -222,7 +261,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		}
 		d := &digestWriter{h: sha256.New()}
 		runGolden(e, rng.New(0xfeed), d, goldenAccesses)
-		got[name] = goldenDigests{Trace: d.sum(), State: digestState(e.State())}
+		got[name] = goldenDigests{Trace: d.sum(), State: digestState(e.State()), Bin: binDigest(e)}
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -254,14 +293,18 @@ func TestGoldenTrajectories(t *testing.T) {
 		if g.State != w.State {
 			t.Errorf("%s: final RingState drifted from the recorded golden\n got  %s\n want %s", name, g.State, w.State)
 		}
+		if g.Bin != w.Bin {
+			t.Errorf("%s: final checkpoint encoding drifted from the recorded golden\n got  %s\n want %s", name, g.Bin, w.Bin)
+		}
 	}
 }
 
 // TestGoldenAcrossCheckpoint restores the golden engine from its own
 // checkpoint half-way and requires the second half to land on the same
-// recorded digests: State/Restore, and at serving geometries the binary
+// recorded digests: State/Restore, and below paper scale the binary
 // AppendState/LoadState, round-trip everything the trajectory depends on.
-// (A paper-scale engine's dense position map would be 1 GiB.)
+// The 2^21 entry runs the binary round trip over a sparse level-0 position
+// map under direct upper levels.
 func TestGoldenAcrossCheckpoint(t *testing.T) {
 	want := readGolden(t)
 	restores := map[string]func(dst, src *Ring) error{
@@ -279,7 +322,7 @@ func TestGoldenAcrossCheckpoint(t *testing.T) {
 	}
 	for name, cfg := range goldenConfigs() {
 		for how, restore := range restores {
-			if how == "AppendState/LoadState" && cfg.NLines > 1<<20 {
+			if how == "AppendState/LoadState" && paperScale(cfg) {
 				continue
 			}
 			e, err := NewRing(cfg)
@@ -297,7 +340,7 @@ func TestGoldenAcrossCheckpoint(t *testing.T) {
 				t.Fatalf("%s: %s: %v", name, how, err)
 			}
 			runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
-			if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State())}); got != want[name] {
+			if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State()), Bin: binDigest(e2)}); got != want[name] {
 				t.Errorf("%s: trajectory through %s differs from the golden\n got  %+v\n want %+v", name, how, got, want[name])
 			}
 		}
