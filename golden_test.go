@@ -7,8 +7,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"palermo/internal/rng"
@@ -192,4 +195,52 @@ func TestGoldenDurableFixtures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestGobCheckpointRefused: testdata/durable-gob/wal is the WAL fixture as
+// builds before the binary checkpoint format wrote it, its checkpoint a gob
+// stream. This build refuses it with the error that names the conversion,
+// and leaves every file as it was, so a build that reads gob can still
+// convert it.
+func TestGobCheckpointRefused(t *testing.T) {
+	fixture := filepath.Join("testdata", "durable-gob", "wal")
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewShardedStore(fixtureConfig(BackendWAL, dir))
+	if err == nil {
+		st.Close()
+		t.Fatal("a store whose checkpoint is gob opened")
+	}
+	for _, want := range []string{"wrong key", "corrupt store", "before the binary format", "Close writes the binary form"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+	if want, got := readTree(t, fixture), readTree(t, dir); !maps.EqualFunc(want, got, bytes.Equal) {
+		t.Errorf("the refused open changed the directory: %d files before, %d after", len(want), len(got))
+	}
+}
+
+// readTree maps every file under dir, by its path relative to dir, to its
+// bytes.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -6,11 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"hash"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"palermo/internal/codec"
@@ -34,7 +32,6 @@ const goldenAccesses = 20000
 // goldenDigests is one geometry's record.
 type goldenDigests struct {
 	Trace string `json:"trace"` // per-access DataLeaf, Val, Reads, Writes, StashAfter, and every phase
-	State string `json:"state"` // the final RingState, canonically ordered
 	Bin   string `json:"bin"`   // the final checkpoint encoding (binDigest)
 }
 
@@ -120,59 +117,6 @@ func digestPlan(d *digestWriter, p *Plan) {
 			}
 		}
 	}
-}
-
-// digestState serializes a RingState in a canonical order (posmap entries
-// by index; buckets arrive sorted by node, stash entries in insertion
-// order — both part of the checkpoint contract).
-func digestState(st *RingState) string {
-	d := &digestWriter{h: sha256.New()}
-	d.u64(st.ReqID)
-	d.u64(st.LastDataLeaf)
-	for _, w := range st.RNG {
-		d.u64(w)
-	}
-	d.u64(uint64(len(st.Posmap)))
-	for _, m := range st.Posmap {
-		keys := make([]uint64, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		d.u64(uint64(len(keys)))
-		for _, k := range keys {
-			d.u64(k)
-			d.u64(uint64(m[k]))
-		}
-	}
-	d.u64(uint64(len(st.Spaces)))
-	for _, sp := range st.Spaces {
-		d.u64(sp.Accesses)
-		d.u64(sp.Evictor)
-		d.u64(uint64(sp.Stash.MaxSeen))
-		d.u64(sp.Stash.Overflow)
-		d.u64(uint64(len(sp.Stash.Entries)))
-		for _, e := range sp.Stash.Entries {
-			d.u64(uint64(e.ID))
-			d.u64(e.Leaf)
-			d.u64(e.Val)
-		}
-		d.u64(uint64(len(sp.Buckets)))
-		for _, b := range sp.Buckets {
-			d.u64(b.Node)
-			d.u64(uint64(b.Accessed))
-			d.u64(uint64(len(b.Blocks)))
-			for _, e := range b.Blocks {
-				d.u64(uint64(e.ID))
-				d.u64(e.Val)
-			}
-			d.u64(uint64(len(b.Used)))
-			for _, w := range b.Used {
-				d.u64(w)
-			}
-		}
-	}
-	return d.sum()
 }
 
 // paperScale reports whether cfg is a 2^28-line paper geometry, whose
@@ -261,7 +205,7 @@ func TestGoldenTrajectories(t *testing.T) {
 		}
 		d := &digestWriter{h: sha256.New()}
 		runGolden(e, rng.New(0xfeed), d, goldenAccesses)
-		got[name] = goldenDigests{Trace: d.sum(), State: digestState(e.State()), Bin: binDigest(e)}
+		got[name] = goldenDigests{Trace: d.sum(), Bin: binDigest(e)}
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -290,59 +234,45 @@ func TestGoldenTrajectories(t *testing.T) {
 		if g.Trace != w.Trace {
 			t.Errorf("%s: access trajectory drifted from the recorded golden\n got  %s\n want %s", name, g.Trace, w.Trace)
 		}
-		if g.State != w.State {
-			t.Errorf("%s: final RingState drifted from the recorded golden\n got  %s\n want %s", name, g.State, w.State)
-		}
 		if g.Bin != w.Bin {
 			t.Errorf("%s: final checkpoint encoding drifted from the recorded golden\n got  %s\n want %s", name, g.Bin, w.Bin)
 		}
 	}
 }
 
-// TestGoldenAcrossCheckpoint restores the golden engine from its own
-// checkpoint half-way and requires the second half to land on the same
-// recorded digests: State/Restore, and below paper scale the binary
-// AppendState/LoadState, round-trip everything the trajectory depends on.
-// The 2^21 entry runs the binary round trip over a sparse level-0 position
-// map under direct upper levels.
+// TestGoldenAcrossCheckpoint restores the golden engine half-way from its
+// own AppendState encoding through LoadState, and requires the second half
+// to land on the same recorded digests: the encoding round-trips everything
+// the trajectory depends on. The 2^21 entry runs it over a sparse level-0
+// position map under direct upper levels; paper scale is skipped
+// (paperScale).
 func TestGoldenAcrossCheckpoint(t *testing.T) {
 	want := readGolden(t)
-	restores := map[string]func(dst, src *Ring) error{
-		"State/Restore": func(dst, src *Ring) error { return dst.Restore(src.State()) },
-		"AppendState/LoadState": func(dst, src *Ring) error {
-			r := codec.NewReader(src.AppendState(nil))
-			if err := dst.LoadState(r); err != nil {
-				return err
-			}
-			if r.Len() != 0 {
-				return fmt.Errorf("%d bytes left after LoadState", r.Len())
-			}
-			return nil
-		},
-	}
 	for name, cfg := range goldenConfigs() {
-		for how, restore := range restores {
-			if how == "AppendState/LoadState" && paperScale(cfg) {
-				continue
-			}
-			e, err := NewRing(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := &digestWriter{h: sha256.New()}
-			r := rng.New(0xfeed)
-			runGolden(e, r, d, goldenAccesses/2)
-			e2, err := NewRing(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restore(e2, e); err != nil {
-				t.Fatalf("%s: %s: %v", name, how, err)
-			}
-			runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
-			if got := (goldenDigests{Trace: d.sum(), State: digestState(e2.State()), Bin: binDigest(e2)}); got != want[name] {
-				t.Errorf("%s: trajectory through %s differs from the golden\n got  %+v\n want %+v", name, how, got, want[name])
-			}
+		if paperScale(cfg) {
+			continue
+		}
+		e, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &digestWriter{h: sha256.New()}
+		r := rng.New(0xfeed)
+		runGolden(e, r, d, goldenAccesses/2)
+		e2, err := NewRing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := codec.NewReader(e.AppendState(nil))
+		if err := e2.LoadState(rd); err != nil {
+			t.Fatalf("%s: LoadState: %v", name, err)
+		}
+		if rd.Len() != 0 {
+			t.Fatalf("%s: %d bytes left after LoadState", name, rd.Len())
+		}
+		runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
+		if got := (goldenDigests{Trace: d.sum(), Bin: binDigest(e2)}); got != want[name] {
+			t.Errorf("%s: trajectory through a checkpoint differs from the golden\n got  %+v\n want %+v", name, got, want[name])
 		}
 	}
 }

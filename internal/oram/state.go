@@ -11,37 +11,6 @@ import (
 	"palermo/internal/stash"
 )
 
-// SpaceState is the serializable protocol state of one hierarchy level: the
-// eviction cadence, the deterministic eviction-leaf counter, the stash bank,
-// and every materialized bucket (contents, consumed-slot bitset, touch
-// count — the bucket permutation counters RingORAM's reshuffle rule needs).
-type SpaceState struct {
-	Accesses uint64
-	Evictor  uint64
-	Stash    stash.State
-	Buckets  []otree.BucketState
-}
-
-// RingState is a complete functional checkpoint of a Ring engine as a
-// value. Together with the sealed payloads held by the storage backend it
-// is sufficient to resume the protocol exactly: the restored engine
-// produces the same leaf sequence, evictions, and reshuffles the
-// uninterrupted engine would have. Checkpoints are now AppendState's
-// encoding of the same state; stores whose checkpoints earlier builds
-// gob-encoded from a RingState still open through Restore.
-//
-// The state contains position maps and stash residency — trusted-controller
-// secrets. Callers persisting it, in either form, must seal it first
-// (crypt.Sealer.Blob); handing it to an untrusted backend in plaintext
-// would let the backend link block ids to their next paths.
-type RingState struct {
-	ReqID        uint64
-	LastDataLeaf uint64
-	RNG          [4]uint64
-	Posmap       []map[uint64]uint32
-	Spaces       []SpaceState
-}
-
 // Widths of AppendState's own fields: the request counter, the last data
 // leaf, the four RNG words and the level count; then per level the access
 // and eviction counters.
@@ -50,13 +19,21 @@ const (
 	spaceFixedBytes = 8 + 8
 )
 
-// AppendState appends the engine's complete functional state — what State
-// exports — to dst in the checkpoint encoding, written straight from the
-// live structures: the header above, every posmap level dense
-// (posmap.AppendState), then per level its counters, its stash in
-// insertion order (stash.AppendState) and its buckets in node order
-// (otree.Store.AppendState). Field widths are fixed, so the length depends
-// on entry counts and never on a leaf. Must be called at quiescence.
+// AppendState appends the engine's complete functional state to dst in the
+// checkpoint encoding, written straight from the live structures: the
+// header above, every posmap level dense (posmap.AppendState), then per
+// level its counters, its stash in insertion order (stash.AppendState) and
+// its buckets in node order (otree.Store.AppendState). Field widths are
+// fixed, so the length depends on entry counts and never on a leaf. Must be
+// called at quiescence.
+//
+// Together with the sealed payloads held by the storage backend, the state
+// is sufficient to resume the protocol exactly: an engine restored through
+// LoadState produces the same leaf sequence, evictions and reshuffles the
+// uninterrupted engine would have. It contains position maps and stash
+// residency — trusted-controller secrets — so callers persisting it must
+// seal it first (crypt.Sealer.Blob); handing it to an untrusted backend in
+// plaintext would let the backend link block ids to their next paths.
 func (e *Ring) AppendState(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, e.reqID)
 	dst = binary.LittleEndian.AppendUint64(dst, e.lastDataLeaf)
@@ -150,57 +127,4 @@ func MaxStateBytes(cfg RingConfig) (uint64, error) {
 			g.NumNodes()*node
 	}
 	return total, nil
-}
-
-// State exports the engine's complete functional state as a value (the
-// form checkpoints took before AppendState; the determinism goldens digest
-// it). Must be called at quiescence (no access in flight).
-func (e *Ring) State() *RingState {
-	st := &RingState{
-		ReqID:        e.reqID,
-		LastDataLeaf: e.lastDataLeaf,
-		RNG:          e.r.State(),
-		Posmap:       e.pm.State(),
-		Spaces:       make([]SpaceState, len(e.spaces)),
-	}
-	for l, sp := range e.spaces {
-		st.Spaces[l] = SpaceState{
-			Accesses: sp.Accesses,
-			Evictor:  sp.Evictor.State(),
-			Stash:    sp.Stash.State(),
-			Buckets:  sp.Store.State(),
-		}
-	}
-	return st
-}
-
-// Restore overwrites a freshly built engine (same configuration as the one
-// checkpointed) with a previously exported state.
-func (e *Ring) Restore(st *RingState) error {
-	if len(st.Spaces) != len(e.spaces) {
-		return fmt.Errorf("oram: checkpoint has %d levels, engine has %d (configuration mismatch)",
-			len(st.Spaces), len(e.spaces))
-	}
-	if err := e.pm.Restore(st.Posmap); err != nil {
-		return err
-	}
-	e.r.Restore(st.RNG)
-	e.reqID = st.ReqID
-	e.lastDataLeaf = st.LastDataLeaf
-	for l, sp := range e.spaces {
-		ss := st.Spaces[l]
-		for _, b := range ss.Buckets {
-			if b.Node >= sp.Geo.NumNodes() {
-				return fmt.Errorf("oram: checkpoint level %d bucket node %d outside tree of %d nodes",
-					l, b.Node, sp.Geo.NumNodes())
-			}
-		}
-		sp.Accesses = ss.Accesses
-		sp.Evictor.Restore(ss.Evictor)
-		sp.Stash.Restore(ss.Stash)
-		if err := sp.Store.Restore(ss.Buckets); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,9 +1,11 @@
 package oram
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"palermo/internal/codec"
 	"palermo/internal/otree"
 	"palermo/internal/rng"
 )
@@ -129,12 +131,12 @@ func treeTopBudgets(t *testing.T) []uint64 {
 
 // TestTreeTopBytesNeutral: the tree-top cache gates traffic emission only.
 // Any budget must leave the attacker-visible leaf sequence, returned
-// values, and exported engine state bit-identical; only DRAM traffic
+// values, and checkpoint bytes identical; only DRAM traffic
 // shrinks, and never grows with a larger budget.
 func TestTreeTopBytesNeutral(t *testing.T) {
 	base := ringWith(t, 9, 0, false)
 	bt := driveRing(base, 2000)
-	baseState := base.State()
+	baseState := base.AppendState(nil)
 	prevTraffic := -1
 	for _, budget := range treeTopBudgets(t)[1:] {
 		e := ringWith(t, 9, budget, false)
@@ -152,8 +154,8 @@ func TestTreeTopBytesNeutral(t *testing.T) {
 			}
 			total += tr.reads[i] + tr.writes[i]
 		}
-		if !reflect.DeepEqual(e.State(), baseState) {
-			t.Fatalf("budget %d: exported engine state diverged from no cache", budget)
+		if !bytes.Equal(e.AppendState(nil), baseState) {
+			t.Fatalf("budget %d: checkpoint bytes diverged from no cache", budget)
 		}
 		if e.TopHits() == 0 {
 			t.Fatalf("budget %d: no cache hits recorded", budget)
@@ -201,7 +203,7 @@ func TestTreeTopCheckpointAcrossConfigs(t *testing.T) {
 		a := ringWith(t, 21, from, false)
 		driveRing(a, 800)
 		reopened := ringWith(t, 99, to, true) // different seed: RNG state comes from the checkpoint
-		if err := reopened.Restore(a.State()); err != nil {
+		if err := reopened.LoadState(codec.NewReader(a.AppendState(nil))); err != nil {
 			t.Fatal(err)
 		}
 		ta := driveRing(a, 400)

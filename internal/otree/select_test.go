@@ -2,12 +2,11 @@ package otree
 
 import (
 	"bytes"
-	"encoding/gob"
-	"reflect"
-	"sort"
+	"encoding/binary"
 	"testing"
 	"unsafe"
 
+	"palermo/internal/codec"
 	"palermo/internal/paged"
 	"palermo/internal/rng"
 )
@@ -119,9 +118,7 @@ func TestBucketFilterTracksBlocks(t *testing.T) {
 	}
 	st := driveStore(s)
 	check("driven")
-	if err := s.Restore(st); err != nil {
-		t.Fatal(err)
-	}
+	loadStore(t, s, st)
 	check("restored")
 	s.WriteBucket(3, []BlockEntry{{ID: 5}, {ID: 5 + 64}, {ID: 6}})
 	readSlot(s, 3, 5)
@@ -132,8 +129,8 @@ func TestBucketFilterTracksBlocks(t *testing.T) {
 }
 
 // driveStore runs a fixed operation sequence touching every kind of store
-// mutation and returns the exported state.
-func driveStore(s *Store) []BucketState {
+// mutation and returns the store's checkpoint encoding.
+func driveStore(s *Store) []byte {
 	g := s.Geometry()
 	for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
 		for l := 0; l <= g.Depth; l++ {
@@ -146,13 +143,26 @@ func driveStore(s *Store) []BucketState {
 			s.ReadSlot(b, l, BlockID(node))
 		}
 	}
-	return s.State()
+	return s.AppendState(nil)
+}
+
+// loadStore restores s from a driveStore encoding, whose block ids are node
+// numbers, and requires LoadState to consume all of it.
+func loadStore(t *testing.T, s *Store, st []byte) {
+	t.Helper()
+	r := codec.NewReader(st)
+	if err := s.LoadState(r, s.Geometry().NumNodes()); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left after LoadState", r.Len())
+	}
 }
 
 // TestStoreRepresentationParity drives one store over the direct-indexed
 // table and one over the sparse (map) table paged.New picks for key spaces
-// beyond paged.DirectKeys, and asserts the exported State — hence every
-// checkpoint — is identical, and round-trips through Restore on both.
+// beyond paged.DirectKeys, and asserts their checkpoint encodings are
+// identical and round-trip through LoadState on both.
 func TestStoreRepresentationParity(t *testing.T) {
 	g := UniformWide(1<<10, 4, 5, 1, 0, 0)
 	direct := NewStore(g, rng.New(7))
@@ -160,18 +170,16 @@ func TestStoreRepresentationParity(t *testing.T) {
 	sparse.index = paged.New(paged.DirectKeys + 1)
 
 	sd, ss := driveStore(direct), driveStore(sparse)
-	if !reflect.DeepEqual(sd, ss) {
-		t.Fatalf("State diverged between direct and sparse bucket tables: %d vs %d buckets", len(sd), len(ss))
+	if !bytes.Equal(sd, ss) {
+		t.Fatalf("checkpoint encoding diverged between direct and sparse bucket tables: %d vs %d bytes", len(sd), len(ss))
 	}
-	if direct.Materialized() != sparse.Materialized() || direct.Materialized() != len(sd) {
-		t.Fatalf("Materialized = %d / %d, State has %d", direct.Materialized(), sparse.Materialized(), len(sd))
+	if n := int(binary.LittleEndian.Uint32(sd)); direct.Materialized() != sparse.Materialized() || direct.Materialized() != n {
+		t.Fatalf("Materialized = %d / %d, the encoding has %d buckets", direct.Materialized(), sparse.Materialized(), n)
 	}
 	for _, s := range []*Store{NewStore(g, rng.New(7)), sparse} {
-		if err := s.Restore(sd); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.State(); !reflect.DeepEqual(got, sd) {
-			t.Fatalf("State/Restore round trip diverged")
+		loadStore(t, s, sd)
+		if got := s.AppendState(nil); !bytes.Equal(got, sd) {
+			t.Fatalf("AppendState/LoadState round trip diverged")
 		}
 	}
 }
@@ -188,52 +196,5 @@ func TestBucketPointerStable(t *testing.T) {
 	}
 	if s.Bucket(0) != first || s.Occupancy(0) != 1 {
 		t.Fatalf("bucket 0 moved while the slab grew")
-	}
-}
-
-// TestStateMatchesPerBucketCopies: State carves every bucket's slices out
-// of two arrays; what it returns, and the gob bytes a checkpoint makes of
-// it, must be those of the export that copied each bucket on its own — on
-// a store with empty, reset and occupied buckets — in a handful of
-// allocations whatever the bucket count.
-func TestStateMatchesPerBucketCopies(t *testing.T) {
-	s := NewStore(UniformWide(1<<10, 4, 5, 1, 0, 0), rng.New(7))
-	driveStore(s)
-	var want []BucketState
-	s.index.Range(func(node uint64, ref uint32) {
-		b := s.at(ref)
-		want = append(want, BucketState{
-			Node:     node,
-			Blocks:   append([]BlockEntry(nil), b.blocks...),
-			Used:     append([]uint64(nil), b.used[:b.words]...),
-			Accessed: int(b.accessed),
-		})
-	})
-	sort.Slice(want, func(i, j int) bool { return want[i].Node < want[j].Node })
-	got := s.State()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("State differs from the per-bucket export")
-	}
-	var gb, wb bytes.Buffer
-	if err := gob.NewEncoder(&gb).Encode(got); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(&wb).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
-		t.Fatal("gob of State differs from gob of the per-bucket export")
-	}
-	// A carved slice must not reach its neighbour's bytes through append.
-	for i := range got {
-		if b := got[i].Blocks; len(b) > 0 && cap(b) != len(b) {
-			t.Fatalf("bucket %d: Blocks has spare capacity %d into the shared array", got[i].Node, cap(b)-len(b))
-		}
-	}
-	if len(got) < 100 {
-		t.Fatalf("only %d buckets materialized", len(got))
-	}
-	if allocs := testing.AllocsPerRun(10, func() { s.State() }); allocs > 8 {
-		t.Fatalf("State makes %.0f allocations for %d buckets, want a constant handful", allocs, len(got))
 	}
 }

@@ -3,7 +3,6 @@ package otree
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"palermo/internal/codec"
@@ -383,73 +382,6 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 			return r.Failf("bucket %d: %d touches but %d consumed slots", node, accessed, consumed)
 		}
 		*s.Bucket(node) = b
-	}
-	return nil
-}
-
-// BucketState is one materialized bucket as a value: the form checkpoints
-// took before AppendState. Used mirrors the consumed-slot bitset.
-type BucketState struct {
-	Node     uint64
-	Blocks   []BlockEntry
-	Used     []uint64
-	Accessed int
-}
-
-// State exports every materialized bucket in ascending node order. Slices
-// are copies, carved out of two arrays sized once (a store of 2^15 blocks
-// exports ~4.4 k buckets: two allocations instead of two per bucket); an
-// empty one stays nil.
-func (s *Store) State() []BucketState {
-	nBlocks, nUsed := 0, 0
-	s.index.Range(func(_ uint64, ref uint32) {
-		b := s.at(ref)
-		nBlocks += len(b.blocks)
-		nUsed += int(b.words)
-	})
-	blocks, used := make([]BlockEntry, 0, nBlocks), make([]uint64, 0, nUsed)
-	out := make([]BucketState, 0, s.Materialized())
-	s.index.Ascending(func(node uint64, ref uint32) {
-		b := s.at(ref)
-		out = append(out, BucketState{
-			Node:     node,
-			Blocks:   carve(&blocks, b.blocks),
-			Used:     carve(&used, b.used[:b.words]),
-			Accessed: int(b.accessed),
-		})
-	})
-	return out
-}
-
-// carve appends a copy of src to arena, which has room for it, and returns
-// the copy capped at its own length; nil for an empty src.
-func carve[T any](arena *[]T, src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	n := len(*arena)
-	*arena = append(*arena, src...)
-	return (*arena)[n:len(*arena):len(*arena)]
-}
-
-// Restore replaces the store's contents with a previously exported State.
-// It refuses a bitset longer than the inline one or a touch count beyond
-// its 16 bits; on error the store is partly overwritten.
-func (s *Store) Restore(bs []BucketState) error {
-	s.index.Reset()
-	s.slab = nil
-	for _, st := range bs {
-		if len(st.Used) > usedWords || st.Accessed < 0 || st.Accessed > math.MaxUint16 {
-			return fmt.Errorf("otree: bucket %d: %d bitset words, %d touches do not fit a bucket", st.Node, len(st.Used), st.Accessed)
-		}
-		b := Bucket{
-			blocks:   append([]BlockEntry(nil), st.Blocks...),
-			accessed: uint16(st.Accessed),
-			words:    uint8(len(st.Used)),
-		}
-		copy(b.used[:], st.Used)
-		b.refilter()
-		*s.Bucket(st.Node) = b
 	}
 	return nil
 }

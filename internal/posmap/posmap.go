@@ -174,36 +174,3 @@ func (h *Hierarchy) LoadState(r *codec.Reader) error {
 	}
 	return nil
 }
-
-// State deep-copies the materialized leaf assignments of every level (the
-// form checkpoints took before AppendState).
-func (h *Hierarchy) State() []map[uint64]uint32 {
-	out := make([]map[uint64]uint32, h.levels)
-	for l := range h.maps {
-		cp := make(map[uint64]uint32, h.maps[l].Len())
-		h.maps[l].Range(func(idx uint64, v uint32) { cp[idx] = v - 1 })
-		out[l] = cp
-	}
-	return out
-}
-
-// Restore replaces the leaf assignments with a previously exported State.
-func (h *Hierarchy) Restore(maps []map[uint64]uint32) error {
-	if len(maps) != h.levels {
-		return fmt.Errorf("posmap: checkpoint has %d levels, hierarchy has %d", len(maps), h.levels)
-	}
-	for l, m := range maps {
-		for k := range m {
-			if k >= h.blocks[l] {
-				return fmt.Errorf("posmap: checkpoint level %d index %d out of range %d", l, k, h.blocks[l])
-			}
-		}
-	}
-	for l, m := range maps {
-		h.maps[l].Reset()
-		for k, v := range m {
-			h.maps[l].Set(k, v+1)
-		}
-	}
-	return nil
-}

@@ -521,7 +521,7 @@ func (s *Shard) recover(meta []byte, metaEpoch uint64, tail []backend.TailOp) er
 			return fmt.Errorf("shard: checkpoint metadata out of range (epoch %d, %d bytes): corrupt store", metaEpoch, len(meta))
 		}
 		plain := s.sealer.Blob(s.metaAddr(), metaEpoch, meta)
-		if err := s.restoreState(plain); err != nil {
+		if err := s.loadState(plain); err != nil {
 			return err
 		}
 		s.stateLen = len(plain)

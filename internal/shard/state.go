@@ -2,13 +2,12 @@ package shard
 
 // The checkpoint plaintext (DESIGN.md §7, "Checkpoint contents"): what a
 // shard seals into the blob a durable backend persists and a migration
-// carries. One binary pass writes it straight from the live engine; blobs
-// that earlier builds gob-encoded still decode.
+// carries. One binary pass writes it straight from the live engine, and it
+// is the only form this build reads.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -17,12 +16,19 @@ import (
 	"palermo/internal/oram"
 )
 
-// stateMagic opens every binary checkpoint plaintext. Its first byte can
-// never open a gob stream (a gob message length is one byte below 0x80 or
-// a negated byte count of at most 8, 0xf8 and up), so a plaintext without
-// it is handed to the gob decoder of earlier builds — and a build that
-// knows only gob refuses this format as undecodable.
+// stateMagic opens every checkpoint plaintext. Its first byte can never
+// open a gob stream (a gob message length is one byte below 0x80 or a
+// negated byte count of at most 8, 0xf8 and up), the form checkpoints took
+// before this encoding, so neither form is misread as the other: a build
+// that knows only gob refuses this one as undecodable, and this build
+// refuses a plaintext without the magic (errNotBinary).
 const stateMagic = "\x89PALCKPT"
+
+// errNotBinary refuses a checkpoint plaintext that does not open with
+// stateMagic. The builds it names read the gob form and write this one.
+var errNotBinary = errors.New("shard: checkpoint is not in the binary format: wrong key, corrupt store, " +
+	"or a checkpoint from before the binary format; to convert an old store, open and close it once " +
+	"with any build from commit 741a3b8 through 5936097, whose Close writes the binary form")
 
 // stateVersion is the binary layout's version, written after the magic.
 const stateVersion = 1
@@ -67,23 +73,15 @@ func (s *Shard) sealState() ([]byte, uint64, error) {
 	return buf, blobEpoch, nil
 }
 
-// restoreState restores a freshly built shard from a checkpoint plaintext:
-// the binary encoding, or the gob stream of an earlier build.
-func (s *Shard) restoreState(plain []byte) error {
-	if !bytes.HasPrefix(plain, []byte(stateMagic)) {
-		return s.restoreGob(plain)
-	}
-	return s.loadState(plain)
-}
-
 // loadState decodes an appendState plaintext into the shard. Every field
 // is bounds-checked — a hostile plaintext is an error, never a panic — and
 // the plaintext must end where the encoding does, so an accepted one
-// re-encodes to the same bytes. On error the shard must be discarded.
+// re-encodes to the same bytes. A plaintext without the magic is
+// errNotBinary. On error the shard must be discarded.
 func (s *Shard) loadState(plain []byte) error {
 	r := codec.NewReader(plain) // every decode failure below sticks to r
 	if string(r.Bytes(len(stateMagic))) != stateMagic {
-		r.Failf("no checkpoint magic")
+		return errNotBinary
 	}
 	if v := r.Uint32(); v != stateVersion {
 		r.Failf("format version %d, this build reads %d", v, stateVersion)
@@ -118,42 +116,6 @@ func (s *Shard) checkOwner(index, stride, blocks uint64) error {
 		return fmt.Errorf("shard: checkpoint is for shard %d/%d over %d blocks, opened as %d/%d over %d",
 			index, stride, blocks, s.index, s.stride, s.blocks)
 	}
-	return nil
-}
-
-// gobState is the checkpoint plaintext of earlier builds: a gob stream of
-// this struct. It is decoded, never encoded, so stores those builds wrote
-// still open; their next checkpoint is written in the binary format.
-type gobState struct {
-	Index, Stride int
-	Blocks        uint64
-	SealEpoch     uint64
-	Reads, Writes uint64
-	TrafficR      uint64
-	TrafficW      uint64
-	TopHits       uint64
-	Engine        *oram.RingState
-}
-
-// restoreGob restores the shard from an earlier build's gob plaintext.
-func (s *Shard) restoreGob(plain []byte) error {
-	var st gobState
-	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&st); err != nil {
-		return fmt.Errorf("shard: checkpoint undecodable (wrong key or corrupt store): %w", err)
-	}
-	if err := s.checkOwner(uint64(st.Index), uint64(st.Stride), st.Blocks); err != nil {
-		return err
-	}
-	if st.Engine == nil {
-		return fmt.Errorf("shard: checkpoint undecodable (wrong key or corrupt store): no engine state")
-	}
-	if err := s.engine.Restore(st.Engine); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	s.sealer.SetEpoch(st.SealEpoch)
-	s.reads, s.writes = st.Reads, st.Writes
-	s.trafficR, s.trafficW = st.TrafficR, st.TrafficW
-	s.topHitsBase = st.TopHits
 	return nil
 }
 

@@ -46,10 +46,12 @@ func TestStateLengthIgnoresLeaves(t *testing.T) {
 	}
 	before := s.appendState(nil, s.sealer.Epoch())
 	pm, stashed := s.engine.Posmap(), 0
-	for l, m := range pm.State() {
+	for l := 0; l < pm.Levels(); l++ {
 		leaves := s.engine.Space(l).Geo.NumLeaves()
-		for idx, leaf := range m {
-			pm.SetLeaf(l, idx, (uint64(leaf)+1)%leaves)
+		// The map is written dense, so every index moves: an assigned
+		// leaf to the next one, an unassigned entry to a leaf.
+		for idx := uint64(0); idx < pm.Blocks(l); idx++ {
+			pm.SetLeaf(l, idx, (pm.Leaf(l, idx)+1)%leaves)
 		}
 		st := s.engine.Space(l).Stash
 		var ids []otree.BlockID

@@ -206,38 +206,12 @@ func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int, dst []otre
 	return out
 }
 
-// State is the stash state as a value — live entries in insertion order
-// plus the statistics the serving layer reports across a restart — the
-// form checkpoints took before AppendState.
-type State struct {
-	Entries  []Entry
-	MaxSeen  int
-	Overflow uint64
-}
-
-// State exports the current state. Entries are in insertion order, so
-// restoring them with Put reproduces the eviction-selection order exactly.
-func (s *Stash) State() State {
-	st := State{MaxSeen: s.maxSeen, Overflow: s.overflow}
-	st.Entries = make([]Entry, 0, s.live)
-	s.ForEach(func(e Entry) { st.Entries = append(st.Entries, e) })
-	return st
-}
-
-// Restore replaces the stash contents and statistics with a previously
-// exported State. The configured capacity is kept.
-func (s *Stash) Restore(st State) {
+// reset empties the stash; its statistics and configured capacity are kept.
+func (s *Stash) reset() {
 	s.slab = s.slab[:0]
 	s.head, s.tail, s.free = none, none, none
 	s.live = 0
 	s.index.Reset()
-	for _, e := range st.Entries {
-		s.Put(e)
-	}
-	// Put tracks peaks/overflow as if the entries were new insertions;
-	// the checkpointed statistics are authoritative.
-	s.maxSeen = st.MaxSeen
-	s.overflow = st.Overflow
 }
 
 // Widths of AppendState's output: MaxSeen (uint32), Overflow (uint64) and
@@ -276,7 +250,7 @@ func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	s.Restore(State{})
+	s.reset()
 	for range n {
 		e := Entry{ID: otree.BlockID(r.Uint32()), Leaf: uint64(r.Uint32()), Val: r.Uint64()}
 		switch {
