@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -106,6 +107,45 @@ func TestManifestEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := Decode([]byte(`{"epoch":1,"blocks":4,"shards":4,"bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+}
+
+// FuzzManifest feeds Decode arbitrary bytes, seeded with manifests Encode
+// wrote: no input panics it, and an accepted manifest is valid and
+// round-trips — Encode then Decode gives it back, and encodes the same
+// bytes again.
+func FuzzManifest(f *testing.F) {
+	for _, m := range []*Manifest{testManifest(), testManifest().WithOwner(1, "b:2", 2)} {
+		buf, err := m.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte(`{"epoch":1,"blocks":4,"shards":4,"bogus":1}`))
+	f.Add([]byte(`{"epoch":3,"blocks":1,"shards":1,"ranges":[{"from":0,"to":1,"addr":"x"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("Decode accepted an invalid manifest: %v", err)
+		}
+		buf, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("an accepted manifest re-encodes to %q, which Decode refuses: %v", buf, err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("round trip diverged: %+v vs %+v", m, m2)
+		}
+		if buf2, err := m2.Encode(); err != nil || !bytes.Equal(buf, buf2) {
+			t.Fatalf("re-encoding diverged: %q vs %q (%v)", buf, buf2, err)
+		}
+	})
 }
 
 func TestManifestSaveLoad(t *testing.T) {
