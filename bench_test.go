@@ -31,35 +31,18 @@ func BenchmarkStoreOps(b *testing.B) {
 }
 
 // BenchmarkStoreOpsDurable is BenchmarkStoreOps over each durable engine,
-// and over the blockfile engine with a 16 MiB slot read cache: every write
-// committed under the group-commit policy. The delta against
-// BenchmarkStoreOps is the durability tax, the delta between rows the
-// engine's and the cache's (EXPERIMENTS.md records both).
+// every write committed under the group-commit policy. The delta against
+// BenchmarkStoreOps is the durability tax, the delta between the rows the
+// engines' difference (EXPERIMENTS.md records both).
 func BenchmarkStoreOpsDurable(b *testing.B) {
-	for _, c := range []struct {
-		name      string
-		engine    string
-		slotCache int
-	}{
-		{"engine=wal", BackendWAL, 0},
-		{"engine=blockfile", BackendBlockfile, 0},
-		{"engine=blockfile/slotcache=16MiB", BackendBlockfile, 16 << 20},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			st, err := NewStore(StoreConfig{
-				Blocks:         1 << 16,
-				Engine:         c.engine,
-				Dir:            b.TempDir(),
-				SlotCacheBytes: c.slotCache,
-			})
+	for _, engine := range []string{BackendWAL, BackendBlockfile} {
+		b.Run("engine="+engine, func(b *testing.B) {
+			st, err := NewStore(StoreConfig{Blocks: 1 << 16, Engine: engine, Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer st.Close()
 			storeMix(b, st)
-			if tr := st.Traffic(); tr.SlotCacheHits+tr.SlotCacheMisses > 0 {
-				b.ReportMetric(float64(tr.SlotCacheHits)/float64(tr.SlotCacheHits+tr.SlotCacheMisses)*100, "slot_cache_hit_pct")
-			}
 		})
 	}
 }
@@ -67,9 +50,8 @@ func BenchmarkStoreOpsDurable(b *testing.B) {
 // storeMix writes every block once before the timer starts, then times a
 // 90/10 read/write mix over uniform ids and reports ops/s. Without the
 // population pass the write ids (id%10 == 0) and read ids (everything
-// else) are disjoint sets and every read misses the backend entirely —
-// which both understates read cost and makes the blockfile slot read cache
-// unmeasurable (an absent slot is not a cache event).
+// else) are disjoint sets and every read misses the backend entirely,
+// which understates read cost.
 func storeMix(b *testing.B, st *Store) {
 	b.Helper()
 	buf := bytes.Repeat([]byte{0xA5}, BlockSize)

@@ -111,7 +111,7 @@ func main() {
 		}
 		if *addr != "" {
 			switch f.Name {
-			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "verify", "slot-cache", "trace", "admission":
+			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "checkpoint-every", "verify", "trace", "admission":
 				fatal(fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name))
 			}
 		}
@@ -370,35 +370,28 @@ func printResult(res loadgen.Result) {
 		fmt.Printf("  tree-top hits %d (%.1f KiB of path I/O absorbed)\n",
 			tr.TreeTopHits, float64(tr.TreeTopHits)*palermo.BlockSize/1024)
 	}
-	if tr.SlotCacheHits+tr.SlotCacheMisses > 0 {
-		fmt.Printf("  slot cache hits %d / misses %d (%.1f%% of slot reads served resident)\n",
-			tr.SlotCacheHits, tr.SlotCacheMisses,
-			100*float64(tr.SlotCacheHits)/float64(tr.SlotCacheHits+tr.SlotCacheMisses))
-	}
 }
 
 func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[string]float64 {
 	stats := res.Stats
 	m := map[string]float64{
-		"ops_per_sec":       res.OpsPerSec(),
-		"clients":           float64(clients),
-		"read_ratio":        readRatio,
-		"zipf_theta":        zipf,
-		"read_p50_us":       stats.ReadLat.P50Us,
-		"read_p99_us":       stats.ReadLat.P99Us,
-		"write_p50_us":      stats.WriteLat.P50Us,
-		"write_p99_us":      stats.WriteLat.P99Us,
-		"queue_p50_us":      stats.QueueLat.P50Us,
-		"queue_p99_us":      stats.QueueLat.P99Us,
-		"exec_p50_us":       stats.ExecLat.P50Us,
-		"exec_p99_us":       stats.ExecLat.P99Us,
-		"dedup_hits":        float64(stats.DedupHits),
-		"shed_ops":          float64(res.ShedOps),
-		"lines_per_op":      res.Traffic.AmplificationFactor,
-		"tree_top_hits":     float64(res.Traffic.TreeTopHits),
-		"bytes_saved":       float64(res.Traffic.TreeTopHits) * palermo.BlockSize,
-		"slot_cache_hits":   float64(res.Traffic.SlotCacheHits),
-		"slot_cache_misses": float64(res.Traffic.SlotCacheMisses),
+		"ops_per_sec":   res.OpsPerSec(),
+		"clients":       float64(clients),
+		"read_ratio":    readRatio,
+		"zipf_theta":    zipf,
+		"read_p50_us":   stats.ReadLat.P50Us,
+		"read_p99_us":   stats.ReadLat.P99Us,
+		"write_p50_us":  stats.WriteLat.P50Us,
+		"write_p99_us":  stats.WriteLat.P99Us,
+		"queue_p50_us":  stats.QueueLat.P50Us,
+		"queue_p99_us":  stats.QueueLat.P99Us,
+		"exec_p50_us":   stats.ExecLat.P50Us,
+		"exec_p99_us":   stats.ExecLat.P99Us,
+		"dedup_hits":    float64(stats.DedupHits),
+		"shed_ops":      float64(res.ShedOps),
+		"lines_per_op":  res.Traffic.AmplificationFactor,
+		"tree_top_hits": float64(res.Traffic.TreeTopHits),
+		"bytes_saved":   float64(res.Traffic.TreeTopHits) * palermo.BlockSize,
 	}
 	if res.QueueExecLifetime {
 		// Flags the queue/exec percentiles above as lifetime-weighted (the

@@ -33,8 +33,6 @@ func TestConstructorParity(t *testing.T) {
 		{name: "bare Dir, no engine", cfg: ShardedStoreConfig{Blocks: 1 << 10}, dir: true},
 		{name: "Engine wal without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 		{name: "Engine blockfile without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}},
-		{name: "SlotCacheBytes on wal", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, SlotCacheBytes: 4096}, dir: true},
-		{name: "SlotCacheBytes below one slot", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, SlotCacheBytes: 100}, dir: true},
 		{name: "Shards negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, sharded: true},
 		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
 		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
@@ -51,7 +49,7 @@ func TestConstructorParity(t *testing.T) {
 		{name: "CheckpointEvery negative disables", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, CheckpointEvery: -1}, dir: true, ok: true},
 		{name: "GroupCommit negative defaults", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: -1}, dir: true, ok: true},
 		{name: "GroupCommit synchronous", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: 1}, dir: true, ok: true},
-		{name: "SlotCacheBytes on blockfile", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, SlotCacheBytes: 4096}, dir: true, ok: true},
+		{name: "Engine blockfile with Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}, dir: true, ok: true},
 		{name: "Shards equal Blocks", cfg: ShardedStoreConfig{Blocks: 8, Shards: 8}, sharded: true, ok: true},
 		{name: "QueueDepth explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}, sharded: true, ok: true},
 	}
@@ -88,7 +86,6 @@ func TestConstructorParity(t *testing.T) {
 				return NewStore(StoreConfig{
 					Blocks: c.Blocks, Key: c.Key, Seed: c.Seed, Engine: c.Engine, Dir: c.Dir,
 					CheckpointEvery: c.CheckpointEvery, GroupCommit: c.GroupCommit,
-					SlotCacheBytes: c.SlotCacheBytes,
 				})
 			}
 		}

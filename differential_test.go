@@ -11,7 +11,6 @@ package palermo
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -324,10 +323,9 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 // contract across storage engines: the same recorded op sequence (single
 // ops, read batches with duplicates, write batches that reach each shard as
 // one vector) through a ShardedStore over the memory engine and over every
-// durable engine and cache setting must be indistinguishable —
-// byte-identical read payloads, identical service op counts and dedup
-// hits, and identical per-shard engine traces (same ops, same order, same
-// exposed leaves). What an engine does with a put never reaches the
+// durable engine must be indistinguishable — byte-identical read payloads,
+// identical service op counts and dedup hits, and identical per-shard
+// engine traces (same ops, same order, same exposed leaves). What an engine does with a put never reaches the
 // protocol. (The tree-top budget's neutrality is the engine's contract:
 // internal/oram TestTreeTopBytesNeutral.)
 func TestPipelinedVsSerialEquivalence(t *testing.T) {
@@ -335,11 +333,11 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 	const shards = 3
 	ops := recordNetOps(blocks, 400)
 
-	play := func(engine string, slotCache int) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace) {
+	play := func(engine string) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace) {
 		t.Helper()
 		cfg := ShardedStoreConfig{
 			Blocks: blocks, Shards: shards, Seed: 77, Engine: engine,
-			CheckpointEvery: 32, GroupCommit: 4, SlotCacheBytes: slotCache,
+			CheckpointEvery: 32, GroupCommit: 4,
 		}
 		if engine != BackendMemory {
 			cfg.Dir = t.TempDir()
@@ -362,17 +360,10 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		return payloads, stats, traces
 	}
 
-	wantPayloads, wantStats, wantTraces := play(BackendMemory, 0)
-	for _, tc := range []struct {
-		engine    string
-		slotCache int
-	}{
-		{BackendWAL, 0},
-		{BackendBlockfile, 0},
-		{BackendBlockfile, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
-	} {
-		name := fmt.Sprintf("engine=%s,slotCache=%d", tc.engine, tc.slotCache)
-		gotPayloads, gotStats, gotTraces := play(tc.engine, tc.slotCache)
+	wantPayloads, wantStats, wantTraces := play(BackendMemory)
+	for _, engine := range []string{BackendWAL, BackendBlockfile} {
+		name := "engine=" + engine
+		gotPayloads, gotStats, gotTraces := play(engine)
 
 		if len(gotPayloads) != len(wantPayloads) {
 			t.Fatalf("%s: returned %d read payloads, memory %d", name, len(gotPayloads), len(wantPayloads))
@@ -411,18 +402,18 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 // TestPipelinedDurableEquivalence extends the contract through the
 // durable backends and across a restart: identical workloads (small
 // CheckpointEvery and GroupCommit so compactions and commits fire mid-run)
-// on every engine in {wal, blockfile} and slot-cache budget must leave directories that recover to identical stores — same payloads,
-// same traffic counters, and identical engine behavior for a post-recovery
-// op sequence. The engine may change what the bytes on disk look like,
+// on the wal and blockfile engines must leave directories that recover to
+// identical stores — same payloads, same traffic counters, and identical
+// engine behavior for a post-recovery op sequence. The engine may change what the bytes on disk look like,
 // never what they mean.
 func TestPipelinedDurableEquivalence(t *testing.T) {
 	const blocks = 1 << 10
-	run := func(engine string, slotCache int) (dir string) {
+	run := func(engine string) (dir string) {
 		t.Helper()
 		dir = t.TempDir()
 		st, err := NewStore(StoreConfig{
 			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9,
-			CheckpointEvery: 32, GroupCommit: 4, SlotCacheBytes: slotCache,
+			CheckpointEvery: 32, GroupCommit: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -444,11 +435,11 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		return dir
 	}
 
-	reopen := func(dir, engine string, slotCache int) (rep TrafficReport, payloads [][]byte) {
+	// The reopen runs at default knobs: CheckpointEvery and GroupCommit
+	// never reach the format.
+	reopen := func(dir, engine string) (rep TrafficReport, payloads [][]byte) {
 		t.Helper()
-		st, err := NewStore(StoreConfig{
-			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9, SlotCacheBytes: slotCache,
-		})
+		st, err := NewStore(StoreConfig{Blocks: blocks, Engine: engine, Dir: dir, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,54 +458,27 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 		return rep, payloads
 	}
 
-	baseDir := run(BackendWAL, 0)
-	wantRep, wantPayloads := reopen(baseDir, BackendWAL, 0)
-	for _, tc := range []struct {
-		engine    string
-		slotCache int
-	}{
-		{BackendBlockfile, 0},
-		// Slot read cache on: the blockfile serves hot slots from memory.
-		// Byte-identical payloads and protocol counters; only the
-		// SlotCacheHits/Misses telemetry may be nonzero.
-		{BackendBlockfile, 64 << 10},
-		{BackendBlockfile, 4 << 10}, // tiny budget: CLOCK eviction churns mid-run
-	} {
-		engine := tc.engine
-		name := fmt.Sprintf("engine=%s,slotCache=%d", engine, tc.slotCache)
-		dir := run(engine, tc.slotCache)
-		gotRep, gotPayloads := reopen(dir, engine, tc.slotCache)
-		if tc.slotCache > 0 {
-			// The cache is pure telemetry at the protocol level: zero the
-			// counters for the struct compare, but demand the cache actually
-			// served something (otherwise the row tests nothing).
-			if gotRep.SlotCacheHits+gotRep.SlotCacheMisses == 0 {
-				t.Fatalf("%s: slot cache enabled but never touched", name)
-			}
-			gotRep.SlotCacheHits, gotRep.SlotCacheMisses = 0, 0
+	wantRep, wantPayloads := reopen(run(BackendWAL), BackendWAL)
+	dir := run(BackendBlockfile)
+	gotRep, gotPayloads := reopen(dir, BackendBlockfile)
+	if wantRep != gotRep {
+		t.Fatalf("blockfile: recovered traffic diverged:\n wal baseline %+v\n got          %+v", wantRep, gotRep)
+	}
+	for i := range wantPayloads {
+		if !bytes.Equal(wantPayloads[i], gotPayloads[i]) {
+			t.Fatalf("blockfile: post-recovery read %d diverged from the WAL baseline", i)
 		}
-		if wantRep != gotRep {
-			t.Fatalf("%s: recovered traffic diverged:\n wal baseline %+v\n got          %+v", name, wantRep, gotRep)
-		}
-		for i := range wantPayloads {
-			if !bytes.Equal(wantPayloads[i], gotPayloads[i]) {
-				t.Fatalf("%s: post-recovery read %d diverged from the WAL baseline", name, i)
-			}
-		}
-		// Cross-recovery: a store at default knobs must be able to reopen
-		// the directory (the on-disk contract is shared). Counters keep
-		// growing across reopens, so compare the stable parts: the write
-		// count and the logical payloads. Reopening a cache-written
-		// directory with the cache off must be equally lossless: the cache
-		// never touches the format.
-		crossRep, crossPayloads := reopen(dir, engine, 0)
-		if crossRep.Writes != wantRep.Writes {
-			t.Fatalf("%s: cross-config recovery lost writes: want %d, got %d", name, wantRep.Writes, crossRep.Writes)
-		}
-		for i := range wantPayloads {
-			if !bytes.Equal(wantPayloads[i], crossPayloads[i]) {
-				t.Fatalf("%s: cross-config read %d diverged", name, i)
-			}
+	}
+	// A second recovery of the same directory is as lossless. Counters
+	// keep growing across reopens, so compare the stable parts: the write
+	// count and the logical payloads.
+	crossRep, crossPayloads := reopen(dir, BackendBlockfile)
+	if crossRep.Writes != wantRep.Writes {
+		t.Fatalf("blockfile: second recovery lost writes: want %d, got %d", wantRep.Writes, crossRep.Writes)
+	}
+	for i := range wantPayloads {
+		if !bytes.Equal(wantPayloads[i], crossPayloads[i]) {
+			t.Fatalf("blockfile: second-recovery read %d diverged", i)
 		}
 	}
 }
@@ -687,10 +651,9 @@ func TestWriteBatchLargerThanWALBatchLimit(t *testing.T) {
 }
 
 // TestDurableMixedConfigReopen: the durable format is config-neutral. A
-// blockfile directory written with the slot read cache on must reopen
-// bit-exact with the cache off or at another budget — same recovered
-// engine behavior for a post-recovery op sequence — because the cache
-// holds only copies of committed ciphertext and never touches the format.
+// blockfile directory written with small CheckpointEvery and GroupCommit
+// (so compactions and commits fire mid-run) must reopen at default knobs
+// and serve every stamped payload.
 func TestDurableMixedConfigReopen(t *testing.T) {
 	const blocks = 1 << 10
 	r := rng.New(77)
@@ -698,44 +661,38 @@ func TestDurableMixedConfigReopen(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		wrote[r.Uint64n(blocks)] = byte(i)
 	}
-	bfDir := t.TempDir()
-	bfReopen := func(slotCache int, stamp bool) [][]byte {
+	dir := t.TempDir()
+	open := func(cfg ShardedStoreConfig) *ShardedStore {
 		t.Helper()
-		st, err := NewShardedStore(ShardedStoreConfig{
-			Blocks: blocks, Shards: 2, Seed: 13,
-			Engine: BackendBlockfile, Dir: bfDir, CheckpointEvery: 32, GroupCommit: 4,
-			SlotCacheBytes: slotCache,
-		})
+		cfg.Blocks, cfg.Shards, cfg.Seed, cfg.Engine, cfg.Dir = blocks, 2, 13, BackendBlockfile, dir
+		st, err := NewShardedStore(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stamp {
-			for id, b := range wrote {
-				if err := st.Write(id, block(b)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		var payloads [][]byte
-		for i := uint64(0); i < 64; i++ {
-			data, err := st.Read(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payloads = append(payloads, data)
-		}
-		if err := st.Close(); err != nil {
+		return st
+	}
+	st := open(ShardedStoreConfig{CheckpointEvery: 32, GroupCommit: 4})
+	for id, b := range wrote {
+		if err := st.Write(id, block(b)); err != nil {
 			t.Fatal(err)
 		}
-		return payloads
 	}
-	bfWant := bfReopen(64<<10, true) // written with cache on
-	for _, slotCache := range []int{0, 64 << 10, 4 << 10} {
-		got := bfReopen(slotCache, false)
-		for i := range bfWant {
-			if !bytes.Equal(got[i], bfWant[i]) {
-				t.Fatalf("blockfile slotCache=%d: post-recovery read %d diverged", slotCache, i)
-			}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = open(ShardedStoreConfig{})
+	defer st.Close()
+	for id := uint64(0); id < blocks; id++ {
+		want := make([]byte, BlockSize)
+		if b, ok := wrote[id]; ok {
+			want = block(b)
+		}
+		got, err := st.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d: reopened payload diverged from its stamp", id)
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 // slot is one hosted shard.
 type slot struct {
 	sh  *shard.Shard
-	be  backend.Backend // nil = memory engine; kept for fsync and slot-cache telemetry
+	be  backend.Backend // nil = memory engine; kept for fsync telemetry
 	svc *serve.Service  // the shard's single worker; nil only inside Store
 	// held pauses admission while the shard stays hosted (a migration's
 	// cutover barrier). Guarded by the owner's geometry lock.
@@ -96,9 +96,6 @@ func (c *ShardedStoreConfig) normalize(cluster bool) (shard.Router, error) {
 	default:
 		return none, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", c.Engine, BackendMemory, BackendWAL, BackendBlockfile)
 	}
-	if err := validateSlotCacheBytes(c.SlotCacheBytes, c.Engine); err != nil {
-		return none, err
-	}
 	// A durable shard seals its whole state into one blob at every
 	// checkpoint, a cluster shard at every migration: refuse a shard whose
 	// worst-case state could outgrow it, before any write is acknowledged.
@@ -144,7 +141,7 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	case BackendWAL:
 		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth, Capacity: h.router.ShardBlocks(s)})
 	case BackendBlockfile:
-		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, CacheBytes: h.cfg.SlotCacheBytes})
+		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)
@@ -435,13 +432,6 @@ func (ss slotSet) traffic() TrafficReport {
 		rep.DRAMWrites += c.DRAMWrites
 		rep.TreeTopHits += c.TreeTopHits
 		rep.StashPeak = max(rep.StashPeak, c.StashPeak)
-		// Slot-cache telemetry exists only on the blockfile engine with
-		// SlotCacheBytes > 0; every other backend contributes nothing.
-		if sc, ok := sl.be.(interface{ SlotCacheStats() (uint64, uint64) }); ok {
-			hits, misses := sc.SlotCacheStats()
-			rep.SlotCacheHits += hits
-			rep.SlotCacheMisses += misses
-		}
 	}
 	if ops := rep.Reads + rep.Writes; ops > 0 {
 		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)

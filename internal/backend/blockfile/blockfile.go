@@ -105,12 +105,6 @@ type Options struct {
 	// NoDirect forces buffered I/O even where O_DIRECT is available
 	// (benchmark comparisons; the format is identical).
 	NoDirect bool
-	// CacheBytes budgets the slot-level read cache: recently read slots
-	// stay resident in decoded form (CLOCK eviction, SlotBytes charged
-	// per slot) so repeated reads skip the pread. Writes invalidate
-	// their slots and Checkpoint clears the cache, so served bytes are
-	// identical at every budget. 0 (the default) disables the cache.
-	CacheBytes int
 }
 
 // Backend is a durable paged block-state backend over one directory.
@@ -128,8 +122,6 @@ type Backend struct {
 	count   int
 
 	scratch []byte // sector-aligned I/O buffer, maxRunSlots slots
-
-	cache *slotCache // resident decoded slots (nil: cache off)
 
 	reserved uint64 // highest durably reserved sealing epoch
 
@@ -158,7 +150,6 @@ func Open(dir string, opt Options) (*Backend, error) {
 		return nil, b.fail(err) // closes what was opened, releases the lock
 	}
 	b.scratch = alignedBuf(maxRunSlots * SlotBytes)
-	b.cache = newSlotCache(opt.CacheBytes)
 	b.bw = bufio.NewWriterSize(b.logF, b.opt.GroupCommit*recSize+recSize)
 	return b, nil
 }
@@ -281,33 +272,12 @@ func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
 	if b.closed || !b.isPresent(local) {
 		return backend.Sealed{}, false
 	}
-	if b.cache != nil {
-		if sb, hit := b.cache.get(local); hit {
-			b.cache.hits.Add(1)
-			return sb, true
-		}
-	}
 	buf := b.scratch[:SlotBytes]
 	if _, err := b.dataF.ReadAt(buf, int64(local)*SlotBytes); err != nil {
 		return backend.Sealed{Ct: make([]byte, crypt.BlockBytes), Epoch: ^uint64(0)}, true
 	}
 	ct := append([]byte(nil), buf[24:24+crypt.BlockBytes]...)
-	sb := backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(buf[16:24])}
-	if b.cache != nil {
-		b.cache.misses.Add(1)
-		b.cache.put(local, sb.Epoch, ct)
-	}
-	return sb, true
-}
-
-// SlotCacheStats reports how many slots vectored and single Gets served
-// from the resident cache versus slots that paid a pread (always (0, 0)
-// with the cache off). Safe to call from any goroutine at any time.
-func (b *Backend) SlotCacheStats() (hits, misses uint64) {
-	if b.cache == nil {
-		return 0, 0
-	}
-	return b.cache.hits.Load(), b.cache.misses.Load()
+	return backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(buf[16:24])}, true
 }
 
 // GetMany implements backend.VectorBackend: runs of consecutive locals
@@ -339,9 +309,6 @@ func (b *Backend) readRun(locals []uint64, out []backend.Sealed, ok []bool) {
 		}
 		return
 	}
-	if b.cache != nil && b.readRunCached(locals, out, ok) {
-		return
-	}
 	buf := b.scratch[:len(locals)*SlotBytes]
 	n, err := b.dataF.ReadAt(buf, int64(locals[0])*SlotBytes)
 	if err != nil && err != io.EOF {
@@ -353,7 +320,6 @@ func (b *Backend) readRun(locals []uint64, out []backend.Sealed, ok []bool) {
 	for i := n; i < len(buf); i++ {
 		buf[i] = 0
 	}
-	served := uint64(0)
 	for i, l := range locals {
 		if !b.isPresent(l) {
 			out[i], ok[i] = backend.Sealed{}, false
@@ -362,38 +328,7 @@ func (b *Backend) readRun(locals []uint64, out []backend.Sealed, ok []bool) {
 		s := buf[i*SlotBytes : (i+1)*SlotBytes]
 		ct := append([]byte(nil), s[24:24+crypt.BlockBytes]...)
 		out[i], ok[i] = backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(s[16:24])}, true
-		if b.cache != nil {
-			b.cache.put(l, out[i].Epoch, ct)
-			served++
-		}
 	}
-	if b.cache != nil {
-		b.cache.misses.Add(served)
-	}
-}
-
-// readRunCached serves one consecutive-locals run entirely from the
-// resident cache, or reports false without touching anything if any
-// present slot of the run is missing (the run then pays its one
-// coalesced pread and refills, so a partial hit never splits the run
-// into extra syscalls).
-func (b *Backend) readRunCached(locals []uint64, out []backend.Sealed, ok []bool) bool {
-	for _, l := range locals {
-		if b.isPresent(l) && !b.cache.has(l) {
-			return false
-		}
-	}
-	served := uint64(0)
-	for i, l := range locals {
-		if !b.isPresent(l) {
-			out[i], ok[i] = backend.Sealed{}, false
-			continue
-		}
-		out[i], ok[i] = b.cache.get(l)
-		served++
-	}
-	b.cache.hits.Add(served)
-	return true
 }
 
 // Put implements backend.Backend: a vector of one — reserve the epoch if
@@ -466,14 +401,6 @@ func (b *Backend) writeRun(ops []backend.PutOp) error {
 	}
 	if _, err := b.dataF.WriteAt(buf, int64(ops[0].Local)*SlotBytes); err != nil {
 		return b.fail(fmt.Errorf("blockfile: slot write: %w", err))
-	}
-	if b.cache != nil {
-		// writeRun is the single choke point for slot mutation, so
-		// invalidating here keeps the read cache coherent for every Put
-		// and PutMany shape (the next read refills from the new bytes).
-		for _, op := range ops {
-			b.cache.invalidate(op.Local)
-		}
 	}
 	return nil
 }
@@ -567,12 +494,6 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	b.pending = 0
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
-	if b.cache != nil {
-		// Checkpoints change no slot bytes, but they are the natural
-		// epoch boundary for discarding resident state wholesale — the
-		// conservative coherence rule DESIGN.md §14 documents.
-		b.cache.clear()
-	}
 	// The reset dropped the old log's reservation records. metaEpoch
 	// exceeds every epoch assigned so far, so it is the new floor; the
 	// next put re-reserves into the fresh log.

@@ -120,3 +120,29 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStoreManifest throws arbitrary bytes at ReadManifest as a store's
+// manifest.json, seeded with the committed fixtures' manifests: no input
+// panics it, and an accepted manifest passes EnsureManifest against
+// itself, so a store that read it would reopen the directory.
+func FuzzStoreManifest(f *testing.F) {
+	for _, seed := range fixtureSeeds(f, "wal/manifest.json", "blockfile/manifest.json") {
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"version":1,"blocks":1024,"shards":4}`))
+	f.Add([]byte(`{"version":1,"blocks":1024,"shards":4,"engine":"tape","extra":[1,2]}`))
+	f.Add([]byte(`{"version":1} {"garbage": true}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			return
+		}
+		if err := EnsureManifest(dir, m); err != nil {
+			t.Fatalf("ReadManifest accepted %+v, which EnsureManifest refuses against itself: %v", m, err)
+		}
+	})
+}

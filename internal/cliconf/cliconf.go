@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -33,7 +34,6 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 	fs.StringVar(&c.Engine, "engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged direct-I/O slots); reopen auto-detects from the manifest`)
 	fs.IntVar(&c.GroupCommit, "group-commit", 0, "durable-log appends per fsync batch (0 = default)")
 	fs.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "writes between WAL compaction checkpoints (0 = default, <0 disables)")
-	fs.IntVar(&c.SlotCacheBytes, "slot-cache", 0, "blockfile slot read-cache budget in bytes per shard (0 = off; needs -engine blockfile)")
 	fs.DurationVar(&c.AdmissionDeadline, "admission", 0, "overload-shedding admission deadline: queued requests older than this are dropped with a retry status (0 = never shed)")
 	return func() (palermo.ShardedStoreConfig, error) {
 		cfg := c
@@ -44,8 +44,6 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 			}
 		case cfg.Engine != "" && cfg.Engine != palermo.BackendMemory:
 			return cfg, fmt.Errorf("-engine %s requires -dir", cfg.Engine)
-		case cfg.SlotCacheBytes != 0:
-			return cfg, fmt.Errorf("-slot-cache requires -dir with -engine blockfile")
 		}
 		return cfg, nil
 	}
@@ -58,7 +56,8 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 // default alone, the flags' own zero-means-default convention. Durations
 // are Go strings ("2m") or integer nanoseconds. Unknown keys and values of
 // the wrong JSON type are errors, so a typo fails loudly instead of
-// silently defaulting. Flags the file sets count as set for fs.Visit.
+// silently defaulting, and so is anything after the object. Flags the
+// file sets count as set for fs.Visit.
 func Overlay(fs *flag.FlagSet, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -69,6 +68,9 @@ func Overlay(fs *flag.FlagSet, path string) error {
 	var keys map[string]any
 	if err := dec.Decode(&keys); err != nil {
 		return fmt.Errorf("config %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("config %s: trailing data after the JSON object", path)
 	}
 	onCommandLine := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { onCommandLine[f.Name] = true })

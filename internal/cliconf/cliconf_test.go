@@ -1,7 +1,9 @@
 package cliconf
 
 import (
+	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,6 +99,8 @@ func TestOverlayStrict(t *testing.T) {
 		"bad duration":        `{"idle": "soon"}`,
 		"fractional count":    `{"shards": 1.5}`,
 		"not an object":       `[1, 2]`,
+		"the slot cache knob": `{"slot_cache": 4096}`,
+		"trailing bytes":      `{"shards": 4} {"garbage": true} trailing`,
 	} {
 		sf := newServerFlags()
 		sf.fs.String("config", "", "")
@@ -137,18 +141,73 @@ func TestStoreFlagsCrossChecks(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{[]string{"-engine", "blockfile"}, "requires -dir"},
-		{[]string{"-slot-cache", "4096"}, "requires -dir"},
+		{[]string{"-slot-cache", "4096"}, "flag provided but not defined"},
 		{[]string{"-engine", "memory"}, ""},
-		{[]string{"-dir", t.TempDir(), "-engine", "blockfile", "-slot-cache", "4096", "-checkpoint-every", "-1"}, ""},
+		{[]string{"-dir", t.TempDir(), "-engine", "blockfile", "-checkpoint-every", "-1"}, ""},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
 		store := StoreFlags(fs)
 		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
+			if tc.want == "" || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: parse err = %v, want %q", tc.args, err, tc.want)
+			}
+			continue
 		}
 		_, err := store()
 		if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
 	}
+}
+
+// FuzzOverlay throws arbitrary bytes at Overlay as a -config file over the
+// store flags, after a command line that sets three of them: no input
+// panics it, and an accepted file names only declared flags (never
+// -config), sets no flag it does not name, and overrides no command-line
+// flag.
+func FuzzOverlay(f *testing.F) {
+	f.Add([]byte(`{"shards": 8, "blocks": 4096, "group_commit": 3, "admission": "2ms"}`))
+	f.Add([]byte(`{"engine": "wal", "dir": "d", "queue": 0, "seed": 7, "checkpoint_every": -1}`))
+	f.Add([]byte(`{"config": "other.json"}`))
+	f.Add([]byte(`{"shards": 4} {"garbage": true}`))
+	f.Add([]byte(`{"admission": 5000000, "blocks": 1.5}`))
+	args := []string{"-shards", "2", "-engine", "blockfile", "-admission", "1s"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		StoreFlags(fs)
+		fs.String("config", "", "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		before := map[string]string{}
+		fs.Visit(func(fl *flag.Flag) { before[fl.Name] = fl.Value.String() })
+		path := filepath.Join(t.TempDir(), "c.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := Overlay(fs, path); err != nil {
+			return
+		}
+		var keys map[string]any
+		if err := json.Unmarshal(data, &keys); err != nil {
+			t.Fatalf("Overlay accepted %q, which is no JSON object: %v", data, err)
+		}
+		named := map[string]bool{}
+		for key := range keys {
+			name := strings.ReplaceAll(key, "_", "-")
+			if fs.Lookup(name) == nil || name == "config" {
+				t.Fatalf("Overlay accepted key %q, which names no store flag", key)
+			}
+			named[name] = true
+		}
+		fs.Visit(func(fl *flag.Flag) {
+			if want, ok := before[fl.Name]; ok && fl.Value.String() != want {
+				t.Fatalf("file overrode -%s on the command line: %s, want %s", fl.Name, fl.Value, want)
+			}
+			if _, ok := before[fl.Name]; !ok && !named[fl.Name] {
+				t.Fatalf("Overlay set -%s, which the file does not name", fl.Name)
+			}
+		})
+	})
 }

@@ -14,7 +14,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -195,11 +197,18 @@ func Decode(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// strictUnmarshal is json.Unmarshal with unknown fields rejected.
+// strictUnmarshal is json.Unmarshal with unknown fields rejected, and
+// anything but white space after the value too.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Load reads and validates a manifest file.

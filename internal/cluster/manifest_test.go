@@ -107,6 +107,12 @@ func TestManifestEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := Decode([]byte(`{"epoch":1,"blocks":4,"shards":4,"bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	if _, err := Decode(append(buf, ` {"garbage": true} trailing`...)); err == nil {
+		t.Fatal("trailing bytes after a valid manifest accepted")
+	}
+	if _, err := Decode(append(buf, " \n\t"...)); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
 }
 
 // FuzzManifest feeds Decode arbitrary bytes, seeded with manifests Encode

@@ -32,7 +32,7 @@ type MetricsVars struct {
 	// dedup hits, shed counts, and the queue/exec latency split.
 	Service func() ServiceStats
 	// Traffic returns the engine counters (ORAM and DRAM traffic,
-	// tree-top hits, slot-cache accounting).
+	// tree-top hits).
 	Traffic func() TrafficReport
 	// QueueDepths returns each hosted shard's instantaneous queue
 	// occupancy, keyed by shard index.
@@ -95,8 +95,6 @@ func writeMetrics(b *strings.Builder, v MetricsVars) {
 		counter("palermo_dram_reads_total", tr.DRAMReads)
 		counter("palermo_dram_writes_total", tr.DRAMWrites)
 		counter("palermo_treetop_hits_total", tr.TreeTopHits)
-		counter("palermo_slot_cache_hits_total", tr.SlotCacheHits)
-		counter("palermo_slot_cache_misses_total", tr.SlotCacheMisses)
 		gauge("palermo_stash_peak", float64(tr.StashPeak))
 		gauge("palermo_amplification_factor", tr.AmplificationFactor)
 	}

@@ -63,11 +63,6 @@ type ShardedStoreConfig struct {
 	// StoreConfig.GroupCommit for the crash-loss window: one batch per
 	// shard on the blockfile engine, up to three on the WAL).
 	GroupCommit int
-	// SlotCacheBytes budgets each shard blockfile backend's slot-level
-	// read cache (per shard, not total). Served bytes are identical at
-	// every budget; see StoreConfig.SlotCacheBytes. Requires Engine
-	// BackendBlockfile. Default 0 (off).
-	SlotCacheBytes int
 }
 
 func (c *ShardedStoreConfig) defaults() {

@@ -19,7 +19,6 @@ package palermo
 import (
 	"fmt"
 
-	"palermo/internal/backend/blockfile"
 	"palermo/internal/backend/durable"
 	"palermo/internal/shard"
 )
@@ -108,31 +107,6 @@ type StoreConfig struct {
 	// the default), more when vectors close the batches
 	// (wal.Options.CommitDepth has the arithmetic).
 	GroupCommit int
-	// SlotCacheBytes budgets the blockfile engine's slot-level read cache:
-	// recently read 512-byte sealed slots stay resident (CLOCK eviction)
-	// so repeated tree-top and posmap-group reads skip the pread. Gets are
-	// served from the cache only when the whole vectored run is resident;
-	// writes invalidate their slots and checkpoints clear the cache, so
-	// served bytes are identical at every budget (DESIGN.md §14). 0 (the
-	// default) disables the cache; any other budget must hold at least one
-	// slot. Requires Engine BackendBlockfile.
-	SlotCacheBytes int
-}
-
-// validateSlotCacheBytes rejects negative budgets, budgets below one
-// cached slot (which the engine would run with no cache at all) and
-// budgets on engines without a slot cache; 0 means off.
-func validateSlotCacheBytes(n int, engine string) error {
-	if n < 0 {
-		return fmt.Errorf("palermo: SlotCacheBytes must be >= 0, got %d", n)
-	}
-	if n > 0 && n < blockfile.SlotBytes {
-		return fmt.Errorf("palermo: SlotCacheBytes must be 0 or at least one %d-byte slot, got %d", blockfile.SlotBytes, n)
-	}
-	if n > 0 && engine != BackendBlockfile {
-		return fmt.Errorf("palermo: SlotCacheBytes requires Engine %q, got %q", BackendBlockfile, engine)
-	}
-	return nil
 }
 
 // DetectEngine reports the storage engine recorded in dir's manifest,
@@ -168,7 +142,6 @@ func NewStore(cfg StoreConfig) (*Store, error) {
 		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
 		Engine: cfg.Engine, Dir: cfg.Dir,
 		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
-		SlotCacheBytes: cfg.SlotCacheBytes,
 	}, false)
 	if err != nil {
 		return nil, err
@@ -246,9 +219,11 @@ type TrafficReport struct {
 	// item 1 benchmark PR.
 	PrefetchIssued, PrefetchUsed, PrefetchStale uint64
 
-	// Blockfile slot-cache accounting (SlotCacheBytes > 0): slots a
-	// vectored Get served from the resident cache versus slots that paid a
-	// pread. Always zero with the cache off or a non-blockfile engine.
+	// SlotCacheHits and SlotCacheMisses are always zero.
+	//
+	// Deprecated: the benchmark still reads them and
+	// testdata/durable_golden.json serialises them; delete with the
+	// ROADMAP item 1 benchmark PR.
 	SlotCacheHits, SlotCacheMisses uint64
 }
 
