@@ -11,9 +11,12 @@ package palermo
 //	data, _ := cl.Read(42)
 //
 // Concurrency model: a Client is safe for any number of goroutines. Each
-// pooled connection runs a mux goroutine (serializes request frames) and a
-// reader goroutine (resolves responses by request id), so one connection
-// carries many in-flight operations. Every call is exactly one request
+// of its connections runs a mux goroutine (serializes request frames) and
+// a reader goroutine (resolves responses by request id), so one
+// connection carries many in-flight operations. A call goes to the first
+// connection whose 64-frame window has room, so concurrent calls share
+// one socket's writes, and a later connection carries traffic only while
+// the earlier ones are full. Every call is exactly one request
 // frame: concurrent single-block calls are batched where they meet, by the
 // shard worker (DESIGN.md §6), and an explicit ReadBatch/WriteBatch is one
 // frame, never split or merged, preserving its atomic dedup semantics.
@@ -22,9 +25,10 @@ package palermo
 // runs dry the mux yields the processor once, so callers that were about
 // to submit get to, and flushes the socket only if none did. A lone call
 // is flushed after at most one yield; there is no timer and nothing to
-// tune. Frames are encoded in place into a buffer the mux owns, responses
-// are read into pooled buffers, and each block is copied exactly once, to
-// its caller.
+// tune. Frames are encoded in place into a buffer the mux owns, response
+// headers are parsed in the reader's buffer and payloads read into pooled
+// buffers, Read's call and result channel are pooled, and each block is
+// copied exactly once, to its caller.
 //
 // Every operation has a *Ctx variant; cancelling the context abandons the
 // wait, and the eventual response is discarded. Operations against a
@@ -32,15 +36,16 @@ package palermo
 // errors.Is(err, palermo.ErrClosed).
 //
 // A connection that breaks (server restart, idle-timeout reap, network
-// fault) fails its in-flight operations, and the next operation routed to
-// its pool slot re-dials transparently — a long-lived client survives
-// server idle disconnects. Dial and a redial open a connection the same
-// way: a TCP dial and a Stats handshake under one DialTimeout deadline, so
-// a peer that accepts and never answers fails the open instead of hanging
-// it, a restarted server's batch limit takes effect, and a geometry change
-// (a different store at the same address) fails loudly instead of being
-// silently adapted to. Close waits for outstanding responses;
-// ClientConfig.CloseTimeout bounds that wait against a stalled peer.
+// fault) fails its in-flight operations, and the next operation that
+// reaches its pool slot re-dials it transparently — a long-lived client
+// survives server idle disconnects. Dial and a redial open a connection
+// the same way: a TCP dial and a Stats handshake under one DialTimeout
+// deadline, so a peer that accepts and never answers fails the open
+// instead of hanging it, a restarted server's batch limit takes effect,
+// and a geometry change (a different store at the same address) fails
+// loudly instead of being silently adapted to. Close waits for
+// outstanding responses; ClientConfig.CloseTimeout bounds that wait
+// against a stalled peer.
 
 import (
 	"bufio"
@@ -58,7 +63,10 @@ import (
 
 // ClientConfig tunes a client. The zero value uses the defaults.
 type ClientConfig struct {
-	// Conns is the connection-pool size; operations round-robin across it.
+	// Conns is the most connections the client spreads operations over;
+	// Dial opens them all. A call goes to the first connection whose
+	// 64-frame window has room, so a later one carries traffic only while
+	// every earlier window is full; when all are full, calls round-robin.
 	// Default 1.
 	Conns int
 	// DialTimeout bounds each connection attempt: the TCP dial and the
@@ -247,12 +255,26 @@ func (cl *Client) ReadCtx(ctx context.Context, id uint64) ([]byte, error) {
 	if id >= cl.blocks {
 		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, cl.blocks)
 	}
-	r, err := cl.do(ctx, &call{op: wire.OpRead, id: id})
-	if err != nil {
+	ca := callPool.Get().(*call)
+	ca.op, ca.id = wire.OpRead, id
+	if err := cl.start(ctx, ca); err != nil {
+		callPool.Put(ca) // never queued
 		return nil, err
 	}
-	return r.data, nil
+	select {
+	case r := <-ca.done:
+		callPool.Put(ca)
+		return r.data, r.err
+	case <-ctx.Done():
+		// Abandoned, so never reused: the reader may still resolve into it.
+		return nil, ctx.Err()
+	}
 }
+
+// callPool recycles Read's calls with their result channels. A call goes
+// back only once nothing can resolve into it again: refused by start, or
+// its result received.
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan callResult, 1)} }}
 
 // Write stores a 64-byte block obliviously in the remote store.
 func (cl *Client) Write(id uint64, data []byte) error {
@@ -511,7 +533,9 @@ func (cl *Client) do(ctx context.Context, ca *call) (callResult, error) {
 // start queues ca on one of the pool's connections; wait then collects its
 // result. A call that start refused never reaches the server.
 func (cl *Client) start(ctx context.Context, ca *call) error {
-	ca.done = make(chan callResult, 1)
+	if ca.done == nil {
+		ca.done = make(chan callResult, 1)
+	}
 	// Holding the read lock across the (blocking, back-pressured) send is
 	// the same discipline as serve.Service.enqueue: Close cannot close
 	// sendq until every in-flight send has released the lock.
@@ -520,8 +544,7 @@ func (cl *Client) start(ctx context.Context, ca *call) error {
 	if cl.closed {
 		return fmt.Errorf("palermo: client: %w", ErrClosed)
 	}
-	slot := cl.slots[cl.next.Add(1)%uint64(len(cl.slots))]
-	cc, err := slot.conn(cl)
+	cc, err := cl.pick()
 	if err != nil {
 		return err
 	}
@@ -533,6 +556,25 @@ func (cl *Client) start(ctx context.Context, ca *call) error {
 	case <-cc.readerDone:
 		return cc.brokenErr()
 	}
+}
+
+// pick returns the connection a call goes to: that of the first slot whose
+// in-flight window has room, so concurrent calls share one socket's writes
+// and a later connection carries traffic only past a full window. When
+// every window is full it falls back to round-robin. A broken slot is
+// redialled on the way. The rule reads only in-flight counts (DESIGN.md
+// §8).
+func (cl *Client) pick() (*clientConn, error) {
+	for _, slot := range cl.slots {
+		cc, err := slot.conn(cl)
+		if err != nil {
+			return nil, err
+		}
+		if len(cc.sem)+len(cc.sendq) < clientInFlight {
+			return cc, nil
+		}
+	}
+	return cl.slots[cl.next.Add(1)%uint64(len(cl.slots))].conn(cl)
 }
 
 // wait returns the result of a started call, or ctx's error if ctx ends
@@ -561,8 +603,8 @@ type call struct {
 type callResult struct {
 	data  []byte
 	batch [][]byte
-	raw   []byte // OpManifest: response body, verbatim
-	stats wire.Stats
+	raw   []byte      // OpManifest: response body, verbatim
+	stats *wire.Stats // OpStats
 	err   error
 }
 
@@ -783,6 +825,7 @@ func (m *muxState) send(ca *call) bool {
 			return die()
 		}
 	}
+	ops := uint64(max(len(ca.ids), 1)) // an explicit batch carries len(ids) ops
 	cc.mu.Lock()
 	if cc.broken != nil {
 		cc.mu.Unlock()
@@ -790,10 +833,10 @@ func (m *muxState) send(ca *call) bool {
 		return die()
 	}
 	m.reqID++
-	cc.pending[m.reqID] = ca
+	cc.pending[m.reqID] = ca // from here on, the reader may resolve ca
 	cc.mu.Unlock()
 	cc.cl.frames.Add(1)
-	cc.cl.ops.Add(uint64(max(len(ca.ids), 1))) // an explicit batch carries len(ids) ops
+	cc.cl.ops.Add(ops)
 	if _, err := m.bw.Write(m.frame); err != nil {
 		cc.nc.Close() // poison the conn; reader fails everything pending
 		return false
@@ -852,7 +895,8 @@ func resolve(op byte, payload []byte) (r callResult) {
 			}
 		}
 	case op == wire.OpStats:
-		r.stats, err = wire.ParseStats(body)
+		r.stats = new(wire.Stats)
+		*r.stats, err = wire.ParseStats(body)
 	case op == wire.OpManifest:
 		r.raw = append([]byte(nil), body...)
 	} // OpWrite, OpWriteBatch, OpMigrate: an OK status is the whole answer

@@ -518,6 +518,7 @@ func TestClusterConcurrentMigration(t *testing.T) {
 // node frames plus the gather's flat per-call arrays (the goroutine-per-
 // group scatter made 75 for the ReadBatch row and 88 for the WriteBatch);
 // a single op costs exactly what a direct Client.Read to its node does.
+// Last measured: ReadBatch(16) 44, WriteBatch(16) 38, Read 4.
 func TestClusterBatchAllocs(t *testing.T) {
 	a, b := startClusterPair(t, ShardedStoreConfig{Blocks: 1 << 10, Shards: 2}, false)
 	defer b.stop(t)

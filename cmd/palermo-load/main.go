@@ -17,7 +17,7 @@
 //	palermo-load -dir /data/palermo               # durable WAL backend under -dir
 //	palermo-load -dir /data/palermo -verify       # reopen a -dir store and verify it
 //	palermo-load -addr 127.0.0.1:7070             # drive a palermo-server over TCP
-//	palermo-load -addr HOST:PORT -conns 4 -stamp  # pooled sockets + stamp for -verify
+//	palermo-load -addr HOST:PORT -conns 4 -stamp  # up to 4 sockets + stamp for -verify
 //	palermo-load -addr A:7070,B:7070 -stamp       # drive a cluster through DialCluster
 //
 // With -addr the generator dials a running cmd/palermo-server instead of
@@ -100,7 +100,7 @@ func main() {
 	traceFile := flag.String("trace", "", "record per-shard serving leaf traces to this JSON file (in-process mode)")
 	verify := flag.Bool("verify", false, "reopen the -dir store and verify the stamped blocks instead of generating load")
 	addr := flag.String("addr", "", "drive a remote palermo-server at HOST:PORT instead of an in-process store")
-	conns := flag.Int("conns", 1, "client connection-pool size (-addr mode)")
+	conns := flag.Int("conns", 1, "most connections the client spreads calls over; a later one carries calls only past a full window (-addr mode)")
 	stamp := flag.Bool("stamp", false, "write the deterministic verification stamp after the run (implied by -dir; with -addr it lands in the server's durable dir)")
 	flag.Parse()
 

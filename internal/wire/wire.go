@@ -22,6 +22,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -152,11 +153,22 @@ func WriteFrame(w io.Writer, op byte, reqID uint64, payload []byte) error {
 func readHeader(r io.Reader) (Frame, uint32, error) {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Frame{}, 0, io.EOF
-		}
-		return Frame{}, 0, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+		return Frame{}, 0, headerErr(err)
 	}
+	return parseHeader(hdr[:])
+}
+
+// headerErr maps a failed header read: a clean EOF between frames stays
+// io.EOF, anything else is ErrTruncated.
+func headerErr(err error) error {
+	if err == io.EOF {
+		return io.EOF
+	}
+	return fmt.Errorf("%w: header: %v", ErrTruncated, err)
+}
+
+// parseHeader validates the HeaderLen bytes of hdr.
+func parseHeader(hdr []byte) (Frame, uint32, error) {
 	if got := binary.BigEndian.Uint16(hdr[0:2]); got != Magic {
 		return Frame{}, 0, fmt.Errorf("%w: got 0x%04x", ErrBadMagic, got)
 	}
@@ -225,19 +237,28 @@ func (bp *BufPool) Put(fb *FrameBuf) {
 	bp.p.Put(fb)
 }
 
-// ReadFrameBuf is ReadFrame with pooled payload storage: the returned
-// frame's payload aliases fb.B, and the caller must Put fb back once the
-// payload is dead. fb is nil exactly when err is non-nil or the payload
-// is empty.
-func ReadFrameBuf(r io.Reader, pool *BufPool) (f Frame, fb *FrameBuf, err error) {
-	f, n, err := readHeader(r)
+// ReadFrameBuf is ReadFrame with pooled payload storage and no allocation
+// of its own: the header is parsed where it sits in br's buffer, and the
+// returned frame's payload aliases fb.B, which the caller must Put back
+// once the payload is dead. fb is nil exactly when err is non-nil or the
+// payload is empty.
+func ReadFrameBuf(br *bufio.Reader, pool *BufPool) (f Frame, fb *FrameBuf, err error) {
+	hdr, err := br.Peek(HeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, nil, headerErr(err)
+	}
+	f, n, err := parseHeader(hdr)
+	br.Discard(HeaderLen) // cannot fail: Peek buffered HeaderLen bytes
 	if err != nil {
 		return Frame{}, nil, err
 	}
 	if n > 0 {
 		fb = pool.Get(int(n))
 		fb.B = fb.B[:n]
-		if _, err := io.ReadFull(r, fb.B); err != nil {
+		if _, err := io.ReadFull(br, fb.B); err != nil {
 			pool.Put(fb)
 			return Frame{}, nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -35,34 +36,48 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameErrors(t *testing.T) {
 	good := AppendFrame(nil, OpRead, 1, AppendReadReq(nil, 5))
-
-	// Clean EOF between frames is io.EOF, not a typed corruption error.
-	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
-		t.Fatalf("empty stream: %v", err)
-	}
-	// Truncation inside the header and inside the payload.
-	for _, cut := range []int{1, HeaderLen - 1, HeaderLen + 3} {
-		if _, err := ReadFrame(bytes.NewReader(good[:cut])); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut at %d: %v", cut, err)
+	// The allocating decoder and the pooled one over a bufio stream
+	// classify every stream alike.
+	var pool BufPool
+	for name, read := range map[string]func([]byte) error{
+		"ReadFrame": func(b []byte) error {
+			_, err := ReadFrame(bytes.NewReader(b))
+			return err
+		},
+		"ReadFrameBuf": func(b []byte) error {
+			_, fb, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(b)), &pool)
+			pool.Put(fb)
+			return err
+		},
+	} {
+		// Clean EOF between frames is io.EOF, not a typed corruption error.
+		if err := read(nil); err != io.EOF {
+			t.Fatalf("%s: empty stream: %v", name, err)
 		}
-	}
-	// Corrupt magic.
-	bad := append([]byte(nil), good...)
-	bad[0] = 'X'
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
-		t.Fatal("bad magic accepted")
-	}
-	// Unsupported version.
-	bad = append([]byte(nil), good...)
-	bad[2] = 9
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadVersion) {
-		t.Fatal("bad version accepted")
-	}
-	// Oversized length field must be rejected before any allocation.
-	bad = append([]byte(nil), good...)
-	binary.BigEndian.PutUint32(bad[12:16], MaxPayload+1)
-	if _, err := ReadFrame(bytes.NewReader(bad)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatal("oversized length accepted")
+		// Truncation inside the header and inside the payload.
+		for _, cut := range []int{1, HeaderLen - 1, HeaderLen + 3} {
+			if err := read(good[:cut]); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s: cut at %d: %v", name, cut, err)
+			}
+		}
+		// Corrupt magic.
+		bad := append([]byte(nil), good...)
+		bad[0] = 'X'
+		if err := read(bad); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%s: bad magic accepted", name)
+		}
+		// Unsupported version.
+		bad = append([]byte(nil), good...)
+		bad[2] = 9
+		if err := read(bad); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("%s: bad version accepted", name)
+		}
+		// Oversized length field must be rejected before any allocation.
+		bad = append([]byte(nil), good...)
+		binary.BigEndian.PutUint32(bad[12:16], MaxPayload+1)
+		if err := read(bad); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("%s: oversized length accepted", name)
+		}
 	}
 	if err := WriteFrame(io.Discard, OpRead, 1, make([]byte, MaxPayload+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatal("oversized write accepted")
@@ -217,11 +232,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("PL\x01\x01garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
+		var pool BufPool
+		pooled, _, errBuf := ReadFrameBuf(bufio.NewReader(bytes.NewReader(data)), &pool)
+		if kind(err) != kind(errBuf) {
+			t.Fatalf("the decoders disagree: ReadFrame %v, ReadFrameBuf %v", err, errBuf)
+		}
 		if err != nil {
 			if err != io.EOF && !strings.HasPrefix(err.Error(), "wire: ") {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
+		}
+		if pooled.Op != fr.Op || pooled.ReqID != fr.ReqID || !bytes.Equal(pooled.Payload, fr.Payload) {
+			t.Fatalf("the decoders disagree: ReadFrame %+v, ReadFrameBuf %+v", fr, pooled)
 		}
 		// Whatever op the frame claims, every payload parser must be total.
 		ParseReadReq(fr.Payload)
@@ -234,6 +257,15 @@ func FuzzDecodeFrame(f *testing.F) {
 			ParseStats(body)
 		}
 	})
+}
+
+// kind returns the sentinel a decode error wraps: io.EOF, one of the typed
+// errors, or nil.
+func kind(err error) error {
+	if w := errors.Unwrap(err); w != nil {
+		return w
+	}
+	return err
 }
 
 // FuzzPayloadRoundTrip checks encode∘decode is the identity over all op
@@ -315,25 +347,58 @@ func BenchmarkReadFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkReadFrameBuf is the pooled receive path netserve runs: the
-// payload buffer is recycled frame to frame (allocs/op must drop to ~0
-// against BenchmarkReadFrame).
+// BenchmarkReadFrameBuf is the pooled receive path the client and
+// netserve run: the header is parsed in the bufio buffer and the payload
+// buffer is recycled frame to frame (TestReadFrameBufAllocs pins 0
+// allocs/op).
 func BenchmarkReadFrameBuf(b *testing.B) {
 	one := AppendFrame(nil, OpWrite, 7, AppendWriteReq(nil, 42, make([]byte, BlockBytes)))
-	stream := bytes.Repeat(one, 1024)
-	r := bytes.NewReader(stream)
+	next := frameStream(one)
 	var pool BufPool
 	b.SetBytes(int64(len(one)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r.Len() < len(one) {
-			r.Reset(stream)
-		}
-		_, fb, err := ReadFrameBuf(r, &pool)
+		_, fb, err := ReadFrameBuf(next(), &pool)
 		if err != nil {
 			b.Fatal(err)
 		}
 		pool.Put(fb)
+	}
+}
+
+// TestReadFrameBufAllocs: once its pool is warm, the pooled receive path
+// allocates nothing per frame, header included.
+func TestReadFrameBufAllocs(t *testing.T) {
+	one := AppendFrame(nil, OpWrite, 7, AppendWriteReq(nil, 42, make([]byte, BlockBytes)))
+	next := frameStream(one)
+	var pool BufPool
+	read := func() {
+		_, fb, err := ReadFrameBuf(next(), &pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(fb)
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+		t.Errorf("ReadFrameBuf allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// frameStream returns a function that yields a bufio stream of copies of
+// one frame, rewinding it to the start before it runs dry.
+func frameStream(one []byte) func() *bufio.Reader {
+	stream := bytes.Repeat(one, 1024)
+	r := bytes.NewReader(stream)
+	br := bufio.NewReader(r)
+	return func() *bufio.Reader {
+		if r.Len()+br.Buffered() < len(one) {
+			r.Reset(stream)
+			br.Reset(r)
+		}
+		return br
 	}
 }
