@@ -1,5 +1,5 @@
-// Package blockfile is the paged direct-I/O block-state backend: sealed
-// blocks live in a fixed-slot file addressed by shard-local id (slot
+// Package blockfile is the paged block-state backend: sealed blocks
+// live in a fixed-slot file addressed by shard-local id (slot
 // offset = id × SlotBytes), and the append-only log holds only tiny
 // metadata records — so checkpoint compaction rewrites the metadata
 // snapshot alone, never the payloads, and capacity is disk-bound instead
@@ -16,34 +16,37 @@
 //	meta.log    core log of 20-byte records: local | epoch | crc32
 //	meta.snap   core envelope with no payload section
 //
-// blocks.dat is opened with O_DIRECT where the filesystem supports it
-// (buffered fallback elsewhere — same format, so directories move
-// between modes freely). Slot writes are issued as vectored pwrites:
-// runs of consecutive locals coalesce into single sector-aligned
-// WriteAt calls, and GetMany preads coalesce the same way.
+// blocks.dat is opened buffered: a resident slot is read from the
+// kernel's page cache, and a slot write is a copy into it. Runs of
+// consecutive locals coalesce into single WriteAt calls, and GetMany
+// preads coalesce the same way. The group commit's data sync writes the
+// group's dirty pages back together, at whatever queue depth the device
+// accepts (DESIGN.md §12).
 //
-// Write protocol: each Put pwrites the slot, then appends a metadata
-// record naming (local, epoch); a group commit syncs blocks.dat before
-// meta.log, so a durable log record always implies a durable slot. A
-// record with local == backend.EpochReserveLocal is an epoch
-// reservation: before any slot carrying epoch e > reserved is pwritten,
-// a reservation for e + reserveChunk is appended and fsynced. Every
-// epoch the disk could ever have observed — including in a slot a power
-// loss tore mid-sector — is therefore bounded by a durable reservation,
-// and recovery can discard torn slots whole without trusting their
-// epoch fields, while the restored sealer skips past the reservation so
-// no observed IV is ever reused.
+// Write protocol: each Put pwrites the slot and holds a metadata record
+// naming (local, epoch) in memory. A group commit syncs blocks.dat, then
+// writes the held records to meta.log in one write, then syncs meta.log.
+// No record reaches the log file before its slot is synced, so a durable
+// log record always implies a durable slot. A record with
+// local == backend.EpochReserveLocal is an epoch reservation: before any
+// slot carrying epoch e > reserved is pwritten, a reservation for
+// e + reserveChunk is committed to the log. Every epoch the disk could
+// ever have observed — including in a slot a power loss tore mid-sector
+// — is therefore bounded by a durable reservation, and recovery can
+// discard torn slots whole without trusting their epoch fields, while
+// the restored sealer skips past the reservation so no observed IV is
+// ever reused.
 //
 // Recovery on Open replays the metadata log, then scans every slot header
 // against it. A valid slot whose epoch exceeds both the checkpoint and
 // its last logged record is an orphan: its pwrite completed but the
-// crash took the buffered log record — the slot itself is the durable
-// evidence, so recovery synthesizes its tail op, ordered by epoch (the
-// per-shard sealing counter is a monotone LSN: epoch order is submission
-// order). Torn or stale slots are zeroed — discarded whole, never served
-// half-written — under the covering reservation. Wrong-key reopens are
-// rejected above this layer by the shard's checkpoint decode, as with
-// the WAL.
+// crash took the record held for the commit — the slot itself is the
+// durable evidence, so recovery synthesizes its tail op, ordered by
+// epoch (the per-shard sealing counter is a monotone LSN: epoch order is
+// submission order). Torn or stale slots are zeroed — discarded whole,
+// never served half-written — under the covering reservation. Wrong-key
+// reopens are rejected above this layer by the shard's checkpoint
+// decode, as with the WAL.
 //
 // The slot file stores exactly the view the untrusted storage of the
 // paper's §VI threat model already observes — (local id, ciphertext,
@@ -53,7 +56,6 @@
 package blockfile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -80,8 +82,8 @@ const (
 	// ~1/4096 of an fsync per write.
 	reserveChunk = 4096
 
-	// maxRunSlots caps one coalesced read/write run (and the aligned
-	// scratch buffer) at 64 KiB.
+	// maxRunSlots caps one coalesced read/write run (and the scratch
+	// buffer it is staged in) at 64 KiB.
 	maxRunSlots = 128
 
 	// maxSlots bounds accepted locals: matches the store's 2^40-block
@@ -102,9 +104,6 @@ type Options struct {
 	// (default durable.DefaultGroupCommit, the WAL's cadence; 1 =
 	// synchronous durability for every write).
 	GroupCommit int
-	// NoDirect forces buffered I/O even where O_DIRECT is available
-	// (benchmark comparisons; the format is identical).
-	NoDirect bool
 }
 
 // Backend is a durable paged block-state backend over one directory.
@@ -112,16 +111,15 @@ type Backend struct {
 	dir string
 	opt Options
 
-	dataF  *os.File // blocks.dat, O_DIRECT when supported
-	direct bool
-	logF   *os.File
-	lockF  *os.File
-	bw     *bufio.Writer
+	dataF *os.File // blocks.dat
+	logF  *os.File
+	lockF *os.File
+	recs  []byte // framed records held until the commit's data sync
 
 	present []uint64 // bitmap of stored slots (the only per-block RAM)
 	count   int
 
-	scratch []byte // sector-aligned I/O buffer, maxRunSlots slots
+	scratch []byte // slot I/O buffer, maxRunSlots slots
 
 	reserved uint64 // highest durably reserved sealing epoch
 
@@ -149,8 +147,8 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if err := b.load(); err != nil {
 		return nil, b.fail(err) // closes what was opened, releases the lock
 	}
-	b.scratch = alignedBuf(maxRunSlots * SlotBytes)
-	b.bw = bufio.NewWriterSize(b.logF, b.opt.GroupCommit*recSize+recSize)
+	b.scratch = make([]byte, maxRunSlots*SlotBytes)
+	b.recs = make([]byte, 0, (b.opt.GroupCommit+1)*recSize)
 	return b, nil
 }
 
@@ -198,15 +196,17 @@ func (b *Backend) load() error {
 		b.tail = append(b.tail, backend.TailOp{Local: backend.EpochReserveLocal, Epoch: maxReserve})
 	}
 	b.reserved = max(maxReserve, b.metaEpoch)
-	b.dataF, b.direct, err = openDataFile(b.path(dataName), b.opt.NoDirect)
+	b.dataF, err = os.OpenFile(b.path(dataName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("blockfile: %w", err)
 	}
 	return nil
 }
 
-// Direct reports whether the slot file is open with O_DIRECT.
-func (b *Backend) Direct() bool { return b.direct }
+// Direct reports false: the slot file is always opened buffered.
+//
+// Deprecated: kept only for callers that still report the I/O mode.
+func (b *Backend) Direct() bool { return false }
 
 func (b *Backend) path(name string) string { return filepath.Join(b.dir, name) }
 
@@ -332,7 +332,7 @@ func (b *Backend) readRun(locals []uint64, out []backend.Sealed, ok []bool) {
 }
 
 // Put implements backend.Backend: a vector of one — reserve the epoch if
-// needed, pwrite the slot, append the metadata record, and commit per the
+// needed, pwrite the slot, hold the metadata record, and commit per the
 // group-commit policy.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 	one := [1]backend.PutOp{{Local: local, Sb: sb}}
@@ -340,9 +340,10 @@ func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 }
 
 // PutMany implements backend.VectorBackend: slots are written as
-// vectored pwrites (runs of consecutive locals in one aligned WriteAt),
-// then the metadata records append in op order. Duplicates within the
-// vector land last-writer-wins because runs are issued in scan order.
+// vectored pwrites (runs of consecutive locals in one WriteAt), then the
+// metadata records are held in op order until the commit. Duplicates
+// within the vector land last-writer-wins because runs are issued in
+// scan order.
 // The vector counts len(ops) records toward the group-commit policy,
 // exactly like the WAL.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
@@ -375,9 +376,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		start = end
 	}
 	for _, op := range ops {
-		if err := b.appendRecord(op.Local, op.Sb.Epoch); err != nil {
-			return err
-		}
+		b.appendRecord(op.Local, op.Sb.Epoch)
 	}
 	b.pending += len(ops)
 	if b.pending >= b.opt.GroupCommit {
@@ -391,9 +390,9 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	return nil
 }
 
-// writeRun pwrites one consecutive-locals run as a single aligned
-// WriteAt. A failed slot write is non-recoverable (the file may hold a
-// partial run), so it wedges the backend.
+// writeRun pwrites one consecutive-locals run as a single WriteAt. A
+// failed slot write is non-recoverable (the file may hold a partial
+// run), so it wedges the backend.
 func (b *Backend) writeRun(ops []backend.PutOp) error {
 	buf := b.scratch[:len(ops)*SlotBytes]
 	for i, op := range ops {
@@ -415,13 +414,9 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 		return nil
 	}
 	r := epoch + reserveChunk
-	if err := b.appendRecord(backend.EpochReserveLocal, r); err != nil {
-		return err
-	}
-	// Full commit ordering (data before log): records already buffered
-	// ahead of the reservation become durable here, and their slots
-	// must be durable first — a durable log record always implies a
-	// durable slot.
+	b.appendRecord(backend.EpochReserveLocal, r)
+	// The full commit: records held ahead of the reservation reach the
+	// log with it, after their slots are synced.
 	if err := b.commit(); err != nil {
 		return err
 	}
@@ -429,27 +424,31 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 	return nil
 }
 
-// appendRecord frames and buffers one metadata record.
-func (b *Backend) appendRecord(local, epoch uint64) error {
+// appendRecord frames one metadata record and holds it for the commit.
+func (b *Backend) appendRecord(local, epoch uint64) {
 	var rec [recSize]byte
 	durable.Frame(rec[:], local, epoch, nil)
-	if _, err := b.bw.Write(rec[:]); err != nil {
-		return b.fail(fmt.Errorf("blockfile: %w", err))
-	}
-	return nil
+	b.recs = append(b.recs, rec[:]...)
 }
 
-// commit completes one group-commit batch: flush buffered records, sync
-// the slot file, then the log — in that order, so a record never
-// becomes durable before its slot data.
+// syncFile is the commit's fsync; a variable so a test can observe it.
+var syncFile = durable.TimedSync
+
+// commit completes one group-commit batch: sync the slot file, write the
+// held records in one write, then sync the log. No record reaches the
+// log file before its slot is synced, so the kernel can never write a
+// record back ahead of the slot it names.
 func (b *Backend) commit() error {
-	if err := b.bw.Flush(); err != nil {
+	if err := syncFile(&b.Fsync, b.dataF); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
-	if err := durable.TimedSync(&b.Fsync, b.dataF); err != nil {
-		return b.fail(fmt.Errorf("blockfile: %w", err))
+	if len(b.recs) > 0 {
+		if _, err := b.logF.Write(b.recs); err != nil {
+			return b.fail(fmt.Errorf("blockfile: %w", err))
+		}
+		b.recs = b.recs[:0]
 	}
-	if err := durable.TimedSync(&b.Fsync, b.logF); err != nil {
+	if err := syncFile(&b.Fsync, b.logF); err != nil {
 		return b.fail(fmt.Errorf("blockfile: %w", err))
 	}
 	b.pending = 0
@@ -490,7 +489,6 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	}
 	b.logF.Close()
 	b.logF = f
-	b.bw.Reset(f)
 	b.pending = 0
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
@@ -547,7 +545,7 @@ func (b *Backend) fail(err error) error {
 // scanSlots walks every slot header against the recovered log, building
 // the presence bitmap and collecting orphans — valid slots whose epoch
 // exceeds both the checkpoint and their last logged record (the pwrite
-// landed; the crash took the buffered record). Torn slots, and slots
+// landed; the crash took the held record). Torn slots, and slots
 // stale relative to an acknowledged logged write, are zeroed: discarded
 // whole under the covering reservation.
 func (b *Backend) scanSlots(recs []backend.TailOp) ([]backend.TailOp, error) {

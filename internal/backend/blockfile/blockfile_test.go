@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"palermo/internal/backend"
+	"palermo/internal/backend/durable"
 	"palermo/internal/crypt"
 )
 
@@ -22,9 +23,9 @@ func mustOpen(t *testing.T, dir string, opt Options) *Backend {
 	return b
 }
 
-// crash simulates kill -9: every issued pwrite (slot WriteAt, flushed
-// log bytes) survives in the page cache, while records still buffered
-// in userspace are lost with the process.
+// crash simulates kill -9: every issued pwrite (slot WriteAt, committed
+// log bytes) survives in the page cache, while records held for the next
+// commit are lost with the process.
 func crash(b *Backend) {
 	b.logF.Close()
 	b.dataF.Close()
@@ -491,13 +492,47 @@ func TestValidateAndClosedErrors(t *testing.T) {
 	}
 }
 
-// TestBufferedAndDirectInterchange: a directory written with buffered
-// I/O reopens under the default (possibly O_DIRECT) mode and vice
-// versa — the format is identical.
-func TestBufferedAndDirectInterchange(t *testing.T) {
+// TestCommitSyncsSlotsBeforeRecords: a log record must never reach the
+// log file before its slot is synced, or the kernel may write the record
+// back first and a power loss leaves a durable record over a stale slot.
+// Whenever blocks.dat is synced, meta.log must still end where the
+// previous commit left it.
+func TestCommitSyncsSlotsBeforeRecords(t *testing.T) {
 	dir := t.TempDir()
-	b := mustOpen(t, dir, Options{NoDirect: true})
-	for i := uint64(0); i < 6; i++ {
+	logPath := filepath.Join(dir, logName)
+	logSize := func() int64 {
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	b := mustOpen(t, dir, Options{GroupCommit: 4})
+	committed := logSize()
+	dataSyncs := 0
+	real := syncFile
+	syncFile = func(s *durable.Fsync, f *os.File) error {
+		if filepath.Base(f.Name()) == dataName {
+			dataSyncs++
+			if got := logSize(); got != committed {
+				t.Errorf("data sync %d: meta.log is %d bytes, want %d (records written before their slots were synced)", dataSyncs, got, committed)
+			}
+			return real(s, f)
+		}
+		err := real(s, f)
+		committed = logSize()
+		return err
+	}
+	defer func() { syncFile = real }()
+
+	ops := make([]backend.PutOp, 8) // twice GroupCommit in one vector
+	for i := range ops {
+		ops[i] = backend.PutOp{Local: uint64(i), Sb: backend.Sealed{Ct: ct(byte(i)), Epoch: uint64(i) + 1}}
+	}
+	if err := b.PutMany(ops); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(8); i < 20; i++ {
 		if err := b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -505,14 +540,11 @@ func TestBufferedAndDirectInterchange(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := mustOpen(t, dir, Options{})
-	t.Logf("reopened direct=%v", r.Direct())
-	for i := uint64(0); i < 6; i++ {
-		if sb, ok := r.Get(i); !ok || !bytes.Equal(sb.Ct, ct(byte(i))) {
-			t.Fatalf("block %d lost across I/O-mode switch", i)
-		}
+	// 20 write records and the one reservation the first epoch took.
+	if got, want := logSize(), int64(headerSize+21*recSize); got != want {
+		t.Fatalf("meta.log is %d bytes, want %d", got, want)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
+	if dataSyncs < 5 {
+		t.Fatalf("%d data syncs, want one per commit (at least 5)", dataSyncs)
 	}
 }

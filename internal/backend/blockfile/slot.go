@@ -8,9 +8,8 @@ import (
 	"palermo/internal/crypt"
 )
 
-// SlotBytes is the fixed on-disk slot size: one logical disk sector, the
-// alignment and torn-write granularity of direct I/O. A block's slot
-// offset is local × SlotBytes, so addressing needs no index structure
+// SlotBytes is the fixed on-disk slot size: one logical disk sector. A
+// block's slot offset is local × SlotBytes, so addressing needs no index structure
 // and a slot rewrite never touches a neighbor.
 const SlotBytes = 512
 

@@ -31,7 +31,7 @@ func StoreFlags(fs *flag.FlagSet) func() (palermo.ShardedStoreConfig, error) {
 	fs.Uint64Var(&c.Seed, "seed", 1, "base seed (store shards, and palermo-load's client streams, derive from it)")
 	fs.IntVar(&c.QueueDepth, "queue", 0, "per-shard queue depth (0 = default)")
 	fs.StringVar(&c.Dir, "dir", "", "durable store directory (selects a durable engine; see -engine)")
-	fs.StringVar(&c.Engine, "engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged direct-I/O slots); reopen auto-detects from the manifest`)
+	fs.StringVar(&c.Engine, "engine", "", `storage engine with -dir: "wal" (default) or "blockfile" (paged slot file); reopen auto-detects from the manifest`)
 	fs.IntVar(&c.GroupCommit, "group-commit", 0, "durable-log appends per fsync batch (0 = default)")
 	fs.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "writes between WAL compaction checkpoints (0 = default, <0 disables)")
 	fs.DurationVar(&c.AdmissionDeadline, "admission", 0, "overload-shedding admission deadline: queued requests older than this are dropped with a retry status (0 = never shed)")

@@ -64,8 +64,9 @@ const (
 	// already observes.
 	BackendWAL = "wal"
 	// BackendBlockfile persists sealed blocks to Dir as fixed 512-byte
-	// slots in a paged block file (direct I/O where available), with an
-	// append-only log carrying only tiny metadata records. Same §7
+	// slots in a paged block file read and written through the OS page
+	// cache, with an append-only log carrying only tiny metadata records,
+	// each written after its slot is synced. Same §7
 	// crash-recovery discipline as BackendWAL — torn slots are discarded
 	// whole under covering epoch reservations, wrong-key reopens are
 	// rejected — but checkpoint compaction is O(metadata) instead of
