@@ -15,16 +15,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"palermo"
-	"palermo/internal/loadgen"
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3, 4, 9, 10, 11, 12, 13, 14a, 14b, 15, tab2, tab3, ablations, tenants, openloop")
+	fig := flag.String("fig", "", "figure to regenerate: 3, 4, 9, 10, 11, 12, 13, 14a, 14b, 15, tab2, tab3, ablations, tenants")
 	all := flag.Bool("all", false, "regenerate every figure and table")
 	requests := flag.Int("requests", 800, "measured ORAM requests per data point")
 	run := flag.String("run", "", "single run as Protocol:workload (e.g. Palermo:llm)")
@@ -35,6 +32,15 @@ func main() {
 
 	o := palermo.Options{Requests: *requests, Seed: *seed, Workers: *parallel}
 	csvOut = *asCSV
+	if csvOut && (*all || *run != "" || textOnly[*fig]) {
+		what := "figure " + *fig
+		if *all {
+			what = "-all"
+		} else if *run != "" {
+			what = "-run"
+		}
+		fatal(fmt.Errorf("-csv covers figures 3, 4, 9, 10, 11, 12, 13, 14a and 14b only, not %s", what))
+	}
 
 	if *run != "" {
 		if err := single(*run, o); err != nil {
@@ -43,7 +49,7 @@ func main() {
 		return
 	}
 	if *all {
-		for _, f := range []string{"tab2", "tab3", "3", "4", "9", "10", "11", "12", "13", "14a", "14b", "15", "ablations", "tenants", "openloop"} {
+		for _, f := range []string{"tab2", "tab3", "3", "4", "9", "10", "11", "12", "13", "14a", "14b", "15", "ablations", "tenants"} {
 			if err := figure(f, o); err != nil {
 				fatal(err)
 			}
@@ -95,6 +101,9 @@ func single(spec string, o palermo.Options) error {
 // csvOut selects CSV emission (set from the -csv flag).
 var csvOut bool
 
+// textOnly names the figures that have no CSV form.
+var textOnly = map[string]bool{"15": true, "tab2": true, "tab3": true, "ablations": true, "tenants": true}
+
 // csvAble is a result that can render both as a text table and as CSV.
 type csvAble interface {
 	fmt.Stringer
@@ -106,81 +115,6 @@ func emit(r csvAble) error {
 		return r.CSV(os.Stdout)
 	}
 	fmt.Println(r)
-	return nil
-}
-
-// openLoopBench is the coordinated-omission sweep: measure the store's
-// closed-loop saturation throughput, then drive fresh stores open-loop
-// at offered rates spanning saturation (0.5x to 2x) and print the
-// intended-send-time latency curve plus the overload-shedding response.
-// Each rate gets a fresh store so every percentile is run-exact (never
-// lifetime-weighted), and the admission deadline keeps the overloaded
-// points shedding instead of queueing without bound — the admitted ops'
-// p99 stays bounded while the shed count carries the excess.
-func openLoopBench(o palermo.Options) error {
-	const (
-		blocks    = 1 << 16
-		shards    = 4
-		perRate   = 1500 * time.Millisecond
-		admission = 200 * time.Microsecond
-		queue     = 8
-	)
-	// Open-loop clients issue synchronously, so each contributes at most
-	// one outstanding operation: offering genuine overload needs many
-	// more clients than the closed-loop sweeps use. The shallow queue +
-	// tight admission deadline make the overloaded points shed (bounded
-	// queue wait for admitted ops) instead of queueing without bound.
-	clients := runtime.GOMAXPROCS(0) * 8
-	if clients < 64 {
-		clients = 64
-	}
-	newStore := func() (*palermo.ShardedStore, error) {
-		return palermo.NewShardedStore(palermo.ShardedStoreConfig{
-			Blocks: blocks, Shards: shards, Seed: o.Seed,
-			QueueDepth: queue, AdmissionDeadline: admission,
-		})
-	}
-
-	// Closed-loop saturation reference: self-clocking clients going as
-	// fast as completions allow. Its throughput anchors the sweep and its
-	// p99 is the number coordinated omission flatters.
-	st, err := newStore()
-	if err != nil {
-		return err
-	}
-	res, err := loadgen.Run(st, loadgen.Options{
-		Clients: clients, Ops: o.Requests * 4, ReadRatio: 0.9, Batch: 1, Seed: o.Seed,
-	})
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	sat := res.OpsPerSec()
-	closedP99 := res.Stats.ReadLat.P99Us
-	fmt.Printf("closed-loop saturation %9.0f ops/sec (read p99 %.0fµs, %d clients, admission %v)\n",
-		sat, closedP99, clients, admission)
-	fmt.Printf("%8s %12s %12s %10s %22s\n", "offered", "rate", "achieved", "shed", "read p99 intended (µs)")
-	for _, mul := range []float64{0.5, 0.9, 1.2, 2.0} {
-		rate := sat * mul
-		st, err := newStore()
-		if err != nil {
-			return err
-		}
-		r, err := loadgen.Run(st, loadgen.Options{
-			Clients: clients, Duration: perRate, ReadRatio: 0.9, Batch: 1,
-			Rate: rate, Seed: o.Seed,
-		})
-		if cerr := st.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		_, p99 := loadgen.FormatRunLat(r.RunReadLat, r.ReadOverflow)
-		fmt.Printf("  %.2fx %12.0f %12.0f %10d %22s\n", mul, rate, r.AchievedRate, r.ShedOps, p99)
-	}
 	return nil
 }
 
@@ -220,8 +154,6 @@ func figure(f string, o palermo.Options) error {
 		return nil
 	case "ablations":
 		return ablations(o)
-	case "openloop":
-		return openLoopBench(o)
 	case "tenants":
 		t, err := palermo.TenantIsolation(o)
 		if err != nil {

@@ -1,6 +1,7 @@
 // Command palermo-load is a load generator for the sharded oblivious
 // store service: N client goroutines issue read/write requests against
-// palermo.ShardedStore and the tool reports ops/sec plus latency
+// an in-process palermo.ShardedStore, a palermo-server or a cluster of
+// them, and the tool reports ops/sec plus latency
 // percentiles — the throughput-vs-parallelism scalability methodology of
 // the ThunderX2 HPC study applied to the serving path.
 //
@@ -21,23 +22,25 @@
 //	palermo-load -addr A:7070,B:7070 -stamp       # drive a cluster through DialCluster
 //
 // With -addr the generator dials a running cmd/palermo-server instead of
-// building an in-process store: the same closed-loop workload runs over
-// real sockets through palermo.Client (request pipelining, one frame per
-// call), and the perf record is written as
-// BENCH_net.json instead of BENCH_load.json — so the network tax over the
-// in-process numbers is one diff away. Comma-separated addresses select
-// the cluster-routing client instead: every id is routed to its owning
-// node via the placement manifest, batches scatter/gather across nodes,
-// live migrations mid-run are ridden out transparently, and the record
-// becomes BENCH_cluster.json. Store geometry (shards, blocks,
-// durable dir) belongs to the server in this mode; the handshake reports
-// it back. Counters are snapshotted before and after the run and recorded
-// as deltas, so driving a long-lived server (whose cumulative stats span
+// building an in-process store: palermo.Client carries the workload over
+// real sockets (request pipelining, one frame per call), and the perf
+// record is written as BENCH_net.json instead of BENCH_load.json — so the
+// network tax over the in-process numbers is one diff away.
+// Comma-separated addresses select the cluster-routing client instead:
+// every id is routed to its owning node via the placement manifest,
+// batches scatter/gather across nodes, live migrations mid-run are ridden
+// out transparently, and the record becomes BENCH_cluster.json. Store
+// geometry (shards, blocks, durable dir) belongs to the server in this
+// mode; the handshake reports it back. Every target goes down one path:
+// the run, the optional stamp, Close, the printout and the record.
+// Counters are snapshotted before and after the run and recorded as
+// deltas, so driving a long-lived server (whose cumulative stats span
 // prior runs and other clients) still reports this run's work; latency
 // percentiles are exact only against a freshly started server (they
-// condense the server's lifetime histogram). -stamp writes the same deterministic verification payloads the
-// -dir mode stamps, so a durable server that is then shut down can be
-// re-verified locally with -dir/-verify (the net-smoke CI job's flow).
+// condense the server's lifetime histogram). -stamp writes the same
+// deterministic verification payloads the -dir mode stamps, so a durable
+// server that is then shut down can be re-verified locally with
+// -dir/-verify (the net-smoke CI job's flow).
 //
 // By default the clients are closed-loop: each issues its next request
 // when the previous completes, so the measured latency coordinates with
@@ -45,22 +48,22 @@
 // open-loop generation: the run offers a fixed total rate on a
 // deterministic Poisson schedule and measures latency from each
 // operation's *intended* send time (the coordinated-omission
-// correction), reporting offered vs achieved rate and any operations the
-// server shed with a retry status.
+// correction), reporting offered vs achieved rate. Any run reports the
+// operations the server shed with a retry status, counted per op.
 //
 // Every run is deterministic for a given -seed: client RNG streams are
 // derived per client (open-loop arrival schedules included), and
 // per-shard ORAM sequences depend only on each shard's request
 // subsequence (arrival interleaving varies, results and obliviousness do
-// not). The workload loop itself is internal/loadgen, shared with
-// palermo-bench's serving-path figures.
+// not). The workload loop itself is internal/loadgen.
 //
 // With -dir, the run finishes with a deterministic stamp pass: payloads
 // derived from (-seed, id) are written to the first min(blocks, 1024) ids
 // before Close checkpoints the store. A second process running with the
 // same -dir/-seed/-shards/-blocks and -verify reopens the directory and
 // checks every stamped block reads back byte-identical — the
-// crash-recovery smoke CI runs on every push.
+// crash-recovery smoke CI runs on every push. A directory a cluster node
+// wrote is reopened as that node and checks the stamped ids it owns.
 package main
 
 import (
@@ -88,7 +91,7 @@ const stampBlocks = 1024
 
 func main() {
 	storeFlags := cliconf.StoreFlags(flag.CommandLine)
-	clients := flag.Int("clients", 8, "closed-loop client goroutines")
+	clients := flag.Int("clients", 8, "client goroutines")
 	ops := flag.Int("ops", 20000, "total operations across all clients (mutually exclusive with -duration)")
 	duration := flag.Duration("duration", 0, "time-bounded run length, e.g. 30s (mutually exclusive with -ops)")
 	readRatio := flag.Float64("read-ratio", 0.9, "fraction of operations that are reads")
@@ -96,7 +99,7 @@ func main() {
 	batch := flag.Int("batch", 1, "reads per ReadBatch call (1 = single-op loop)")
 	rate := flag.Float64("rate", 0, "open-loop offered load in total ops/sec (0 = closed loop; requires -batch 1)")
 	jsonDir := flag.String("json", "", "directory to write the BENCH_load.json perf record into")
-	figure := flag.String("figure", "", "override the perf-record figure name (default: load, or net with -addr)")
+	figure := flag.String("figure", "", "override the perf-record figure name (default: load; net with one -addr, cluster with several)")
 	traceFile := flag.String("trace", "", "record per-shard serving leaf traces to this JSON file (in-process mode)")
 	verify := flag.Bool("verify", false, "reopen the -dir store and verify the stamped blocks instead of generating load")
 	addr := flag.String("addr", "", "drive a remote palermo-server at HOST:PORT instead of an in-process store")
@@ -128,56 +131,38 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *addr != "" {
-		addrs := splitAddrs(*addr)
-		fig := "net"
-		if len(addrs) > 1 {
-			fig = "cluster"
-		}
-		if *figure != "" {
-			fig = *figure
-		}
-		runRemote(addrs, *conns, *clients, *ops, *duration, *readRatio, *zipf, *batch, *rate, cfg.Seed, *stamp, *jsonDir, fig)
-		return
-	}
-
 	if *verify {
 		if cfg.Dir == "" {
 			fatal(fmt.Errorf("-verify requires -dir"))
 		}
-		// A directory a cluster node wrote carries its persisted node
-		// state; verify it as that node (only its owned shards exist).
-		ns, err := cluster.LoadNodeState(cfg.Dir)
-		if err != nil {
-			fatal(err)
-		}
-		if ns != nil {
-			err = verifyClusterNode(ns, cfg)
-		} else {
-			err = verifyStore(cfg)
-		}
-		if err != nil {
+		if err := verifyDir(cfg); err != nil {
 			fatal(err)
 		}
 		return
 	}
-
-	st, err := palermo.NewShardedStore(cfg)
+	addrs := splitAddrs(*addr)
+	if *addr != "" && len(addrs) == 0 {
+		fatal(fmt.Errorf("-addr names no address"))
+	}
+	st, where, fig, err := open(cfg, addrs, *conns)
 	if err != nil {
 		fatal(err)
 	}
+	if *figure != "" {
+		fig = *figure
+	}
 	if *traceFile != "" {
-		st.EnableTraces()
+		st.(*palermo.ShardedStore).EnableTraces()
 	}
 
 	bound := fmt.Sprintf("%d ops", *ops)
 	if *duration > 0 {
 		bound = (*duration).String()
 	}
-	fmt.Printf("palermo-load: %d shards, %d clients, %s (%.0f%% reads, zipf %.2f, batch %d) over %d blocks\n",
-		st.Shards(), *clients, bound, *readRatio*100, *zipf, *batch, st.Blocks())
+	fmt.Printf("palermo-load: %s, %d shards, %d clients, %s (%.0f%% reads, zipf %.2f, batch %d) over %d blocks\n",
+		where, st.Shards(), *clients, bound, *readRatio*100, *zipf, *batch, st.Blocks())
 
-	res, err := loadgen.Run(st, loadgen.Options{
+	opts := loadgen.Options{
 		Clients:   *clients,
 		Ops:       *ops,
 		Duration:  *duration,
@@ -186,9 +171,20 @@ func main() {
 		Batch:     *batch,
 		Rate:      *rate,
 		Seed:      cfg.Seed,
-	})
+	}
+	res, err := loadgen.Run(st, opts)
 	if err != nil {
 		fatal(err)
+	}
+	metrics := loadMetrics(res, opts)
+	// Read a client's wire counters before the stamp pass, so the recorded
+	// frame statistics describe the measured workload only.
+	wireLine := ""
+	if c, ok := st.(interface{ NetStats() palermo.ClientNetStats }); ok {
+		net := c.NetStats()
+		metrics["conns"] = float64(*conns)
+		metrics["frames_sent"] = float64(net.FramesSent)
+		wireLine = fmt.Sprintf("  wire: %d frames for %d ops\n", net.FramesSent, net.Ops)
 	}
 	if cfg.Dir != "" || *stamp {
 		if err := stampTarget(st, cfg.Seed); err != nil {
@@ -196,25 +192,55 @@ func main() {
 		}
 	}
 	if *traceFile != "" {
-		if err := writeTraces(*traceFile, st); err != nil {
+		if err := writeTraces(*traceFile, st.(*palermo.ShardedStore)); err != nil {
 			fatal(err)
 		}
 	}
+	shards := st.Shards()
 	if err := st.Close(); err != nil {
 		fatal(err)
 	}
 
-	printResult(res)
+	printResult(res, opts.Rate)
+	fmt.Print(wireLine)
 	if *jsonDir != "" {
-		fig := "load"
-		if *figure != "" {
-			fig = *figure
-		}
-		if err := writeRecord(*jsonDir, fig, *ops, cfg.Seed, st.Shards(), res,
-			loadMetrics(res, *clients, *readRatio, *zipf)); err != nil {
+		if err := writeRecord(*jsonDir, fig, *ops, cfg.Seed, shards, res, metrics); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// target is a store a run drives: an in-process palermo.ShardedStore, a
+// palermo.Client (one -addr) or a palermo.ClusterClient (several).
+type target interface {
+	loadgen.Target
+	Shards() int
+	Close() error
+}
+
+// open builds the target from the store flags, or dials it when addrs is
+// not empty. It also says where the load goes and names the default perf
+// record: load, net or cluster.
+func open(cfg palermo.ShardedStoreConfig, addrs []string, conns int) (target, string, string, error) {
+	switch len(addrs) {
+	case 0:
+		st, err := palermo.NewShardedStore(cfg)
+		if err != nil {
+			return nil, "", "", err
+		}
+		return st, "in-process", "load", nil
+	case 1:
+		c, err := palermo.Dial(addrs[0], palermo.ClientConfig{Conns: conns})
+		if err != nil {
+			return nil, "", "", err
+		}
+		return c, fmt.Sprintf("remote %s over %d conns", addrs[0], conns), "net", nil
+	}
+	cc, err := palermo.DialCluster(addrs, palermo.ClientConfig{Conns: conns})
+	if err != nil {
+		return nil, "", "", err
+	}
+	return cc, fmt.Sprintf("cluster %s (epoch %d) over %d conns", strings.Join(addrs, ","), cc.Epoch(), conns), "cluster", nil
 }
 
 // writeTraces records every shard's serving leaf trace as JSON, the input
@@ -239,83 +265,6 @@ func writeTraces(path string, st *palermo.ShardedStore) error {
 	return nil
 }
 
-// remoteTarget is what runRemote needs from a dialed handle; both
-// *palermo.Client (one address) and *palermo.ClusterClient (several)
-// provide it.
-type remoteTarget interface {
-	loadgen.Target
-	Shards() int
-	NetStats() palermo.ClientNetStats
-	Close() error
-}
-
-// runRemote is the -addr mode: the identical closed-loop workload driven
-// through palermo.Client over real sockets against a running
-// cmd/palermo-server, recorded as BENCH_net.json. Several comma-separated
-// addresses dial the cluster-routing client instead (BENCH_cluster.json).
-func runRemote(addrs []string, conns, clients, ops int, duration time.Duration, readRatio, zipf float64, batch int, rate float64, seed uint64, stamp bool, jsonDir, figure string) {
-	var cl remoteTarget
-	var where string
-	if len(addrs) > 1 {
-		cc, err := palermo.DialCluster(addrs, palermo.ClientConfig{Conns: conns})
-		if err != nil {
-			fatal(err)
-		}
-		cl = cc
-		where = fmt.Sprintf("cluster %s (epoch %d)", strings.Join(addrs, ","), cc.Epoch())
-	} else {
-		c, err := palermo.Dial(addrs[0], palermo.ClientConfig{Conns: conns})
-		if err != nil {
-			fatal(err)
-		}
-		cl = c
-		where = "remote " + addrs[0]
-	}
-	bound := fmt.Sprintf("%d ops", ops)
-	if duration > 0 {
-		bound = duration.String()
-	}
-	fmt.Printf("palermo-load: %s (%d shards, %d conns), %d clients, %s (%.0f%% reads, zipf %.2f, batch %d) over %d blocks\n",
-		where, cl.Shards(), conns, clients, bound, readRatio*100, zipf, batch, cl.Blocks())
-
-	res, err := loadgen.Run(cl, loadgen.Options{
-		Clients:   clients,
-		Ops:       ops,
-		Duration:  duration,
-		ReadRatio: readRatio,
-		ZipfTheta: zipf,
-		Batch:     batch,
-		Rate:      rate,
-		Seed:      seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	// Snapshot the wire counters before the stamp pass so the recorded
-	// frame statistics describe the measured workload only.
-	net := cl.NetStats()
-	if stamp {
-		if err := stampTarget(cl, seed); err != nil {
-			fatal(err)
-		}
-	}
-	shards := cl.Shards()
-	if err := cl.Close(); err != nil {
-		fatal(err)
-	}
-
-	printResult(res)
-	fmt.Printf("  wire: %d frames for %d ops\n", net.FramesSent, net.Ops)
-	if jsonDir != "" {
-		metrics := loadMetrics(res, clients, readRatio, zipf)
-		metrics["conns"] = float64(conns)
-		metrics["frames_sent"] = float64(net.FramesSent)
-		if err := writeRecord(jsonDir, figure, ops, seed, shards, res, metrics); err != nil {
-			fatal(err)
-		}
-	}
-}
-
 // stampTarget writes the deterministic verification payloads a later
 // -verify pass recomputes. Works over both in-process stores and remote
 // clients (the stamp then lands in the server's durable dir).
@@ -330,13 +279,15 @@ func stampTarget(st loadgen.Target, seed uint64) error {
 	return nil
 }
 
-func printResult(res loadgen.Result) {
+// printResult prints a run; rate is its offered open-loop rate (0 for a
+// closed loop).
+func printResult(res loadgen.Result, rate float64) {
 	stats := res.Stats
 	fmt.Printf("  wall %.2fs  ops/sec %.0f  (%d reads, %d writes, %d dedup fan-outs)\n",
 		res.Wall.Seconds(), res.OpsPerSec(), stats.Reads, stats.Writes, stats.DedupHits)
-	if res.OfferedRate > 0 {
+	if rate > 0 {
 		fmt.Printf("  open loop: offered %.0f ops/sec, achieved %.0f (%d shed under overload)\n",
-			res.OfferedRate, res.AchievedRate, res.ShedOps)
+			rate, res.OpsPerSec(), stats.Sheds)
 		rp50, rp99 := loadgen.FormatRunLat(res.RunReadLat, res.ReadOverflow)
 		wp50, wp99 := loadgen.FormatRunLat(res.RunWriteLat, res.WriteOverflow)
 		fmt.Printf("  intended-send lat: read p50 %sµs  p99 %sµs (n=%d)  |  write p50 %sµs  p99 %sµs (n=%d)\n",
@@ -345,8 +296,8 @@ func printResult(res loadgen.Result) {
 			fmt.Printf("  %d samples at or above the %dµs histogram ceiling: a percentile printed as >= is a lower bound\n",
 				n, loadgen.LatCeilingUs)
 		}
-	} else if res.ShedOps > 0 {
-		fmt.Printf("  %d ops shed under overload (excluded from counts and latency)\n", res.ShedOps)
+	} else if stats.Sheds > 0 {
+		fmt.Printf("  %d ops shed under overload (excluded from counts and latency)\n", stats.Sheds)
 	}
 	fmt.Printf("  read  lat p50 %.0fµs  p99 %.0fµs  mean %.0fµs  (n=%d)\n",
 		stats.ReadLat.P50Us, stats.ReadLat.P99Us, stats.ReadLat.MeanUs, stats.ReadLat.N)
@@ -372,13 +323,13 @@ func printResult(res loadgen.Result) {
 	}
 }
 
-func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[string]float64 {
+func loadMetrics(res loadgen.Result, o loadgen.Options) map[string]float64 {
 	stats := res.Stats
 	m := map[string]float64{
 		"ops_per_sec":   res.OpsPerSec(),
-		"clients":       float64(clients),
-		"read_ratio":    readRatio,
-		"zipf_theta":    zipf,
+		"clients":       float64(o.Clients),
+		"read_ratio":    o.ReadRatio,
+		"zipf_theta":    o.ZipfTheta,
 		"read_p50_us":   stats.ReadLat.P50Us,
 		"read_p99_us":   stats.ReadLat.P99Us,
 		"write_p50_us":  stats.WriteLat.P50Us,
@@ -388,7 +339,7 @@ func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[s
 		"exec_p50_us":   stats.ExecLat.P50Us,
 		"exec_p99_us":   stats.ExecLat.P99Us,
 		"dedup_hits":    float64(stats.DedupHits),
-		"shed_ops":      float64(res.ShedOps),
+		"shed_ops":      float64(stats.Sheds),
 		"lines_per_op":  res.Traffic.AmplificationFactor,
 		"tree_top_hits": float64(res.Traffic.TreeTopHits),
 		"bytes_saved":   float64(res.Traffic.TreeTopHits) * palermo.BlockSize,
@@ -399,9 +350,9 @@ func loadMetrics(res loadgen.Result, clients int, readRatio, zipf float64) map[s
 		// run-exact read/write numbers.
 		m["queue_exec_lifetime"] = 1
 	}
-	if res.OfferedRate > 0 {
-		m["offered_rate"] = res.OfferedRate
-		m["achieved_rate"] = res.AchievedRate
+	if o.Rate > 0 {
+		m["offered_rate"] = o.Rate
+		m["achieved_rate"] = res.OpsPerSec()
 		m["openloop_read_p50_us"] = res.RunReadLat.P50Us
 		m["openloop_read_p99_us"] = res.RunReadLat.P99Us
 		m["openloop_write_p50_us"] = res.RunWriteLat.P50Us
@@ -439,14 +390,42 @@ func stampPayload(seed, id uint64) []byte {
 	return buf
 }
 
-// verifyStore reopens a durable store and checks the stamp pass survived:
-// every stamped block must read back byte-identical, and the recovered
-// traffic counters must show the pre-restart history.
-func verifyStore(cfg palermo.ShardedStoreConfig) (err error) {
+// verifyDir reopens a durable directory and checks the stamp pass
+// survived: every stamped block it holds must read back byte-identical,
+// and the recovered traffic counters must show the pre-restart history.
+// A directory a cluster node wrote carries its persisted node state; it
+// is reopened offline (no listener) as that node, which holds only the
+// shards its manifest assigns to it, so the ids it does not own live on
+// other nodes and are skipped — running -verify per node covers the
+// whole stamp.
+func verifyDir(cfg palermo.ShardedStoreConfig) (err error) {
 	t0 := time.Now()
-	st, err := palermo.NewShardedStore(cfg)
+	ns, err := cluster.LoadNodeState(cfg.Dir)
 	if err != nil {
 		return err
+	}
+	var st interface {
+		Blocks() uint64
+		Read(id uint64) ([]byte, error)
+		Traffic() palermo.TrafficReport
+		Close() error
+	}
+	owns := func(uint64) bool { return true }
+	where := "store " + cfg.Dir
+	if ns == nil {
+		if st, err = palermo.NewShardedStore(cfg); err != nil {
+			return err
+		}
+	} else {
+		// Geometry is the manifest's, not the flags' (the flag defaults are
+		// for standalone stores and need not match this cluster).
+		cfg.Blocks, cfg.Shards = 0, 0
+		node, err := palermo.NewClusterNode(palermo.ClusterNodeConfig{Addr: ns.Addr, Store: cfg}, ns.Manifest)
+		if err != nil {
+			return err
+		}
+		st, owns = node, node.Owns
+		where = fmt.Sprintf("node %s (epoch %d, shards %v)", ns.Addr, node.Epoch(), node.OwnedShards())
 	}
 	defer func() {
 		if cerr := st.Close(); err == nil && cerr != nil {
@@ -455,53 +434,15 @@ func verifyStore(cfg palermo.ShardedStoreConfig) (err error) {
 	}()
 	rep := st.Traffic()
 	if rep.Writes == 0 {
-		return fmt.Errorf("verify: reopened store recovered zero writes — nothing persisted in %s", cfg.Dir)
+		return fmt.Errorf("verify: reopened %s recovered zero writes — nothing persisted", where)
 	}
 	n := stampCount(st.Blocks())
-	for id := uint64(0); id < n; id++ {
-		got, err := st.Read(id)
-		if err != nil {
-			return fmt.Errorf("verify: read of stamped block %d: %w", id, err)
-		}
-		if want := stampPayload(cfg.Seed, id); !bytes.Equal(got, want) {
-			return fmt.Errorf("verify: stamped block %d diverged after recovery", id)
-		}
-	}
-	fmt.Printf("palermo-load: verified %d stamped blocks in %.2fs (recovered history: %d reads, %d writes, stash peak %d)\n",
-		n, time.Since(t0).Seconds(), rep.Reads, rep.Writes, rep.StashPeak)
-	return nil
-}
-
-// verifyClusterNode reopens one cluster node's directory offline (no
-// listener) and checks every stamped block among the shards the node's
-// persisted manifest assigns to it. Ids the node does not own live on
-// other nodes and are skipped — each node's directory verifies its own
-// slice, and running -verify per node covers the whole stamp.
-func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig) (err error) {
-	t0 := time.Now()
-	// Geometry is the manifest's, not the flags' (the flag defaults are
-	// for standalone stores and need not match this cluster).
-	cfg.Blocks, cfg.Shards = 0, 0
-	node, err := palermo.NewClusterNode(palermo.ClusterNodeConfig{Addr: ns.Addr, Store: cfg}, ns.Manifest)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := node.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("verify: close: %w", cerr)
-		}
-	}()
-	rep := node.Traffic()
-	if rep.Writes == 0 {
-		return fmt.Errorf("verify: reopened node recovered zero writes — nothing persisted in %s", cfg.Dir)
-	}
-	n := stampCount(node.Blocks())
 	checked := uint64(0)
-	for id := uint64(0); id < n; id++ {
-		if !node.Owns(id) {
+	for id := range n {
+		if !owns(id) {
 			continue
 		}
-		got, err := node.Read(id)
+		got, err := st.Read(id)
 		if err != nil {
 			return fmt.Errorf("verify: read of stamped block %d: %w", id, err)
 		}
@@ -511,10 +452,10 @@ func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig) (e
 		checked++
 	}
 	if checked == 0 {
-		return fmt.Errorf("verify: node %s owns none of the %d stamped blocks", ns.Addr, n)
+		return fmt.Errorf("verify: %s owns none of the %d stamped blocks", where, n)
 	}
-	fmt.Printf("palermo-load: verified %d of %d stamped blocks on node %s in %.2fs (epoch %d, shards %v; recovered history: %d reads, %d writes)\n",
-		checked, n, ns.Addr, time.Since(t0).Seconds(), node.Epoch(), node.OwnedShards(), rep.Reads, rep.Writes)
+	fmt.Printf("palermo-load: verified %d of %d stamped blocks on %s in %.2fs (recovered history: %d reads, %d writes, stash peak %d)\n",
+		checked, n, where, time.Since(t0).Seconds(), rep.Reads, rep.Writes, rep.StashPeak)
 	return nil
 }
 

@@ -1,27 +1,25 @@
-// Package loadgen is the shared workload driver for the sharded
-// oblivious store service: N client goroutines issue a read/write mix
-// (optionally Zipf-skewed, optionally batch-read) against any Target —
-// an in-process palermo.ShardedStore or a remote palermo.Client — and
-// the driver reports wall-clock plus the service's own stats.
-// cmd/palermo-load (both the in-process and the -addr socket mode) and
-// cmd/palermo-bench's serving-path figures run through this one
-// implementation, so the network tax is measured against an identical
-// workload loop.
+// Package loadgen is the workload driver for the sharded oblivious
+// store service: N client goroutines issue a read/write mix (optionally
+// Zipf-skewed, optionally batch-read) against any Target — an in-process
+// palermo.ShardedStore, a remote palermo.Client or a
+// palermo.ClusterClient — and the driver reports wall-clock plus the
+// service's own stats. cmd/palermo-load drives every target through it,
+// so the network tax is measured against an identical workload loop.
 //
-// Two load models:
+// There is one client loop. Every operation has an intended send time,
+// and its latency is measured from that time:
 //
-//   - Closed loop (default): each client issues its next operation as
-//     soon as the previous one completes. Throughput is self-clocking,
-//     but the model coordinates with the server — when the service
-//     stalls, the clients stop sending, so the stall shows up in at
-//     most Clients samples and the latency percentiles lie
-//     (coordinated omission).
-//   - Open loop (Options.Rate > 0): each client draws a deterministic
-//     Poisson arrival schedule before-the-fact and sends at those
-//     intended times regardless of completions; a client that falls
-//     behind catches up in a burst, never skips. Latency is measured
-//     from the *intended* send time, so server stalls are charged to
-//     every sample they delayed — the wrk2/HdrHistogram correction.
+//   - Closed loop (default): the intended time is now — each client
+//     issues its next operation as soon as the previous one completes.
+//     Throughput is self-clocking, but the model coordinates with the
+//     server: when the service stalls, the clients stop sending, so the
+//     stall shows up in at most Clients samples and the latency
+//     percentiles lie (coordinated omission).
+//   - Open loop (Options.Rate > 0): the intended times follow each
+//     client's deterministic Poisson arrival schedule, regardless of
+//     completions; a client that falls behind catches up in a burst,
+//     never skips. Server stalls are charged to every sample they
+//     delayed — the wrk2/HdrHistogram correction.
 package loadgen
 
 import (
@@ -133,20 +131,6 @@ type Result struct {
 	// where every percentile is run-exact.
 	QueueExecLifetime bool
 
-	// OfferedRate echoes Options.Rate (0 for closed-loop runs);
-	// AchievedRate is the rate the service actually completed — admitted
-	// operations per wall-clock second. The gap between them, together
-	// with ShedOps, is the overload signature: an open-loop run past
-	// saturation keeps offering, and the service sheds or queues the
-	// excess.
-	OfferedRate  float64
-	AchievedRate float64
-
-	// ShedOps counts operations the service shed under overload
-	// (palermo.ErrRetry): attempted, never executed, excluded from every
-	// latency summary and from Stats.Reads/Writes.
-	ShedOps uint64
-
 	// ReadOverflow/WriteOverflow count the run-local samples at or above
 	// LatCeilingUs, the top of the driver's histograms. A percentile whose
 	// rank falls among them is reported as LatCeilingUs but is only a
@@ -188,8 +172,8 @@ func (r Result) OpsPerSec() float64 {
 // caller built. The first client error aborts the whole run promptly —
 // every other client observes the shared abort signal, time-bounded
 // runs included — and is returned. Operations the service shed under
-// overload (palermo.ErrRetry) are not errors: they are counted in
-// Result.ShedOps and the run continues.
+// overload (palermo.ErrRetry) are not errors: the service counts them,
+// one per op, in Result.Stats.Sheds, and the run continues.
 func Run(st Target, o Options) (Result, error) {
 	if err := o.validate(); err != nil {
 		return Result{}, err
@@ -198,35 +182,33 @@ func Run(st Target, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("loadgen: baseline snapshot: %w", err)
 	}
-	var wg sync.WaitGroup
+	clients := make([]client, o.Clients)
 	errCh := make(chan error, o.Clients)
-	samples := make([]*latSampler, o.Clients)
-	sheds := make([]uint64, o.Clients)
 	abort := make(chan struct{})
 	var abortOnce sync.Once
+	var wg sync.WaitGroup
 	start := time.Now()
 	var deadline time.Time
 	if o.Duration > 0 {
 		deadline = start.Add(o.Duration)
 	}
-	for c := 0; c < o.Clients; c++ {
-		share := o.Ops / o.Clients
-		if c < o.Ops%o.Clients {
-			share++
+	for i := range clients {
+		c := &clients[i]
+		*c = client{
+			st: st, id: uint64(i), ops: o.Ops / o.Clients, start: start, deadline: deadline,
+			o: o, abort: abort, reads: newLatHistogram(), writes: newLatHistogram(),
 		}
-		samples[c] = newLatSampler()
+		if i < o.Ops%o.Clients {
+			c.ops++
+		}
 		wg.Add(1)
-		go func(c, share int) {
+		go func() {
 			defer wg.Done()
-			cl := clientState{
-				st: st, id: uint64(c), ops: share, deadline: deadline,
-				start: start, o: o, s: samples[c], sheds: &sheds[c], abort: abort,
-			}
-			if err := cl.run(); err != nil {
+			if err := c.run(); err != nil {
 				errCh <- err
 				abortOnce.Do(func() { close(abort) })
 			}
-		}(c, share)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
@@ -242,31 +224,16 @@ func Run(st Target, o Options) (Result, error) {
 		Wall:              wall,
 		Traffic:           deltaTraffic(traffic, baseTraffic),
 		QueueExecLifetime: baseStats.QueueLat.N > 0 || baseStats.ExecLat.N > 0,
-		OfferedRate:       o.Rate,
 	}
 	reads, writes := newLatHistogram(), newLatHistogram()
-	for _, s := range samples {
-		reads.Merge(s.reads)
-		writes.Merge(s.writes)
-	}
-	for _, n := range sheds {
-		res.ShedOps += n
+	for _, c := range clients {
+		reads.Merge(c.reads)
+		writes.Merge(c.writes)
 	}
 	res.RunReadLat, res.ReadOverflow = summarize(reads), reads.Overflow()
 	res.RunWriteLat, res.WriteOverflow = summarize(writes), writes.Overflow()
 	res.Stats = deltaStats(endStats, baseStats, res.RunReadLat, res.RunWriteLat)
-	res.AchievedRate = res.OpsPerSec()
 	return res, nil
-}
-
-// latSampler collects one client's call latencies (µs histograms, same
-// bucketing as the service's own).
-type latSampler struct {
-	reads, writes *stats.Histogram
-}
-
-func newLatSampler() *latSampler {
-	return &latSampler{reads: newLatHistogram(), writes: newLatHistogram()}
 }
 
 // The run-local histograms: 5 µs buckets (the service's own bucketing) up
@@ -348,182 +315,108 @@ func deltaTraffic(end, base palermo.TrafficReport) palermo.TrafficReport {
 // opSeedMul and arrivalSeedMul derive each client's two independent
 // deterministic streams from the base seed: the op-mix stream (which id,
 // read or write) and the open-loop arrival schedule. Separate streams
-// mean pacing a run does not perturb which ids its clients touch.
+// mean pacing a run does not perturb which ops its clients issue.
 const (
 	opSeedMul      = 0x2545f4914f6cdd1d
 	arrivalSeedMul = 0x9e3779b97f4a7c15
 )
 
-// clientState is one workload client's parameters.
-type clientState struct {
-	st       Target
-	id       uint64
-	ops      int // this client's share of the op budget (op-bounded runs)
-	deadline time.Time
-	start    time.Time
-	o        Options
-	s        *latSampler
-	sheds    *uint64
-	abort    <-chan struct{} // closed when any client fails: stop now
+// client is one workload client's parameters and its run-local latency
+// histograms.
+type client struct {
+	st            Target
+	id            uint64
+	ops           int // this client's share of the op budget (op-bounded runs)
+	start         time.Time
+	deadline      time.Time // zero in op-bounded runs
+	o             Options
+	abort         <-chan struct{} // closed when any client fails: stop now
+	reads, writes *stats.Histogram
 }
 
-// run dispatches on the load model.
-func (c *clientState) run() error {
-	if c.o.Rate > 0 {
-		return c.runOpen()
-	}
-	return c.runClosed()
-}
-
-// aborted reports whether another client's error ended the run.
-func (c *clientState) aborted() bool {
-	select {
-	case <-c.abort:
-		return true
-	default:
-		return false
-	}
-}
-
-// opMix builds the client's deterministic id/op-mix stream.
-func (c *clientState) opMix() (r *rng.Rand, next func() uint64) {
+// run is the client loop. Each operation — a read of up to Batch ids
+// (uniform or Zipfian over the store's capacity; Zipf rank 0 is the
+// hottest id, and striped routing spreads consecutive ranks across all
+// shards) or a write — has an intended send time: now in a closed loop,
+// so the next op goes out as the previous one completes, or the client's
+// next Poisson arrival when Rate > 0. The client waits for that time,
+// issues the op and samples its latency from it. An open-loop client
+// behind schedule catches up in a burst and never skips an arrival, so
+// the offered op count is a function of rate and elapsed time, not of
+// the server's speed. The loop ends when the op share is spent
+// (op-bounded), the next send falls past the deadline (time-bounded) or
+// another client failed. A shed op (palermo.ErrRetry) spends its budget
+// and is sampled nowhere; the service counts it.
+func (c *client) run() error {
 	blocks := c.st.Blocks()
-	r = rng.New(c.o.Seed + opSeedMul*(c.id+1))
-	var z *rng.Zipf
+	r := rng.New(c.o.Seed + opSeedMul*(c.id+1))
+	next := func() uint64 { return r.Uint64n(blocks) }
 	if c.o.ZipfTheta > 0 {
-		z = rng.NewZipf(r, blocks, c.o.ZipfTheta)
+		next = rng.NewZipf(r, blocks, c.o.ZipfTheta).Next
 	}
-	next = func() uint64 {
-		if z != nil {
-			return z.Next()
-		}
-		return r.Uint64n(blocks)
+	var arrive func() time.Duration
+	if c.o.Rate > 0 {
+		arrive = arrivals(c.o.Seed, c.id, c.o.Rate/float64(c.o.Clients))
 	}
-	return r, next
-}
-
-// runClosed is the closed-loop client: pick an id (uniform or Zipfian
-// over the store's capacity), issue a read or write, wait, repeat —
-// until its op share is spent (op-bounded) or the deadline passes
-// (time-bounded). Zipf rank 0 is the hottest id; striped routing
-// spreads consecutive ranks across all shards.
-func (c *clientState) runClosed() error {
-	r, next := c.opMix()
 	timed := !c.deadline.IsZero()
-	more := func(done int) bool {
-		if c.aborted() {
-			return false
-		}
-		if timed {
-			return time.Now().Before(c.deadline)
-		}
-		return done < c.ops
-	}
 	buf := make([]byte, palermo.BlockSize)
 	ids := make([]uint64, 0, c.o.Batch)
-	for done := 0; more(done); {
-		if r.Float64() >= c.o.ReadRatio {
-			buf[0] = byte(done)
-			buf[palermo.BlockSize-1] = byte(c.id)
-			t0 := time.Now()
-			err := c.st.Write(next(), buf)
-			if errors.Is(err, palermo.ErrRetry) {
-				*c.sheds++
-				done++
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			c.s.writes.Add(float64(time.Since(t0).Microseconds()))
-			done++
-			continue
-		}
-		n := c.o.Batch
-		if !timed {
-			if remaining := c.ops - done; n > remaining {
-				n = remaining
+	for done := 0; timed || done < c.ops; {
+		read := r.Float64() < c.o.ReadRatio
+		n := 1
+		if read {
+			n = c.o.Batch
+			if !timed {
+				n = min(n, c.ops-done)
 			}
 		}
 		ids = ids[:0]
-		for i := 0; i < n; i++ {
+		for range n {
 			ids = append(ids, next())
 		}
-		t0 := time.Now()
-		_, err := c.st.ReadBatch(ids)
-		if errors.Is(err, palermo.ErrRetry) {
-			// At least one op of the call was shed; the op budget counts
-			// attempts, so the call is spent either way.
-			*c.sheds++
-			done += n
-			continue
+		intended := time.Now()
+		if arrive != nil {
+			intended = c.start.Add(arrive())
 		}
-		if err != nil {
-			return err
-		}
-		c.s.reads.Add(float64(time.Since(t0).Microseconds()))
-		done += n
-	}
-	return nil
-}
-
-// runOpen is the open-loop client: follow the precomputed arrival
-// schedule, sending each operation at (or as soon as possible after)
-// its intended time, and charge every sample the interval from intended
-// send to completion. A client running behind schedule catches up in a
-// burst — arrivals are never skipped, so the offered op count is a pure
-// function of (rate, elapsed time), not of the server's speed.
-func (c *clientState) runOpen() error {
-	r, next := c.opMix()
-	ar := rng.New(c.o.Seed + arrivalSeedMul*(c.id+1))
-	perClient := c.o.Rate / float64(c.o.Clients)
-	timed := !c.deadline.IsZero()
-	buf := make([]byte, palermo.BlockSize)
-	ids := make([]uint64, 1)
-	var offset time.Duration
-	for done := 0; ; done++ {
-		if !timed && done >= c.ops {
-			return nil
-		}
-		offset += expGap(ar, perClient)
-		intended := c.start.Add(offset)
-		if timed && intended.After(c.deadline) {
-			return nil
-		}
-		if !sleepUntil(intended, c.abort) {
+		if timed && intended.After(c.deadline) || !sleepUntil(intended, c.abort) {
 			return nil
 		}
 		var err error
-		isRead := r.Float64() < c.o.ReadRatio
-		if isRead {
-			ids[0] = next()
+		if read {
 			_, err = c.st.ReadBatch(ids)
 		} else {
 			buf[0] = byte(done)
 			buf[palermo.BlockSize-1] = byte(c.id)
-			err = c.st.Write(next(), buf)
+			err = c.st.Write(ids[0], buf)
 		}
 		lat := float64(time.Since(intended).Microseconds())
+		done += n
 		if errors.Is(err, palermo.ErrRetry) {
-			*c.sheds++
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		if isRead {
-			c.s.reads.Add(lat)
+		if read {
+			c.reads.Add(lat)
 		} else {
-			c.s.writes.Add(lat)
+			c.writes.Add(lat)
 		}
 	}
+	return nil
 }
 
-// expGap draws one exponential inter-arrival gap (a Poisson process at
-// the given rate in ops/s).
-func expGap(r *rng.Rand, rate float64) time.Duration {
-	u := r.Float64() // in [0, 1): log1p(-u) is finite
-	return time.Duration(-math.Log1p(-u) / rate * float64(time.Second))
+// arrivals returns client id's open-loop schedule at rate ops/s: each call
+// yields the next intended send time as an offset from run start, the
+// last one plus an exponential gap (a Poisson process).
+func arrivals(seed, id uint64, rate float64) func() time.Duration {
+	r := rng.New(seed + arrivalSeedMul*(id+1))
+	var at time.Duration
+	return func() time.Duration {
+		u := r.Float64() // in [0, 1): log1p(-u) is finite
+		at += time.Duration(-math.Log1p(-u) / rate * float64(time.Second))
+		return at
+	}
 }
 
 // paceSlice bounds one pause of sleepUntil, so a sleeping client notices
@@ -557,17 +450,15 @@ func sleepUntil(t time.Time, abort <-chan struct{}) bool {
 // ArrivalOffsets returns the first n arrival offsets (run start to
 // intended send) of client id's open-loop schedule under the given base
 // seed and *per-client* rate. The schedule is a pure function of these
-// arguments — the driver draws from the identical stream — so two runs
+// arguments — the client loop reads the same arrivals clock — so two runs
 // with the same options intend exactly the same send times, and an
 // open-loop run is reproducible in the same sense a seeded closed-loop
 // run is.
 func ArrivalOffsets(seed, id uint64, perClientRate float64, n int) []time.Duration {
-	ar := rng.New(seed + arrivalSeedMul*(id+1))
+	next := arrivals(seed, id, perClientRate)
 	out := make([]time.Duration, n)
-	var offset time.Duration
 	for i := range out {
-		offset += expGap(ar, perClientRate)
-		out[i] = offset
+		out[i] = next()
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package loadgen
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -229,9 +232,8 @@ func TestArrivalOffsetsDeterministic(t *testing.T) {
 }
 
 // TestOpenLoopRun drives a real store open-loop and checks the rate
-// accounting: OfferedRate echoes the option, every attempt lands in
-// exactly one of completed/shed, and intended-send summaries cover the
-// completed ops.
+// accounting: every attempt lands in exactly one of completed/shed, and
+// intended-send summaries cover the completed ops.
 func TestOpenLoopRun(t *testing.T) {
 	st, err := palermo.NewShardedStore(palermo.ShardedStoreConfig{Blocks: 1 << 12, Shards: 2})
 	if err != nil {
@@ -244,15 +246,12 @@ func TestOpenLoopRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OfferedRate != 50_000 {
-		t.Fatalf("OfferedRate = %v, want 50000", res.OfferedRate)
-	}
-	if res.AchievedRate <= 0 {
-		t.Fatalf("AchievedRate = %v, want > 0", res.AchievedRate)
+	if res.OpsPerSec() <= 0 {
+		t.Fatalf("OpsPerSec = %v, want > 0", res.OpsPerSec())
 	}
 	done := res.Stats.Reads + res.Stats.Writes
-	if done+res.ShedOps != 400 {
-		t.Fatalf("completed %d + shed %d must account for all 400 attempts", done, res.ShedOps)
+	if done+res.Stats.Sheds != 400 {
+		t.Fatalf("completed %d + shed %d must account for all 400 attempts", done, res.Stats.Sheds)
 	}
 	if res.RunReadLat.N+res.RunWriteLat.N != done {
 		t.Fatalf("intended-send samples %d != completed ops %d",
@@ -272,22 +271,22 @@ func TestRunCountsShedsNotErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	res, err := Run(st, Options{Clients: 2, Ops: 200, ReadRatio: 0.5, Batch: 1, Seed: 5})
-	if err != nil {
-		t.Fatalf("shed operations must not be run errors: %v", err)
-	}
-	if res.ShedOps != 200 {
-		t.Fatalf("ShedOps = %d, want all 200 attempts shed", res.ShedOps)
-	}
-	if got := res.Stats.Reads + res.Stats.Writes; got != 0 {
-		t.Fatalf("%d ops reported completed; shed ops must not count", got)
-	}
-	if res.RunReadLat.N != 0 || res.RunWriteLat.N != 0 {
-		t.Fatalf("shed ops leaked into latency summaries: %+v %+v",
-			res.RunReadLat, res.RunWriteLat)
-	}
-	if res.Stats.Sheds != 200 {
-		t.Fatalf("service counted %d sheds, want 200", res.Stats.Sheds)
+	// Batch 4: a shed ReadBatch of four ids is four shed ops, not one.
+	for _, batch := range []int{1, 4} {
+		res, err := Run(st, Options{Clients: 2, Ops: 200, ReadRatio: 0.5, Batch: batch, Seed: 5})
+		if err != nil {
+			t.Fatalf("batch %d: shed operations must not be run errors: %v", batch, err)
+		}
+		if got := res.Stats.Reads + res.Stats.Writes; got != 0 {
+			t.Fatalf("batch %d: %d ops reported completed; shed ops must not count", batch, got)
+		}
+		if res.RunReadLat.N != 0 || res.RunWriteLat.N != 0 {
+			t.Fatalf("batch %d: shed ops leaked into latency summaries: %+v %+v",
+				batch, res.RunReadLat, res.RunWriteLat)
+		}
+		if res.Stats.Sheds != 200 {
+			t.Fatalf("batch %d: %d ops counted shed, want all 200 attempts", batch, res.Stats.Sheds)
+		}
 	}
 }
 
@@ -431,5 +430,74 @@ func TestSleepUntilAbort(t *testing.T) {
 	}
 	if sleepUntil(time.Now().Add(-time.Second), abort) {
 		t.Fatal("a past deadline must still honor abort")
+	}
+}
+
+// recordTarget serves every call instantly and records each op it is
+// sent: reads by id, writes by id and payload.
+type recordTarget struct {
+	mu  sync.Mutex
+	ops []recordedOp
+}
+
+type recordedOp struct {
+	write   bool
+	id      uint64
+	payload string
+}
+
+func (rt *recordTarget) Blocks() uint64 { return 1 << 10 }
+
+func (rt *recordTarget) Write(id uint64, data []byte) error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.ops = append(rt.ops, recordedOp{write: true, id: id, payload: string(data)})
+	return nil
+}
+
+func (rt *recordTarget) ReadBatch(ids []uint64) ([][]byte, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	out := make([][]byte, len(ids))
+	for i, id := range ids {
+		rt.ops = append(rt.ops, recordedOp{id: id})
+		out[i] = make([]byte, palermo.BlockSize)
+	}
+	return out, nil
+}
+
+func (rt *recordTarget) Snapshot() (palermo.ServiceStats, palermo.TrafficReport, error) {
+	return palermo.ServiceStats{}, palermo.TrafficReport{}, nil
+}
+
+// TestPacingKeepsTheOpStream: the arrival schedule draws from its own
+// stream, so pacing a run must not change which ops its clients issue.
+// At one seed a closed run and an open run issue the same sequence of
+// (op, id, payload) from one client, and the same multiset from three
+// (their interleaving is the scheduler's).
+func TestPacingKeepsTheOpStream(t *testing.T) {
+	for _, clients := range []int{1, 3} {
+		issue := func(rate float64) []recordedOp {
+			rt := &recordTarget{}
+			_, err := Run(rt, Options{
+				Clients: clients, Ops: 600, ReadRatio: 0.6, ZipfTheta: 0.9, Batch: 1, Seed: 11, Rate: rate,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clients > 1 {
+				slices.SortFunc(rt.ops, func(a, b recordedOp) int {
+					return cmp.Compare(fmt.Sprint(a), fmt.Sprint(b))
+				})
+			}
+			return rt.ops
+		}
+		closed, open := issue(0), issue(1e6)
+		if len(closed) != 600 {
+			t.Fatalf("%d clients: closed run issued %d ops, want 600", clients, len(closed))
+		}
+		if !slices.Equal(closed, open) {
+			t.Fatalf("%d clients: the open run issued different ops than the closed run", clients)
+		}
 	}
 }
