@@ -19,9 +19,13 @@
 // blocks.dat is opened buffered: a resident slot is read from the
 // kernel's page cache, and a slot write is a copy into it. Runs of
 // consecutive locals coalesce into single WriteAt calls, and GetMany
-// preads coalesce the same way. The group commit's data sync writes the
-// group's dirty pages back together, at whatever queue depth the device
-// accepts (DESIGN.md §12).
+// preads coalesce the same way. On Linux a helper goroutine starts the
+// slot file's writeback each time the open batch's held records cross a
+// quarter of GroupCommit (sync_file_range, SYNC_FILE_RANGE_WRITE only),
+// so the group commit's data sync finds most of the group's pages
+// already written and waits only for the rest (DESIGN.md §12). The
+// helper is the backend's only goroutine; it never syncs, and it is
+// stopped before the slot file closes.
 //
 // Write protocol: each Put pwrites the slot and holds a metadata record
 // naming (local, epoch) in memory. A group commit syncs blocks.dat, then
@@ -132,6 +136,11 @@ type Backend struct {
 	closed  bool
 	failErr error
 
+	// wbKick wakes the writeback helper and wbDone closes when it has
+	// exited; both are nil where no helper runs (writeback_linux.go).
+	wbKick chan struct{}
+	wbDone chan struct{}
+
 	durable.Fsync // commit-path (data+log) fsync telemetry; FsyncStats
 }
 
@@ -149,6 +158,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 	}
 	b.scratch = make([]byte, maxRunSlots*SlotBytes)
 	b.recs = make([]byte, 0, (b.opt.GroupCommit+1)*recSize)
+	b.startWriteback()
 	return b, nil
 }
 
@@ -378,11 +388,14 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	for _, op := range ops {
 		b.appendRecord(op.Local, op.Sb.Epoch)
 	}
+	held := b.pending
 	b.pending += len(ops)
 	if b.pending >= b.opt.GroupCommit {
 		if err := b.commit(); err != nil {
 			return err
 		}
+	} else {
+		b.kickWriteback(held)
 	}
 	for _, op := range ops {
 		b.markPresent(op.Local)
@@ -429,6 +442,31 @@ func (b *Backend) appendRecord(local, epoch uint64) {
 	var rec [recSize]byte
 	durable.Frame(rec[:], local, epoch, nil)
 	b.recs = append(b.recs, rec[:]...)
+}
+
+// kickWriteback wakes the writeback helper when the open batch's held
+// records crossed a multiple of GroupCommit/4 on their way up from held.
+// The send never blocks: a hint already queued covers these pages too.
+func (b *Backend) kickWriteback(held int) {
+	if b.wbKick == nil {
+		return
+	}
+	if q := b.opt.GroupCommit / 4; b.pending/q != held/q {
+		select {
+		case b.wbKick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// stopWriteback stops the writeback helper and waits for it to exit, so
+// no hint is in flight when the slot file closes.
+func (b *Backend) stopWriteback() {
+	if b.wbKick != nil {
+		close(b.wbKick)
+		<-b.wbDone
+		b.wbKick, b.wbDone = nil, nil
+	}
 }
 
 // syncFile is the commit's fsync; a variable so a test can observe it.
@@ -511,6 +549,7 @@ func (b *Backend) Close() error {
 		return b.failErr
 	}
 	b.closed = true
+	b.stopWriteback()
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("blockfile: %w", cerr)
 	}
@@ -528,6 +567,7 @@ func (b *Backend) fail(err error) error {
 		b.closed = true
 		b.failErr = err
 	}
+	b.stopWriteback()
 	if b.logF != nil {
 		b.logF.Close()
 		b.logF = nil

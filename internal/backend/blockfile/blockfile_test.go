@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
@@ -546,5 +548,74 @@ func TestCommitSyncsSlotsBeforeRecords(t *testing.T) {
 	}
 	if dataSyncs < 5 {
 		t.Fatalf("%d data syncs, want one per commit (at least 5)", dataSyncs)
+	}
+}
+
+// TestOneBatchDurabilityWindow pins DESIGN §9's durability window: the
+// blockfile commits synchronously, so while the data sync is stalled
+// exactly GroupCommit − 1 scalar Puts are acknowledged, and the Put that
+// closes the batch waits for the sync.
+func TestOneBatchDurabilityWindow(t *testing.T) {
+	const group = 8
+	b := mustOpen(t, t.TempDir(), Options{GroupCommit: group})
+	defer b.Close()
+	// Take the first epoch's reservation commit now, then empty the batch.
+	if err := b.Put(0, backend.Sealed{Ct: ct(0), Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	real := syncFile
+	syncFile = func(s *durable.Fsync, f *os.File) error {
+		if filepath.Base(f.Name()) == dataName {
+			entered <- struct{}{}
+			<-release
+		}
+		return real(s, f)
+	}
+	var released bool
+	defer func() {
+		if !released {
+			close(release)
+		}
+		syncFile = real
+	}()
+
+	var acked atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(1); i <= group; i++ {
+			if err := b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1}); err != nil {
+				done <- err
+				return
+			}
+			acked.Add(1)
+		}
+		done <- nil
+	}()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("%d Puts returned without a data sync (err %v), want the one that closes the batch to sync", acked.Load(), err)
+	}
+	if n := acked.Load(); n != group-1 {
+		t.Fatalf("%d Puts acknowledged when the data sync began, want GroupCommit-1 = %d", n, group-1)
+	}
+	// The closing Put must still be waiting, not acknowledged behind an
+	// asynchronous sync.
+	time.Sleep(20 * time.Millisecond)
+	if n := acked.Load(); n != group-1 {
+		t.Fatalf("%d Puts acknowledged while the data sync stalls, want %d", n, group-1)
+	}
+	released = true
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := acked.Load(); n != group {
+		t.Fatalf("%d Puts acknowledged after the sync, want %d", n, group)
 	}
 }
