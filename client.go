@@ -58,6 +58,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"palermo/internal/serve"
 	"palermo/internal/wire"
 )
 
@@ -399,24 +400,14 @@ func (cl *Client) Snapshot() (ServiceStats, TrafficReport, error) {
 		return ServiceStats{}, TrafficReport{}, err
 	}
 	ws := r.stats
-	ss := ServiceStats{
-		Reads: ws.Reads, Writes: ws.Writes, DedupHits: ws.DedupHits,
-		Sheds:    ws.Sheds,
-		ReadLat:  fromWireLatency(ws.ReadLat),
-		WriteLat: fromWireLatency(ws.WriteLat),
-		QueueLat: fromWireLatency(ws.QueueLat),
-		ExecLat:  fromWireLatency(ws.ExecLat),
-	}
-	tr := TrafficReport{
+	var tr TrafficReport
+	tr.add(TrafficReport{
 		Reads: ws.EngineReads, Writes: ws.EngineWrites,
 		DRAMReads: ws.DRAMReads, DRAMWrites: ws.DRAMWrites,
 		StashPeak:   int(ws.StashPeak),
 		TreeTopHits: ws.TreeTopHits,
-	}
-	if ops := tr.Reads + tr.Writes; ops > 0 {
-		tr.AmplificationFactor = float64(tr.DRAMReads+tr.DRAMWrites) / float64(ops)
-	}
-	return ss, tr, nil
+	})
+	return serve.FromHists(ws.DedupHits, ws.Sheds, ws.Lat), tr, nil
 }
 
 // Manifest fetches the server's current placement manifest as canonical
@@ -452,10 +443,6 @@ func (cl *Client) MigrateCtx(ctx context.Context, shard int, target string) erro
 	}
 	_, err := cl.do(ctx, &call{op: wire.OpMigrate, id: uint64(shard), target: target})
 	return err
-}
-
-func fromWireLatency(l wire.Latency) LatencySummary {
-	return LatencySummary{N: l.N, MeanUs: l.MeanUs, P50Us: l.P50Us, P99Us: l.P99Us}
 }
 
 // NetStats returns the client-side wire counters.

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"palermo/internal/cluster"
+	"palermo/internal/serve"
 	"palermo/internal/wire"
 )
 
@@ -281,6 +282,84 @@ func TestClusterPartialShed(t *testing.T) {
 	}
 	if st.Sheds < 2 {
 		t.Fatalf("cluster snapshot aggregated %d sheds, want >= 2", st.Sheds)
+	}
+}
+
+// TestClusterSnapshotPoolsNodeHistograms: the cluster snapshot is exact.
+// The two nodes serve differently shaped load — node 0 even ids in
+// 32-wide read batches, node 1 odd ids one read or write at a time — so
+// their latency distributions differ, and once both are quiet the four
+// summaries ClusterClient.Snapshot reports must be those of both nodes'
+// histograms pooled in-process, not a blend of per-node summaries.
+func TestClusterSnapshotPoolsNodeHistograms(t *testing.T) {
+	a, b := startClusterPair(t, ShardedStoreConfig{Blocks: 1 << 12, Shards: 2, Seed: 6}, false)
+	defer b.stop(t)
+	defer a.stop(t)
+	cc, err := DialCluster([]string{a.addr, b.addr}, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ids := make([]uint64, 32)
+		for r := range 20 {
+			for i := range ids {
+				ids[i] = uint64(2 * (r*32 + i)) // even: node 0
+			}
+			if _, err := cc.ReadBatch(ids); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := range uint64(300) {
+			id := 2*i + 1 // odd: node 1
+			err := cc.Write(id, block(byte(i)))
+			if err == nil {
+				_, err = cc.Read(id)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	got, _, err := cc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, sb := a.node.ServiceStats(), b.node.ServiceStats()
+	if sa.ReadLat.P50Us == sb.ReadLat.P50Us {
+		t.Fatalf("the nodes' read p50s match (%v µs): the load did not separate their distributions", sa.ReadLat.P50Us)
+	}
+	want := serve.Merge(sa, sb)
+	if got.Reads != 940 || got.Writes != 300 || got.Reads != want.Reads || got.Writes != want.Writes {
+		t.Fatalf("cluster counted %d reads, %d writes; nodes %d, %d; want 940, 300", got.Reads, got.Writes, want.Reads, want.Writes)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want LatencySummary
+	}{
+		{"read", got.ReadLat, want.ReadLat},
+		{"write", got.WriteLat, want.WriteLat},
+		{"queue", got.QueueLat, want.QueueLat},
+		{"exec", got.ExecLat, want.ExecLat},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: cluster snapshot %+v, pooled node histograms %+v", c.name, c.got, c.want)
+		}
 	}
 }
 

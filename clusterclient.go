@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"palermo/internal/cluster"
+	"palermo/internal/serve"
 	"palermo/internal/shard"
 )
 
@@ -375,65 +376,27 @@ func (cc *ClusterClient) scatter(ids []uint64, blocks, out [][]byte, pending []i
 }
 
 // Snapshot merges every node's service and traffic counters into one
-// cluster-wide view (internal/loadgen.Target). Operation, dedup, and
-// traffic counts are exact sums: each operation is served by exactly one
-// node, and a migrated shard's engine counters travel with it while its
-// old service-layer history stays in the source's retired stats. Latency
-// summaries cannot be merged exactly from condensed form — the mean and
-// percentiles here are N-weighted combinations of the per-node summaries,
-// an approximation.
+// cluster-wide view (internal/loadgen.Target). Each operation is served by
+// exactly one node, so the merge is exact: counters sum, and the nodes'
+// latency histograms pool (serve.Merge), so the summaries are those of
+// every operation's sample. A migrated shard's engine counters travel with
+// it while its old service-layer history stays in the source's retired
+// stats.
 func (cc *ClusterClient) Snapshot() (ServiceStats, TrafficReport, error) {
 	cc.mu.RLock()
 	clients := slices.Collect(maps.Values(cc.clients))
 	cc.mu.RUnlock()
-	var ss ServiceStats
+	snaps := make([]ServiceStats, len(clients))
 	var tr TrafficReport
-	for _, cl := range clients {
+	for i, cl := range clients {
 		s, t, err := cl.Snapshot()
 		if err != nil {
 			return ServiceStats{}, TrafficReport{}, err
 		}
-		ss.Reads += s.Reads
-		ss.Writes += s.Writes
-		ss.DedupHits += s.DedupHits
-		ss.Sheds += s.Sheds
-		ss.ReadLat = mergeLatApprox(ss.ReadLat, s.ReadLat)
-		ss.WriteLat = mergeLatApprox(ss.WriteLat, s.WriteLat)
-		ss.QueueLat = mergeLatApprox(ss.QueueLat, s.QueueLat)
-		ss.ExecLat = mergeLatApprox(ss.ExecLat, s.ExecLat)
-		tr.Reads += t.Reads
-		tr.Writes += t.Writes
-		tr.DRAMReads += t.DRAMReads
-		tr.DRAMWrites += t.DRAMWrites
-		tr.TreeTopHits += t.TreeTopHits
-		if t.StashPeak > tr.StashPeak {
-			tr.StashPeak = t.StashPeak
-		}
+		snaps[i] = s
+		tr.add(t)
 	}
-	if ops := tr.Reads + tr.Writes; ops > 0 {
-		tr.AmplificationFactor = float64(tr.DRAMReads+tr.DRAMWrites) / float64(ops)
-	}
-	return ss, tr, nil
-}
-
-// mergeLatApprox combines two latency summaries N-weighted. Exact for N
-// and the mean; an approximation for the percentiles (the underlying
-// histograms live on the nodes).
-func mergeLatApprox(a, b LatencySummary) LatencySummary {
-	if a.N == 0 {
-		return b
-	}
-	if b.N == 0 {
-		return a
-	}
-	n := a.N + b.N
-	wa, wb := float64(a.N)/float64(n), float64(b.N)/float64(n)
-	return LatencySummary{
-		N:      n,
-		MeanUs: wa*a.MeanUs + wb*b.MeanUs,
-		P50Us:  wa*a.P50Us + wb*b.P50Us,
-		P99Us:  wa*a.P99Us + wb*b.P99Us,
-	}
+	return serve.Merge(snaps...), tr, nil
 }
 
 // allLocked lists every client of the pool, current and parked. Callers

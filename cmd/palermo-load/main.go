@@ -33,13 +33,12 @@
 // geometry (shards, blocks, durable dir) belongs to the server in this
 // mode; the handshake reports it back. Every target goes down one path:
 // the run, the optional stamp, Close, the printout and the record.
-// Counters are snapshotted before and after the run and recorded as
-// deltas, so driving a long-lived server (whose cumulative stats span
-// prior runs and other clients) still reports this run's work; latency
-// percentiles are exact only against a freshly started server (they
-// condense the server's lifetime histogram). -stamp writes the same
-// deterministic verification payloads the -dir mode stamps, so a durable
-// server that is then shut down can be re-verified locally with
+// Counters and latency histograms are snapshotted before and after the
+// run and recorded as their exact difference, so driving a long-lived
+// server (whose cumulative stats span prior runs and other clients) still
+// reports this run's work and its latency percentiles. -stamp writes the
+// same deterministic verification payloads the -dir mode stamps, so a
+// durable server that is then shut down can be re-verified locally with
 // -dir/-verify (the net-smoke CI job's flow).
 //
 // By default the clients are closed-loop: each issues its next request
@@ -305,15 +304,8 @@ func printResult(res loadgen.Result, rate float64) {
 		fmt.Printf("  write lat p50 %.0fµs  p99 %.0fµs  mean %.0fµs  (n=%d)\n",
 			stats.WriteLat.P50Us, stats.WriteLat.P99Us, stats.WriteLat.MeanUs, stats.WriteLat.N)
 	}
-	// A warm target's queue/exec percentiles mix every prior run's samples
-	// (two snapshots cannot un-mix a histogram) — say so instead of letting
-	// them read as run-exact next to numbers that are.
-	qualifier := ""
-	if res.QueueExecLifetime {
-		qualifier = "  (lifetime-weighted: target was warm)"
-	}
-	fmt.Printf("  queue wait p50 %.0fµs  p99 %.0fµs  |  execute p50 %.0fµs  p99 %.0fµs%s\n",
-		stats.QueueLat.P50Us, stats.QueueLat.P99Us, stats.ExecLat.P50Us, stats.ExecLat.P99Us, qualifier)
+	fmt.Printf("  queue wait p50 %.0fµs  p99 %.0fµs  |  execute p50 %.0fµs  p99 %.0fµs\n",
+		stats.QueueLat.P50Us, stats.QueueLat.P99Us, stats.ExecLat.P50Us, stats.ExecLat.P99Us)
 	fmt.Printf("  DRAM lines/op %.1f  stash peak %d\n",
 		res.Traffic.AmplificationFactor, res.Traffic.StashPeak)
 	tr := res.Traffic
@@ -343,12 +335,6 @@ func loadMetrics(res loadgen.Result, o loadgen.Options) map[string]float64 {
 		"lines_per_op":  res.Traffic.AmplificationFactor,
 		"tree_top_hits": float64(res.Traffic.TreeTopHits),
 		"bytes_saved":   float64(res.Traffic.TreeTopHits) * palermo.BlockSize,
-	}
-	if res.QueueExecLifetime {
-		// Flags the queue/exec percentiles above as lifetime-weighted (the
-		// target was warm); consumers comparing runs should prefer the
-		// run-exact read/write numbers.
-		m["queue_exec_lifetime"] = 1
 	}
 	if o.Rate > 0 {
 		m["offered_rate"] = o.Rate

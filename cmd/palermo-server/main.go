@@ -120,10 +120,7 @@ func main() {
 	}
 	fmt.Printf("palermo-server: listening on %s (%d shards, %d blocks, %s)\n",
 		ln.Addr(), st.Shards(), st.Blocks(), durability)
-	serveLoop(ln, srv, st.Close, func() (uint64, uint64) {
-		ss := st.Stats()
-		return ss.Reads, ss.Writes
-	})
+	serveLoop(ln, srv, st.Close, st.Stats)
 }
 
 // startMetrics binds the operability listener when -metrics is set. The
@@ -171,16 +168,13 @@ func runCluster(addr, manifestPath string, storeCfg palermo.ShardedStoreConfig, 
 	}
 	fmt.Printf("palermo-server: listening on %s (cluster node %s, epoch %d, owns shards %v of %d, %d blocks, %s)\n",
 		ln.Addr(), node.Addr(), node.Epoch(), node.OwnedShards(), node.Shards(), node.Blocks(), durability)
-	serveLoop(ln, srv, node.Close, func() (uint64, uint64) {
-		ws := node.Stats()
-		return ws.Reads, ws.Writes
-	})
+	serveLoop(ln, srv, node.Close, node.ServiceStats)
 }
 
 // serveLoop serves until a signal, then drains the network layer before
 // closing the store so every accepted request completes against an open
 // store.
-func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, stats func() (uint64, uint64)) {
+func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, stats func() palermo.ServiceStats) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
@@ -196,11 +190,11 @@ func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, st
 		closeStore()
 		fatal(err)
 	}
-	reads, writes := stats()
+	ss := stats()
 	if err := closeStore(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("palermo-server: stopped (%d reads, %d writes served)\n", reads, writes)
+	fmt.Printf("palermo-server: stopped (%d reads, %d writes served)\n", ss.Reads, ss.Writes)
 }
 
 func fatal(err error) {

@@ -426,21 +426,16 @@ func (ss slotSet) traffic() TrafficReport {
 		}
 		var c shard.Counters
 		sl.onWorker(func() { c = sl.sh.Snapshot() })
-		rep.Reads += c.Reads
-		rep.Writes += c.Writes
-		rep.DRAMReads += c.DRAMReads
-		rep.DRAMWrites += c.DRAMWrites
-		rep.TreeTopHits += c.TreeTopHits
-		rep.StashPeak = max(rep.StashPeak, c.StashPeak)
-	}
-	if ops := rep.Reads + rep.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)
+		rep.add(TrafficReport{
+			Reads: c.Reads, Writes: c.Writes, DRAMReads: c.DRAMReads, DRAMWrites: c.DRAMWrites,
+			TreeTopHits: c.TreeTopHits, StashPeak: c.StashPeak,
+		})
 	}
 	return rep
 }
 
-// serviceStats merges the slots' services, plus any retired ones, at the
-// histogram level (serve.MergeStats).
+// serviceStats merges the slots' services, plus any retired ones
+// (serve.MergeStats).
 func (ss slotSet) serviceStats(retired []*serve.Service) ServiceStats {
 	svcs := make([]*serve.Service, 0, len(ss)+len(retired))
 	for _, sl := range ss {
@@ -529,20 +524,12 @@ func (h *host) wireStats(live slotSet, retired []*serve.Service, epoch uint64) w
 		}
 		owned++
 	}
-	lat := func(l LatencySummary) wire.Latency {
-		return wire.Latency{N: l.N, MeanUs: l.MeanUs, P50Us: l.P50Us, P99Us: l.P99Us}
-	}
 	return wire.Stats{
 		Blocks:      h.router.Blocks(),
 		Shards:      uint32(h.router.Shards()),
-		Reads:       ss.Reads,
-		Writes:      ss.Writes,
 		DedupHits:   ss.DedupHits,
 		Sheds:       ss.Sheds,
-		ReadLat:     lat(ss.ReadLat),
-		WriteLat:    lat(ss.WriteLat),
-		QueueLat:    lat(ss.QueueLat),
-		ExecLat:     lat(ss.ExecLat),
+		Lat:         serve.Hists(ss),
 		EngineReads: tr.Reads, EngineWrites: tr.Writes,
 		DRAMReads: tr.DRAMReads, DRAMWrites: tr.DRAMWrites,
 		StashPeak:   uint32(tr.StashPeak),

@@ -79,7 +79,6 @@ func (m Mesh) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src ctrl
 		m.Columns = 8
 	}
 	cfg.Requests = max(cfg.Requests, 1)
-	applyDefaults(&cfg)
 	r := &meshRun{
 		cfg: cfg, eng: eng, mem: mem, oramE: oramE, src: src,
 		cols:   m.Columns,
@@ -106,22 +105,6 @@ func (m Mesh) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src ctrl
 	eng.Run()
 	r.finish()
 	return *r.res
-}
-
-func applyDefaults(c *ctrl.RunConfig) {
-	if c.SampleEvery == 0 {
-		c.SampleEvery = c.Requests/100 + 1
-	}
-	if c.PipelineLat == 0 {
-		c.PipelineLat = 4
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // tryIssue assigns the next ORAM request (real or dummy) to its column as
@@ -180,7 +163,7 @@ func (r *meshRun) launch(col int) {
 		if measured {
 			r.res.Requests++
 			r.res.ServedLines++
-			if r.cfg.TrackStash && r.res.Requests%uint64(r.cfg.SampleEvery) == 0 {
+			if r.cfg.TrackStash && r.res.Requests%r.cfg.SampleEvery() == 0 {
 				r.oramE.SampleStashes()
 			}
 		}
@@ -272,7 +255,7 @@ func (r *meshRun) execPE(la oram.LevelAccess, idx int, myClear *sim.Signal, onRP
 	ph := la.Phases[idx]
 	afterReads := func() {
 		advance := func() {
-			r.eng.After(r.cfg.PipelineLat, func() { r.execPE(la, idx+1, myClear, onRP, done) })
+			r.eng.After(ctrl.PipelineLat, func() { r.execPE(la, idx+1, myClear, onRP, done) })
 		}
 		if r.coarse && len(ph.Writes) > 0 {
 			// Software commits its tree writes synchronously before the

@@ -127,10 +127,8 @@ func (r Result) String() string {
 type RunConfig struct {
 	Requests    int // measured ORAM requests
 	Warmup      int // ORAM requests before stats reset (paper: half of total)
-	SampleEvery int // stash sampling period in requests (0 = Requests/100)
 	KeepLatency bool
 	TrackStash  bool
-	PipelineLat sim.Tick // fixed FSM/decrypt latency between phases
 
 	// DummyPolicy, when non-nil, is consulted before each real request; if
 	// it returns true a background dummy ORAM request is issued instead
@@ -143,14 +141,12 @@ type RunConfig struct {
 	OnMeasureStart func()
 }
 
-func (c *RunConfig) defaults() {
-	if c.SampleEvery == 0 {
-		c.SampleEvery = c.Requests/100 + 1
-	}
-	if c.PipelineLat == 0 {
-		c.PipelineLat = 4
-	}
-}
+// PipelineLat is the fixed FSM/decrypt latency between phases.
+const PipelineLat sim.Tick = 4
+
+// SampleEvery is the stash sampling period in requests: about 100 samples
+// over the measured window.
+func (c RunConfig) SampleEvery() uint64 { return uint64(c.Requests/100 + 1) }
 
 // Serial runs the baseline one-request-at-a-time discipline.
 type Serial struct {
@@ -185,7 +181,6 @@ type serialRun struct {
 // Run executes the workload and returns measurements over the post-warmup
 // window. The engine, memory and ORAM engine must be fresh.
 func (s Serial) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src Source, cfg RunConfig) Result {
-	cfg.defaults()
 	r := &serialRun{
 		cfg: cfg, eng: eng, mem: mem, oramE: oramE, src: src,
 		total:     cfg.Requests + cfg.Warmup,
@@ -272,7 +267,7 @@ func (r *serialRun) startNext() {
 				r.res.Tags = append(r.res.Tags, ts.Tag())
 			}
 		}
-		if r.cfg.TrackStash && r.res.Requests%uint64(r.cfg.SampleEvery) == 0 {
+		if r.cfg.TrackStash && r.res.Requests%r.cfg.SampleEvery() == 0 {
 			r.oramE.SampleStashes()
 		}
 	}
@@ -302,7 +297,7 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 				}
 				r.attribute(level, start)
 			})
-			r.eng.After(r.cfg.PipelineLat, r.startNext)
+			r.eng.After(PipelineLat, r.startNext)
 		})
 		return
 	}
@@ -333,7 +328,7 @@ func (r *serialRun) execPhase(la oram.LevelAccess, idx, end int, done func()) {
 		for _, w := range ph.Writes {
 			r.mem.Submit(&dram.Request{Addr: w, Write: true})
 		}
-		r.eng.After(r.cfg.PipelineLat, func() { r.execPhase(la, idx+1, end, done) })
+		r.eng.After(PipelineLat, func() { r.execPhase(la, idx+1, end, done) })
 	}
 	if len(ph.Reads) == 0 {
 		next()

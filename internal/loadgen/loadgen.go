@@ -31,6 +31,7 @@ import (
 
 	"palermo"
 	"palermo/internal/rng"
+	"palermo/internal/serve"
 	"palermo/internal/stats"
 )
 
@@ -93,20 +94,11 @@ func (o *Options) validate() error {
 
 // Result is what a run measured. Stats/Traffic describe this run only:
 // the target is snapshotted before the first client starts and after the
-// last one finishes, and the counters are the difference — so driving a
-// long-lived remote server (whose counters accumulate across runs and
-// clients) reports this run's work, not the server's lifetime totals.
-//
-// Latency percentiles in Stats are delta-correct too: the driver samples
-// every Write and ReadBatch call into its own run-local histograms
-// (RunReadLat/RunWriteLat), and when the target was warm at run start —
-// its cumulative histograms already held earlier runs' samples, which two
-// snapshots cannot un-mix — the run-local p50/p99 replace the lifetime-
-// weighted ones. Against a fresh target the server-side percentiles stand
-// (they additionally exclude client-side call overhead). QueueLat/ExecLat
-// split worker time and have no client-side observable, so they stay
-// lifetime-weighted on warm targets. The store is left open; the caller
-// closes it.
+// last one finishes, and the result is the difference (serve.Sub) — so
+// driving a long-lived remote server (whose counters and latency
+// histograms accumulate across runs and clients) reports this run's work
+// and this run's latency distribution, not the server's lifetime. The
+// store is left open; the caller closes it.
 type Result struct {
 	Wall    time.Duration
 	Stats   palermo.ServiceStats
@@ -114,22 +106,12 @@ type Result struct {
 
 	// RunReadLat/RunWriteLat summarize this run's own call latencies,
 	// sampled at the driver: one sample per ReadBatch call (so a batch
-	// counts once) and one per Write call. Always exact for the run,
-	// whatever the target's history. In open-loop runs the sample is
-	// measured from the operation's *intended* send time (coordinated-
-	// omission corrected); shed operations are excluded.
+	// counts once) and one per Write call, client-side call overhead
+	// included. In open-loop runs the sample is measured from the
+	// operation's *intended* send time (coordinated-omission corrected);
+	// shed operations are excluded.
 	RunReadLat  palermo.LatencySummary
 	RunWriteLat palermo.LatencySummary
-
-	// QueueExecLifetime reports that the target was warm at run start:
-	// its cumulative queue/exec histograms already held earlier runs'
-	// samples, which two snapshots cannot un-mix, so Stats.QueueLat and
-	// Stats.ExecLat percentiles are lifetime-weighted — they describe
-	// the target's whole history, not this run alone. (Their N and mean
-	// are still delta-correct, and ReadLat/WriteLat percentiles are
-	// replaced by the run-local samples.) False against a fresh target,
-	// where every percentile is run-exact.
-	QueueExecLifetime bool
 
 	// ReadOverflow/WriteOverflow count the run-local samples at or above
 	// LatCeilingUs, the top of the driver's histograms. A percentile whose
@@ -221,25 +203,24 @@ func Run(st Target, o Options) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: final snapshot: %w", err)
 	}
 	res := Result{
-		Wall:              wall,
-		Traffic:           deltaTraffic(traffic, baseTraffic),
-		QueueExecLifetime: baseStats.QueueLat.N > 0 || baseStats.ExecLat.N > 0,
+		Wall:    wall,
+		Stats:   serve.Sub(endStats, baseStats),
+		Traffic: deltaTraffic(traffic, baseTraffic),
 	}
 	reads, writes := newLatHistogram(), newLatHistogram()
 	for _, c := range clients {
 		reads.Merge(c.reads)
 		writes.Merge(c.writes)
 	}
-	res.RunReadLat, res.ReadOverflow = summarize(reads), reads.Overflow()
-	res.RunWriteLat, res.WriteOverflow = summarize(writes), writes.Overflow()
-	res.Stats = deltaStats(endStats, baseStats, res.RunReadLat, res.RunWriteLat)
+	res.RunReadLat, res.ReadOverflow = serve.Summarize(reads), reads.Overflow()
+	res.RunWriteLat, res.WriteOverflow = serve.Summarize(writes), writes.Overflow()
 	return res, nil
 }
 
 // The run-local histograms: 5 µs buckets (the service's own bucketing) up
 // to LatCeilingUs.
 const (
-	latBuckets  = 4096
+	latBuckets  = serve.LatBuckets
 	latBucketUs = 5
 
 	// LatCeilingUs is the largest latency the run-local histograms
@@ -249,52 +230,6 @@ const (
 )
 
 func newLatHistogram() *stats.Histogram { return stats.NewHistogram(latBuckets, latBucketUs) }
-
-func summarize(h *stats.Histogram) palermo.LatencySummary {
-	return palermo.LatencySummary{
-		N:      h.N(),
-		MeanUs: h.Mean(),
-		P50Us:  h.Quantile(0.50),
-		P99Us:  h.Quantile(0.99),
-	}
-}
-
-// deltaStats subtracts the baseline snapshot so the result counts this
-// run's operations only. runRead/runWrite are the driver's run-local call
-// summaries, substituted for the un-subtractable lifetime percentiles when
-// the target was warm.
-func deltaStats(end, base palermo.ServiceStats, runRead, runWrite palermo.LatencySummary) palermo.ServiceStats {
-	end.Reads -= base.Reads
-	end.Writes -= base.Writes
-	end.DedupHits -= base.DedupHits
-	end.Sheds -= base.Sheds
-	end.ReadLat = deltaLatency(end.ReadLat, base.ReadLat, runRead)
-	end.WriteLat = deltaLatency(end.WriteLat, base.WriteLat, runWrite)
-	end.QueueLat = deltaLatency(end.QueueLat, base.QueueLat, palermo.LatencySummary{})
-	end.ExecLat = deltaLatency(end.ExecLat, base.ExecLat, palermo.LatencySummary{})
-	return end
-}
-
-// deltaLatency un-mixes the run's count and mean from the cumulative
-// summaries. Percentiles summarize the target's whole-lifetime histogram
-// and cannot be subtracted; against a fresh target (base.N == 0) the end
-// snapshot's values are already exact and stand, otherwise the run-local
-// sample percentiles replace them (when the caller measured any — the
-// QueueLat/ExecLat split has no client-side observable and passes a zero
-// summary, keeping the lifetime values).
-func deltaLatency(end, base, run palermo.LatencySummary) palermo.LatencySummary {
-	if base.N == 0 {
-		return end
-	}
-	out := palermo.LatencySummary{N: end.N - base.N, P50Us: end.P50Us, P99Us: end.P99Us}
-	if run.N > 0 {
-		out.P50Us, out.P99Us = run.P50Us, run.P99Us
-	}
-	if out.N > 0 {
-		out.MeanUs = (float64(end.N)*end.MeanUs - float64(base.N)*base.MeanUs) / float64(out.N)
-	}
-	return out
-}
 
 // deltaTraffic subtracts the baseline traffic counters and recomputes the
 // amplification factor over the run's own operations. StashPeak is a

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"palermo"
+	"palermo/internal/serve"
+	"palermo/internal/stats"
 )
 
 func TestRunDrivesStore(t *testing.T) {
@@ -76,11 +78,8 @@ func TestRunReportsDeltasOnWarmTarget(t *testing.T) {
 }
 
 // TestRunWarmTargetPercentilesAreRunLocal: against a warm target the
-// service's cumulative histograms mix earlier runs' samples into the
-// lifetime p50/p99, which two snapshots cannot un-mix. The driver's own
-// per-call samples must take over: the reported percentiles come from
-// RunReadLat/RunWriteLat, and those summaries count exactly this run's
-// calls.
+// driver's own per-call summaries count exactly this run's calls, and the
+// service-side summaries count exactly this run's operations.
 func TestRunWarmTargetPercentilesAreRunLocal(t *testing.T) {
 	st, err := palermo.NewShardedStore(palermo.ShardedStoreConfig{Blocks: 1 << 12, Shards: 2})
 	if err != nil {
@@ -106,20 +105,78 @@ func TestRunWarmTargetPercentilesAreRunLocal(t *testing.T) {
 		t.Fatalf("run-local write summary counted %d calls, want %d writes",
 			res.RunWriteLat.N, res.Stats.Writes)
 	}
-	// The warm-target stats must carry the run-local percentiles, not the
-	// lifetime-weighted ones.
-	if res.Stats.ReadLat.P50Us != res.RunReadLat.P50Us ||
-		res.Stats.ReadLat.P99Us != res.RunReadLat.P99Us {
-		t.Fatalf("warm-target read percentiles %+v not substituted from run-local %+v",
-			res.Stats.ReadLat, res.RunReadLat)
+	s := res.Stats
+	if s.ReadLat.N != s.Reads || s.WriteLat.N != s.Writes || s.QueueLat.N != s.Reads+s.Writes || s.ExecLat.N != s.Reads+s.Writes {
+		t.Fatalf("service summaries do not count the run's %d reads and %d writes: %+v", s.Reads, s.Writes, s)
 	}
-	if res.Stats.WriteLat.P50Us != res.RunWriteLat.P50Us ||
-		res.Stats.WriteLat.P99Us != res.RunWriteLat.P99Us {
-		t.Fatalf("warm-target write percentiles %+v not substituted from run-local %+v",
-			res.Stats.WriteLat, res.RunWriteLat)
+	if res.RunReadLat.P99Us < res.RunReadLat.P50Us || res.RunReadLat.MeanUs <= 0 || s.ReadLat.MeanUs <= 0 {
+		t.Fatalf("implausible read summaries: run-local %+v, service %+v", res.RunReadLat, s.ReadLat)
 	}
-	if res.RunReadLat.P99Us < res.RunReadLat.P50Us || res.RunReadLat.MeanUs <= 0 {
-		t.Fatalf("implausible run-local read summary: %+v", res.RunReadLat)
+}
+
+// historyTarget serves every call instantly and answers its first
+// Snapshot with a history of 1 ms samples and every later one with that
+// history plus a run of 10 µs samples, in all four latency classes.
+type historyTarget struct {
+	glitchTarget
+	snaps []palermo.ServiceStats
+}
+
+// latHists returns four service-layout histograms, class i holding
+// n*(i+1) samples of us microseconds.
+func latHists(n int, us float64) [4]*stats.Histogram {
+	var h [4]*stats.Histogram
+	for i := range h {
+		h[i] = stats.NewHistogram(serve.LatBuckets, 5)
+		for range n * (i + 1) {
+			h[i].Add(us)
+		}
+	}
+	return h
+}
+
+func countsOf(h [4]*stats.Histogram) (c [4]stats.Counts) {
+	for i := range h {
+		c[i] = h[i].Counts()
+	}
+	return c
+}
+
+func (h *historyTarget) Snapshot() (palermo.ServiceStats, palermo.TrafficReport, error) {
+	s := h.snaps[0]
+	if len(h.snaps) > 1 {
+		h.snaps = h.snaps[1:]
+	}
+	return s, palermo.TrafficReport{}, nil
+}
+
+// TestRunSubtractsTargetHistory: the run's stats are the end snapshot
+// minus the baseline, histograms included, so every class reports the
+// run's own count, mean and percentiles — none is weighted by the 1 ms
+// history the target carried into the run.
+func TestRunSubtractsTargetHistory(t *testing.T) {
+	history, run := latHists(1000, 1000), latHists(200, 10)
+	end := latHists(1000, 1000)
+	for i := range end {
+		end[i].Merge(run[i])
+	}
+	tgt := &historyTarget{snaps: []palermo.ServiceStats{
+		serve.FromHists(0, 0, countsOf(history)),
+		serve.FromHists(0, 0, countsOf(end)),
+	}}
+	res, err := Run(tgt, Options{Clients: 1, Ops: 10, ReadRatio: 0.5, Batch: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]palermo.LatencySummary{res.Stats.ReadLat, res.Stats.WriteLat, res.Stats.QueueLat, res.Stats.ExecLat}
+	for i, name := range []string{"read", "write", "queue", "exec"} {
+		want := serve.Summarize(run[i])
+		if got[i] != want || want.P99Us >= 1000 {
+			t.Errorf("%s: run stats %+v, want the run's own %+v", name, got[i], want)
+		}
+	}
+	if res.Stats.Reads != 200 || res.Stats.Writes != 400 {
+		t.Errorf("run counted %d reads, %d writes; want 200, 400", res.Stats.Reads, res.Stats.Writes)
 	}
 }
 
@@ -287,33 +344,6 @@ func TestRunCountsShedsNotErrors(t *testing.T) {
 		if res.Stats.Sheds != 200 {
 			t.Fatalf("batch %d: %d ops counted shed, want all 200 attempts", batch, res.Stats.Sheds)
 		}
-	}
-}
-
-// TestRunMarksLifetimeWeightedQueueExec: regression for the warm-target
-// percentile lie. QueueLat/ExecLat have no client-side observable, so on
-// a warm target their p50/p99 stay lifetime-weighted — the result must
-// say so instead of printing them indistinguishably from run-exact ones.
-func TestRunMarksLifetimeWeightedQueueExec(t *testing.T) {
-	st, err := palermo.NewShardedStore(palermo.ShardedStoreConfig{Blocks: 1 << 12, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	opts := Options{Clients: 2, Ops: 200, ReadRatio: 0.5, Batch: 1, Seed: 2}
-	res, err := Run(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QueueExecLifetime {
-		t.Fatal("fresh target: queue/exec percentiles are run-exact, must not be flagged")
-	}
-	res, err = Run(st, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.QueueExecLifetime {
-		t.Fatal("warm target: queue/exec percentiles are lifetime-weighted and must be flagged")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"palermo/internal/serve"
+	"palermo/internal/stats"
 	"palermo/internal/wire"
 )
 
@@ -120,7 +121,10 @@ func (f *fakeStore) WriteBatch(ids []uint64, blocks [][]byte, done BatchCompleti
 func (f *fakeStore) Stats() wire.Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return wire.Stats{Blocks: 1 << 12, Shards: 1, Reads: f.reads, Writes: f.writes}
+	// The service counts reads and writes as its histograms' N; these
+	// samples all fall past the bucketed range.
+	lat := [4]stats.Counts{{N: f.reads, Overflow: f.reads}, {N: f.writes, Overflow: f.writes}}
+	return wire.Stats{Blocks: 1 << 12, Shards: 1, Lat: lat}
 }
 
 // startServer runs a server over a loopback listener and returns its
@@ -231,7 +235,7 @@ func TestServeRoundTrip(t *testing.T) {
 	f = request(t, nc, wire.OpStats, 3, nil)
 	_, body, _, _ = wire.ParseResp(f.Payload)
 	stats, err := wire.ParseStats(body)
-	if err != nil || stats.Blocks != 1<<12 || stats.Writes != 1 {
+	if err != nil || stats.Blocks != 1<<12 || stats.Lat[1].N != 1 {
 		t.Fatalf("stats: %+v %v", stats, err)
 	}
 	if stats.MaxBatch != 4096 { // the config default, stamped by the server

@@ -155,13 +155,10 @@ type worker struct {
 
 	// statMu guards the histograms and counters below; they are written by
 	// the worker once per completed request and read by MergeStats.
-	statMu   sync.Mutex
-	readLat  *stats.Histogram
-	writeLat *stats.Histogram
-	queueLat *stats.Histogram // submission -> worker pickup
-	execLat  *stats.Histogram // worker pickup -> completion
-	dedup    uint64
-	sheds    uint64 // requests dropped at pickup (admission deadline expired)
+	statMu sync.Mutex
+	lat    latHists
+	dedup  uint64
+	sheds  uint64 // requests dropped at pickup (admission deadline expired)
 
 	// closeErr is the backend's Close result, written by the worker
 	// goroutine before it exits and read only after wg.Wait.
@@ -178,10 +175,7 @@ func New(b Backend, cfg Config) *Service {
 		queue:    make(chan submission, cfg.QueueDepth),
 		lastOp:   make(map[uint64]*request),
 		deadline: cfg.AdmissionDeadline,
-		readLat:  newLatHistogram(),
-		writeLat: newLatHistogram(),
-		queueLat: newLatHistogram(),
-		execLat:  newLatHistogram(),
+		lat:      newLatHists(),
 	}
 	s := &Service{w: w}
 	s.wg.Add(1)
@@ -192,12 +186,29 @@ func New(b Backend, cfg Config) *Service {
 	return s
 }
 
-// newLatHistogram builds a latency histogram in microseconds: 4096
-// buckets of 5µs cover [0, ~20ms) with overflow counted. Percentiles come
+// LatBuckets is the bucket count of a service latency histogram: 4096
+// buckets of 5µs cover [0, ~20ms), with overflow counted. Percentiles come
 // from bucket counts (stats.Histogram.Quantile), so service memory stays
 // bounded no matter how many requests are served.
-func newLatHistogram() *stats.Histogram {
-	return stats.NewHistogram(4096, 5)
+const LatBuckets = 4096
+
+// latHists is a service's four latency histograms in microseconds, by
+// class: read and write totals, then the queue-wait and execute split of
+// both.
+type latHists [4]*stats.Histogram
+
+const (
+	latRead = iota
+	latWrite
+	latQueue // submission -> worker pickup
+	latExec  // worker pickup -> completion
+)
+
+func newLatHists() (h latHists) {
+	for i := range h {
+		h[i] = stats.NewHistogram(LatBuckets, 5)
+	}
+	return h
 }
 
 // SubmitFunc enqueues one operation; done receives its outcome on the
@@ -438,25 +449,38 @@ func (w *worker) writeRun(run []request, cache map[uint64][]byte) {
 // queue-wait and execute split. statMu is held.
 func (w *worker) observe(op Op, us, queueUs float64) {
 	if op == OpRead {
-		w.readLat.Add(us)
+		w.lat[latRead].Add(us)
 	} else {
-		w.writeLat.Add(us)
+		w.lat[latWrite].Add(us)
 	}
-	w.queueLat.Add(queueUs)
-	w.execLat.Add(us - queueUs)
+	w.lat[latQueue].Add(queueUs)
+	w.lat[latExec].Add(us - queueUs)
 }
 
 // LatencySummary condenses one operation class's latency distribution.
+// Percentiles are bucketed upper bounds (5µs resolution, clamped at the
+// ~20ms histogram range).
 type LatencySummary struct {
 	N            uint64
 	MeanUs       float64
 	P50Us, P99Us float64
 }
 
+// Summarize condenses a latency histogram in microseconds.
+func Summarize(h *stats.Histogram) LatencySummary {
+	return LatencySummary{
+		N:      h.N(),
+		MeanUs: h.Mean(),
+		P50Us:  h.Quantile(0.50),
+		P99Us:  h.Quantile(0.99),
+	}
+}
+
 // Stats is a point-in-time service snapshot. ReadLat/WriteLat are
 // submission-to-completion totals per op class; QueueLat/ExecLat split the
 // same interval (across both classes) into time spent waiting in the shard
-// queue versus executing on the worker.
+// queue versus executing on the worker. Each summary condenses a histogram
+// the snapshot keeps, so snapshots combine exactly (Merge, Sub).
 type Stats struct {
 	Reads, Writes uint64 // completed operations
 	DedupHits     uint64 // reads served by intra-batch fan-out
@@ -475,6 +499,11 @@ type Stats struct {
 	WriteLat LatencySummary
 	QueueLat LatencySummary // queue entry -> worker pickup
 	ExecLat  LatencySummary // worker pickup -> completion
+
+	// lat holds the histograms the summaries condense — read, write,
+	// queue, exec — in compact form: what the combines add and subtract
+	// and what crosses the wire.
+	lat [4]stats.Counts
 }
 
 // QueueDepth reports the request queue's current occupancy (in queued
@@ -483,45 +512,76 @@ type Stats struct {
 // closed queue reads 0).
 func (s *Service) QueueDepth() int { return len(s.w.queue) }
 
-// MergeStats aggregates the snapshots of several Services: counters sum
-// and latency histograms merge at the bucket level, so the combined
-// percentiles are those of the pooled samples — not a lossy
-// summary-of-summaries. Percentiles are bucketed upper bounds (5µs
-// resolution, clamped at the ~20ms histogram range). A store reports one
-// snapshot across its per-shard Services this way, and a cluster node
-// includes the retired ones of migrated-away shards, whose
+// MergeStats is the Merge of the services' current snapshots. A store
+// reports one snapshot across its per-shard Services this way, and a
+// cluster node includes the retired ones of migrated-away shards, whose
 // served-operation history stays on that node. Safe at any time,
 // including while requests are in flight; a closed Service contributes its
 // final counters.
 func MergeStats(svcs []*Service) Stats {
-	var out Stats
-	reads, writes := newLatHistogram(), newLatHistogram()
-	queued, execed := newLatHistogram(), newLatHistogram()
-	for _, s := range svcs {
+	snaps := make([]Stats, len(svcs))
+	for i, s := range svcs {
 		w := s.w
 		w.statMu.Lock()
-		out.DedupHits += w.dedup
-		out.Sheds += w.sheds
-		reads.Merge(w.readLat)
-		writes.Merge(w.writeLat)
-		queued.Merge(w.queueLat)
-		execed.Merge(w.execLat)
+		snaps[i] = Stats{DedupHits: w.dedup, Sheds: w.sheds, lat: w.lat.counts()}
 		w.statMu.Unlock()
 	}
-	out.Reads = reads.N()
-	out.Writes = writes.N()
-	out.ReadLat = summarize(reads)
-	out.WriteLat = summarize(writes)
-	out.QueueLat = summarize(queued)
-	out.ExecLat = summarize(execed)
-	return out
+	return Merge(snaps...)
 }
 
-func summarize(h *stats.Histogram) LatencySummary {
-	return LatencySummary{
-		N:      h.N(),
-		MeanUs: h.Mean(),
-		P50Us:  h.Quantile(0.50),
-		P99Us:  h.Quantile(0.99),
+// Merge pools snapshots of disjoint operation streams — the shards of a
+// store, a node's retired services, the nodes of a cluster — into one:
+// counters sum and histograms add bucket by bucket, so every summary is
+// that of the pooled samples, as if one service had served them all.
+func Merge(snaps ...Stats) Stats {
+	h := newLatHists()
+	var dedup, sheds uint64
+	for _, s := range snaps {
+		dedup += s.DedupHits
+		sheds += s.Sheds
+		for i := range h {
+			h[i].AddCounts(s.lat[i])
+		}
 	}
+	return h.stats(dedup, sheds)
+}
+
+// Sub returns what one target served between two of its snapshots, base
+// and the later end: counters and histograms subtract exactly, so the
+// summaries are those of the interval's own samples, whatever history the
+// target carried before base.
+func Sub(end, base Stats) Stats {
+	h := newLatHists()
+	for i := range h {
+		h[i].AddCounts(end.lat[i])
+		h[i].SubCounts(base.lat[i])
+	}
+	return h.stats(end.DedupHits-base.DedupHits, end.Sheds-base.Sheds)
+}
+
+// Hists returns s's histograms — read, write, queue, exec — in compact
+// form, for the wire.
+func Hists(s Stats) [4]stats.Counts { return s.lat }
+
+// FromHists rebuilds a snapshot from its counters and the histograms Hists
+// returned; it panics on a bucket index at or past LatBuckets.
+func FromHists(dedupHits, sheds uint64, lat [4]stats.Counts) Stats {
+	return Merge(Stats{DedupHits: dedupHits, Sheds: sheds, lat: lat})
+}
+
+// stats condenses the histograms into a snapshot.
+func (h latHists) stats(dedup, sheds uint64) Stats {
+	return Stats{
+		Reads: h[latRead].N(), Writes: h[latWrite].N(), DedupHits: dedup, Sheds: sheds,
+		ReadLat: Summarize(h[latRead]), WriteLat: Summarize(h[latWrite]),
+		QueueLat: Summarize(h[latQueue]), ExecLat: Summarize(h[latExec]),
+		lat: h.counts(),
+	}
+}
+
+func (h latHists) counts() (c [4]stats.Counts) {
+	for i, x := range h {
+		c[i] = x.Counts()
+	}
+	return c
 }

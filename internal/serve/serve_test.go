@@ -626,6 +626,36 @@ func TestServeStatsBreakdown(t *testing.T) {
 	}
 }
 
+// TestMergeSubExact: Merge pools two snapshots as if one service had
+// served both sample sets, Sub takes one back out, and a snapshot rebuilt
+// from its wire form (Hists, FromHists) is the snapshot itself.
+func TestMergeSubExact(t *testing.T) {
+	fill := func(us ...float64) Stats {
+		h := newLatHists()
+		for i, x := range h {
+			for _, v := range us {
+				x.Add(v * float64(i+1))
+			}
+		}
+		return h.stats(uint64(len(us)), 2*uint64(len(us)))
+	}
+	a, b := fill(10, 10, 10), fill(100, 100, 100000)
+	both := fill(10, 10, 10, 100, 100, 100000)
+	if got := Merge(a, b); !reflect.DeepEqual(got, both) {
+		t.Fatalf("Merge:\n got %+v\nwant %+v", got, both)
+	}
+	if got := Sub(both, a); !reflect.DeepEqual(got, b) {
+		t.Fatalf("Sub:\n got %+v\nwant %+v", got, b)
+	}
+	if got := FromHists(b.DedupHits, b.Sheds, Hists(b)); !reflect.DeepEqual(got, b) {
+		t.Fatalf("FromHists(Hists):\n got %+v\nwant %+v", got, b)
+	}
+	// The pooled p50 is a latency some op had, not a blend of the two.
+	if m := Merge(fill(10), fill(100)); m.ReadLat.P50Us != 15 || m.ReadLat.P99Us != 105 {
+		t.Fatalf("pooled read p50/p99 = %v/%v, want 15/105", m.ReadLat.P50Us, m.ReadLat.P99Us)
+	}
+}
+
 // TestServeAdmissionDeadlineSheds: a deadline no queued request can meet
 // drops every op at worker pickup — ErrRetry to the waiter, counted in
 // Stats.Sheds, excluded from the completed-op counters and latency

@@ -177,6 +177,63 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
+// Counts is a Histogram's contents in compact form: the observation count,
+// sum and overflow, and the non-empty buckets in increasing index order.
+// Retained samples are not part of it.
+type Counts struct {
+	N, Overflow uint64
+	Sum         float64
+	Buckets     []BucketCount
+}
+
+// BucketCount is one non-empty bucket of Counts.
+type BucketCount struct {
+	Index uint32
+	Count uint64
+}
+
+// Counts returns h's contents in compact form.
+func (h *Histogram) Counts() Counts {
+	c := Counts{N: h.n, Overflow: h.overflow, Sum: h.sum}
+	used := 0
+	for _, n := range h.buckets {
+		if n != 0 {
+			used++
+		}
+	}
+	if used > 0 { // sized exactly: snapshots are retained
+		c.Buckets = make([]BucketCount, 0, used)
+	}
+	for i, n := range h.buckets {
+		if n != 0 {
+			c.Buckets = append(c.Buckets, BucketCount{Index: uint32(i), Count: n})
+		}
+	}
+	return c
+}
+
+// AddCounts folds c's observations into h, which must have a bucket for
+// each of c's indices.
+func (h *Histogram) AddCounts(c Counts) {
+	h.n += c.N
+	h.sum += c.Sum
+	h.overflow += c.Overflow
+	for _, b := range c.Buckets {
+		h.buckets[b.Index] += b.Count
+	}
+}
+
+// SubCounts takes c's observations out of h: the inverse of AddCounts, for
+// a c taken from h (or from what h accumulated) earlier.
+func (h *Histogram) SubCounts(c Counts) {
+	h.n -= c.N
+	h.sum -= c.Sum
+	h.overflow -= c.Overflow
+	for _, b := range c.Buckets {
+		h.buckets[b.Index] -= b.Count
+	}
+}
+
 // Quantile returns an upper bound on the q-th quantile (0 < q <= 1) from
 // bucket counts alone: the upper edge of the bucket containing the
 // ceil(q*N)-th smallest observation. Observations beyond the bucketed

@@ -29,6 +29,8 @@ import (
 	"io"
 	"math"
 	"sync"
+
+	"palermo/internal/stats"
 )
 
 const (
@@ -42,8 +44,11 @@ const (
 	// incompatible fixed-width layout changes); version 4 added the cluster
 	// layer: geometry epoch + owned-shard-range fields in Stats, the
 	// Manifest op, the Migrate* op family, and StatusWrongEpoch; version 5
-	// added overload shedding: StatusRetry and the Sheds counter in Stats.
-	Version byte = 5
+	// added overload shedding: StatusRetry and the Sheds counter in Stats;
+	// version 6 carries the service latency histograms whole in Stats
+	// (in place of fixed p50/p99 summaries) and drops the read/write
+	// counts they hold and three always-zero prefetch counters.
+	Version byte = 6
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 16
 	// BlockBytes is the store's payload granularity on the wire. A
@@ -651,27 +656,25 @@ func ParseMigrateReq(p []byte) (uint32, string, error) {
 
 // --- stats ------------------------------------------------------------
 
-// Latency is one operation class's latency summary on the wire.
-type Latency struct {
-	N            uint64
-	MeanUs       float64
-	P50Us, P99Us float64
-}
+// LatBuckets is the bucket count of a service latency histogram in Stats.
+// A compile-time assertion in the root package ties it to
+// serve.LatBuckets.
+const LatBuckets = 4096
 
 // Stats is the server snapshot a Stats op returns: store geometry and
 // limits (which double as the client's handshake — capacity, shards, and
 // the server's per-frame batch cap), service counters and latency
-// summaries, and the shard-level traffic counters.
+// histograms, and the shard-level traffic counters.
 type Stats struct {
 	Blocks uint64
 	Shards uint32
 
-	Reads, Writes uint64 // service-layer completed operations
-	DedupHits     uint64
-	ReadLat       Latency
-	WriteLat      Latency
-	QueueLat      Latency // shard-queue wait (submission -> worker pickup)
-	ExecLat       Latency // execute (worker pickup -> completion)
+	DedupHits uint64
+	// Lat is the service's four latency histograms in microseconds —
+	// read, write, queue wait (submission -> worker pickup), execute
+	// (worker pickup -> completion) — whole, so a client merges and
+	// subtracts them exactly. The read and write counts are their N.
+	Lat [4]stats.Counts
 
 	EngineReads, EngineWrites uint64 // shard engine operations
 	DRAMReads, DRAMWrites     uint64 // 64-byte line movements
@@ -682,44 +685,32 @@ type Stats struct {
 	// batches against it. 0 = unknown (a pre-limit server).
 	MaxBatch uint32
 
-	// Version 3 counters: protocol lines the resident tree-top cache
-	// absorbed (bytes saved = 64 * TreeTopHits), and three counters of a
-	// prefetch planner that no longer exists: servers send them as zero and
-	// clients ignore them; they keep the version-5 byte layout.
-	TreeTopHits    uint64
-	PrefetchIssued uint64
-	PrefetchUsed   uint64
-	PrefetchStale  uint64
+	// TreeTopHits counts protocol lines the resident tree-top cache
+	// absorbed (bytes saved = 64 * TreeTopHits).
+	TreeTopHits uint64
 
-	// Version 4 cluster fields. Epoch is the node's current geometry
-	// epoch (0 = standalone, no placement manifest). FirstShard and
-	// OwnedShards describe the contiguous shard range this node serves;
-	// a standalone server reports 0..Shards. Clients pin the epoch at
-	// handshake and treat any later change as a geometry change.
+	// Epoch is the node's current geometry epoch (0 = standalone, no
+	// placement manifest). FirstShard and OwnedShards describe the
+	// contiguous shard range this node serves; a standalone server reports
+	// 0..Shards. Clients pin the epoch at handshake and treat any later
+	// change as a geometry change.
 	Epoch       uint64
 	FirstShard  uint32
 	OwnedShards uint32
 
-	// Version 5: operations the service shed under overload (admission
+	// Sheds counts operations the service shed under overload (admission
 	// deadline expired in the shard queue) instead of executing. Shed
 	// requests are answered StatusRetry and never touch an engine.
 	Sheds uint64
 }
 
-// statsLen is the fixed encoded size of Stats.
-const statsLen = 8 + 4 + 3*8 + 4*(8+3*8) + 4*8 + 4 + 4 + 4*8 + 8 + 4 + 4 + 8
-
-// AppendStats appends the fixed-width Stats encoding.
+// AppendStats appends the Stats encoding: the fixed-width counters, then
+// each histogram as N, sum, overflow, a pair count and its (uint16 bucket
+// index, uint64 count) pairs.
 func AppendStats(dst []byte, s Stats) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, s.Blocks)
 	dst = binary.BigEndian.AppendUint32(dst, s.Shards)
-	dst = binary.BigEndian.AppendUint64(dst, s.Reads)
-	dst = binary.BigEndian.AppendUint64(dst, s.Writes)
 	dst = binary.BigEndian.AppendUint64(dst, s.DedupHits)
-	dst = appendLatency(dst, s.ReadLat)
-	dst = appendLatency(dst, s.WriteLat)
-	dst = appendLatency(dst, s.QueueLat)
-	dst = appendLatency(dst, s.ExecLat)
 	dst = binary.BigEndian.AppendUint64(dst, s.EngineReads)
 	dst = binary.BigEndian.AppendUint64(dst, s.EngineWrites)
 	dst = binary.BigEndian.AppendUint64(dst, s.DRAMReads)
@@ -727,59 +718,93 @@ func AppendStats(dst []byte, s Stats) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, s.StashPeak)
 	dst = binary.BigEndian.AppendUint32(dst, s.MaxBatch)
 	dst = binary.BigEndian.AppendUint64(dst, s.TreeTopHits)
-	dst = binary.BigEndian.AppendUint64(dst, s.PrefetchIssued)
-	dst = binary.BigEndian.AppendUint64(dst, s.PrefetchUsed)
-	dst = binary.BigEndian.AppendUint64(dst, s.PrefetchStale)
 	dst = binary.BigEndian.AppendUint64(dst, s.Epoch)
 	dst = binary.BigEndian.AppendUint32(dst, s.FirstShard)
 	dst = binary.BigEndian.AppendUint32(dst, s.OwnedShards)
-	return binary.BigEndian.AppendUint64(dst, s.Sheds)
+	dst = binary.BigEndian.AppendUint64(dst, s.Sheds)
+	for _, h := range s.Lat {
+		dst = binary.BigEndian.AppendUint64(dst, h.N)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(h.Sum))
+		dst = binary.BigEndian.AppendUint64(dst, h.Overflow)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(h.Buckets)))
+		for _, b := range h.Buckets {
+			dst = binary.BigEndian.AppendUint16(dst, uint16(b.Index))
+			dst = binary.BigEndian.AppendUint64(dst, b.Count)
+		}
+	}
+	return dst
 }
 
-// ParseStats decodes a Stats response body.
+// statsFixedLen is the size of Stats' fixed-width counters.
+const statsFixedLen = 8 + 4 + 8 + 4*8 + 4 + 4 + 8 + 8 + 4 + 4 + 8
+
+// ParseStats decodes a Stats response body. It is strict: every histogram
+// must list non-zero counts at increasing indices below LatBuckets that,
+// with its overflow, add up to its N, and nothing may follow the last one.
 func ParseStats(body []byte) (Stats, error) {
-	if len(body) != statsLen {
-		return Stats{}, fmt.Errorf("%w: Stats body is %d bytes, want %d", ErrMalformed, len(body), statsLen)
+	if len(body) < statsFixedLen {
+		return Stats{}, fmt.Errorf("%w: Stats body is %d bytes, want >= %d", ErrMalformed, len(body), statsFixedLen)
 	}
 	var s Stats
 	s.Blocks = binary.BigEndian.Uint64(body)
 	s.Shards = binary.BigEndian.Uint32(body[8:])
-	s.Reads = binary.BigEndian.Uint64(body[12:])
-	s.Writes = binary.BigEndian.Uint64(body[20:])
-	s.DedupHits = binary.BigEndian.Uint64(body[28:])
-	s.ReadLat = parseLatency(body[36:])
-	s.WriteLat = parseLatency(body[68:])
-	s.QueueLat = parseLatency(body[100:])
-	s.ExecLat = parseLatency(body[132:])
-	s.EngineReads = binary.BigEndian.Uint64(body[164:])
-	s.EngineWrites = binary.BigEndian.Uint64(body[172:])
-	s.DRAMReads = binary.BigEndian.Uint64(body[180:])
-	s.DRAMWrites = binary.BigEndian.Uint64(body[188:])
-	s.StashPeak = binary.BigEndian.Uint32(body[196:])
-	s.MaxBatch = binary.BigEndian.Uint32(body[200:])
-	s.TreeTopHits = binary.BigEndian.Uint64(body[204:])
-	s.PrefetchIssued = binary.BigEndian.Uint64(body[212:])
-	s.PrefetchUsed = binary.BigEndian.Uint64(body[220:])
-	s.PrefetchStale = binary.BigEndian.Uint64(body[228:])
-	s.Epoch = binary.BigEndian.Uint64(body[236:])
-	s.FirstShard = binary.BigEndian.Uint32(body[244:])
-	s.OwnedShards = binary.BigEndian.Uint32(body[248:])
-	s.Sheds = binary.BigEndian.Uint64(body[252:])
+	s.DedupHits = binary.BigEndian.Uint64(body[12:])
+	s.EngineReads = binary.BigEndian.Uint64(body[20:])
+	s.EngineWrites = binary.BigEndian.Uint64(body[28:])
+	s.DRAMReads = binary.BigEndian.Uint64(body[36:])
+	s.DRAMWrites = binary.BigEndian.Uint64(body[44:])
+	s.StashPeak = binary.BigEndian.Uint32(body[52:])
+	s.MaxBatch = binary.BigEndian.Uint32(body[56:])
+	s.TreeTopHits = binary.BigEndian.Uint64(body[60:])
+	s.Epoch = binary.BigEndian.Uint64(body[68:])
+	s.FirstShard = binary.BigEndian.Uint32(body[76:])
+	s.OwnedShards = binary.BigEndian.Uint32(body[80:])
+	s.Sheds = binary.BigEndian.Uint64(body[84:])
+	p := body[statsFixedLen:]
+	for i := range s.Lat {
+		var err error
+		if s.Lat[i], p, err = parseHist(p); err != nil {
+			return Stats{}, fmt.Errorf("%w: latency histogram %d: %v", ErrMalformed, i, err)
+		}
+	}
+	if len(p) != 0 {
+		return Stats{}, fmt.Errorf("%w: %d bytes after the Stats body", ErrMalformed, len(p))
+	}
 	return s, nil
 }
 
-func appendLatency(dst []byte, l Latency) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, l.N)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(l.MeanUs))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(l.P50Us))
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(l.P99Us))
-}
-
-func parseLatency(p []byte) Latency {
-	return Latency{
-		N:      binary.BigEndian.Uint64(p),
-		MeanUs: math.Float64frombits(binary.BigEndian.Uint64(p[8:])),
-		P50Us:  math.Float64frombits(binary.BigEndian.Uint64(p[16:])),
-		P99Us:  math.Float64frombits(binary.BigEndian.Uint64(p[24:])),
+// parseHist decodes one histogram of a Stats body and returns the rest.
+func parseHist(p []byte) (stats.Counts, []byte, error) {
+	if len(p) < 26 {
+		return stats.Counts{}, nil, errors.New("truncated header")
 	}
+	h := stats.Counts{
+		N:        binary.BigEndian.Uint64(p),
+		Sum:      math.Float64frombits(binary.BigEndian.Uint64(p[8:])),
+		Overflow: binary.BigEndian.Uint64(p[16:]),
+	}
+	n := int(binary.BigEndian.Uint16(p[24:]))
+	p = p[26:]
+	if len(p) < n*10 {
+		return stats.Counts{}, nil, fmt.Errorf("%d bucket pairs in %d bytes", n, len(p))
+	}
+	if n > 0 {
+		h.Buckets = make([]stats.BucketCount, 0, n)
+	}
+	total := h.Overflow
+	for k := range n {
+		b := stats.BucketCount{Index: uint32(binary.BigEndian.Uint16(p[k*10:])), Count: binary.BigEndian.Uint64(p[k*10+2:])}
+		switch {
+		case b.Index >= LatBuckets || k > 0 && b.Index <= h.Buckets[k-1].Index:
+			return stats.Counts{}, nil, fmt.Errorf("bucket index %d out of order or range", b.Index)
+		case b.Count == 0 || total+b.Count < total:
+			return stats.Counts{}, nil, fmt.Errorf("bucket %d count %d", b.Index, b.Count)
+		}
+		total += b.Count
+		h.Buckets = append(h.Buckets, b)
+	}
+	if total != h.N {
+		return stats.Counts{}, nil, fmt.Errorf("counts add up to %d, N is %d", total, h.N)
+	}
+	return h, p[n*10:], nil
 }

@@ -6,8 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"palermo/internal/stats"
 )
 
 func block(fill byte) []byte { return bytes.Repeat([]byte{fill}, BlockBytes) }
@@ -190,30 +194,128 @@ func TestResponses(t *testing.T) {
 	}
 }
 
-func TestStatsRoundTrip(t *testing.T) {
-	in := Stats{
-		Blocks: 1 << 20, Shards: 8,
-		Reads: 101, Writes: 17, DedupHits: 4,
-		ReadLat:     Latency{N: 101, MeanUs: 12.5, P50Us: 10, P99Us: 95},
-		WriteLat:    Latency{N: 17, MeanUs: 20.25, P50Us: 15, P99Us: 130},
-		QueueLat:    Latency{N: 118, MeanUs: 3.5, P50Us: 2, P99Us: 40},
-		ExecLat:     Latency{N: 118, MeanUs: 16.75, P50Us: 13, P99Us: 110},
+// sampleStats is a snapshot with every field set and histograms that use
+// the bucketed range, the overflow, and neither.
+func sampleStats() Stats {
+	return Stats{
+		Blocks: 1 << 20, Shards: 8, DedupHits: 4,
+		Lat: [4]stats.Counts{
+			{N: 101, Sum: 1262.5, Overflow: 1, Buckets: []stats.BucketCount{{Index: 1, Count: 60}, {Index: 19, Count: 40}}},
+			{N: 17, Sum: 344.25, Buckets: []stats.BucketCount{{Index: 0, Count: 17}}},
+			{N: 3, Sum: 90000, Overflow: 3},
+			{},
+		},
 		EngineReads: 97, EngineWrites: 17,
 		DRAMReads: 12345, DRAMWrites: 6789, StashPeak: 33,
-		MaxBatch:       4096,
-		TreeTopHits:    543210,
-		PrefetchIssued: 88, PrefetchUsed: 80, PrefetchStale: 3,
+		MaxBatch:    4096,
+		TreeTopHits: 543210,
+		Epoch:       3, FirstShard: 2, OwnedShards: 4,
+		Sheds: 1 << 20,
 	}
+}
+
+func TestStatsRoundTrip(t *testing.T) {
+	in := sampleStats()
 	out, err := ParseStats(AppendStats(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != in {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("stats round trip mutated:\n in %+v\nout %+v", in, out)
 	}
 	if _, err := ParseStats([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
 		t.Fatal("short stats accepted")
 	}
+}
+
+// TestParseStatsStrict: a Stats body comes off the network, so every
+// histogram that does not add up, and every body that is cut short or
+// runs long, is ErrMalformed.
+func TestParseStatsStrict(t *testing.T) {
+	with := func(h stats.Counts) []byte {
+		s := sampleStats()
+		s.Lat[3] = h // the last histogram: its end is the body's
+		return AppendStats(nil, s)
+	}
+	pairs := func(idxCount ...uint64) []stats.BucketCount {
+		var out []stats.BucketCount
+		for i := 0; i < len(idxCount); i += 2 {
+			out = append(out, stats.BucketCount{Index: uint32(idxCount[i]), Count: idxCount[i+1]})
+		}
+		return out
+	}
+	body := AppendStats(nil, sampleStats())
+	onePair := with(stats.Counts{N: 2, Buckets: pairs(1, 2)})
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"empty", nil},
+		{"fixed part cut", body[:statsFixedLen-1]},
+		{"histogram header cut", body[:statsFixedLen+25]},
+		{"last pair cut", onePair[:len(onePair)-1]},
+		{"trailing byte", append(append([]byte(nil), body...), 0)},
+		{"pair count past the body", onePair[:len(onePair)-10]},
+		{"decreasing index", with(stats.Counts{N: 5, Buckets: pairs(7, 3, 1, 2)})},
+		{"repeated index", with(stats.Counts{N: 5, Buckets: pairs(1, 3, 1, 2)})},
+		{"index at the bucket count", with(stats.Counts{N: 1, Buckets: pairs(LatBuckets, 1)})},
+		{"index past the bucket count", with(stats.Counts{N: 1, Buckets: pairs(0xFFFF, 1)})},
+		{"zero count", with(stats.Counts{N: 2, Buckets: pairs(1, 2, 3, 0)})},
+		{"counts short of N", with(stats.Counts{N: 6, Overflow: 1, Buckets: pairs(1, 2, 7, 2)})},
+		{"counts past N", with(stats.Counts{N: 4, Overflow: 1, Buckets: pairs(1, 2, 7, 2)})},
+		{"N without samples", with(stats.Counts{N: 1})},
+		{"counts wrap to N", with(stats.Counts{N: 1, Overflow: 2, Buckets: pairs(1, math.MaxUint64)})},
+	} {
+		if _, err := ParseStats(tc.body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: ParseStats = %v, want ErrMalformed", tc.name, err)
+		}
+	}
+	for n := range len(onePair) {
+		if _, err := ParseStats(onePair[:n]); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("body cut to %d of %d bytes: ParseStats = %v, want ErrMalformed", n, len(onePair), err)
+		}
+	}
+}
+
+// FuzzStatsRoundTrip: AppendStats then ParseStats is the identity over
+// any histogram contents the service can produce.
+func FuzzStatsRoundTrip(f *testing.F) {
+	f.Add(uint64(1<<20), uint64(0), uint64(0), 0.0, []byte{})
+	f.Add(uint64(8), uint64(5), uint64(3), 1262.5, []byte{1, 60, 18, 40, 0, 0, 0xFF, 0xFF})
+	f.Add(^uint64(0), ^uint64(0), uint64(1<<40), 9e18, bytes.Repeat([]byte{0, 1}, 600))
+	f.Fuzz(func(t *testing.T, blocks, sheds, overflow uint64, sum float64, data []byte) {
+		if math.IsNaN(sum) {
+			sum = 0
+		}
+		in := Stats{Blocks: blocks, Sheds: sheds, DedupHits: overflow}
+		// data is a stream of (index step, count) byte pairs dealt to the
+		// four histograms in turn; a step of 0 still moves one bucket on.
+		next := [4]uint32{}
+		for k := 0; k+1 < len(data); k += 2 {
+			h := &in.Lat[k/2%4]
+			idx := next[k/2%4] + uint32(data[k])
+			if idx >= LatBuckets {
+				continue
+			}
+			next[k/2%4] = idx + 1
+			c := uint64(data[k+1]) + 1
+			h.Buckets = append(h.Buckets, stats.BucketCount{Index: idx, Count: c})
+			h.N += c
+		}
+		for i := range in.Lat {
+			in.Lat[i].Overflow = overflow >> (2*i + 1) // N cannot wrap
+			in.Lat[i].N += in.Lat[i].Overflow
+			in.Lat[i].Sum = sum * float64(i+1)
+		}
+		body := AppendStats(nil, in)
+		out, err := ParseStats(body)
+		if err != nil {
+			t.Fatalf("ParseStats of an encoded snapshot: %v", err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("stats round trip mutated:\n in %+v\nout %+v", in, out)
+		}
+	})
 }
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame and payload decoders:
@@ -225,10 +327,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(AppendFrame(nil, OpReadBatch, 3, p))
 	}
 	f.Add(AppendFrame(nil, Resp(OpStats), 4, AppendOKResp(nil, AppendStats(nil, Stats{Blocks: 8}))))
-	// Version-5 additions: a StatusRetry shed response and a stats body
-	// carrying a nonzero shed counter.
 	f.Add(AppendFrame(nil, Resp(OpWrite), 5, AppendErrResp(nil, StatusRetry, "request shed under overload")))
-	f.Add(AppendFrame(nil, Resp(OpStats), 6, AppendOKResp(nil, AppendStats(nil, Stats{Blocks: 8, Sheds: 1 << 20}))))
+	// Version-6 stats bodies whose histograms carry buckets and overflow.
+	f.Add(AppendFrame(nil, Resp(OpStats), 6, AppendOKResp(nil, AppendStats(nil, sampleStats()))))
+	big := sampleStats()
+	for i := range uint32(LatBuckets) {
+		big.Lat[3].Buckets = append(big.Lat[3].Buckets, stats.BucketCount{Index: i, Count: 1})
+	}
+	big.Lat[3].N = LatBuckets
+	f.Add(AppendFrame(nil, Resp(OpStats), 7, AppendOKResp(nil, AppendStats(nil, big))))
 	f.Add([]byte("PL\x01\x01garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))

@@ -299,7 +299,7 @@ func buildPalermoRing(o Options, pf int) (*oram.Ring, error) {
 	cfg.NLines = o.Lines
 	cfg.Seed = o.Seed
 	cfg.DataSlotLines = pf
-	applyRingZSA(&cfg, o)
+	applyZSA(&cfg, o)
 	return oram.NewRing(cfg)
 }
 
@@ -314,5 +314,3 @@ func applyZSA(cfg *oram.RingConfig, o Options) {
 		cfg.A = o.A
 	}
 }
-
-func applyRingZSA(cfg *oram.RingConfig, o Options) { applyZSA(cfg, o) }

@@ -28,9 +28,12 @@ import (
 	"palermo/internal/wire"
 )
 
-// The wire protocol's block granularity is pinned to the store's; this
-// fails to compile if they ever drift.
-var _ [0]struct{} = [wire.BlockBytes - BlockSize]struct{}{}
+// The wire protocol's block granularity and latency histogram layout are
+// pinned to the store's; these fail to compile if they ever drift.
+var (
+	_ [0]struct{} = [wire.BlockBytes - BlockSize]struct{}{}
+	_ [0]struct{} = [wire.LatBuckets - serve.LatBuckets]struct{}{}
+)
 
 // ErrServerClosed is returned by Server.Serve/ListenAndServe after Close.
 var ErrServerClosed = netserve.ErrServerClosed

@@ -228,5 +228,20 @@ type TrafficReport struct {
 	SlotCacheHits, SlotCacheMisses uint64
 }
 
+// add folds o's counters into r and recomputes the amplification factor
+// over the combined operations; StashPeak is the larger high-water mark.
+func (r *TrafficReport) add(o TrafficReport) {
+	r.Reads += o.Reads
+	r.Writes += o.Writes
+	r.DRAMReads += o.DRAMReads
+	r.DRAMWrites += o.DRAMWrites
+	r.TreeTopHits += o.TreeTopHits
+	r.StashPeak = max(r.StashPeak, o.StashPeak)
+	r.AmplificationFactor = 0
+	if ops := r.Reads + r.Writes; ops > 0 {
+		r.AmplificationFactor = float64(r.DRAMReads+r.DRAMWrites) / float64(ops)
+	}
+}
+
 // Traffic returns the accumulated report.
 func (s *Store) Traffic() TrafficReport { return s.h.slots.traffic() }
