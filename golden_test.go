@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"io"
 	"io/fs"
 	"maps"
 	"os"
@@ -55,6 +57,81 @@ func TestGoldenFig10CSV(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("Fig10 CSV drifted from %s:\n got\n%s\n want\n%s", path, buf.Bytes(), want)
+	}
+}
+
+// TestGoldenAllFigures pins every figure and table the simulator renders:
+// testdata/all_golden.txt is what `palermo-bench -all -requests 20 -seed 3`
+// prints (the CI bench-smoke job diffs the binary against the same file),
+// and testdata/fig<N>_golden.csv is `palermo-bench -fig N -csv` at the same
+// settings for every figure with a CSV form but Fig 10, which
+// TestGoldenFig10CSV pins at 40 requests.
+func TestGoldenAllFigures(t *testing.T) {
+	o := Options{Requests: 20, Seed: 3}
+	var text bytes.Buffer
+	files := map[string][]byte{}
+	show := func(name string, r fmt.Stringer, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("figure %s: %v", name, err)
+		}
+		fmt.Fprintln(&text, r)
+		if c, ok := r.(interface{ CSV(io.Writer) error }); ok && name != "10" {
+			var b bytes.Buffer
+			if err := c.CSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			files["fig"+name+"_golden.csv"] = b.Bytes()
+		}
+	}
+	// The order and the Println framing are palermo-bench's -all.
+	fmt.Fprintln(&text, TableII())
+	fmt.Fprintln(&text, TableIII())
+	r3, err := Fig3(o)
+	show("3", r3, err)
+	r4, err := Fig4(o)
+	show("4", r4, err)
+	r9, err := Fig9(o)
+	show("9", r9, err)
+	r10, err := Fig10(o)
+	show("10", r10, err)
+	r11, err := Fig11(o)
+	show("11", r11, err)
+	r12, err := Fig12(o)
+	show("12", r12, err)
+	r13, err := Fig13(o)
+	show("13", r13, err)
+	r14a, err := Fig14a(o)
+	show("14a", r14a, err)
+	r14b, err := Fig14b(o)
+	show("14b", r14b, err)
+	show("15", Fig15(8), nil)
+	for _, fn := range []func(Options) (AblationResult, error){AblationHoisting, AblationTreeTop, AblationCommitGranularity} {
+		r, err := fn(o)
+		show("ablations", r, err)
+	}
+	pg, rg, err := AblationPathMesh(o)
+	show("ablations", pg, err)
+	show("ablations", rg, nil)
+	tr, err := TenantIsolation(o)
+	show("tenants", tr, err)
+	files["all_golden.txt"] = text.Bytes()
+
+	for name, got := range files {
+		path := filepath.Join("testdata", name)
+		if *updateGolden {
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted:\n got\n%s\n want\n%s", path, got, want)
+		}
 	}
 }
 
