@@ -7,13 +7,11 @@ import (
 
 	"palermo/internal/core"
 	"palermo/internal/ctrl"
-	"palermo/internal/dram"
 	"palermo/internal/exp"
 	"palermo/internal/hwmodel"
 	"palermo/internal/oram"
 	"palermo/internal/rng"
 	"palermo/internal/security"
-	"palermo/internal/sim"
 	"palermo/internal/stats"
 	"palermo/internal/workload"
 )
@@ -642,10 +640,18 @@ func (a AblationResult) String() string {
 }
 
 // ablationPair runs the {baseline, with-feature} arms of an ablation as a
-// two-cell grid.
-func ablationPair(o Options, name string, arm func(with bool) (float64, error)) (AblationResult, error) {
+// two-cell grid: arm builds one arm's controller and engine from the
+// defaulted options.
+func ablationPair(o Options, name string, arm func(o Options, with bool) (ctrl.Controller, oram.Engine, error)) (AblationResult, error) {
+	if err := o.defaults(); err != nil {
+		return AblationResult{}, err
+	}
 	thr, err := exp.Map(o.runner(), 2, func(i int) (float64, error) {
-		return arm(i == 1)
+		ctl, e, err := arm(o, i == 1)
+		if err != nil {
+			return 0, err
+		}
+		return randCell(o, ctl, e)
 	})
 	if err != nil {
 		return AblationResult{}, err
@@ -653,65 +659,47 @@ func ablationPair(o Options, name string, arm func(with bool) (float64, error)) 
 	return AblationResult{Name: name, Baseline: thr[0], With: thr[1]}, nil
 }
 
+// randCell is an ablation arm's cell: ctl replays e's plans for the rand
+// workload. It returns the measured throughput.
+func randCell(o Options, ctl ctrl.Controller, e oram.Engine) (float64, error) {
+	gen, err := workload.New("rand", o.Lines, o.Seed)
+	if err != nil {
+		return 0, err
+	}
+	return runCell(ctl, e, gen, ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup}).Throughput(), nil
+}
+
 // AblationHoisting measures Algorithm 2's EarlyReshuffle hoisting: the PE
 // mesh running baseline-ordered RingORAM plans (reshuffle after the read
 // path) against the Palermo ordering (reshuffle hoisted before it). The
 // hoisting is what releases the west→east dependency early (§IV-B).
 func AblationHoisting(o Options) (AblationResult, error) {
-	o.defaults()
-	return ablationPair(o, "ER hoisting (Alg 2)", func(with bool) (float64, error) {
-		variant := oram.VariantBaseline
-		if with {
-			variant = oram.VariantPalermo
-		}
+	return ablationPair(o, "ER hoisting (Alg 2)", func(o Options, with bool) (ctrl.Controller, oram.Engine, error) {
 		cfg := oram.PalermoRingConfig()
 		cfg.NLines = o.Lines
 		cfg.Seed = o.Seed
-		cfg.Variant = variant
+		cfg.Variant = oram.VariantBaseline
+		if with {
+			cfg.Variant = oram.VariantPalermo
+		}
 		e, err := oram.NewRing(cfg)
-		if err != nil {
-			return 0, err
-		}
-		gen, err := workload.New("rand", o.Lines, o.Seed)
-		if err != nil {
-			return 0, err
-		}
-		var eng sim.Engine
-		mem := dram.New(&eng, dram.DefaultConfig())
-		src := ctrl.FuncSource(func() (uint64, bool) { return gen.Next() })
-		res := core.Mesh{Name: "mesh", Columns: o.Columns}.Run(&eng, mem, e, src,
-			ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup})
-		return res.Throughput(), nil
+		return core.Mesh{Name: "mesh", Columns: o.Columns}, e, err
 	})
 }
 
 // AblationTreeTop measures the tree-top cache: Palermo with the Table III
 // 256 KB per-level scratchpad against no cache at all.
 func AblationTreeTop(o Options) (AblationResult, error) {
-	o.defaults()
-	return ablationPair(o, "tree-top cache 256KB", func(with bool) (float64, error) {
-		capacity := uint64(1) // 1 byte: caches nothing
-		if with {
-			capacity = 256 << 10
-		}
+	return ablationPair(o, "tree-top cache 256KB", func(o Options, with bool) (ctrl.Controller, oram.Engine, error) {
 		cfg := oram.PalermoRingConfig()
 		cfg.NLines = o.Lines
 		cfg.Seed = o.Seed
-		cfg.TreeTopBytes = capacity
+		cfg.TreeTopBytes = 1 // 1 byte: caches nothing
+		if with {
+			cfg.TreeTopBytes = 256 << 10
+		}
 		e, err := oram.NewRing(cfg)
-		if err != nil {
-			return 0, err
-		}
-		gen, err := workload.New("rand", o.Lines, o.Seed)
-		if err != nil {
-			return 0, err
-		}
-		var eng sim.Engine
-		mem := dram.New(&eng, dram.DefaultConfig())
-		src := ctrl.FuncSource(func() (uint64, bool) { return gen.Next() })
-		res := core.Mesh{Name: "mesh", Columns: o.Columns}.Run(&eng, mem, e, src,
-			ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup})
-		return res.Throughput(), nil
+		return core.Mesh{Name: "mesh", Columns: o.Columns}, e, err
 	})
 }
 
@@ -721,27 +709,12 @@ func AblationTreeTop(o Options) (AblationResult, error) {
 // writes — an upper bound on what software-only synchronization could
 // reach, showing how much of Palermo's gain requires the hardware mesh.
 func AblationCommitGranularity(o Options) (AblationResult, error) {
-	o.defaults()
-	return ablationPair(o, "fine-grained SW sync", func(fine bool) (float64, error) {
+	return ablationPair(o, "fine-grained SW sync", func(o Options, fine bool) (ctrl.Controller, oram.Engine, error) {
 		e, err := buildPalermoRing(o, 1)
-		if err != nil {
-			return 0, err
-		}
-		gen, err := workload.New("rand", o.Lines, o.Seed)
-		if err != nil {
-			return 0, err
-		}
-		var eng sim.Engine
-		mem := dram.New(&eng, dram.DefaultConfig())
-		src := ctrl.FuncSource(func() (uint64, bool) { return gen.Next() })
-		rc := ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup}
-		var res ctrl.Result
 		if fine {
-			res = core.Mesh{Name: "sw-fine", Columns: o.Columns, SoftwareCoarse: true}.Run(&eng, mem, e, src, rc)
-		} else {
-			res = ctrl.Serial{Name: "sw-coarse", OverlapDataRP: true}.Run(&eng, mem, e, src, rc)
+			return core.Mesh{Name: "sw-fine", Columns: o.Columns, SoftwareCoarse: true}, e, err
 		}
-		return res.Throughput(), nil
+		return ctrl.Serial{Name: "sw-coarse", OverlapDataRP: true}, e, err
 	})
 }
 
@@ -752,50 +725,22 @@ func AblationCommitGranularity(o Options) (AblationResult, error) {
 // gain over the serial controller for PathORAM and, for contrast, for
 // RingORAM (the Palermo protocol). All four arms run as one grid.
 func AblationPathMesh(o Options) (pathGain, ringGain AblationResult, err error) {
-	o.defaults()
-	runPath := func(mesh bool) (float64, error) {
-		cfg := oram.DefaultPathConfig()
-		cfg.NLines = o.Lines
-		cfg.Seed = o.Seed
-		e, err := oram.NewPath(cfg)
-		if err != nil {
-			return 0, err
-		}
-		gen, err := workload.New("rand", o.Lines, o.Seed)
-		if err != nil {
-			return 0, err
-		}
-		var eng sim.Engine
-		mem := dram.New(&eng, dram.DefaultConfig())
-		src := ctrl.FuncSource(func() (uint64, bool) { return gen.Next() })
-		rc := ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup}
-		var res ctrl.Result
-		if mesh {
-			res = core.Mesh{Name: "path-mesh", Columns: o.Columns}.Run(&eng, mem, e, src, rc)
-		} else {
-			res = ctrl.Serial{Name: "path-serial"}.Run(&eng, mem, e, src, rc)
-		}
-		return res.Throughput(), nil
+	if err := o.defaults(); err != nil {
+		return pathGain, ringGain, err
 	}
 	thr, err := exp.Map(o.runner(), 4, func(i int) (float64, error) {
-		switch i {
-		case 0:
-			return runPath(false)
-		case 1:
-			return runPath(true)
-		case 2:
-			r, err := Run(ProtoRingORAM, "rand", o)
-			if err != nil {
-				return 0, err
-			}
-			return r.Throughput(), nil
-		default:
-			r, err := Run(ProtoPalermo, "rand", o)
-			if err != nil {
-				return 0, err
-			}
-			return r.Throughput(), nil
+		if i >= 2 {
+			r, err := Run([]Protocol{ProtoRingORAM, ProtoPalermo}[i-2], "rand", o)
+			return r.Throughput(), err
 		}
+		e, err := buildPathFamily(ProtoPathORAM, o, 1)
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 {
+			return randCell(o, ctrl.Serial{Name: "path-serial"}, e)
+		}
+		return randCell(o, core.Mesh{Name: "path-mesh", Columns: o.Columns}, e)
 	})
 	if err != nil {
 		return pathGain, ringGain, err
@@ -831,7 +776,9 @@ func (r TenantReport) String() string {
 // and measures whether latency leaks tenant identity. This is a single
 // simulation cell (the tenants share one engine), so it does not fan out.
 func TenantIsolation(o Options) (TenantReport, error) {
-	o.defaults()
+	if err := o.defaults(); err != nil {
+		return TenantReport{}, err
+	}
 	o.KeepLatency = true
 	if o.Requests < 2000 {
 		o.Requests = 2000
@@ -852,9 +799,7 @@ func TenantIsolation(o Options) (TenantReport, error) {
 	if err != nil {
 		return TenantReport{}, err
 	}
-	var eng sim.Engine
-	mem := dram.New(&eng, dram.DefaultConfig())
-	res := core.Mesh{Name: "palermo", Columns: o.Columns}.Run(&eng, mem, e, src,
+	res := runCell(core.Mesh{Name: "palermo", Columns: o.Columns}, e, src,
 		ctrl.RunConfig{Requests: o.Requests, Warmup: o.Warmup, KeepLatency: true})
 
 	lat := res.RespLat.Samples()

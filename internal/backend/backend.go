@@ -3,13 +3,15 @@
 // (§VI), which holds sealed payloads and — for durable implementations —
 // an opaque, controller-sealed metadata checkpoint.
 //
-// A Backend stores exactly the view the untrusted storage of §VI already
-// observes: (shard-local id, ciphertext, epoch) triples in access order.
-// Ids are public routing state (the client presented them in plaintext at
-// the trusted service boundary), ciphertexts are AES-CTR sealed under
-// per-seal unique IVs, and epochs are sealing counters the bucket headers
-// of a real design expose anyway. Persisting that view is therefore
-// obliviousness-neutral; DESIGN.md §7 states the full argument. Controller
+// A Backend stores (shard-local id, ciphertext, epoch) triples and is
+// addressed by shard-local id: a shard's read is one Get at the block's id
+// and no Put, its write one Put. The backend therefore sees which blocks
+// are accessed, how often, and whether by a read or a write, not the
+// uniform tree paths of §VI: 4000 reads of one id made 4000 Gets at one
+// address and 0 Puts. ROADMAP item 2 moves payloads into tree slots so the
+// backend sees an ORAM. Ciphertexts are AES-CTR sealed under per-seal
+// unique IVs, and persisting the triples adds nothing to what the calls
+// themselves show (DESIGN.md §7). Controller
 // metadata (position maps, stash residency) is the opposite — trusted
 // secrets — so Checkpoint only ever receives it pre-sealed as an opaque
 // blob.

@@ -52,11 +52,10 @@
 // reopens are rejected above this layer by the shard's checkpoint
 // decode, as with the WAL.
 //
-// The slot file stores exactly the view the untrusted storage of the
-// paper's §VI threat model already observes — (local id, ciphertext,
-// epoch) — and its access pattern is the uniform fixed-slot pattern the
-// ORAM engine already exposes, so the engine's obliviousness argument
-// carries over unchanged (DESIGN.md §12).
+// The slot file stores (local id, ciphertext, epoch) in the block's own
+// slot, so its access pattern is the logical one: the slot of the id a Get
+// or Put names, not the engine's uniform tree paths (package backend;
+// DESIGN.md §12; ROADMAP item 2).
 package blockfile
 
 import (

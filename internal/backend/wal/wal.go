@@ -28,10 +28,12 @@
 // crash loses is therefore exactly the writes the group-commit policy had
 // not yet fsynced, and nothing else.
 //
-// The log records only (local id, ciphertext, epoch) in access order —
-// precisely the view the untrusted storage of the paper's §VI threat model
-// already observes — so durability adds no leakage (DESIGN.md §7). The
-// snapshot's metadata blob is controller state and arrives pre-sealed.
+// The log records only (local id, ciphertext, epoch) in access order, what
+// the backend's Put calls already show, so durability adds nothing to what
+// the backend sees (DESIGN.md §7). That view is keyed by block id, not by
+// tree path, so it shows the logical access pattern (package backend;
+// ROADMAP item 2). The snapshot's metadata blob is controller state and
+// arrives pre-sealed.
 package wal
 
 import (

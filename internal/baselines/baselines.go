@@ -55,9 +55,10 @@ func StashThresholdPolicy(e oram.Engine, threshold int) func() bool {
 
 // IRORAM wraps PathORAM with IR-ORAM's two reductions: a bounded on-chip
 // table of recently resolved block positions that bypasses the recursive
-// posmap ORAMs on a hit, and shrunken mid-tree buckets.
+// posmap ORAMs on a hit, and shrunken mid-tree buckets. The embedded
+// PathORAM engine serves every oram.Engine method but Access.
 type IRORAM struct {
-	path *oram.Path
+	*oram.Path
 
 	capacity int
 	order    []uint64 // FIFO of resident group indices
@@ -80,11 +81,8 @@ func NewIRORAM(nLines uint64, tableEntries int, seed uint64) (*IRORAM, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &IRORAM{path: p, capacity: tableEntries, resident: make(map[uint64]bool)}, nil
+	return &IRORAM{Path: p, capacity: tableEntries, resident: make(map[uint64]bool)}, nil
 }
-
-// Path exposes the wrapped engine.
-func (e *IRORAM) Path() *oram.Path { return e.path }
 
 func (e *IRORAM) touch(idx uint64) {
 	if e.resident[idx] {
@@ -101,40 +99,16 @@ func (e *IRORAM) touch(idx uint64) {
 
 // Access implements oram.Engine: table hits skip the posmap ORAM levels.
 func (e *IRORAM) Access(pa uint64, write bool, val uint64) *oram.Plan {
-	idx := e.path.GroupIndex(pa)
+	idx := e.Path.GroupIndex(pa)
 	if e.resident[idx] {
 		e.Hits++
 		e.touch(idx)
-		return e.path.AccessBypass(pa, write, val)
+		return e.Path.AccessBypass(pa, write, val)
 	}
 	e.Misses++
 	e.touch(idx)
-	return e.path.Access(pa, write, val)
+	return e.Path.Access(pa, write, val)
 }
-
-// DummyAccess implements oram.Engine.
-func (e *IRORAM) DummyAccess() *oram.Plan { return e.path.DummyAccess() }
-
-// Levels implements oram.Engine.
-func (e *IRORAM) Levels() int { return e.path.Levels() }
-
-// StashLen implements oram.Engine.
-func (e *IRORAM) StashLen(level int) int { return e.path.StashLen(level) }
-
-// StashMax implements oram.Engine.
-func (e *IRORAM) StashMax(level int) int { return e.path.StashMax(level) }
-
-// SampleStashes implements oram.Engine.
-func (e *IRORAM) SampleStashes() { e.path.SampleStashes() }
-
-// StashSamples implements oram.Engine.
-func (e *IRORAM) StashSamples(level int) []int { return e.path.StashSamples(level) }
-
-// StashOverflows implements oram.Engine.
-func (e *IRORAM) StashOverflows(level int) uint64 { return e.path.StashOverflows(level) }
-
-// ResetPeaks implements oram.Engine.
-func (e *IRORAM) ResetPeaks() { e.path.ResetPeaks() }
 
 // Ensure interface satisfaction.
 var _ oram.Engine = (*IRORAM)(nil)

@@ -26,7 +26,6 @@ import (
 	"palermo/internal/dram"
 	"palermo/internal/oram"
 	"palermo/internal/sim"
-	"palermo/internal/stats"
 )
 
 // CPHopLat is the PE-to-PE query/response latency in ticks.
@@ -48,51 +47,29 @@ type Mesh struct {
 }
 
 type meshRun struct {
-	cfg    ctrl.RunConfig
-	eng    *sim.Engine
-	mem    *dram.Memory
-	oramE  oram.Engine
-	src    ctrl.Source
-	res    *ctrl.Result
+	ctrl.Window
 	cols   int
 	coarse bool
 
 	levels     int
-	total      int // real requests to issue (warmup + measured)
-	realIssued int
 	slot       int           // launch counter for round-robin column choice
 	colFree    []*sim.Signal // per column: fires when its current request retires
 	writeClear []*sim.Signal // per level: tree good-to-read for the next request
 	prevIssued *sim.Signal   // commit-order chain
-
-	measuring    bool
-	measureStart sim.Tick
-	finishedAt   sim.Tick
-	retired      int
-	dummyStreak  int
-	padStreak    int // consecutive idle-padding dummies (bounded as a hang guard)
+	padStreak  int           // consecutive idle-padding dummies (bounded as a hang guard)
 }
 
-// Run executes the workload on the PE mesh.
+// Run implements ctrl.Controller on the PE mesh.
 func (m Mesh) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src ctrl.Source, cfg ctrl.RunConfig) ctrl.Result {
 	if m.Columns <= 0 {
 		m.Columns = 8
 	}
 	cfg.Requests = max(cfg.Requests, 1)
 	r := &meshRun{
-		cfg: cfg, eng: eng, mem: mem, oramE: oramE, src: src,
+		Window: ctrl.NewWindow(m.Name, eng, mem, oramE, src, cfg),
 		cols:   m.Columns,
 		coarse: m.SoftwareCoarse,
 		levels: oramE.Levels(),
-		total:  cfg.Requests + cfg.Warmup,
-		res: &ctrl.Result{
-			Protocol: m.Name,
-			Levels:   make([]ctrl.LevelCycles, oramE.Levels()),
-			RespLat:  stats.NewHistogram(256, 64),
-		},
-	}
-	if cfg.KeepLatency {
-		r.res.RespLat.KeepSamples()
 	}
 	for c := 0; c < r.cols; c++ {
 		r.colFree = append(r.colFree, sim.NewFiredSignal(eng))
@@ -101,25 +78,22 @@ func (m Mesh) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src ctrl
 		r.writeClear = append(r.writeClear, sim.NewFiredSignal(eng))
 	}
 	r.prevIssued = sim.NewFiredSignal(eng)
-	eng.At(eng.Now(), r.tryIssue)
-	eng.Run()
-	r.finish()
-	return *r.res
+	return r.Drive(r.tryIssue)
 }
 
 // tryIssue assigns the next ORAM request (real or dummy) to its column as
 // soon as both the column is free and the previous request has committed
 // (GlobalID order).
 func (r *meshRun) tryIssue() {
-	if r.realIssued >= r.total {
+	if r.Issued >= r.Total {
 		return
 	}
 	col := r.slot % r.cols
 	r.slot++
 	prev := r.prevIssued
-	myIssued := sim.NewSignal(r.eng)
+	myIssued := sim.NewSignal(r.Eng)
 	r.prevIssued = myIssued
-	sim.WaitAll(r.eng, []*sim.Signal{r.colFree[col], prev}, func() {
+	sim.WaitAll(r.Eng, []*sim.Signal{r.colFree[col], prev}, func() {
 		r.launch(col)
 		myIssued.Fire()
 		r.tryIssue()
@@ -130,95 +104,74 @@ func (r *meshRun) tryIssue() {
 // Dummy requests (background evictions) do not consume the real-request
 // budget or the trace.
 func (r *meshRun) launch(col int) {
-	measured := r.realIssued >= r.cfg.Warmup
+	measured := r.Issued >= r.Cfg.Warmup
 
 	var plan *oram.Plan
 	tag := -1
 	pad := false
-	if is, ok := r.src.(ctrl.IdleSource); ok && is.Idle() && r.padStreak < 4096 {
+	if is, ok := r.Src.(ctrl.IdleSource); ok && is.Idle() && r.padStreak < 4096 {
 		pad = true // constant-rate padding: LLC issued nothing this slot (§VI)
 		r.padStreak++
 	} else {
 		r.padStreak = 0
 	}
-	if pad || (r.cfg.DummyPolicy != nil && r.dummyStreak < 64 && r.cfg.DummyPolicy()) {
-		if !pad {
-			r.dummyStreak++
-		}
-		plan = r.oramE.DummyAccess()
-		if measured {
-			r.res.Dummies++
-		}
+	if pad || r.WantDummy() {
+		plan = r.ORAM.DummyAccess()
 	} else {
-		r.dummyStreak = 0
-		if r.realIssued == r.cfg.Warmup {
-			r.beginMeasuring()
+		if r.Issued == r.Cfg.Warmup {
+			r.Begin()
 		}
-		r.realIssued++
-		pa, write := r.src.Next()
-		if ts, ok := r.src.(ctrl.TaggedSource); ok {
+		plan = r.Access()
+		if ts, ok := r.Src.(ctrl.TaggedSource); ok {
 			tag = ts.Tag()
-		}
-		plan = r.oramE.Access(pa, write, pa^0x5bd1e995)
-		if measured {
-			r.res.Requests++
-			r.res.ServedLines++
-			if r.cfg.TrackStash && r.res.Requests%r.cfg.SampleEvery() == 0 {
-				r.oramE.SampleStashes()
-			}
 		}
 	}
 	if measured {
-		r.res.PlanReads += uint64(plan.Reads())
-		r.res.PlanWrites += uint64(plan.Writes())
+		r.Count(plan)
 	}
 
-	issueAt := r.eng.Now()
-	retire := sim.NewBatch(r.eng, r.levels)
-	freed := sim.NewSignal(r.eng)
+	issueAt := r.Eng.Now()
+	retire := sim.NewBatch(r.Eng, r.levels)
+	freed := sim.NewSignal(r.Eng)
 	r.colFree[col] = freed
-	retire.Sig().Wait(func() {
-		r.retired++
-		freed.Fire()
-	})
+	retire.Sig().Wait(freed.Fire)
 
 	// CP chain: the deepest row reads on-chip PosMap3 after the query
 	// propagates down; each shallower row's leaf arrives with its child's
 	// RP response.
 	leafReady := make([]*sim.Signal, r.levels)
 	for l := 0; l < r.levels; l++ {
-		leafReady[l] = sim.NewSignal(r.eng)
+		leafReady[l] = sim.NewSignal(r.Eng)
 	}
 	top := r.levels - 1
-	r.eng.After(sim.Tick(top)*CPHopLat, leafReady[top].Fire)
+	r.Eng.After(sim.Tick(top)*CPHopLat, leafReady[top].Fire)
 
 	for l := 0; l < r.levels; l++ {
 		l := l
 		la := plan.Levels[l]
 		prevClear := r.writeClear[l]
-		myClear := sim.NewSignal(r.eng)
+		myClear := sim.NewSignal(r.Eng)
 		r.writeClear[l] = myClear
 
 		onRPDone := func() {
 			if l > 0 {
 				if !r.coarse {
-					r.eng.After(CPHopLat, leafReady[l-1].Fire)
+					r.Eng.After(CPHopLat, leafReady[l-1].Fire)
 				}
 				return
 			}
 			// Per-request captures happen here, at response time, so the
 			// latency sample and its labels stay aligned even though
 			// columns retire out of order.
-			if measured && !plan.Dummy {
-				r.res.RespLat.Add(float64(r.eng.Now() - issueAt))
-				r.res.FromStash = append(r.res.FromStash, plan.FromStash)
-				if r.cfg.KeepLatency {
-					r.res.Leaves = append(r.res.Leaves, plan.DataLeaf)
-					r.res.Tags = append(r.res.Tags, tag)
+			if measured && plan.Dummy {
+				r.LastDone = r.Eng.Now()
+			} else if measured {
+				r.Respond(issueAt)
+				r.Res.FromStash = append(r.Res.FromStash, plan.FromStash)
+				if r.Cfg.KeepLatency {
+					r.Res.Leaves = append(r.Res.Leaves, plan.DataLeaf)
+					r.Res.Tags = append(r.Res.Tags, tag)
 				}
-			}
-			if measured {
-				r.finishedAt = r.eng.Now()
 			}
 		}
 		onDone := func() { retire.Done() }
@@ -229,13 +182,13 @@ func (r *meshRun) launch(col int) {
 			// coarse lock region of Palermo-SW.
 			onDone = func() {
 				if l > 0 {
-					r.eng.After(CPHopLat, leafReady[l-1].Fire)
+					r.Eng.After(CPHopLat, leafReady[l-1].Fire)
 				}
 				myClear.Fire()
 				retire.Done()
 			}
 		}
-		sim.WaitAll(r.eng, []*sim.Signal{leafReady[l], prevClear}, func() {
+		sim.WaitAll(r.Eng, []*sim.Signal{leafReady[l], prevClear}, func() {
 			r.execPE(la, 0, myClear, onRPDone, onDone)
 		})
 	}
@@ -255,15 +208,15 @@ func (r *meshRun) execPE(la oram.LevelAccess, idx int, myClear *sim.Signal, onRP
 	ph := la.Phases[idx]
 	afterReads := func() {
 		advance := func() {
-			r.eng.After(ctrl.PipelineLat, func() { r.execPE(la, idx+1, myClear, onRP, done) })
+			r.Eng.After(ctrl.PipelineLat, func() { r.execPE(la, idx+1, myClear, onRP, done) })
 		}
 		if r.coarse && len(ph.Writes) > 0 {
 			// Software commits its tree writes synchronously before the
 			// next protocol step; hardware fire-and-forgets them into the
 			// memory controller.
-			wb := sim.NewBatch(r.eng, len(ph.Writes))
+			wb := sim.NewBatch(r.Eng, len(ph.Writes))
 			for _, w := range ph.Writes {
-				r.mem.Submit(&dram.Request{Addr: w, Write: true, OnDone: func(sim.Tick) { wb.Done() }})
+				r.Mem.Submit(&dram.Request{Addr: w, Write: true, OnDone: func(sim.Tick) { wb.Done() }})
 			}
 			if ph.Kind == oram.PhaseRP {
 				onRP()
@@ -272,7 +225,7 @@ func (r *meshRun) execPE(la oram.LevelAccess, idx int, myClear *sim.Signal, onRP
 			return
 		}
 		for _, w := range ph.Writes {
-			r.mem.Submit(&dram.Request{Addr: w, Write: true})
+			r.Mem.Submit(&dram.Request{Addr: w, Write: true})
 		}
 		if !r.coarse {
 			switch {
@@ -295,31 +248,9 @@ func (r *meshRun) execPE(la oram.LevelAccess, idx int, myClear *sim.Signal, onRP
 		afterReads()
 		return
 	}
-	batch := sim.NewBatch(r.eng, len(ph.Reads))
+	batch := sim.NewBatch(r.Eng, len(ph.Reads))
 	for _, a := range ph.Reads {
-		r.mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
+		r.Mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
 	}
 	batch.Sig().Wait(afterReads)
-}
-
-func (r *meshRun) beginMeasuring() {
-	r.measuring = true
-	r.measureStart = r.eng.Now()
-	r.mem.ResetStats()
-	r.oramE.ResetPeaks()
-	if r.cfg.OnMeasureStart != nil {
-		r.cfg.OnMeasureStart()
-	}
-}
-
-func (r *meshRun) finish() {
-	if r.finishedAt > r.measureStart {
-		r.res.Cycles = r.finishedAt - r.measureStart
-	}
-	r.res.Mem = r.mem.Stats()
-	for l := 0; l < r.levels; l++ {
-		r.res.StashMax = append(r.res.StashMax, r.oramE.StashMax(l))
-		r.res.StashTrace = append(r.res.StashTrace, r.oramE.StashSamples(l))
-		r.res.StashOver = append(r.res.StashOver, r.oramE.StashOverflows(l))
-	}
 }

@@ -1,6 +1,7 @@
 // Package ctrl contains the timing controllers that replay functional
 // access plans (internal/oram) against the DRAM model under each protocol's
-// concurrency discipline, plus the shared measurement types.
+// concurrency discipline, plus the measurement window and types every
+// controller shares.
 //
 // The baseline Serial controller implements the discipline the paper
 // measures in §III-A: ORAM requests are served strictly one after another,
@@ -148,6 +149,122 @@ const PipelineLat sim.Tick = 4
 // over the measured window.
 func (c RunConfig) SampleEvery() uint64 { return uint64(c.Requests/100 + 1) }
 
+// Controller is a timing discipline: it replays an ORAM engine's plans for
+// a miss stream against the DRAM model and returns measurements over the
+// post-warmup window. The engine, memory and ORAM engine must be fresh.
+type Controller interface {
+	Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src Source, cfg RunConfig) Result
+}
+
+// Window is the measurement every controller shares. It holds a run's
+// inputs and Result, opens the measured window at the warmup boundary,
+// gates the DummyPolicy, and fills the end of the run; a controller embeds
+// it and decides only when requests issue, overlap and complete.
+type Window struct {
+	Cfg  RunConfig
+	Eng  *sim.Engine
+	Mem  *dram.Memory
+	ORAM oram.Engine
+	Src  Source
+	Res  Result
+
+	Total     int      // real requests to issue: warmup + measured
+	Issued    int      // real requests issued so far
+	Measuring bool     // the warmup boundary has passed
+	Start     sim.Tick // when it passed
+	LastDone  sim.Tick // the last measured request's completion
+
+	dummyStreak int
+}
+
+// NewWindow returns the window of one run of the controller named name.
+func NewWindow(name string, eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src Source, cfg RunConfig) Window {
+	w := Window{
+		Cfg: cfg, Eng: eng, Mem: mem, ORAM: oramE, Src: src,
+		Total: cfg.Requests + cfg.Warmup,
+		Res: Result{
+			Protocol: name,
+			Levels:   make([]LevelCycles, oramE.Levels()),
+			RespLat:  stats.NewHistogram(256, 64),
+		},
+	}
+	if cfg.KeepLatency {
+		w.Res.RespLat.KeepSamples()
+	}
+	return w
+}
+
+// Begin opens the measured window now: DRAM statistics and stash peaks
+// restart and OnMeasureStart fires.
+func (w *Window) Begin() {
+	w.Measuring = true
+	w.Start = w.Eng.Now()
+	w.Mem.ResetStats()
+	w.ORAM.ResetPeaks()
+	if w.Cfg.OnMeasureStart != nil {
+		w.Cfg.OnMeasureStart()
+	}
+}
+
+// WantDummy reports whether a background dummy goes before the next real
+// request: the DummyPolicy asks for one and fewer than 64 have gone in a
+// row.
+func (w *Window) WantDummy() bool {
+	if w.Cfg.DummyPolicy != nil && w.dummyStreak < 64 && w.Cfg.DummyPolicy() {
+		w.dummyStreak++
+		return true
+	}
+	w.dummyStreak = 0
+	return false
+}
+
+// Access issues the next real request: one miss from the source through
+// the ORAM engine.
+func (w *Window) Access() *oram.Plan {
+	w.Issued++
+	pa, write := w.Src.Next()
+	return w.ORAM.Access(pa, write, pa^0x5bd1e995)
+}
+
+// Count books a measured request's plan at issue.
+func (w *Window) Count(plan *oram.Plan) {
+	w.Res.PlanReads += uint64(plan.Reads())
+	w.Res.PlanWrites += uint64(plan.Writes())
+	if plan.Dummy {
+		w.Res.Dummies++
+		return
+	}
+	w.Res.Requests++
+	w.Res.ServedLines++
+	if w.Cfg.TrackStash && w.Res.Requests%w.Cfg.SampleEvery() == 0 {
+		w.ORAM.SampleStashes()
+	}
+}
+
+// Respond records a measured response to a request issued at issuedAt.
+func (w *Window) Respond(issuedAt sim.Tick) {
+	w.Res.RespLat.Add(float64(w.Eng.Now() - issuedAt))
+	w.LastDone = w.Eng.Now()
+}
+
+// Drive runs start now and the engine until no events remain, then
+// returns the Result with the run's cycles, memory statistics and stash
+// records filled in.
+func (w *Window) Drive(start func()) Result {
+	w.Eng.At(w.Eng.Now(), start)
+	w.Eng.Run()
+	if w.LastDone > w.Start {
+		w.Res.Cycles = w.LastDone - w.Start
+	}
+	w.Res.Mem = w.Mem.Stats()
+	for l := 0; l < w.ORAM.Levels(); l++ {
+		w.Res.StashMax = append(w.Res.StashMax, w.ORAM.StashMax(l))
+		w.Res.StashTrace = append(w.Res.StashTrace, w.ORAM.StashSamples(l))
+		w.Res.StashOver = append(w.Res.StashOver, w.ORAM.StashOverflows(l))
+	}
+	return w.Res
+}
+
 // Serial runs the baseline one-request-at-a-time discipline.
 type Serial struct {
 	Name string
@@ -160,48 +277,19 @@ type Serial struct {
 }
 
 type serialRun struct {
-	cfg   RunConfig
-	eng   *sim.Engine
-	mem   *dram.Memory
-	oramE oram.Engine
-	src   Source
-	res   *Result
-
-	total     int
-	issued    int
+	Window
 	overlapRP bool
-
-	measuring    bool
-	measureStart sim.Tick
-	lastBus      sim.Tick
-	finishedAt   sim.Tick
-	dummyStreak  int
+	lastBus   sim.Tick
 }
 
-// Run executes the workload and returns measurements over the post-warmup
-// window. The engine, memory and ORAM engine must be fresh.
+// Run implements Controller.
 func (s Serial) Run(eng *sim.Engine, mem *dram.Memory, oramE oram.Engine, src Source, cfg RunConfig) Result {
-	r := &serialRun{
-		cfg: cfg, eng: eng, mem: mem, oramE: oramE, src: src,
-		total:     cfg.Requests + cfg.Warmup,
-		overlapRP: s.OverlapDataRP,
-		res: &Result{
-			Protocol: s.Name,
-			Levels:   make([]LevelCycles, oramE.Levels()),
-			RespLat:  stats.NewHistogram(256, 64),
-		},
-	}
-	if cfg.KeepLatency {
-		r.res.RespLat.KeepSamples()
-	}
-	eng.At(eng.Now(), r.startNext)
-	eng.Run()
-	r.finish()
-	return *r.res
+	r := &serialRun{Window: NewWindow(s.Name, eng, mem, oramE, src, cfg), overlapRP: s.OverlapDataRP}
+	return r.Drive(r.startNext)
 }
 
 func (r *serialRun) busDelta() sim.Tick {
-	cur := r.mem.BusBusy()
+	cur := r.Mem.BusBusy()
 	d := cur - r.lastBus
 	r.lastBus = cur
 	return d
@@ -209,74 +297,51 @@ func (r *serialRun) busDelta() sim.Tick {
 
 // attribute splits a level interval into dram vs sync cycles.
 func (r *serialRun) attribute(level int, start sim.Tick) {
-	if !r.measuring {
+	if !r.Measuring {
 		r.busDelta()
 		return
 	}
-	dur := r.eng.Now() - start
-	dramT := r.busDelta() / sim.Tick(r.mem.Config().Channels)
+	dur := r.Eng.Now() - start
+	dramT := r.busDelta() / sim.Tick(r.Mem.Config().Channels)
 	if dramT > dur {
 		dramT = dur
 	}
-	r.res.Levels[level].Dram += dramT
-	r.res.Levels[level].Sync += dur - dramT
-}
-
-func (r *serialRun) beginMeasuring() {
-	r.measuring = true
-	r.measureStart = r.eng.Now()
-	r.mem.ResetStats()
-	r.oramE.ResetPeaks()
-	r.lastBus = r.mem.BusBusy()
-	if r.cfg.OnMeasureStart != nil {
-		r.cfg.OnMeasureStart()
-	}
+	r.Res.Levels[level].Dram += dramT
+	r.Res.Levels[level].Sync += dur - dramT
 }
 
 func (r *serialRun) startNext() {
-	if r.issued == r.cfg.Warmup {
-		r.beginMeasuring()
+	if r.Issued == r.Cfg.Warmup {
+		r.Begin()
+		r.lastBus = r.Mem.BusBusy()
 	}
-	if r.issued >= r.total {
+	if r.Issued >= r.Total {
 		return
 	}
-	if r.cfg.DummyPolicy != nil && r.dummyStreak < 64 && r.cfg.DummyPolicy() {
-		r.dummyStreak++
-		plan := r.oramE.DummyAccess()
-		if r.measuring {
-			r.res.Dummies++
-			r.res.PlanReads += uint64(plan.Reads())
-			r.res.PlanWrites += uint64(plan.Writes())
-		}
-		r.execLevel(plan, r.oramE.Levels()-1, r.eng.Now())
-		return
-	}
-	r.dummyStreak = 0
-	r.issued++
-	pa, write := r.src.Next()
-	plan := r.oramE.Access(pa, write, pa^0x5bd1e995)
-	if r.measuring {
-		r.res.Requests++
-		r.res.ServedLines++
-		r.res.PlanReads += uint64(plan.Reads())
-		r.res.PlanWrites += uint64(plan.Writes())
-		r.res.FromStash = append(r.res.FromStash, plan.FromStash)
-		if r.cfg.KeepLatency {
-			r.res.Leaves = append(r.res.Leaves, plan.DataLeaf)
-			if ts, ok := r.src.(TaggedSource); ok {
-				r.res.Tags = append(r.res.Tags, ts.Tag())
+	var plan *oram.Plan
+	if r.WantDummy() {
+		plan = r.ORAM.DummyAccess()
+	} else {
+		plan = r.Access()
+		if r.Measuring {
+			r.Res.FromStash = append(r.Res.FromStash, plan.FromStash)
+			if r.Cfg.KeepLatency {
+				r.Res.Leaves = append(r.Res.Leaves, plan.DataLeaf)
+				if ts, ok := r.Src.(TaggedSource); ok {
+					r.Res.Tags = append(r.Res.Tags, ts.Tag())
+				}
 			}
 		}
-		if r.cfg.TrackStash && r.res.Requests%r.cfg.SampleEvery() == 0 {
-			r.oramE.SampleStashes()
-		}
 	}
-	r.execLevel(plan, r.oramE.Levels()-1, r.eng.Now())
+	if r.Measuring {
+		r.Count(plan)
+	}
+	r.execLevel(plan, r.ORAM.Levels()-1, r.Eng.Now())
 }
 
 func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 	la := plan.Levels[level]
-	start := r.eng.Now()
+	start := r.Eng.Now()
 
 	// Palermo-SW shortcut: at the data level of a non-evicting request, the
 	// lock is released once the trailing ReadPath is issued, so the next
@@ -285,19 +350,18 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 		la.Phases[len(la.Phases)-1].Kind == oram.PhaseRP {
 		r.execPhase(la, 0, len(la.Phases)-1, func() {
 			rp := la.Phases[len(la.Phases)-1]
-			measured := r.measuring
-			batch := sim.NewBatch(r.eng, len(rp.Reads))
+			measured := r.Measuring
+			batch := sim.NewBatch(r.Eng, len(rp.Reads))
 			for _, a := range rp.Reads {
-				r.mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
+				r.Mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
 			}
 			batch.Sig().Wait(func() {
 				if measured {
-					r.res.RespLat.Add(float64(r.eng.Now() - reqStart))
-					r.finishedAt = r.eng.Now()
+					r.Respond(reqStart)
 				}
 				r.attribute(level, start)
 			})
-			r.eng.After(PipelineLat, r.startNext)
+			r.Eng.After(PipelineLat, r.startNext)
 		})
 		return
 	}
@@ -308,9 +372,8 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 			r.execLevel(plan, level-1, reqStart)
 			return
 		}
-		if r.measuring {
-			r.res.RespLat.Add(float64(r.eng.Now() - reqStart))
-			r.finishedAt = r.eng.Now()
+		if r.Measuring {
+			r.Respond(reqStart)
 		}
 		r.startNext()
 	})
@@ -326,29 +389,17 @@ func (r *serialRun) execPhase(la oram.LevelAccess, idx, end int, done func()) {
 	ph := la.Phases[idx]
 	next := func() {
 		for _, w := range ph.Writes {
-			r.mem.Submit(&dram.Request{Addr: w, Write: true})
+			r.Mem.Submit(&dram.Request{Addr: w, Write: true})
 		}
-		r.eng.After(PipelineLat, func() { r.execPhase(la, idx+1, end, done) })
+		r.Eng.After(PipelineLat, func() { r.execPhase(la, idx+1, end, done) })
 	}
 	if len(ph.Reads) == 0 {
 		next()
 		return
 	}
-	batch := sim.NewBatch(r.eng, len(ph.Reads))
+	batch := sim.NewBatch(r.Eng, len(ph.Reads))
 	for _, a := range ph.Reads {
-		r.mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
+		r.Mem.Submit(&dram.Request{Addr: a, OnDone: func(sim.Tick) { batch.Done() }})
 	}
 	batch.Sig().Wait(next)
-}
-
-func (r *serialRun) finish() {
-	if r.finishedAt > r.measureStart {
-		r.res.Cycles = r.finishedAt - r.measureStart
-	}
-	r.res.Mem = r.mem.Stats()
-	for l := 0; l < r.oramE.Levels(); l++ {
-		r.res.StashMax = append(r.res.StashMax, r.oramE.StashMax(l))
-		r.res.StashTrace = append(r.res.StashTrace, r.oramE.StashSamples(l))
-		r.res.StashOver = append(r.res.StashOver, r.oramE.StashOverflows(l))
-	}
 }

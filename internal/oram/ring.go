@@ -152,14 +152,6 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	return e, nil
 }
 
-// SetCountTraffic toggles count-only traffic mode (see RingConfig.CountTraffic).
-func (e *Ring) SetCountTraffic(on bool) {
-	e.cfg.CountTraffic = on
-	for _, sp := range e.spaces {
-		sp.CountOnly = on
-	}
-}
-
 // TopHits returns the total 64-byte line movements the tree-top caches
 // absorbed across all levels (the serving layer's cache-resident hit
 // counter; bytes saved = 64 * TopHits).

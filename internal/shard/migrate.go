@@ -23,9 +23,9 @@ import (
 
 // SealedBlock is one sealed payload in migration transit: the shard-local
 // id plus exactly what the untrusted backend stores — ciphertext and
-// sealing epoch. Streaming these between nodes is obliviousness-neutral
-// for the same reason persisting them is (DESIGN.md §7): it is the view
-// the §VI untrusted party already observes.
+// sealing epoch. Streaming these between nodes shows the receiver what the
+// backend already holds (DESIGN.md §7), keyed by block id like every
+// backend call (package backend; ROADMAP item 2).
 type SealedBlock struct {
 	Local uint64
 	Epoch uint64

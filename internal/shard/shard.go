@@ -8,11 +8,12 @@
 // (round-robin striping: shard = id mod S, local = id div S), so the shard
 // a request lands on reveals nothing beyond the id the client already
 // presented in plaintext at the trusted service boundary. Each shard owns a
-// private Ring engine, sealer counter-domain, and derived RNG seed; within
-// a shard the backend-visible path sequence stays exactly the single-store
-// guarantee (uniform, independent, remapped per access). DESIGN.md §6
-// records the full obliviousness argument against internal/security's §VI
-// framing.
+// private Ring engine, sealer counter-domain, and derived RNG seed. Within
+// a shard the engine's leaf sequence is uniform, independent and remapped
+// per access, but the backend does not see it: the shard addresses its
+// backend by local id (Read is one Get, Write one Put; package backend).
+// DESIGN.md §6 states what the backend observes and ROADMAP item 2 how it
+// is to see an ORAM.
 package shard
 
 import (

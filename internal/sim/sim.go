@@ -144,9 +144,6 @@ func (e *Engine) RunUntil(limit Tick) bool {
 	}
 }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // allocSignal carves a Signal from the engine's slab.
 func (e *Engine) allocSignal() *Signal {
 	if len(e.sigSlab) == 0 {

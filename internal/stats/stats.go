@@ -152,9 +152,6 @@ func (h *Histogram) Samples() []float64 { return h.samples }
 // Bucket returns the count in bucket i.
 func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
 
-// NumBuckets returns the bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Overflow returns the count of observations at or above the bucketed
 // range.
 func (h *Histogram) Overflow() uint64 { return h.overflow }

@@ -22,7 +22,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"palermo/internal/rng"
 )
@@ -302,12 +301,4 @@ func UniqueFrac(g Generator, n int) float64 {
 		seen[pa] = true
 	}
 	return float64(len(seen)) / float64(n)
-}
-
-// SortedNames returns Names() sorted (deterministic map-free iteration for
-// callers that need it).
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }

@@ -118,7 +118,19 @@ type Options struct {
 	noFatTree bool
 }
 
-func (o *Options) defaults() {
+// defaults validates o and fills in every zero field's default.
+func (o *Options) defaults() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Requests", o.Requests}, {"Warmup", o.Warmup}, {"Prefetch", o.Prefetch}, {"Columns", o.Columns},
+		{"Z", o.Z}, {"S", o.S}, {"A", o.A}, {"StashThreshold", o.StashThreshold},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("palermo: Options.%s is %d; want 0 (the default) or more", f.name, f.v)
+		}
+	}
 	if o.Lines == 0 {
 		o.Lines = 1 << 28
 	}
@@ -140,6 +152,7 @@ func (o *Options) defaults() {
 	if o.LLCLines == 0 {
 		o.LLCLines = 131072
 	}
+	return nil
 }
 
 // DefaultPrefetch returns the prefetch length this harness uses for a
@@ -180,7 +193,9 @@ type RunResult struct {
 // Run executes one protocol on one Table II workload and returns the
 // measured window's results. Deterministic for a given Options.Seed.
 func Run(p Protocol, wl string, o Options) (RunResult, error) {
-	o.defaults()
+	if err := o.defaults(); err != nil {
+		return RunResult{}, err
+	}
 	gen, err := workload.New(wl, o.Lines, o.Seed)
 	if err != nil {
 		return RunResult{}, err
@@ -194,9 +209,6 @@ func Run(p Protocol, wl string, o Options) (RunResult, error) {
 		}
 	}
 	filter := workload.NewPrefetchFilter(gen, pf, o.LLCLines)
-
-	var eng sim.Engine
-	mem := dram.New(&eng, dram.DefaultConfig())
 	runCfg := ctrl.RunConfig{
 		Requests:    o.Requests,
 		Warmup:      o.Warmup,
@@ -206,91 +218,73 @@ func Run(p Protocol, wl string, o Options) (RunResult, error) {
 	var hitsAtMeasure uint64
 	runCfg.OnMeasureStart = func() { hitsAtMeasure = filter.Hits }
 
-	res := RunResult{Protocol: p, Workload: wl, Prefetch: pf}
-	var out ctrl.Result
-
+	var e treeEngine
+	var ctl ctrl.Controller = ctrl.Serial{Name: p.String()}
 	switch p {
 	case ProtoPathORAM, ProtoPageORAM, ProtoPrORAM, ProtoIRORAM:
-		e, numLeaves, err := buildPathFamily(p, o, pf)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.NumLeaves = numLeaves
+		e, err = buildPathFamily(p, o, pf)
 		if p == ProtoPrORAM {
 			runCfg.DummyPolicy = baselines.StashThresholdPolicy(e, o.StashThreshold)
 		}
-		out = ctrl.Serial{Name: p.String()}.Run(&eng, mem, e, filter, runCfg)
-
 	case ProtoRingORAM:
 		cfg := oram.BandwidthRingConfig()
 		cfg.NLines = o.Lines
 		cfg.Seed = o.Seed
 		applyZSA(&cfg, o)
-		e, err := oram.NewRing(cfg)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.NumLeaves = e.Space(0).Geo.NumLeaves()
-		out = ctrl.Serial{Name: p.String()}.Run(&eng, mem, e, filter, runCfg)
-
+		e, err = oram.NewRing(cfg)
 	case ProtoPalermoSW:
-		e, err := buildPalermoRing(o, 1)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.NumLeaves = e.Space(0).Geo.NumLeaves()
-		out = ctrl.Serial{Name: p.String(), OverlapDataRP: true}.Run(&eng, mem, e, filter, runCfg)
-
+		e, err = buildPalermoRing(o, 1)
+		ctl = ctrl.Serial{Name: p.String(), OverlapDataRP: true}
 	case ProtoPalermo, ProtoPalermoPF:
-		e, err := buildPalermoRing(o, pf)
-		if err != nil {
-			return RunResult{}, err
-		}
-		res.NumLeaves = e.Space(0).Geo.NumLeaves()
-		out = core.Mesh{Name: p.String(), Columns: o.Columns}.Run(&eng, mem, e, filter, runCfg)
-
+		e, err = buildPalermoRing(o, pf)
+		ctl = core.Mesh{Name: p.String(), Columns: o.Columns}
 	default:
 		return RunResult{}, fmt.Errorf("palermo: unknown protocol %v", p)
 	}
+	if err != nil {
+		return RunResult{}, err
+	}
 
-	res.Result = out
+	res := RunResult{
+		Result:    runCell(ctl, e, filter, runCfg),
+		Protocol:  p,
+		Workload:  wl,
+		Prefetch:  pf,
+		NumLeaves: e.Space(0).Geo.NumLeaves(),
+	}
 	res.LLCHits = filter.Hits - hitsAtMeasure
 	res.ServedLines += res.LLCHits
 	return res, nil
 }
 
+// runCell runs one simulation cell: ctl replays e's plans for src on a
+// fresh event engine and DRAM model.
+func runCell(ctl ctrl.Controller, e oram.Engine, src ctrl.Source, cfg ctrl.RunConfig) ctrl.Result {
+	var eng sim.Engine
+	return ctl.Run(&eng, dram.New(&eng, dram.DefaultConfig()), e, src, cfg)
+}
+
+// treeEngine is an ORAM engine with a data tree, whose leaf count Run
+// reports.
+type treeEngine interface {
+	oram.Engine
+	Space(level int) *oram.Space
+}
+
 // buildPathFamily constructs the PathORAM-based engines.
-func buildPathFamily(p Protocol, o Options, pf int) (oram.Engine, uint64, error) {
+func buildPathFamily(p Protocol, o Options, pf int) (treeEngine, error) {
 	switch p {
-	case ProtoPathORAM:
-		cfg := oram.DefaultPathConfig()
-		cfg.NLines = o.Lines
-		cfg.Seed = o.Seed
-		e, err := oram.NewPath(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, e.Space(0).Geo.NumLeaves(), nil
 	case ProtoPageORAM:
-		e, err := baselines.NewPageORAM(o.Lines, o.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, e.Space(0).Geo.NumLeaves(), nil
+		return baselines.NewPageORAM(o.Lines, o.Seed)
 	case ProtoPrORAM:
-		e, err := baselines.NewPrORAM(o.Lines, pf, !o.noFatTree, o.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, e.Space(0).Geo.NumLeaves(), nil
+		return baselines.NewPrORAM(o.Lines, pf, !o.noFatTree, o.Seed)
 	case ProtoIRORAM:
-		e, err := baselines.NewIRORAM(o.Lines, 4096, o.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, e.Path().Space(0).Geo.NumLeaves(), nil
+		return baselines.NewIRORAM(o.Lines, 4096, o.Seed)
 	}
-	return nil, 0, fmt.Errorf("palermo: %v is not path-family", p)
+	cfg := oram.DefaultPathConfig()
+	cfg.NLines = o.Lines
+	cfg.Seed = o.Seed
+	return oram.NewPath(cfg)
 }
 
 // buildPalermoRing constructs the Palermo-variant Ring engine.

@@ -36,6 +36,42 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRefused: every count in Options is 0 (its default)
+// or more. A negative one is refused with an error naming the field, not
+// a panic, an empty run, a shorter warmup or a silent default.
+func TestNegativeOptionsRefused(t *testing.T) {
+	run := func(p Protocol) func(Options) error {
+		return func(o Options) error {
+			_, err := Run(p, "llm", o)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		run   func(Options) error
+		o     Options
+	}{
+		{"Requests", run(ProtoPalermo), Options{Requests: -5}},
+		{"Warmup", run(ProtoRingORAM), Options{Requests: 50, Warmup: -3}},
+		{"Prefetch", run(ProtoPalermoPF), Options{Prefetch: -2}},
+		{"Columns", run(ProtoPalermo), Options{Columns: -1}},
+		{"Z", run(ProtoRingORAM), Options{Z: -1}},
+		{"S", run(ProtoPalermo), Options{S: -1}},
+		{"A", run(ProtoPalermo), Options{A: -1}},
+		{"StashThreshold", run(ProtoPrORAM), Options{StashThreshold: -1}},
+		{"Requests", func(o Options) error { _, err := AblationHoisting(o); return err }, Options{Requests: -5}},
+		{"Columns", func(o Options) error { _, _, err := AblationPathMesh(o); return err }, Options{Columns: -1}},
+		{"Warmup", func(o Options) error { _, err := TenantIsolation(o); return err }, Options{Warmup: -1}},
+	} {
+		o := tc.o
+		o.Lines = 1 << 20
+		err := tc.run(o)
+		if want := "palermo: Options." + tc.field + " is -"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: got error %v, want one containing %q", tc.o, err, want)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run(ProtoPalermo, "pr", testOpts())
 	if err != nil {

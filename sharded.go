@@ -13,9 +13,10 @@ package palermo
 //	data, _ := st.Read(42)
 //	blocks, _ := st.ReadBatch([]uint64{1, 2, 3, 1}) // the two id-1 reads share one ORAM access
 //
-// Routing depends only on the public block id, so per-shard obliviousness
-// is exactly the single-store guarantee; DESIGN.md §6 states the argument
-// (and what the backend additionally learns: the id's residue mod Shards).
+// Routing depends only on the public block id, so a shard's backend sees
+// what a single store's would, plus the id's residue mod Shards. Neither is
+// oblivious today: both are addressed by shard-local block id (DESIGN.md
+// §6; ROADMAP item 2).
 
 import (
 	"time"

@@ -4,8 +4,11 @@ package palermo
 // downstream user can call like a small key-value device. Reads and writes
 // of 64-byte blocks execute the full Palermo ORAM protocol over the
 // functional engine — real tree, stash, recursive position maps, AES-CTR
-// sealing — so the sequence of tree paths a storage backend would observe
-// is computationally independent of the keys accessed.
+// sealing. The engine's leaf sequence is independent of the keys accessed,
+// but the storage backend does not see it: the backend is addressed by
+// block id, one Get per read and one Put per write, so it observes the
+// logical access pattern (DESIGN.md §6; ROADMAP item 2 moves payloads into
+// tree slots).
 //
 //	st, _ := palermo.NewStore(palermo.StoreConfig{Blocks: 1 << 20})
 //	st.Write(42, payload)       // payload: 64 bytes
@@ -59,9 +62,9 @@ const (
 	// append-only log with group-committed fsync plus compacted metadata
 	// snapshots. A store reopened from the same Dir (and Key) resumes
 	// exactly where Close left it; a crash loses at most the un-fsynced
-	// group-commit tail. DESIGN.md §7 describes the format and why the
-	// persisted view leaks nothing beyond what §VI's untrusted storage
-	// already observes.
+	// group-commit tail. DESIGN.md §7 describes the format. The log holds
+	// the (id, ciphertext, epoch) view the backend's calls already show,
+	// which today includes the logical access pattern (ROADMAP item 2).
 	BackendWAL = "wal"
 	// BackendBlockfile persists sealed blocks to Dir as fixed 512-byte
 	// slots in a paged block file read and written through the OS page
