@@ -98,3 +98,49 @@ func TestRingAccessAllocs(t *testing.T) {
 	}
 	t.Logf("allocations per access: serving %.0f, paper %.0f", servingAllocs, paperAllocs)
 }
+
+// paperPath is the simulator's PathORAM engine: DefaultPathConfig over the
+// Table III 2^28-line space, warmed with n uniform accesses like paperRing.
+func paperPath(tb testing.TB, n int) (*Path, *rng.Rand) {
+	cfg := DefaultPathConfig()
+	cfg.Seed = 7
+	e, err := NewPath(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(11)
+	for i := 0; i < n; i++ {
+		e.Access(r.Uint64n(cfg.NLines), i%2 == 0, uint64(i))
+	}
+	return e, r
+}
+
+// BenchmarkPathAccess is one PathORAM simulator-engine access: the
+// address-mode plan of a full path read and write-back at every level.
+func BenchmarkPathAccess(b *testing.B) {
+	e, r := paperPath(b, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := e.Access(r.Uint64n(1<<28), i%4 == 0, uint64(i))
+		benchSink += p.Reads() + p.Writes()
+	}
+}
+
+// TestPathAccessAllocs guards the allocation budget of one warmed PathORAM
+// access at paper scale: its plan, its per-phase address lists and the
+// first-touch state of the deep buckets a random path reaches. The ceiling
+// is the count measured before the engines shared one hierarchy.
+func TestPathAccessAllocs(t *testing.T) {
+	e, r := paperPath(t, 2000)
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		i++
+		p := e.Access(r.Uint64n(1<<28), i%4 == 0, uint64(i))
+		benchSink += p.Reads()
+	})
+	if allocs > 56 {
+		t.Errorf("paper (address-mode) PathORAM access allocates %.0f times per access, ceiling 56", allocs)
+	}
+	t.Logf("allocations per access: %.0f", allocs)
+}

@@ -31,8 +31,8 @@ const goldenAccesses = 20000
 
 // goldenDigests is one geometry's record.
 type goldenDigests struct {
-	Trace string `json:"trace"` // per-access DataLeaf, Val, Reads, Writes, StashAfter, and every phase
-	Bin   string `json:"bin"`   // the final checkpoint encoding (binDigest)
+	Trace string `json:"trace"`         // per-access DataLeaf, Val, Reads, Writes, StashAfter, and every phase
+	Bin   string `json:"bin,omitempty"` // the final checkpoint encoding (binDigest; Ring only)
 }
 
 func goldenConfigs() map[string]RingConfig {
@@ -60,6 +60,29 @@ func goldenConfigs() map[string]RingConfig {
 		"serving-2^15-address-palermo": func() RingConfig { c := serving; c.CountTraffic = false; return c }(),
 		"wide-2^15-count-palermo":      wide,
 		"wide-2^15-address-palermo":    func() RingConfig { c := wide; c.CountTraffic = false; return c }(),
+	}
+}
+
+// pathGoldenConfigs are the PathORAM-family engines the simulator builds
+// (internal/baselines), at 2^12–2^15 lines in address mode. Path has no
+// checkpoint, so their records are trace digests only. The IR-ORAM entry
+// interleaves AccessBypass with Access and DummyAccess (runGolden).
+func pathGoldenConfigs() map[string]PathConfig {
+	base := DefaultPathConfig()
+	base.Seed = 0x5eed
+	base.TreeTopBytes = 32 << 10
+	at := func(lines uint64, edit func(*PathConfig)) PathConfig {
+		c := base
+		c.NLines = lines
+		edit(&c)
+		return c
+	}
+	return map[string]PathConfig{
+		"path-2^15-pathoram": at(1<<15, func(*PathConfig) {}),
+		"path-2^14-pageoram": at(1<<14, func(c *PathConfig) { c.Z, c.SiblingReads, c.PackDepth = 2, true, 2 }),
+		"path-2^13-proram":   at(1<<13, func(c *PathConfig) { c.GroupLeafLines = 4 }),
+		"path-2^13-laoram":   at(1<<13, func(c *PathConfig) { c.GroupLeafLines, c.FatRootScale = 4, 2 }),
+		"path-2^12-iroram":   at(1<<12, func(c *PathConfig) { c.MidShrink = 2 }),
 	}
 }
 
@@ -167,18 +190,26 @@ func goldenOp(r *rng.Rand, lines uint64) (dummy bool, pa uint64, write bool, val
 	return false, pa, kind%2 == 0, r.Uint64()
 }
 
-// runGolden drives n operations of the golden stream through e, folding
-// every plan into d.
-func runGolden(e *Ring, r *rng.Rand, d *digestWriter, n int) {
-	lines := e.Config().NLines
+// runGolden drives n operations of the golden stream over lines through
+// e, folding every plan into d. With bypass set, every third real access
+// goes through it instead of e.Access.
+func runGolden(e Engine, lines uint64, bypass func(pa uint64, write bool, val uint64) *Plan, r *rng.Rand, d *digestWriter, n int) {
 	for i := 0; i < n; i++ {
 		dummy, pa, write, val := goldenOp(r, lines)
-		if dummy {
+		switch {
+		case dummy:
 			digestPlan(d, e.DummyAccess())
-		} else {
+		case bypass != nil && i%3 == 1:
+			digestPlan(d, bypass(pa, write, val))
+		default:
 			digestPlan(d, e.Access(pa, write, val))
 		}
 	}
+}
+
+// runRingGolden drives a Ring engine through the golden stream.
+func runRingGolden(e *Ring, r *rng.Rand, d *digestWriter, n int) {
+	runGolden(e, e.Config().NLines, nil, r, d, n)
 }
 
 var goldenPath = filepath.Join("testdata", "golden.json")
@@ -204,8 +235,21 @@ func TestGoldenTrajectories(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := &digestWriter{h: sha256.New()}
-		runGolden(e, rng.New(0xfeed), d, goldenAccesses)
+		runRingGolden(e, rng.New(0xfeed), d, goldenAccesses)
 		got[name] = goldenDigests{Trace: d.sum(), Bin: binDigest(e)}
+	}
+	for name, cfg := range pathGoldenConfigs() {
+		e, err := NewPath(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bypass func(uint64, bool, uint64) *Plan
+		if cfg.MidShrink > 0 {
+			bypass = e.AccessBypass
+		}
+		d := &digestWriter{h: sha256.New()}
+		runGolden(e, cfg.NLines, bypass, rng.New(0xfeed), d, goldenAccesses)
+		got[name] = goldenDigests{Trace: d.sum()}
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
@@ -258,7 +302,7 @@ func TestGoldenAcrossCheckpoint(t *testing.T) {
 		}
 		d := &digestWriter{h: sha256.New()}
 		r := rng.New(0xfeed)
-		runGolden(e, r, d, goldenAccesses/2)
+		runRingGolden(e, r, d, goldenAccesses/2)
 		e2, err := NewRing(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +314,7 @@ func TestGoldenAcrossCheckpoint(t *testing.T) {
 		if rd.Len() != 0 {
 			t.Fatalf("%s: %d bytes left after LoadState", name, rd.Len())
 		}
-		runGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
+		runRingGolden(e2, r, d, goldenAccesses-goldenAccesses/2)
 		if got := (goldenDigests{Trace: d.sum(), Bin: binDigest(e2)}); got != want[name] {
 			t.Errorf("%s: trajectory through a checkpoint differs from the golden\n got  %+v\n want %+v", name, got, want[name])
 		}
@@ -285,7 +329,7 @@ func TestMaxStateBytesBoundsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runGolden(e, rng.New(0xfeed), &digestWriter{h: sha256.New()}, goldenAccesses)
+	runRingGolden(e, rng.New(0xfeed), &digestWriter{h: sha256.New()}, goldenAccesses)
 	bound, err := MaxStateBytes(cfg)
 	if err != nil {
 		t.Fatal(err)
