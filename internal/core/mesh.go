@@ -104,7 +104,10 @@ func (r *meshRun) tryIssue() {
 // Dummy requests (background evictions) do not consume the real-request
 // budget or the trace.
 func (r *meshRun) launch(col int) {
-	measured := r.Issued >= r.Cfg.Warmup
+	if !r.Measuring && r.Issued == r.Cfg.Warmup {
+		r.Begin()
+	}
+	measured := r.Measuring
 
 	var plan *oram.Plan
 	tag := -1
@@ -118,9 +121,6 @@ func (r *meshRun) launch(col int) {
 	if pad || r.WantDummy() {
 		plan = r.ORAM.DummyAccess()
 	} else {
-		if r.Issued == r.Cfg.Warmup {
-			r.Begin()
-		}
 		plan = r.Access()
 		if ts, ok := r.Src.(ctrl.TaggedSource); ok {
 			tag = ts.Tag()

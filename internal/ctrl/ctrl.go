@@ -194,7 +194,8 @@ func NewWindow(name string, eng *sim.Engine, mem *dram.Memory, oramE oram.Engine
 	return w
 }
 
-// Begin opens the measured window now: DRAM statistics and stash peaks
+// Begin opens the measured window now, once per run, before the first
+// request (real or dummy) after warmup: DRAM statistics and stash peaks
 // restart and OnMeasureStart fires.
 func (w *Window) Begin() {
 	w.Measuring = true
@@ -311,7 +312,7 @@ func (r *serialRun) attribute(level int, start sim.Tick) {
 }
 
 func (r *serialRun) startNext() {
-	if r.Issued == r.Cfg.Warmup {
+	if !r.Measuring && r.Issued == r.Cfg.Warmup {
 		r.Begin()
 		r.lastBus = r.Mem.BusBusy()
 	}
