@@ -144,4 +144,6 @@ type Engine interface {
 	StashOverflows(level int) uint64
 	// ResetPeaks clears stash peak tracking (warmup boundary).
 	ResetPeaks()
+	// Space exposes a level's tree, stash and tree-top state.
+	Space(level int) *Space
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"palermo/internal/otree"
-	"palermo/internal/posmap"
-	"palermo/internal/rng"
 )
 
 // RingVariant selects the protocol ordering executed by the Ring engine.
@@ -66,13 +64,6 @@ func (c *RingConfig) Validate() error {
 	return nil
 }
 
-// hierarchy builds the position-map hierarchy of a validated configuration:
-// one level per data slot group, then PosLevels recursive levels.
-func (c *RingConfig) hierarchy(r *rng.Rand) *posmap.Hierarchy {
-	dataBlocks := (c.NLines + uint64(c.DataSlotLines) - 1) / uint64(c.DataSlotLines)
-	return posmap.New(dataBlocks, c.PosLevels, r)
-}
-
 // levelGeometry is the (unplaced) tree of hierarchy level l over blocks.
 func (c *RingConfig) levelGeometry(l int, blocks uint64) otree.Geometry {
 	lines := 1
@@ -117,15 +108,8 @@ func PalermoRingConfig() RingConfig {
 
 // Ring is the RingORAM functional engine over a recursive posmap hierarchy.
 type Ring struct {
-	cfg    RingConfig
-	r      *rng.Rand
-	pm     *posmap.Hierarchy
-	spaces []*Space
-	reqID  uint64
-
-	lastDataLeaf uint64 // leaf exposed by the most recent level-0 access
-
-	reused Plan // count-only mode: the plan every access refills
+	hierarchy
+	cfg RingConfig
 }
 
 // NewRing builds the engine: one Space per hierarchy level with disjoint
@@ -134,145 +118,17 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := rng.New(cfg.Seed)
-	pm := cfg.hierarchy(r)
-	geos := make([]otree.Geometry, pm.Levels())
-	for l := range geos {
-		geos[l] = cfg.levelGeometry(l, pm.Blocks(l))
-	}
-	geos = Layout(geos, cfg.AlignBytes)
-
-	e := &Ring{cfg: cfg, r: r, pm: pm}
-	for l, g := range geos {
-		pm.Attach(l, g.NumLeaves())
-		sp := NewSpace(l, g, cfg.TreeTopBytes, r, pm)
-		sp.CountOnly = cfg.CountTraffic
-		e.spaces = append(e.spaces, sp)
-	}
+	e := &Ring{cfg: cfg}
+	e.hierarchy = newHierarchy(e, cfg.NLines, cfg.DataSlotLines, cfg.PosLevels, cfg.Seed,
+		cfg.levelGeometry, cfg.AlignBytes, cfg.TreeTopBytes, cfg.CountTraffic)
 	return e, nil
-}
-
-// TopHits returns the total 64-byte line movements the tree-top caches
-// absorbed across all levels (the serving layer's cache-resident hit
-// counter; bytes saved = 64 * TopHits).
-func (e *Ring) TopHits() uint64 {
-	var n uint64
-	for _, sp := range e.spaces {
-		n += sp.TopHits
-	}
-	return n
 }
 
 // Config returns the engine configuration (with defaults filled).
 func (e *Ring) Config() RingConfig { return e.cfg }
 
-// Space exposes a level's state (testing, controllers).
-func (e *Ring) Space(level int) *Space { return e.spaces[level] }
-
-// Posmap exposes the hierarchy (testing).
-func (e *Ring) Posmap() *posmap.Hierarchy { return e.pm }
-
-// Levels implements Engine.
-func (e *Ring) Levels() int { return len(e.spaces) }
-
-// StashLen implements Engine.
-func (e *Ring) StashLen(level int) int { return e.spaces[level].Stash.Len() }
-
-// StashMax implements Engine.
-func (e *Ring) StashMax(level int) int { return e.spaces[level].Stash.MaxSeen() }
-
-// SampleStashes implements Engine.
-func (e *Ring) SampleStashes() {
-	for _, sp := range e.spaces {
-		sp.Stash.Sample()
-	}
-}
-
-// StashSamples implements Engine.
-func (e *Ring) StashSamples(level int) []int { return e.spaces[level].Stash.Samples() }
-
-// StashOverflows implements Engine.
-func (e *Ring) StashOverflows(level int) uint64 { return e.spaces[level].Stash.Overflows() }
-
-// ResetPeaks implements Engine.
-func (e *Ring) ResetPeaks() {
-	for _, sp := range e.spaces {
-		sp.Stash.ResetPeak()
-	}
-}
-
-// Access implements Engine: one served LLC miss across the full hierarchy
-// — the posmap remaps, path reads, stash merge and evictions of every
-// level, top of the recursion first.
-//
-// Plan lifetime: in address mode every access returns a freshly allocated
-// plan, because timing controllers keep plans while they replay them. In
-// count-only mode (RingConfig.CountTraffic) the returned plan is the
-// engine's own and is overwritten by the next Access or DummyAccess;
-// callers read what they need (Reads, Writes, Val, DataLeaf, StashAfter)
-// before the next access and keep no reference.
-func (e *Ring) Access(pa uint64, write bool, val uint64) *Plan {
-	if pa >= e.cfg.NLines {
-		panic(fmt.Sprintf("oram: PA %d outside protected space of %d lines", pa, e.cfg.NLines))
-	}
-	e.reqID++
-	plan := e.newPlan()
-	plan.ReqID, plan.PA, plan.Write = e.reqID, pa, write
-	groupIdx := pa / uint64(e.cfg.DataSlotLines)
-	for l := len(e.spaces) - 1; l >= 0; l-- {
-		idx := e.pm.Index(l, groupIdx)
-		if l == 0 {
-			plan.FromStash = e.spaces[0].Stash.Contains(otree.BlockID(idx))
-		}
-		got := e.accessLevel(&plan.Levels[l], l, idx, l == 0 && write, val)
-		if l == 0 {
-			plan.Val = got
-		}
-	}
-	e.finishPlan(plan)
-	return plan
-}
-
-// newPlan returns the plan the next access fills: zeroed, with Levels and
-// StashAfter sized to the hierarchy.
-func (e *Ring) newPlan() *Plan {
-	n := len(e.spaces)
-	if !e.cfg.CountTraffic {
-		return &Plan{Levels: make([]LevelAccess, n), StashAfter: make([]int, n)}
-	}
-	p := &e.reused
-	if p.Levels == nil {
-		p.Levels, p.StashAfter = make([]LevelAccess, n), make([]int, n)
-	}
-	*p = Plan{Levels: p.Levels, StashAfter: p.StashAfter}
-	return p
-}
-
-// DummyAccess implements Engine: a full-protocol access along a fresh
-// uniform path at every level, serving no block (the padding requests of
-// §VI and the background requests of prefetch baselines).
-func (e *Ring) DummyAccess() *Plan {
-	e.reqID++
-	plan := e.newPlan()
-	plan.ReqID, plan.Dummy = e.reqID, true
-	for l := len(e.spaces) - 1; l >= 0; l-- {
-		e.accessLevelLeaf(&plan.Levels[l], l, otree.Dummy, e.r.Uint64n(e.spaces[l].Geo.NumLeaves()), false, 0)
-	}
-	e.finishPlan(plan)
-	return plan
-}
-
-// finishPlan records what the access left behind: the exposed data leaf
-// and every level's stash occupancy.
-func (e *Ring) finishPlan(plan *Plan) {
-	plan.DataLeaf = e.lastDataLeaf
-	for l, sp := range e.spaces {
-		plan.StashAfter[l] = sp.Stash.Len()
-	}
-}
-
-// accessLevel performs the Ring protocol for block idx of level l, filling
-// la, and returns the block's value.
+// accessLevel implements levelProtocol: the Ring protocol for block idx of
+// level l.
 func (e *Ring) accessLevel(la *LevelAccess, l int, idx uint64, storeWrite bool, val uint64) uint64 {
 	sp := e.spaces[l]
 	// Line 7-8: remap before the path access becomes visible on the bus.
@@ -291,29 +147,11 @@ func (e *Ring) accessLevel(la *LevelAccess, l int, idx uint64, storeWrite bool, 
 // maxLevelPhases is the most phases one level access emits (LM, ER, RP, EP).
 const maxLevelPhases = 4
 
-// beginPhase appends an empty phase of the given kind to la and returns it
-// for the emit helpers to fill. la.Phases has room for every phase of an
-// access, so the pointer stays valid until the next beginPhase.
-func (la *LevelAccess) beginPhase(kind PhaseKind) *Phase {
-	la.Phases = append(la.Phases, Phase{Kind: kind})
-	return &la.Phases[len(la.Phases)-1]
-}
-
-// accessLevelLeaf executes the per-tree protocol along the given leaf,
-// filling la (whose Phases storage is reused when the plan is), and
-// returns the value of want. want == otree.Dummy performs a dummy access.
+// accessLevelLeaf implements levelProtocol: the Ring protocol along leaf.
 func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf uint64, storeWrite bool, val uint64) uint64 {
-	if l == 0 {
-		e.lastDataLeaf = leaf
-	}
-	sp := e.spaces[l]
-	sp.Accesses++
+	sp := e.enter(l, leaf)
 	evict := sp.Accesses%uint64(e.cfg.A) == 0
-	phases := la.Phases[:0]
-	if phases == nil {
-		phases = make([]Phase, 0, maxLevelPhases)
-	}
-	*la = LevelAccess{Level: l, Evict: evict, Phases: phases}
+	la.begin(l, evict, maxLevelPhases)
 
 	// The path's nodes and buckets, resolved once (index == tree level).
 	path := sp.path(leaf)
@@ -348,36 +186,18 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	} else {
 		sp.reserve(rp, sp.Geo.SlotLines, 0)
 	}
-	found := false
-	var got uint64
 	for lv, b := range buckets {
 		entry, slot, ok := sp.Store.ReadSlot(b, lv, want)
 		if !sp.CountOnly {
 			sp.emitSlotRead(rp, lv, path[lv], slot)
 		}
 		if ok {
-			found = true
-			got = entry.Val
 			sp.Stash.Put(stashEntry(entry, sp.leafOf(entry.ID)))
 		}
 	}
+	var got uint64
 	if want != otree.Dummy {
-		if !found {
-			if se, ok := sp.Stash.Get(want); ok {
-				got = se.Val
-				sp.Stash.Remap(want, sp.leafOf(want))
-			} else {
-				// First touch: the block exists nowhere yet; install it.
-				sp.Stash.Put(stashEntryNew(want, sp.leafOf(want)))
-			}
-		} else {
-			sp.Stash.Remap(want, sp.leafOf(want))
-		}
-		if storeWrite {
-			se, _ := sp.Stash.Get(want)
-			se.Val = val
-			sp.Stash.Put(se)
-		}
+		got = sp.serve(want, storeWrite, val)
 	}
 
 	// EP: deterministic whole-path eviction every A accesses. The Palermo

@@ -42,6 +42,14 @@ type Space struct {
 	pushBuf   []otree.BlockEntry
 }
 
+func stashEntry(e otree.BlockEntry, leaf uint64) stash.Entry {
+	return stash.Entry{ID: e.ID, Leaf: leaf, Val: e.Val}
+}
+
+func stashEntryNew(id otree.BlockID, leaf uint64) stash.Entry {
+	return stash.Entry{ID: id, Leaf: leaf}
+}
+
 // HardwareStashTags is the Table III per-level stash budget.
 const HardwareStashTags = 256
 
@@ -70,6 +78,20 @@ func (sp *Space) stashPulled(blocks []otree.BlockEntry) {
 	for _, e := range blocks {
 		sp.Stash.Put(stashEntry(e, sp.leafOf(e.ID)))
 	}
+}
+
+// serve finishes a path access at the stash, once the path's blocks are
+// in it: block want (installed on first touch) takes its current leaf and,
+// on a write, val. It returns the block's value before the access.
+func (sp *Space) serve(want otree.BlockID, storeWrite bool, val uint64) uint64 {
+	se, _ := sp.Stash.Get(want)
+	got := se.Val
+	se.ID, se.Leaf = want, sp.leafOf(want)
+	if storeWrite {
+		se.Val = val
+	}
+	sp.Stash.Put(se)
+	return got
 }
 
 // pushInto moves up to z eligible stash blocks into node (the push half of

@@ -110,7 +110,7 @@ func MaxStateBytes(cfg RingConfig) (uint64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	pm := cfg.hierarchy(nil)
+	pm := newPosmap(cfg.NLines, cfg.DataSlotLines, cfg.PosLevels, nil)
 	total := uint64(stateFixedBytes)
 	for l := 0; l < pm.Levels(); l++ {
 		blocks := pm.Blocks(l)

@@ -218,7 +218,7 @@ func Run(p Protocol, wl string, o Options) (RunResult, error) {
 	var hitsAtMeasure uint64
 	runCfg.OnMeasureStart = func() { hitsAtMeasure = filter.Hits }
 
-	var e treeEngine
+	var e oram.Engine
 	var ctl ctrl.Controller = ctrl.Serial{Name: p.String()}
 	switch p {
 	case ProtoPathORAM, ProtoPageORAM, ProtoPrORAM, ProtoIRORAM:
@@ -264,15 +264,8 @@ func runCell(ctl ctrl.Controller, e oram.Engine, src ctrl.Source, cfg ctrl.RunCo
 	return ctl.Run(&eng, dram.New(&eng, dram.DefaultConfig()), e, src, cfg)
 }
 
-// treeEngine is an ORAM engine with a data tree, whose leaf count Run
-// reports.
-type treeEngine interface {
-	oram.Engine
-	Space(level int) *oram.Space
-}
-
 // buildPathFamily constructs the PathORAM-based engines.
-func buildPathFamily(p Protocol, o Options, pf int) (treeEngine, error) {
+func buildPathFamily(p Protocol, o Options, pf int) (oram.Engine, error) {
 	switch p {
 	case ProtoPageORAM:
 		return baselines.NewPageORAM(o.Lines, o.Seed)
