@@ -56,7 +56,6 @@ type meshRun struct {
 	colFree    []*sim.Signal // per column: fires when its current request retires
 	writeClear []*sim.Signal // per level: tree good-to-read for the next request
 	prevIssued *sim.Signal   // commit-order chain
-	padStreak  int           // consecutive idle-padding dummies (bounded as a hang guard)
 }
 
 // Run implements ctrl.Controller on the PE mesh.
@@ -104,31 +103,8 @@ func (r *meshRun) tryIssue() {
 // Dummy requests (background evictions) do not consume the real-request
 // budget or the trace.
 func (r *meshRun) launch(col int) {
-	if !r.Measuring && r.Issued == r.Cfg.Warmup {
-		r.Begin()
-	}
+	plan, tag := r.Next() // tryIssue never launches past the last request
 	measured := r.Measuring
-
-	var plan *oram.Plan
-	tag := -1
-	pad := false
-	if is, ok := r.Src.(ctrl.IdleSource); ok && is.Idle() && r.padStreak < 4096 {
-		pad = true // constant-rate padding: LLC issued nothing this slot (§VI)
-		r.padStreak++
-	} else {
-		r.padStreak = 0
-	}
-	if pad || r.WantDummy() {
-		plan = r.ORAM.DummyAccess()
-	} else {
-		plan = r.Access()
-		if ts, ok := r.Src.(ctrl.TaggedSource); ok {
-			tag = ts.Tag()
-		}
-	}
-	if measured {
-		r.Count(plan)
-	}
 
 	issueAt := r.Eng.Now()
 	retire := sim.NewBatch(r.Eng, r.levels)
@@ -167,11 +143,7 @@ func (r *meshRun) launch(col int) {
 				r.LastDone = r.Eng.Now()
 			} else if measured {
 				r.Respond(issueAt)
-				r.Res.FromStash = append(r.Res.FromStash, plan.FromStash)
-				if r.Cfg.KeepLatency {
-					r.Res.Leaves = append(r.Res.Leaves, plan.DataLeaf)
-					r.Res.Tags = append(r.Res.Tags, tag)
-				}
+				r.Label(plan, tag)
 			}
 		}
 		onDone := func() { retire.Done() }

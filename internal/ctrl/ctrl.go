@@ -157,9 +157,9 @@ type Controller interface {
 }
 
 // Window is the measurement every controller shares. It holds a run's
-// inputs and Result, opens the measured window at the warmup boundary,
-// gates the DummyPolicy, and fills the end of the run; a controller embeds
-// it and decides only when requests issue, overlap and complete.
+// inputs and Result, commits each next request (Next), and fills the end
+// of the run; a controller embeds it and decides only when requests issue,
+// overlap and complete.
 type Window struct {
 	Cfg  RunConfig
 	Eng  *sim.Engine
@@ -174,7 +174,8 @@ type Window struct {
 	Start     sim.Tick // when it passed
 	LastDone  sim.Tick // the last measured request's completion
 
-	dummyStreak int
+	dummyStreak int // consecutive policy dummies
+	padStreak   int // consecutive idle-padding dummies
 }
 
 // NewWindow returns the window of one run of the controller named name.
@@ -194,23 +195,59 @@ func NewWindow(name string, eng *sim.Engine, mem *dram.Memory, oramE oram.Engine
 	return w
 }
 
-// Begin opens the measured window now, once per run, before the first
-// request (real or dummy) after warmup: DRAM statistics and stash peaks
-// restart and OnMeasureStart fires.
-func (w *Window) Begin() {
-	w.Measuring = true
-	w.Start = w.Eng.Now()
-	w.Mem.ResetStats()
-	w.ORAM.ResetPeaks()
-	if w.Cfg.OnMeasureStart != nil {
-		w.Cfg.OnMeasureStart()
+// Next commits the next request at the current time and returns its plan,
+// or nil once every real request has issued. Before the first request
+// after warmup it opens the measured window, once per run: DRAM statistics
+// and stash peaks restart and OnMeasureStart fires. The request is a
+// padding dummy while an IdleSource is idle (at most 4096 in a row, a hang
+// guard), a background dummy when the DummyPolicy asks (at most 64 in a
+// row), and otherwise the source's next miss; tag is that miss's
+// TaggedSource label, -1 for a dummy or an untagged source. A request
+// committed in the measured window is booked in Res.
+func (w *Window) Next() (plan *oram.Plan, tag int) {
+	if !w.Measuring && w.Issued == w.Cfg.Warmup {
+		w.Measuring, w.Start = true, w.Eng.Now()
+		w.Mem.ResetStats()
+		w.ORAM.ResetPeaks()
+		if w.Cfg.OnMeasureStart != nil {
+			w.Cfg.OnMeasureStart()
+		}
 	}
+	if w.Issued >= w.Total {
+		return nil, -1
+	}
+	tag = -1
+	if w.padding() || w.policyDummy() {
+		plan = w.ORAM.DummyAccess()
+	} else {
+		w.Issued++
+		pa, write := w.Src.Next()
+		plan = w.ORAM.Access(pa, write, pa^0x5bd1e995)
+		if ts, ok := w.Src.(TaggedSource); ok {
+			tag = ts.Tag()
+		}
+	}
+	if w.Measuring {
+		w.count(plan)
+	}
+	return plan, tag
 }
 
-// WantDummy reports whether a background dummy goes before the next real
-// request: the DummyPolicy asks for one and fewer than 64 have gone in a
-// row.
-func (w *Window) WantDummy() bool {
+// padding reports whether an idle source leaves this slot to a
+// constant-rate padding dummy (§VI).
+func (w *Window) padding() bool {
+	if is, ok := w.Src.(IdleSource); ok && is.Idle() && w.padStreak < 4096 {
+		w.padStreak++
+		return true
+	}
+	w.padStreak = 0
+	return false
+}
+
+// policyDummy reports whether a background dummy goes before the next
+// real request: the DummyPolicy asks for one and fewer than 64 have gone
+// in a row.
+func (w *Window) policyDummy() bool {
 	if w.Cfg.DummyPolicy != nil && w.dummyStreak < 64 && w.Cfg.DummyPolicy() {
 		w.dummyStreak++
 		return true
@@ -219,16 +256,8 @@ func (w *Window) WantDummy() bool {
 	return false
 }
 
-// Access issues the next real request: one miss from the source through
-// the ORAM engine.
-func (w *Window) Access() *oram.Plan {
-	w.Issued++
-	pa, write := w.Src.Next()
-	return w.ORAM.Access(pa, write, pa^0x5bd1e995)
-}
-
-// Count books a measured request's plan at issue.
-func (w *Window) Count(plan *oram.Plan) {
+// count books a measured request's plan at issue.
+func (w *Window) count(plan *oram.Plan) {
 	w.Res.PlanReads += uint64(plan.Reads())
 	w.Res.PlanWrites += uint64(plan.Writes())
 	if plan.Dummy {
@@ -239,6 +268,18 @@ func (w *Window) Count(plan *oram.Plan) {
 	w.Res.ServedLines++
 	if w.Cfg.TrackStash && w.Res.Requests%w.Cfg.SampleEvery() == 0 {
 		w.ORAM.SampleStashes()
+	}
+}
+
+// Label records a measured real request's labels: its Table I behaviour
+// and, with KeepLatency, its exposed data leaf and tag. A controller whose
+// requests can respond out of issue order labels them at response time, so
+// labels stay aligned with latency samples.
+func (w *Window) Label(plan *oram.Plan, tag int) {
+	w.Res.FromStash = append(w.Res.FromStash, plan.FromStash)
+	if w.Cfg.KeepLatency {
+		w.Res.Leaves = append(w.Res.Leaves, plan.DataLeaf)
+		w.Res.Tags = append(w.Res.Tags, tag)
 	}
 }
 
@@ -296,10 +337,11 @@ func (r *serialRun) busDelta() sim.Tick {
 	return d
 }
 
-// attribute splits a level interval into dram vs sync cycles.
+// attribute splits a measured level interval into dram vs sync cycles.
+// Outside the window the bus is not tracked: lastBus starts at 0, which is
+// where opening the window resets the DRAM statistics.
 func (r *serialRun) attribute(level int, start sim.Tick) {
 	if !r.Measuring {
-		r.busDelta()
 		return
 	}
 	dur := r.Eng.Now() - start
@@ -312,30 +354,12 @@ func (r *serialRun) attribute(level int, start sim.Tick) {
 }
 
 func (r *serialRun) startNext() {
-	if !r.Measuring && r.Issued == r.Cfg.Warmup {
-		r.Begin()
-		r.lastBus = r.Mem.BusBusy()
-	}
-	if r.Issued >= r.Total {
+	plan, tag := r.Next()
+	if plan == nil {
 		return
 	}
-	var plan *oram.Plan
-	if r.WantDummy() {
-		plan = r.ORAM.DummyAccess()
-	} else {
-		plan = r.Access()
-		if r.Measuring {
-			r.Res.FromStash = append(r.Res.FromStash, plan.FromStash)
-			if r.Cfg.KeepLatency {
-				r.Res.Leaves = append(r.Res.Leaves, plan.DataLeaf)
-				if ts, ok := r.Src.(TaggedSource); ok {
-					r.Res.Tags = append(r.Res.Tags, ts.Tag())
-				}
-			}
-		}
-	}
-	if r.Measuring {
-		r.Count(plan)
+	if r.Measuring && !plan.Dummy {
+		r.Label(plan, tag)
 	}
 	r.execLevel(plan, r.ORAM.Levels()-1, r.Eng.Now())
 }
