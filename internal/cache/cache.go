@@ -169,17 +169,6 @@ func (h *Hierarchy) Access(line uint64) (llcMiss bool) {
 	return true
 }
 
-// InstallGroup installs a prefetched group of lines into every level that
-// can hold it (outer levels always; the paper's prefetch fills the LLC).
-// Only the LLC is filled to avoid polluting the tiny L1/L2 with bulk
-// prefetch data.
-func (h *Hierarchy) InstallGroup(first uint64, n int) {
-	llc := h.levels[len(h.levels)-1]
-	for i := 0; i < n; i++ {
-		llc.Install(first + uint64(i))
-	}
-}
-
 // MissRate returns LLC misses per reference.
 func (h *Hierarchy) MissRate() float64 {
 	if h.Refs == 0 {

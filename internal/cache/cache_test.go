@@ -102,23 +102,6 @@ func TestHierarchyL3HitAfterL1Eviction(t *testing.T) {
 	}
 }
 
-func TestHierarchyInstallGroupFillsLLCOnly(t *testing.T) {
-	h, _ := NewHierarchy(Table3Hierarchy())
-	h.InstallGroup(1000, 8)
-	llc := h.Levels()[2]
-	for i := uint64(1000); i < 1008; i++ {
-		if !llc.Contains(i) {
-			t.Fatalf("LLC missing prefetched line %d", i)
-		}
-	}
-	if h.Levels()[0].Contains(1000) {
-		t.Fatal("prefetch must not pollute L1")
-	}
-	if miss := h.Access(1003); miss {
-		t.Fatal("prefetched line must not miss the LLC")
-	}
-}
-
 func TestHierarchyMissRateStreaming(t *testing.T) {
 	h, _ := NewHierarchy(Table3Hierarchy())
 	// A working set far beyond 8 MB: every reference distinct -> all miss.

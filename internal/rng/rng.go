@@ -95,17 +95,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm fills p with a uniform random permutation of 0..len(p)-1.
-func (r *Rand) Perm(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
 // Zipf samples from a Zipfian distribution over [0, n) with exponent theta
 // using rejection-inversion (Hörmann). It models popularity-skewed access
 // (graph vertices, embedding rows, KV keys).

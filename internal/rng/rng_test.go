@@ -71,26 +71,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, szRaw uint8) bool {
-		sz := int(szRaw%64) + 1
-		r := New(seed)
-		p := make([]int, sz)
-		r.Perm(p)
-		seen := make([]bool, sz)
-		for _, v := range p {
-			if v < 0 || v >= sz || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestZipfBounds(t *testing.T) {
 	r := New(3)
 	z := NewZipf(r, 1000, 0.99)
