@@ -216,11 +216,7 @@ func (e *Path) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	}
 	if l == 0 && len(e.pendGroup) > 0 {
 		for _, id := range e.pendGroup {
-			if !sp.Stash.Contains(id) {
-				sp.Stash.Put(stashEntryNew(id, e.pm.Leaf(0, uint64(id))))
-			} else {
-				sp.Stash.Remap(id, e.pm.Leaf(0, uint64(id)))
-			}
+			sp.serve(id, false, 0)
 		}
 		e.pendGroup = e.pendGroup[:0]
 	}

@@ -46,10 +46,6 @@ func stashEntry(e otree.BlockEntry, leaf uint64) stash.Entry {
 	return stash.Entry{ID: e.ID, Leaf: leaf, Val: e.Val}
 }
 
-func stashEntryNew(id otree.BlockID, leaf uint64) stash.Entry {
-	return stash.Entry{ID: id, Leaf: leaf}
-}
-
 // HardwareStashTags is the Table III per-level stash budget.
 const HardwareStashTags = 256
 
