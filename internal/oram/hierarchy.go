@@ -156,24 +156,6 @@ func (h *hierarchy) enter(l int, leaf uint64) *Space {
 	return sp
 }
 
-// begin resets la for an access to level l, keeping its phase storage
-// when the plan is reused.
-func (la *LevelAccess) begin(l int, evict bool, maxPhases int) {
-	phases := la.Phases[:0]
-	if phases == nil {
-		phases = make([]Phase, 0, maxPhases)
-	}
-	*la = LevelAccess{Level: l, Evict: evict, Phases: phases}
-}
-
-// beginPhase appends an empty phase of the given kind to la and returns it
-// for the emit helpers to fill. la.Phases has room for every phase of an
-// access, so the pointer stays valid until the next beginPhase.
-func (la *LevelAccess) beginPhase(kind PhaseKind) *Phase {
-	la.Phases = append(la.Phases, Phase{Kind: kind})
-	return &la.Phases[len(la.Phases)-1]
-}
-
 // Space exposes a level's state (testing, controllers).
 func (h *hierarchy) Space(level int) *Space { return h.spaces[level] }
 

@@ -70,6 +70,24 @@ type LevelAccess struct {
 	Evict  bool // an EP is part of this access (every A-th access)
 }
 
+// begin resets la for an access to level l, keeping its phase storage
+// when the plan is reused.
+func (la *LevelAccess) begin(l int, evict bool, maxPhases int) {
+	phases := la.Phases[:0]
+	if phases == nil {
+		phases = make([]Phase, 0, maxPhases)
+	}
+	*la = LevelAccess{Level: l, Evict: evict, Phases: phases}
+}
+
+// beginPhase appends an empty phase of the given kind to la and returns it
+// for the emit helpers to fill. la.Phases has room for every phase of an
+// access, so the pointer stays valid until the next beginPhase.
+func (la *LevelAccess) beginPhase(kind PhaseKind) *Phase {
+	la.Phases = append(la.Phases, Phase{Kind: kind})
+	return &la.Phases[len(la.Phases)-1]
+}
+
 // Plan is the complete traffic of one ORAM request across the hierarchy.
 type Plan struct {
 	ReqID uint64
