@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"palermo/internal/cluster"
+	"palermo/internal/oram"
 	"palermo/internal/shard"
 )
 
@@ -41,6 +42,9 @@ func TestConstructorParity(t *testing.T) {
 		// shard (1 for NewStore, 4 by default otherwise) is past the size
 		// whose checkpoint always fits one sealed blob.
 		{name: "durable shard past the sealable size", cfg: ShardedStoreConfig{Blocks: 4 * (shard.MaxSealableBlocks() + 1), Engine: BackendWAL}, dir: true},
+		// Refused the same way on the memory engine: the shard's ORAM
+		// buckets store block ids in 32 bits.
+		{name: "memory shard past the block-id limit", cfg: ShardedStoreConfig{Blocks: 4 * (oram.MaxLevelBlocks + 1)}},
 
 		{name: "zero value defaults", ok: true},
 		{name: "Key AES-128", cfg: ShardedStoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}, ok: true},
@@ -98,6 +102,31 @@ func TestConstructorParity(t *testing.T) {
 				t.Errorf("%s: %s accepted = %v, want %v (err: %v)", row.name, name, err == nil, row.ok, err)
 			}
 		}
+	}
+}
+
+// TestMemoryShardBlockLimit: a memory shard's engine stores block ids in
+// 32 bits, so NewShardedStore refuses a shard of more than 2^32-2 blocks,
+// naming the limit and the way out, and accepts one at the limit by
+// arithmetic alone (the refusal comes before any shard is built).
+func TestMemoryShardBlockLimit(t *testing.T) {
+	const limit = oram.MaxLevelBlocks
+	for _, cfg := range []ShardedStoreConfig{
+		{Blocks: limit + 1, Shards: 1},
+		{Blocks: 1 << 33, Shards: 2},
+		{Blocks: MaxBlocks},
+	} {
+		st, err := NewShardedStore(cfg)
+		if err == nil {
+			st.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at most %d blocks", uint64(limit))) || !strings.Contains(err.Error(), "raise Shards") {
+			t.Errorf("%d blocks over %d shards: %v, want a refusal naming the %d-block limit and saying raise Shards", cfg.Blocks, cfg.Shards, err, uint64(limit))
+		}
+	}
+	c := ShardedStoreConfig{Blocks: 2 * limit, Shards: 2}
+	if _, err := c.normalize(false); err != nil {
+		t.Errorf("two shards of %d blocks refused: %v", uint64(limit), err)
 	}
 }
 

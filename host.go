@@ -21,6 +21,7 @@ import (
 	"palermo/internal/backend/blockfile"
 	"palermo/internal/backend/durable"
 	"palermo/internal/backend/wal"
+	"palermo/internal/oram"
 	"palermo/internal/serve"
 	"palermo/internal/shard"
 	"palermo/internal/wire"
@@ -101,6 +102,12 @@ func (c *ShardedStoreConfig) normalize(cluster bool) (shard.Router, error) {
 	// worst-case state could outgrow it, before any write is acknowledged.
 	if limit := shard.MaxSealableBlocks(); (cluster || c.Engine != BackendMemory) && router.ShardBlocks(0) > limit {
 		return none, fmt.Errorf("palermo: a durable or cluster shard holds at most %d blocks (its checkpoint must fit one sealed blob), got %d per shard; raise Shards",
+			limit, router.ShardBlocks(0))
+	}
+	// Every shard's engine is one tree over its blocks, whose buckets
+	// store a block id in 32 bits.
+	if limit := uint64(oram.MaxLevelBlocks); router.ShardBlocks(0) > limit {
+		return none, fmt.Errorf("palermo: a shard holds at most %d blocks (its engine stores block ids in 32 bits), got %d per shard; raise Shards",
 			limit, router.ShardBlocks(0))
 	}
 	return router, nil

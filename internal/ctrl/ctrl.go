@@ -382,7 +382,7 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 			}
 			batch.Sig().Wait(func() {
 				if measured {
-					r.Respond(reqStart)
+					r.finish(plan, reqStart)
 				}
 				r.attribute(level, start)
 			})
@@ -398,10 +398,21 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 			return
 		}
 		if r.Measuring {
-			r.Respond(reqStart)
+			r.finish(plan, reqStart)
 		}
 		r.startNext()
 	})
+}
+
+// finish books a measured request's completion: a real request's latency,
+// or for a dummy only the end of the measured window, so latency samples
+// stay one per labelled request.
+func (r *serialRun) finish(plan *oram.Plan, reqStart sim.Tick) {
+	if plan.Dummy {
+		r.LastDone = r.Eng.Now()
+		return
+	}
+	r.Respond(reqStart)
 }
 
 // execPhase issues phases [idx, end): each phase's reads complete before its

@@ -42,6 +42,21 @@ type levelProtocol interface {
 	accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf uint64, storeWrite bool, val uint64) uint64
 }
 
+// MaxLevelBlocks is the most blocks one tree of a hierarchy holds: a bucket
+// stores a block id in 32 bits, and the all-ones id is otree.Dummy's low
+// half, so a stored id must stay below 2^32-1.
+const MaxLevelBlocks = 1<<32 - 2
+
+// checkLevelBlocks refuses a hierarchy whose data tree, the largest, over
+// nLines (> 0) lines of slotLines-line blocks would hold more than
+// MaxLevelBlocks blocks.
+func checkLevelBlocks(nLines uint64, slotLines int) error {
+	if blocks := (nLines-1)/uint64(slotLines) + 1; blocks > MaxLevelBlocks {
+		return fmt.Errorf("oram: %d data blocks exceed the %d-block limit of one tree (block ids are stored in 32 bits)", blocks, uint64(MaxLevelBlocks))
+	}
+	return nil
+}
+
 // newPosmap is the position-map hierarchy over nLines lines: one level of
 // slotLines-line data blocks, then posLevels recursive levels.
 func newPosmap(nLines uint64, slotLines, posLevels int, r *rng.Rand) *posmap.Hierarchy {

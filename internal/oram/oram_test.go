@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,6 +60,33 @@ func TestRingConfigValidate(t *testing.T) {
 			t.Errorf("%s: refused: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestLevelBlocksLimit: both engines refuse a data tree of 2^32-1 or more
+// blocks, counted in DataSlotLines-line blocks, because a bucket stores a
+// block id in 32 bits; one block fewer is accepted.
+func TestLevelBlocksLimit(t *testing.T) {
+	for _, tc := range []struct {
+		lines     uint64
+		slotLines int
+		ok        bool
+	}{
+		{MaxLevelBlocks, 1, true},
+		{MaxLevelBlocks + 1, 1, false},
+		{1 << 32, 1, false},
+		{2 * MaxLevelBlocks, 2, true},
+		{2*MaxLevelBlocks + 1, 2, false},
+		{1 << 40, 1, false},
+	} {
+		ring := RingConfig{NLines: tc.lines, Z: 16, S: 27, A: 20, DataSlotLines: tc.slotLines}
+		path := PathConfig{NLines: tc.lines, Z: 4, DataSlotLines: tc.slotLines}
+		for name, err := range map[string]error{"Ring": ring.Validate(), "Path": path.Validate()} {
+			limit := fmt.Sprintf("the %d-block limit", uint64(MaxLevelBlocks))
+			if tc.ok && err != nil || !tc.ok && (err == nil || !strings.Contains(err.Error(), limit)) {
+				t.Errorf("%s over %d lines of %d: %v, want accepted = %v naming %s", name, tc.lines, tc.slotLines, err, tc.ok, limit)
+			}
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (c *PathConfig) Validate() error {
 	if c.FatRootScale == 0 {
 		c.FatRootScale = 1
 	}
-	return nil
+	return checkLevelBlocks(c.NLines, c.DataSlotLines)
 }
 
 // DefaultPathConfig is classic PathORAM (Z=4) on the Table III space.
@@ -196,9 +196,17 @@ func (e *Path) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	la.begin(l, false, 2) // RP, WB
 	path := sp.path(leaf)
 
+	// Each uncached level moves at most the widest bucket (a fat root's),
+	// twice with its sibling: the address lists are sized for that once.
+	perLevel := max(e.cfg.Z, sp.Geo.Levels[0].Z) * sp.Geo.SlotLines
+	if e.cfg.SiblingReads {
+		perLevel *= 2
+	}
+
 	// RP: read every slot of every bucket on the path (plus siblings for
 	// PageORAM) into the stash.
 	rp := la.beginPhase(PhaseRP)
+	sp.reserve(rp, perLevel, 0)
 	pull := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
 		sp.stashPulled(sp.Store.ResetPull(n))
@@ -223,6 +231,7 @@ func (e *Path) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 
 	// WB: write the same path (and pulled siblings) back, deepest first.
 	wb := la.beginPhase(PhaseWB)
+	sp.reserve(wb, 0, perLevel)
 	writeBack := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
 		sp.pushInto(n, sp.Geo.Levels[lvl].Z)

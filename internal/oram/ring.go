@@ -61,7 +61,7 @@ func (c *RingConfig) Validate() error {
 	if c.AlignBytes == 0 {
 		c.AlignBytes = 32 << 10
 	}
-	return nil
+	return checkLevelBlocks(c.NLines, c.DataSlotLines)
 }
 
 // levelGeometry is the (unplaced) tree of hierarchy level l over blocks.

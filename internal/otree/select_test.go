@@ -92,11 +92,30 @@ func FuzzSelectFree(f *testing.F) {
 }
 
 // TestBucketSize: a bucket with its inline bitset is no larger than the
-// three-slice bucket it replaced (56 bytes); every materialized node costs
-// one, so growth shows in the serving heap.
+// three-slice bucket it replaced (56 bytes), and a block it stores takes 12
+// bytes, not a BlockEntry's 16; every materialized node costs one bucket
+// and every stored block one entry, so growth shows in the serving heap.
 func TestBucketSize(t *testing.T) {
 	if n := unsafe.Sizeof(Bucket{}); n > 56 {
 		t.Fatalf("Bucket is %d bytes, want at most 56", n)
+	}
+	if n := unsafe.Sizeof(entry{}); n != 12 {
+		t.Fatalf("a bucket entry is %d bytes, want 12", n)
+	}
+}
+
+// TestBucketCapacityAtMostZ: however a bucket's block count rises and
+// falls, its storage never holds room for more than its level's Z blocks.
+func TestBucketCapacityAtMostZ(t *testing.T) {
+	for _, g := range []Geometry{UniformWide(1<<10, 4, 5, 1, 0, 0), UniformWide(1<<10, 16, 27, 1, 0, 0)} {
+		s := NewStore(g, rng.New(7))
+		driveStore(s)
+		s.index.Range(func(node uint64, ref uint32) {
+			b := s.at(ref)
+			if z := g.Levels[g.NodeLevel(node)].Z; cap(b.blocks) > z {
+				t.Fatalf("Z=%d: bucket %d has room for %d blocks", z, node, cap(b.blocks))
+			}
+		})
 	}
 }
 
@@ -129,16 +148,26 @@ func TestBucketFilterTracksBlocks(t *testing.T) {
 }
 
 // driveStore runs a fixed operation sequence touching every kind of store
-// mutation and returns the store's checkpoint encoding.
+// mutation and returns the store's checkpoint encoding. The resets write
+// back between one and Z blocks, in a count that cycles, so buckets both
+// grow and shrink; the block ids stay below the node count.
 func driveStore(s *Store) []byte {
 	g := s.Geometry()
+	var blocks []BlockEntry
+	resets := 0
 	for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
 		for l := 0; l <= g.Depth; l++ {
 			node := g.NodeAt(leaf, l)
 			b := s.Bucket(node)
 			if s.NeedsReset(b, l, 1) {
 				s.ResetPull(node)
-				s.WriteBucket(node, []BlockEntry{{ID: BlockID(node), Val: leaf}})
+				resets++
+				blocks = blocks[:0]
+				for k := range 1 + resets%g.Levels[l].Z {
+					id := (node + uint64(k)*(g.NumNodes()/uint64(g.Levels[l].Z))) % g.NumNodes()
+					blocks = append(blocks, BlockEntry{ID: BlockID(id), Val: leaf<<40 | uint64(k)})
+				}
+				s.WriteBucket(node, blocks)
 			}
 			s.ReadSlot(b, l, BlockID(node))
 		}

@@ -10,10 +10,28 @@ import (
 	"palermo/internal/rng"
 )
 
-// BlockEntry is a real block resident in a bucket.
+// BlockEntry is a real block resident in a bucket: the form WriteBucket,
+// ResetPull and ReadSlot exchange with the protocols.
 type BlockEntry struct {
 	ID  BlockID
 	Val uint64 // payload carried through the simulator for correctness checks
+}
+
+// entry is a BlockEntry as a bucket stores it: the id in 32 bits (a tree
+// holds fewer than 2^32-1 blocks, so no stored id is Dummy's low half;
+// oram.MaxLevelBlocks) and the value in two 32-bit halves, so an entry is
+// 12 bytes where a BlockEntry is 16. Bucket entries are most of the
+// trusted RAM a serving shard spends per block.
+type entry struct {
+	id, lo, hi uint32
+}
+
+func pack(e BlockEntry) entry {
+	return entry{id: uint32(e.ID), lo: uint32(e.Val), hi: uint32(e.Val >> 32)}
+}
+
+func (e entry) unpack() BlockEntry {
+	return BlockEntry{ID: BlockID(e.id), Val: uint64(e.hi)<<32 | uint64(e.lo)}
 }
 
 // MaxSlots is the widest bucket (Z+S) the consumed-slot bitset holds: two
@@ -29,7 +47,7 @@ const (
 // touched slot on every access and never re-reads it before a reset. The
 // bitset lives inline (MaxSlots bits), so a bucket is one object.
 type Bucket struct {
-	blocks []BlockEntry // valid real blocks currently stored; capacity survives resets
+	blocks []entry // valid real blocks currently stored; capacity survives resets, at most Z
 	// filter has bit id mod 64 set for every block in blocks, so a lookup
 	// scans only a bucket that can hold the id. It is kept in step with
 	// every change to blocks (refilter).
@@ -63,6 +81,8 @@ type Store struct {
 	index paged.Table // node -> 1 + slab position
 	slab  [][]Bucket  // chunkLen buckets per chunk
 	r     *rng.Rand
+
+	pulled []BlockEntry // ResetPull's result, valid until the next pull
 }
 
 // NewStore creates an empty tree (every bucket holds only dummies).
@@ -111,7 +131,7 @@ func idBit(id BlockID) uint64 { return 1 << (id & 63) }
 func (b *Bucket) refilter() {
 	b.filter = 0
 	for _, e := range b.blocks {
-		b.filter |= idBit(e.ID)
+		b.filter |= idBit(BlockID(e.id))
 	}
 }
 
@@ -121,7 +141,7 @@ func (b *Bucket) find(id BlockID) int {
 		return -1
 	}
 	for i := range b.blocks {
-		if b.blocks[i].ID == id {
+		if BlockID(b.blocks[i].id) == id {
 			return i
 		}
 	}
@@ -223,7 +243,7 @@ func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot i
 	b.used[slot>>6] |= 1 << (slot & 63)
 	b.accessed++
 	if i := b.find(want); i >= 0 {
-		e = b.blocks[i]
+		e = b.blocks[i].unpack()
 		b.blocks = append(b.blocks[:i], b.blocks[i+1:]...)
 		b.refilter()
 		return e, slot, true
@@ -241,26 +261,38 @@ func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
 // ResetPull removes and returns all valid real blocks from node, modelling
 // ResetBucket's pull step (the DRAM traffic is padded to Z reads by the
 // caller for obliviousness). The bucket's access state is cleared. The
-// returned slice is the bucket's own storage: it is valid until the next
-// WriteBucket to node, which every protocol issues only after it has moved
-// the pulled blocks to the stash.
+// returned slice is the store's scratch: it is valid until the next
+// ResetPull, so a caller moves the blocks to the stash before pulling
+// again.
 func (s *Store) ResetPull(node uint64) []BlockEntry {
 	b := s.Bucket(node)
-	blocks := b.blocks
-	b.blocks, b.filter = blocks[:0], 0
+	s.pulled = s.pulled[:0]
+	for _, e := range b.blocks {
+		s.pulled = append(s.pulled, e.unpack())
+	}
+	b.blocks, b.filter = b.blocks[:0], 0
 	b.clearUsed()
-	return blocks
+	return s.pulled
 }
 
 // WriteBucket installs a copy of blocks into node after a reset.
-// len(blocks) must not exceed the level's Z.
+// len(blocks) must not exceed the level's Z. A bucket's storage grows by
+// doubling and never past Z: the deep buckets of a sparse tree, which hold
+// a block or two, stay small, and a full bucket holds no spare room.
 func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 	lvl := s.g.NodeLevel(node)
-	if len(blocks) > s.g.Levels[lvl].Z {
-		panic(fmt.Sprintf("otree: writing %d blocks into Z=%d bucket", len(blocks), s.g.Levels[lvl].Z))
+	z := s.g.Levels[lvl].Z
+	if len(blocks) > z {
+		panic(fmt.Sprintf("otree: writing %d blocks into Z=%d bucket", len(blocks), z))
 	}
 	b := s.Bucket(node)
-	b.blocks = append(b.blocks[:0], blocks...)
+	if len(blocks) > cap(b.blocks) {
+		b.blocks = make([]entry, 0, min(max(len(blocks), 2*cap(b.blocks)), z))
+	}
+	b.blocks = b.blocks[:len(blocks)]
+	for i, e := range blocks {
+		b.blocks[i] = pack(e)
+	}
 	b.refilter()
 	b.clearUsed()
 }
@@ -307,8 +339,9 @@ func (s *Store) AppendState(dst []byte) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, b.accessed)
 		dst = append(dst, uint8(len(b.blocks)), b.words)
 		for _, e := range b.blocks {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
-			dst = binary.LittleEndian.AppendUint64(dst, e.Val)
+			dst = binary.LittleEndian.AppendUint32(dst, e.id)
+			dst = binary.LittleEndian.AppendUint32(dst, e.lo)
+			dst = binary.LittleEndian.AppendUint32(dst, e.hi)
 		}
 		for _, w := range b.used[:b.words] {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -334,7 +367,7 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 	for _, spec := range s.g.Levels {
 		maxZ = max(maxZ, spec.Z)
 	}
-	entries := make([]BlockEntry, n*maxZ)
+	entries := make([]entry, n*maxZ)
 	s.index.Reset()
 	s.slab = nil
 	next := uint64(0) // the lowest node the next bucket may name
@@ -359,9 +392,9 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 			words:    uint8(nWords),
 		}
 		for k := range b.blocks {
-			b.blocks[k] = BlockEntry{ID: BlockID(r.Uint32()), Val: r.Uint64()}
-			if uint64(b.blocks[k].ID) >= blocks {
-				return r.Failf("bucket %d holds block %d of %d", node, b.blocks[k].ID, blocks)
+			b.blocks[k] = entry{id: r.Uint32(), lo: r.Uint32(), hi: r.Uint32()}
+			if uint64(b.blocks[k].id) >= blocks {
+				return r.Failf("bucket %d holds block %d of %d", node, b.blocks[k].id, blocks)
 			}
 		}
 		b.refilter()
@@ -401,7 +434,7 @@ func (s *Store) Occupancy(node uint64) int {
 func (s *Store) ForEachBlock(fn func(node uint64, e BlockEntry)) {
 	s.index.Range(func(node uint64, ref uint32) {
 		for _, e := range s.at(ref).blocks {
-			fn(node, e)
+			fn(node, e.unpack())
 		}
 	})
 }

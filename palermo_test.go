@@ -176,6 +176,23 @@ func TestSecurityEndToEnd(t *testing.T) {
 	}
 }
 
+// TestKeepLatencyOneSamplePerLabel: with KeepLatency every protocol books
+// exactly one latency sample per labelled (real) request, so the timing
+// analysis pairs each sample with its FromStash label. Measured dummies,
+// which PrORAM issues on stm, extend the window but book no latency.
+func TestKeepLatencyOneSamplePerLabel(t *testing.T) {
+	for _, p := range Protocols() {
+		r, err := Run(p, "stm", Options{Requests: 400, Seed: 3, KeepLatency: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.RespLat.N(); n != uint64(len(r.FromStash)) || n != r.Requests {
+			t.Errorf("%s: %d latency samples, %d FromStash labels, %d measured requests (%d dummies)",
+				p, n, len(r.FromStash), r.Requests, r.Dummies)
+		}
+	}
+}
+
 func TestDefaultPrefetch(t *testing.T) {
 	if DefaultPrefetch("llm") != 8 || DefaultPrefetch("rm2") != 8 {
 		t.Fatal("embedding workloads must prefetch by row (capped at 8)")

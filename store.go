@@ -31,7 +31,11 @@ const BlockSize = shard.BlockBytes
 
 // MaxBlocks is the largest capacity NewStore/NewShardedStore accept
 // (2^40 blocks = 64 TB). Beyond it, tree-depth arithmetic in the engine
-// layer would overflow; the constructors reject it eagerly instead.
+// layer would overflow; the constructors reject it eagerly instead. One
+// shard holds at most 2^32-2 of them, whatever the engine: its ORAM
+// buckets store block ids in 32 bits (oram.MaxLevelBlocks), so a larger
+// capacity needs more Shards. Durable and cluster shards are capped far
+// lower, by the sealed checkpoint (shard.MaxSealableBlocks).
 const MaxBlocks = 1 << 40
 
 // validateStoreParams rejects configurations that would otherwise fail
