@@ -170,7 +170,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 // handshake refreshes the server's batch limit.
 func (cl *Client) open(first bool) (*clientConn, error) {
 	deadline := time.Now().Add(cl.cfg.DialTimeout)
-	nc, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", cl.addr)
+	nc, err := dialTCP(&net.Dialer{Deadline: deadline}, cl.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +197,10 @@ func (cl *Client) open(first bool) (*clientConn, error) {
 	cl.serverMaxBatch.Store(uint64(ws.MaxBatch))
 	return newClientConn(cl, nc), nil
 }
+
+// dialTCP opens a client connection; a test wraps it to count the
+// client's socket writes.
+var dialTCP = func(d *net.Dialer, addr string) (net.Conn, error) { return d.Dial("tcp", addr) }
 
 // roundTrip writes one request frame on a connection that has no reader
 // of its own and reads the response, which must answer op under reqID. It

@@ -12,8 +12,9 @@ import (
 )
 
 // writeCountingListener counts the Write calls the server makes on every
-// connection it accepts. The server writes a socket with plain Write
-// calls, so each is one write(2) on the loopback socket.
+// connection it accepts. Server and client write a socket with plain
+// Write calls (the client through a bufio.Writer's Flush), so each is one
+// write(2) on the loopback socket.
 type writeCountingListener struct {
 	net.Listener
 	writes *atomic.Int64
@@ -78,15 +79,23 @@ func driveNetOps(b *testing.B, api blockAPI, blocks uint64, callers, n int) {
 	}
 }
 
-// BenchmarkNetServerWrites reports the server's socket writes per op
-// (writes/op) under net-wal's traffic: eight callers of single-block ops
+// BenchmarkNetWrites reports the server's and the client's socket writes
+// per op under net-wal's traffic: eight callers of single-block ops
 // through one Client to a two-shard WAL store ("net"), and through a
-// ClusterClient to two one-shard WAL nodes ("cluster"). The client's own
-// request writes are not counted: it dials its sockets itself.
+// ClusterClient to two one-shard WAL nodes ("cluster").
 //
-//	go test -run '^$' -bench NetServerWrites -benchtime 100000x .
-func BenchmarkNetServerWrites(b *testing.B) {
+//	go test -run '^$' -bench NetWrites -benchtime 100000x .
+func BenchmarkNetWrites(b *testing.B) {
 	const blocks, callers = 1 << 14, 8
+	var clientWrites atomic.Int64
+	defer func(dial func(*net.Dialer, string) (net.Conn, error)) { dialTCP = dial }(dialTCP)
+	dialTCP = func(d *net.Dialer, addr string) (net.Conn, error) {
+		nc, err := d.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCountingConn{nc, &clientWrites}, nil
+	}
 	listen := func(writes *atomic.Int64) (net.Listener, string) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -101,11 +110,12 @@ func BenchmarkNetServerWrites(b *testing.B) {
 	}
 	measure := func(b *testing.B, api blockAPI, writes *atomic.Int64) {
 		driveNetOps(b, api, blocks, callers, 2000) // warm the connections and the trees
-		before := writes.Load()
+		server, client := writes.Load(), clientWrites.Load()
 		b.ResetTimer()
 		driveNetOps(b, api, blocks, callers, b.N)
 		b.StopTimer()
-		b.ReportMetric(float64(writes.Load()-before)/float64(b.N), "writes/op")
+		b.ReportMetric(float64(writes.Load()-server)/float64(b.N), "server_writes/op")
+		b.ReportMetric(float64(clientWrites.Load()-client)/float64(b.N), "client_writes/op")
 	}
 
 	b.Run("net", func(b *testing.B) {
