@@ -139,10 +139,8 @@ func (r *meshRun) launch(col int) {
 			// Per-request captures happen here, at response time, so the
 			// latency sample and its labels stay aligned even though
 			// columns retire out of order.
-			if measured && plan.Dummy {
-				r.LastDone = r.Eng.Now()
-			} else if measured {
-				r.Respond(issueAt)
+			if measured {
+				r.Respond(plan, issueAt)
 				r.Label(plan, tag)
 			}
 		}

@@ -271,11 +271,14 @@ func (w *Window) count(plan *oram.Plan) {
 	}
 }
 
-// Label records a measured real request's labels: its Table I behaviour
-// and, with KeepLatency, its exposed data leaf and tag. A controller whose
-// requests can respond out of issue order labels them at response time, so
-// labels stay aligned with latency samples.
+// Label records a measured request's labels: its Table I behaviour and,
+// with KeepLatency, its exposed data leaf and tag. A dummy has none. A
+// controller whose requests can respond out of issue order labels them at
+// response time, so labels stay aligned with latency samples.
 func (w *Window) Label(plan *oram.Plan, tag int) {
+	if plan.Dummy {
+		return
+	}
 	w.Res.FromStash = append(w.Res.FromStash, plan.FromStash)
 	if w.Cfg.KeepLatency {
 		w.Res.Leaves = append(w.Res.Leaves, plan.DataLeaf)
@@ -283,10 +286,14 @@ func (w *Window) Label(plan *oram.Plan, tag int) {
 	}
 }
 
-// Respond records a measured response to a request issued at issuedAt.
-func (w *Window) Respond(issuedAt sim.Tick) {
-	w.Res.RespLat.Add(float64(w.Eng.Now() - issuedAt))
+// Respond records a measured response to a request issued at issuedAt:
+// the end of the measured window and, for a real request, its latency. A
+// dummy books no latency, so samples stay one per labelled request.
+func (w *Window) Respond(plan *oram.Plan, issuedAt sim.Tick) {
 	w.LastDone = w.Eng.Now()
+	if !plan.Dummy {
+		w.Res.RespLat.Add(float64(w.Eng.Now() - issuedAt))
+	}
 }
 
 // Drive runs start now and the engine until no events remain, then
@@ -358,7 +365,7 @@ func (r *serialRun) startNext() {
 	if plan == nil {
 		return
 	}
-	if r.Measuring && !plan.Dummy {
+	if r.Measuring {
 		r.Label(plan, tag)
 	}
 	r.execLevel(plan, r.ORAM.Levels()-1, r.Eng.Now())
@@ -382,7 +389,7 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 			}
 			batch.Sig().Wait(func() {
 				if measured {
-					r.finish(plan, reqStart)
+					r.Respond(plan, reqStart)
 				}
 				r.attribute(level, start)
 			})
@@ -398,21 +405,10 @@ func (r *serialRun) execLevel(plan *oram.Plan, level int, reqStart sim.Tick) {
 			return
 		}
 		if r.Measuring {
-			r.finish(plan, reqStart)
+			r.Respond(plan, reqStart)
 		}
 		r.startNext()
 	})
-}
-
-// finish books a measured request's completion: a real request's latency,
-// or for a dummy only the end of the measured window, so latency samples
-// stay one per labelled request.
-func (r *serialRun) finish(plan *oram.Plan, reqStart sim.Tick) {
-	if plan.Dummy {
-		r.LastDone = r.Eng.Now()
-		return
-	}
-	r.Respond(reqStart)
 }
 
 // execPhase issues phases [idx, end): each phase's reads complete before its

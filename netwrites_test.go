@@ -2,11 +2,14 @@ package palermo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"palermo/internal/cluster"
 )
@@ -42,30 +45,98 @@ func (c writeCountingConn) Write(p []byte) (int, error) {
 type blockAPI interface {
 	Read(id uint64) ([]byte, error)
 	Write(id uint64, data []byte) error
+	WriteBatch(ids []uint64, blocks [][]byte) error
 }
 
-// driveNetOps issues n single-block ops from callers goroutines, 90 %
-// reads and 10 % writes over Zipf-distributed ids: the traffic of the
-// repository benchmark's net-wal and cluster-wal workloads.
-func driveNetOps(b *testing.B, api blockAPI, blocks uint64, callers, n int) {
+// The traffic of the repository benchmark's net-wal and cluster-wal
+// workloads (benchmark/spec.go): 2^16 blocks on two shards, single-block
+// ops, 90 % reads. A closed phase runs 8 callers back to back; a paced
+// phase runs 2 callers, each sending a burst of 8 concurrent ops every
+// 2 ms, the second caller offset by half a tick.
+const (
+	netBlocks       = 1 << 16
+	netShards       = 2
+	netCallers      = 8
+	netPacedCallers = 2
+	netBurst        = 8
+	netTick         = 2 * time.Millisecond
+)
+
+// netZipf draws ids as the benchmark does (benchmark/gen.go): ranks from
+// a θ = 0.99 Zipf by the constant-time method of Gray et al., spread over
+// the power-of-two id space by an odd multiplier.
+type netZipf struct {
+	n, alpha, zetan, eta, half float64
+}
+
+func newNetZipf(n uint64) *netZipf {
+	const theta = 0.99
+	var zetan float64
+	for i := uint64(1); i <= n; i++ {
+		zetan += 1 / math.Pow(float64(i), theta)
+	}
+	zeta2 := 1 + math.Pow(0.5, theta)
+	return &netZipf{
+		n: float64(n), alpha: 1 / (1 - theta), zetan: zetan,
+		eta:  (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan),
+		half: math.Pow(0.5, theta),
+	}
+}
+
+func (z *netZipf) id(r *rand.Rand) uint64 {
+	var rank uint64
+	u := r.Float64()
+	switch uz := u * z.zetan; {
+	case uz < 1:
+	case uz < 1+z.half:
+		rank = 1
+	default:
+		rank = uint64(z.n * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	}
+	return (rank * 0x9e3779b97f4a7c15) & (netBlocks - 1)
+}
+
+// sendNetOp issues one op of the traffic: a write one time in ten, else a read.
+func sendNetOp(api blockAPI, z *netZipf, r *rand.Rand, data []byte) error {
+	id := z.id(r)
+	if r.Intn(10) == 0 {
+		return api.Write(id, data)
+	}
+	_, err := api.Read(id)
+	return err
+}
+
+// prefillNet writes every block, 256 a call, as the benchmark's set-up does.
+func prefillNet(b *testing.B, api blockAPI) {
+	const chunk = 256
+	ids, blocks := make([]uint64, chunk), make([][]byte, chunk)
+	buf := make([]byte, chunk*BlockSize)
+	for i := range blocks {
+		blocks[i] = buf[i*BlockSize:][:BlockSize]
+	}
+	for base := uint64(0); base < netBlocks; base += chunk {
+		for i := range ids {
+			ids[i] = base + uint64(i)
+		}
+		if err := api.WriteBatch(ids, blocks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// closedNetOps issues n ops from netCallers goroutines, each sending its
+// next op when the previous one returns, and returns n.
+func closedNetOps(b *testing.B, api blockAPI, z *netZipf, seed int64, n int) int {
 	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for c := range callers {
+	errs := make(chan error, netCallers)
+	for c := range netCallers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(c) + 1))
-			zipf := rand.NewZipf(r, 1.1, 1, blocks-1)
+			r := rand.New(rand.NewSource(seed + int64(c)))
 			data := make([]byte, BlockSize)
-			for i := c; i < n; i += callers {
-				id := zipf.Uint64()
-				var err error
-				if r.Intn(10) == 0 {
-					err = api.Write(id, data)
-				} else {
-					_, err = api.Read(id)
-				}
-				if err != nil {
+			for i := c; i < n; i += netCallers {
+				if err := sendNetOp(api, z, r, data); err != nil {
 					errs <- err
 					return
 				}
@@ -77,16 +148,77 @@ func driveNetOps(b *testing.B, api blockAPI, blocks uint64, callers, n int) {
 	for err := range errs {
 		b.Fatal(err)
 	}
+	return n
+}
+
+// pacedNetOps issues about n ops from netPacedCallers callers on the tick
+// schedule: at each due time a caller hands one op to each of its netBurst
+// workers and waits for all of them; a tick already due is sent at once.
+// It returns the number of ops issued.
+func pacedNetOps(b *testing.B, api blockAPI, z *netZipf, seed int64, n int) int {
+	ticks := max(1, n/(netPacedCallers*netBurst))
+	start := time.Now().Add(netTick)
+	var wg sync.WaitGroup
+	errs := make(chan error, netPacedCallers*netBurst)
+	for c := range netPacedCallers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs := make([]chan struct{}, netBurst)
+			var done, workers sync.WaitGroup
+			for w := range jobs {
+				jobs[w] = make(chan struct{})
+				workers.Add(1)
+				go func() {
+					defer workers.Done()
+					r := rand.New(rand.NewSource(seed + int64(c*netBurst+w)))
+					data := make([]byte, BlockSize)
+					for range jobs[w] {
+						if err := sendNetOp(api, z, r, data); err != nil {
+							select {
+							case errs <- err:
+							default:
+							}
+						}
+						done.Done()
+					}
+				}()
+			}
+			offset := netTick * time.Duration(c) / netPacedCallers
+			for t := range ticks {
+				time.Sleep(time.Until(start.Add(offset + time.Duration(t)*netTick)))
+				done.Add(netBurst)
+				for w := range jobs {
+					jobs[w] <- struct{}{}
+				}
+				done.Wait()
+			}
+			for w := range jobs {
+				close(jobs[w])
+			}
+			workers.Wait()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		b.Fatal(err)
+	}
+	return ticks * netPacedCallers * netBurst
 }
 
 // BenchmarkNetWrites reports the server's and the client's socket writes
-// per op under net-wal's traffic: eight callers of single-block ops
-// through one Client to a two-shard WAL store ("net"), and through a
-// ClusterClient to two one-shard WAL nodes ("cluster").
+// per op on the traffic of the repository benchmark's net-wal workload
+// ("net": a Client with min(2, NumCPU) connections to a two-shard WAL
+// store) and cluster-wal workload ("cluster": a ClusterClient to two
+// one-shard WAL nodes), in its closed and its paced phase. Each target is
+// prefilled and warmed by 5 000 closed ops first. It differs from the
+// benchmark in its random streams (math/rand, not the run seed's
+// splitmix), in sleeping with time.Sleep, in timing none of its ops, and in
+// running no reference-server bursts between rounds.
 //
-//	go test -run '^$' -bench NetWrites -benchtime 100000x .
+//	go test -run '^$' -bench NetWrites -benchtime 40000x .
 func BenchmarkNetWrites(b *testing.B) {
-	const blocks, callers = 1 << 14, 8
 	var clientWrites atomic.Int64
 	defer func(dial func(*net.Dialer, string) (net.Conn, error)) { dialTCP = dial }(dialTCP)
 	dialTCP = func(d *net.Dialer, addr string) (net.Conn, error) {
@@ -108,19 +240,28 @@ func BenchmarkNetWrites(b *testing.B) {
 		go func() { done <- srv.Serve(ln) }()
 		b.Cleanup(func() { srv.Close(); <-done })
 	}
-	measure := func(b *testing.B, api blockAPI, writes *atomic.Int64) {
-		driveNetOps(b, api, blocks, callers, 2000) // warm the connections and the trees
-		server, client := writes.Load(), clientWrites.Load()
-		b.ResetTimer()
-		driveNetOps(b, api, blocks, callers, b.N)
-		b.StopTimer()
-		b.ReportMetric(float64(writes.Load()-server)/float64(b.N), "server_writes/op")
-		b.ReportMetric(float64(clientWrites.Load()-client)/float64(b.N), "client_writes/op")
+	z := newNetZipf(netBlocks)
+	phases := func(b *testing.B, api blockAPI, writes *atomic.Int64) {
+		prefillNet(b, api)
+		closedNetOps(b, api, z, 1, 5000)
+		for i, ph := range []struct {
+			name  string
+			drive func(*testing.B, blockAPI, *netZipf, int64, int) int
+		}{{"closed", closedNetOps}, {"paced", pacedNetOps}} {
+			b.Run(ph.name, func(b *testing.B) {
+				server, client := writes.Load(), clientWrites.Load()
+				b.ResetTimer()
+				ops := float64(ph.drive(b, api, z, int64(100*(i+1)), b.N))
+				b.StopTimer()
+				b.ReportMetric(float64(writes.Load()-server)/ops, "server_writes/op")
+				b.ReportMetric(float64(clientWrites.Load()-client)/ops, "client_writes/op")
+			})
+		}
 	}
 
 	b.Run("net", func(b *testing.B) {
 		var writes atomic.Int64
-		st, err := NewShardedStore(ShardedStoreConfig{Blocks: blocks, Shards: 2, Engine: BackendWAL, Dir: b.TempDir()})
+		st, err := NewShardedStore(ShardedStoreConfig{Blocks: netBlocks, Shards: netShards, Engine: BackendWAL, Dir: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,21 +272,21 @@ func BenchmarkNetWrites(b *testing.B) {
 		}
 		ln, addr := listen(&writes)
 		serve(srv, ln)
-		cl, err := Dial(addr, ClientConfig{})
+		cl, err := Dial(addr, ClientConfig{Conns: min(netShards, runtime.NumCPU())})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { cl.Close() })
-		measure(b, cl, &writes)
+		phases(b, cl, &writes)
 	})
 
 	b.Run("cluster", func(b *testing.B) {
 		var writes atomic.Int64
-		lns, addrs := make([]net.Listener, 2), make([]string, 2)
+		lns, addrs := make([]net.Listener, netShards), make([]string, netShards)
 		for i := range lns {
 			lns[i], addrs[i] = listen(&writes)
 		}
-		man, err := cluster.EvenSplit(blocks, 2, addrs)
+		man, err := cluster.EvenSplit(netBlocks, netShards, addrs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,6 +308,6 @@ func BenchmarkNetWrites(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { cc.Close() })
-		measure(b, cc, &writes)
+		phases(b, cc, &writes)
 	})
 }
