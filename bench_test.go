@@ -19,25 +19,14 @@ import (
 	"palermo/internal/rng"
 )
 
-// BenchmarkStoreOps measures the synchronous single-tree Store: the
-// serving-path baseline the sharded service is compared against
-// (ops/s and allocs/op are the tracked metrics).
-func BenchmarkStoreOps(b *testing.B) {
-	st, err := NewStore(StoreConfig{Blocks: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	storeMix(b, st)
-}
-
-// BenchmarkStoreOpsDurable is BenchmarkStoreOps over each durable engine,
-// every write committed under the group-commit policy. The delta against
-// BenchmarkStoreOps is the durability tax, the delta between the rows the
-// engines' difference (EXPERIMENTS.md records both).
+// BenchmarkStoreOpsDurable times one synchronous caller on a one-shard
+// store over each durable engine, every write committed under the
+// group-commit policy; the delta between the rows is the engines'
+// difference (EXPERIMENTS.md records both).
 func BenchmarkStoreOpsDurable(b *testing.B) {
 	for _, engine := range []string{BackendWAL, BackendBlockfile} {
 		b.Run("engine="+engine, func(b *testing.B) {
-			st, err := NewStore(StoreConfig{Blocks: 1 << 16, Engine: engine, Dir: b.TempDir()})
+			st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 16, Shards: 1, Engine: engine, Dir: b.TempDir()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,7 +41,7 @@ func BenchmarkStoreOpsDurable(b *testing.B) {
 // population pass the write ids (id%10 == 0) and read ids (everything
 // else) are disjoint sets and every read misses the backend entirely,
 // which understates read cost.
-func storeMix(b *testing.B, st *Store) {
+func storeMix(b *testing.B, st *ShardedStore) {
 	b.Helper()
 	buf := bytes.Repeat([]byte{0xA5}, BlockSize)
 	for id := uint64(0); id < 1<<16; id++ {

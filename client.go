@@ -114,6 +114,7 @@ type ClientNetStats struct {
 	Ops        uint64
 	// Deprecated: always zero. The client sends every call as its own
 	// frame; concurrent single-block calls are batched by the shard worker.
+	// The benchmark still reads it; delete with ROADMAP item 5(a).
 	MergedOps uint64
 }
 

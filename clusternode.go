@@ -30,7 +30,6 @@ import (
 	"palermo/internal/cluster"
 	"palermo/internal/netserve"
 	"palermo/internal/serve"
-	"palermo/internal/shard"
 	"palermo/internal/wire"
 )
 
@@ -121,7 +120,7 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 	}
 	n := &ClusterNode{addr: cfg.Addr, h: h, man: man}
 	for _, s := range man.Owned(cfg.Addr) {
-		sl, err := h.openSlot(s, shard.DeriveSeed(h.cfg.Seed, s))
+		sl, err := h.openSlot(s)
 		if err != nil {
 			n.Close()
 			return nil, err

@@ -6,6 +6,9 @@
 //	palermo-trace -list
 //	palermo-trace -workload llm -n 20           # dump addresses
 //	palermo-trace -characterize                 # locality/reuse table
+//
+// A trace is regenerated from its workload name and seed, the same inputs
+// palermo.Run and palermo-bench take, so there is no trace file format.
 package main
 
 import (
@@ -23,47 +26,9 @@ func main() {
 	char := flag.Bool("characterize", false, "print locality/reuse characteristics")
 	lines := flag.Uint64("lines", 1<<28, "protected space in cache lines")
 	seed := flag.Uint64("seed", 1, "trace seed")
-	record := flag.String("record", "", "record -workload to this trace file (-n references)")
-	replay := flag.String("replay", "", "replay a recorded trace file (dumps -n references)")
 	flag.Parse()
 
 	switch {
-	case *record != "":
-		g, err := workload.New(*name, *lines, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*record)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := workload.WriteTrace(f, g, uint64(*n)); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d references of %s to %s\n", *n, *name, *record)
-	case *replay != "":
-		f, err := os.Open(*replay)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		tr, err := workload.ReadTrace(*replay, f)
-		if err != nil {
-			fatal(err)
-		}
-		limit := *n
-		if limit > tr.Len() {
-			limit = tr.Len()
-		}
-		for i := 0; i < limit; i++ {
-			pa, wr := tr.Next()
-			op := "R"
-			if wr {
-				op = "W"
-			}
-			fmt.Printf("%s 0x%012x\n", op, pa*64)
-		}
 	case *list:
 		for _, wl := range workload.Names() {
 			fmt.Println(wl)

@@ -11,17 +11,15 @@ import (
 )
 
 // TestConstructorParity feeds every invalid and boundary configuration
-// row of TestStoreConfigValidation, TestShardedStoreConfigValidation and
-// the durable validation tests to all three constructors and demands one
-// verdict: a configuration is either a store or an error, whichever front
-// end it is handed to. (Rows naming fields StoreConfig lacks skip NewStore.)
+// row of TestShardedStoreConfigValidation and the durable validation tests
+// to both constructors and demands one verdict: a configuration is either
+// a store or an error, whichever front end it is handed to.
 func TestConstructorParity(t *testing.T) {
 	rows := []struct {
-		name    string
-		cfg     ShardedStoreConfig
-		dir     bool // give each constructor its own fresh Dir
-		sharded bool // uses fields StoreConfig does not have
-		ok      bool
+		name string
+		cfg  ShardedStoreConfig
+		dir  bool // give each constructor its own fresh Dir
+		ok   bool
 	}{
 		{name: "Blocks overflow", cfg: ShardedStoreConfig{Blocks: MaxBlocks * 4}},
 		{name: "Blocks just past cap", cfg: ShardedStoreConfig{Blocks: MaxBlocks + 1}},
@@ -34,13 +32,13 @@ func TestConstructorParity(t *testing.T) {
 		{name: "bare Dir, no engine", cfg: ShardedStoreConfig{Blocks: 1 << 10}, dir: true},
 		{name: "Engine wal without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 		{name: "Engine blockfile without Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}},
-		{name: "Shards negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, sharded: true},
-		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, sharded: true},
-		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}, sharded: true},
-		{name: "QueueDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, sharded: true},
-		// Refused by arithmetic before any shard is built: every front end's
-		// shard (1 for NewStore, 4 by default otherwise) is past the size
-		// whose checkpoint always fits one sealed blob.
+		{name: "Shards negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}},
+		{name: "Shards beyond MaxShards", cfg: ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}},
+		{name: "Shards exceed Blocks", cfg: ShardedStoreConfig{Blocks: 2, Shards: 4}},
+		{name: "QueueDepth negative", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}},
+		// Refused by arithmetic before any shard is built: each of the four
+		// default shards is past the size whose checkpoint always fits one
+		// sealed blob.
 		{name: "durable shard past the sealable size", cfg: ShardedStoreConfig{Blocks: 4 * (shard.MaxSealableBlocks() + 1), Engine: BackendWAL}, dir: true},
 		// Refused the same way on the memory engine: the shard's ORAM
 		// buckets store block ids in 32 bits.
@@ -54,8 +52,8 @@ func TestConstructorParity(t *testing.T) {
 		{name: "GroupCommit negative defaults", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: -1}, dir: true, ok: true},
 		{name: "GroupCommit synchronous", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL, GroupCommit: 1}, dir: true, ok: true},
 		{name: "Engine blockfile with Dir", cfg: ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile}, dir: true, ok: true},
-		{name: "Shards equal Blocks", cfg: ShardedStoreConfig{Blocks: 8, Shards: 8}, sharded: true, ok: true},
-		{name: "QueueDepth explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}, sharded: true, ok: true},
+		{name: "Shards equal Blocks", cfg: ShardedStoreConfig{Blocks: 8, Shards: 8}, ok: true},
+		{name: "QueueDepth explicit", cfg: ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}, ok: true},
 	}
 	type closer interface{ Close() error }
 	const addr = "node-a:7070"
@@ -83,15 +81,6 @@ func TestConstructorParity(t *testing.T) {
 				man.Ranges = []cluster.Range{{From: 0, To: man.Shards, Addr: addr}}
 				return NewClusterNode(ClusterNodeConfig{Addr: addr, Store: c}, man)
 			},
-		}
-		if !row.sharded {
-			builds["NewStore"] = func() (closer, error) {
-				c := withDir()
-				return NewStore(StoreConfig{
-					Blocks: c.Blocks, Key: c.Key, Seed: c.Seed, Engine: c.Engine, Dir: c.Dir,
-					CheckpointEvery: c.CheckpointEvery, GroupCommit: c.GroupCommit,
-				})
-			}
 		}
 		for name, build := range builds {
 			st, err := build()

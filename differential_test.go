@@ -411,8 +411,8 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 	run := func(engine string) (dir string) {
 		t.Helper()
 		dir = t.TempDir()
-		st, err := NewStore(StoreConfig{
-			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9,
+		st, err := NewShardedStore(ShardedStoreConfig{
+			Blocks: blocks, Shards: 1, Engine: engine, Dir: dir, Seed: 9,
 			CheckpointEvery: 32, GroupCommit: 4,
 		})
 		if err != nil {
@@ -439,7 +439,7 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 	// never reach the format.
 	reopen := func(dir, engine string) (rep TrafficReport, payloads [][]byte) {
 		t.Helper()
-		st, err := NewStore(StoreConfig{Blocks: blocks, Engine: engine, Dir: dir, Seed: 9})
+		st, err := NewShardedStore(ShardedStoreConfig{Blocks: blocks, Shards: 1, Engine: engine, Dir: dir, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,9 +22,9 @@ func fillBlock(v uint64) []byte {
 // reopen restores the store bit-exactly — payloads and traffic counters.
 func TestStoreWALCloseReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 7}
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, Seed: 7}
 
-	st, err := NewStore(cfg)
+	st, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestStoreWALCloseReopen(t *testing.T) {
 		t.Fatalf("Read after Close = %v, want ErrClosed", err)
 	}
 
-	re, err := NewStore(cfg)
+	re, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ const crashEngineEnv = "PALERMO_TEST_CRASH_ENGINE"
 
 // crashChild runs the dying life if this process is the re-exec'd child;
 // returns false in the parent.
-func crashChild(t *testing.T, checkpointEvery int, write func(st *Store, i uint64) error) bool {
+func crashChild(t *testing.T, checkpointEvery int, write func(st *ShardedStore, i uint64) error) bool {
 	dir := os.Getenv(crashEnv)
 	if dir == "" {
 		return false
@@ -160,8 +160,8 @@ func crashChild(t *testing.T, checkpointEvery int, write func(st *Store, i uint6
 	if engine == "" {
 		engine = BackendWAL
 	}
-	st, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Engine: engine, Dir: dir,
+	st, err := NewShardedStore(ShardedStoreConfig{
+		Blocks: 1 << 10, Shards: 1, Engine: engine, Dir: dir,
 		GroupCommit: 1, CheckpointEvery: checkpointEvery,
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func rerunAsCrashChild(t *testing.T, test, dir, engine string) {
 // preserves every group-committed write; recovery replays the tail
 // through the engine and reads stay epoch-consistent.
 func TestStoreWALCrashRecovery(t *testing.T) {
-	if crashChild(t, 0, func(st *Store, i uint64) error {
+	if crashChild(t, 0, func(st *ShardedStore, i uint64) error {
 		return st.Write(i*19%(1<<10), fillBlock(i+500))
 	}) {
 		return
@@ -203,14 +203,14 @@ func TestStoreWALCrashRecovery(t *testing.T) {
 	// Even a dir that only ever crashed (no clean Close) carries its
 	// creation checkpoint, so a wrong key is rejected at open instead of
 	// decrypting sealed payloads into garbage.
-	if _, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Engine: BackendWAL, Dir: dir,
+	if _, err := NewShardedStore(ShardedStoreConfig{
+		Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir,
 		GroupCommit: 1, Key: []byte("wrong-key-16byte"),
 	}); err == nil {
 		t.Fatal("crashed dir reopened under a different key must fail")
 	}
 
-	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, GroupCommit: 1})
+	re, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStoreWALCrashRecovery(t *testing.T) {
 // recovers checkpointed state exactly plus the replayed tail (the child
 // writes 50 blocks at CheckpointEvery 20: two checkpoints + a tail).
 func TestStoreWALCrashAfterCheckpoint(t *testing.T) {
-	if crashChild(t, 20, func(st *Store, i uint64) error {
+	if crashChild(t, 20, func(st *ShardedStore, i uint64) error {
 		return st.Write(i, fillBlock(i))
 	}) {
 		return
@@ -242,7 +242,7 @@ func TestStoreWALCrashAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	rerunAsCrashChild(t, "TestStoreWALCrashAfterCheckpoint", dir, BackendWAL)
 
-	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, CheckpointEvery: 20, GroupCommit: 1})
+	re, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, CheckpointEvery: 20, GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,18 +262,18 @@ func TestStoreWALCrashAfterCheckpoint(t *testing.T) {
 // store instance; after Close it can.
 func TestWALDirLocked(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
-	st, err := NewStore(cfg)
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir}
+	st, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore(cfg); err == nil {
+	if _, err := NewShardedStore(cfg); err == nil {
 		t.Fatal("second open of a live store directory must fail")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := NewStore(cfg)
+	re, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatalf("reopen after Close rejected: %v", err)
 	}
@@ -282,7 +282,8 @@ func TestWALDirLocked(t *testing.T) {
 
 // TestErrClosedSentinel is the regression test for the ErrClosed
 // satellite: every post-Close operation fails with something errors.Is
-// recognizes, on both store flavors and the batch paths.
+// recognizes, on the single-block and batch paths, and a second Close
+// re-reports the first one's outcome.
 func TestErrClosedSentinel(t *testing.T) {
 	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 2})
 	if err != nil {
@@ -304,22 +305,8 @@ func TestErrClosedSentinel(t *testing.T) {
 	if err := st.WriteBatch([]uint64{1}, [][]byte{buf}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WriteBatch after Close = %v, want errors.Is(_, ErrClosed)", err)
 	}
-
-	s, err := NewStore(StoreConfig{Blocks: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil (idempotent)", err)
-	}
-	if err := s.Write(1, buf); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Store.Write after Close = %v, want errors.Is(_, ErrClosed)", err)
-	}
-	if _, err := s.Read(1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Store.Read after Close = %v, want errors.Is(_, ErrClosed)", err)
 	}
 }
 
@@ -328,8 +315,8 @@ func TestErrClosedSentinel(t *testing.T) {
 // corrupt reads later.
 func TestWALWrongKeyRejected(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
-	st, err := NewStore(cfg)
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir}
+	st, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,20 +328,20 @@ func TestWALWrongKeyRejected(t *testing.T) {
 	}
 	bad := cfg
 	bad.Key = []byte("wrong-key-16byte")
-	if _, err := NewStore(bad); err == nil {
+	if _, err := NewShardedStore(bad); err == nil {
 		t.Fatal("reopen under a different key must fail")
 	}
 }
 
 // TestWALConfigValidation covers the backend plumbing's eager rejections.
 func TestWALConfigValidation(t *testing.T) {
-	if _, err := NewStore(StoreConfig{Engine: "tape"}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Shards: 1, Engine: "tape"}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := NewStore(StoreConfig{Engine: BackendWAL}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Shards: 1, Engine: BackendWAL}); err == nil {
 		t.Fatal("wal without Dir accepted")
 	}
-	if _, err := NewStore(StoreConfig{Dir: t.TempDir()}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Shards: 1, Dir: t.TempDir()}); err == nil {
 		t.Fatal("Dir with memory backend silently ignored")
 	}
 
@@ -375,41 +362,13 @@ func TestWALConfigValidation(t *testing.T) {
 	}
 }
 
-// TestWALStoreShardedInterop: a 1-shard ShardedStore and a Store share
-// the on-disk layout, so either flavor can reopen the other's directory.
-func TestWALStoreShardedInterop(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Write(33, fillBlock(33)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	got, err := sh.Read(33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fillBlock(33)) {
-		t.Fatal("1-shard ShardedStore could not read the Store's block")
-	}
-}
-
 // TestWALReopenContinuesSealing: epochs keep rising across a reopen, so
 // overwrites after recovery never reuse an IV and still read back last.
 func TestWALReopenContinuesSealing(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir}
 	for round := uint64(0); round < 3; round++ {
-		st, err := NewStore(cfg)
+		st, err := NewShardedStore(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +398,7 @@ func TestWALReopenContinuesSealing(t *testing.T) {
 func TestWALRecoveredStoreStaysDeterministic(t *testing.T) {
 	mk := func() string {
 		dir := t.TempDir()
-		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 11})
+		st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +413,7 @@ func TestWALRecoveredStoreStaysDeterministic(t *testing.T) {
 		return dir
 	}
 	drive := func(dir string) TrafficReport {
-		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 11})
+		st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,9 +442,9 @@ func TestWALRecoveredStoreStaysDeterministic(t *testing.T) {
 // so tools never have to restate the engine of an existing directory.
 func TestStoreBlockfileCloseReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: dir, Seed: 7}
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: dir, Seed: 7}
 
-	st, err := NewStore(cfg)
+	st, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +474,7 @@ func TestStoreBlockfileCloseReopen(t *testing.T) {
 	}
 	recfg := cfg
 	recfg.Engine = DetectEngine(dir)
-	re, err := NewStore(recfg)
+	re, err := NewShardedStore(recfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +499,7 @@ func TestStoreBlockfileCloseReopen(t *testing.T) {
 // orphan slots whose log record was lost) through the engine, and a
 // crashed dir still rejects a wrong key at open.
 func TestStoreBlockfileCrashRecovery(t *testing.T) {
-	if crashChild(t, 0, func(st *Store, i uint64) error {
+	if crashChild(t, 0, func(st *ShardedStore, i uint64) error {
 		return st.Write(i*19%(1<<10), fillBlock(i+500))
 	}) {
 		return
@@ -548,14 +507,14 @@ func TestStoreBlockfileCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	rerunAsCrashChild(t, "TestStoreBlockfileCrashRecovery", dir, BackendBlockfile)
 
-	if _, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Engine: BackendBlockfile, Dir: dir,
+	if _, err := NewShardedStore(ShardedStoreConfig{
+		Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: dir,
 		GroupCommit: 1, Key: []byte("wrong-key-16byte"),
 	}); err == nil {
 		t.Fatal("crashed dir reopened under a different key must fail")
 	}
 
-	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: dir, GroupCommit: 1})
+	re, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: dir, GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,18 +538,18 @@ func TestStoreBlockfileCrashRecovery(t *testing.T) {
 // flock as the WAL, so a live store's directory cannot be double-opened.
 func TestBlockfileDirLocked(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: dir}
-	st, err := NewStore(cfg)
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: dir}
+	st, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore(cfg); err == nil {
+	if _, err := NewShardedStore(cfg); err == nil {
 		t.Fatal("second open of a live store directory must fail")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := NewStore(cfg)
+	re, err := NewShardedStore(cfg)
 	if err != nil {
 		t.Fatalf("reopen after Close rejected: %v", err)
 	}
@@ -603,9 +562,9 @@ func TestBlockfileDirLocked(t *testing.T) {
 // epoch reservation forces the sealer past any slot the log lost.
 func TestBlockfileReopenContinuesSealing(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: dir}
+	cfg := ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: dir}
 	for round := uint64(0); round < 3; round++ {
-		st, err := NewStore(cfg)
+		st, err := NewShardedStore(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,31 +592,31 @@ func TestBlockfileReopenContinuesSealing(t *testing.T) {
 // manifest pins a directory's engine so reopening under the other one is
 // refused.
 func TestEngineMismatchValidation(t *testing.T) {
-	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: "tape", Dir: t.TempDir()}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: "tape", Dir: t.TempDir()}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
 
 	// The manifest pins the engine: a WAL dir refuses to reopen as
 	// blockfile and vice versa (silently mixing formats would corrupt).
 	walDir := t.TempDir()
-	st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: walDir})
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: walDir}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: walDir}); err == nil {
 		t.Fatal("WAL dir reopened as blockfile")
 	}
 	if got := DetectEngine(walDir); got != BackendWAL {
 		t.Fatalf("DetectEngine(walDir) = %q, want %q", got, BackendWAL)
 	}
 	bfDir := t.TempDir()
-	st, err = NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendBlockfile, Dir: bfDir})
+	st, err = NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendBlockfile, Dir: bfDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: bfDir}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: bfDir}); err == nil {
 		t.Fatal("blockfile dir reopened as wal")
 	}
 }

@@ -1,13 +1,12 @@
 package palermo
 
 // The shard host is the one road from a store configuration to running
-// shards, shared by all three front ends (DESIGN.md §6): it validates and
+// shards, shared by both front ends (DESIGN.md §6): it validates and
 // defaults the configuration, opens each shard's backend and engine,
 // applies every tunable, confines each shard to a one-worker service, and
 // implements request routing and every aggregate snapshot once.
 // ShardedStore is a host that owns every slot; ClusterNode adds the
-// geometry lock, placement epochs and migration on top; Store is one tuned
-// slot with no worker, because its single caller is the worker.
+// geometry lock, placement epochs and migration on top.
 
 import (
 	"errors"
@@ -31,7 +30,7 @@ import (
 type slot struct {
 	sh  *shard.Shard
 	be  backend.Backend // nil = memory engine; kept for fsync telemetry
-	svc *serve.Service  // the shard's single worker; nil only inside Store
+	svc *serve.Service  // the shard's single worker
 	// held pauses admission while the shard stays hosted (a migration's
 	// cutover barrier). Guarded by the owner's geometry lock.
 	held bool
@@ -72,8 +71,11 @@ func (s notServed) Error() string { return fmt.Sprintf("palermo: shard %d is not
 func (c *ShardedStoreConfig) normalize(cluster bool) (shard.Router, error) {
 	var none shard.Router
 	c.defaults()
-	if err := validateStoreParams(c.Blocks, c.Key); err != nil {
-		return none, err
+	if c.Blocks > MaxBlocks {
+		return none, fmt.Errorf("palermo: Blocks %d exceeds the maximum capacity of %d blocks", c.Blocks, uint64(MaxBlocks))
+	}
+	if k := len(c.Key); k != 16 && k != 24 && k != 32 {
+		return none, fmt.Errorf("palermo: Key must be 16, 24, or 32 bytes (AES-128/192/256), got %d", k)
 	}
 	if c.Shards < 1 || c.Shards > MaxShards {
 		return none, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, c.Shards)
@@ -116,8 +118,7 @@ func (c *ShardedStoreConfig) normalize(cluster bool) (shard.Router, error) {
 // newHost normalizes cfg and, for a durable engine, pins the directory's
 // manifest. The manifest records the GLOBAL geometry and engine — every
 // node of a cluster agrees on it even though each directory holds only
-// its own shard subdirectories, and a Store and a 1-shard ShardedStore
-// are interchangeable over one Dir. No slot is opened yet. cluster is
+// its own shard subdirectories. No slot is opened yet. cluster is
 // normalize's.
 func newHost(cfg ShardedStoreConfig, cluster bool) (*host, error) {
 	router, err := cfg.normalize(cluster)
@@ -137,11 +138,11 @@ func (h *host) shardDir(s int) string {
 }
 
 // openSlot opens shard s's backend and builds its engine over it,
-// recovering whatever the directory holds. The slot is bare — untuned, no
-// worker, not installed — so a migration can import state into it first.
-// Store passes its Seed raw, the sharded flavours shard.DeriveSeed(Seed, s);
-// the determinism goldens pin both.
-func (h *host) openSlot(s int, seed uint64) (*slot, error) {
+// recovering whatever the directory holds. The engine seed is
+// shard.DeriveSeed(Seed, s), which the determinism goldens pin. The slot is
+// bare — untuned, no worker, not installed — so a migration can import
+// state into it first.
+func (h *host) openSlot(s int) (*slot, error) {
 	var be backend.Backend
 	var err error
 	switch h.cfg.Engine {
@@ -153,7 +154,7 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)
 	}
-	sh, err := shard.New(s, h.cfg.Shards, h.router.ShardBlocks(s), h.cfg.Key, seed, be)
+	sh, err := shard.New(s, h.cfg.Shards, h.router.ShardBlocks(s), h.cfg.Key, shard.DeriveSeed(h.cfg.Seed, s), be)
 	if err != nil {
 		if be != nil {
 			be.Close()
@@ -163,24 +164,20 @@ func (h *host) openSlot(s int, seed uint64) (*slot, error) {
 	return &slot{sh: sh, be: be}, nil
 }
 
-// tune applies every store tunable to a bare engine.
-func (h *host) tune(sh *shard.Shard) {
+// adoptSlot applies every store tunable to a bare slot, starts its worker
+// and installs it as shard s. A serve.Service is one shard's worker, so
+// migration adds and removes slots at run time without touching any other
+// shard's.
+func (h *host) adoptSlot(s int, sl *slot) {
 	switch every := h.cfg.CheckpointEvery; {
 	case every < 0: // periodic checkpoints off; Close still writes one
-		sh.SetCheckpointEvery(0)
+		sl.sh.SetCheckpointEvery(0)
 	case every > 0:
-		sh.SetCheckpointEvery(uint64(every))
+		sl.sh.SetCheckpointEvery(uint64(every))
 	}
 	if h.traceOn {
-		sh.EnableTrace()
+		sl.sh.EnableTrace()
 	}
-}
-
-// adoptSlot tunes a bare slot, starts its worker and installs it as shard
-// s. A serve.Service is one shard's worker, so migration adds and removes
-// slots at run time without touching any other shard's.
-func (h *host) adoptSlot(s int, sl *slot) {
-	h.tune(sl.sh)
 	sl.svc = serve.New(sl.sh, serve.Config{
 		QueueDepth:        h.cfg.QueueDepth,
 		AdmissionDeadline: h.cfg.AdmissionDeadline,
@@ -412,12 +409,9 @@ func awaitBatch(s submitter, op serve.Op, ids []uint64, blocks [][]byte) ([][]by
 
 // onWorker runs fn where it may touch worker-owned engine state: on the
 // slot's worker behind everything already queued, or directly once the
-// worker has exited (a Close may still be draining — wait it out first)
-// and inside Store, which has no worker.
+// worker has exited (a Close may still be draining — wait it out first).
 func (sl *slot) onWorker(fn func()) {
-	if sl.svc == nil {
-		fn()
-	} else if err := sl.svc.Sync(fn); err != nil {
+	if err := sl.svc.Sync(fn); err != nil {
 		sl.svc.WaitClosed()
 		fn()
 	}

@@ -214,7 +214,8 @@ func (b *Backend) load() error {
 
 // Direct reports false: the slot file is always opened buffered.
 //
-// Deprecated: kept only for callers that still report the I/O mode.
+// Deprecated: kept only for callers that still report the I/O mode
+// (benchmark/layers); delete with ROADMAP item 5(a).
 func (b *Backend) Direct() bool { return false }
 
 func (b *Backend) path(name string) string { return filepath.Join(b.dir, name) }

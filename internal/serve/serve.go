@@ -486,8 +486,8 @@ type Stats struct {
 	DedupHits     uint64 // reads served by intra-batch fan-out
 	// PrefetchPlanned is always zero.
 	//
-	// Deprecated: the benchmark still reads it; delete with the ROADMAP
-	// item 1 benchmark PR.
+	// Deprecated: the benchmark still reads it; delete with ROADMAP item
+	// 5(a).
 	PrefetchPlanned uint64
 	// Sheds counts requests dropped at worker pickup because their
 	// admission deadline (Config.AdmissionDeadline) had expired. Shed

@@ -185,8 +185,7 @@ func engineConfig(blocks, seed uint64) oram.RingConfig {
 
 // New builds shard index of stride total shards with the given local
 // capacity and the exact engine seed to use (callers building a sharded
-// set derive per-shard seeds with DeriveSeed; a 1-shard caller like
-// palermo.Store passes its seed through unchanged). All shards share the
+// set derive per-shard seeds with DeriveSeed). All shards share the
 // AES key; IV uniqueness across shards holds because blocks are sealed
 // under their global id (disjoint across shards), so independent
 // per-shard epoch counters can never collide on an (addr, epoch) pair.
@@ -289,8 +288,8 @@ const maxVector = 128
 // EnablePipeline does nothing: a shard runs every operation to completion
 // on its caller's goroutine and starts none of its own (DESIGN.md §9).
 //
-// Deprecated: benchmark/layers still calls it; delete with the ROADMAP
-// item 1 benchmark PR.
+// Deprecated: benchmark/layers still calls it; delete with ROADMAP item
+// 5(a).
 func (s *Shard) EnablePipeline(int) {}
 
 // unusable reports why the shard can serve nothing: it is closed, or a
@@ -445,7 +444,7 @@ func (s *Shard) maybeCheckpoint(global uint64, staged []error) error {
 }
 
 // Read fetches a block obliviously by shard-local id. Unwritten blocks read
-// as zeros after a full-protocol access, exactly like the single Store.
+// as zeros after a full-protocol access, so existence is not observable.
 func (s *Shard) Read(local uint64) ([]byte, error) {
 	if err := s.unusable(); err != nil {
 		return nil, err

@@ -203,7 +203,7 @@ func (n *ClusterNode) sinkCommit(s uint32, newEpoch uint64) error {
 			return fmt.Errorf("palermo: migrate: %w", err)
 		}
 	}
-	sl, err := n.h.openSlot(int(s), shard.DeriveSeed(n.h.cfg.Seed, int(s)))
+	sl, err := n.h.openSlot(int(s))
 	if err != nil {
 		return fmt.Errorf("palermo: migrate: %w", err)
 	}

@@ -1,6 +1,7 @@
 package palermo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -259,4 +260,14 @@ func TestFig14bSaturates(t *testing.T) {
 	if res.Speedup[5] > res.Speedup[3]*1.25 {
 		t.Fatalf("throughput must saturate near 8 columns: %v", res.Speedup)
 	}
+}
+
+// ExampleRun demonstrates the simulation entry point.
+func ExampleRun() {
+	res, err := Run(ProtoPalermo, "rand", Options{Lines: 1 << 20, Requests: 100})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Protocol, res.Workload, res.Requests)
+	// Output: Palermo rand 100
 }

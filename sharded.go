@@ -1,11 +1,16 @@
 package palermo
 
-// ShardedStore is the concurrent, sharded form of Store: block ids are
+// ShardedStore is the in-process oblivious block store: block ids are
 // deterministically striped across S independent ORAM shards (each with a
 // private Ring engine, sealer counter-domain, and derived seed), and each
 // shard is served by a dedicated worker goroutine behind a bounded request
-// queue. Unlike Store it is safe for concurrent use from any number of
-// goroutines and its throughput scales with shards × cores.
+// queue. It is safe for concurrent use from any number of goroutines and
+// its throughput scales with shards × cores; Shards: 1 is the single-tree
+// store. Reads and writes of 64-byte blocks execute the full Palermo ORAM
+// protocol over the functional engine — real tree, stash, recursive
+// position maps, AES-CTR sealing — and TrafficReport counts the DRAM
+// traffic each would cost on the modeled hardware (Run and the experiment
+// harness run the timing simulation).
 //
 //	st, _ := palermo.NewShardedStore(palermo.ShardedStoreConfig{Blocks: 1 << 20, Shards: 4})
 //	defer st.Close()
@@ -13,16 +18,17 @@ package palermo
 //	data, _ := st.Read(42)
 //	blocks, _ := st.ReadBatch([]uint64{1, 2, 3, 1}) // the two id-1 reads share one ORAM access
 //
-// Routing depends only on the public block id, so a shard's backend sees
-// what a single store's would, plus the id's residue mod Shards. Neither is
-// oblivious today: both are addressed by shard-local block id (DESIGN.md
-// §6; ROADMAP item 2).
+// The engine's leaf sequence is independent of the keys accessed, but the
+// storage backend does not see it: a shard's backend is addressed by
+// shard-local block id, one Get per read and one Put per write, so it
+// observes the logical access pattern, and routing adds the id's residue
+// mod Shards (DESIGN.md §6; ROADMAP item 2 moves payloads into tree
+// slots).
 
 import (
 	"time"
 
 	"palermo/internal/serve"
-	"palermo/internal/shard"
 )
 
 // MaxShards bounds ShardedStoreConfig.Shards: beyond a few thousand
@@ -31,9 +37,9 @@ const MaxShards = 1024
 
 // ShardedStoreConfig configures a sharded oblivious store.
 type ShardedStoreConfig struct {
-	Blocks uint64 // total capacity in 64-byte blocks (default 2^20)
+	Blocks uint64 // total capacity in 64-byte blocks (default 2^20 = 64 MB)
 	Shards int    // independent ORAM shards (default 4)
-	Key    []byte // AES key, 16/24/32 bytes (default: the Store demo key)
+	Key    []byte // AES key, 16/24/32 bytes (default: a fixed demo key)
 	Seed   uint64 // base seed; each shard derives its own (default 1)
 
 	// QueueDepth bounds each shard's request queue (in submissions);
@@ -48,21 +54,33 @@ type ShardedStoreConfig struct {
 	AdmissionDeadline time.Duration
 
 	// Engine selects the storage engine: BackendMemory (default),
-	// BackendWAL, or BackendBlockfile (durable engines require Dir; each
-	// shard owns a sub-directory). See StoreConfig for the full semantics.
+	// BackendWAL, or BackendBlockfile. The durable engines require Dir.
 	Engine string
-	// Dir is the durable store directory (durable engines only). Its
-	// manifest pins Blocks, Shards, and the engine, so reopening with a
-	// different geometry fails instead of silently mis-routing ids.
+	// Dir is the durable store directory (durable engines only; each
+	// shard owns a sub-directory). Reopening a populated Dir recovers the
+	// persisted state; its manifest pins Blocks, Shards, and the engine,
+	// so reopening with a different geometry fails instead of silently
+	// mis-routing ids.
 	Dir string
 	// CheckpointEvery is the minimum per-shard writes between automatic
 	// WAL-compaction checkpoints (default 4096; <0 disables periodic
-	// checkpoints; compaction also waits for the log tail to reach a
-	// quarter of the shard's stored blocks — see StoreConfig).
+	// checkpoints — Close still writes one). On populated stores
+	// compaction is additionally deferred until the log tail reaches a
+	// quarter of the shard's stored blocks, keeping snapshot I/O
+	// amortized O(1) per write.
 	CheckpointEvery int
-	// GroupCommit is durable-log appends per fsync batch (default 32; see
-	// StoreConfig.GroupCommit for the crash-loss window: one batch per
-	// shard on the blockfile engine, up to three on the WAL).
+	// GroupCommit is how many durable-log appends share one fsync (default
+	// 32; 1 = synchronous durability per write). A crash loses at most
+	// each shard's un-fsynced tail, counted in batches of up to
+	// GroupCommit − 1 records plus the write vector that filled the batch
+	// (WriteBatch reaches a shard's log in vectors of up to 128 records,
+	// each appended and committed as a unit). The blockfile engine fsyncs
+	// each batch before it acknowledges the write that filled it: one
+	// batch. The WAL engine fsyncs on a committer goroutine and lets three
+	// batches of acknowledged writes pile up behind a slow fsync before
+	// writers wait — up to 3 × GroupCommit − 1 single-block writes (95 at
+	// the default), more when vectors close the batches
+	// (wal.Options.CommitDepth has the arithmetic).
 	GroupCommit int
 }
 
@@ -97,7 +115,7 @@ func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
 		return nil, err
 	}
 	for s := range h.slots {
-		sl, err := h.openSlot(s, shard.DeriveSeed(h.cfg.Seed, s))
+		sl, err := h.openSlot(s)
 		if err != nil {
 			h.slots.close()
 			return nil, err
@@ -122,7 +140,8 @@ func (s *ShardedStore) Write(id uint64, data []byte) error {
 }
 
 // Read fetches a block obliviously. Reading a never-written block returns a
-// zero block after a full-protocol access, like Store.Read.
+// zero block (the protocol performs the same path access either way, so
+// existence is not observable).
 func (s *ShardedStore) Read(id uint64) ([]byte, error) {
 	return await(s, serve.OpRead, id, nil)
 }
@@ -178,10 +197,11 @@ func (s *ShardedStore) Snapshot() (ServiceStats, TrafficReport, error) {
 	return s.Stats(), s.Traffic(), nil
 }
 
-// Traffic aggregates the per-shard TrafficReports into the Store report
-// shape. Shard counters are snapshotted on each shard's own worker (via a
-// queue barrier), so the report is consistent with every operation that
-// completed before the call; after Close the counters are read directly.
+// Traffic aggregates the per-shard engine counters into one
+// TrafficReport. Shard counters are snapshotted on each shard's own worker
+// (via a queue barrier), so the report is consistent with every operation
+// that completed before the call; after Close the counters are read
+// directly.
 func (s *ShardedStore) Traffic() TrafficReport { return s.slots.traffic() }
 
 // EnableTraces starts recording every shard's operation/leaf trace (the

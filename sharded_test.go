@@ -34,6 +34,10 @@ func engines(st *ShardedStore) []*shard.Shard {
 	return out
 }
 
+func block(fill byte) []byte {
+	return bytes.Repeat([]byte{fill}, BlockSize)
+}
+
 func TestShardedStoreRoundTrip(t *testing.T) {
 	st := testShardedStore(t, 4)
 	if err := st.Write(7, block(0xAA)); err != nil {
@@ -46,12 +50,28 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, block(0xAA)) {
 		t.Fatal("round trip failed")
 	}
-	// Unwritten blocks read as zeros, like Store.
-	zero, err := st.Read(4242)
+}
+
+func TestStoreOverwrite(t *testing.T) {
+	st := testShardedStore(t, 1)
+	st.Write(3, block(1))
+	st.Write(3, block(2))
+	got, err := st.Read(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(zero, make([]byte, BlockSize)) {
+	if !bytes.Equal(got, block(2)) {
+		t.Fatal("overwrite not visible")
+	}
+}
+
+func TestStoreUnwrittenReadsZero(t *testing.T) {
+	st := testShardedStore(t, 1)
+	got, err := st.Read(99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, BlockSize)) {
 		t.Fatal("unwritten block must read as zeros")
 	}
 }
@@ -72,6 +92,34 @@ func TestShardedStoreErrors(t *testing.T) {
 	}
 	if err := st.WriteBatch([]uint64{0, 1}, [][]byte{block(0)}); err == nil {
 		t.Fatal("mismatched batch lengths must error")
+	}
+}
+
+// TestStoreTrafficReport: a one-shard store counts its operations and the
+// DRAM lines the protocol moved for them, at a plausible ORAM
+// amplification.
+func TestStoreTrafficReport(t *testing.T) {
+	st := testShardedStore(t, 1)
+	st.Write(1, block(1))
+	st.Read(1)
+	// Writes to DRAM only happen on the periodic eviction (every A=20
+	// accesses), so run past one eviction boundary.
+	for i := uint64(2); i < 42; i++ {
+		st.Read(i)
+	}
+	rep := st.Traffic()
+	if rep.Reads != 41 || rep.Writes != 1 {
+		t.Fatalf("ops: %+v", rep)
+	}
+	if rep.DRAMReads == 0 || rep.DRAMWrites == 0 {
+		t.Fatal("traffic not tracked")
+	}
+	// ORAM amplification: one op costs on the order of 100 lines.
+	if rep.AmplificationFactor < 20 || rep.AmplificationFactor > 2000 {
+		t.Fatalf("amplification = %.0f, implausible", rep.AmplificationFactor)
+	}
+	if rep.StashPeak <= 0 || rep.StashPeak > 256 {
+		t.Fatalf("stash peak %d", rep.StashPeak)
 	}
 }
 
