@@ -149,7 +149,7 @@ func (h *host) openSlot(s int) (*slot, error) {
 	case BackendWAL:
 		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth, Capacity: h.router.ShardBlocks(s)})
 	case BackendBlockfile:
-		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit})
+		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, Capacity: h.router.ShardBlocks(s)})
 	}
 	if err != nil {
 		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)

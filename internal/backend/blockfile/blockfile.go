@@ -16,16 +16,20 @@
 //	meta.log    core log of 20-byte records: local | epoch | crc32
 //	meta.snap   core envelope with no payload section
 //
-// blocks.dat is opened buffered: a resident slot is read from the
-// kernel's page cache, and a slot write is a copy into it. Runs of
-// consecutive locals coalesce into single WriteAt calls, and GetMany
-// preads coalesce the same way. On Linux a helper goroutine starts the
-// slot file's writeback each time the open batch's held records cross a
-// quarter of GroupCommit (sync_file_range, SYNC_FILE_RANGE_WRITE only),
-// so the group commit's data sync finds most of the group's pages
-// already written and waits only for the rest (DESIGN.md §12). The
-// helper is the backend's only goroutine; it never syncs, and it is
-// stopped before the slot file closes.
+// blocks.dat is opened buffered, and a slot write is a copy into the
+// kernel's page cache; runs of consecutive locals coalesce into single
+// WriteAt calls. On Linux, Open maps the file read-only and shared over
+// the shard's capacity (Options.Capacity), and Get copies a resident
+// slot out of the mapping without a syscall; a fault there (the file
+// truncated under it) reads as an unreadable slot, never a crash. Other
+// platforms, and a mapping that cannot be made, read each slot with one
+// pread. On Linux a helper goroutine also starts the slot file's
+// writeback each time the open batch's held records cross a quarter of
+// GroupCommit (sync_file_range, SYNC_FILE_RANGE_WRITE only), so the group
+// commit's data sync finds most of the group's pages already written and
+// waits only for the rest (DESIGN.md §12). The helper is the backend's
+// only goroutine; it never syncs, and it is stopped before the slot file
+// closes.
 //
 // Write protocol: each Put pwrites the slot and holds a metadata record
 // naming (local, epoch) in memory. A group commit syncs blocks.dat, then
@@ -64,11 +68,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
 	"palermo/internal/crypt"
+	"palermo/internal/paged"
 )
 
 const (
@@ -85,13 +91,18 @@ const (
 	// ~1/4096 of an fsync per write.
 	reserveChunk = 4096
 
-	// maxRunSlots caps one coalesced read/write run (and the scratch
-	// buffer it is staged in) at 64 KiB.
+	// maxRunSlots caps one coalesced write run (and the scratch buffer it
+	// is staged in) at 64 KiB.
 	maxRunSlots = 128
 
-	// maxSlots bounds accepted locals: matches the store's 2^40-block
+	// maxSlots bounds Options.Capacity: matches the store's 2^40-block
 	// capacity cap and keeps slot offsets far from int64 overflow.
 	maxSlots = 1 << 40
+
+	// unreadable is the epoch Get returns for a present slot it cannot
+	// read. The sealer never assigns it, so the shard's epoch check fails
+	// the read loudly instead of serving wrong bytes.
+	unreadable = ^uint64(0)
 )
 
 var format = durable.Format{
@@ -107,6 +118,11 @@ type Options struct {
 	// (default durable.DefaultGroupCommit, the WAL's cadence; 1 =
 	// synchronous durability for every write).
 	GroupCommit int
+	// Capacity is the shard's block capacity: ids at or beyond it are
+	// refused, by Put and at Open, and it sizes the read mapping (Capacity
+	// × SlotBytes of address space, none of it memory until read). Zero
+	// means unknown: ids below paged.DirectKeys, as for the WAL.
+	Capacity uint64
 }
 
 // Backend is a durable paged block-state backend over one directory.
@@ -123,6 +139,7 @@ type Backend struct {
 	count   int
 
 	scratch []byte // slot I/O buffer, maxRunSlots slots
+	slots   []byte // blocks.dat mapped read-only; nil: Get uses ReadAt
 
 	reserved uint64 // highest durably reserved sealing epoch
 
@@ -147,6 +164,12 @@ type Backend struct {
 // exclusively locked for the backend's lifetime.
 func Open(dir string, opt Options) (*Backend, error) {
 	opt.GroupCommit = durable.GroupCommit(opt.GroupCommit)
+	if opt.Capacity == 0 {
+		opt.Capacity = paged.DirectKeys
+	}
+	if opt.Capacity > maxSlots {
+		return nil, fmt.Errorf("blockfile: capacity %d exceeds the %d-slot limit", opt.Capacity, uint64(maxSlots))
+	}
 	lock, err := format.OpenDir(dir)
 	if err != nil {
 		return nil, err
@@ -157,6 +180,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 	}
 	b.scratch = make([]byte, maxRunSlots*SlotBytes)
 	b.recs = make([]byte, 0, (b.opt.GroupCommit+1)*recSize)
+	b.slots = mapData(b.dataF, b.opt.Capacity*SlotBytes)
 	b.startWriteback()
 	return b, nil
 }
@@ -192,6 +216,11 @@ func (b *Backend) load() error {
 	}})
 	if err != nil {
 		return err
+	}
+	for _, r := range recs {
+		if r.Local >= b.opt.Capacity {
+			return fmt.Errorf("blockfile: %s: block id %d outside capacity %d", logName, r.Local, b.opt.Capacity)
+		}
 	}
 	orphans, err := b.scanSlots(recs)
 	if err != nil {
@@ -261,83 +290,67 @@ func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
 	return meta, b.metaEpoch, tail
 }
 
-func validatePut(local uint64, sb backend.Sealed) error {
+func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 	if len(sb.Ct) != crypt.BlockBytes {
 		return fmt.Errorf("blockfile: ciphertext must be %d bytes, got %d", crypt.BlockBytes, len(sb.Ct))
 	}
-	if local >= maxSlots {
-		return fmt.Errorf("blockfile: block id %d is out of slot range", local)
+	if local >= b.opt.Capacity {
+		return fmt.Errorf("blockfile: block id %d outside capacity %d", local, b.opt.Capacity)
 	}
 	return nil
 }
 
-// Get implements backend.Backend: one slot pread. Runtime reads parse
-// the header without re-verifying the CRC — torn detection is the
-// recovery scan's job, and integrity of a served payload is enforced
-// above this layer by the protocol's epoch-consistency check (a
-// mismatched epoch fails the read loudly). An I/O error on a present
-// slot surfaces the same way: the impossible epoch below can never
-// match the engine's expectation.
+// Get implements backend.Backend: it copies the slot's epoch and
+// ciphertext out of the mapping, or out of one pread where there is
+// none. Runtime reads parse the header without re-verifying the CRC —
+// torn detection is the recovery scan's job, and integrity of a served
+// payload is enforced above this layer by the protocol's
+// epoch-consistency check (a mismatched epoch fails the read loudly). A
+// present slot that cannot be read — an I/O error, a fault in the
+// mapping, a closed or wedged backend — surfaces the same way, as the
+// unreadable epoch.
 func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
-	if b.closed || !b.isPresent(local) {
+	if !b.isPresent(local) {
 		return backend.Sealed{}, false
 	}
-	buf := b.scratch[:SlotBytes]
-	if _, err := b.dataF.ReadAt(buf, int64(local)*SlotBytes); err != nil {
-		return backend.Sealed{Ct: make([]byte, crypt.BlockBytes), Epoch: ^uint64(0)}, true
+	sb := backend.Sealed{Ct: make([]byte, crypt.BlockBytes), Epoch: unreadable}
+	switch {
+	case b.closed:
+	case b.slots != nil:
+		readMapped(b.slots[local*SlotBytes:(local+1)*SlotBytes], &sb)
+	default:
+		buf := b.scratch[:SlotBytes]
+		if _, err := b.dataF.ReadAt(buf, int64(local)*SlotBytes); err == nil {
+			copy(sb.Ct, buf[24:24+crypt.BlockBytes])
+			sb.Epoch = binary.LittleEndian.Uint64(buf[16:24])
+		}
 	}
-	ct := append([]byte(nil), buf[24:24+crypt.BlockBytes]...)
-	return backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(buf[16:24])}, true
+	return sb, true
 }
 
-// GetMany implements backend.VectorBackend: runs of consecutive locals
-// coalesce into single preads. Duplicate or aliasing ids simply read
-// the same slot again — each position gets an independent copy.
+// readMapped copies one mapped slot's ciphertext and epoch into sb. A
+// fault — blocks.dat truncated under the mapping, or the device failing
+// to page the slot in — is a SIGBUS, which the runtime turns into a
+// panic only while SetPanicOnFault is set; recover then leaves sb's
+// epoch unreadable. Any other panic is a bug and is re-raised.
+func readMapped(slot []byte, sb *backend.Sealed) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+		}
+	}()
+	copy(sb.Ct, slot[24:24+crypt.BlockBytes])
+	sb.Epoch = binary.LittleEndian.Uint64(slot[16:24])
+}
+
+// GetMany implements backend.VectorBackend as one Get per id, so
+// duplicate ids each get an independent copy.
 func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
-	for start := 0; start < len(locals); {
-		end := start + 1
-		for end < len(locals) && end-start < maxRunSlots && locals[end] == locals[end-1]+1 {
-			end++
-		}
-		b.readRun(locals[start:end], out[start:end], ok[start:end])
-		start = end
-	}
-}
-
-// readRun serves one consecutive-locals run from a single pread.
-func (b *Backend) readRun(locals []uint64, out []backend.Sealed, ok []bool) {
-	any := false
-	for _, l := range locals {
-		if !b.closed && b.isPresent(l) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		for i := range out {
-			out[i], ok[i] = backend.Sealed{}, false
-		}
-		return
-	}
-	buf := b.scratch[:len(locals)*SlotBytes]
-	n, err := b.dataF.ReadAt(buf, int64(locals[0])*SlotBytes)
-	if err != nil && err != io.EOF {
-		for i, l := range locals {
-			out[i], ok[i] = b.Get(l) // per-slot fallback surfaces errors like Get
-		}
-		return
-	}
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
-	}
 	for i, l := range locals {
-		if !b.isPresent(l) {
-			out[i], ok[i] = backend.Sealed{}, false
-			continue
-		}
-		s := buf[i*SlotBytes : (i+1)*SlotBytes]
-		ct := append([]byte(nil), s[24:24+crypt.BlockBytes]...)
-		out[i], ok[i] = backend.Sealed{Ct: ct, Epoch: binary.LittleEndian.Uint64(s[16:24])}, true
+		out[i], ok[i] = b.Get(l)
 	}
 }
 
@@ -365,7 +378,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	}
 	maxE := uint64(0)
 	for _, op := range ops {
-		if err := validatePut(op.Local, op.Sb); err != nil {
+		if err := b.validatePut(op.Local, op.Sb); err != nil {
 			return err
 		}
 		if op.Sb.Epoch > maxE {
@@ -472,6 +485,10 @@ func (b *Backend) stopWriteback() {
 // syncFile is the commit's fsync; a variable so a test can observe it.
 var syncFile = durable.TimedSync
 
+// mapData maps blocks.dat for Get (mapReadOnly); a variable so a test can
+// switch the mapping off and run the ReadAt path.
+var mapData = mapReadOnly
+
 // commit completes one group-commit batch: sync the slot file, write the
 // held records in one write, then sync the log. No record reaches the
 // log file before its slot is synced, so the kernel can never write a
@@ -550,6 +567,8 @@ func (b *Backend) Close() error {
 	}
 	b.closed = true
 	b.stopWriteback()
+	unmap(b.slots)
+	b.slots = nil
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("blockfile: %w", cerr)
 	}
@@ -572,6 +591,8 @@ func (b *Backend) fail(err error) error {
 		b.logF.Close()
 		b.logF = nil
 	}
+	unmap(b.slots)
+	b.slots = nil
 	if b.dataF != nil {
 		b.dataF.Close()
 		b.dataF = nil
@@ -622,6 +643,9 @@ func (b *Backend) scanSlots(recs []backend.TailOp) ([]backend.TailOp, error) {
 			sb, st := decodeSlot(buf[off:end], local)
 			if st == slotEmpty {
 				continue
+			}
+			if local >= b.opt.Capacity {
+				return nil, fmt.Errorf("blockfile: %s holds block id %d outside capacity %d", dataName, local, b.opt.Capacity)
 			}
 			if st == slotTorn {
 				discard = append(discard, local)

@@ -2,8 +2,10 @@ package blockfile
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,6 +31,7 @@ func mustOpen(t *testing.T, dir string, opt Options) *Backend {
 // log bytes) survives in the page cache, while records held for the next
 // commit are lost with the process.
 func crash(b *Backend) {
+	unmap(b.slots)
 	b.logF.Close()
 	b.dataF.Close()
 	b.closed = true
@@ -617,5 +620,168 @@ func TestOneBatchDurabilityWindow(t *testing.T) {
 	}
 	if n := acked.Load(); n != group {
 		t.Fatalf("%d Puts acknowledged after the sync, want %d", n, group)
+	}
+}
+
+// TestWedgedReadsPresentSlotsUnreadable: once a failed commit wedges the
+// backend, a slot it holds must not read as absent — the shard would
+// serve a zero block for an id that was written. It reads as the
+// unreadable epoch, which fails the shard's epoch check.
+func TestWedgedReadsPresentSlotsUnreadable(t *testing.T) {
+	b := mustOpen(t, t.TempDir(), Options{GroupCommit: 1})
+	if err := b.Put(1, backend.Sealed{Ct: ct(1), Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	real := syncFile
+	syncFile = func(*durable.Fsync, *os.File) error { return errors.New("injected sync failure") }
+	defer func() { syncFile = real }()
+	if err := b.Put(2, backend.Sealed{Ct: ct(2), Epoch: 2}); err == nil {
+		t.Fatal("Put over a failing sync succeeded")
+	}
+	if sb, ok := b.Get(1); !ok || sb.Epoch != unreadable {
+		t.Fatalf("Get(1) on a wedged backend = epoch %d ok=%v, want present with the unreadable epoch", sb.Epoch, ok)
+	}
+	if _, ok := b.Get(3); ok {
+		t.Fatal("never-written slot reads present on a wedged backend")
+	}
+}
+
+// TestTruncatedDataReadsUnreadable: blocks.dat cut under a live backend
+// leaves the mapping over pages that no longer exist. Reading one faults;
+// Get must return the unreadable epoch instead of killing the process.
+func TestTruncatedDataReadsUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	b := mustOpen(t, dir, Options{})
+	defer b.Close()
+	for i := uint64(0); i < 10; i++ {
+		if err := b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sb, ok := b.Get(3); !ok || sb.Epoch != 4 {
+		t.Fatalf("Get(3) before the cut = epoch %d ok=%v", sb.Epoch, ok)
+	}
+	if err := os.Truncate(filepath.Join(dir, dataName), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []uint64{0, 3, 9} {
+		if sb, ok := b.Get(l); !ok || sb.Epoch != unreadable {
+			t.Fatalf("Get(%d) after the cut = epoch %d ok=%v, want present with the unreadable epoch", l, sb.Epoch, ok)
+		}
+	}
+}
+
+// TestMappedReadsPastOpenSize: the mapping covers the capacity, not the
+// file's size at Open, so slots the file grows by afterwards read back
+// through it — in the first life and after a reopen.
+func TestMappedReadsPastOpenSize(t *testing.T) {
+	dir := t.TempDir()
+	put := func(b *Backend, ids ...uint64) {
+		t.Helper()
+		for _, l := range ids {
+			if err := b.Put(l, backend.Sealed{Ct: ct(byte(l)), Epoch: 10 + l}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(b *Backend, ids ...uint64) {
+		t.Helper()
+		if runtime.GOOS == "linux" && b.slots == nil {
+			t.Fatal("no read mapping on Linux")
+		}
+		for _, l := range ids {
+			if sb, ok := b.Get(l); !ok || sb.Epoch != 10+l || !bytes.Equal(sb.Ct, ct(byte(l))) {
+				t.Fatalf("Get(%d) = epoch %d ok=%v", l, sb.Epoch, ok)
+			}
+		}
+	}
+	b := mustOpen(t, dir, Options{Capacity: 1 << 14})
+	put(b, 0, 1, 1000)
+	check(b, 0, 1, 1000)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, Options{Capacity: 1 << 14})
+	defer r.Close()
+	check(r, 0, 1, 1000)
+	put(r, 5000, 1<<14-1)
+	check(r, 0, 1, 1000, 5000, 1<<14-1)
+}
+
+// TestCapacityRefused: ids at or past Options.Capacity are refused by Put
+// before anything is written, and at Open when the log or a slot holds
+// one; a capacity past the slot limit is refused outright.
+func TestCapacityRefused(t *testing.T) {
+	dir := t.TempDir()
+	b := mustOpen(t, dir, Options{Capacity: 16})
+	if err := b.Put(15, backend.Sealed{Ct: ct(15), Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(16, backend.Sealed{Ct: ct(16), Epoch: 2}); err == nil || !strings.Contains(err.Error(), "capacity") {
+		t.Fatalf("Put(16) at capacity 16 = %v, want a capacity refusal", err)
+	}
+	ops := []backend.PutOp{{Local: 3, Sb: backend.Sealed{Ct: ct(3), Epoch: 3}}, {Local: 99, Sb: backend.Sealed{Ct: ct(99), Epoch: 4}}}
+	if err := b.PutMany(ops); err == nil {
+		t.Fatal("PutMany past capacity accepted")
+	}
+	if _, ok := b.Get(3); ok || b.Len() != 1 {
+		t.Fatalf("a refused vector stored blocks: Len %d", b.Len())
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A directory written at a larger capacity: refused while the log
+	// names the id, and by the slot scan once a checkpoint folded it.
+	w := mustOpen(t, dir, Options{})
+	if err := w.Put(20, backend.Sealed{Ct: ct(20), Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{Capacity: 16}); err == nil || !strings.Contains(err.Error(), logName) {
+		t.Fatalf("log record past capacity not refused: %v", err)
+	}
+	w = mustOpen(t, dir, Options{})
+	if err := w.Checkpoint([]byte("meta"), 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{Capacity: 16}); err == nil || !strings.Contains(err.Error(), dataName) {
+		t.Fatalf("slot past capacity not refused: %v", err)
+	}
+	if r, err := Open(dir, Options{Capacity: 21}); err != nil {
+		t.Fatalf("capacity covering every id refused: %v", err)
+	} else {
+		r.Close()
+	}
+	if _, err := Open(t.TempDir(), Options{Capacity: maxSlots + 1}); err == nil {
+		t.Fatal("capacity past the slot limit accepted")
+	}
+}
+
+// TestReadAtFallback runs the read tests again with the mapping off, the
+// path other platforms and a failed mapping take.
+func TestReadAtFallback(t *testing.T) {
+	withoutMapping(t)
+	b := mustOpen(t, t.TempDir(), Options{})
+	if b.slots != nil {
+		t.Fatal("mapping made with the mapping switched off")
+	}
+	b.Close()
+	for _, tc := range []struct {
+		name string
+		test func(*testing.T)
+	}{
+		{"RoundTripAfterClose", TestRoundTripAfterClose},
+		{"CheckpointCompactsAndRecovers", TestCheckpointCompactsAndRecovers},
+		{"PutManyCoalescedRoundTrip", TestPutManyCoalescedRoundTrip},
+		{"GetManyDuplicatesAndRuns", TestGetManyDuplicatesAndRuns},
+		{"TruncatedDataReadsUnreadable", TestTruncatedDataReadsUnreadable},
+	} {
+		t.Run(tc.name, tc.test)
 	}
 }
