@@ -148,3 +148,43 @@ type Backend interface {
 	// Close flushes and releases resources. The backend is unusable after.
 	Close() error
 }
+
+// Commit is one group commit that a durable backend runs off its owner's
+// goroutine: Done closes when the commit settles, and Err then reports its
+// outcome. A write the commit covers is durable only once Done has closed
+// and Err is nil.
+type Commit struct {
+	done chan struct{}
+	err  error
+}
+
+// NewCommit returns an unsettled commit.
+func NewCommit() *Commit { return &Commit{done: make(chan struct{})} }
+
+// Settle records the commit's outcome and closes Done. It is called once,
+// by whoever ran the commit.
+func (c *Commit) Settle(err error) {
+	c.err = err
+	close(c.done)
+}
+
+// Done returns a channel that closes when the commit settles.
+func (c *Commit) Done() <-chan struct{} { return c.done }
+
+// Err waits for the commit to settle and returns its error.
+func (c *Commit) Err() error {
+	<-c.done
+	return c.err
+}
+
+// Committer is implemented by a durable backend whose Put or PutMany can
+// return while the group commit that makes it durable is still running.
+// The backend's owner must then hold the write's acknowledgment until that
+// commit settles.
+type Committer interface {
+	// InFlight returns the commit the backend last started, or nil. A
+	// commit that settled successfully is dropped by the backend's next
+	// write; one that failed stays reported, because the backend is wedged
+	// and nothing written since will ever be committed.
+	InFlight() *Commit
+}

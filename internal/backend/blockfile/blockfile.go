@@ -23,13 +23,21 @@
 // slot out of the mapping without a syscall; a fault there (the file
 // truncated under it) reads as an unreadable slot, never a crash. Other
 // platforms, and a mapping that cannot be made, read each slot with one
-// pread. On Linux a helper goroutine also starts the slot file's
-// writeback each time the open batch's held records cross a quarter of
-// GroupCommit (sync_file_range, SYNC_FILE_RANGE_WRITE only), so the group
-// commit's data sync finds most of the group's pages already written and
-// waits only for the rest (DESIGN.md §12). The helper is the backend's
-// only goroutine; it never syncs, and it is stopped before the slot file
-// closes.
+// pread.
+//
+// Above GroupCommit 1 each backend runs one helper goroutine
+// (helper.go). A PutMany that closes a batch hands the batch's commit to
+// it and returns; the helper runs the commits in order, at most one at a
+// time, and reports each through backend.Committer, so the owner can hold
+// the acknowledgments of the writes that ran meanwhile until it settles
+// (package serve does; DESIGN.md §9). On Linux the helper also starts the
+// slot file's writeback each time the open batch's held records cross a
+// quarter of GroupCommit (sync_file_range, SYNC_FILE_RANGE_WRITE only),
+// so the commit's data sync finds most of the group's pages already
+// written (DESIGN.md §12). Flush, Checkpoint, Close, an epoch reservation
+// and a wedge wait for the commit in flight first, and the helper is
+// stopped before the slot file closes. At GroupCommit 1 every commit runs
+// inside its Put and no helper starts.
 //
 // Write protocol: each Put pwrites the slot and holds a metadata record
 // naming (local, epoch) in memory. A group commit syncs blocks.dat, then
@@ -152,10 +160,17 @@ type Backend struct {
 	closed  bool
 	failErr error
 
-	// wbKick wakes the writeback helper and wbDone closes when it has
-	// exited; both are nil where no helper runs (writeback_linux.go).
-	wbKick chan struct{}
-	wbDone chan struct{}
+	// The helper goroutine (helper.go): jobs hands it one commit at a
+	// time, kick wakes it for a writeback hint, and helperDone closes when
+	// it has exited. jobs and helperDone are nil at GroupCommit 1, kick
+	// also where no hint is sent. inflight is the commit last handed over,
+	// until a later write finds it settled successfully; spare is the
+	// record buffer it was handed, which the next batch reuses.
+	jobs       chan job
+	kick       chan struct{}
+	helperDone chan struct{}
+	inflight   *backend.Commit
+	spare      []byte
 
 	durable.Fsync // commit-path (data+log) fsync telemetry; FsyncStats
 }
@@ -181,7 +196,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 	b.scratch = make([]byte, maxRunSlots*SlotBytes)
 	b.recs = make([]byte, 0, (b.opt.GroupCommit+1)*recSize)
 	b.slots = mapData(b.dataF, b.opt.Capacity*SlotBytes)
-	b.startWriteback()
+	b.startHelper()
 	return b, nil
 }
 
@@ -368,13 +383,17 @@ func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 // within the vector land last-writer-wins because runs are issued in
 // scan order.
 // The vector counts len(ops) records toward the group-commit policy,
-// exactly like the WAL.
+// exactly like the WAL. Above GroupCommit 1 a vector that closes its
+// batch returns once the helper has the batch's commit (InFlight).
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	if b.closed {
 		return format.ClosedErr(b.failErr)
 	}
 	if len(ops) == 0 {
 		return nil
+	}
+	if err := b.reap(); err != nil {
+		return err
 	}
 	maxE := uint64(0)
 	for _, op := range ops {
@@ -404,7 +423,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	held := b.pending
 	b.pending += len(ops)
 	if b.pending >= b.opt.GroupCommit {
-		if err := b.commit(); err != nil {
+		if err := b.closeBatch(); err != nil {
 			return err
 		}
 	} else {
@@ -457,28 +476,19 @@ func (b *Backend) appendRecord(local, epoch uint64) {
 	b.recs = append(b.recs, rec[:]...)
 }
 
-// kickWriteback wakes the writeback helper when the open batch's held
-// records crossed a multiple of GroupCommit/4 on their way up from held.
-// The send never blocks: a hint already queued covers these pages too.
+// kickWriteback wakes the helper for a writeback hint when the open
+// batch's held records crossed a multiple of GroupCommit/4 on their way
+// up from held. The send never blocks: a hint already queued covers these
+// pages too.
 func (b *Backend) kickWriteback(held int) {
-	if b.wbKick == nil {
+	if b.kick == nil {
 		return
 	}
 	if q := b.opt.GroupCommit / 4; b.pending/q != held/q {
 		select {
-		case b.wbKick <- struct{}{}:
+		case b.kick <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// stopWriteback stops the writeback helper and waits for it to exit, so
-// no hint is in flight when the slot file closes.
-func (b *Backend) stopWriteback() {
-	if b.wbKick != nil {
-		close(b.wbKick)
-		<-b.wbDone
-		b.wbKick, b.wbDone = nil, nil
 	}
 }
 
@@ -489,24 +499,37 @@ var syncFile = durable.TimedSync
 // switch the mapping off and run the ReadAt path.
 var mapData = mapReadOnly
 
-// commit completes one group-commit batch: sync the slot file, write the
-// held records in one write, then sync the log. No record reaches the
-// log file before its slot is synced, so the kernel can never write a
-// record back ahead of the slot it names.
+// commit runs the open batch's commit on the worker, after the commit in
+// flight: every commit at GroupCommit 1, and the barrier of Flush,
+// Checkpoint and an epoch reservation.
 func (b *Backend) commit() error {
-	if err := syncFile(&b.Fsync, b.dataF); err != nil {
-		return b.fail(fmt.Errorf("blockfile: %w", err))
+	if err := b.settle(); err != nil {
+		return err
 	}
-	if len(b.recs) > 0 {
-		if _, err := b.logF.Write(b.recs); err != nil {
-			return b.fail(fmt.Errorf("blockfile: %w", err))
-		}
-		b.recs = b.recs[:0]
+	if err := b.syncBatch(b.recs, b.logF); err != nil {
+		return b.fail(err)
 	}
-	if err := syncFile(&b.Fsync, b.logF); err != nil {
-		return b.fail(fmt.Errorf("blockfile: %w", err))
-	}
+	b.recs = b.recs[:0]
 	b.pending = 0
+	return nil
+}
+
+// syncBatch is one group commit: sync the slot file, write the batch's
+// held records to the log in one write, then sync the log. No record
+// reaches the log file before its slot is synced, so the kernel can never
+// write a record back ahead of the slot it names.
+func (b *Backend) syncBatch(recs []byte, logF *os.File) error {
+	if err := syncFile(&b.Fsync, b.dataF); err != nil {
+		return fmt.Errorf("blockfile: %w", err)
+	}
+	if len(recs) > 0 {
+		if _, err := logF.Write(recs); err != nil {
+			return fmt.Errorf("blockfile: %w", err)
+		}
+	}
+	if err := syncFile(&b.Fsync, logF); err != nil {
+		return fmt.Errorf("blockfile: %w", err)
+	}
 	return nil
 }
 
@@ -566,7 +589,7 @@ func (b *Backend) Close() error {
 		return b.failErr
 	}
 	b.closed = true
-	b.stopWriteback()
+	b.stopHelper()
 	unmap(b.slots)
 	b.slots = nil
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
@@ -581,12 +604,13 @@ func (b *Backend) Close() error {
 }
 
 // fail wedges the backend after a non-recoverable mid-operation error.
+// Stopping the helper first lets the commit in flight settle.
 func (b *Backend) fail(err error) error {
 	if !b.closed {
 		b.closed = true
 		b.failErr = err
 	}
-	b.stopWriteback()
+	b.stopHelper()
 	if b.logF != nil {
 		b.logF.Close()
 		b.logF = nil

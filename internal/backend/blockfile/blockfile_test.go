@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -554,72 +554,126 @@ func TestCommitSyncsSlotsBeforeRecords(t *testing.T) {
 	}
 }
 
-// TestOneBatchDurabilityWindow pins DESIGN §9's durability window: the
-// blockfile commits synchronously, so while the data sync is stalled
-// exactly GroupCommit − 1 scalar Puts are acknowledged, and the Put that
-// closes the batch waits for the sync.
+// TestOneBatchDurabilityWindow pins the engine's half of DESIGN §9's
+// durability window: the first GroupCommit − 1 scalar Puts start no
+// commit, the Put that closes the batch returns with the batch's commit in
+// flight, and the commit stays unsettled while its data sync stalls. Flush
+// waits for it, and so does the Put that fills the next batch: at most one
+// commit is in flight. Holding the closing write's acknowledgment until it
+// settles is the serving worker's half (TestOneBatchWindowServed).
 func TestOneBatchDurabilityWindow(t *testing.T) {
 	const group = 8
-	b := mustOpen(t, t.TempDir(), Options{GroupCommit: group})
-	defer b.Close()
-	// Take the first epoch's reservation commit now, then empty the batch.
-	if err := b.Put(0, backend.Sealed{Ct: ct(0), Epoch: 1}); err != nil {
-		t.Fatal(err)
+	put := func(b *Backend, i uint64) error {
+		return b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1})
 	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	entered, release := make(chan struct{}, 1), make(chan struct{})
-	real := syncFile
-	syncFile = func(s *durable.Fsync, f *os.File) error {
-		if filepath.Base(f.Name()) == dataName {
-			entered <- struct{}{}
-			<-release
+	// waits runs op, which must still be blocked after 20 ms; release
+	// must then let it finish.
+	waits := func(name string, op func() error, c *backend.Commit, release func()) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-c.Done():
+			t.Fatal("the commit settled while its data sync stalls")
+		case err := <-done:
+			t.Fatalf("%s returned (%v) while the commit in flight stalls", name, err)
+		default:
 		}
-		return real(s, f)
-	}
-	var released bool
-	defer func() {
-		if !released {
-			close(release)
+		release()
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-		syncFile = real
-	}()
-
-	var acked atomic.Int32
-	done := make(chan error, 1)
-	go func() {
-		for i := uint64(1); i <= group; i++ {
-			if err := b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1}); err != nil {
-				done <- err
-				return
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		then func(b *Backend, c *backend.Commit, release func())
+	}{
+		{"flush", func(b *Backend, c *backend.Commit, release func()) {
+			waits("Flush", b.Flush, c, release)
+			if b.InFlight() != nil {
+				t.Fatal("Flush left a commit in flight")
 			}
-			acked.Add(1)
-		}
-		done <- nil
-	}()
-	select {
-	case <-entered:
-	case err := <-done:
-		t.Fatalf("%d Puts returned without a data sync (err %v), want the one that closes the batch to sync", acked.Load(), err)
-	}
-	if n := acked.Load(); n != group-1 {
-		t.Fatalf("%d Puts acknowledged when the data sync began, want GroupCommit-1 = %d", n, group-1)
-	}
-	// The closing Put must still be waiting, not acknowledged behind an
-	// asynchronous sync.
-	time.Sleep(20 * time.Millisecond)
-	if n := acked.Load(); n != group-1 {
-		t.Fatalf("%d Puts acknowledged while the data sync stalls, want %d", n, group-1)
-	}
-	released = true
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if n := acked.Load(); n != group {
-		t.Fatalf("%d Puts acknowledged after the sync, want %d", n, group)
+		}},
+		{"next batch", func(b *Backend, c *backend.Commit, release func()) {
+			for i := uint64(group + 1); i < 2*group; i++ {
+				if err := put(b, i); err != nil {
+					t.Fatal(err)
+				}
+				if b.InFlight() != c {
+					t.Fatalf("Put %d, short of the next batch, changed the commit in flight", i)
+				}
+			}
+			waits("the Put that fills the next batch", func() error { return put(b, 2*group) }, c, release)
+			if next := b.InFlight(); next == nil || next == c {
+				t.Fatal("the next batch's commit is not in flight")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := mustOpen(t, t.TempDir(), Options{GroupCommit: group})
+			defer b.Close()
+			// Take the first epoch's reservation commit now, then empty
+			// the batch.
+			if err := put(b, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			entered, stall := make(chan struct{}, 1), make(chan struct{})
+			real := syncFile
+			syncFile = func(s *durable.Fsync, f *os.File) error {
+				if filepath.Base(f.Name()) == dataName {
+					select {
+					case entered <- struct{}{}:
+					default:
+					}
+					<-stall
+				}
+				return real(s, f)
+			}
+			var once sync.Once
+			release := func() { once.Do(func() { close(stall) }) }
+			defer func() {
+				release()
+				b.Close() // the helper reads syncFile until it settles the last commit
+				syncFile = real
+			}()
+
+			for i := uint64(1); i < group; i++ {
+				if err := put(b, i); err != nil {
+					t.Fatal(err)
+				}
+				if b.InFlight() != nil {
+					t.Fatalf("Put %d of a %d-record batch started a commit", i, group)
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- put(b, group) }()
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the Put that closes the batch started no data sync")
+			}
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the Put that closes the batch waits for its data sync; the commit belongs to the helper")
+			}
+			c := b.InFlight()
+			if c == nil {
+				t.Fatal("no commit in flight after the Put that closed the batch")
+			}
+			tc.then(b, c, release)
+		})
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"syscall"
 )
 
+// hintWriteback reports that the helper sends writeback hints here.
+const hintWriteback = true
+
 // syncFileRangeWrite is SYNC_FILE_RANGE_WRITE: start writeback of the
 // range's dirty pages and return without waiting for it.
 const syncFileRangeWrite = 0x2
@@ -19,21 +22,4 @@ const syncFileRangeWrite = 0x2
 // ignored: the commit's fsync reports any writeback failure.
 var writeback = func(f *os.File) {
 	_ = syscall.SyncFileRange(int(f.Fd()), 0, 0, syncFileRangeWrite)
-}
-
-// startWriteback starts the helper goroutine that turns each kick into
-// a writeback hint on the slot file, off the shard worker. Below
-// GroupCommit 4 a batch has no quarter to kick at, and no helper runs.
-func (b *Backend) startWriteback() {
-	if b.opt.GroupCommit < 4 {
-		return
-	}
-	kick, done, f := make(chan struct{}, 1), make(chan struct{}), b.dataF
-	b.wbKick, b.wbDone = kick, done
-	go func() {
-		defer close(done)
-		for range kick {
-			writeback(f)
-		}
-	}()
 }

@@ -79,13 +79,18 @@ func TestWritebackHintAtQuarterBatches(t *testing.T) {
 }
 
 // TestWritebackNoHint: no hint at GroupCommit 1 (nor 2 or 3, which have
-// no quarter batch), and none for a PutMany that closes its batch.
+// no quarter batch), and none for a PutMany that closes its batch. A
+// kick left unhinted in the channel counts as a hint: the helper may exit
+// before it takes one.
 func TestWritebackNoHint(t *testing.T) {
 	fired := hookWriteback(t)
 	for _, group := range []int{1, 2, 3} {
 		b := mustOpen(t, t.TempDir(), Options{GroupCommit: group})
-		if b.wbKick != nil {
-			t.Errorf("GroupCommit %d runs a writeback helper", group)
+		if b.kick != nil {
+			t.Errorf("GroupCommit %d sends writeback hints", group)
+		}
+		if group == 1 && b.jobs != nil {
+			t.Error("GroupCommit 1 runs a helper; its every commit belongs in its Put")
 		}
 		for i := uint64(1); i <= 40; i++ {
 			put(t, b, i)
@@ -99,6 +104,7 @@ func TestWritebackNoHint(t *testing.T) {
 	}
 
 	b := mustOpen(t, t.TempDir(), Options{GroupCommit: 32})
+	kick := b.kick
 	putMany(t, b, 0, 32)   // closes its batch from empty
 	putMany(t, b, 100, 20) // crosses 8 and 16 held: one hint
 	awaitHint(t, fired, "a PutMany to 20 held records")
@@ -107,66 +113,93 @@ func TestWritebackNoHint(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(fired); n != 0 {
+	if n := len(fired) + len(kick); n != 0 {
 		t.Fatalf("%d hints for PutManys that closed their batch, want none", n)
 	}
 }
 
-// TestWritebackHelperStops: Close and a wedge both wait for a hint in
-// flight, with the slot file still open, then the helper exits.
+// TestWritebackHelperStops: Close and a wedge both wait for the
+// helper's hint or commit in flight, with the slot file still open, then
+// the helper exits; a PutMany that closes its batch hands the helper its
+// commit and no hint.
 func TestWritebackHelperStops(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		stop func(*Backend) error
+		name   string
+		commit bool // the helper is busy with a commit, not a hint
+		stop   func(*Backend) error
 	}{
-		{"close", func(b *Backend) error { return b.Close() }},
-		{"wedge", func(b *Backend) error {
+		{"close", false, func(b *Backend) error { return b.Close() }},
+		{"wedge", false, func(b *Backend) error {
 			if b.Flush() == nil { // its data sync fails and wedges the backend
 				return errors.New("Flush returned nil over a failing data sync")
 			}
 			return nil
 		}},
+		{"commit", true, func(b *Backend) error { return b.Close() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			entered, release, stat := make(chan struct{}, 1), make(chan struct{}), make(chan error, 1)
 			realWB, realSync := writeback, syncFile
-			failSync := false
-			writeback = func(f *os.File) {
+			failSync, hints := false, 0
+			// busy stalls the helper's first hint or commit, then checks
+			// that the slot file is still open under it.
+			busy := func(f *os.File) {
 				entered <- struct{}{}
 				<-release
 				_, err := f.Stat()
 				stat <- err
 			}
+			writeback = func(f *os.File) {
+				if hints++; !tc.commit && hints == 1 {
+					busy(f)
+				}
+			}
+			stallCommit := false
 			syncFile = func(s *durable.Fsync, f *os.File) error {
-				if failSync && filepath.Base(f.Name()) == dataName {
-					return errors.New("injected data sync failure")
+				if filepath.Base(f.Name()) == dataName {
+					if failSync {
+						return errors.New("injected data sync failure")
+					}
+					if stallCommit {
+						stallCommit = false
+						busy(f)
+					}
 				}
 				return realSync(s, f)
 			}
 			defer func() { writeback, syncFile = realWB, realSync }()
 
 			b := mustOpen(t, t.TempDir(), Options{GroupCommit: 32})
-			for i := uint64(1); i <= 8; i++ {
-				put(t, b, i)
+			put(t, b, 1) // takes the first epoch's reservation on the worker
+			if err := b.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.commit {
+				stallCommit = true
+				putMany(t, b, 100, 32) // closes its batch from empty
+			} else {
+				for i := uint64(2); i <= 9; i++ {
+					put(t, b, i)
+				}
 			}
 			select {
 			case <-entered:
 			case <-time.After(5 * time.Second):
-				t.Fatal("no writeback hint after 8 held records")
+				t.Fatal("the helper never started the hint or the commit")
 			}
-			done := b.wbDone
+			done, kick := b.helperDone, b.kick
 			failSync = tc.name == "wedge"
 			stopped := make(chan error, 1)
 			go func() { stopped <- tc.stop(b) }()
 			time.Sleep(20 * time.Millisecond)
 			select {
 			case err := <-stopped:
-				t.Fatalf("%s returned (%v) while a hint was in flight", tc.name, err)
+				t.Fatalf("%s returned (%v) while the helper was busy", tc.name, err)
 			default:
 			}
 			close(release)
 			if err := <-stat; err != nil {
-				t.Fatalf("the hint in flight found the slot file closed: %v", err)
+				t.Fatalf("the helper found the slot file closed: %v", err)
 			}
 			if err := <-stopped; err != nil {
 				t.Fatal(err)
@@ -174,7 +207,10 @@ func TestWritebackHelperStops(t *testing.T) {
 			select {
 			case <-done:
 			default:
-				t.Fatalf("writeback helper still running after %s", tc.name)
+				t.Fatalf("helper still running after %s", tc.name)
+			}
+			if tc.commit && hints+len(kick) != 0 {
+				t.Fatal("a PutMany that closed its batch sent a writeback hint")
 			}
 			if tc.name == "wedge" {
 				if err := b.Close(); err == nil {

@@ -21,7 +21,10 @@
 // worker — a run of consecutive writes as one Backend.WriteMany, so a
 // durable engine frames and commits it as a unit — then the submission's
 // latencies are recorded under one clock read and its completions run. The
-// worker is the only goroutine its shard has (DESIGN.md §9).
+// worker is the only goroutine its shard has (DESIGN.md §9). A backend
+// whose group commit runs off the worker (CommitTracker) reports the
+// commit in flight; the worker holds the completions of the writes that
+// ran meanwhile until it settles, and keeps serving behind them.
 package serve
 
 import (
@@ -30,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"palermo/internal/backend"
 	"palermo/internal/stats"
 )
 
@@ -78,6 +82,16 @@ type Backend interface {
 	Close() error
 }
 
+// CommitTracker is implemented by a Backend whose writes can return while
+// the group commit that makes them durable is still running. New looks
+// the hook up once.
+type CommitTracker interface {
+	// InFlightFunc returns the function that reports the commit in flight
+	// after a write (backend.Committer.InFlight), or nil when no write
+	// ever waits for one.
+	InFlightFunc() func() *backend.Commit
+}
+
 // Config tunes the service. The zero value uses the defaults.
 type Config struct {
 	// QueueDepth bounds the request queue, counted in queued submissions
@@ -114,6 +128,16 @@ type submission struct {
 	done Completion
 	fn   func() // Sync only (reqs is then one opSync request)
 	reqs []request
+}
+
+// heldWrite is one write completion held for a commit: what release needs
+// to record its latency and run it.
+type heldWrite struct {
+	done    Completion
+	i       int // the request's index in its submission
+	err     error
+	t0      time.Time
+	queueUs float64
 }
 
 // request is one operation of a submission. dup and recur are the served
@@ -153,6 +177,13 @@ type worker struct {
 	data [][]byte
 	errs []error
 
+	// inFlight is the backend's CommitTracker hook, nil for a backend that
+	// has none. held are the write completions waiting for the commit
+	// holdFor, in execution order; both are empty while no write waits.
+	inFlight func() *backend.Commit
+	held     []heldWrite
+	holdFor  *backend.Commit
+
 	// statMu guards the histograms and counters below; they are written by
 	// the worker once per completed request and read by MergeStats.
 	statMu sync.Mutex
@@ -176,6 +207,9 @@ func New(b Backend, cfg Config) *Service {
 		lastOp:   make(map[uint64]*request),
 		deadline: cfg.AdmissionDeadline,
 		lat:      newLatHists(),
+	}
+	if ct, ok := b.(CommitTracker); ok {
+		w.inFlight = ct.InFlightFunc()
 	}
 	s := &Service{w: w}
 	s.wg.Add(1)
@@ -295,7 +329,11 @@ func (s *Service) WaitClosed() { s.wg.Wait() }
 func (w *worker) run() {
 	cache := make(map[uint64][]byte)
 	var batch []submission // scratch, reused across served batches
-	for sub := range w.queue {
+	for {
+		sub, ok := w.next()
+		if !ok {
+			break
+		}
 		batch = append(batch[:0], sub)
 	coalesce:
 		for nops := len(sub.reqs); nops < maxBatch; nops += len(sub.reqs) {
@@ -313,7 +351,31 @@ func (w *worker) run() {
 		w.serve(batch, cache)
 		clear(batch) // an idle worker pins no caller's slab
 	}
+	if w.holdFor != nil {
+		w.release()
+	}
 	w.closeErr = w.backend.Close()
+}
+
+// next receives the next submission. While write completions are held it
+// releases them as soon as their commit settles, ahead of any submission.
+func (w *worker) next() (submission, bool) {
+	for w.holdFor != nil {
+		select {
+		case <-w.holdFor.Done():
+			w.release()
+			continue
+		default:
+		}
+		select {
+		case <-w.holdFor.Done():
+			w.release()
+		case sub, ok := <-w.queue:
+			return sub, ok
+		}
+	}
+	sub, ok := <-w.queue
+	return sub, ok
 }
 
 // serve executes one coalesced batch in arrival order. cache maps block id
@@ -375,9 +437,11 @@ func (w *worker) mark(batch []submission) {
 // whole slab, then its completions run: a caller that has seen its
 // completion also finds the op in MergeStats, a write is completed only
 // after the backend accepted it, and submissions coalesced behind this one
-// are not waited for.
+// are not waited for. A submission whose writes ran while the backend had
+// a commit in flight hands them to hold instead.
 func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64][]byte) {
 	hits := 0
+	wrote := false
 	for i := 0; i < len(sub.reqs); i++ {
 		r := &sub.reqs[i]
 		if r.op == OpWrite {
@@ -387,6 +451,7 @@ func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64]
 			}
 			w.writeRun(sub.reqs[i:end], cache)
 			i = end - 1
+			wrote = true
 			continue
 		}
 		if r.dup {
@@ -403,6 +468,16 @@ func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64]
 	}
 	us := float64(time.Since(sub.t0)) / float64(time.Microsecond)
 	queueUs := float64(tExec.Sub(sub.t0)) / float64(time.Microsecond)
+	if wrote && w.inFlight != nil {
+		c := w.inFlight()
+		if w.holdFor != nil && w.holdFor != c {
+			w.release() // the backend moves past a commit only once it has settled
+		}
+		if c != nil {
+			w.hold(sub, c, hits, us, queueUs)
+			return
+		}
+	}
 	w.statMu.Lock()
 	w.dedup += uint64(hits)
 	for i := range sub.reqs {
@@ -412,6 +487,52 @@ func (w *worker) serveInline(sub *submission, tExec time.Time, cache map[uint64]
 	for i := range sub.reqs {
 		sub.done(i, sub.reqs[i].data, sub.reqs[i].err)
 	}
+}
+
+// hold completes a submission whose writes ran while the commit c was in
+// flight: its reads at once, while its writes join the held list behind
+// c. Each held write is recorded and completed by release, so the hold
+// counts in its WriteLat and ExecLat: the caller waited for it.
+func (w *worker) hold(sub *submission, c *backend.Commit, hits int, us, queueUs float64) {
+	w.statMu.Lock()
+	w.dedup += uint64(hits)
+	for i := range sub.reqs {
+		if sub.reqs[i].op != OpWrite {
+			w.observe(sub.reqs[i].op, us, queueUs)
+		}
+	}
+	w.statMu.Unlock()
+	for i := range sub.reqs {
+		r := &sub.reqs[i]
+		if r.op == OpWrite {
+			w.held = append(w.held, heldWrite{done: sub.done, i: i, err: r.err, t0: sub.t0, queueUs: queueUs})
+			continue
+		}
+		sub.done(i, r.data, r.err)
+	}
+	w.holdFor = c
+}
+
+// release waits for the commit the held writes wait on, records their
+// latencies under one clock read, and runs their completions in execution
+// order, each with its own error or else the commit's.
+func (w *worker) release() {
+	cerr := w.holdFor.Err()
+	now := time.Now()
+	w.statMu.Lock()
+	for _, h := range w.held {
+		w.observe(OpWrite, float64(now.Sub(h.t0))/float64(time.Microsecond), h.queueUs)
+	}
+	w.statMu.Unlock()
+	for _, h := range w.held {
+		err := h.err
+		if err == nil {
+			err = cerr
+		}
+		h.done(h.i, nil, err)
+	}
+	clear(w.held) // an idle worker pins no caller's completion
+	w.held, w.holdFor = w.held[:0], nil
 }
 
 // writeRun executes a run of consecutive writes of one submission — as one

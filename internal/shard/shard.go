@@ -468,6 +468,18 @@ func (s *Shard) Read(local uint64) ([]byte, error) {
 	return s.sealer.Open(s.Global(local), sb.Epoch, sb.Ct)
 }
 
+// InFlightFunc returns the backend's report of its group commit in flight
+// (backend.Committer.InFlight), or nil when the backend makes none (the
+// memory and WAL engines): there a write may be acknowledged as soon as it
+// returns. A caller that acknowledges writes holds each one that ran while
+// a commit was reported until that commit settles (serve.CommitTracker).
+func (s *Shard) InFlightFunc() func() *backend.Commit {
+	if c, ok := s.be.(backend.Committer); ok {
+		return c.InFlight
+	}
+	return nil
+}
+
 // Global returns the public id of a shard-local block.
 func (s *Shard) Global(local uint64) uint64 {
 	return local*uint64(s.stride) + uint64(s.index)

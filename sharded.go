@@ -74,9 +74,11 @@ type ShardedStoreConfig struct {
 	// each shard's un-fsynced tail, counted in batches of up to
 	// GroupCommit − 1 records plus the write vector that filled the batch
 	// (WriteBatch reaches a shard's log in vectors of up to 128 records,
-	// each appended and committed as a unit). The blockfile engine fsyncs
-	// each batch before it acknowledges the write that filled it: one
-	// batch. The WAL engine fsyncs on a committer goroutine and lets three
+	// each appended and committed as a unit). The blockfile engine commits
+	// each batch on a helper goroutine while the shard keeps serving, and
+	// acknowledges the write that filled it, and every write after it,
+	// only once that commit settles: one batch. Reads do not wait for it.
+	// The WAL engine fsyncs on a committer goroutine and lets three
 	// batches of acknowledged writes pile up behind a slow fsync before
 	// writers wait — up to 3 × GroupCommit − 1 single-block writes (95 at
 	// the default), more when vectors close the batches

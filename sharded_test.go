@@ -182,9 +182,9 @@ func TestShardedStoreDefaults(t *testing.T) {
 
 // TestDefaultExecutorPerEngine pins the one executor: on every engine a
 // store runs one goroutine per shard, its worker, plus the engine's own
-// helper — the WAL's fsync committer, blockfile's slot-file writeback
-// helper (Linux only) — and the deprecated Shard.EnablePipeline changes
-// neither that count nor a served byte or an exposed leaf.
+// helper — the WAL's fsync committer, blockfile's commit and writeback
+// helper (on every platform) — and the deprecated Shard.EnablePipeline
+// changes neither that count nor a served byte or an exposed leaf.
 func TestDefaultExecutorPerEngine(t *testing.T) {
 	const shards = 3
 	// Goroutines of earlier tests may still be exiting; wait them out so the
@@ -202,17 +202,13 @@ func TestDefaultExecutorPerEngine(t *testing.T) {
 		return n
 	}
 	ops := recordNetOps(1<<10, 120)
-	blockfilePerShard := 2 // the worker and the writeback helper
-	if runtime.GOOS != "linux" || runtime.GOARCH == "arm" {
-		blockfilePerShard = 1 // no sync_file_range, no helper
-	}
 	for _, tc := range []struct {
 		engine   string
 		perShard int // goroutines per shard
 	}{
 		{BackendMemory, 1},
 		{BackendWAL, 2},
-		{BackendBlockfile, blockfilePerShard},
+		{BackendBlockfile, 2},
 	} {
 		run := func(enable bool) (payloads [][]byte, traces []LeafTrace) {
 			t.Helper()
