@@ -469,11 +469,13 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 	return nil
 }
 
-// appendRecord frames one metadata record and holds it for the commit.
+// appendRecord frames one metadata record and holds it for the commit. It
+// frames in place, in the spare capacity of the held records, so a write
+// allocates nothing once the buffer has reached a batch's size (a local
+// array would escape through the CRC call).
 func (b *Backend) appendRecord(local, epoch uint64) {
-	var rec [recSize]byte
-	durable.Frame(rec[:], local, epoch, nil)
-	b.recs = append(b.recs, rec[:]...)
+	b.recs = append(b.recs, make([]byte, recSize)...)
+	durable.Frame(b.recs[len(b.recs)-recSize:], local, epoch, nil)
 }
 
 // kickWriteback wakes the helper for a writeback hint when the open

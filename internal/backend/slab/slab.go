@@ -36,7 +36,7 @@ type chunk [chunkLen]slot
 // Slab stores sealed blocks by shard-local id. Like the backends built on
 // it, it is confined to one goroutine.
 type Slab struct {
-	index  paged.Table // id -> slot number + 1
+	index  paged.Table[uint32] // id -> slot number + 1
 	chunks []*chunk
 	n      uint32 // slots handed out
 	limit  uint64 // ids are in [0, limit); beyond paged.DirectKeys the index is a map
@@ -52,7 +52,7 @@ func New(capacity uint64) *Slab {
 	if capacity == 0 {
 		capacity = paged.DirectKeys
 	}
-	return &Slab{index: paged.New(capacity), limit: capacity}
+	return &Slab{index: paged.New[uint32](capacity), limit: capacity}
 }
 
 func (s *Slab) at(ref uint32) *slot {

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"runtime"
 	"testing"
 
 	"palermo/internal/rng"
@@ -97,6 +98,37 @@ func TestRingAccessAllocs(t *testing.T) {
 		t.Errorf("paper (address-mode) access allocates %.0f times per access, ceiling 48", paperAllocs)
 	}
 	t.Logf("allocations per access: serving %.0f, paper %.0f", servingAllocs, paperAllocs)
+}
+
+// servingHeapPerBlock is TestServingHeapPerBlock's ceiling: the measured
+// 30.2 bytes plus a margin. It measured 43.1 while buckets and stash
+// entries stored each block's value beside its id and the stash indexed
+// every block id.
+const servingHeapPerBlock = 32
+
+// TestServingHeapPerBlock pins the serving engine's trusted metadata at
+// DESIGN §10's geometry: the live heap of a 2^15-line PalermoRingConfig
+// engine with CountTraffic, filled and then given 200 k mixed accesses,
+// per block. Position map, values, bucket ids, buckets and stash are all
+// in it, so a wider stored entry or an index over the whole id space shows
+// here.
+func TestServingHeapPerBlock(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := servingRing(t)
+	r := rng.New(11)
+	for i := 0; i < 200_000; i++ {
+		e.Access(r.Uint64n(1<<15), i%2 == 0, uint64(i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	perBlock := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 15)
+	if perBlock > servingHeapPerBlock {
+		t.Errorf("serving engine live heap is %.1f B per block, ceiling %d", perBlock, servingHeapPerBlock)
+	}
+	t.Logf("serving engine live heap: %.1f B per block", perBlock)
 }
 
 // paperPath is the simulator's PathORAM engine: DefaultPathConfig over the

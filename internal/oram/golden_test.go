@@ -166,8 +166,8 @@ func binDigest(e *Ring) string {
 	for _, sp := range e.spaces {
 		buf = binary.LittleEndian.AppendUint64(buf, sp.Accesses)
 		buf = binary.LittleEndian.AppendUint64(buf, sp.Evictor.State())
-		buf = sp.Stash.AppendState(buf)
-		buf = sp.Store.AppendState(buf)
+		buf = sp.Stash.AppendState(buf, sp)
+		buf = sp.Store.AppendState(buf, sp)
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])

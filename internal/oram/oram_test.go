@@ -143,13 +143,13 @@ func TestPathReadYourWrites(t *testing.T) {
 func checkInvariant(t *testing.T, spaces []*Space, leafOf func(l int, id uint64) uint64) {
 	t.Helper()
 	for l, sp := range spaces {
-		sp.Store.ForEachBlock(func(node uint64, be otree.BlockEntry) {
-			leaf := leafOf(l, uint64(be.ID))
+		sp.Store.ForEachBlock(func(node uint64, id otree.BlockID) {
+			leaf := leafOf(l, uint64(id))
 			if !sp.Geo.OnPath(leaf, node) {
-				t.Fatalf("level %d block %d at node %d not on path of leaf %d", l, be.ID, node, leaf)
+				t.Fatalf("level %d block %d at node %d not on path of leaf %d", l, id, node, leaf)
 			}
-			if sp.Stash.Contains(be.ID) {
-				t.Fatalf("level %d block %d in both tree and stash", l, be.ID)
+			if sp.Stash.Contains(id) {
+				t.Fatalf("level %d block %d in both tree and stash", l, id)
 			}
 		})
 	}
@@ -518,8 +518,8 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt: remove the block from whichever bucket holds it.
 	found := false
-	e.Space(0).Store.ForEachBlock(func(node uint64, be otree.BlockEntry) {
-		if be.ID == 42 {
+	e.Space(0).Store.ForEachBlock(func(node uint64, id otree.BlockID) {
+		if id == 42 {
 			found = true
 		}
 	})
@@ -531,8 +531,7 @@ func TestInvariantCheckerDetectsCorruption(t *testing.T) {
 	removed := false
 	for lv, n := range path {
 		if b := e.Space(0).Store.Bucket(n); b.Contains(42) {
-			entry, _, ok := e.Space(0).Store.ReadSlot(b, lv, 42)
-			if ok && entry.ID == 42 {
+			if _, ok := e.Space(0).Store.ReadSlot(b, lv, 42); ok {
 				removed = true // block consumed without entering the stash
 			}
 			break

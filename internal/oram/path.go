@@ -209,7 +209,7 @@ func (e *Path) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 	sp.reserve(rp, perLevel, 0)
 	pull := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
-		sp.stashPulled(sp.Store.ResetPull(n))
+		sp.stashPulled(sp.Store.ResetPull(n)...)
 		sp.emitBucketRead(rp, lvl, n, sp.Geo.Levels[lvl].Z)
 	}
 	for _, n := range path {

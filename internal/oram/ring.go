@@ -187,12 +187,12 @@ func (e *Ring) accessLevelLeaf(la *LevelAccess, l int, want otree.BlockID, leaf 
 		sp.reserve(rp, sp.Geo.SlotLines, 0)
 	}
 	for lv, b := range buckets {
-		entry, slot, ok := sp.Store.ReadSlot(b, lv, want)
+		slot, ok := sp.Store.ReadSlot(b, lv, want)
 		if !sp.CountOnly {
 			sp.emitSlotRead(rp, lv, path[lv], slot)
 		}
 		if ok {
-			sp.Stash.Put(stashEntry(entry, sp.leafOf(entry.ID)))
+			sp.stashPulled(want)
 		}
 	}
 	var got uint64

@@ -39,11 +39,7 @@ type Space struct {
 	// bucket.
 	pathBuf   []uint64
 	bucketBuf []*otree.Bucket
-	pushBuf   []otree.BlockEntry
-}
-
-func stashEntry(e otree.BlockEntry, leaf uint64) stash.Entry {
-	return stash.Entry{ID: e.ID, Leaf: leaf, Val: e.Val}
+	pushBuf   []otree.BlockID
 }
 
 // HardwareStashTags is the Table III per-level stash budget.
@@ -52,7 +48,7 @@ const HardwareStashTags = 256
 // NewSpace builds hierarchy level `level` over the given geometry; pm holds
 // the level's leaf assignments.
 func NewSpace(level int, g otree.Geometry, treeTopBytes uint64, r *rng.Rand, pm *posmap.Hierarchy) *Space {
-	st := stash.New(pm.Blocks(level))
+	st := stash.New()
 	st.SetCapacity(HardwareStashTags)
 	return &Space{
 		Level:   level,
@@ -68,11 +64,19 @@ func NewSpace(level int, g otree.Geometry, treeTopBytes uint64, r *rng.Rand, pm 
 // leafOf returns the current mapped leaf of a block of this level.
 func (sp *Space) leafOf(id otree.BlockID) uint64 { return sp.pm.Leaf(sp.Level, uint64(id)) }
 
-// stashPulled moves the blocks a ResetPull returned into the stash under
-// their current leaves.
-func (sp *Space) stashPulled(blocks []otree.BlockEntry) {
-	for _, e := range blocks {
-		sp.Stash.Put(stashEntry(e, sp.leafOf(e.ID)))
+// Val implements otree.Values: the value of a block of this level, kept by
+// the position map beside the block's leaf wherever the block rests (tree
+// or stash), so moving a block moves only its id.
+func (sp *Space) Val(id otree.BlockID) uint64 { return sp.pm.Val(sp.Level, uint64(id)) }
+
+// SetVal implements otree.Values.
+func (sp *Space) SetVal(id otree.BlockID, val uint64) { sp.pm.SetVal(sp.Level, uint64(id), val) }
+
+// stashPulled moves the blocks whose ids a ResetPull or ReadSlot took out
+// of the tree into the stash under their current leaves.
+func (sp *Space) stashPulled(ids ...otree.BlockID) {
+	for _, id := range ids {
+		sp.Stash.Put(stash.Entry{ID: id, Leaf: sp.leafOf(id)})
 	}
 }
 
@@ -80,20 +84,27 @@ func (sp *Space) stashPulled(blocks []otree.BlockEntry) {
 // in it: block want (installed on first touch) takes its current leaf and,
 // on a write, val. It returns the block's value before the access.
 func (sp *Space) serve(want otree.BlockID, storeWrite bool, val uint64) uint64 {
-	se, _ := sp.Stash.Get(want)
-	got := se.Val
-	se.ID, se.Leaf = want, sp.leafOf(want)
-	if storeWrite {
-		se.Val = val
+	var got uint64
+	stashed := sp.Stash.Contains(want)
+	if stashed {
+		got = sp.Val(want)
 	}
-	sp.Stash.Put(se)
+	switch {
+	case storeWrite:
+		sp.SetVal(want, val)
+	case !stashed:
+		// Neither its path nor the stash held the block: it has no value
+		// (its first touch), whatever the table says.
+		sp.SetVal(want, 0)
+	}
+	sp.Stash.Put(stash.Entry{ID: want, Leaf: sp.leafOf(want)})
 	return got
 }
 
 // pushInto moves up to z eligible stash blocks into node (the push half of
 // a reset), reusing the space's buffer.
 func (sp *Space) pushInto(node uint64, z int) {
-	sp.pushBuf = sp.Stash.EvictIntoNode(sp.Geo, node, z, sp.pushBuf)
+	sp.pushBuf = sp.Stash.EvictIntoNode(&sp.Geo, node, z, sp.pushBuf)
 	sp.Store.WriteBucket(node, sp.pushBuf)
 }
 
@@ -220,7 +231,7 @@ func (sp *Space) emitMetaWrite(ph *Phase, lvl int, node uint64) {
 func (sp *Space) resetNode(ph *Phase, lvl int, node uint64) {
 	spec := sp.Geo.Levels[lvl]
 
-	sp.stashPulled(sp.Store.ResetPull(node))
+	sp.stashPulled(sp.Store.ResetPull(node)...)
 	sp.pushInto(node, spec.Z)
 
 	// Pull traffic is padded to Z slots for obliviousness; push traffic
@@ -240,7 +251,7 @@ func (sp *Space) evictPath(ph *Phase) uint64 {
 	sp.reserve(ph, spec.Z*lines, spec.Slots()*lines+1)
 	for l := 0; l <= sp.Geo.Depth; l++ {
 		node := sp.Geo.NodeAt(g, l)
-		sp.stashPulled(sp.Store.ResetPull(node))
+		sp.stashPulled(sp.Store.ResetPull(node)...)
 		sp.emitBucketRead(ph, l, node, sp.Geo.Levels[l].Z)
 	}
 	for l := sp.Geo.Depth; l >= 0; l-- {

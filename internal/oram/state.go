@@ -45,8 +45,8 @@ func (e *Ring) AppendState(dst []byte) []byte {
 	for _, sp := range e.spaces {
 		dst = binary.LittleEndian.AppendUint64(dst, sp.Accesses)
 		dst = binary.LittleEndian.AppendUint64(dst, sp.Evictor.State())
-		dst = sp.Stash.AppendState(dst)
-		dst = sp.Store.AppendState(dst)
+		dst = sp.Stash.AppendState(dst, sp)
+		dst = sp.Store.AppendState(dst, sp)
 	}
 	return dst
 }
@@ -85,10 +85,10 @@ func (e *Ring) LoadState(r *codec.Reader) error {
 		if evictor >= sp.Geo.NumLeaves() {
 			return r.Failf("level %d eviction counter %d of %d", l, evictor, sp.Geo.NumLeaves())
 		}
-		if err := sp.Stash.LoadState(r, e.pm.Blocks(l), sp.Geo.NumLeaves()); err != nil {
+		if err := sp.Stash.LoadState(r, e.pm.Blocks(l), sp.Geo.NumLeaves(), sp); err != nil {
 			return err
 		}
-		if err := sp.Store.LoadState(r, e.pm.Blocks(l)); err != nil {
+		if err := sp.Store.LoadState(r, e.pm.Blocks(l), sp); err != nil {
 			return err
 		}
 		sp.Accesses = accesses

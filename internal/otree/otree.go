@@ -136,25 +136,25 @@ func (g Geometry) WithBases(base, metaBase uint64) Geometry {
 }
 
 // NumLeaves returns the leaf count (2^Depth).
-func (g Geometry) NumLeaves() uint64 { return 1 << g.Depth }
+func (g *Geometry) NumLeaves() uint64 { return 1 << g.Depth }
 
 // NumNodes returns the total node count (2^(Depth+1) - 1).
-func (g Geometry) NumNodes() uint64 { return (1 << (g.Depth + 1)) - 1 }
+func (g *Geometry) NumNodes() uint64 { return (1 << (g.Depth + 1)) - 1 }
 
 // Footprint returns the byte size of bucket storage.
-func (g Geometry) Footprint() uint64 { return g.levelByteBase[g.Depth+1] }
+func (g *Geometry) Footprint() uint64 { return g.levelByteBase[g.Depth+1] }
 
 // NodeLevel returns the tree level of a node in heap numbering:
 // floor(log2(node+1)).
-func (g Geometry) NodeLevel(node uint64) int { return bits.Len64(node+1) - 1 }
+func (g *Geometry) NodeLevel(node uint64) int { return bits.Len64(node+1) - 1 }
 
 // NodeAt returns the node index at the given level along the path to leaf.
-func (g Geometry) NodeAt(leaf uint64, level int) uint64 {
+func (g *Geometry) NodeAt(leaf uint64, level int) uint64 {
 	return (uint64(1) << level) - 1 + (leaf >> (g.Depth - level))
 }
 
 // PathNodes appends the nodes on the root→leaf path to dst and returns it.
-func (g Geometry) PathNodes(dst []uint64, leaf uint64) []uint64 {
+func (g *Geometry) PathNodes(dst []uint64, leaf uint64) []uint64 {
 	for l := 0; l <= g.Depth; l++ {
 		dst = append(dst, g.NodeAt(leaf, l))
 	}
@@ -162,7 +162,7 @@ func (g Geometry) PathNodes(dst []uint64, leaf uint64) []uint64 {
 }
 
 // Sibling returns the sibling of node (root is its own sibling).
-func (g Geometry) Sibling(node uint64) uint64 {
+func (g *Geometry) Sibling(node uint64) uint64 {
 	if node == 0 {
 		return 0
 	}
@@ -173,14 +173,14 @@ func (g Geometry) Sibling(node uint64) uint64 {
 }
 
 // OnPath reports whether node lies on the path from leaf to the root.
-func (g Geometry) OnPath(leaf uint64, node uint64) bool {
+func (g *Geometry) OnPath(leaf uint64, node uint64) bool {
 	l := g.NodeLevel(node)
 	return g.NodeAt(leaf, l) == node
 }
 
 // SlotAddr returns the physical DRAM address of the first cache line of
 // slot i of node; a wide slot occupies SlotLines consecutive lines from it.
-func (g Geometry) SlotAddr(node uint64, slot int) uint64 {
+func (g *Geometry) SlotAddr(node uint64, slot int) uint64 {
 	l := g.NodeLevel(node)
 	idxInLevel := node - ((uint64(1) << l) - 1)
 	if g.PackDepth > 0 {
@@ -197,7 +197,7 @@ func (g Geometry) SlotAddr(node uint64, slot int) uint64 {
 // layout: levels are partitioned into bands of PackDepth levels; within a
 // band, each aligned subtree's buckets are contiguous, so one path's
 // traversal of the band touches one contiguous region (DRAM row locality).
-func (g Geometry) packedBucketIndex(level int, idxInLevel uint64) uint64 {
+func (g *Geometry) packedBucketIndex(level int, idxInLevel uint64) uint64 {
 	k := g.PackDepth
 	band := level / k
 	bandLo := band * k
@@ -216,7 +216,7 @@ func (g Geometry) packedBucketIndex(level int, idxInLevel uint64) uint64 {
 }
 
 // MetaAddr returns the physical DRAM address of node's metadata line.
-func (g Geometry) MetaAddr(node uint64) uint64 {
+func (g *Geometry) MetaAddr(node uint64) uint64 {
 	return g.MetaBase + node*BlockBytes
 }
 

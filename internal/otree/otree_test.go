@@ -139,17 +139,17 @@ func TestBitRevCounterCoversAllLeaves(t *testing.T) {
 }
 
 // readSlot is ReadSlot on node's bucket at node's level.
-func readSlot(st *Store, node uint64, want BlockID) (BlockEntry, int, bool) {
+func readSlot(st *Store, node uint64, want BlockID) (int, bool) {
 	return st.ReadSlot(st.Bucket(node), st.g.NodeLevel(node), want)
 }
 
 func TestStoreReadSlotRealAndDummy(t *testing.T) {
 	g := Uniform(64, 4, 5, 0, 1<<40)
 	st := NewStore(g, rng.New(1))
-	st.WriteBucket(3, []BlockEntry{{ID: 42, Val: 99}})
-	e, slot, ok := readSlot(st, 3, 42)
-	if !ok || e.ID != 42 || e.Val != 99 {
-		t.Fatalf("real read failed: %+v ok=%v", e, ok)
+	st.WriteBucket(3, []BlockID{42})
+	slot, ok := readSlot(st, 3, 42)
+	if !ok {
+		t.Fatalf("real read of block 42 missed it")
 	}
 	if slot < 0 || slot >= 9 {
 		t.Fatalf("slot %d out of range", slot)
@@ -158,8 +158,8 @@ func TestStoreReadSlotRealAndDummy(t *testing.T) {
 		t.Fatal("block must be removed after real read")
 	}
 	// Same block again: dummy.
-	e, _, ok = readSlot(st, 3, 42)
-	if ok || e.ID != Dummy {
+	_, ok = readSlot(st, 3, 42)
+	if ok {
 		t.Fatal("second read must be a dummy")
 	}
 	if st.Bucket(3).accessed != 2 {
@@ -172,7 +172,7 @@ func TestStoreSlotsNeverRepeatBeforeReset(t *testing.T) {
 	st := NewStore(g, rng.New(7))
 	seen := make(map[int]bool)
 	for i := 0; i < 9; i++ { // Z+S = 9 slots
-		_, slot, _ := readSlot(st, 5, Dummy-1)
+		slot, _ := readSlot(st, 5, Dummy-1)
 		if seen[slot] {
 			t.Fatalf("slot %d consumed twice before reset", slot)
 		}
@@ -204,10 +204,10 @@ func TestStoreResetRestoresSlots(t *testing.T) {
 func TestStoreResetPullReturnsBlocks(t *testing.T) {
 	g := Uniform(64, 4, 5, 0, 1<<40)
 	st := NewStore(g, rng.New(7))
-	st.WriteBucket(4, []BlockEntry{{ID: 1, Val: 10}, {ID: 2, Val: 20}})
+	st.WriteBucket(4, []BlockID{1, 2})
 	pulled := st.ResetPull(4)
-	if len(pulled) != 2 {
-		t.Fatalf("pulled %d blocks, want 2", len(pulled))
+	if len(pulled) != 2 || pulled[0] != 1 || pulled[1] != 2 {
+		t.Fatalf("pulled %v, want [1 2]", pulled)
 	}
 	if st.Occupancy(4) != 0 {
 		t.Fatal("bucket must be empty after pull")
@@ -222,7 +222,7 @@ func TestWriteBucketOverflowPanics(t *testing.T) {
 			t.Fatal("expected panic on Z overflow")
 		}
 	}()
-	st.WriteBucket(0, []BlockEntry{{ID: 1}, {ID: 2}, {ID: 3}})
+	st.WriteBucket(0, []BlockID{1, 2, 3})
 }
 
 func TestTreeTopSizing(t *testing.T) {
@@ -295,9 +295,9 @@ func TestReadSlotPresenceProperty(t *testing.T) {
 		st := NewStore(g, rng.New(seed))
 		id := BlockID(7)
 		if present {
-			st.WriteBucket(node, []BlockEntry{{ID: id, Val: 1}})
+			st.WriteBucket(node, []BlockID{id})
 		}
-		_, _, ok := readSlot(st, node, id)
+		_, ok := readSlot(st, node, id)
 		return ok == present
 	}
 	if err := quick.Check(f, nil); err != nil {

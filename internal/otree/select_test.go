@@ -92,15 +92,17 @@ func FuzzSelectFree(f *testing.F) {
 }
 
 // TestBucketSize: a bucket with its inline bitset is no larger than the
-// three-slice bucket it replaced (56 bytes), and a block it stores takes 12
-// bytes, not a BlockEntry's 16; every materialized node costs one bucket
-// and every stored block one entry, so growth shows in the serving heap.
+// three-slice bucket it replaced (56 bytes), and a block it stores takes 4
+// bytes, its id (the value lives by id outside the tree: Values); every
+// materialized node costs one bucket and every stored block one id, so
+// growth shows in the serving heap.
 func TestBucketSize(t *testing.T) {
 	if n := unsafe.Sizeof(Bucket{}); n > 56 {
 		t.Fatalf("Bucket is %d bytes, want at most 56", n)
 	}
-	if n := unsafe.Sizeof(entry{}); n != 12 {
-		t.Fatalf("a bucket entry is %d bytes, want 12", n)
+	var b Bucket
+	if n := unsafe.Sizeof(b.ids[0]); n != 4 {
+		t.Fatalf("a stored block is %d bytes, want 4", n)
 	}
 }
 
@@ -109,11 +111,11 @@ func TestBucketSize(t *testing.T) {
 func TestBucketCapacityAtMostZ(t *testing.T) {
 	for _, g := range []Geometry{UniformWide(1<<10, 4, 5, 1, 0, 0), UniformWide(1<<10, 16, 27, 1, 0, 0)} {
 		s := NewStore(g, rng.New(7))
-		driveStore(s)
+		driveStore(s, testVals{})
 		s.index.Range(func(node uint64, ref uint32) {
 			b := s.at(ref)
-			if z := g.Levels[g.NodeLevel(node)].Z; cap(b.blocks) > z {
-				t.Fatalf("Z=%d: bucket %d has room for %d blocks", z, node, cap(b.blocks))
+			if z := g.Levels[g.NodeLevel(node)].Z; cap(b.ids) > z {
+				t.Fatalf("Z=%d: bucket %d has room for %d blocks", z, node, cap(b.ids))
 			}
 		})
 	}
@@ -135,11 +137,12 @@ func TestBucketFilterTracksBlocks(t *testing.T) {
 			}
 		})
 	}
-	st := driveStore(s)
+	vals := testVals{}
+	st := driveStore(s, vals)
 	check("driven")
-	loadStore(t, s, st)
+	loadStore(t, s, st, testVals{})
 	check("restored")
-	s.WriteBucket(3, []BlockEntry{{ID: 5}, {ID: 5 + 64}, {ID: 6}})
+	s.WriteBucket(3, []BlockID{5, 5 + 64, 6})
 	readSlot(s, 3, 5)
 	if !s.Bucket(3).Contains(5+64) || s.Bucket(3).Contains(5) {
 		t.Fatal("removing block 5 lost block 69, which shares its filter bit")
@@ -147,13 +150,20 @@ func TestBucketFilterTracksBlocks(t *testing.T) {
 	check("after a colliding removal")
 }
 
+// testVals is a map's Values.
+type testVals map[BlockID]uint64
+
+func (v testVals) Val(id BlockID) uint64         { return v[id] }
+func (v testVals) SetVal(id BlockID, val uint64) { v[id] = val }
+
 // driveStore runs a fixed operation sequence touching every kind of store
-// mutation and returns the store's checkpoint encoding. The resets write
-// back between one and Z blocks, in a count that cycles, so buckets both
-// grow and shrink; the block ids stay below the node count.
-func driveStore(s *Store) []byte {
+// mutation, keeping the written blocks' values in vals, and returns the
+// store's checkpoint encoding. The resets write back between one and Z
+// blocks, in a count that cycles, so buckets both grow and shrink; the
+// block ids stay below the node count.
+func driveStore(s *Store, vals testVals) []byte {
 	g := s.Geometry()
-	var blocks []BlockEntry
+	var blocks []BlockID
 	resets := 0
 	for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
 		for l := 0; l <= g.Depth; l++ {
@@ -165,22 +175,23 @@ func driveStore(s *Store) []byte {
 				blocks = blocks[:0]
 				for k := range 1 + resets%g.Levels[l].Z {
 					id := (node + uint64(k)*(g.NumNodes()/uint64(g.Levels[l].Z))) % g.NumNodes()
-					blocks = append(blocks, BlockEntry{ID: BlockID(id), Val: leaf<<40 | uint64(k)})
+					blocks = append(blocks, BlockID(id))
+					vals.SetVal(BlockID(id), leaf<<40|uint64(k))
 				}
 				s.WriteBucket(node, blocks)
 			}
 			s.ReadSlot(b, l, BlockID(node))
 		}
 	}
-	return s.AppendState(nil)
+	return s.AppendState(nil, vals)
 }
 
 // loadStore restores s from a driveStore encoding, whose block ids are node
-// numbers, and requires LoadState to consume all of it.
-func loadStore(t *testing.T, s *Store, st []byte) {
+// numbers, into vals, and requires LoadState to consume all of it.
+func loadStore(t *testing.T, s *Store, st []byte, vals testVals) {
 	t.Helper()
 	r := codec.NewReader(st)
-	if err := s.LoadState(r, s.Geometry().NumNodes()); err != nil {
+	if err := s.LoadState(r, s.g.NumNodes(), vals); err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 0 {
@@ -196,9 +207,9 @@ func TestStoreRepresentationParity(t *testing.T) {
 	g := UniformWide(1<<10, 4, 5, 1, 0, 0)
 	direct := NewStore(g, rng.New(7))
 	sparse := NewStore(g, rng.New(7))
-	sparse.index = paged.New(paged.DirectKeys + 1)
+	sparse.index = paged.New[uint32](paged.DirectKeys + 1)
 
-	sd, ss := driveStore(direct), driveStore(sparse)
+	sd, ss := driveStore(direct, testVals{}), driveStore(sparse, testVals{})
 	if !bytes.Equal(sd, ss) {
 		t.Fatalf("checkpoint encoding diverged between direct and sparse bucket tables: %d vs %d bytes", len(sd), len(ss))
 	}
@@ -206,8 +217,9 @@ func TestStoreRepresentationParity(t *testing.T) {
 		t.Fatalf("Materialized = %d / %d, the encoding has %d buckets", direct.Materialized(), sparse.Materialized(), n)
 	}
 	for _, s := range []*Store{NewStore(g, rng.New(7)), sparse} {
-		loadStore(t, s, sd)
-		if got := s.AppendState(nil); !bytes.Equal(got, sd) {
+		vals := testVals{}
+		loadStore(t, s, sd, vals)
+		if got := s.AppendState(nil, vals); !bytes.Equal(got, sd) {
 			t.Fatalf("AppendState/LoadState round trip diverged")
 		}
 	}
@@ -219,7 +231,7 @@ func TestBucketPointerStable(t *testing.T) {
 	g := UniformWide(1<<12, 4, 5, 1, 0, 0)
 	s := NewStore(g, rng.New(1))
 	first := s.Bucket(0)
-	s.WriteBucket(0, []BlockEntry{{ID: 9, Val: 9}})
+	s.WriteBucket(0, []BlockID{9})
 	for n := uint64(1); n < g.NumNodes(); n++ {
 		s.Bucket(n)
 	}

@@ -10,28 +10,16 @@ import (
 	"palermo/internal/rng"
 )
 
-// BlockEntry is a real block resident in a bucket: the form WriteBucket,
-// ResetPull and ReadSlot exchange with the protocols.
-type BlockEntry struct {
-	ID  BlockID
-	Val uint64 // payload carried through the simulator for correctness checks
-}
-
-// entry is a BlockEntry as a bucket stores it: the id in 32 bits (a tree
-// holds fewer than 2^32-1 blocks, so no stored id is Dummy's low half;
-// oram.MaxLevelBlocks) and the value in two 32-bit halves, so an entry is
-// 12 bytes where a BlockEntry is 16. Bucket entries are most of the
-// trusted RAM a serving shard spends per block.
-type entry struct {
-	id, lo, hi uint32
-}
-
-func pack(e BlockEntry) entry {
-	return entry{id: uint32(e.ID), lo: uint32(e.Val), hi: uint32(e.Val >> 32)}
-}
-
-func (e entry) unpack() BlockEntry {
-	return BlockEntry{ID: BlockID(e.id), Val: uint64(e.hi)<<32 | uint64(e.lo)}
+// Values keeps the value of every block, by block id. A bucket stores only
+// ids, 4 bytes each: Ring ORAM's buckets are about half empty by design, so
+// a value in every bucket entry would pay for the empty half too. The
+// engine keeps each value beside the block's leaf in the position map
+// (oram.Space), wherever the block rests, so moving a block between bucket
+// and stash moves no value; the Store reads and writes values only to
+// encode and restore its buckets.
+type Values interface {
+	Val(id BlockID) uint64
+	SetVal(id BlockID, val uint64)
 }
 
 // MaxSlots is the widest bucket (Z+S) the consumed-slot bitset holds: two
@@ -47,10 +35,14 @@ const (
 // touched slot on every access and never re-reads it before a reset. The
 // bitset lives inline (MaxSlots bits), so a bucket is one object.
 type Bucket struct {
-	blocks []entry // valid real blocks currently stored; capacity survives resets, at most Z
-	// filter has bit id mod 64 set for every block in blocks, so a lookup
+	// ids are the valid real blocks currently stored, each in 32 bits (a
+	// tree holds fewer than 2^32-1 blocks, so no stored id is Dummy's low
+	// half; oram.MaxLevelBlocks). The capacity survives resets and is at
+	// most Z.
+	ids []uint32
+	// filter has bit id mod 64 set for every block in ids, so a lookup
 	// scans only a bucket that can hold the id. It is kept in step with
-	// every change to blocks (refilter).
+	// every change to ids (refilter).
 	filter   uint64
 	used     [usedWords]uint64
 	accessed uint16 // touches since the last reset
@@ -75,19 +67,20 @@ const (
 // first touch, so full-scale (16 GB-space) geometries run in memory
 // proportional to the touched set: a paged.Table maps a node to its
 // position in a slab that grows in first-touch order. The same structure
-// serves the root, which every path crosses, and a leaf touched once.
+// serves the root, which every path crosses, and a leaf touched once. A
+// bucket holds block ids; their values are kept outside the tree (Values).
 type Store struct {
 	g     Geometry
-	index paged.Table // node -> 1 + slab position
-	slab  [][]Bucket  // chunkLen buckets per chunk
+	index paged.Table[uint32] // node -> 1 + slab position
+	slab  [][]Bucket          // chunkLen buckets per chunk
 	r     *rng.Rand
 
-	pulled []BlockEntry // ResetPull's result, valid until the next pull
+	pulled []BlockID // ResetPull's result, valid until the next pull
 }
 
 // NewStore creates an empty tree (every bucket holds only dummies).
 func NewStore(g Geometry, r *rng.Rand) *Store {
-	return &Store{g: g, index: paged.New(g.NumNodes()), r: r}
+	return &Store{g: g, index: paged.New[uint32](g.NumNodes()), r: r}
 }
 
 // Geometry returns the tree geometry.
@@ -127,21 +120,21 @@ func (s *Store) Materialized() int { return s.index.Len() }
 // idBit is id's bit in a bucket's filter.
 func idBit(id BlockID) uint64 { return 1 << (id & 63) }
 
-// refilter recomputes the id filter from the block list.
+// refilter recomputes the id filter from the id list.
 func (b *Bucket) refilter() {
 	b.filter = 0
-	for _, e := range b.blocks {
-		b.filter |= idBit(BlockID(e.id))
+	for _, id := range b.ids {
+		b.filter |= idBit(BlockID(id))
 	}
 }
 
-// find returns the index of id in b.blocks, or -1.
+// find returns the index of id in b.ids, or -1.
 func (b *Bucket) find(id BlockID) int {
 	if b.filter&idBit(id) == 0 {
 		return -1
 	}
-	for i := range b.blocks {
-		if BlockID(b.blocks[i].id) == id {
+	for i, v := range b.ids {
+		if BlockID(v) == id {
 			return i
 		}
 	}
@@ -232,23 +225,23 @@ func (s *Store) PathBuckets(dst []*Bucket, nodes []uint64) []*Bucket {
 
 // ReadSlot performs RingORAM's ReadBucket on b, a bucket at level lvl: it
 // consumes exactly one slot. If want is present in the bucket the real
-// block is removed and returned with ok=true; otherwise an unused dummy is
-// consumed. The returned slot offset determines the DRAM address touched.
+// block is removed and ok is true (its value is the caller's: Values);
+// otherwise an unused dummy is consumed. The returned slot offset
+// determines the DRAM address touched.
 //
 // The RingORAM invariant guarantees a usable slot exists whenever b has
 // had fewer than S touches at entry (the early-reshuffle rule resets before
 // exhaustion).
-func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (e BlockEntry, slot int, ok bool) {
+func (s *Store) ReadSlot(b *Bucket, lvl int, want BlockID) (slot int, ok bool) {
 	slot = s.freeSlot(b, s.g.Levels[lvl].Slots())
 	b.used[slot>>6] |= 1 << (slot & 63)
 	b.accessed++
 	if i := b.find(want); i >= 0 {
-		e = b.blocks[i].unpack()
-		b.blocks = append(b.blocks[:i], b.blocks[i+1:]...)
+		b.ids = append(b.ids[:i], b.ids[i+1:]...)
 		b.refilter()
-		return e, slot, true
+		return slot, true
 	}
-	return BlockEntry{ID: Dummy}, slot, false
+	return slot, false
 }
 
 // NeedsReset reports whether b, a bucket at level lvl, has consumed its
@@ -258,40 +251,41 @@ func (s *Store) NeedsReset(b *Bucket, lvl, margin int) bool {
 	return int(b.accessed) >= s.g.Levels[lvl].S-margin
 }
 
-// ResetPull removes and returns all valid real blocks from node, modelling
-// ResetBucket's pull step (the DRAM traffic is padded to Z reads by the
-// caller for obliviousness). The bucket's access state is cleared. The
-// returned slice is the store's scratch: it is valid until the next
+// ResetPull removes and returns the ids of all valid real blocks in node,
+// modelling ResetBucket's pull step (the DRAM traffic is padded to Z reads
+// by the caller for obliviousness). The bucket's access state is cleared.
+// The returned slice is the store's scratch: it is valid until the next
 // ResetPull, so a caller moves the blocks to the stash before pulling
 // again.
-func (s *Store) ResetPull(node uint64) []BlockEntry {
+func (s *Store) ResetPull(node uint64) []BlockID {
 	b := s.Bucket(node)
 	s.pulled = s.pulled[:0]
-	for _, e := range b.blocks {
-		s.pulled = append(s.pulled, e.unpack())
+	for _, id := range b.ids {
+		s.pulled = append(s.pulled, BlockID(id))
 	}
-	b.blocks, b.filter = b.blocks[:0], 0
+	b.ids, b.filter = b.ids[:0], 0
 	b.clearUsed()
 	return s.pulled
 }
 
-// WriteBucket installs a copy of blocks into node after a reset.
-// len(blocks) must not exceed the level's Z. A bucket's storage grows by
-// doubling and never past Z: the deep buckets of a sparse tree, which hold
-// a block or two, stay small, and a full bucket holds no spare room.
-func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
+// WriteBucket installs the block ids into node after a reset (their
+// values are the caller's: Values). len(ids) must not exceed the level's
+// Z. A bucket's storage grows by doubling and never past Z: the deep
+// buckets of a sparse tree, which hold a block or two, stay small, and a
+// full bucket holds no spare room.
+func (s *Store) WriteBucket(node uint64, ids []BlockID) {
 	lvl := s.g.NodeLevel(node)
 	z := s.g.Levels[lvl].Z
-	if len(blocks) > z {
-		panic(fmt.Sprintf("otree: writing %d blocks into Z=%d bucket", len(blocks), z))
+	if len(ids) > z {
+		panic(fmt.Sprintf("otree: writing %d blocks into Z=%d bucket", len(ids), z))
 	}
 	b := s.Bucket(node)
-	if len(blocks) > cap(b.blocks) {
-		b.blocks = make([]entry, 0, min(max(len(blocks), 2*cap(b.blocks)), z))
+	if len(ids) > cap(b.ids) {
+		b.ids = make([]uint32, 0, min(max(len(ids), 2*cap(b.ids)), z))
 	}
-	b.blocks = b.blocks[:len(blocks)]
-	for i, e := range blocks {
-		b.blocks[i] = pack(e)
+	b.ids = b.ids[:len(ids)]
+	for i, id := range ids {
+		b.ids[i] = uint32(id)
 	}
 	b.refilter()
 	b.clearUsed()
@@ -300,7 +294,7 @@ func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 // Widths of AppendState's output: the bucket count (uint32); per bucket a
 // header — node (uint32), touch count (uint16), block count and bitset
 // word count (uint8 each) — then each block's id (uint32) and value
-// (uint64), then each consumed-slot bitset word (uint64).
+// (uint64, from Values), then each consumed-slot bitset word (uint64).
 const (
 	StateFixedBytes  = 4
 	stateBucketBytes = 4 + 2 + 1 + 1
@@ -328,20 +322,20 @@ func StateNodeBytes(g Geometry) (uint64, error) {
 func bitsetWords(slots int) int { return (slots + 63) / 64 }
 
 // AppendState appends the checkpoint encoding of every materialized bucket
-// to dst, in ascending node order straight from the live buckets. Nodes and
-// block ids are written as uint32: the engine's checkpointable geometries
-// stay far below 2^32 blocks (oram.MaxStateBytes).
-func (s *Store) AppendState(dst []byte) []byte {
+// to dst, in ascending node order straight from the live buckets, each
+// block's value read from vals. Nodes and block ids are written as uint32:
+// the engine's checkpointable geometries stay far below 2^32 blocks
+// (oram.MaxStateBytes).
+func (s *Store) AppendState(dst []byte, vals Values) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Materialized()))
 	s.index.Ascending(func(node uint64, ref uint32) {
 		b := s.at(ref)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(node))
 		dst = binary.LittleEndian.AppendUint16(dst, b.accessed)
-		dst = append(dst, uint8(len(b.blocks)), b.words)
-		for _, e := range b.blocks {
-			dst = binary.LittleEndian.AppendUint32(dst, e.id)
-			dst = binary.LittleEndian.AppendUint32(dst, e.lo)
-			dst = binary.LittleEndian.AppendUint32(dst, e.hi)
+		dst = append(dst, uint8(len(b.ids)), b.words)
+		for _, id := range b.ids {
+			dst = binary.LittleEndian.AppendUint32(dst, id)
+			dst = binary.LittleEndian.AppendUint64(dst, vals.Val(BlockID(id)))
 		}
 		for _, w := range b.used[:b.words] {
 			dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -351,14 +345,14 @@ func (s *Store) AppendState(dst []byte) []byte {
 }
 
 // LoadState replaces the store's contents with an AppendState encoding
-// read from r. It refuses nodes out of ascending order or outside the
-// tree, a bucket holding more than Z blocks or a block id at or beyond
-// blocks, and a bitset longer than the bucket's slots or whose consumed
-// slots are not its touch count (which must leave a slot free). Each
-// bucket's blocks are carved out of one array with room for Z blocks, so
-// the buckets later refill in place. On error the store is partly
-// overwritten.
-func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
+// read from r, storing each block's value in vals. It refuses nodes out of
+// ascending order or outside the tree, a bucket holding more than Z blocks
+// or a block id at or beyond blocks, and a bitset longer than the bucket's
+// slots or whose consumed slots are not its touch count (which must leave a
+// slot free). Each bucket's ids are carved out of one array with room for
+// Z ids, so the buckets later refill in place. On error the store is
+// partly overwritten.
+func (s *Store) LoadState(r *codec.Reader, blocks uint64, vals Values) error {
 	n := r.Count("buckets", s.g.NumNodes(), stateBucketBytes)
 	if r.Err() != nil {
 		return r.Err()
@@ -367,7 +361,7 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 	for _, spec := range s.g.Levels {
 		maxZ = max(maxZ, spec.Z)
 	}
-	entries := make([]entry, n*maxZ)
+	ids := make([]uint32, n*maxZ)
 	s.index.Reset()
 	s.slab = nil
 	next := uint64(0) // the lowest node the next bucket may name
@@ -387,15 +381,20 @@ func (s *Store) LoadState(r *codec.Reader, blocks uint64) error {
 				node, nBlocks, accessed, nWords, spec.Z, spec.Slots())
 		}
 		b := Bucket{
-			blocks:   entries[i*maxZ : i*maxZ+nBlocks : i*maxZ+spec.Z],
+			ids:      ids[i*maxZ : i*maxZ+nBlocks : i*maxZ+spec.Z],
 			accessed: uint16(accessed),
 			words:    uint8(nWords),
 		}
-		for k := range b.blocks {
-			b.blocks[k] = entry{id: r.Uint32(), lo: r.Uint32(), hi: r.Uint32()}
-			if uint64(b.blocks[k].id) >= blocks {
-				return r.Failf("bucket %d holds block %d of %d", node, b.blocks[k].id, blocks)
+		for k := range b.ids {
+			id, val := r.Uint32(), r.Uint64()
+			if r.Err() != nil {
+				return r.Err()
 			}
+			if uint64(id) >= blocks {
+				return r.Failf("bucket %d holds block %d of %d", node, id, blocks)
+			}
+			b.ids[k] = id
+			vals.SetVal(BlockID(id), val)
 		}
 		b.refilter()
 		consumed := 0
@@ -426,15 +425,15 @@ func (s *Store) Occupancy(node uint64) int {
 	if !ok {
 		return 0
 	}
-	return len(b.blocks)
+	return len(b.ids)
 }
 
 // ForEachBlock calls fn for every valid real block in every materialized
 // bucket (testing/invariant checking).
-func (s *Store) ForEachBlock(fn func(node uint64, e BlockEntry)) {
+func (s *Store) ForEachBlock(fn func(node uint64, id BlockID)) {
 	s.index.Range(func(node uint64, ref uint32) {
-		for _, e := range s.at(ref).blocks {
-			fn(node, e.unpack())
+		for _, id := range s.at(ref).ids {
+			fn(node, BlockID(id))
 		}
 	})
 }

@@ -1,13 +1,16 @@
 // Package paged provides the one index structure of the serving hot path:
 // a direct-indexed table from small integer keys (tree nodes, block ids) to
-// non-zero uint32 values, whose pages are allocated on first touch.
+// non-zero values, whose pages are allocated on first touch.
 //
-// It replaces the four Go maps an access used to consult: three in the
-// engine (bucket store, position map, stash index) and the sealed-block
-// store under it (internal/backend/slab). A lookup is two dependent
-// loads and no hashing; memory is one 256-byte page per 64-key run that has
-// ever held a value plus one directory pointer per run below the highest
-// key touched, so a fully used table costs 4 bytes a key where a map costs
+// It replaces the Go maps an access used to consult: in the engine the
+// bucket store and the position map (with, beside each level's leaves, the
+// values of its blocks), and under it the sealed-block store
+// (internal/backend/slab). The stash, which holds a few hundred blocks,
+// indexes them in a hash table of its own size instead (a table over every
+// block id cost 4 bytes a block). A lookup is two dependent loads and no
+// hashing; memory is one page per 64-key run that has ever held a value
+// plus one directory pointer per run below the highest key touched, so a
+// fully used table of uint32 values costs 4 bytes a key where a map costs
 // about 40.
 //
 // The price of direct indexing is paid by key sets that are huge and
@@ -19,10 +22,7 @@
 // determinism goldens (internal/oram/testdata).
 package paged
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "slices"
 
 const (
 	pageBits = 6
@@ -35,26 +35,24 @@ const (
 	DirectKeys = 1 << 20
 )
 
-type page [pageLen]uint32
-
-// Table maps keys in [0, n) to uint32 values; 0 means absent. The zero
-// value is a usable direct-indexed table.
-type Table struct {
-	dir    []*page
-	live   int               // keys present in dir's pages
-	sparse map[uint64]uint32 // non-nil: the key space is beyond DirectKeys
+// Table maps keys in [0, n) to values of V; V's zero value means absent.
+// The zero value is a usable direct-indexed table.
+type Table[V comparable] struct {
+	dir    []*[pageLen]V
+	live   int          // keys present in dir's pages
+	sparse map[uint64]V // non-nil: the key space is beyond DirectKeys
 }
 
 // New returns a table for keys in [0, n).
-func New(n uint64) Table {
+func New[V comparable](n uint64) Table[V] {
 	if n > DirectKeys {
-		return Table{sparse: make(map[uint64]uint32)}
+		return Table[V]{sparse: make(map[uint64]V)}
 	}
-	return Table{}
+	return Table[V]{}
 }
 
-// Get returns the value stored under key i, or 0.
-func (t *Table) Get(i uint64) uint32 {
+// Get returns the value stored under key i, or the zero value.
+func (t *Table[V]) Get(i uint64) V {
 	if t.sparse != nil {
 		return t.sparse[i]
 	}
@@ -63,15 +61,17 @@ func (t *Table) Get(i uint64) uint32 {
 			return pg[i&(pageLen-1)]
 		}
 	}
-	return 0
+	var zero V
+	return zero
 }
 
-// Set stores v under key i; v == 0 removes the key. Pages are never freed:
-// the engine's key sets only grow (position maps, buckets) or revisit the
-// same keys (stash).
-func (t *Table) Set(i uint64, v uint32) {
+// Set stores v under key i; the zero value removes the key. Pages are
+// never freed: the engine's key sets only grow (position maps, buckets)
+// or revisit the same keys (values of tree-resident blocks).
+func (t *Table[V]) Set(i uint64, v V) {
+	var zero V
 	if t.sparse != nil {
-		if v == 0 {
+		if v == zero {
 			delete(t.sparse, i)
 		} else {
 			t.sparse[i] = v
@@ -80,31 +80,33 @@ func (t *Table) Set(i uint64, v uint32) {
 	}
 	p := i >> pageBits
 	if p >= uint64(len(t.dir)) {
-		if v == 0 {
+		if v == zero {
 			return
 		}
-		t.dir = append(t.dir, make([]*page, p+1-uint64(len(t.dir)))...)
+		t.dir = append(t.dir, make([]*[pageLen]V, p+1-uint64(len(t.dir)))...)
 	}
 	pg := t.dir[p]
 	if pg == nil {
-		if v == 0 {
+		if v == zero {
 			return
 		}
-		pg = new(page)
+		pg = new([pageLen]V)
 		t.dir[p] = pg
 	}
 	slot := &pg[i&(pageLen-1)]
-	if *slot == 0 && v != 0 {
+	if *slot == zero && v != zero {
 		t.live++
-	} else if *slot != 0 && v == 0 {
+	} else if *slot != zero && v == zero {
 		t.live--
 	}
 	*slot = v
 }
 
-// Swap stores v, which must not be 0, under key i and returns the value it
-// replaced (0 for an absent key): a Get and a Set in one lookup.
-func (t *Table) Swap(i uint64, v uint32) uint32 {
+// Swap stores v, which must not be the zero value, under key i and returns
+// the value it replaced (zero for an absent key): a Get and a Set in one
+// lookup.
+func (t *Table[V]) Swap(i uint64, v V) V {
+	var zero V
 	if t.sparse != nil {
 		old := t.sparse[i]
 		t.sparse[i] = v
@@ -114,7 +116,7 @@ func (t *Table) Swap(i uint64, v uint32) uint32 {
 		if pg := t.dir[p]; pg != nil {
 			slot := &pg[i&(pageLen-1)]
 			old := *slot
-			if old == 0 {
+			if old == zero {
 				t.live++
 			}
 			*slot = v
@@ -122,11 +124,11 @@ func (t *Table) Swap(i uint64, v uint32) uint32 {
 		}
 	}
 	t.Set(i, v)
-	return 0
+	return zero
 }
 
 // Len returns the number of keys present.
-func (t *Table) Len() int {
+func (t *Table[V]) Len() int {
 	if t.sparse != nil {
 		return len(t.sparse)
 	}
@@ -135,19 +137,20 @@ func (t *Table) Len() int {
 
 // Range calls fn for every key present: in ascending key order from a
 // direct table, in no particular order from a sparse one (Ascending sorts).
-func (t *Table) Range(fn func(i uint64, v uint32)) {
+func (t *Table[V]) Range(fn func(i uint64, v V)) {
 	if t.sparse != nil {
 		for k, v := range t.sparse {
 			fn(k, v)
 		}
 		return
 	}
+	var zero V
 	for p, pg := range t.dir {
 		if pg == nil {
 			continue
 		}
 		for o, v := range pg {
-			if v != 0 {
+			if v != zero {
 				fn(uint64(p)<<pageBits|uint64(o), v)
 			}
 		}
@@ -158,7 +161,7 @@ func (t *Table) Range(fn func(i uint64, v uint32)) {
 // a sparse table sorts a copy of its keys first (one allocation), a direct
 // one already ranges that way. Checkpoints and snapshots write in this
 // order, so one content always encodes to the same bytes.
-func (t *Table) Ascending(fn func(i uint64, v uint32)) {
+func (t *Table[V]) Ascending(fn func(i uint64, v V)) {
 	if t.sparse == nil {
 		t.Range(fn)
 		return
@@ -173,46 +176,11 @@ func (t *Table) Ascending(fn func(i uint64, v uint32)) {
 	}
 }
 
-// AppendDense appends the values of keys [0, n) to dst as little-endian
-// uint32s, 0 for an absent key: 4n bytes whatever the table holds. Keys
-// at or beyond n are not written.
-func (t *Table) AppendDense(dst []byte, n uint64) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, 4*n)...)
-	out := dst[off:]
-	put := func(i uint64, v uint32) {
-		if i < n {
-			binary.LittleEndian.PutUint32(out[4*i:], v)
-		}
-	}
-	if t.sparse != nil {
-		for k, v := range t.sparse {
-			put(k, v)
-		}
-		return dst
-	}
-	for p, pg := range t.dir {
-		if pg == nil {
-			continue
-		}
-		base := uint64(p) << pageBits
-		if base >= n {
-			break
-		}
-		for o, v := range pg {
-			if v != 0 {
-				put(base|uint64(o), v)
-			}
-		}
-	}
-	return dst
-}
-
 // Reset empties the table, keeping its representation.
-func (t *Table) Reset() {
+func (t *Table[V]) Reset() {
 	if t.sparse != nil {
 		clear(t.sparse)
 		return
 	}
-	*t = Table{}
+	*t = Table[V]{}
 }

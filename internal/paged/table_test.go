@@ -1,7 +1,6 @@
 package paged
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"palermo/internal/rng"
@@ -10,10 +9,10 @@ import (
 // TestTableMatchesMap drives the direct and the sparse representation and
 // a plain map through one random Set/Swap/Get sequence (including removals
 // and overwrites) and requires all three to agree on every Get, on Len, on
-// what Range enumerates, on Ascending's order and on AppendDense's bytes.
+// what Range enumerates and on Ascending's order.
 func TestTableMatchesMap(t *testing.T) {
 	const keys = 5000
-	direct, sparse := New(keys), New(DirectKeys+1)
+	direct, sparse := New[uint32](keys), New[uint32](DirectKeys+1)
 	if direct.sparse != nil || sparse.sparse == nil {
 		t.Fatalf("New picked the wrong representation")
 	}
@@ -46,7 +45,7 @@ func TestTableMatchesMap(t *testing.T) {
 			t.Fatalf("step %d: Len direct=%d sparse=%d want %d", i, direct.Len(), sparse.Len(), len(ref))
 		}
 	}
-	for name, tb := range map[string]*Table{"direct": &direct, "sparse": &sparse} {
+	for name, tb := range map[string]*Table[uint32]{"direct": &direct, "sparse": &sparse} {
 		seen, last := map[uint64]bool{}, uint64(0)
 		tb.Range(func(k uint64, v uint32) {
 			if seen[k] || ref[k] != v {
@@ -67,15 +66,6 @@ func TestTableMatchesMap(t *testing.T) {
 		if n != len(ref) {
 			t.Fatalf("%s: Ascending visited %d keys, want %d", name, n, len(ref))
 		}
-		dense := tb.AppendDense([]byte{0xAA}, keys-1) // a prefix byte, and one key cut off
-		if len(dense) != 1+4*(keys-1) || dense[0] != 0xAA {
-			t.Fatalf("%s: AppendDense wrote %d bytes after the prefix", name, len(dense)-1)
-		}
-		for k := uint64(0); k < keys-1; k++ {
-			if v := binary.LittleEndian.Uint32(dense[1+4*k:]); v != ref[k] {
-				t.Fatalf("%s: AppendDense key %d = %d, want %d", name, k, v, ref[k])
-			}
-		}
 		tb.Reset()
 		if tb.Len() != 0 || tb.Get(last) != 0 {
 			t.Fatalf("%s: Reset left entries behind", name)
@@ -89,7 +79,7 @@ func TestTableMatchesMap(t *testing.T) {
 // TestZeroTable: the zero value is an empty direct table, and removing an
 // absent key allocates nothing.
 func TestZeroTable(t *testing.T) {
-	var tb Table
+	var tb Table[uint32]
 	if tb.Get(12345) != 0 || tb.Len() != 0 {
 		t.Fatalf("zero table is not empty")
 	}

@@ -11,6 +11,13 @@
 // each level is a direct-indexed page table (internal/paged) holding
 // leaf+1 under the block index, 0 meaning "not assigned yet" — the first
 // touch draws the leaf, exactly where a map miss used to.
+//
+// Beside each level's leaves sits a table of the same form holding the
+// values of the level's blocks, wherever they rest: a bucket and a stash
+// entry hold only a block's id (internal/otree, internal/stash), so moving
+// a block between tree and stash moves no value. A zero value is not
+// stored, so the recursive levels, whose blocks carry none, cost nothing
+// there.
 package posmap
 
 import (
@@ -35,12 +42,13 @@ const (
 )
 
 // Hierarchy tracks leaf assignments for the data space and every recursive
-// posmap space.
+// posmap space, and the values of their blocks.
 type Hierarchy struct {
-	levels int           // number of spaces with leaf assignments (incl. on-chip top)
-	blocks []uint64      // logical block count per level
-	leaves []uint64      // tree leaf count per level (set by Attach)
-	maps   []paged.Table // per level: block index -> leaf+1
+	levels int                   // number of spaces with leaf assignments (incl. on-chip top)
+	blocks []uint64              // logical block count per level
+	leaves []uint64              // tree leaf count per level (set by Attach)
+	maps   []paged.Table[uint32] // per level: block index -> leaf+1
+	vals   []paged.Table[uint64] // per level: block index -> value
 	r      *rng.Rand
 }
 
@@ -56,7 +64,8 @@ func New(nDataBlocks uint64, posLevels int, r *rng.Rand) *Hierarchy {
 	n := nDataBlocks
 	for l := 0; l <= posLevels; l++ {
 		h.blocks = append(h.blocks, n)
-		h.maps = append(h.maps, paged.New(n))
+		h.maps = append(h.maps, paged.New[uint32](n))
+		h.vals = append(h.vals, paged.New[uint64](n))
 		n = (n + EntriesPerBlock - 1) / EntriesPerBlock
 	}
 	h.leaves = make([]uint64, posLevels+1)
@@ -99,6 +108,13 @@ func (h *Hierarchy) Leaf(l int, idx uint64) uint64 {
 	}
 	return h.Remap(l, idx)
 }
+
+// Val returns the value stored for block idx of level l (SetVal), 0 if
+// none.
+func (h *Hierarchy) Val(l int, idx uint64) uint64 { return h.vals[l].Get(idx) }
+
+// SetVal stores the value of block idx of level l.
+func (h *Hierarchy) SetVal(l int, idx uint64, val uint64) { h.vals[l].Set(idx, val) }
 
 // Remap assigns a fresh uniformly random leaf to block idx at level l and
 // returns it (RingORAM remaps on every access).
@@ -144,17 +160,27 @@ const StateEntryBytes = 4
 // assignments to dst: level by level, Blocks(l) little-endian uint32s,
 // each the block's leaf + 1, 0 for a block not assigned yet — exactly the
 // value the level's table holds. Its length is a function of the geometry
-// alone.
+// alone. The stored values are not written: the buckets and the stash
+// holding their blocks write them (otree.Store.AppendState,
+// stash.Stash.AppendState).
 func (h *Hierarchy) AppendState(dst []byte) []byte {
 	for l := range h.maps {
-		dst = h.maps[l].AppendDense(dst, h.blocks[l])
+		off, n := len(dst), h.blocks[l]
+		dst = append(dst, make([]byte, StateEntryBytes*n)...)
+		out := dst[off:]
+		h.maps[l].Range(func(i uint64, v uint32) {
+			if i < n {
+				binary.LittleEndian.PutUint32(out[StateEntryBytes*i:], v)
+			}
+		})
 	}
 	return dst
 }
 
 // LoadState replaces the leaf assignments with an AppendState encoding
 // read from r, refusing a leaf outside its level's tree (Attach must have
-// run). On error the hierarchy is partly overwritten.
+// run), and clears the stored values (the stash's and the buckets'
+// encodings restore them). On error the hierarchy is partly overwritten.
 func (h *Hierarchy) LoadState(r *codec.Reader) error {
 	for l := range h.maps {
 		src := r.Bytes(StateEntryBytes * int(h.blocks[l]))
@@ -162,6 +188,7 @@ func (h *Hierarchy) LoadState(r *codec.Reader) error {
 			return r.Failf("posmap level %d truncated", l)
 		}
 		h.maps[l].Reset()
+		h.vals[l].Reset()
 		for i := uint64(0); i < h.blocks[l]; i++ {
 			v := binary.LittleEndian.Uint32(src[StateEntryBytes*i:])
 			if uint64(v) > h.leaves[l] {

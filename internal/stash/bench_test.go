@@ -13,7 +13,7 @@ import (
 // regime where a tombstone-accumulating layout degrades.
 func BenchmarkStashEvict(b *testing.B) {
 	g := otree.Uniform(1<<20, 16, 27, 0, 1<<40)
-	s := New(1 << 20)
+	s := New()
 	leaves := g.NumLeaves()
 	x := uint64(0x9e3779b97f4a7c15)
 	next := func() uint64 {
@@ -31,12 +31,12 @@ func BenchmarkStashEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			s.Put(Entry{ID: id, Leaf: next() % leaves, Val: x})
+			s.Put(Entry{ID: id, Leaf: next() % leaves})
 			id++
 		}
 		evictLeaf := next() % leaves
 		for lvl := g.Depth; lvl >= 0; lvl-- {
-			s.EvictIntoNode(g, g.NodeAt(evictLeaf, lvl), 16, nil)
+			s.EvictIntoNode(&g, g.NodeAt(evictLeaf, lvl), 16, nil)
 		}
 	}
 }
@@ -44,7 +44,7 @@ func BenchmarkStashEvict(b *testing.B) {
 // BenchmarkStashChurn measures the Put/Remove pair in isolation (the
 // PosMap-hit fast path touches the stash without evicting).
 func BenchmarkStashChurn(b *testing.B) {
-	s := New(1 << 20)
+	s := New()
 	for i := 0; i < 256; i++ {
 		s.Put(Entry{ID: otree.BlockID(i), Leaf: uint64(i)})
 	}

@@ -6,8 +6,8 @@
 // protocols can trigger background evictions (PrORAM) or fail loudly.
 //
 // Storage is an insertion-ordered intrusive list over a slab (slice of
-// slots + free list) with a direct-indexed id table (internal/paged: block
-// id -> slab slot + 1), never map-iterated, so eviction selection — and
+// slots + free list) with an open-addressed id index (block id -> slab
+// slot) sized to the stash, never iterated, so eviction selection — and
 // therefore every downstream simulation result — is deterministic for a
 // given seed. The list layout keeps the per-bucket
 // eviction scan (EvictIntoNode, called once per bucket per eviction path on
@@ -18,19 +18,20 @@ package stash
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"palermo/internal/codec"
 	"palermo/internal/otree"
-	"palermo/internal/paged"
 )
 
-// Entry is a stashed block: its identity, current mapped leaf, and payload.
+// Entry is a stashed block: its identity and current mapped leaf. Its
+// payload is kept by id outside the stash, as a tree-resident block's is
+// (otree.Values), so moving a block between tree and stash moves no value.
 // With prefetch, one tag covers a group of cache lines; the tag count is
 // what bounds the hardware structure.
 type Entry struct {
 	ID   otree.BlockID
 	Leaf uint64
-	Val  uint64
 }
 
 // none is the nil slot index for the intrusive list.
@@ -46,9 +47,9 @@ type slot struct {
 // Stash holds blocks between tree pulls and pushes.
 type Stash struct {
 	slab       []slot
-	head, tail int         // live entries in insertion order
-	free       int         // reusable slots
-	index      paged.Table // block id -> slab slot + 1
+	head, tail int   // live entries in insertion order
+	free       int   // reusable slots
+	index      index // block id -> slab slot
 	live       int
 	maxSeen    int
 	samples    []int
@@ -56,15 +57,9 @@ type Stash struct {
 	overflow   uint64
 }
 
-// New creates an empty stash for block ids below blocks.
-func New(blocks uint64) *Stash {
-	return &Stash{head: none, tail: none, free: none, index: paged.New(blocks)}
-}
-
-// lookup returns the slab slot holding id.
-func (s *Stash) lookup(id otree.BlockID) (int, bool) {
-	ref := s.index.Get(uint64(id))
-	return int(ref) - 1, ref != 0
+// New creates an empty stash.
+func New() *Stash {
+	return &Stash{head: none, tail: none, free: none}
 }
 
 // SetCapacity declares the hardware tag budget (256 in Table III). The
@@ -121,8 +116,9 @@ func (s *Stash) Put(e Entry) {
 	if e.ID == otree.Dummy {
 		panic("stash: Put of dummy block")
 	}
-	if i, ok := s.lookup(e.ID); ok {
-		s.slab[i].e = e // replace in place, keeping insertion order
+	c := s.index.cell(e.ID)
+	if c.ref != 0 {
+		s.slab[c.ref-1].e = e // replace in place, keeping insertion order
 		return
 	}
 	i := s.alloc()
@@ -133,7 +129,8 @@ func (s *Stash) Put(e Entry) {
 		s.head = i
 	}
 	s.tail = i
-	s.index.Set(uint64(e.ID), uint32(i)+1)
+	*c = cell{id: e.ID, ref: uint32(i) + 1}
+	s.index.n++
 	s.live++
 	if s.live > s.maxSeen {
 		s.maxSeen = s.live
@@ -145,7 +142,7 @@ func (s *Stash) Put(e Entry) {
 
 // Get returns the entry for id, if present.
 func (s *Stash) Get(id otree.BlockID) (Entry, bool) {
-	i, ok := s.lookup(id)
+	i, ok := s.index.get(id)
 	if !ok {
 		return Entry{}, false
 	}
@@ -154,23 +151,23 @@ func (s *Stash) Get(id otree.BlockID) (Entry, bool) {
 
 // Contains reports whether id is stashed.
 func (s *Stash) Contains(id otree.BlockID) bool {
-	return s.index.Get(uint64(id)) != 0
+	_, ok := s.index.get(id)
+	return ok
 }
 
 // Remove deletes id, reporting whether it was present.
 func (s *Stash) Remove(id otree.BlockID) bool {
-	i, ok := s.lookup(id)
+	i, ok := s.index.remove(id)
 	if !ok {
 		return false
 	}
-	s.index.Set(uint64(id), 0)
 	s.unlink(i)
 	return true
 }
 
 // Remap updates the mapped leaf of a stashed block.
 func (s *Stash) Remap(id otree.BlockID, leaf uint64) {
-	i, ok := s.lookup(id)
+	i, ok := s.index.get(id)
 	if !ok {
 		panic(fmt.Sprintf("stash: Remap of absent block %d", id))
 	}
@@ -183,10 +180,10 @@ func (s *Stash) Remap(id otree.BlockID, leaf uint64) {
 // deterministic. This is the push half of ResetBucket/EvictPath; PageORAM
 // also uses it for sibling buckets that are not on the accessed path. The
 // scan walks only live entries; selected entries unlink in O(1).
-// The selection is appended to dst[:0] and returned, so a caller that hands
-// back the same buffer (the engine does: otree.Store.WriteBucket copies it
-// into the bucket) evicts without allocating; dst may be nil.
-func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int, dst []otree.BlockEntry) []otree.BlockEntry {
+// The selected ids are appended to dst[:0] and returned, so a caller that
+// hands back the same buffer (the engine does: otree.Store.WriteBucket
+// copies it into the bucket) evicts without allocating; dst may be nil.
+func (s *Stash) EvictIntoNode(g *otree.Geometry, node uint64, max int, dst []otree.BlockID) []otree.BlockID {
 	out := dst[:0]
 	if max <= 0 || s.live == 0 {
 		return out
@@ -197,8 +194,8 @@ func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int, dst []otre
 	for i := s.head; i != none && len(out) < max; {
 		next := s.slab[i].next
 		if e := s.slab[i].e; (e.Leaf >> shift) == prefix {
-			out = append(out, otree.BlockEntry{ID: e.ID, Val: e.Val})
-			s.index.Set(uint64(e.ID), 0)
+			out = append(out, e.ID)
+			s.index.remove(e.ID)
 			s.unlink(i)
 		}
 		i = next
@@ -211,12 +208,12 @@ func (s *Stash) reset() {
 	s.slab = s.slab[:0]
 	s.head, s.tail, s.free = none, none, none
 	s.live = 0
-	s.index.Reset()
+	s.index.reset()
 }
 
 // Widths of AppendState's output: MaxSeen (uint32), Overflow (uint64) and
 // the entry count (uint32), then per entry its id and leaf (uint32 each)
-// and its value (uint64).
+// and its value (uint64, from otree.Values).
 const (
 	StateFixedBytes = 4 + 8 + 4
 	StateEntryBytes = 4 + 4 + 8
@@ -226,8 +223,8 @@ const (
 // statistics, then the live entries in insertion order (so restoring them
 // reproduces the eviction-selection order exactly). Ids and leaves are
 // written as uint32: the engine's checkpointable geometries stay far below
-// 2^32 blocks (oram.MaxStateBytes).
-func (s *Stash) AppendState(dst []byte) []byte {
+// 2^32 blocks (oram.MaxStateBytes). Each entry's value is read from vals.
+func (s *Stash) AppendState(dst []byte, vals otree.Values) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.maxSeen))
 	dst = binary.LittleEndian.AppendUint64(dst, s.overflow)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.live))
@@ -235,16 +232,16 @@ func (s *Stash) AppendState(dst []byte) []byte {
 		e := &s.slab[i].e
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.ID))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Leaf))
-		dst = binary.LittleEndian.AppendUint64(dst, e.Val)
+		dst = binary.LittleEndian.AppendUint64(dst, vals.Val(e.ID))
 	}
 	return dst
 }
 
 // LoadState replaces the stash contents and statistics with an AppendState
-// encoding read from r, refusing an id at or beyond blocks, a repeated id
-// and a leaf at or beyond leaves. The configured capacity is kept. On error
-// the stash is partly overwritten.
-func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64) error {
+// encoding read from r, storing each entry's value in vals, and refuses an
+// id at or beyond blocks, a repeated id and a leaf at or beyond leaves. The
+// configured capacity is kept. On error the stash is partly overwritten.
+func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64, vals otree.Values) error {
 	maxSeen, overflow := r.Uint32(), r.Uint64()
 	n := r.Count("stash entries", blocks, StateEntryBytes)
 	if r.Err() != nil {
@@ -252,7 +249,7 @@ func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64) error {
 	}
 	s.reset()
 	for range n {
-		e := Entry{ID: otree.BlockID(r.Uint32()), Leaf: uint64(r.Uint32()), Val: r.Uint64()}
+		e, val := Entry{ID: otree.BlockID(r.Uint32()), Leaf: uint64(r.Uint32())}, r.Uint64()
 		switch {
 		case uint64(e.ID) >= blocks:
 			return r.Failf("stash entry for block %d of %d", e.ID, blocks)
@@ -262,6 +259,7 @@ func (s *Stash) LoadState(r *codec.Reader, blocks, leaves uint64) error {
 			return r.Failf("stash holds block %d twice", e.ID)
 		}
 		s.Put(e)
+		vals.SetVal(e.ID, val)
 	}
 	s.maxSeen, s.overflow = int(maxSeen), overflow
 	return nil
@@ -278,4 +276,113 @@ func (s *Stash) ForEach(fn func(Entry)) {
 	for i := s.head; i != none; i = s.slab[i].next {
 		fn(s.slab[i].e)
 	}
+}
+
+// index maps the id of every stashed block to its slab slot: open
+// addressing with linear probing over a power-of-two table at most half
+// full, doubled when an insert would pass that, with deletion by backward
+// shift, so there are no tombstones and a lookup never scans past the
+// cluster its id hashes into. Its size follows the stash's peak occupancy
+// (a few hundred entries), not the block-id space; it never shrinks, so a
+// stash that has reached its peak allocates nothing.
+type index struct {
+	cells []cell
+	shift uint // 64 - log2(len(cells))
+	n     int
+}
+
+// cell is one index slot; ref is the slab slot + 1, 0 for an empty cell.
+type cell struct {
+	id  otree.BlockID
+	ref uint32
+}
+
+// minCells is the index's first size.
+const minCells = 16
+
+// home is id's first probe: a Fibonacci hash, the top bits of the
+// product.
+func (x *index) home(id otree.BlockID) int {
+	return int(uint64(id) * 0x9e3779b97f4a7c15 >> x.shift)
+}
+
+// find returns the cell holding id, or the empty cell ending its probe
+// sequence and false.
+func (x *index) find(id otree.BlockID) (int, bool) {
+	mask := len(x.cells) - 1
+	for c := x.home(id); ; c = (c + 1) & mask {
+		if x.cells[c].ref == 0 {
+			return c, false
+		}
+		if x.cells[c].id == id {
+			return c, true
+		}
+	}
+}
+
+// get returns the slab slot of id.
+func (x *index) get(id otree.BlockID) (int, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	c, ok := x.find(id)
+	return int(x.cells[c].ref) - 1, ok
+}
+
+// cell returns id's cell, growing the table first if one more entry
+// could pass half full: the cell holding id, or the empty one where an
+// insert of id goes (the caller fills it and counts it in n).
+func (x *index) cell(id otree.BlockID) *cell {
+	if 2*(x.n+1) > len(x.cells) {
+		x.grow()
+	}
+	c, _ := x.find(id)
+	return &x.cells[c]
+}
+
+// grow doubles the table (or makes the first one) and reinserts every
+// entry.
+func (x *index) grow() {
+	old := x.cells
+	size := max(2*len(old), minCells)
+	x.cells = make([]cell, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, c := range old {
+		if c.ref != 0 {
+			d, _ := x.find(c.id)
+			x.cells[d] = c
+		}
+	}
+}
+
+// remove deletes id and returns the slab slot it had. The cells after it
+// in its cluster move back over the gap when their home allows, so every
+// entry stays reachable from its home without crossing an empty cell.
+func (x *index) remove(id otree.BlockID) (int, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	gap, ok := x.find(id)
+	if !ok {
+		return 0, false
+	}
+	slot := int(x.cells[gap].ref) - 1
+	mask := len(x.cells) - 1
+	for c := (gap + 1) & mask; x.cells[c].ref != 0; c = (c + 1) & mask {
+		// The entry at c may fill the gap iff the gap lies on its probe
+		// sequence: its distance from home is at least the gap's.
+		if (c-x.home(x.cells[c].id))&mask >= (c-gap)&mask {
+			x.cells[gap] = x.cells[c]
+			gap = c
+		}
+	}
+	x.cells[gap] = cell{}
+	x.n--
+	return slot, true
+}
+
+// reset empties the index, keeping its size.
+func (x *index) reset() {
+	clear(x.cells)
+	x.n = 0
 }

@@ -4,18 +4,20 @@ import (
 	"testing"
 	"testing/quick"
 
+	"palermo/internal/codec"
 	"palermo/internal/otree"
+	"palermo/internal/rng"
 )
 
 func TestPutGetRemove(t *testing.T) {
-	s := New(1 << 20)
-	s.Put(Entry{ID: 1, Leaf: 5, Val: 100})
-	s.Put(Entry{ID: 2, Leaf: 6, Val: 200})
+	s := New()
+	s.Put(Entry{ID: 1, Leaf: 5})
+	s.Put(Entry{ID: 2, Leaf: 6})
 	if s.Len() != 2 {
 		t.Fatalf("len = %d", s.Len())
 	}
 	e, ok := s.Get(1)
-	if !ok || e.Val != 100 || e.Leaf != 5 {
+	if !ok || e.ID != 1 || e.Leaf != 5 {
 		t.Fatalf("get(1) = %+v ok=%v", e, ok)
 	}
 	if !s.Remove(1) || s.Remove(1) {
@@ -27,14 +29,14 @@ func TestPutGetRemove(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	s := New(1 << 20)
-	s.Put(Entry{ID: 1, Leaf: 5, Val: 100})
-	s.Put(Entry{ID: 1, Leaf: 9, Val: 300})
+	s := New()
+	s.Put(Entry{ID: 1, Leaf: 5})
+	s.Put(Entry{ID: 1, Leaf: 9})
 	if s.Len() != 1 {
 		t.Fatalf("len = %d, want 1", s.Len())
 	}
 	e, _ := s.Get(1)
-	if e.Val != 300 || e.Leaf != 9 {
+	if e.Leaf != 9 {
 		t.Fatalf("replace failed: %+v", e)
 	}
 }
@@ -45,11 +47,11 @@ func TestPutDummyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(1 << 20).Put(Entry{ID: otree.Dummy})
+	New().Put(Entry{ID: otree.Dummy})
 }
 
 func TestMaxSeen(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	for i := otree.BlockID(0); i < 10; i++ {
 		s.Put(Entry{ID: i})
 	}
@@ -66,7 +68,7 @@ func TestMaxSeen(t *testing.T) {
 }
 
 func TestRemap(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	s.Put(Entry{ID: 4, Leaf: 1})
 	s.Remap(4, 77)
 	e, _ := s.Get(4)
@@ -81,18 +83,18 @@ func TestRemapAbsentPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(1<<20).Remap(1, 2)
+	New().Remap(1, 2)
 }
 
 func TestEvictIntoPathEligibility(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40) // depth 4
-	s := New(1 << 20)
+	s := New()
 	// Leaf 5 path at level 2 covers leaves sharing top-2 bits: 4..7.
 	s.Put(Entry{ID: 1, Leaf: 4}) // eligible at level 2
 	s.Put(Entry{ID: 2, Leaf: 7}) // eligible at level 2
 	s.Put(Entry{ID: 3, Leaf: 8}) // not eligible
 	s.Put(Entry{ID: 4, Leaf: 5}) // eligible
-	out := s.EvictIntoNode(g, g.NodeAt(5, 2), 4, nil)
+	out := s.EvictIntoNode(&g, g.NodeAt(5, 2), 4, nil)
 	if len(out) != 3 {
 		t.Fatalf("evicted %d blocks, want 3", len(out))
 	}
@@ -103,11 +105,11 @@ func TestEvictIntoPathEligibility(t *testing.T) {
 
 func TestEvictIntoRespectsMax(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New(1 << 20)
+	s := New()
 	for i := otree.BlockID(0); i < 10; i++ {
 		s.Put(Entry{ID: i, Leaf: 3})
 	}
-	out := s.EvictIntoNode(g, g.NodeAt(3, 4), 4, nil)
+	out := s.EvictIntoNode(&g, g.NodeAt(3, 4), 4, nil)
 	if len(out) != 4 || s.Len() != 6 {
 		t.Fatalf("evicted %d, remaining %d", len(out), s.Len())
 	}
@@ -115,10 +117,10 @@ func TestEvictIntoRespectsMax(t *testing.T) {
 
 func TestEvictIntoRootTakesAnything(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New(1 << 20)
+	s := New()
 	s.Put(Entry{ID: 1, Leaf: 0})
 	s.Put(Entry{ID: 2, Leaf: 15})
-	out := s.EvictIntoNode(g, g.NodeAt(7, 0), 4, nil)
+	out := s.EvictIntoNode(&g, g.NodeAt(7, 0), 4, nil)
 	if len(out) != 2 {
 		t.Fatalf("root eviction took %d, want 2 (all leaves share the root)", len(out))
 	}
@@ -126,20 +128,20 @@ func TestEvictIntoRootTakesAnything(t *testing.T) {
 
 func TestEvictDeterministicOldestFirst(t *testing.T) {
 	g := otree.Uniform(64, 4, 5, 0, 1<<40)
-	s := New(1 << 20)
+	s := New()
 	for i := otree.BlockID(0); i < 6; i++ {
 		s.Put(Entry{ID: i, Leaf: 2})
 	}
-	out := s.EvictIntoNode(g, g.NodeAt(2, 4), 3, nil)
-	for i, e := range out {
-		if e.ID != otree.BlockID(i) {
+	out := s.EvictIntoNode(&g, g.NodeAt(2, 4), 3, nil)
+	for i, id := range out {
+		if id != otree.BlockID(i) {
 			t.Fatalf("eviction not oldest-first: %v", out)
 		}
 	}
 }
 
 func TestSlotReuse(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	for i := otree.BlockID(0); i < 1000; i++ {
 		s.Put(Entry{ID: i, Leaf: uint64(i)})
 		if i >= 1 {
@@ -159,7 +161,7 @@ func TestSlotReuse(t *testing.T) {
 }
 
 func TestSamples(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	s.Put(Entry{ID: 1})
 	s.Sample()
 	s.Put(Entry{ID: 2})
@@ -174,7 +176,7 @@ func TestSamples(t *testing.T) {
 // removed, and ForEach visits exactly the live set.
 func TestStashAccountingProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		s := New(1 << 20)
+		s := New()
 		ref := make(map[otree.BlockID]bool)
 		for _, op := range ops {
 			id := otree.BlockID(op % 100)
@@ -205,7 +207,7 @@ func TestStashAccountingProperty(t *testing.T) {
 }
 
 func TestCapacityOverflowTracking(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	s.SetCapacity(4)
 	for i := otree.BlockID(0); i < 6; i++ {
 		s.Put(Entry{ID: i})
@@ -224,11 +226,145 @@ func TestCapacityOverflowTracking(t *testing.T) {
 }
 
 func TestCapacityUntrackedByDefault(t *testing.T) {
-	s := New(1 << 20)
+	s := New()
 	for i := otree.BlockID(0); i < 1000; i++ {
 		s.Put(Entry{ID: i})
 	}
 	if s.Overflows() != 0 {
 		t.Fatal("untracked stash must not count overflows")
+	}
+}
+
+// noVals is the otree.Values of blocks that carry none.
+type noVals struct{}
+
+func (noVals) Val(otree.BlockID) uint64     { return 0 }
+func (noVals) SetVal(otree.BlockID, uint64) {}
+
+// TestStashIndexMatchesMap drives a stash through a seeded mix of inserts,
+// in-place replacements, removals (most of them inside clusters, where
+// deletion shifts later cells back), growth to several hundred entries and
+// back, evictions, reset and LoadState, against a Go map and an
+// insertion-order list. After every step the stash must agree with the
+// model on every probed id, on Len and on ForEach's order, and the index
+// must hold exactly the live entries, at most half full, each reachable
+// from its home cell without crossing an empty one.
+func TestStashIndexMatchesMap(t *testing.T) {
+	r := rng.New(5)
+	s := New()
+	ref := map[otree.BlockID]Entry{}
+	var order []otree.BlockID
+	remove := func(id otree.BlockID) {
+		delete(ref, id)
+		for i, v := range order {
+			if v == id {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
+		}
+	}
+	g := otree.Uniform(1<<12, 4, 5, 0, 0)
+	check := func(step int, what string) {
+		t.Helper()
+		if s.Len() != len(ref) || s.index.n != len(ref) {
+			t.Fatalf("step %d (%s): Len %d, index holds %d, model %d", step, what, s.Len(), s.index.n, len(ref))
+		}
+		if n := len(s.index.cells); n&(n-1) != 0 || 2*s.index.n > n {
+			t.Fatalf("step %d (%s): %d entries in %d cells", step, what, s.index.n, n)
+		}
+		held := 0
+		mask := len(s.index.cells) - 1
+		for c, cl := range s.index.cells {
+			if cl.ref == 0 {
+				continue
+			}
+			held++
+			for p := s.index.home(cl.id); p != c; p = (p + 1) & mask {
+				if s.index.cells[p].ref == 0 {
+					t.Fatalf("step %d (%s): block %d in cell %d is cut off from its home by empty cell %d", step, what, cl.id, c, p)
+				}
+			}
+			if e := s.slab[cl.ref-1].e; e.ID != cl.id {
+				t.Fatalf("step %d (%s): index sends block %d to a slot holding %d", step, what, cl.id, e.ID)
+			}
+		}
+		if held != len(ref) {
+			t.Fatalf("step %d (%s): %d cells in use for %d blocks", step, what, held, len(ref))
+		}
+		i := 0
+		s.ForEach(func(e Entry) {
+			if i >= len(order) || e != ref[order[i]] {
+				t.Fatalf("step %d (%s): ForEach entry %d is %+v, want block %d of %d", step, what, i, e, order[min(i, len(order)-1)], len(order))
+			}
+			i++
+		})
+		for range 8 {
+			id := otree.BlockID(r.Uint64n(4096))
+			got, ok := s.Get(id)
+			want, in := ref[id]
+			if ok != in || got != want || s.Contains(id) != in {
+				t.Fatalf("step %d (%s): Get(%d) = %+v, %v; model %+v, %v", step, what, id, got, ok, want, in)
+			}
+		}
+	}
+	peak := 0
+	for step := range 30000 {
+		// Puts outweigh removals for 3000 steps and then the other way
+		// round, so the index grows past its first sizes and empties
+		// again.
+		puts := uint64(25)
+		if step/3000%2 == 0 {
+			puts = 70
+		}
+		id := otree.BlockID(r.Uint64n(4096))
+		var what string
+		switch op := r.Uint64n(100); {
+		case op < 1:
+			what = "evict"
+			leaf := r.Uint64n(g.NumLeaves())
+			for _, id := range s.EvictIntoNode(&g, g.NodeAt(leaf, g.Depth-1), 4, nil) {
+				remove(id)
+			}
+		case op < 2:
+			what = "load"
+			st := s.AppendState(nil, noVals{})
+			if step%2 == 0 {
+				s = New()
+			}
+			if err := s.LoadState(codec.NewReader(st), 4096, g.NumLeaves(), noVals{}); err != nil {
+				t.Fatal(err)
+			}
+		case op < 2+puts:
+			e := Entry{ID: id, Leaf: r.Uint64n(g.NumLeaves())}
+			what = "put"
+			if _, in := ref[id]; !in {
+				order = append(order, id)
+			} else {
+				what = "replace"
+			}
+			s.Put(e)
+			ref[id] = e
+		default:
+			what = "remove"
+			if len(order) > 0 && op%4 != 0 {
+				id = order[r.Uint64n(uint64(len(order)))]
+			}
+			_, in := ref[id]
+			if s.Remove(id) != in {
+				t.Fatalf("step %d: Remove(%d) disagrees with the model (%v)", step, id, in)
+			}
+			remove(id)
+		}
+		check(step, what)
+		peak = max(peak, len(s.index.cells))
+		if step == 20000 {
+			s.reset()
+			clear(ref)
+			order = order[:0]
+			check(step, "reset")
+		}
+	}
+	if peak < 1024 {
+		t.Fatalf("the index never grew past %d cells", peak)
 	}
 }
