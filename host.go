@@ -50,13 +50,6 @@ type host struct {
 	scratch sync.Pool // of *batchScratch
 }
 
-// walCommitDepth keeps the WAL's group-commit fsync on its committer
-// goroutine: one batch in the fsync, one queued behind it and one filling
-// the buffer before the shard worker waits — a crash window of three
-// batches (wal.Options.CommitDepth; GroupCommit 1 stays synchronous inside
-// wal regardless).
-const walCommitDepth = 2
-
 // notServed is the host's rejection of an operation naming a shard it does
 // not currently serve (never produced by a ShardedStore, which hosts every
 // shard); ClusterNode dresses it as the wrong-epoch status.
@@ -147,7 +140,7 @@ func (h *host) openSlot(s int) (*slot, error) {
 	var err error
 	switch h.cfg.Engine {
 	case BackendWAL:
-		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, CommitDepth: walCommitDepth, Capacity: h.router.ShardBlocks(s)})
+		be, err = wal.Open(h.shardDir(s), wal.Options{GroupCommit: h.cfg.GroupCommit, Capacity: h.router.ShardBlocks(s)})
 	case BackendBlockfile:
 		be, err = blockfile.Open(h.shardDir(s), blockfile.Options{GroupCommit: h.cfg.GroupCommit, Capacity: h.router.ShardBlocks(s)})
 	}

@@ -25,10 +25,11 @@
 // platforms, and a mapping that cannot be made, read each slot with one
 // pread.
 //
-// Above GroupCommit 1 each backend runs one helper goroutine
-// (helper.go). A PutMany that closes a batch hands the batch's commit to
-// it and returns; the helper runs the commits in order, at most one at a
-// time, and reports each through backend.Committer, so the owner can hold
+// Records are held in the durable core's group-commit batch
+// (durable.Batch). Above GroupCommit 1 a PutMany that closes a batch
+// hands the batch's commit to the core's helper goroutine and returns;
+// the helper runs the commits in order, at most one at a time, and the
+// backend reports each through backend.Committer, so the owner can hold
 // the acknowledgments of the writes that ran meanwhile until it settles
 // (package serve does; DESIGN.md §9). On Linux the helper also starts the
 // slot file's writeback each time the open batch's held records cross a
@@ -141,7 +142,7 @@ type Backend struct {
 	dataF *os.File // blocks.dat
 	logF  *os.File
 	lockF *os.File
-	recs  []byte // framed records held until the commit's data sync
+	batch durable.Batch // records held for the commit, and its helper
 
 	present []uint64 // bitmap of stored slots (the only per-block RAM)
 	count   int
@@ -156,21 +157,8 @@ type Backend struct {
 	tail      []backend.TailOp // likewise
 	seq       uint64
 
-	pending int
 	closed  bool
 	failErr error
-
-	// The helper goroutine (helper.go): jobs hands it one commit at a
-	// time, kick wakes it for a writeback hint, and helperDone closes when
-	// it has exited. jobs and helperDone are nil at GroupCommit 1, kick
-	// also where no hint is sent. inflight is the commit last handed over,
-	// until a later write finds it settled successfully; spare is the
-	// record buffer it was handed, which the next batch reuses.
-	jobs       chan job
-	kick       chan struct{}
-	helperDone chan struct{}
-	inflight   *backend.Commit
-	spare      []byte
 
 	durable.Fsync // commit-path (data+log) fsync telemetry; FsyncStats
 }
@@ -194,9 +182,13 @@ func Open(dir string, opt Options) (*Backend, error) {
 		return nil, b.fail(err) // closes what was opened, releases the lock
 	}
 	b.scratch = make([]byte, maxRunSlots*SlotBytes)
-	b.recs = make([]byte, 0, (b.opt.GroupCommit+1)*recSize)
 	b.slots = mapData(b.dataF, b.opt.Capacity*SlotBytes)
-	b.startHelper()
+	var hint func()
+	if hintWriteback {
+		f := b.dataF
+		hint = func() { writeback(f) }
+	}
+	b.batch.Start(b.opt.GroupCommit, recSize, b.syncBatch, b.fail, hint)
 	return b, nil
 }
 
@@ -305,6 +297,9 @@ func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
 	return meta, b.metaEpoch, tail
 }
 
+// InFlight implements backend.Committer.
+func (b *Backend) InFlight() *backend.Commit { return b.batch.InFlight() }
+
 func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 	if len(sb.Ct) != crypt.BlockBytes {
 		return fmt.Errorf("blockfile: ciphertext must be %d bytes, got %d", crypt.BlockBytes, len(sb.Ct))
@@ -392,7 +387,7 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if err := b.reap(); err != nil {
+	if err := b.batch.Reap(); err != nil {
 		return err
 	}
 	maxE := uint64(0)
@@ -418,16 +413,10 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		start = end
 	}
 	for _, op := range ops {
-		b.appendRecord(op.Local, op.Sb.Epoch)
+		b.batch.Append(op.Local, op.Sb.Epoch, nil)
 	}
-	held := b.pending
-	b.pending += len(ops)
-	if b.pending >= b.opt.GroupCommit {
-		if err := b.closeBatch(); err != nil {
-			return err
-		}
-	} else {
-		b.kickWriteback(held)
+	if err := b.batch.Add(len(ops)); err != nil {
+		return err
 	}
 	for _, op := range ops {
 		b.markPresent(op.Local)
@@ -459,39 +448,14 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 		return nil
 	}
 	r := epoch + reserveChunk
-	b.appendRecord(backend.EpochReserveLocal, r)
+	b.batch.Append(backend.EpochReserveLocal, r, nil)
 	// The full commit: records held ahead of the reservation reach the
 	// log with it, after their slots are synced.
-	if err := b.commit(); err != nil {
+	if err := b.batch.Commit(); err != nil {
 		return err
 	}
 	b.reserved = r
 	return nil
-}
-
-// appendRecord frames one metadata record and holds it for the commit. It
-// frames in place, in the spare capacity of the held records, so a write
-// allocates nothing once the buffer has reached a batch's size (a local
-// array would escape through the CRC call).
-func (b *Backend) appendRecord(local, epoch uint64) {
-	b.recs = append(b.recs, make([]byte, recSize)...)
-	durable.Frame(b.recs[len(b.recs)-recSize:], local, epoch, nil)
-}
-
-// kickWriteback wakes the helper for a writeback hint when the open
-// batch's held records crossed a multiple of GroupCommit/4 on their way
-// up from held. The send never blocks: a hint already queued covers these
-// pages too.
-func (b *Backend) kickWriteback(held int) {
-	if b.kick == nil {
-		return
-	}
-	if q := b.opt.GroupCommit / 4; b.pending/q != held/q {
-		select {
-		case b.kick <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // syncFile is the commit's fsync; a variable so a test can observe it.
@@ -501,35 +465,21 @@ var syncFile = durable.TimedSync
 // switch the mapping off and run the ReadAt path.
 var mapData = mapReadOnly
 
-// commit runs the open batch's commit on the worker, after the commit in
-// flight: every commit at GroupCommit 1, and the barrier of Flush,
-// Checkpoint and an epoch reservation.
-func (b *Backend) commit() error {
-	if err := b.settle(); err != nil {
-		return err
-	}
-	if err := b.syncBatch(b.recs, b.logF); err != nil {
-		return b.fail(err)
-	}
-	b.recs = b.recs[:0]
-	b.pending = 0
-	return nil
-}
-
 // syncBatch is one group commit: sync the slot file, write the batch's
 // held records to the log in one write, then sync the log. No record
 // reaches the log file before its slot is synced, so the kernel can never
-// write a record back ahead of the slot it names.
-func (b *Backend) syncBatch(recs []byte, logF *os.File) error {
+// write a record back ahead of the slot it names. It runs on the helper,
+// or on the owner at GroupCommit 1 and in a barrier.
+func (b *Backend) syncBatch(recs []byte) error {
 	if err := syncFile(&b.Fsync, b.dataF); err != nil {
 		return fmt.Errorf("blockfile: %w", err)
 	}
 	if len(recs) > 0 {
-		if _, err := logF.Write(recs); err != nil {
+		if _, err := b.logF.Write(recs); err != nil {
 			return fmt.Errorf("blockfile: %w", err)
 		}
 	}
-	if err := syncFile(&b.Fsync, logF); err != nil {
+	if err := syncFile(&b.Fsync, b.logF); err != nil {
 		return fmt.Errorf("blockfile: %w", err)
 	}
 	return nil
@@ -541,7 +491,7 @@ func (b *Backend) Flush() error {
 	if b.closed {
 		return format.ClosedErr(b.failErr)
 	}
-	return b.commit()
+	return b.batch.Commit()
 }
 
 // Checkpoint implements backend.Backend: O(metadata) — the snapshot
@@ -559,7 +509,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	if err := b.ensureReserved(metaEpoch); err != nil {
 		return err
 	}
-	if err := b.commit(); err != nil {
+	if err := b.batch.Commit(); err != nil {
 		return err
 	}
 	newSeq := b.seq + 1
@@ -569,7 +519,6 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	}
 	b.logF.Close()
 	b.logF = f
-	b.pending = 0
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
 	// The reset dropped the old log's reservation records. metaEpoch
@@ -591,7 +540,7 @@ func (b *Backend) Close() error {
 		return b.failErr
 	}
 	b.closed = true
-	b.stopHelper()
+	b.batch.Stop()
 	unmap(b.slots)
 	b.slots = nil
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
@@ -612,7 +561,7 @@ func (b *Backend) fail(err error) error {
 		b.closed = true
 		b.failErr = err
 	}
-	b.stopHelper()
+	b.batch.Stop()
 	if b.logF != nil {
 		b.logF.Close()
 		b.logF = nil

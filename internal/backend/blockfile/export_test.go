@@ -41,4 +41,7 @@ func StallDataSync(t *testing.T, fail error) (entered <-chan struct{}, release c
 
 // HelperDone returns the channel that closes when b's helper goroutine
 // has exited; nil where none runs.
-func HelperDone(b *Backend) <-chan struct{} { return b.helperDone }
+func HelperDone(b *Backend) <-chan struct{} {
+	done, _ := b.batch.Helper()
+	return done
+}

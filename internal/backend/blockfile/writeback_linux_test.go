@@ -86,10 +86,11 @@ func TestWritebackNoHint(t *testing.T) {
 	fired := hookWriteback(t)
 	for _, group := range []int{1, 2, 3} {
 		b := mustOpen(t, t.TempDir(), Options{GroupCommit: group})
-		if b.kick != nil {
+		done, kick := b.batch.Helper()
+		if kick != nil {
 			t.Errorf("GroupCommit %d sends writeback hints", group)
 		}
-		if group == 1 && b.jobs != nil {
+		if group == 1 && done != nil {
 			t.Error("GroupCommit 1 runs a helper; its every commit belongs in its Put")
 		}
 		for i := uint64(1); i <= 40; i++ {
@@ -104,7 +105,7 @@ func TestWritebackNoHint(t *testing.T) {
 	}
 
 	b := mustOpen(t, t.TempDir(), Options{GroupCommit: 32})
-	kick := b.kick
+	_, kick := b.batch.Helper()
 	putMany(t, b, 0, 32)   // closes its batch from empty
 	putMany(t, b, 100, 20) // crosses 8 and 16 held: one hint
 	awaitHint(t, fired, "a PutMany to 20 held records")
@@ -187,7 +188,7 @@ func TestWritebackHelperStops(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatal("the helper never started the hint or the commit")
 			}
-			done, kick := b.helperDone, b.kick
+			done, kick := b.batch.Helper()
 			failSync = tc.name == "wedge"
 			stopped := make(chan error, 1)
 			go func() { stopped <- tc.stop(b) }()

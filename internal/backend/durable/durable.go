@@ -26,6 +26,10 @@
 // record size keeps alignment), and is refused with the file untouched. A
 // crash therefore loses exactly the writes not yet fsynced, nothing else.
 //
+// Group commit is here too: an engine frames its records into a Batch,
+// whose one helper goroutine runs the engine's commit of each closed
+// batch, one in flight at most (batch.go).
+//
 // A backend that can no longer trust its directory wedges: every later
 // operation fails fast with the first cause (ClosedErr). The rule the core
 // imposes is that any failure at or after a checkpoint's snapshot rename
@@ -99,16 +103,20 @@ func (f *Format) ClosedErr(failErr error) error {
 }
 
 // Fsync is an engine's commit-path fsync telemetry (atomics: FsyncStats
-// reads them from any goroutine while the owner or a committer is
+// reads them from any goroutine while the owner or the Batch's helper is
 // mid-sync).
 type Fsync struct {
 	n, nanos atomic.Uint64
 }
 
+// fsync is TimedSync's sync; a variable so a test can fail every commit
+// of either engine.
+var fsync = (*os.File).Sync
+
 // TimedSync fsyncs f and charges the wait to s.
 func TimedSync(s *Fsync, f *os.File) error {
 	t0 := time.Now()
-	err := f.Sync()
+	err := fsync(f)
 	s.n.Add(1)
 	s.nanos.Add(uint64(time.Since(t0)))
 	return err

@@ -15,23 +15,23 @@ import (
 	"palermo/internal/rng"
 )
 
-// TestCommitPipelineWindow pins the durability window Options.CommitDepth
-// states. With the committer's fsync stalled nothing becomes durable, so
+// TestCommitPipelineWindow pins the durability window Options.GroupCommit
+// states. With the helper's fsync stalled nothing becomes durable, so
 // every write the owner gets acknowledged before it first blocks is an
-// acknowledged-but-unsynced one: a batch in the stalled fsync, CommitDepth-1
-// queued, and the buffer's — (CommitDepth+1)×GroupCommit − 1 scalar puts,
-// and v−1 more for each vector of v that closed a batch.
+// acknowledged-but-unsynced one: the batch in the stalled commit and the
+// open one — 2×GroupCommit − 1 scalar puts, and v−1 more for each vector
+// of v that closed a batch.
 func TestCommitPipelineWindow(t *testing.T) {
-	const gc, depth = 4, 2
+	const gc = 4
 	for _, tc := range []struct {
 		name   string
 		vector int // records per put
 		want   int // acknowledged records when the owner blocks
 	}{
-		{"scalar puts", 1, (depth+1)*gc - 1},
-		// Two vectors of 3 close a batch of 6; the third batch's first
+		{"scalar puts", 1, 2*gc - 1},
+		// Two vectors of 3 close a batch of 6; the second batch's first
 		// vector is acknowledged, its second blocks.
-		{"vectors of 3", 3, (depth+1)*gc - 1 + depth*(3-1)},
+		{"vectors of 3", 3, 2*gc - 1 + (3 - 1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stall, inSync := make(chan struct{}), make(chan struct{}, 1)
@@ -46,7 +46,7 @@ func TestCommitPipelineWindow(t *testing.T) {
 			}
 			defer func() { syncLog = real }()
 
-			b := mustOpen(t, t.TempDir(), Options{GroupCommit: gc, CommitDepth: depth})
+			b := mustOpen(t, t.TempDir(), Options{GroupCommit: gc})
 			const puts = 40
 			var acked atomic.Int64
 			ownerDone := make(chan error, 1)
@@ -96,11 +96,11 @@ func TestCommitPipelineWindow(t *testing.T) {
 }
 
 // TestPutAllocatesNothing: at steady state — ids already stored, no
-// checkpoint — a logged Put frames into the write buffer and copies into
-// the mirror, with or without the commit pipeline.
+// checkpoint — a logged Put frames into the open batch and copies into
+// the mirror, whether its commits run inside it or on the helper.
 func TestPutAllocatesNothing(t *testing.T) {
-	for _, depth := range []int{0, 2} {
-		b := mustOpen(t, t.TempDir(), Options{GroupCommit: 8, CommitDepth: depth, Capacity: 256})
+	for _, gc := range []int{1, 8} {
+		b := mustOpen(t, t.TempDir(), Options{GroupCommit: gc, Capacity: 256})
 		sb := backend.Sealed{Ct: ct(0x5A), Epoch: 0}
 		for id := uint64(0); id < 256; id++ {
 			sb.Epoch++
@@ -117,9 +117,9 @@ func TestPutAllocatesNothing(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("CommitDepth %d: Put allocates %.2f times per call, want 0", depth, allocs)
+			t.Errorf("GroupCommit %d: Put allocates %.2f times per call, want 0", gc, allocs)
 		}
-		if err := b.Flush(); err != nil { // the barrier reuses its channel
+		if err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
@@ -127,7 +127,7 @@ func TestPutAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("CommitDepth %d: Flush allocates %.2f times per call, want 0", depth, allocs)
+			t.Errorf("GroupCommit %d: Flush allocates %.2f times per call, want 0", gc, allocs)
 		}
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestSnapshotBytesReproducible(t *testing.T) {
 	var files [2][]byte
 	for i := range files {
 		dir := t.TempDir()
-		b := mustOpen(t, dir, Options{GroupCommit: 16, CommitDepth: 2, Capacity: 1 << 10})
+		b := mustOpen(t, dir, Options{GroupCommit: 16, Capacity: 1 << 10})
 		mirrorScript(t, b, 42)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)

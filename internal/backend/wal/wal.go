@@ -17,10 +17,12 @@
 // the members as ordinary records. Batches are atomic under recovery —
 // applied only when every member is intact, discarded whole when a crash
 // tears them — so half a path write can never persist. Group commit
-// counts records, not calls, so commit cadence matches the scalar path;
-// with Options.CommitDepth > 1 the fsync itself runs on a committer
-// goroutine (the §9 commit pipeline), overlapping the next accesses'
-// engine work, with Flush/Checkpoint/Close acting as full barriers.
+// counts records, not calls, so commit cadence matches the scalar path.
+// Records are framed into the durable core's group-commit batch
+// (durable.Batch): above GroupCommit 1 the PutMany that closes a batch
+// hands it to the core's helper goroutine, which writes the records and
+// fsyncs the log while the next accesses run, with at most one commit in
+// flight and Flush/Checkpoint/Close settling it first (DESIGN.md §9).
 //
 // Recovery on Open loads the snapshot (if any), then replays the log's
 // intact records; when a torn group-commit tail is cut, a durable epoch
@@ -41,7 +43,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sync"
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
@@ -74,44 +75,24 @@ var format = durable.Format{
 type Options struct {
 	// GroupCommit is the number of Put records per fsync batch (default
 	// durable.DefaultGroupCommit; 1 = synchronous durability for every
-	// write).
+	// write). Above 1 the WAL acknowledges a write without waiting for its
+	// commit, so a crash can lose two batches of acknowledged writes: the
+	// one the helper is committing and the open one. A batch is
+	// GroupCommit − 1 records plus the put that filled it, so scalar Puts
+	// leave at most 2 × GroupCommit − 1 acknowledged records un-fsynced
+	// (63 at the default 32), and a PutMany vector of v records that closed
+	// the batch in flight adds v − 1 to that.
 	GroupCommit int
-	// CommitDepth enables the commit pipeline: when > 1 (and GroupCommit
-	// > 1), a filled group-commit batch is flushed to the file by the
-	// owner goroutine and fsynced on a dedicated committer goroutine, so
-	// the owner overlaps the next accesses' engine work with the previous
-	// batch's fsync. The owner blocks only when it has a batch to hand
-	// over and the queue (CommitDepth-1 requests behind the one being
-	// synced) is full, so a crash can lose up to CommitDepth+1 batches of
-	// acknowledged writes: the one in the committer's fsync, CommitDepth-1
-	// queued, and the one filling the buffer. A batch is GroupCommit-1
-	// records plus the put that filled it, so scalar Puts leave at most
-	// (CommitDepth+1)×GroupCommit − 1 acknowledged records un-fsynced (95
-	// at a store's depth 2 and the default 32), and every PutMany vector
-	// of v records that closes a batch adds v−1 to that. 0 or 1 keeps
-	// every fsync synchronous (one batch: GroupCommit−1 records plus one
-	// vector) — bit-identical to the pre-pipeline behavior. GroupCommit ==
-	// 1 always commits synchronously: it is the per-write durability
-	// promise, which an in-flight fsync would break.
+	// CommitDepth is ignored: every WAL commits through the durable
+	// core's batch, one commit in flight at most.
+	//
+	// Deprecated: kept only for callers that still set it
+	// (benchmark/layers); delete with ROADMAP item 5(a).
 	CommitDepth int
 	// Capacity is the shard's block capacity, which sizes the in-memory
 	// mirror's index (slab.New); ids at or beyond it are refused. Zero
 	// means unknown: a direct index, ids below paged.DirectKeys.
 	Capacity uint64
-}
-
-// MaxCommitDepth caps the commit pipeline (and with it how many fsync
-// batches a crash can lose beyond the buffered tail).
-const MaxCommitDepth = 64
-
-func (o *Options) defaults() {
-	o.GroupCommit = durable.GroupCommit(o.GroupCommit)
-	if o.CommitDepth > MaxCommitDepth {
-		o.CommitDepth = MaxCommitDepth
-	}
-	if o.GroupCommit == 1 {
-		o.CommitDepth = 0 // per-write durability: never pipeline the fsync
-	}
 }
 
 // Backend is a durable block-state backend over one directory.
@@ -130,37 +111,19 @@ type Backend struct {
 	seq       uint64 // checkpoint sequence the current log follows
 
 	logF    *os.File
-	lockF   *os.File // holds the directory's exclusive flock
-	bw      *bufio.Writer
-	pending int   // records appended since the last fsync
-	closed  bool  // Close called, or the backend wedged mid-operation
-	failErr error // the wedging error, surfaced again by Close
-
-	// Commit pipeline (CommitDepth > 1): the owner goroutine flushes a
-	// filled batch to the file and hands the fsync to the committer, so
-	// the next accesses run while the batch reaches stable storage.
-	commitq     chan commitReq
-	committerWG chan struct{}
-	barrier     chan error // Flush's reply channel, reused: one barrier at a time
-	cmu         sync.Mutex
-	commitErr   error // first asynchronous fsync failure (wedges on next op)
+	lockF   *os.File      // holds the directory's exclusive flock
+	batch   durable.Batch // the open group-commit batch and the helper
+	closed  bool          // Close called, or the backend wedged mid-operation
+	failErr error         // the wedging error, surfaced again by Close
 
 	durable.Fsync // commit-path (log) fsync telemetry; FsyncStats
-}
-
-// commitReq is one fsync handed to the committer goroutine. A non-nil
-// done makes the request a barrier: the sender receives this fsync's
-// outcome after every earlier request has completed.
-type commitReq struct {
-	f    *os.File
-	done chan error
 }
 
 // Open creates or recovers the backend rooted at dir. The directory is
 // exclusively locked for the backend's lifetime; a second concurrent Open
 // (same or different process) fails instead of corrupting the live log.
 func Open(dir string, opt Options) (*Backend, error) {
-	opt.defaults()
+	opt.GroupCommit = durable.GroupCommit(opt.GroupCommit)
 	lock, err := format.OpenDir(dir)
 	if err != nil {
 		return nil, err
@@ -169,59 +132,26 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if err := b.load(); err != nil {
 		return nil, b.fail(err) // releases the lock
 	}
-	b.bw = bufio.NewWriterSize(b.logF, b.opt.GroupCommit*recordSize+recordSize)
-	if b.opt.CommitDepth > 1 {
-		b.commitq = make(chan commitReq, b.opt.CommitDepth-1)
-		b.committerWG = make(chan struct{})
-		b.barrier = make(chan error, 1)
-		go b.committer()
-	}
+	b.batch.Start(b.opt.GroupCommit, recordSize, b.commit, b.fail, nil)
 	return b, nil
 }
 
-// syncLog is the committer's fsync; a variable so a test can stall it.
+// syncLog is the commit's fsync; a variable so a test can stall it.
 var syncLog = durable.TimedSync
 
-// committer is the fsync stage of the commit pipeline: it syncs batches in
-// submission order and records the first failure, which wedges the backend
-// on its next operation (the fsync-retry trap applies to pipelined commits
-// exactly as to synchronous ones).
-func (b *Backend) committer() {
-	defer close(b.committerWG)
-	for req := range b.commitq {
-		err := syncLog(&b.Fsync, req.f)
-		if err != nil {
-			err = fmt.Errorf("wal: pipelined commit: %w", err)
-			b.cmu.Lock()
-			if b.commitErr == nil {
-				b.commitErr = err
-			}
-			b.cmu.Unlock()
-		}
-		if req.done != nil {
-			req.done <- err
+// commit is one group commit: the batch's records in one write to the
+// log, then the log's fsync. It runs on the helper, or on the owner at
+// GroupCommit 1 and in Flush.
+func (b *Backend) commit(recs []byte) error {
+	if len(recs) > 0 {
+		if _, err := b.logF.Write(recs); err != nil {
+			return fmt.Errorf("wal: %w", err)
 		}
 	}
-}
-
-// asyncErr returns the first pipelined-commit failure, if any.
-func (b *Backend) asyncErr() error {
-	if b.commitq == nil {
-		return nil
+	if err := syncLog(&b.Fsync, b.logF); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
-	b.cmu.Lock()
-	defer b.cmu.Unlock()
-	return b.commitErr
-}
-
-// stopCommitter shuts the commit pipeline down and waits for it to drain.
-// Idempotent; safe when the pipeline was never started.
-func (b *Backend) stopCommitter() {
-	if b.commitq != nil {
-		close(b.commitq)
-		<-b.committerWG
-		b.commitq = nil
-	}
+	return nil
 }
 
 // unlock releases the directory lock (closing the fd drops the flock).
@@ -269,8 +199,8 @@ func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 }
 
 // Put implements backend.Backend: append a CRC-framed record and commit
-// (fsync, possibly pipelined) once every GroupCommit records — a vector
-// of one, which PutMany frames as a plain record.
+// once every GroupCommit records — a vector of one, which PutMany frames
+// as a plain record.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 	one := [1]backend.PutOp{{Local: local, Sb: sb}}
 	return b.PutMany(one[:])
@@ -280,8 +210,9 @@ func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 // as one CRC-framed record batch — a batch header naming the count, then
 // one record per block, recovered all-or-nothing — and counts len(ops)
 // records toward the group-commit policy (commit cadence is identical to
-// len(ops) scalar Puts; only the framing and the fsync overlap differ).
-// A single-op vector appends a plain record.
+// len(ops) scalar Puts; only the framing differs). A single-op vector
+// appends a plain record. The vector that closes a batch waits for the
+// commit in flight, if any, and returns once the helper has its own.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	if b.closed {
 		return format.ClosedErr(b.failErr)
@@ -295,29 +226,24 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		// corruption at the next Open.
 		return fmt.Errorf("wal: vector of %d blocks exceeds the %d-record batch limit", len(ops), durable.MaxGroupCommit)
 	}
+	if err := b.batch.Reap(); err != nil {
+		return err
+	}
 	for _, op := range ops {
 		if err := b.validatePut(op.Local, op.Sb); err != nil {
 			return err
 		}
 	}
 	if len(ops) > 1 {
-		if err := b.appendRecord(batchLocal, uint64(len(ops)), nil); err != nil {
-			return err
-		}
+		b.batch.Append(batchLocal, uint64(len(ops)), nil)
 	}
 	for _, op := range ops {
-		if err := b.appendRecord(op.Local, op.Sb.Epoch, op.Sb.Ct); err != nil {
-			return err
-		}
+		b.batch.Append(op.Local, op.Sb.Epoch, op.Sb.Ct)
 	}
-	b.pending += len(ops)
-	if b.pending >= b.opt.GroupCommit {
-		if err := b.commit(); err != nil {
-			// Leave the mirror untouched: the engine above has not applied
-			// these writes either, so live state stays consistent even
-			// though the records may land after a restart.
-			return err
-		}
+	if err := b.batch.Add(len(ops)); err != nil {
+		// Leave the mirror untouched: the engine above has not applied
+		// these writes either, so live state stays consistent.
+		return err
 	}
 	for _, op := range ops {
 		b.blocks.Put(op.Local, op.Sb) // validated above
@@ -325,54 +251,11 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 	return nil
 }
 
-// commit completes one group-commit batch: synchronously (Flush) without a
-// pipeline, or by flushing the buffer and handing the fsync to the
-// committer goroutine with one. A full pipeline blocks here — bounding how
-// many acknowledged-but-unsynced batches a crash can lose: one the
-// committer is syncing, CommitDepth−1 queued behind it, and the one
-// filling the buffer (Options.CommitDepth has the count in records).
-func (b *Backend) commit() error {
-	if b.commitq == nil {
-		return b.Flush()
-	}
-	if err := b.asyncErr(); err != nil {
-		return b.fail(err)
-	}
-	if err := b.bw.Flush(); err != nil {
-		return b.fail(fmt.Errorf("wal: %w", err))
-	}
-	b.commitq <- commitReq{f: b.logF}
-	b.pending = 0
-	return nil
-}
-
-// appendRecord frames one log record straight into the write buffer (a
-// record built on the stack escapes through bufio's io.Writer and costs a
-// heap allocation per append). Header-only records (batch headers, epoch
-// reservations) pass a nil ct and carry zeros.
-func (b *Backend) appendRecord(local, epoch uint64, ct []byte) error {
-	if b.bw.Available() < recordSize {
-		// What Write does with a record that does not fit: hand the buffer
-		// to the file (no fsync) and start over.
-		if err := b.bw.Flush(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	rec := b.bw.AvailableBuffer()[:recordSize]
-	if ct == nil {
-		clear(rec[16 : 16+crypt.BlockBytes]) // Frame leaves the payload bytes as they are
-	}
-	durable.Frame(rec, local, epoch, ct)
-	if _, err := b.bw.Write(rec); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
-}
-
-// Flush implements backend.Backend: drain the buffer and fsync the log.
-// On a closed or wedged backend it fails like Put does — returning nil
-// would let a caller believe buffered records reached stable storage.
-// Any flush or fsync failure wedges the backend: after a failed fsync
+// Flush implements backend.Backend: settle the commit in flight, then
+// write the open batch and fsync the log. On a closed or wedged backend
+// it fails like Put does — returning nil would let a caller believe held
+// records reached stable storage. Any write or fsync failure, the
+// helper's included, wedges the backend: after a failed fsync
 // the kernel may discard dirty pages, and records already handed to the
 // page cache could otherwise become durable later even though their
 // writes were reported failed — acknowledgments and disk state would
@@ -381,26 +264,7 @@ func (b *Backend) Flush() error {
 	if b.closed {
 		return format.ClosedErr(b.failErr)
 	}
-	if err := b.asyncErr(); err != nil {
-		return b.fail(err)
-	}
-	if err := b.bw.Flush(); err != nil {
-		return b.fail(fmt.Errorf("wal: %w", err))
-	}
-	if b.commitq != nil {
-		// Full barrier: the fsync is enqueued behind every pipelined commit
-		// and its outcome received, so when Flush returns, every record the
-		// backend ever acknowledged is on stable storage (or the backend is
-		// wedged).
-		b.commitq <- commitReq{f: b.logF, done: b.barrier}
-		if err := <-b.barrier; err != nil {
-			return b.fail(err)
-		}
-	} else if err := durable.TimedSync(&b.Fsync, b.logF); err != nil {
-		return b.fail(fmt.Errorf("wal: %w", err))
-	}
-	b.pending = 0
-	return nil
+	return b.batch.Commit()
 }
 
 // Checkpoint implements backend.Backend: write a fresh snapshot of every
@@ -414,9 +278,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	// any sealed snapshot byte reaches disk: if we crash mid-checkpoint,
 	// recovery folds the reservation in and the restored sealer can never
 	// re-issue this checkpoint's IV for different plaintext.
-	if err := b.appendRecord(backend.EpochReserveLocal, metaEpoch, nil); err != nil {
-		return err
-	}
+	b.batch.Append(backend.EpochReserveLocal, metaEpoch, nil)
 	if err := b.Flush(); err != nil {
 		return err
 	}
@@ -425,19 +287,15 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	if err != nil {
 		return err
 	}
-	// Buffered records are discarded with the old log — the snapshot
-	// written just before already folds them in.
 	b.logF.Close()
 	b.logF = f
-	b.bw.Reset(f)
-	b.pending = 0
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
 	return nil
 }
 
-// Close implements backend.Backend: flush, fsync, release the log and the
-// directory lock. Idempotent; a backend that wedged mid-operation
+// Close implements backend.Backend: settle, commit, release the log and
+// the directory lock. Idempotent; a backend that wedged mid-operation
 // surfaces its wedging error here too.
 func (b *Backend) Close() error {
 	if b.closed {
@@ -449,7 +307,7 @@ func (b *Backend) Close() error {
 		return b.failErr
 	}
 	b.closed = true
-	b.stopCommitter()
+	b.batch.Stop()
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: %w", cerr)
 	}
@@ -481,7 +339,7 @@ func (b *Backend) fail(err error) error {
 		b.closed = true
 		b.failErr = err
 	}
-	b.stopCommitter()
+	b.batch.Stop()
 	if b.logF != nil {
 		b.logF.Close()
 		b.logF = nil

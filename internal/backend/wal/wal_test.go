@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"palermo/internal/backend"
+	"palermo/internal/backend/durable"
 	"palermo/internal/crypt"
 )
 
@@ -250,9 +251,7 @@ func TestWALEpochReservationRecovered(t *testing.T) {
 	if err := b.Put(4, backend.Sealed{Ct: ct(4), Epoch: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.appendRecord(backend.EpochReserveLocal, 99, make([]byte, crypt.BlockBytes)); err != nil {
-		t.Fatal(err)
-	}
+	b.batch.Append(backend.EpochReserveLocal, 99, make([]byte, crypt.BlockBytes))
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +288,17 @@ func TestWALDirSingleOwner(t *testing.T) {
 }
 
 // crashWithoutSync simulates the process dying between append and fsync:
-// buffered records reach the OS through the file write (a killed process
-// does not lose the page cache) but no fsync runs, no Close checkpoint is
-// written, and the directory lock drops as it would on process exit.
+// held records reach the OS through the file write (a killed process
+// does not lose the page cache), the batch in flight before the open one,
+// but the open one is not fsynced, no Close checkpoint is written, and
+// the directory lock drops as it would on process exit.
 func crashWithoutSync(b *Backend) {
-	b.bw.Flush()
-	b.stopCommitter()
+	b.batch.Settle() // the helper has written the batch in flight
+	real := syncLog
+	syncLog = func(*durable.Fsync, *os.File) error { return nil }
+	b.batch.Commit() // the open batch's write, without its fsync
+	syncLog = real
+	b.batch.Stop()
 	b.logF.Close()
 	b.closed = true
 	b.unlock()
@@ -375,9 +379,9 @@ func TestPutManyRejectsBadOps(t *testing.T) {
 // same acknowledged writes.
 func TestCrashMidPipelineBatchRecovery(t *testing.T) {
 	dir := t.TempDir()
-	// GroupCommit 64 with a commit pipeline: nothing is fsynced during the
-	// run; the crash lands squarely between append and fsync.
-	b := mustOpen(t, dir, Options{GroupCommit: 64, CommitDepth: 4})
+	// GroupCommit 64: nothing is committed during the run; the crash
+	// lands squarely between append and fsync.
+	b := mustOpen(t, dir, Options{GroupCommit: 64})
 	if err := b.Put(1, backend.Sealed{Ct: ct(1), Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -465,13 +469,13 @@ func TestTornBatchDiscardedWhole(t *testing.T) {
 	}
 }
 
-// TestCommitPipelineFlushBarrier: Flush on a pipelined backend is a full
-// barrier — after it returns, reopening the directory (even after a
+// TestCommitPipelineFlushBarrier: Flush with a commit on the helper is a
+// full barrier — after it returns, reopening the directory (even after a
 // simulated power cut discarding un-synced writes is impossible to fake
 // here, so we assert the pending counter and sync path) sees every record.
 func TestCommitPipelineFlushBarrier(t *testing.T) {
 	dir := t.TempDir()
-	b := mustOpen(t, dir, Options{GroupCommit: 8, CommitDepth: 4})
+	b := mustOpen(t, dir, Options{GroupCommit: 8})
 	for i := uint64(0); i < 20; i++ {
 		if err := b.Put(i, backend.Sealed{Ct: ct(byte(i)), Epoch: i + 1}); err != nil {
 			t.Fatal(err)
@@ -480,8 +484,11 @@ func TestCommitPipelineFlushBarrier(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.pending != 0 {
-		t.Fatalf("pending = %d after Flush barrier", b.pending)
+	if n := b.batch.Pending(); n != 0 {
+		t.Fatalf("pending = %d after Flush barrier", n)
+	}
+	if b.batch.InFlight() != nil {
+		t.Fatal("a commit is in flight after Flush barrier")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -494,17 +501,31 @@ func TestCommitPipelineFlushBarrier(t *testing.T) {
 }
 
 // TestGroupCommitOneStaysSynchronous: GroupCommit 1 is the per-write
-// durability promise; a requested commit pipeline must be ignored.
+// durability promise: no helper starts, and every Put commits inside it.
 func TestGroupCommitOneStaysSynchronous(t *testing.T) {
-	b := mustOpen(t, t.TempDir(), Options{GroupCommit: 1, CommitDepth: 8})
+	b := mustOpen(t, t.TempDir(), Options{GroupCommit: 1})
 	defer b.Close()
-	if b.commitq != nil {
-		t.Fatal("GroupCommit 1 started a commit pipeline")
+	if done, _ := b.batch.Helper(); done != nil {
+		t.Fatal("GroupCommit 1 started a commit helper")
 	}
 	if err := b.Put(1, backend.Sealed{Ct: ct(1), Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if b.pending != 0 {
-		t.Fatalf("pending = %d after a synchronous gc=1 Put", b.pending)
+	if n := b.batch.Pending(); n != 0 {
+		t.Fatalf("pending = %d after a synchronous gc=1 Put", n)
+	}
+	if n, _ := b.FsyncStats(); n != 1 {
+		t.Fatalf("%d fsyncs after a synchronous gc=1 Put, want 1", n)
+	}
+}
+
+// TestNotACommitter: the WAL acknowledges a write without waiting for the
+// commit that covers it, so it must not offer the serving worker a commit
+// to hold acknowledgments on.
+func TestNotACommitter(t *testing.T) {
+	var be backend.Backend = mustOpen(t, t.TempDir(), Options{})
+	defer be.Close()
+	if _, ok := be.(backend.Committer); ok {
+		t.Fatal("*wal.Backend implements backend.Committer")
 	}
 }

@@ -332,7 +332,7 @@ func TestShardInlineAllocs(t *testing.T) {
 		t.Run(engine, func(t *testing.T) {
 			var be backend.Backend
 			if engine == "wal" {
-				w, err := wal.Open(t.TempDir(), wal.Options{CommitDepth: 2, Capacity: 1 << 10})
+				w, err := wal.Open(t.TempDir(), wal.Options{Capacity: 1 << 10})
 				if err != nil {
 					t.Fatal(err)
 				}

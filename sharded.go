@@ -74,15 +74,15 @@ type ShardedStoreConfig struct {
 	// each shard's un-fsynced tail, counted in batches of up to
 	// GroupCommit − 1 records plus the write vector that filled the batch
 	// (WriteBatch reaches a shard's log in vectors of up to 128 records,
-	// each appended and committed as a unit). The blockfile engine commits
-	// each batch on a helper goroutine while the shard keeps serving, and
-	// acknowledges the write that filled it, and every write after it,
-	// only once that commit settles: one batch. Reads do not wait for it.
-	// The WAL engine fsyncs on a committer goroutine and lets three
-	// batches of acknowledged writes pile up behind a slow fsync before
-	// writers wait — up to 3 × GroupCommit − 1 single-block writes (95 at
-	// the default), more when vectors close the batches
-	// (wal.Options.CommitDepth has the arithmetic).
+	// each appended and committed as a unit). Both engines commit each
+	// batch on a helper goroutine while the shard keeps serving, one
+	// commit in flight at most. The blockfile engine acknowledges the write
+	// that filled a batch, and every write after it, only once that commit
+	// settles: one batch. Reads do not wait for it. The WAL engine
+	// acknowledges without waiting, so two batches can be un-fsynced: up
+	// to 2 × GroupCommit − 1 single-block writes (63 at the default), more
+	// when a vector closed the batch in flight (wal.Options.GroupCommit has
+	// the arithmetic).
 	GroupCommit int
 }
 

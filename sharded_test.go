@@ -181,10 +181,11 @@ func TestShardedStoreDefaults(t *testing.T) {
 }
 
 // TestDefaultExecutorPerEngine pins the one executor: on every engine a
-// store runs one goroutine per shard, its worker, plus the engine's own
-// helper — the WAL's fsync committer, blockfile's commit and writeback
-// helper (on every platform) — and the deprecated Shard.EnablePipeline
-// changes neither that count nor a served byte or an exposed leaf.
+// store runs one goroutine per shard, its worker, plus a durable engine's
+// one group-commit helper (durable.Batch: the WAL's commits, blockfile's
+// commits and writeback hints, on every platform) — and the deprecated
+// Shard.EnablePipeline changes neither that count nor a served byte or an
+// exposed leaf.
 func TestDefaultExecutorPerEngine(t *testing.T) {
 	const shards = 3
 	// Goroutines of earlier tests may still be exiting; wait them out so the
