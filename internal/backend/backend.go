@@ -18,9 +18,10 @@
 //
 // Implementations: memory (process-private, the default), wal (a
 // CRC-framed append-only log with group-committed fsync and compacted
-// snapshots, mirrored in RAM, surviving restarts and crashes) and blockfile
-// (one slot per block in a file, read back on demand). memory and the WAL's
-// mirror keep their blocks in one container, package slab.
+// snapshots, read back from the snapshot file, surviving restarts and
+// crashes) and blockfile (one slot per block in a file, read back on
+// demand). memory, and the WAL for the blocks written since its last
+// snapshot, keep their blocks in one container, package slab.
 //
 // A Backend is confined to its shard's worker goroutine, exactly like the
 // ORAM engine above it, so implementations need no internal locking.
@@ -31,9 +32,11 @@ package backend
 // Ownership: Put and PutMany copy Ct before they return, so the caller owns
 // its buffer again and may seal the next block into the same bytes (the
 // shard does). A Sealed that Get or GetMany returns belongs to the backend:
-// its Ct may alias the backend's own storage, must not be written, and is
-// valid only until the next Put of the same id — whoever keeps a block
-// longer than that (a migration snapshot, a tee) copies it.
+// its Ct may alias the backend's own storage or a buffer it reuses, must
+// not be written, and is valid only until the next call on the backend —
+// whoever keeps a block longer than that (a migration snapshot, a tee)
+// copies it. The results of one GetMany are valid together: each position
+// has bytes of its own.
 type Sealed struct {
 	Ct    []byte
 	Epoch uint64
@@ -75,7 +78,8 @@ type VectorBackend interface {
 	Backend
 	// GetMany looks up locals[i] into out[i]/ok[i] for every i. The three
 	// slices must have equal length; out and ok are caller-allocated so a
-	// hot path can reuse them.
+	// hot path can reuse them. Each position's Ct has bytes of its own
+	// (see Sealed).
 	GetMany(locals []uint64, out []Sealed, ok []bool)
 	// PutMany stores every op, in order, as one unit. Durable
 	// implementations append the whole vector under a single batch frame
@@ -98,12 +102,15 @@ func Vector(b Backend) VectorBackend {
 
 // loopVector adapts a scalar Backend with per-block loops. PutMany is not
 // atomic: a mid-vector error leaves earlier puts applied (exactly what N
-// scalar Puts would have done).
+// scalar Puts would have done). GetMany copies every block but the last,
+// since a Get result is valid only until the next call.
 type loopVector struct{ Backend }
 
 func (v loopVector) GetMany(locals []uint64, out []Sealed, ok []bool) {
 	for i, local := range locals {
-		out[i], ok[i] = v.Get(local)
+		if out[i], ok[i] = v.Get(local); ok[i] && i < len(locals)-1 {
+			out[i].Ct = append([]byte(nil), out[i].Ct...)
+		}
 	}
 }
 
@@ -120,7 +127,7 @@ func (v loopVector) PutMany(ops []PutOp) error {
 // shard's sealed metadata checkpoints.
 type Backend interface {
 	// Get returns the sealed block stored under local, if any; the result
-	// is valid until the next Put of local (see Sealed).
+	// is valid until the next call on the backend (see Sealed).
 	Get(local uint64) (Sealed, bool)
 	// Put stores a copy of a sealed block under local, overwriting any
 	// prior value. Durable implementations append the write to stable storage subject to

@@ -2,9 +2,8 @@
 // live in a fixed-slot file addressed by shard-local id (slot
 // offset = id × SlotBytes), and the append-only log holds only tiny
 // metadata records — so checkpoint compaction rewrites the metadata
-// snapshot alone, never the payloads, and capacity is disk-bound instead
-// of RAM-bound (the WAL backend keeps every sealed block in a map and
-// rewrites all of them per snapshot).
+// snapshot alone, never the payloads, where the WAL rewrites every stored
+// block per snapshot.
 //
 // On-disk layout (one directory per shard; the lock, the log and snapshot
 // framing and every recovery rule of the two metadata files are the
@@ -77,7 +76,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sort"
 
 	"palermo/internal/backend"
@@ -327,7 +325,12 @@ func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
 	switch {
 	case b.closed:
 	case b.slots != nil:
-		readMapped(b.slots[local*SlotBytes:(local+1)*SlotBytes], &sb)
+		// epoch(8) | ct sits at byte 16 of the slot.
+		var rec [8 + crypt.BlockBytes]byte
+		if off := local*SlotBytes + 16; durable.ReadMapped(rec[:], b.slots[off:off+uint64(len(rec))]) {
+			copy(sb.Ct, rec[8:])
+			sb.Epoch = binary.LittleEndian.Uint64(rec[:8])
+		}
 	default:
 		buf := b.scratch[:SlotBytes]
 		if _, err := b.dataF.ReadAt(buf, int64(local)*SlotBytes); err == nil {
@@ -336,24 +339,6 @@ func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
 		}
 	}
 	return sb, true
-}
-
-// readMapped copies one mapped slot's ciphertext and epoch into sb. A
-// fault — blocks.dat truncated under the mapping, or the device failing
-// to page the slot in — is a SIGBUS, which the runtime turns into a
-// panic only while SetPanicOnFault is set; recover then leaves sb's
-// epoch unreadable. Any other panic is a bug and is re-raised.
-func readMapped(slot []byte, sb *backend.Sealed) {
-	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	defer func() {
-		if r := recover(); r != nil {
-			if _, fault := r.(interface{ Addr() uintptr }); !fault {
-				panic(r)
-			}
-		}
-	}()
-	copy(sb.Ct, slot[24:24+crypt.BlockBytes])
-	sb.Epoch = binary.LittleEndian.Uint64(slot[16:24])
 }
 
 // GetMany implements backend.VectorBackend as one Get per id, so
@@ -461,9 +446,9 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 // syncFile is the commit's fsync; a variable so a test can observe it.
 var syncFile = durable.TimedSync
 
-// mapData maps blocks.dat for Get (mapReadOnly); a variable so a test can
+// mapData maps blocks.dat for Get, readahead off; a variable so a test can
 // switch the mapping off and run the ReadAt path.
-var mapData = mapReadOnly
+var mapData = func(f *os.File, size uint64) []byte { return durable.MapReadOnly(f, size, true) }
 
 // syncBatch is one group commit: sync the slot file, write the batch's
 // held records to the log in one write, then sync the log. No record
@@ -541,7 +526,7 @@ func (b *Backend) Close() error {
 	}
 	b.closed = true
 	b.batch.Stop()
-	unmap(b.slots)
+	durable.Unmap(b.slots)
 	b.slots = nil
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("blockfile: %w", cerr)
@@ -566,7 +551,7 @@ func (b *Backend) fail(err error) error {
 		b.logF.Close()
 		b.logF = nil
 	}
-	unmap(b.slots)
+	durable.Unmap(b.slots)
 	b.slots = nil
 	if b.dataF != nil {
 		b.dataF.Close()

@@ -31,7 +31,7 @@ func mustOpen(t *testing.T, dir string, opt Options) *Backend {
 // log bytes) survives in the page cache, while records held for the next
 // commit are lost with the process.
 func crash(b *Backend) {
-	unmap(b.slots)
+	durable.Unmap(b.slots)
 	b.logF.Close()
 	b.dataF.Close()
 	b.closed = true

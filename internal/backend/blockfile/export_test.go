@@ -11,8 +11,9 @@ import (
 // withoutMapping makes every backend opened before t ends read its slots
 // with ReadAt, as on a platform or address space without the mapping.
 func withoutMapping(t *testing.T) {
+	real := mapData
 	mapData = func(*os.File, uint64) []byte { return nil }
-	t.Cleanup(func() { mapData = mapReadOnly })
+	t.Cleanup(func() { mapData = real })
 }
 
 // StallDataSync makes every data sync of blocks.dat, until t ends, signal

@@ -13,16 +13,26 @@ import (
 
 // snapFixed is the snapshot's fixed part: magic(8) | seq(8) | metaEpoch(8)
 // | metaLen(4) before the metadata, crc32(4) after the payload.
-const snapFixed = 8 + 8 + 8 + 4 + 4
+const (
+	snapFixed = 8 + 8 + 8 + 4 + 4
+	metaOff   = snapFixed - 4 // where the metadata blob starts
+)
+
+// PayloadOffset is where the payload section of a snapshot whose
+// metadata blob is metaLen bytes starts in the file.
+func PayloadOffset(metaLen int) int64 { return metaOff + int64(metaLen) }
 
 // Snapshot is a checkpoint as stored: the sealed metadata blob (nil if
 // empty) with its sealing epoch, and whatever payload section the engine
-// appended (aliasing the file image; empty for an engine that appends none).
+// appended (aliasing the file image; empty for an engine that appends
+// none), which lies PayloadLen bytes long at PayloadOff in the file.
 type Snapshot struct {
-	Seq       uint64
-	MetaEpoch uint64
-	Meta      []byte
-	Payload   []byte
+	Seq        uint64
+	MetaEpoch  uint64
+	Meta       []byte
+	Payload    []byte // nil from MapSnapshot: the section stays in the file
+	PayloadOff int64
+	PayloadLen int64
 }
 
 // encodeSnapshot streams one snapshot into dst. payload, if not nil,
@@ -68,25 +78,73 @@ func (f *Format) LoadSnapshot(dir string) (*Snapshot, error) {
 	return s, nil
 }
 
+// decodeSnapshot is checkRegion over a file image in memory, with the
+// payload aliasing the image.
 func (f *Format) decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < snapFixed || string(data[:8]) != f.SnapMagic {
+	s, err := f.checkRegion(&Region{m: data, size: int64(len(data))})
+	if err != nil {
+		return nil, err
+	}
+	s.Payload = data[s.PayloadOff : s.PayloadOff+s.PayloadLen]
+	return s, nil
+}
+
+// MapSnapshot is LoadSnapshot that leaves the payload section in the
+// file: it verifies the file's CRC where it lies, copies the metadata
+// blob, and returns the snapshot (Payload nil) with the file opened for
+// reads in place, which the caller closes. nil means the directory has
+// never been checkpointed.
+func (f *Format) MapSnapshot(dir string) (*Snapshot, *Region, error) {
+	path := filepath.Join(dir, f.SnapName)
+	r, err := OpenRegion(path)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, f.wrap(err)
+	}
+	s, err := f.checkRegion(r)
+	if err != nil {
+		r.Close()
+		return nil, nil, fmt.Errorf("%s: %s %w", f.Engine, path, err)
+	}
+	return s, r, nil
+}
+
+// checkRegion verifies a snapshot file read in place and decodes its
+// envelope. The metadata blob is copied, so the file (every block, for
+// the WAL) can be released while the backend keeps the blob.
+func (f *Format) checkRegion(r *Region) (*Snapshot, error) {
+	size := r.size
+	var hdr [metaOff]byte
+	if size < snapFixed || !r.ReadAt(hdr[:], 0) || string(hdr[:8]) != f.SnapMagic {
 		return nil, errors.New("is not a palermo snapshot")
 	}
-	body := data[:len(data)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+	crc := crc32.NewIEEE()
+	var trailer [4]byte
+	err := Guarded(func() error { return r.WriteTo(crc, 0, size-4) })
+	if err == nil && !r.ReadAt(trailer[:], size-4) {
+		err = errors.New("short read")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cannot be read: %w", err)
+	}
+	if crc.Sum32() != binary.LittleEndian.Uint32(trailer[:]) {
 		return nil, errors.New("is corrupt (snapshot CRC mismatch)")
 	}
-	s := &Snapshot{Seq: binary.LittleEndian.Uint64(body[8:16]), MetaEpoch: binary.LittleEndian.Uint64(body[16:24])}
-	metaLen := int(binary.LittleEndian.Uint32(body[24:28]))
-	if 28+metaLen > len(body) {
+	s := &Snapshot{Seq: binary.LittleEndian.Uint64(hdr[8:16]), MetaEpoch: binary.LittleEndian.Uint64(hdr[16:24])}
+	metaLen := int(binary.LittleEndian.Uint32(hdr[24:28]))
+	if PayloadOffset(metaLen) > size-4 {
 		return nil, errors.New("is corrupt (snapshot metadata overruns the file)")
 	}
 	if metaLen > 0 {
-		// Copied, so the file image (every block, for the WAL) can be
-		// released while the backend keeps the blob.
-		s.Meta = append([]byte(nil), body[28:28+metaLen]...)
+		s.Meta = make([]byte, metaLen)
+		if !r.ReadAt(s.Meta, metaOff) {
+			return nil, errors.New("cannot be read: short read")
+		}
 	}
-	s.Payload = body[28+metaLen:]
+	s.PayloadOff = PayloadOffset(metaLen)
+	s.PayloadLen = size - 4 - s.PayloadOff
 	return s, nil
 }
 

@@ -1,5 +1,6 @@
 // Package slab is the one in-memory container of sealed blocks: the block
-// store of the memory backend and the RAM mirror of the WAL. It is the
+// store of the memory backend, and the WAL's blocks written since its
+// last snapshot (the rest it reads from the snapshot file). It is the
 // untrusted-storage counterpart of the engine's tables (internal/paged): a
 // paged.Table from shard-local id to slot number, over a slab of chunks
 // that hold ciphertext and epoch inline.
@@ -7,9 +8,9 @@
 // A Get is the table lookup plus two dependent loads (chunk pointer,
 // slot); a Put copies 64 bytes into place. A stored block costs its 72
 // slot bytes plus 4 bytes of index — no map entry, no per-block heap
-// object. Slots are handed out in first-touch order and never freed (a
-// backend's stored set only grows), and a chunk is allocated when its
-// first slot is: 256 slots of 72 bytes is the Go allocator's 18432-byte
+// object. Slots are handed out in first-touch order and freed only all at
+// once (Reset: the WAL empties its slab at every checkpoint and refills
+// the same chunks), and a chunk is allocated when its first slot is: 256 slots of 72 bytes is the Go allocator's 18432-byte
 // size class exactly, so the slab wastes nothing to rounding.
 package slab
 
@@ -102,7 +103,8 @@ func (s *Slab) Put(id uint64, sb backend.Sealed) error {
 }
 
 // Get returns the block stored under id. The ciphertext aliases the slot:
-// it is valid until the next Put of the same id and must not be written.
+// it is valid until the next Put of the same id or Reset and must not be
+// written.
 func (s *Slab) Get(id uint64) (backend.Sealed, bool) {
 	ref := s.index.Get(id)
 	if ref == 0 {
@@ -116,6 +118,13 @@ func (s *Slab) GetMany(ids []uint64, out []backend.Sealed, ok []bool) {
 	for i, id := range ids {
 		out[i], ok[i] = s.Get(id)
 	}
+}
+
+// Reset empties the slab and keeps its chunks, so refilling it to the
+// size it had allocates only its index.
+func (s *Slab) Reset() {
+	s.index.Reset()
+	s.n = 0
 }
 
 // Len returns the number of distinct ids stored.

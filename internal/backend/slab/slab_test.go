@@ -249,3 +249,44 @@ func TestChunkIsOneSizeClass(t *testing.T) {
 		t.Fatalf("a chunk is %d bytes; the package comment promises the 18432-byte size class", got)
 	}
 }
+
+// TestResetKeepsChunks: Reset empties the slab, and refilling it with as
+// many blocks, under other ids, reuses its chunks and allocates only the
+// index.
+func TestResetKeepsChunks(t *testing.T) {
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			s := New(sh.capacity)
+			const n = 3*chunkLen + 5
+			put := func(first uint64, fill byte) {
+				for i := uint64(0); i < n; i++ {
+					if err := s.Put((first+i)*sh.stride, backend.Sealed{Ct: bytes.Repeat([]byte{fill}, crypt.BlockBytes), Epoch: first + i}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			put(0, 1)
+			chunks := s.chunks
+			s.Reset()
+			if s.Len() != 0 {
+				t.Fatalf("Len = %d after Reset", s.Len())
+			}
+			if _, ok := s.Get(7 * sh.stride); ok {
+				t.Fatal("a block survived Reset")
+			}
+			put(n, 2)
+			if len(s.chunks) != len(chunks) || &s.chunks[0][0] != &chunks[0][0] {
+				t.Fatalf("refilling took %d chunks, %d were kept", len(s.chunks), len(chunks))
+			}
+			if s.Len() != n {
+				t.Fatalf("Len = %d after the refill, want %d", s.Len(), n)
+			}
+			for i := uint64(0); i < 2*n; i++ {
+				sb, ok := s.Get(i * sh.stride)
+				if ok != (i >= n) || ok && (sb.Epoch != i || sb.Ct[0] != 2) {
+					t.Fatalf("Get(%d) = epoch %d ok=%v after the refill", i*sh.stride, sb.Epoch, ok)
+				}
+			}
+		})
+	}
+}

@@ -33,3 +33,45 @@ func BenchmarkWALAppend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWALGet measures a read of a stored block: from the snapshot
+// file (every block checkpointed) and from recent (every block rewritten
+// since). Every block is read once before the timer, so the snapshot's
+// pages are resident.
+func BenchmarkWALGet(b *testing.B) {
+	const blocks = 1 << 14
+	for _, from := range []string{"snapshot", "recent"} {
+		b.Run("from="+from, func(b *testing.B) {
+			w, err := Open(b.TempDir(), Options{Capacity: blocks})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			payload := bytes.Repeat([]byte{0xA5}, crypt.BlockBytes)
+			for id := uint64(0); id < blocks; id++ {
+				if err := w.Put(id, backend.Sealed{Ct: payload, Epoch: id + 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := w.Checkpoint(nil, blocks+1); err != nil {
+				b.Fatal(err)
+			}
+			for id := uint64(0); id < blocks; id++ {
+				if from == "recent" {
+					if err := w.Put(id, backend.Sealed{Ct: payload, Epoch: blocks + 2 + id}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				w.Get(id)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sb, ok := w.Get(uint64(i*7919) % blocks)
+				if !ok || sb.Epoch == unreadable {
+					b.Fatal("stored block unreadable")
+				}
+			}
+		})
+	}
+}

@@ -97,7 +97,7 @@ func TestCommitPipelineWindow(t *testing.T) {
 
 // TestPutAllocatesNothing: at steady state — ids already stored, no
 // checkpoint — a logged Put frames into the open batch and copies into
-// the mirror, whether its commits run inside it or on the helper.
+// recent, whether its commits run inside it or on the helper.
 func TestPutAllocatesNothing(t *testing.T) {
 	for _, gc := range []int{1, 8} {
 		b := mustOpen(t, t.TempDir(), Options{GroupCommit: gc, Capacity: 256})
@@ -137,7 +137,7 @@ func TestPutAllocatesNothing(t *testing.T) {
 
 // mirrorScript drives b through puts in scrambled id order with overwrites
 // and vectors, a checkpoint in the middle and one at the end, so the
-// snapshot left behind covers a mirror filled in an order unlike its ids'.
+// snapshot left behind covers blocks written in an order unlike their ids'.
 func mirrorScript(t *testing.T, b *Backend, seed uint64) {
 	t.Helper()
 	r := rng.New(seed)
@@ -171,8 +171,8 @@ func mirrorScript(t *testing.T, b *Backend, seed uint64) {
 	}
 }
 
-// TestSnapshotBytesReproducible: the block section is written from the
-// mirror in ascending id order, so the same operation stream leaves the
+// TestSnapshotBytesReproducible: the block section is written in
+// ascending id order, so the same operation stream leaves the
 // same snapshot file, byte for byte — which a map-ordered section never did.
 func TestSnapshotBytesReproducible(t *testing.T) {
 	var files [2][]byte

@@ -3,13 +3,29 @@
 // into an atomically-replaced snapshot file, and replayed on open so a
 // store survives restarts and crashes.
 //
+// The blocks are not mirrored in memory. The stored set is the current
+// snapshot's block section, read where it lies (mapped read-only on
+// Linux, one ReadAt per read elsewhere: package durable's Region),
+// overlaid by recent, a slab of the blocks written or replayed since that
+// snapshot. A Get looks in recent first, then copies the block's record
+// out of the snapshot file; the records are ascending by id, so record i
+// is block i when the stored ids are 0..n−1 (dense), and a table from id
+// to record finds it otherwise. A checkpoint merges the two into the next
+// snapshot in ascending id order, copying each run of snapshot records
+// between two recent ids as it lies in the file, then reads from the file
+// it wrote and empties recent. A snapshot record that cannot be read —
+// the file truncated under the mapping, an I/O error, a closed or wedged
+// backend — reads as the unreadable epoch, which the shard's epoch check
+// fails loudly.
+//
 // On-disk layout (one directory per shard; the lock, the log header, the
 // record and snapshot framing and every recovery rule are the durable-log
 // core's, package durable — this package adds what the payloads mean):
 //
 //	snapshot   core envelope, payload section = nBlocks |
 //	           nBlocks × (local, epoch, ct[64]), ascending by local
-//	           (any order loads: older versions wrote map order)
+//	           (any order loads, into recent: older versions wrote map
+//	           order, and the next checkpoint rewrites it ascending)
 //	wal.log    core log of 84-byte records: local | epoch | ct[64] | crc32
 //
 // A PutMany vector of more than one block is framed as a record *batch*:
@@ -24,8 +40,8 @@
 // fsyncs the log while the next accesses run, with at most one commit in
 // flight and Flush/Checkpoint/Close settling it first (DESIGN.md §9).
 //
-// Recovery on Open loads the snapshot (if any), then replays the log's
-// intact records; when a torn group-commit tail is cut, a durable epoch
+// Recovery on Open maps the snapshot (if any) and checks its CRC in place,
+// then replays the log's intact records into recent; when a torn group-commit tail is cut, a durable epoch
 // reservation covering the discarded records is folded in over it. What a
 // crash loses is therefore exactly the writes the group-commit policy had
 // not yet fsynced, and nothing else.
@@ -41,13 +57,17 @@ package wal
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
 	"palermo/internal/backend/slab"
 	"palermo/internal/crypt"
+	"palermo/internal/paged"
 )
 
 const (
@@ -55,6 +75,19 @@ const (
 	recordSize = 8 + 8 + crypt.BlockBytes + 4 // local, epoch, ct, crc
 	logName    = "wal.log"
 	snapName   = "snapshot"
+
+	// blockRec is one record of the snapshot's block section: local |
+	// epoch | ct. Get copies out the 72 bytes after the local.
+	blockRec  = 8 + 8 + crypt.BlockBytes
+	sealedLen = blockRec - 8
+
+	// unreadable is the epoch Get returns for a snapshot block it cannot
+	// read. The sealer never assigns it, so the shard's epoch check fails
+	// the read loudly instead of serving wrong bytes.
+	unreadable = ^uint64(0)
+
+	// loadChunk is how many snapshot records Open reads at a time.
+	loadChunk = 512
 
 	// batchLocal is the reserved Local value of a batch header record: the
 	// record's epoch field carries the count of records that follow as one
@@ -89,9 +122,10 @@ type Options struct {
 	// Deprecated: kept only for callers that still set it
 	// (benchmark/layers); delete with ROADMAP item 5(a).
 	CommitDepth int
-	// Capacity is the shard's block capacity, which sizes the in-memory
-	// mirror's index (slab.New); ids at or beyond it are refused. Zero
-	// means unknown: a direct index, ids below paged.DirectKeys.
+	// Capacity is the shard's block capacity, which sizes the index of
+	// the blocks written since the last snapshot (slab.New) and of a
+	// snapshot whose ids have gaps; ids at or beyond it are refused. Zero
+	// means unknown: direct indexes, ids below paged.DirectKeys.
 	Capacity uint64
 }
 
@@ -100,7 +134,15 @@ type Backend struct {
 	dir string
 	opt Options
 
-	blocks *slab.Slab // the RAM mirror of snapshot + log: every stored block
+	// The stored set: the snapshot's records, overlaid by recent.
+	recent    *slab.Slab // blocks written or replayed since the snapshot
+	recentTop uint64     // 1 + the highest id in recent; 0 when empty
+	snap      snapView
+	extra     int    // ids in recent that the snapshot does not hold
+	limit     uint64 // ids are below it: Capacity, or paged.DirectKeys
+
+	getBuf  [sealedLen]byte // Get's copy of a snapshot record
+	manyBuf []byte          // GetMany's copies, sealedLen bytes per position
 
 	// What load found, until Recovered hands it to the shard: the sealed
 	// metadata blob of the last checkpoint (nil if none) and the log
@@ -128,7 +170,10 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{dir: dir, opt: opt, lockF: lock, blocks: slab.New(opt.Capacity)}
+	b := &Backend{dir: dir, opt: opt, lockF: lock, recent: slab.New(opt.Capacity), limit: opt.Capacity}
+	if b.limit == 0 {
+		b.limit = paged.DirectKeys
+	}
 	if err := b.load(); err != nil {
 		return nil, b.fail(err) // releases the lock
 	}
@@ -162,17 +207,49 @@ func (b *Backend) unlock() {
 	}
 }
 
-// Get implements backend.Backend; the result aliases the mirror until the
-// next Put of local.
-func (b *Backend) Get(local uint64) (backend.Sealed, bool) { return b.blocks.Get(local) }
-
-// GetMany implements backend.VectorBackend.
-func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
-	b.blocks.GetMany(locals, out, ok)
+// Get implements backend.Backend: a block written since the snapshot
+// aliases recent's slot, one only the snapshot holds is copied into the
+// backend's buffer. Either is valid until the next call on the backend.
+func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
+	if sb, ok := b.recent.Get(local); ok {
+		return sb, true
+	}
+	return b.snap.get(local, b.getBuf[:])
 }
 
-// Len implements backend.Backend.
-func (b *Backend) Len() int { return b.blocks.Len() }
+// GetMany implements backend.VectorBackend: positions read from the
+// snapshot are copied into distinct buffers, so every result stays valid
+// until the next call on the backend.
+func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
+	if len(b.manyBuf) < len(locals)*sealedLen {
+		b.manyBuf = make([]byte, len(locals)*sealedLen)
+	}
+	for i, local := range locals {
+		if out[i], ok[i] = b.recent.Get(local); !ok[i] {
+			out[i], ok[i] = b.snap.get(local, b.manyBuf[i*sealedLen:(i+1)*sealedLen])
+		}
+	}
+}
+
+// Len implements backend.Backend: the snapshot's blocks and the ones
+// written since that it does not hold.
+func (b *Backend) Len() int { return int(b.snap.n) + b.extra }
+
+// store copies a validated block into recent, counting an id the
+// snapshot does not hold.
+func (b *Backend) store(local uint64, sb backend.Sealed) error {
+	n := b.recent.Len()
+	if err := b.recent.Put(local, sb); err != nil {
+		return err
+	}
+	if b.recent.Len() > n {
+		b.recentTop = max(b.recentTop, local+1)
+		if _, held := b.snap.record(local); !held {
+			b.extra++
+		}
+	}
+	return nil
+}
 
 // Durable implements backend.Backend.
 func (b *Backend) Durable() bool { return true }
@@ -192,7 +269,7 @@ func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 	if local == backend.EpochReserveLocal || local == batchLocal {
 		return fmt.Errorf("wal: block id %d is reserved", local)
 	}
-	if err := b.blocks.Check(local, sb); err != nil {
+	if err := b.recent.Check(local, sb); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
@@ -241,12 +318,12 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 		b.batch.Append(op.Local, op.Sb.Epoch, op.Sb.Ct)
 	}
 	if err := b.batch.Add(len(ops)); err != nil {
-		// Leave the mirror untouched: the engine above has not applied
-		// these writes either, so live state stays consistent.
+		// Leave the stored set untouched: the engine above has not
+		// applied these writes either, so live state stays consistent.
 		return err
 	}
 	for _, op := range ops {
-		b.blocks.Put(op.Local, op.Sb) // validated above
+		b.store(op.Local, op.Sb) // validated above
 	}
 	return nil
 }
@@ -269,7 +346,8 @@ func (b *Backend) Flush() error {
 
 // Checkpoint implements backend.Backend: write a fresh snapshot of every
 // stored block plus the sealed metadata blob, then reset the log
-// (durable.Format.Checkpoint has the ordering and the wedge rule).
+// (durable.Format.Checkpoint has the ordering and the wedge rule). Reads
+// then come from the new snapshot, and recent is emptied.
 func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	if b.closed {
 		return format.ClosedErr(b.failErr)
@@ -283,14 +361,37 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 		return err
 	}
 	newSeq := b.seq + 1
-	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, b.writeBlocks, b.fail)
+	path := filepath.Join(b.dir, snapName)
+	had := b.snap.r != nil
+	var next snapView
+	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, func(w *bufio.Writer) {
+		next = b.writeBlocks(w)
+		// Let the old file go before the rename replaces it: a platform
+		// without the mapping holds it open, and Windows renames over no
+		// open file.
+		b.snap.close()
+	}, b.fail)
 	if err != nil {
+		if had && b.snap.r == nil && !b.closed { // failed before the rename: the old file is still in place
+			var rerr error
+			if b.snap.r, rerr = durable.OpenRegion(path); rerr != nil {
+				return b.fail(fmt.Errorf("wal: %w", rerr))
+			}
+		}
 		return err
 	}
 	b.logF.Close()
 	b.logF = f
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
+	// The file was just written and synced: map it without reading it back.
+	if next.r, err = durable.OpenRegion(path); err != nil {
+		return b.fail(fmt.Errorf("wal: %w", err))
+	}
+	next.off = durable.PayloadOffset(len(meta)) + 8 // past the block count
+	b.snap = next
+	b.recent.Reset()
+	b.recentTop, b.extra = 0, 0
 	return nil
 }
 
@@ -312,23 +413,86 @@ func (b *Backend) Close() error {
 		err = fmt.Errorf("wal: %w", cerr)
 	}
 	b.failErr = err // error-idempotent: a retried Close reports the same outcome
+	b.snap.close()
 	b.unlock()
 	return err
 }
 
-// writeBlocks is the snapshot's payload section: every stored block,
-// straight from the mirror in ascending id order, so one stored set always
-// writes the same bytes.
-func (b *Backend) writeBlocks(w *bufio.Writer) {
+// writeBlocks is the snapshot's payload section: every stored block in
+// ascending id order, so one stored set always writes the same bytes. It
+// merges the snapshot's records with recent's blocks, which replace the
+// records of their ids; each run of records between two recent ids is
+// copied as it lies in the file, under one fault guard for the whole
+// merge, and a fault aborts the checkpoint. It returns the new section's
+// view but for its file (Checkpoint opens it once it is in place).
+func (b *Backend) writeBlocks(w *bufio.Writer) snapView {
+	old := &b.snap
+	n := uint64(b.Len())
+	next := snapView{n: n, top: max(old.top, b.recentTop)}
+	if next.top != n { // some id below the highest is absent
+		where := paged.New[uint32](b.limit)
+		next.where = &where
+	}
+	written := uint32(0) // records in the new section, counted for where
+	index := func(local uint64) {
+		written++
+		next.where.Set(local, written)
+	}
 	var u [16]byte
-	binary.LittleEndian.PutUint64(u[:8], uint64(b.blocks.Len()))
+	binary.LittleEndian.PutUint64(u[:8], n)
 	w.Write(u[:8])
-	b.blocks.Range(func(local uint64, sb backend.Sealed) {
-		binary.LittleEndian.PutUint64(u[0:8], local)
-		binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
-		w.Write(u[:])
-		w.Write(sb.Ct)
+	err := durable.Guarded(func() error {
+		from := uint64(0) // the first snapshot record not merged yet
+		// run copies the snapshot's records [from, to).
+		run := func(to uint64) error {
+			if to <= from {
+				return nil
+			}
+			if next.where != nil {
+				for i := from; i < to; i++ {
+					local, err := old.localAt(i)
+					if err != nil {
+						return err
+					}
+					index(local)
+				}
+			}
+			err := old.r.WriteTo(w, old.off+int64(from)*blockRec, int64(to-from)*blockRec)
+			from = to
+			return err
+		}
+		var err error
+		b.recent.Range(func(local uint64, sb backend.Sealed) {
+			var to uint64
+			var replaced bool
+			if err == nil {
+				if to, replaced, err = old.lowerBound(local, from); err == nil {
+					err = run(to)
+				}
+			}
+			if err != nil {
+				return
+			}
+			if replaced {
+				from++
+			}
+			if next.where != nil {
+				index(local)
+			}
+			binary.LittleEndian.PutUint64(u[0:8], local)
+			binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
+			w.Write(u[:])
+			w.Write(sb.Ct)
+		})
+		if err == nil {
+			err = run(old.n)
+		}
+		return err
 	})
+	if err != nil {
+		durable.Abort(w, fmt.Errorf("wal: %s: %w", snapName, err))
+	}
+	return next
 }
 
 // fail wedges the backend after a non-recoverable mid-operation error:
@@ -344,20 +508,22 @@ func (b *Backend) fail(err error) error {
 		b.logF.Close()
 		b.logF = nil
 	}
+	b.snap.close()
 	b.unlock()
 	return err
 }
 
-// load rebuilds the mirror from the snapshot and the log tail, and leaves
-// the log open for appending.
+// load opens the snapshot in place, replays the log tail into recent,
+// and leaves the log open for appending.
 func (b *Backend) load() error {
-	snap, err := format.LoadSnapshot(b.dir)
+	snap, r, err := format.MapSnapshot(b.dir)
 	if err != nil {
 		return err
 	}
 	if snap != nil {
 		b.seq, b.meta, b.metaEpoch = snap.Seq, snap.Meta, snap.MetaEpoch
-		if err := b.loadBlocks(snap.Payload); err != nil {
+		b.snap.r = r // closed by Open's fail if what follows refuses it
+		if err := b.loadBlocks(snap.PayloadOff, snap.PayloadLen); err != nil {
 			return err
 		}
 	}
@@ -382,9 +548,9 @@ func (b *Backend) load() error {
 			for ; len(recs) > 0; recs = recs[recordSize:] {
 				local, epoch := durable.Fields(recs)
 				if local != backend.EpochReserveLocal {
-					// Copied into the mirror; a record only this directory's
+					// Copied into recent; a record only this directory's
 					// capacity rules out is reported once replay is over.
-					err := b.blocks.Put(local, backend.Sealed{Ct: recs[16 : 16+crypt.BlockBytes], Epoch: epoch})
+					err := b.store(local, backend.Sealed{Ct: recs[16 : 16+crypt.BlockBytes], Epoch: epoch})
 					if err != nil && applyErr == nil {
 						applyErr = fmt.Errorf("wal: %s: %w", logName, err)
 					}
@@ -417,24 +583,161 @@ func (b *Backend) load() error {
 	return err
 }
 
-// loadBlocks parses the snapshot's payload section.
-func (b *Backend) loadBlocks(body []byte) error {
-	if len(body) < 8 {
+// loadBlocks checks the snapshot's block section, which lies size bytes
+// long at off in the file. Ids in ascending order, as every build since
+// the slab writes them, are read from the file from then on; any other
+// order (older builds wrote map order) is copied into recent, and the
+// next checkpoint rewrites the section ascending.
+func (b *Backend) loadBlocks(off, size int64) error {
+	v := &b.snap
+	var u [8]byte
+	if size < 8 || !v.r.ReadAt(u[:], off) {
 		return fmt.Errorf("wal: snapshot block count overruns file")
 	}
-	n := binary.LittleEndian.Uint64(body)
-	body = body[8:]
-	const blockRec = 8 + 8 + crypt.BlockBytes
-	// Divide instead of multiplying: an absurd n would overflow n*blockRec
-	// and turn this validation into a slice-bounds panic below.
-	if rest := uint64(len(body)); rest/blockRec != n || rest%blockRec != 0 {
-		return fmt.Errorf("wal: snapshot holds %d bytes of blocks, expected %d records", len(body), n)
+	n := binary.LittleEndian.Uint64(u[:])
+	v.off, size = off+8, size-8
+	// Divide instead of multiplying: an absurd n would overflow n*blockRec.
+	if rest := uint64(size); rest/blockRec != n || rest%blockRec != 0 {
+		return fmt.Errorf("wal: snapshot holds %d bytes of blocks, expected %d records", size, n)
 	}
-	for ; len(body) > 0; body = body[blockRec:] {
-		sb := backend.Sealed{Ct: body[16 : 16+crypt.BlockBytes], Epoch: binary.LittleEndian.Uint64(body[8:])}
-		if err := b.blocks.Put(binary.LittleEndian.Uint64(body), sb); err != nil {
-			return fmt.Errorf("wal: %s: %w", snapName, err)
+	var top uint64 // 1 + the last id scanned
+	ascending, inside := true, true
+	err := v.each(n, func(_ uint64, rec []byte) bool {
+		local := binary.LittleEndian.Uint64(rec)
+		ascending, inside = local >= top, local < b.limit
+		top = local + 1
+		return ascending && inside
+	})
+	switch {
+	case err != nil:
+		return err
+	case !inside:
+		return fmt.Errorf("wal: %s: block id %d outside capacity %d", snapName, top-1, b.limit)
+	case !ascending:
+		return b.loadUnordered(n)
+	}
+	v.n, v.top = n, top
+	if top == n {
+		return nil // dense: record i is block i
+	}
+	if n >= math.MaxUint32 {
+		return fmt.Errorf("wal: %s holds %d blocks, more than a sparse index counts", snapName, n)
+	}
+	where := paged.New[uint32](b.limit)
+	v.where = &where
+	return v.each(n, func(i uint64, rec []byte) bool {
+		where.Set(binary.LittleEndian.Uint64(rec), uint32(i+1))
+		return true
+	})
+}
+
+// loadUnordered copies a snapshot section of n records in no particular
+// order into recent and lets the file go.
+func (b *Backend) loadUnordered(n uint64) error {
+	var perr error
+	err := b.snap.each(n, func(_ uint64, rec []byte) bool {
+		sb := backend.Sealed{Ct: rec[16:blockRec], Epoch: binary.LittleEndian.Uint64(rec[8:])}
+		if err := b.store(binary.LittleEndian.Uint64(rec), sb); err != nil {
+			perr = fmt.Errorf("wal: %s: %w", snapName, err)
+		}
+		return perr == nil
+	})
+	b.snap.close()
+	b.snap = snapView{}
+	return errors.Join(err, perr)
+}
+
+// snapView is the current snapshot's block section as reads find it.
+type snapView struct {
+	r     *durable.Region      // the snapshot file; nil: none, or closed
+	off   int64                // file offset of record 0
+	n     uint64               // records
+	top   uint64               // 1 + the last record's id; 0 when empty
+	where *paged.Table[uint32] // id -> record + 1; nil when record i is block i
+}
+
+// record returns the index of local's record, if the section holds one.
+func (v *snapView) record(local uint64) (uint64, bool) {
+	if v.where == nil {
+		return local, local < v.n
+	}
+	i := v.where.Get(local)
+	return uint64(i) - 1, i != 0
+}
+
+// get returns local's block, copied into buf (sealedLen bytes), or the
+// unreadable epoch when the record cannot be read.
+func (v *snapView) get(local uint64, buf []byte) (backend.Sealed, bool) {
+	i, ok := v.record(local)
+	if !ok {
+		return backend.Sealed{}, false
+	}
+	sb := backend.Sealed{Ct: buf[8:], Epoch: unreadable}
+	if v.r != nil && v.r.ReadAt(buf, v.off+int64(i)*blockRec+8) {
+		sb.Epoch = binary.LittleEndian.Uint64(buf)
+	}
+	return sb, true
+}
+
+var errUnreadable = errors.New("snapshot record cannot be read")
+
+// localAt returns the id of record i.
+func (v *snapView) localAt(i uint64) (uint64, error) {
+	var u [8]byte
+	if v.r == nil || !v.r.ReadAt(u[:], v.off+int64(i)*blockRec) {
+		return 0, errUnreadable
+	}
+	return binary.LittleEndian.Uint64(u[:]), nil
+}
+
+// lowerBound returns the first record at or after from whose id is at
+// least local, and whether its id is local.
+func (v *snapView) lowerBound(local, from uint64) (uint64, bool, error) {
+	if i, ok := v.record(local); ok {
+		return i, true, nil
+	}
+	if v.where == nil {
+		return v.n, false, nil // dense: every id past the last
+	}
+	lo, hi := from, v.n
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		id, err := v.localAt(mid)
+		if err != nil {
+			return 0, false, err
+		}
+		if id < local {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	return lo, false, nil
+}
+
+// each calls fn with every record of an n-record section in file order,
+// read loadChunk records at a time, until fn returns false.
+func (v *snapView) each(n uint64, fn func(i uint64, rec []byte) bool) error {
+	buf := make([]byte, min(n, loadChunk)*blockRec)
+	for i := uint64(0); i < n; {
+		k := min(n-i, loadChunk)
+		chunk := buf[:k*blockRec]
+		if !v.r.ReadAt(chunk, v.off+int64(i)*blockRec) {
+			return fmt.Errorf("wal: %w", errUnreadable)
+		}
+		for j := uint64(0); j < k; j++ {
+			if !fn(i+j, chunk[j*blockRec:(j+1)*blockRec]) {
+				return nil
+			}
+		}
+		i += k
+	}
 	return nil
+}
+
+// close lets the snapshot file go. Its records stay counted: a closed or
+// wedged backend reads them as unreadable.
+func (v *snapView) close() {
+	v.r.Close()
+	v.r = nil
 }

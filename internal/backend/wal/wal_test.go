@@ -301,6 +301,7 @@ func crashWithoutSync(b *Backend) {
 	b.batch.Stop()
 	b.logF.Close()
 	b.closed = true
+	b.snap.close()
 	b.unlock()
 }
 

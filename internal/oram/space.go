@@ -35,11 +35,13 @@ type Space struct {
 	pm *posmap.Hierarchy // the hierarchy holding this level's leaf assignments
 
 	// Per-access scratch (engine-per-goroutine rule): the path's nodes and
-	// buckets, and the blocks an eviction moves from the stash into one
-	// bucket.
+	// buckets, the blocks a reset moves from the stash into one bucket, and
+	// an eviction path's pulled blocks and per-level selections.
 	pathBuf   []uint64
 	bucketBuf []*otree.Bucket
 	pushBuf   []otree.BlockID
+	pulled    []stash.Entry
+	fill      [][]otree.BlockID
 }
 
 // HardwareStashTags is the Table III per-level stash budget.
@@ -242,21 +244,31 @@ func (sp *Space) resetNode(ph *Phase, lvl int, node uint64) {
 }
 
 // evictPath performs EvictPath (Algorithm 1 lines 35-40): pull every bucket
-// on the deterministic eviction leaf's path into the stash, then push back
-// deepest-first so blocks settle as low as possible (pulling the whole path
-// before pushing is what lets tree-top residents migrate toward leaves).
+// on the deterministic eviction leaf's path, then push back deepest-first
+// so blocks settle as low as possible (pulling the whole path before
+// pushing is what lets tree-top residents migrate toward leaves). One
+// stash sweep selects every bucket's blocks (stash.EvictPath), and a
+// pulled block that goes straight back into the path never enters the
+// stash.
 func (sp *Space) evictPath(ph *Phase) uint64 {
 	g := sp.Evictor.Next()
 	spec, lines := sp.Geo.Levels[0], sp.Geo.SlotLines // Ring trees are uniform
 	sp.reserve(ph, spec.Z*lines, spec.Slots()*lines+1)
+	sp.pulled = sp.pulled[:0]
 	for l := 0; l <= sp.Geo.Depth; l++ {
 		node := sp.Geo.NodeAt(g, l)
-		sp.stashPulled(sp.Store.ResetPull(node)...)
+		for _, id := range sp.Store.ResetPull(node) {
+			sp.pulled = append(sp.pulled, stash.Entry{ID: id, Leaf: sp.leafOf(id)})
+		}
 		sp.emitBucketRead(ph, l, node, sp.Geo.Levels[l].Z)
 	}
+	for len(sp.fill) <= sp.Geo.Depth {
+		sp.fill = append(sp.fill, nil)
+	}
+	sp.Stash.EvictPath(&sp.Geo, g, sp.pulled, sp.fill)
 	for l := sp.Geo.Depth; l >= 0; l-- {
 		node := sp.Geo.NodeAt(g, l)
-		sp.pushInto(node, sp.Geo.Levels[l].Z)
+		sp.Store.WriteBucket(node, sp.fill[l])
 		sp.emitBucketWrite(ph, l, node, sp.Geo.Levels[l].Slots())
 		sp.emitMetaWrite(ph, l, node)
 	}

@@ -41,8 +41,8 @@ type SealedBlock struct {
 // collected by probing every local id (backends expose no iterator;
 // capacities are small enough that a linear probe is cheap), and
 // ciphertexts are copied: a Get result is the backend's own bytes, good
-// only until the next Put of that id, and the shard keeps writing while
-// the snapshot streams.
+// only until the next call on the backend, and the shard keeps writing
+// while the snapshot streams.
 func (s *Shard) ExportBlocks() ([]SealedBlock, error) {
 	if err := s.unusable(); err != nil {
 		return nil, err

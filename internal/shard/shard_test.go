@@ -323,15 +323,16 @@ func TestShardSeedsDecorrelated(t *testing.T) {
 
 // TestShardInlineAllocs guards the run-to-completion op path over the
 // memory backend and over the WAL (ids already stored, no checkpoint inside
-// the run): a read allocates its plaintext; a write seals into the shard's
+// the run; "wal-checkpointed" reads them from the snapshot file after
+// one): a read allocates its plaintext; a write seals into the shard's
 // staging arena, is framed into the log's buffer and copied into the
 // backend's slab, and allocates nothing — nor do the engine and the
 // sealer's keystream.
 func TestShardInlineAllocs(t *testing.T) {
-	for _, engine := range []string{"memory", "wal"} {
+	for _, engine := range []string{"memory", "wal", "wal-checkpointed"} {
 		t.Run(engine, func(t *testing.T) {
 			var be backend.Backend
-			if engine == "wal" {
+			if engine != "memory" {
 				w, err := wal.Open(t.TempDir(), wal.Options{Capacity: 1 << 10})
 				if err != nil {
 					t.Fatal(err)
@@ -347,6 +348,13 @@ func TestShardInlineAllocs(t *testing.T) {
 			data := bytes.Repeat([]byte{0x5A}, BlockBytes)
 			for id := uint64(0); id < 1<<10; id++ {
 				if err := s.Write(id, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if engine == "wal-checkpointed" {
+				// Every block now lives in the snapshot file: reads copy
+				// it out of the mapping.
+				if err := s.checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}

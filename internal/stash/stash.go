@@ -9,10 +9,11 @@
 // slots + free list) with an open-addressed id index (block id -> slab
 // slot) sized to the stash, never iterated, so eviction selection — and
 // therefore every downstream simulation result — is deterministic for a
-// given seed. The list layout keeps the per-bucket
-// eviction scan (EvictIntoNode, called once per bucket per eviction path on
-// every access) proportional to live occupancy: removed entries unlink in
-// O(1) instead of leaving tombstones that later scans must skip.
+// given seed. The list layout keeps the eviction scans proportional to
+// live occupancy: removed entries unlink in O(1) instead of leaving
+// tombstones that later scans must skip. An eviction path sweeps the
+// stash once for all of its buckets (EvictPath); a single bucket's push
+// scans it once (EvictIntoNode).
 package stash
 
 import (
@@ -121,6 +122,18 @@ func (s *Stash) Put(e Entry) {
 		s.slab[c.ref-1].e = e // replace in place, keeping insertion order
 		return
 	}
+	s.add(c, e)
+	if s.live > s.maxSeen {
+		s.maxSeen = s.live
+	}
+	if s.capacity > 0 && s.live > s.capacity {
+		s.overflow++
+	}
+}
+
+// add appends e, whose id is absent and whose empty index cell is c, to
+// the list; Put and EvictPath count it in the statistics.
+func (s *Stash) add(c *cell, e Entry) {
 	i := s.alloc()
 	s.slab[i] = slot{e: e, prev: s.tail, next: none}
 	if s.tail != none {
@@ -132,12 +145,6 @@ func (s *Stash) Put(e Entry) {
 	*c = cell{id: e.ID, ref: uint32(i) + 1}
 	s.index.n++
 	s.live++
-	if s.live > s.maxSeen {
-		s.maxSeen = s.live
-	}
-	if s.capacity > 0 && s.live > s.capacity {
-		s.overflow++
-	}
 }
 
 // Get returns the entry for id, if present.
@@ -201,6 +208,61 @@ func (s *Stash) EvictIntoNode(g *otree.Geometry, node uint64, max int, dst []otr
 		i = next
 	}
 	return out
+}
+
+// EvictPath fills the buckets of the path to leaf from the stash and from
+// pulled, the blocks just pulled out of that path's buckets (in pull
+// order, none of them stashed), and appends each level l's selection to
+// fill[l][:0] (fill has Depth+1 entries). It selects exactly what
+// EvictIntoNode would, called for every bucket from the deepest up after
+// each pulled block was Put: each bucket takes, oldest first, up to its
+// level's Z of the blocks left whose leaf's path runs through it. It does
+// so in one sweep, by placing each block, oldest first, in the deepest
+// bucket with room on both its own path and leaf's. Pulled blocks that
+// find a bucket never enter the stash; the rest are appended in pull
+// order. MaxSeen and Overflows count every pulled block as if it had
+// been Put.
+func (s *Stash) EvictPath(g *otree.Geometry, leaf uint64, pulled []Entry, fill [][]otree.BlockID) {
+	var room uint64 // bit l: level l's bucket has room
+	for l := 0; l <= g.Depth; l++ {
+		fill[l] = fill[l][:0]
+		if g.Levels[l].Z > 0 {
+			room |= 1 << l
+		}
+	}
+	if p := len(pulled); p > 0 {
+		s.maxSeen = max(s.maxSeen, s.live+p)
+		if s.capacity > 0 {
+			s.overflow += uint64(max(0, min(p, s.live+p-s.capacity)))
+		}
+	}
+	// place puts e in the deepest bucket with room among the levels its
+	// path shares with leaf's (0 .. Depth − bits.Len64(e.Leaf^leaf)).
+	place := func(e Entry) bool {
+		shared := g.Depth - bits.Len64(e.Leaf^leaf)
+		avail := room & (uint64(2)<<shared - 1)
+		if avail == 0 {
+			return false
+		}
+		l := bits.Len64(avail) - 1
+		if fill[l] = append(fill[l], e.ID); len(fill[l]) == g.Levels[l].Z {
+			room &^= 1 << l
+		}
+		return true
+	}
+	for i := s.head; i != none && room != 0; {
+		next := s.slab[i].next
+		if e := s.slab[i].e; place(e) {
+			s.index.remove(e.ID)
+			s.unlink(i)
+		}
+		i = next
+	}
+	for _, e := range pulled {
+		if room == 0 || !place(e) {
+			s.add(s.index.cell(e.ID), e)
+		}
+	}
 }
 
 // reset empties the stash; its statistics and configured capacity are kept.

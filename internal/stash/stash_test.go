@@ -368,3 +368,78 @@ func TestStashIndexMatchesMap(t *testing.T) {
 		t.Fatalf("the index never grew past %d cells", peak)
 	}
 }
+
+// TestEvictPathMatchesPerBucket: on random stashes, pulled sets, capacities
+// and per-level bucket sizes, EvictPath's one sweep selects what a Put of
+// every pulled block followed by EvictIntoNode on each bucket of the path,
+// deepest first, selects — bucket for bucket, in order — and leaves the
+// same stash: entries, insertion order, MaxSeen and Overflows (compared
+// through AppendState's bytes).
+func TestEvictPathMatchesPerBucket(t *testing.T) {
+	r := rng.New(17)
+	for trial := 0; trial < 400; trial++ {
+		g := otree.Uniform(1<<(4+r.Uint64n(8)), 4, 5, 0, 0)
+		g.Levels = append([]otree.LevelSpec(nil), g.Levels...)
+		for l := range g.Levels {
+			g.Levels[l].Z = 1 + int(r.Uint64n(6))
+		}
+		leaves := uint64(1) << g.Depth
+		per, sweep := New(), New()
+		if r.Uint64n(2) == 0 {
+			c := int(r.Uint64n(200))
+			per.SetCapacity(c)
+			sweep.SetCapacity(c)
+		}
+		var ids []otree.BlockID
+		next := otree.BlockID(1)
+		for range r.Uint64n(300) {
+			e := Entry{ID: next, Leaf: r.Uint64n(leaves)}
+			next++
+			per.Put(e)
+			sweep.Put(e)
+			ids = append(ids, e.ID)
+		}
+		for _, id := range ids { // some removals, so slots are reused
+			if r.Uint64n(4) == 0 {
+				per.Remove(id)
+				sweep.Remove(id)
+			}
+		}
+		pulled := make([]Entry, r.Uint64n(uint64(5*(g.Depth+1))))
+		for i := range pulled {
+			pulled[i] = Entry{ID: next, Leaf: r.Uint64n(leaves)}
+			next++
+		}
+		leaf := r.Uint64n(leaves)
+
+		for _, e := range pulled {
+			per.Put(e)
+		}
+		want := make([][]otree.BlockID, g.Depth+1)
+		for l := g.Depth; l >= 0; l-- {
+			want[l] = per.EvictIntoNode(&g, g.NodeAt(leaf, l), g.Levels[l].Z, nil)
+		}
+		got := make([][]otree.BlockID, g.Depth+1)
+		sweep.EvictPath(&g, leaf, pulled, got)
+
+		for l := range want {
+			if len(got[l]) != len(want[l]) {
+				t.Fatalf("trial %d level %d: sweep selected %v, per-bucket scans %v", trial, l, got[l], want[l])
+			}
+			for i := range want[l] {
+				if got[l][i] != want[l][i] {
+					t.Fatalf("trial %d level %d: sweep selected %v, per-bucket scans %v", trial, l, got[l], want[l])
+				}
+			}
+		}
+		if a, b := per.AppendState(nil, noVals{}), sweep.AppendState(nil, noVals{}); string(a) != string(b) {
+			t.Fatalf("trial %d: the stashes differ after the eviction (Len %d/%d, MaxSeen %d/%d, Overflows %d/%d)",
+				trial, per.Len(), sweep.Len(), per.MaxSeen(), sweep.MaxSeen(), per.Overflows(), sweep.Overflows())
+		}
+		for id := otree.BlockID(1); id < next; id++ {
+			if per.Contains(id) != sweep.Contains(id) {
+				t.Fatalf("trial %d: block %d stashed %v by the scans, %v by the sweep", trial, id, per.Contains(id), sweep.Contains(id))
+			}
+		}
+	}
+}
