@@ -17,12 +17,12 @@
 //
 // blocks.dat is opened buffered, and a slot write is a copy into the
 // kernel's page cache; runs of consecutive locals coalesce into single
-// WriteAt calls. On Linux, Open maps the file read-only and shared over
-// the shard's capacity (Options.Capacity), and Get copies a resident
-// slot out of the mapping without a syscall; a fault there (the file
-// truncated under it) reads as an unreadable slot, never a crash. Other
-// platforms, and a mapping that cannot be made, read each slot with one
-// pread.
+// WriteAt calls. Get reads the slot in place through package durable's
+// Region over the shard's capacity (Options.Capacity): on Linux a copy of
+// a resident slot out of a read-only mapping, without a syscall; on other
+// platforms, and where the mapping cannot be made, one pread. A slot that
+// cannot be read (the file truncated under the mapping) reads as an
+// unreadable slot, never a crash.
 //
 // Records are held in the durable core's group-commit batch
 // (durable.Batch). Above GroupCommit 1 a PutMany that closes a batch
@@ -145,8 +145,8 @@ type Backend struct {
 	present []uint64 // bitmap of stored slots (the only per-block RAM)
 	count   int
 
-	scratch []byte // slot I/O buffer, maxRunSlots slots
-	slots   []byte // blocks.dat mapped read-only; nil: Get uses ReadAt
+	scratch []byte          // slot write buffer, maxRunSlots slots
+	slots   *durable.Region // blocks.dat read in place, for Get
 
 	reserved uint64 // highest durably reserved sealing epoch
 
@@ -180,7 +180,9 @@ func Open(dir string, opt Options) (*Backend, error) {
 		return nil, b.fail(err) // closes what was opened, releases the lock
 	}
 	b.scratch = make([]byte, maxRunSlots*SlotBytes)
-	b.slots = mapData(b.dataF, b.opt.Capacity*SlotBytes)
+	if b.slots, err = durable.OpenRegion(b.path(dataName), int64(b.opt.Capacity*SlotBytes), true); err != nil {
+		return nil, b.fail(fmt.Errorf("blockfile: %w", err))
+	}
 	var hint func()
 	if hintWriteback {
 		f := b.dataF
@@ -309,12 +311,11 @@ func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
 }
 
 // Get implements backend.Backend: it copies the slot's epoch and
-// ciphertext out of the mapping, or out of one pread where there is
-// none. Runtime reads parse the header without re-verifying the CRC —
-// torn detection is the recovery scan's job, and integrity of a served
-// payload is enforced above this layer by the protocol's
-// epoch-consistency check (a mismatched epoch fails the read loudly). A
-// present slot that cannot be read — an I/O error, a fault in the
+// ciphertext out of the slot file read in place. Runtime reads parse the
+// header without re-verifying the CRC — torn detection is the recovery
+// scan's job, and integrity of a served payload is enforced above this
+// layer by the protocol's epoch-consistency check (a mismatched epoch
+// fails the read loudly). A present slot that cannot be read — an I/O error, a fault in the
 // mapping, a closed or wedged backend — surfaces the same way, as the
 // unreadable epoch.
 func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
@@ -322,21 +323,11 @@ func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
 		return backend.Sealed{}, false
 	}
 	sb := backend.Sealed{Ct: make([]byte, crypt.BlockBytes), Epoch: unreadable}
-	switch {
-	case b.closed:
-	case b.slots != nil:
-		// epoch(8) | ct sits at byte 16 of the slot.
-		var rec [8 + crypt.BlockBytes]byte
-		if off := local*SlotBytes + 16; durable.ReadMapped(rec[:], b.slots[off:off+uint64(len(rec))]) {
-			copy(sb.Ct, rec[8:])
-			sb.Epoch = binary.LittleEndian.Uint64(rec[:8])
-		}
-	default:
-		buf := b.scratch[:SlotBytes]
-		if _, err := b.dataF.ReadAt(buf, int64(local)*SlotBytes); err == nil {
-			copy(sb.Ct, buf[24:24+crypt.BlockBytes])
-			sb.Epoch = binary.LittleEndian.Uint64(buf[16:24])
-		}
+	// epoch(8) | ct sits at byte 16 of the slot.
+	var rec [8 + crypt.BlockBytes]byte
+	if b.slots.ReadAt(rec[:], int64(local)*SlotBytes+16) {
+		copy(sb.Ct, rec[8:])
+		sb.Epoch = binary.LittleEndian.Uint64(rec[:8])
 	}
 	return sb, true
 }
@@ -446,10 +437,6 @@ func (b *Backend) ensureReserved(epoch uint64) error {
 // syncFile is the commit's fsync; a variable so a test can observe it.
 var syncFile = durable.TimedSync
 
-// mapData maps blocks.dat for Get, readahead off; a variable so a test can
-// switch the mapping off and run the ReadAt path.
-var mapData = func(f *os.File, size uint64) []byte { return durable.MapReadOnly(f, size, true) }
-
 // syncBatch is one group commit: sync the slot file, write the batch's
 // held records to the log in one write, then sync the log. No record
 // reaches the log file before its slot is synced, so the kernel can never
@@ -526,7 +513,7 @@ func (b *Backend) Close() error {
 	}
 	b.closed = true
 	b.batch.Stop()
-	durable.Unmap(b.slots)
+	b.slots.Close()
 	b.slots = nil
 	if cerr := b.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("blockfile: %w", cerr)
@@ -551,7 +538,7 @@ func (b *Backend) fail(err error) error {
 		b.logF.Close()
 		b.logF = nil
 	}
-	durable.Unmap(b.slots)
+	b.slots.Close()
 	b.slots = nil
 	if b.dataF != nil {
 		b.dataF.Close()

@@ -31,7 +31,7 @@ func mustOpen(t *testing.T, dir string, opt Options) *Backend {
 // log bytes) survives in the page cache, while records held for the next
 // commit are lost with the process.
 func crash(b *Backend) {
-	durable.Unmap(b.slots)
+	b.slots.Close()
 	b.logF.Close()
 	b.dataF.Close()
 	b.closed = true
@@ -740,7 +740,7 @@ func TestMappedReadsPastOpenSize(t *testing.T) {
 	}
 	check := func(b *Backend, ids ...uint64) {
 		t.Helper()
-		if runtime.GOOS == "linux" && b.slots == nil {
+		if runtime.GOOS == "linux" && !b.slots.Mapped() {
 			t.Fatal("no read mapping on Linux")
 		}
 		for _, l := range ids {
@@ -822,7 +822,7 @@ func TestCapacityRefused(t *testing.T) {
 func TestReadAtFallback(t *testing.T) {
 	withoutMapping(t)
 	b := mustOpen(t, t.TempDir(), Options{})
-	if b.slots != nil {
+	if b.slots.Mapped() {
 		t.Fatal("mapping made with the mapping switched off")
 	}
 	b.Close()

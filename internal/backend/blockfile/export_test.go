@@ -10,11 +10,7 @@ import (
 
 // withoutMapping makes every backend opened before t ends read its slots
 // with ReadAt, as on a platform or address space without the mapping.
-func withoutMapping(t *testing.T) {
-	real := mapData
-	mapData = func(*os.File, uint64) []byte { return nil }
-	t.Cleanup(func() { mapData = real })
-}
+func withoutMapping(t *testing.T) { t.Cleanup(durable.ReadWithoutMapping()) }
 
 // StallDataSync makes every data sync of blocks.dat, until t ends, signal
 // entered (dropped when full) and wait for release, then fail with fail,

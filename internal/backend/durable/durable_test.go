@@ -282,7 +282,7 @@ func TestSnapshotRoundTripAndRefusals(t *testing.T) {
 		meta, section := []byte("sealed \x00 meta"), []byte("engine payload section")
 		var wedged error
 		wedge := func(err error) error { wedged = err; return err }
-		log, err := f.Checkpoint(dir, 7, meta, 99, func(w *bufio.Writer) { w.Write(section) }, wedge)
+		log, err := f.Checkpoint(dir, 7, meta, 99, func(w *bufio.Writer) error { w.Write(section); return nil }, wedge)
 		if err != nil || wedged != nil {
 			t.Fatal(err, wedged)
 		}

@@ -96,7 +96,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Add(seed[:len(seed)/2], i == 1)
 	}
 	var small bytes.Buffer
-	err := testFormats[0].encodeSnapshot(&small, 2, []byte("meta"), 9, func(w *bufio.Writer) { w.WriteString("section") })
+	err := testFormats[0].encodeSnapshot(&small, 2, []byte("meta"), 9, func(w *bufio.Writer) error { w.WriteString("section"); return nil })
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			return
 		}
 		var again bytes.Buffer
-		err = tf.encodeSnapshot(&again, s.Seq, s.Meta, s.MetaEpoch, func(w *bufio.Writer) { w.Write(s.Payload) })
+		err = tf.encodeSnapshot(&again, s.Seq, s.Meta, s.MetaEpoch, func(w *bufio.Writer) error { w.Write(s.Payload); return nil })
 		if err != nil || !bytes.Equal(again.Bytes(), img) {
 			t.Fatalf("accepted a %d-byte snapshot that re-encodes to %d bytes (%v)", len(img), again.Len(), err)
 		}

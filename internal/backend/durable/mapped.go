@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -10,7 +9,7 @@ import (
 
 // The engines read sealed blocks in place from their files: blockfile
 // from its slot file, the WAL from its snapshot. On Linux the file is
-// mapped read-only (MapReadOnly) and a read is a copy out of the page
+// mapped read-only (mapReadOnly) and a read is a copy out of the page
 // cache; elsewhere it is one ReadAt. A mapped read of a page the file no
 // longer has — the file truncated under the mapping, or the device
 // failing to page it in — is a SIGBUS, which the runtime turns into a
@@ -19,9 +18,9 @@ import (
 // unreadable epoch, which the shard's epoch check fails loudly) and
 // never as a crash.
 
-// ReadMapped copies src, a range of a mapping, into dst under the fault
+// readMapped copies src, a range of a mapping, into dst under the fault
 // guard, and reports whether it could.
-func ReadMapped(dst, src []byte) bool {
+func readMapped(dst, src []byte) bool {
 	return Guarded(func() error { copy(dst, src); return nil }) == nil
 }
 
@@ -44,33 +43,48 @@ func Guarded(fn func() error) (err error) {
 	return fn()
 }
 
-// Region is a whole file opened for reads in place: mapped where the
-// platform allows, read through the open file elsewhere. Like the
-// backends that hold one, it is confined to one goroutine.
+// Region is a file opened for reads in place: mapped where the platform
+// allows, read through the open file elsewhere. Like the backends that
+// hold one, it is confined to one goroutine.
 type Region struct {
 	m    []byte   // the file mapped; nil: read through f
 	f    *os.File // open only where m is nil
-	size int64
+	size int64    // reads end here
 }
 
-// mapRegion maps a Region's file; a variable so a test can switch the
-// mapping off and run the ReadAt path.
-var mapRegion = MapReadOnly
+// mapRegion maps a Region's file; a variable so that ReadWithoutMapping
+// can switch the mapping off.
+var mapRegion = mapReadOnly
 
-// OpenRegion opens path for reads in place. The file must not grow while
-// the region is open: the mapping covers the size it had.
-func OpenRegion(path string) (*Region, error) {
+// ReadWithoutMapping makes every Region opened until restore is called
+// read through its file, as on a platform or address space without the
+// mapping, so that tests on Linux run that path too.
+func ReadWithoutMapping() (restore func()) {
+	real := mapRegion
+	mapRegion = func(*os.File, uint64, bool) []byte { return nil }
+	return func() { mapRegion = real }
+}
+
+// OpenRegion opens path for reads in place over its first span bytes, or
+// over the file as it is when span is 0. A span past the file's end
+// covers what later writes add: reading a byte the file does not hold
+// yet fails, and reading it once written succeeds. random turns
+// readahead off (mapReadOnly).
+func OpenRegion(path string, span int64, random bool) (*Region, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
+	if span == 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		span = fi.Size()
 	}
-	r := &Region{size: fi.Size()}
-	if r.m = mapRegion(f, uint64(r.size), false); r.m != nil {
+	r := &Region{size: span}
+	if r.m = mapRegion(f, uint64(span), random); r.m != nil {
 		f.Close() // the mapping outlives the descriptor
 	} else {
 		r.f = f
@@ -78,15 +92,21 @@ func OpenRegion(path string) (*Region, error) {
 	return r, nil
 }
 
+// Mapped reports whether reads copy out of a mapping.
+func (r *Region) Mapped() bool { return r.m != nil }
+
 // ReadAt copies the len(dst) bytes at off into dst and reports whether it
-// could: false past the end, on an I/O error, or on a fault in the
-// mapping.
+// could: false past the span or the file's end, on an I/O error, on a
+// fault in the mapping, or on a nil or closed region.
 func (r *Region) ReadAt(dst []byte, off int64) bool {
-	if off < 0 || off > r.size-int64(len(dst)) {
+	if r == nil || off < 0 || off > r.size-int64(len(dst)) {
 		return false
 	}
 	if r.m != nil {
-		return ReadMapped(dst, r.m[off:off+int64(len(dst))])
+		return readMapped(dst, r.m[off:off+int64(len(dst))])
+	}
+	if r.f == nil {
+		return false
 	}
 	_, err := r.f.ReadAt(dst, off)
 	return err == nil
@@ -114,23 +134,9 @@ func (r *Region) Close() {
 	if r == nil {
 		return
 	}
-	Unmap(r.m)
+	unmap(r.m)
 	if r.f != nil {
 		r.f.Close()
 	}
 	r.m, r.f = nil, nil
-}
-
-// failWriter fails every write with err.
-type failWriter struct{ err error }
-
-func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
-
-// Abort makes the snapshot a Checkpoint payload is writing fail with err:
-// a payload that cannot finish its section (a fault reading the blocks it
-// copies) calls it, and Checkpoint returns err before anything is
-// renamed, leaving the directory as it was.
-func Abort(w *bufio.Writer, err error) {
-	w.Reset(failWriter{err})
-	w.WriteByte(0) // buffered, so the envelope's flush reaches failWriter
 }

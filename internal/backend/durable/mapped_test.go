@@ -27,9 +27,7 @@ func inPlace(t *testing.T, fn func(t *testing.T, mapped bool)) {
 		}
 		t.Run(name, func(t *testing.T) {
 			if !mapped {
-				real := mapRegion
-				mapRegion = func(*os.File, uint64, bool) []byte { return nil }
-				defer func() { mapRegion = real }()
+				defer ReadWithoutMapping()()
 			}
 			fn(t, mapped)
 		})
@@ -49,7 +47,7 @@ func TestRegionReadsInPlace(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r, err := OpenRegion(path)
+		r, err := OpenRegion(path, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +92,7 @@ func TestMapSnapshotMatchesLoad(t *testing.T) {
 				t.Fatalf("empty directory mapped %+v, %v", s, err)
 			}
 			meta, section := []byte("sealed \x00 meta"), []byte("engine payload section")
-			log, err := f.Checkpoint(dir, 7, meta, 99, func(w *bufio.Writer) { w.Write(section) }, nil)
+			log, err := f.Checkpoint(dir, 7, meta, 99, func(w *bufio.Writer) error { w.Write(section); return nil }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,27 +145,27 @@ func TestMapSnapshotMatchesLoad(t *testing.T) {
 	})
 }
 
-// TestAbortFailsTheCheckpoint: a payload that aborts leaves the directory
-// as it was and is no wedge.
-func TestAbortFailsTheCheckpoint(t *testing.T) {
+// TestPayloadErrorFailsTheCheckpoint: a payload that returns an error
+// leaves the directory as it was and is no wedge.
+func TestPayloadErrorFailsTheCheckpoint(t *testing.T) {
 	f := &testFormats[1]
 	dir := t.TempDir()
 	f.writeLog(t, dir, f.logImage(0, 2))
 	boom := errors.New("payload cannot finish")
-	_, err := f.Checkpoint(dir, 1, []byte("m"), 5, func(w *bufio.Writer) {
+	_, err := f.Checkpoint(dir, 1, []byte("m"), 5, func(w *bufio.Writer) error {
 		w.Write(make([]byte, 100<<10)) // past the buffer: some of it reached the file
-		Abort(w, boom)
+		return boom
 	}, func(err error) error {
-		t.Errorf("wedged on an aborted payload: %v", err)
+		t.Errorf("wedged on a failed payload: %v", err)
 		return err
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("Checkpoint returned %v, want the abort's error", err)
+		t.Fatalf("Checkpoint returned %v, want the payload's error", err)
 	}
 	if s, _ := f.LoadSnapshot(dir); s != nil || !bytes.Equal(f.readLog(t, dir), f.logImage(0, 2)) {
-		t.Fatal("an aborted checkpoint changed the directory")
+		t.Fatal("a failed payload changed the directory")
 	}
 	if _, err := os.Stat(filepath.Join(dir, f.SnapName+".tmp")); !os.IsNotExist(err) {
-		t.Fatalf("the aborted snapshot's temp file is left behind: %v", err)
+		t.Fatalf("the failed snapshot's temp file is left behind: %v", err)
 	}
 }

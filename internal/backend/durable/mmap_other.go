@@ -4,8 +4,8 @@ package durable
 
 import "os"
 
-// MapReadOnly maps nothing here: readers use ReadAt.
-func MapReadOnly(*os.File, uint64, bool) []byte { return nil }
+// mapReadOnly maps nothing here: readers use ReadAt.
+func mapReadOnly(*os.File, uint64, bool) []byte { return nil }
 
-// Unmap releases nothing here.
-func Unmap([]byte) {}
+// unmap releases nothing here.
+func unmap([]byte) {}

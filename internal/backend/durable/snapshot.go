@@ -36,9 +36,10 @@ type Snapshot struct {
 }
 
 // encodeSnapshot streams one snapshot into dst. payload, if not nil,
-// writes the engine's section after the metadata; a failed write sticks to
-// the buffered writer and surfaces at the flush.
-func (f *Format) encodeSnapshot(dst io.Writer, seq uint64, meta []byte, metaEpoch uint64, payload func(*bufio.Writer)) error {
+// writes the engine's section after the metadata, and an error it returns
+// (a section it cannot finish) fails the snapshot; a failed write sticks
+// to the buffered writer and surfaces at the flush.
+func (f *Format) encodeSnapshot(dst io.Writer, seq uint64, meta []byte, metaEpoch uint64, payload func(*bufio.Writer) error) error {
 	crc := crc32.NewIEEE()
 	w := bufio.NewWriterSize(io.MultiWriter(dst, crc), 1<<16)
 	var hdr [snapFixed - 4]byte
@@ -49,7 +50,9 @@ func (f *Format) encodeSnapshot(dst io.Writer, seq uint64, meta []byte, metaEpoc
 	w.Write(hdr[:])
 	w.Write(meta)
 	if payload != nil {
-		payload(w)
+		if err := payload(w); err != nil {
+			return err
+		}
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -96,7 +99,7 @@ func (f *Format) decodeSnapshot(data []byte) (*Snapshot, error) {
 // never been checkpointed.
 func (f *Format) MapSnapshot(dir string) (*Snapshot, *Region, error) {
 	path := filepath.Join(dir, f.SnapName)
-	r, err := OpenRegion(path)
+	r, err := OpenRegion(path, 0, false)
 	if os.IsNotExist(err) {
 		return nil, nil, nil
 	}
@@ -151,7 +154,9 @@ func (f *Format) checkRegion(r *Region) (*Snapshot, error) {
 // Checkpoint makes seq the directory's checkpoint: the snapshot lands
 // first (temp + rename), only then is the log replaced by an empty one
 // carrying seq, which is returned opened for appending. The caller has
-// already made metaEpoch's reservation durable in the current log.
+// already made metaEpoch's reservation durable in the current log. A
+// payload that returns an error fails the checkpoint before anything is
+// renamed.
 //
 // Any failure at or after the snapshot rename goes through wedge, the
 // caller's fail-fast switch, before it is returned: the directory may
@@ -159,7 +164,7 @@ func (f *Format) checkRegion(r *Region) (*Snapshot, error) {
 // writes that a later Recover discards as pre-snapshot. An earlier failure
 // leaves the directory as it was and the backend usable.
 func (f *Format) Checkpoint(dir string, seq uint64, meta []byte, metaEpoch uint64,
-	payload func(*bufio.Writer), wedge func(error) error) (*os.File, error) {
+	payload func(*bufio.Writer) error, wedge func(error) error) (*os.File, error) {
 	renamed, err := replaceNamed(filepath.Join(dir, f.SnapName), func(fd *os.File) error {
 		return f.encodeSnapshot(fd, seq, meta, metaEpoch, payload)
 	})

@@ -11,10 +11,11 @@ import (
 	"palermo/internal/backend/slab"
 )
 
-// Backend holds sealed blocks in a slab; Get, GetMany and Len are the
-// slab's own.
+// Backend holds sealed blocks in a slab. It forwards only the backend
+// methods, so the slab's Reset, which only the WAL calls, is not one of
+// its own.
 type Backend struct {
-	*slab.Slab
+	s *slab.Slab
 }
 
 // New creates an empty in-memory backend for a caller that does not know
@@ -26,7 +27,7 @@ func NewSized(blocks uint64) *Backend { return &Backend{slab.New(blocks)} }
 
 // Put implements backend.Backend.
 func (b *Backend) Put(local uint64, sb backend.Sealed) error {
-	if err := b.Slab.Put(local, sb); err != nil {
+	if err := b.s.Put(local, sb); err != nil {
 		return fmt.Errorf("memory: %w", err)
 	}
 	return nil
@@ -36,15 +37,26 @@ func (b *Backend) Put(local uint64, sb backend.Sealed) error {
 // whole or (on a refused member, checked before any is stored) not at all.
 func (b *Backend) PutMany(ops []backend.PutOp) error {
 	for _, op := range ops {
-		if err := b.Check(op.Local, op.Sb); err != nil {
+		if err := b.s.Check(op.Local, op.Sb); err != nil {
 			return fmt.Errorf("memory: %w", err)
 		}
 	}
 	for _, op := range ops {
-		b.Slab.Put(op.Local, op.Sb) // checked above
+		b.s.Put(op.Local, op.Sb) // checked above
 	}
 	return nil
 }
+
+// Get implements backend.Backend: the block aliases its slot (slab.Get).
+func (b *Backend) Get(local uint64) (backend.Sealed, bool) { return b.s.Get(local) }
+
+// GetMany implements backend.VectorBackend.
+func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
+	b.s.GetMany(locals, out, ok)
+}
+
+// Len implements backend.Backend.
+func (b *Backend) Len() int { return b.s.Len() }
 
 // Durable implements backend.Backend: memory never survives exit.
 func (b *Backend) Durable() bool { return false }

@@ -109,10 +109,10 @@ func (m model) checkSnapshot(t *testing.T, dir string, capacity uint64, when str
 	}
 }
 
-// TestSparseSnapshotReadsThroughIndex: a snapshot whose ids have gaps is
-// read through the id -> record table, before and after a reopen, and a
+// TestSparseSnapshotReads: a snapshot whose ids have gaps is read by a
+// binary search over its records' ids, before and after a reopen, and a
 // checkpoint that merges new ids into the gaps writes them in order.
-func TestSparseSnapshotReadsThroughIndex(t *testing.T) {
+func TestSparseSnapshotReads(t *testing.T) {
 	const capacity = 1 << 10
 	dir := t.TempDir()
 	b := mustOpen(t, dir, Options{GroupCommit: 4, Capacity: capacity})
@@ -131,7 +131,7 @@ func TestSparseSnapshotReadsThroughIndex(t *testing.T) {
 	if err := b.Checkpoint(nil, 10); err != nil {
 		t.Fatal(err)
 	}
-	if b.snap.where == nil {
+	if b.snap.top == b.snap.n {
 		t.Fatal("a snapshot with gaps is read as dense")
 	}
 	m.check(t, b, capacity, "after the checkpoint")
@@ -139,8 +139,8 @@ func TestSparseSnapshotReadsThroughIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	b = mustOpen(t, dir, Options{GroupCommit: 4, Capacity: capacity})
-	if b.snap.where == nil || b.recent.Len() != 0 {
-		t.Fatalf("reopened with index %v and %d blocks in recent", b.snap.where != nil, b.recent.Len())
+	if b.snap.top == b.snap.n || b.recent.Len() != 0 {
+		t.Fatalf("reopened with %d records up to id %d and %d blocks in recent", b.snap.n, b.snap.top, b.recent.Len())
 	}
 	m.check(t, b, capacity, "after the reopen")
 	// New ids before, between and after the snapshot's, and an overwrite.
@@ -173,7 +173,7 @@ func TestOverwriteAfterCheckpointServedFromRecent(t *testing.T) {
 	if err := b.Checkpoint(nil, 100); err != nil {
 		t.Fatal(err)
 	}
-	if b.snap.where != nil || b.recent.Len() != 0 {
+	if b.snap.top != b.snap.n || b.recent.Len() != 0 {
 		t.Fatal("a checkpoint of ids 0..63 did not leave a dense snapshot and an empty recent")
 	}
 	fresh := backend.Sealed{Ct: ct(0xEE), Epoch: 101}
@@ -264,7 +264,7 @@ func TestReadsAcrossRemappingCheckpoints(t *testing.T) {
 				m.check(t, b, capacity, "after a checkpoint")
 				m.checkSnapshot(t, dir, capacity, "after a checkpoint")
 			}
-			if dense := b.snap.where == nil; dense != (tc.name == "dense") {
+			if dense := b.snap.top == b.snap.n; dense != (tc.name == "dense") {
 				t.Fatalf("the last snapshot is read as dense=%v", dense)
 			}
 			if err := b.Close(); err != nil {

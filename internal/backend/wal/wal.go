@@ -9,11 +9,11 @@
 // overlaid by recent, a slab of the blocks written or replayed since that
 // snapshot. A Get looks in recent first, then copies the block's record
 // out of the snapshot file; the records are ascending by id, so record i
-// is block i when the stored ids are 0..n−1 (dense), and a table from id
-// to record finds it otherwise. A checkpoint merges the two into the next
-// snapshot in ascending id order, copying each run of snapshot records
-// between two recent ids as it lies in the file, then reads from the file
-// it wrote and empties recent. A snapshot record that cannot be read —
+// is block i when the stored ids are 0..n−1 (dense), and a binary search
+// over the records' ids finds it otherwise. A checkpoint merges the two
+// into the next snapshot in ascending id order, copying each run of
+// snapshot records between two recent ids as it lies in the file, then
+// reads from the file it wrote and empties recent. A snapshot record that cannot be read —
 // the file truncated under the mapping, an I/O error, a closed or wedged
 // backend — reads as the unreadable epoch, which the shard's epoch check
 // fails loudly.
@@ -59,7 +59,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -123,9 +122,9 @@ type Options struct {
 	// (benchmark/layers); delete with ROADMAP item 5(a).
 	CommitDepth int
 	// Capacity is the shard's block capacity, which sizes the index of
-	// the blocks written since the last snapshot (slab.New) and of a
-	// snapshot whose ids have gaps; ids at or beyond it are refused. Zero
-	// means unknown: direct indexes, ids below paged.DirectKeys.
+	// the blocks written since the last snapshot (slab.New); ids at or
+	// beyond it are refused. Zero means unknown: a direct index, ids below
+	// paged.DirectKeys.
 	Capacity uint64
 }
 
@@ -364,17 +363,19 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	path := filepath.Join(b.dir, snapName)
 	had := b.snap.r != nil
 	var next snapView
-	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, func(w *bufio.Writer) {
-		next = b.writeBlocks(w)
+	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, func(w *bufio.Writer) error {
+		var err error
+		next, err = b.writeBlocks(w)
 		// Let the old file go before the rename replaces it: a platform
 		// without the mapping holds it open, and Windows renames over no
 		// open file.
 		b.snap.close()
+		return err
 	}, b.fail)
 	if err != nil {
 		if had && b.snap.r == nil && !b.closed { // failed before the rename: the old file is still in place
 			var rerr error
-			if b.snap.r, rerr = durable.OpenRegion(path); rerr != nil {
+			if b.snap.r, rerr = durable.OpenRegion(path, 0, false); rerr != nil {
 				return b.fail(fmt.Errorf("wal: %w", rerr))
 			}
 		}
@@ -385,7 +386,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	b.seq = newSeq
 	b.meta, b.metaEpoch, b.tail = nil, metaEpoch, nil
 	// The file was just written and synced: map it without reading it back.
-	if next.r, err = durable.OpenRegion(path); err != nil {
+	if next.r, err = durable.OpenRegion(path, 0, false); err != nil {
 		return b.fail(fmt.Errorf("wal: %w", err))
 	}
 	next.off = durable.PayloadOffset(len(meta)) + 8 // past the block count
@@ -423,21 +424,12 @@ func (b *Backend) Close() error {
 // merges the snapshot's records with recent's blocks, which replace the
 // records of their ids; each run of records between two recent ids is
 // copied as it lies in the file, under one fault guard for the whole
-// merge, and a fault aborts the checkpoint. It returns the new section's
+// merge, and a fault fails the checkpoint. It returns the new section's
 // view but for its file (Checkpoint opens it once it is in place).
-func (b *Backend) writeBlocks(w *bufio.Writer) snapView {
+func (b *Backend) writeBlocks(w *bufio.Writer) (snapView, error) {
 	old := &b.snap
 	n := uint64(b.Len())
 	next := snapView{n: n, top: max(old.top, b.recentTop)}
-	if next.top != n { // some id below the highest is absent
-		where := paged.New[uint32](b.limit)
-		next.where = &where
-	}
-	written := uint32(0) // records in the new section, counted for where
-	index := func(local uint64) {
-		written++
-		next.where.Set(local, written)
-	}
 	var u [16]byte
 	binary.LittleEndian.PutUint64(u[:8], n)
 	w.Write(u[:8])
@@ -447,15 +439,6 @@ func (b *Backend) writeBlocks(w *bufio.Writer) snapView {
 		run := func(to uint64) error {
 			if to <= from {
 				return nil
-			}
-			if next.where != nil {
-				for i := from; i < to; i++ {
-					local, err := old.localAt(i)
-					if err != nil {
-						return err
-					}
-					index(local)
-				}
 			}
 			err := old.r.WriteTo(w, old.off+int64(from)*blockRec, int64(to-from)*blockRec)
 			from = to
@@ -476,9 +459,6 @@ func (b *Backend) writeBlocks(w *bufio.Writer) snapView {
 			if replaced {
 				from++
 			}
-			if next.where != nil {
-				index(local)
-			}
 			binary.LittleEndian.PutUint64(u[0:8], local)
 			binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
 			w.Write(u[:])
@@ -490,9 +470,9 @@ func (b *Backend) writeBlocks(w *bufio.Writer) snapView {
 		return err
 	})
 	if err != nil {
-		durable.Abort(w, fmt.Errorf("wal: %s: %w", snapName, err))
+		return next, fmt.Errorf("wal: %s: %w", snapName, err)
 	}
-	return next
+	return next, nil
 }
 
 // fail wedges the backend after a non-recoverable mid-operation error:
@@ -617,18 +597,7 @@ func (b *Backend) loadBlocks(off, size int64) error {
 		return b.loadUnordered(n)
 	}
 	v.n, v.top = n, top
-	if top == n {
-		return nil // dense: record i is block i
-	}
-	if n >= math.MaxUint32 {
-		return fmt.Errorf("wal: %s holds %d blocks, more than a sparse index counts", snapName, n)
-	}
-	where := paged.New[uint32](b.limit)
-	v.where = &where
-	return v.each(n, func(i uint64, rec []byte) bool {
-		where.Set(binary.LittleEndian.Uint64(rec), uint32(i+1))
-		return true
-	})
+	return nil
 }
 
 // loadUnordered copies a snapshot section of n records in no particular
@@ -649,20 +618,18 @@ func (b *Backend) loadUnordered(n uint64) error {
 
 // snapView is the current snapshot's block section as reads find it.
 type snapView struct {
-	r     *durable.Region      // the snapshot file; nil: none, or closed
-	off   int64                // file offset of record 0
-	n     uint64               // records
-	top   uint64               // 1 + the last record's id; 0 when empty
-	where *paged.Table[uint32] // id -> record + 1; nil when record i is block i
+	r   *durable.Region // the snapshot file; nil: none, or closed
+	off int64           // file offset of record 0
+	n   uint64          // records
+	top uint64          // 1 + the last record's id; 0 when empty
 }
 
-// record returns the index of local's record, if the section holds one.
+// record returns the index of local's record and whether the section
+// holds one. A record it cannot read while searching counts as local's,
+// so that a read of it fails loudly and the count of ids stays whole.
 func (v *snapView) record(local uint64) (uint64, bool) {
-	if v.where == nil {
-		return local, local < v.n
-	}
-	i := v.where.Get(local)
-	return uint64(i) - 1, i != 0
+	i, held, err := v.lowerBound(local, 0)
+	return i, held || err != nil
 }
 
 // get returns local's block, copied into buf (sealedLen bytes), or the
@@ -673,7 +640,7 @@ func (v *snapView) get(local uint64, buf []byte) (backend.Sealed, bool) {
 		return backend.Sealed{}, false
 	}
 	sb := backend.Sealed{Ct: buf[8:], Epoch: unreadable}
-	if v.r != nil && v.r.ReadAt(buf, v.off+int64(i)*blockRec+8) {
+	if v.r.ReadAt(buf, v.off+int64(i)*blockRec+8) {
 		sb.Epoch = binary.LittleEndian.Uint64(buf)
 	}
 	return sb, true
@@ -681,35 +648,31 @@ func (v *snapView) get(local uint64, buf []byte) (backend.Sealed, bool) {
 
 var errUnreadable = errors.New("snapshot record cannot be read")
 
-// localAt returns the id of record i.
-func (v *snapView) localAt(i uint64) (uint64, error) {
-	var u [8]byte
-	if v.r == nil || !v.r.ReadAt(u[:], v.off+int64(i)*blockRec) {
-		return 0, errUnreadable
-	}
-	return binary.LittleEndian.Uint64(u[:]), nil
-}
-
 // lowerBound returns the first record at or after from whose id is at
-// least local, and whether its id is local.
+// least local, and whether its id is local. Record i is block i when the
+// section is dense; otherwise it binary-searches the records' ids where
+// they lie.
 func (v *snapView) lowerBound(local, from uint64) (uint64, bool, error) {
-	if i, ok := v.record(local); ok {
-		return i, true, nil
-	}
-	if v.where == nil {
-		return v.n, false, nil // dense: every id past the last
+	switch {
+	case local >= v.top:
+		return v.n, false, nil // every id past the last
+	case v.top == v.n:
+		return local, true, nil // dense: record i is block i
 	}
 	lo, hi := from, v.n
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		id, err := v.localAt(mid)
-		if err != nil {
-			return 0, false, err
+		var u [8]byte
+		if !v.r.ReadAt(u[:], v.off+int64(mid)*blockRec) {
+			return 0, false, errUnreadable
 		}
-		if id < local {
+		switch id := binary.LittleEndian.Uint64(u[:]); {
+		case id < local:
 			lo = mid + 1
-		} else {
+		case id > local:
 			hi = mid
+		default:
+			return mid, true, nil
 		}
 	}
 	return lo, false, nil

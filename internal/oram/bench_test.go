@@ -57,9 +57,11 @@ var servingBench struct {
 
 // BenchmarkRingAccessServing is one serving-engine access (the engine share
 // of every store op): allocs/op is the number TestRingAccessAllocs guards.
-// For an A/B, run each side's test binary at -benchtime 200000x
-// -count 5 (about 0.6 s a run after one 32 768-access fill) and compare
-// the medians of alternating processes.
+// For an A/B, run each side's test binary at -benchtime 50000x
+// -count 30 (one fill per process, then 30 short windows), take each
+// process's minimum, and compare over at least 8 alternating pairs: a
+// window's mean moves with the stash's stretches, so only the minimum
+// resolves a 10 % change.
 func BenchmarkRingAccessServing(b *testing.B) {
 	sb := &servingBench
 	sb.once.Do(func() { sb.e, sb.r = servingRing(b), rng.New(11) })
