@@ -18,10 +18,10 @@
 //
 // Implementations: memory (process-private, the default), wal (a
 // CRC-framed append-only log with group-committed fsync and compacted
-// snapshots, read back from the snapshot file, surviving restarts and
-// crashes) and blockfile (one slot per block in a file, read back on
-// demand). memory, and the WAL for the blocks written since its last
-// snapshot, keep their blocks in one container, package slab.
+// snapshots, each block read back where its record lies, surviving
+// restarts and crashes) and blockfile (one slot per block in a file, read
+// back on demand). memory keeps its blocks in package slab; the durable
+// engines read theirs in place from their own files.
 //
 // A Backend is confined to its shard's worker goroutine, exactly like the
 // ORAM engine above it, so implementations need no internal locking.

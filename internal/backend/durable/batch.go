@@ -180,6 +180,18 @@ func (b *Batch) Stop() {
 // finds it settled successfully (backend.Committer).
 func (b *Batch) InFlight() *backend.Commit { return b.inflight }
 
+// Held returns the framed records the log file may not hold yet: the open
+// batch's, and those of the commit in flight (nil when none is). The
+// records of the commit in flight directly precede the open batch's in
+// the log. Both are read-only and valid until the next Add, Commit or
+// Append; the helper only reads them too.
+func (b *Batch) Held() (open, flight []byte) {
+	if b.inflight != nil {
+		flight = b.spare
+	}
+	return b.recs, flight
+}
+
 // Pending reports how many records the open batch has counted.
 func (b *Batch) Pending() int { return b.pending }
 

@@ -11,9 +11,8 @@ import (
 	"palermo/internal/backend/slab"
 )
 
-// Backend holds sealed blocks in a slab. It forwards only the backend
-// methods, so the slab's Reset, which only the WAL calls, is not one of
-// its own.
+// Backend holds sealed blocks in a slab and forwards the backend methods
+// to it.
 type Backend struct {
 	s *slab.Slab
 }

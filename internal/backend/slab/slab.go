@@ -1,17 +1,16 @@
-// Package slab is the one in-memory container of sealed blocks: the block
-// store of the memory backend, and the WAL's blocks written since its
-// last snapshot (the rest it reads from the snapshot file). It is the
-// untrusted-storage counterpart of the engine's tables (internal/paged): a
-// paged.Table from shard-local id to slot number, over a slab of chunks
-// that hold ciphertext and epoch inline.
+// Package slab is the in-memory container of sealed blocks, the block
+// store of the memory backend. It is the untrusted-storage counterpart of
+// the engine's tables (internal/paged): a paged.Table from shard-local id
+// to slot number, over a slab of chunks that hold ciphertext and epoch
+// inline.
 //
 // A Get is the table lookup plus two dependent loads (chunk pointer,
 // slot); a Put copies 64 bytes into place. A stored block costs its 72
 // slot bytes plus 4 bytes of index — no map entry, no per-block heap
-// object. Slots are handed out in first-touch order and freed only all at
-// once (Reset: the WAL empties its slab at every checkpoint and refills
-// the same chunks), and a chunk is allocated when its first slot is: 256 slots of 72 bytes is the Go allocator's 18432-byte
-// size class exactly, so the slab wastes nothing to rounding.
+// object. Slots are handed out in first-touch order and never freed, and
+// a chunk is allocated when its first slot is: 256 slots of 72 bytes is
+// the Go allocator's 18432-byte size class exactly, so the slab wastes
+// nothing to rounding.
 package slab
 
 import (
@@ -34,7 +33,7 @@ type slot struct {
 
 type chunk [chunkLen]slot
 
-// Slab stores sealed blocks by shard-local id. Like the backends built on
+// Slab stores sealed blocks by shard-local id. Like the backend built on
 // it, it is confined to one goroutine.
 type Slab struct {
 	index  paged.Table[uint32] // id -> slot number + 1
@@ -59,12 +58,6 @@ func New(capacity uint64) *Slab {
 func (s *Slab) at(ref uint32) *slot {
 	ref--
 	return &s.chunks[ref>>chunkBits][ref&(chunkLen-1)]
-}
-
-// sealed is the block in slot ref, aliasing it.
-func (s *Slab) sealed(ref uint32) backend.Sealed {
-	sl := s.at(ref)
-	return backend.Sealed{Ct: sl.ct[:], Epoch: sl.epoch}
 }
 
 // Check reports why sb cannot be stored under id: an id outside the
@@ -103,14 +96,14 @@ func (s *Slab) Put(id uint64, sb backend.Sealed) error {
 }
 
 // Get returns the block stored under id. The ciphertext aliases the slot:
-// it is valid until the next Put of the same id or Reset and must not be
-// written.
+// it is valid until the next Put of the same id and must not be written.
 func (s *Slab) Get(id uint64) (backend.Sealed, bool) {
 	ref := s.index.Get(id)
 	if ref == 0 {
 		return backend.Sealed{}, false
 	}
-	return s.sealed(ref), true
+	sl := s.at(ref)
+	return backend.Sealed{Ct: sl.ct[:], Epoch: sl.epoch}, true
 }
 
 // GetMany is Get for every ids[i] into out[i], ok[i].
@@ -120,18 +113,5 @@ func (s *Slab) GetMany(ids []uint64, out []backend.Sealed, ok []bool) {
 	}
 }
 
-// Reset empties the slab and keeps its chunks, so refilling it to the
-// size it had allocates only its index.
-func (s *Slab) Reset() {
-	s.index.Reset()
-	s.n = 0
-}
-
 // Len returns the number of distinct ids stored.
 func (s *Slab) Len() int { return int(s.n) }
-
-// Range calls fn for every stored block in ascending id order, under the
-// aliasing rule of Get. fn must not Put.
-func (s *Slab) Range(fn func(id uint64, sb backend.Sealed)) {
-	s.index.Ascending(func(id uint64, ref uint32) { fn(id, s.sealed(ref)) })
-}

@@ -34,9 +34,8 @@ type modelBlock struct {
 //	0-2  Put(id, ct filled from the next byte, next epoch)   (overwrites included)
 //	3    that Put for a run of 2×(fill+1) ids from id: a few bytes of
 //	     script fill a chunk and start the next
-//	4    Get(id), keeping the result
+//	4, 6 Get(id), keeping the result
 //	5    GetMany of the next byte's low 3 bits + 1 ids
-//	6    Range: ascending, complete, equal to the model
 //	7    Put with a refused argument: nothing may change
 //
 // After every operation, Len agrees and every Get result ever kept still
@@ -100,7 +99,7 @@ func runScript(t *testing.T, capacity, stride uint64, script []byte) {
 				model[id] = m
 				clear(ct) // Put copied: the caller's bytes are the caller's again
 			}
-		case 4:
+		case 4, 6:
 			id, ok := nextID()
 			if !ok {
 				return
@@ -125,18 +124,6 @@ func runScript(t *testing.T, capacity, stride uint64, script []byte) {
 			s.GetMany(ids, out, oks)
 			for i, id := range ids {
 				check("GetMany", id, out[i], oks[i])
-			}
-		case 6:
-			seen, last := 0, uint64(0)
-			s.Range(func(id uint64, sb backend.Sealed) {
-				if seen > 0 && id <= last {
-					t.Fatalf("Range visited %d after %d", id, last)
-				}
-				check("Range", id, sb, true)
-				seen, last = seen+1, id
-			})
-			if seen != len(model) {
-				t.Fatalf("Range visited %d blocks, model holds %d", seen, len(model))
 			}
 		case 7:
 			id, ok := nextID()
@@ -169,12 +156,10 @@ func randomScript(seed uint64, n int) []byte {
 	var script []byte
 	for i := 0; i < n; i++ {
 		op := byte(r.Uint64n(8))
-		if rare := r.Uint64n(100); rare < 2 {
-			op = 6 // Range is O(stored) and a run is hundreds of puts: both rare
-		} else if rare == 2 {
+		if rare := r.Uint64n(100); rare == 2 {
 			op = 3
-		} else if op == 6 || op == 3 {
-			op = 0
+		} else if op == 3 {
+			op = 0 // a run is hundreds of puts: rare
 		}
 		id := func() { script = append(script, byte(r.Uint64n(6)), byte(r.Uint64())) } // 1536 ids
 		script = append(script, op)
@@ -182,7 +167,7 @@ func randomScript(seed uint64, n int) []byte {
 		case 0, 1, 2, 3:
 			id()
 			script = append(script, byte(r.Uint64()))
-		case 4, 7:
+		case 4, 6, 7:
 			id()
 		case 5:
 			n := byte(r.Uint64n(8))
@@ -247,46 +232,5 @@ func TestUnknownCapacityIsBounded(t *testing.T) {
 func TestChunkIsOneSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(chunk{}); got != 18432 {
 		t.Fatalf("a chunk is %d bytes; the package comment promises the 18432-byte size class", got)
-	}
-}
-
-// TestResetKeepsChunks: Reset empties the slab, and refilling it with as
-// many blocks, under other ids, reuses its chunks and allocates only the
-// index.
-func TestResetKeepsChunks(t *testing.T) {
-	for _, sh := range shapes {
-		t.Run(sh.name, func(t *testing.T) {
-			s := New(sh.capacity)
-			const n = 3*chunkLen + 5
-			put := func(first uint64, fill byte) {
-				for i := uint64(0); i < n; i++ {
-					if err := s.Put((first+i)*sh.stride, backend.Sealed{Ct: bytes.Repeat([]byte{fill}, crypt.BlockBytes), Epoch: first + i}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			put(0, 1)
-			chunks := s.chunks
-			s.Reset()
-			if s.Len() != 0 {
-				t.Fatalf("Len = %d after Reset", s.Len())
-			}
-			if _, ok := s.Get(7 * sh.stride); ok {
-				t.Fatal("a block survived Reset")
-			}
-			put(n, 2)
-			if len(s.chunks) != len(chunks) || &s.chunks[0][0] != &chunks[0][0] {
-				t.Fatalf("refilling took %d chunks, %d were kept", len(s.chunks), len(chunks))
-			}
-			if s.Len() != n {
-				t.Fatalf("Len = %d after the refill, want %d", s.Len(), n)
-			}
-			for i := uint64(0); i < 2*n; i++ {
-				sb, ok := s.Get(i * sh.stride)
-				if ok != (i >= n) || ok && (sb.Epoch != i || sb.Ct[0] != 2) {
-					t.Fatalf("Get(%d) = epoch %d ok=%v after the refill", i*sh.stride, sb.Epoch, ok)
-				}
-			}
-		})
 	}
 }

@@ -96,8 +96,8 @@ func TestCommitPipelineWindow(t *testing.T) {
 }
 
 // TestPutAllocatesNothing: at steady state — ids already stored, no
-// checkpoint — a logged Put frames into the open batch and copies into
-// recent, whether its commits run inside it or on the helper.
+// checkpoint — a logged Put frames into the open batch and points recent
+// at the record, whether its commits run inside it or on the helper.
 func TestPutAllocatesNothing(t *testing.T) {
 	for _, gc := range []int{1, 8} {
 		b := mustOpen(t, t.TempDir(), Options{GroupCommit: gc, Capacity: 256})

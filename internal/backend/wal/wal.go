@@ -3,20 +3,26 @@
 // into an atomically-replaced snapshot file, and replayed on open so a
 // store survives restarts and crashes.
 //
-// The blocks are not mirrored in memory. The stored set is the current
-// snapshot's block section, read where it lies (mapped read-only on
-// Linux, one ReadAt per read elsewhere: package durable's Region),
-// overlaid by recent, a slab of the blocks written or replayed since that
-// snapshot. A Get looks in recent first, then copies the block's record
-// out of the snapshot file; the records are ascending by id, so record i
-// is block i when the stored ids are 0..n−1 (dense), and a binary search
-// over the records' ids finds it otherwise. A checkpoint merges the two
-// into the next snapshot in ascending id order, copying each run of
-// snapshot records between two recent ids as it lies in the file, then
-// reads from the file it wrote and empties recent. A snapshot record that cannot be read —
-// the file truncated under the mapping, an I/O error, a closed or wedged
-// backend — reads as the unreadable epoch, which the shard's epoch check
-// fails loudly.
+// The blocks are not held in memory. The stored set is the current
+// snapshot's block section overlaid by the blocks written or replayed
+// since it, and both are read where their records lie: the snapshot file
+// and the log are each opened for reads in place (mapped read-only on
+// Linux, one ReadAt per read elsewhere: package durable's Region). recent
+// indexes the second set, each id's last record in the current log, which
+// lies in the open group-commit batch, in the batch the helper is
+// committing, or in the log file. A Get looks in recent first, then
+// copies the block's record out of the snapshot file; the snapshot's
+// records are ascending by id, so record i is block i when the stored ids
+// are 0..n−1 (dense), and a binary search over the records' ids finds it
+// otherwise. A checkpoint merges the two into the next snapshot in
+// ascending id order, copying each run of snapshot records between two
+// recent ids as it lies in the file and each recent block out of the log,
+// then reads from the files it wrote and empties recent. The heap holds
+// recent's 4 bytes per id written since the snapshot and the two batch
+// buffers, whatever the spacing of checkpoints. A record that cannot be
+// read — a file truncated under the mapping, an I/O error, a closed or
+// wedged backend — reads as the unreadable epoch, which the shard's epoch
+// check fails loudly.
 //
 // On-disk layout (one directory per shard; the lock, the log header, the
 // record and snapshot framing and every recovery rule are the durable-log
@@ -24,8 +30,9 @@
 //
 //	snapshot   core envelope, payload section = nBlocks |
 //	           nBlocks × (local, epoch, ct[64]), ascending by local
-//	           (any order loads, into recent: older versions wrote map
-//	           order, and the next checkpoint rewrites it ascending)
+//	           (any order loads, indexed in recent where it lies: older
+//	           versions wrote map order, and the next checkpoint rewrites
+//	           it ascending)
 //	wal.log    core log of 84-byte records: local | epoch | ct[64] | crc32
 //
 // A PutMany vector of more than one block is framed as a record *batch*:
@@ -41,10 +48,11 @@
 // flight and Flush/Checkpoint/Close settling it first (DESIGN.md §9).
 //
 // Recovery on Open maps the snapshot (if any) and checks its CRC in place,
-// then replays the log's intact records into recent; when a torn group-commit tail is cut, a durable epoch
-// reservation covering the discarded records is folded in over it. What a
-// crash loses is therefore exactly the writes the group-commit policy had
-// not yet fsynced, and nothing else.
+// then indexes the log's intact records in recent where they lie; when a
+// torn group-commit tail is cut, a durable epoch reservation covering the
+// discarded records is folded in over it. What a crash loses is therefore
+// exactly the writes the group-commit policy had not yet fsynced, and
+// nothing else.
 //
 // The log records only (local id, ciphertext, epoch) in access order, what
 // the backend's Put calls already show, so durability adds nothing to what
@@ -64,7 +72,6 @@ import (
 
 	"palermo/internal/backend"
 	"palermo/internal/backend/durable"
-	"palermo/internal/backend/slab"
 	"palermo/internal/crypt"
 	"palermo/internal/paged"
 )
@@ -80,9 +87,9 @@ const (
 	blockRec  = 8 + 8 + crypt.BlockBytes
 	sealedLen = blockRec - 8
 
-	// unreadable is the epoch Get returns for a snapshot block it cannot
-	// read. The sealer never assigns it, so the shard's epoch check fails
-	// the read loudly instead of serving wrong bytes.
+	// unreadable is the epoch Get returns for a block it cannot read.
+	// The sealer never assigns it, so the shard's epoch check fails the
+	// read loudly instead of serving wrong bytes.
 	unreadable = ^uint64(0)
 
 	// loadChunk is how many snapshot records Open reads at a time.
@@ -94,7 +101,23 @@ const (
 	// EpochReserveLocal, real block ids (capped at 2^40) can never collide
 	// with it.
 	batchLocal = ^uint64(0) - 1
+
+	// snapRef marks a value of recent that names a record of the
+	// snapshot's section instead of the log's: a section in no particular
+	// order (older builds) is indexed in recent where it lies.
+	snapRef = 1 << 31
 )
+
+// maxLogRecords is how many records one log may hold: recent stores 1 +
+// a record's number, below snapRef. A put that would pass it is refused
+// until a checkpoint starts a new log; a variable so a test can lower it.
+var maxLogRecords uint64 = snapRef - 1
+
+// minLogSpan is the least span the log's region covers. The span starts
+// at twice the log's size or more, and a read past it reopens the region
+// twice as large as the log; a variable so a test can make the log
+// outgrow it.
+var minLogSpan int64 = 64 << 20
 
 var format = durable.Format{
 	Engine:  "wal",
@@ -122,9 +145,10 @@ type Options struct {
 	// (benchmark/layers); delete with ROADMAP item 5(a).
 	CommitDepth int
 	// Capacity is the shard's block capacity, which sizes the index of
-	// the blocks written since the last snapshot (slab.New); ids at or
-	// beyond it are refused. Zero means unknown: a direct index, ids below
-	// paged.DirectKeys.
+	// the blocks written since the last snapshot (recent, a paged.Table:
+	// 4 bytes per id written since, the blocks themselves stay in the
+	// log); ids at or beyond it are refused. Zero means unknown: a direct
+	// index, ids below paged.DirectKeys.
 	Capacity uint64
 }
 
@@ -133,14 +157,21 @@ type Backend struct {
 	dir string
 	opt Options
 
-	// The stored set: the snapshot's records, overlaid by recent.
-	recent    *slab.Slab // blocks written or replayed since the snapshot
-	recentTop uint64     // 1 + the highest id in recent; 0 when empty
+	// The stored set: the snapshot's records, overlaid by recent, which
+	// maps each id written or replayed since the snapshot to 1 + the
+	// number of its last record in the log (or snapRef | 1 + a record of
+	// an unordered snapshot section).
+	recent    paged.Table[uint32]
+	recentTop uint64 // 1 + the highest id in recent; 0 when empty
 	snap      snapView
 	extra     int    // ids in recent that the snapshot does not hold
 	limit     uint64 // ids are below it: Capacity, or paged.DirectKeys
 
-	getBuf  [sealedLen]byte // Get's copy of a snapshot record
+	logR    *durable.Region // the log, for reads in place; nil: closed
+	logSpan int64           // bytes logR covers
+	logRecs uint64          // records in the log past its header, held ones included
+
+	getBuf  [sealedLen]byte // Get's copy of a record
 	manyBuf []byte          // GetMany's copies, sealedLen bytes per position
 
 	// What load found, until Recovered hands it to the shard: the sealed
@@ -169,7 +200,7 @@ func Open(dir string, opt Options) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Backend{dir: dir, opt: opt, lockF: lock, recent: slab.New(opt.Capacity), limit: opt.Capacity}
+	b := &Backend{dir: dir, opt: opt, lockF: lock, recent: paged.New[uint32](opt.Capacity), limit: opt.Capacity}
 	if b.limit == 0 {
 		b.limit = paged.DirectKeys
 	}
@@ -206,48 +237,109 @@ func (b *Backend) unlock() {
 	}
 }
 
-// Get implements backend.Backend: a block written since the snapshot
-// aliases recent's slot, one only the snapshot holds is copied into the
-// backend's buffer. Either is valid until the next call on the backend.
+// Get implements backend.Backend: the block is copied into the
+// backend's buffer from where its last record lies, and is valid until
+// the next call on the backend.
 func (b *Backend) Get(local uint64) (backend.Sealed, bool) {
-	if sb, ok := b.recent.Get(local); ok {
-		return sb, true
-	}
-	return b.snap.get(local, b.getBuf[:])
+	return b.get(local, b.getBuf[:])
 }
 
-// GetMany implements backend.VectorBackend: positions read from the
-// snapshot are copied into distinct buffers, so every result stays valid
-// until the next call on the backend.
+// GetMany implements backend.VectorBackend: every position is copied into
+// a buffer of its own, so every result stays valid until the next call
+// on the backend.
 func (b *Backend) GetMany(locals []uint64, out []backend.Sealed, ok []bool) {
 	if len(b.manyBuf) < len(locals)*sealedLen {
 		b.manyBuf = make([]byte, len(locals)*sealedLen)
 	}
 	for i, local := range locals {
-		if out[i], ok[i] = b.recent.Get(local); !ok[i] {
-			out[i], ok[i] = b.snap.get(local, b.manyBuf[i*sealedLen:(i+1)*sealedLen])
+		out[i], ok[i] = b.get(local, b.manyBuf[i*sealedLen:(i+1)*sealedLen])
+	}
+}
+
+// get returns local's block copied into buf (sealedLen bytes), or the
+// unreadable epoch when its record cannot be read.
+func (b *Backend) get(local uint64, buf []byte) (backend.Sealed, bool) {
+	ref := b.recent.Get(local)
+	if ref == 0 {
+		return b.snap.get(local, buf)
+	}
+	sb := backend.Sealed{Ct: buf[8:], Epoch: unreadable}
+	if b.read(ref, buf) {
+		sb.Epoch = binary.LittleEndian.Uint64(buf)
+	}
+	return sb, true
+}
+
+// read copies the epoch | ct of recent's record ref into buf (sealedLen
+// bytes) and reports whether it could: never on a closed or wedged
+// backend. A log record lies in the open batch, in the commit in flight,
+// which directly precedes it, or before both in the log file.
+func (b *Backend) read(ref uint32, buf []byte) bool {
+	switch {
+	case b.closed:
+		return false
+	case ref&snapRef != 0:
+		return b.snap.r.ReadAt(buf, b.snap.off+int64(ref&^snapRef-1)*blockRec+8)
+	}
+	k := uint64(ref - 1)
+	open, flight := b.batch.Held()
+	first := b.logRecs - uint64(len(open)/recordSize) // the open batch's first record
+	if k >= first {
+		copy(buf, open[(k-first)*recordSize+8:])
+		return true
+	}
+	if first -= uint64(len(flight) / recordSize); k >= first {
+		copy(buf, flight[(k-first)*recordSize+8:])
+		return true
+	}
+	off := logOff(k) + 8
+	if off+sealedLen > b.logSpan {
+		if err := b.openLog(off + sealedLen); err != nil {
+			b.fail(err)
+			return false
 		}
 	}
+	return b.logR.ReadAt(buf, off)
 }
 
 // Len implements backend.Backend: the snapshot's blocks and the ones
 // written since that it does not hold.
 func (b *Backend) Len() int { return int(b.snap.n) + b.extra }
 
-// store copies a validated block into recent, counting an id the
+// index points recent at ref, local's last record, counting an id the
 // snapshot does not hold.
-func (b *Backend) store(local uint64, sb backend.Sealed) error {
-	n := b.recent.Len()
-	if err := b.recent.Put(local, sb); err != nil {
-		return err
-	}
-	if b.recent.Len() > n {
+func (b *Backend) index(local uint64, ref uint32) {
+	if b.recent.Swap(local, ref) == 0 {
 		b.recentTop = max(b.recentTop, local+1)
 		if _, held := b.snap.record(local); !held {
 			b.extra++
 		}
 	}
+}
+
+// logOff is the file offset of the log's record k.
+func logOff(k uint64) int64 { return headerSize + int64(k)*recordSize }
+
+// openLog opens the log for reads in place over a span of at least
+// minLogSpan and at least twice need bytes, replacing the region it had.
+func (b *Backend) openLog(need int64) error {
+	b.closeLog()
+	span := minLogSpan
+	for span < 2*need {
+		span *= 2
+	}
+	r, err := durable.OpenRegion(filepath.Join(b.dir, logName), span, false)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	b.logR, b.logSpan = r, span
 	return nil
+}
+
+// closeLog lets the log's region go.
+func (b *Backend) closeLog() {
+	b.logR.Close()
+	b.logR, b.logSpan = nil, 0
 }
 
 // Durable implements backend.Backend.
@@ -265,11 +357,19 @@ func (b *Backend) Recovered() ([]byte, uint64, []backend.TailOp) {
 // validatePut rejects malformed, reserved-id or out-of-capacity puts
 // before any byte is framed.
 func (b *Backend) validatePut(local uint64, sb backend.Sealed) error {
-	if local == backend.EpochReserveLocal || local == batchLocal {
+	switch {
+	case local == backend.EpochReserveLocal || local == batchLocal:
 		return fmt.Errorf("wal: block id %d is reserved", local)
+	case len(sb.Ct) != crypt.BlockBytes:
+		return fmt.Errorf("wal: ciphertext must be %d bytes, got %d", crypt.BlockBytes, len(sb.Ct))
 	}
-	if err := b.recent.Check(local, sb); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	return b.checkID(local)
+}
+
+// checkID refuses an id outside the capacity.
+func (b *Backend) checkID(local uint64) error {
+	if local >= b.limit {
+		return fmt.Errorf("wal: block id %d outside capacity %d", local, b.limit)
 	}
 	return nil
 }
@@ -310,19 +410,28 @@ func (b *Backend) PutMany(ops []backend.PutOp) error {
 			return err
 		}
 	}
+	recs := uint64(len(ops))
+	if len(ops) > 1 {
+		recs++ // the batch header
+	}
+	if b.logRecs+recs > maxLogRecords {
+		return fmt.Errorf("wal: the log holds %d records and can index at most %d: checkpoint to start a new one", b.logRecs, maxLogRecords)
+	}
 	if len(ops) > 1 {
 		b.batch.Append(batchLocal, uint64(len(ops)), nil)
 	}
 	for _, op := range ops {
 		b.batch.Append(op.Local, op.Sb.Epoch, op.Sb.Ct)
 	}
+	b.logRecs += recs
 	if err := b.batch.Add(len(ops)); err != nil {
 		// Leave the stored set untouched: the engine above has not
 		// applied these writes either, so live state stays consistent.
 		return err
 	}
-	for _, op := range ops {
-		b.store(op.Local, op.Sb) // validated above
+	first := b.logRecs - uint64(len(ops)) // the first op's record
+	for i, op := range ops {
+		b.index(op.Local, uint32(first+uint64(i))+1)
 	}
 	return nil
 }
@@ -356,6 +465,7 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	// recovery folds the reservation in and the restored sealer can never
 	// re-issue this checkpoint's IV for different plaintext.
 	b.batch.Append(backend.EpochReserveLocal, metaEpoch, nil)
+	b.logRecs++
 	if err := b.Flush(); err != nil {
 		return err
 	}
@@ -366,17 +476,26 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	f, err := format.Checkpoint(b.dir, newSeq, meta, metaEpoch, func(w *bufio.Writer) error {
 		var err error
 		next, err = b.writeBlocks(w)
-		// Let the old file go before the rename replaces it: a platform
-		// without the mapping holds it open, and Windows renames over no
-		// open file.
+		// Let the old files go before the renames replace them: a
+		// platform without the mapping holds them open, and Windows
+		// renames over no open file.
 		b.snap.close()
+		b.closeLog()
 		return err
 	}, b.fail)
 	if err != nil {
-		if had && b.snap.r == nil && !b.closed { // failed before the rename: the old file is still in place
+		if !b.closed { // failed before the rename: the old files are still in place
 			var rerr error
-			if b.snap.r, rerr = durable.OpenRegion(path, 0, false); rerr != nil {
-				return b.fail(fmt.Errorf("wal: %w", rerr))
+			if had && b.snap.r == nil {
+				if b.snap.r, rerr = durable.OpenRegion(path, 0, false); rerr != nil {
+					rerr = fmt.Errorf("wal: %w", rerr)
+				}
+			}
+			if rerr == nil && b.logR == nil {
+				rerr = b.openLog(logOff(b.logRecs))
+			}
+			if rerr != nil {
+				return b.fail(rerr)
 			}
 		}
 		return err
@@ -392,7 +511,10 @@ func (b *Backend) Checkpoint(meta []byte, metaEpoch uint64) error {
 	next.off = durable.PayloadOffset(len(meta)) + 8 // past the block count
 	b.snap = next
 	b.recent.Reset()
-	b.recentTop, b.extra = 0, 0
+	b.recentTop, b.extra, b.logRecs = 0, 0, 0
+	if err := b.openLog(headerSize); err != nil {
+		return b.fail(err)
+	}
 	return nil
 }
 
@@ -415,6 +537,7 @@ func (b *Backend) Close() error {
 	}
 	b.failErr = err // error-idempotent: a retried Close reports the same outcome
 	b.snap.close()
+	b.closeLog()
 	b.unlock()
 	return err
 }
@@ -423,14 +546,16 @@ func (b *Backend) Close() error {
 // ascending id order, so one stored set always writes the same bytes. It
 // merges the snapshot's records with recent's blocks, which replace the
 // records of their ids; each run of records between two recent ids is
-// copied as it lies in the file, under one fault guard for the whole
-// merge, and a fault fails the checkpoint. It returns the new section's
-// view but for its file (Checkpoint opens it once it is in place).
+// copied as it lies in the file, and each recent block is copied out of
+// the log, which holds every one of them (Checkpoint flushed first).
+// One fault guard covers the whole merge, and a fault fails the
+// checkpoint. It returns the new section's view but for its file
+// (Checkpoint opens it once it is in place).
 func (b *Backend) writeBlocks(w *bufio.Writer) (snapView, error) {
 	old := &b.snap
 	n := uint64(b.Len())
 	next := snapView{n: n, top: max(old.top, b.recentTop)}
-	var u [16]byte
+	var u [sealedLen]byte
 	binary.LittleEndian.PutUint64(u[:8], n)
 	w.Write(u[:8])
 	err := durable.Guarded(func() error {
@@ -445,7 +570,7 @@ func (b *Backend) writeBlocks(w *bufio.Writer) (snapView, error) {
 			return err
 		}
 		var err error
-		b.recent.Range(func(local uint64, sb backend.Sealed) {
+		b.recent.Ascending(func(local uint64, ref uint32) {
 			var to uint64
 			var replaced bool
 			if err == nil {
@@ -459,10 +584,13 @@ func (b *Backend) writeBlocks(w *bufio.Writer) (snapView, error) {
 			if replaced {
 				from++
 			}
-			binary.LittleEndian.PutUint64(u[0:8], local)
-			binary.LittleEndian.PutUint64(u[8:16], sb.Epoch)
+			binary.LittleEndian.PutUint64(u[:8], local)
+			w.Write(u[:8])
+			if !b.read(ref, u[:]) {
+				err = errUnreadable
+				return
+			}
 			w.Write(u[:])
-			w.Write(sb.Ct)
 		})
 		if err == nil {
 			err = run(old.n)
@@ -489,12 +617,14 @@ func (b *Backend) fail(err error) error {
 		b.logF = nil
 	}
 	b.snap.close()
+	b.closeLog()
 	b.unlock()
 	return err
 }
 
-// load opens the snapshot in place, replays the log tail into recent,
-// and leaves the log open for appending.
+// load opens the snapshot in place, indexes the log's records in recent
+// where they lie, and leaves the log open for appending and for reads in
+// place.
 func (b *Backend) load() error {
 	snap, r, err := format.MapSnapshot(b.dir)
 	if err != nil {
@@ -521,20 +651,29 @@ func (b *Backend) load() error {
 			}
 			return int(n)
 		},
+		// Each record is counted, so the next one's number is its place
+		// in the file.
 		Apply: func(recs []byte) {
 			if local, _ := durable.Fields(recs); local == batchLocal {
 				recs = recs[recordSize:]
+				b.logRecs++
 			}
 			for ; len(recs) > 0; recs = recs[recordSize:] {
 				local, epoch := durable.Fields(recs)
 				if local != backend.EpochReserveLocal {
-					// Copied into recent; a record only this directory's
+					// Indexed where it lies; a record only this directory's
 					// capacity rules out is reported once replay is over.
-					err := b.store(local, backend.Sealed{Ct: recs[16 : 16+crypt.BlockBytes], Epoch: epoch})
-					if err != nil && applyErr == nil {
-						applyErr = fmt.Errorf("wal: %s: %w", logName, err)
+					err := b.checkID(local)
+					if err == nil && b.logRecs >= maxLogRecords {
+						err = fmt.Errorf("wal: more than the %d records recent can index", maxLogRecords)
+					}
+					if err == nil {
+						b.index(local, uint32(b.logRecs)+1)
+					} else if applyErr == nil {
+						applyErr = fmt.Errorf("%w in %s", err, logName)
 					}
 				}
+				b.logRecs++
 				b.tail = append(b.tail, backend.TailOp{Local: local, Epoch: epoch})
 			}
 		},
@@ -552,6 +691,7 @@ func (b *Backend) load() error {
 			}
 			reserve := backend.TailOp{Local: backend.EpochReserveLocal, Epoch: last + uint64(records)}
 			b.tail = append(b.tail, reserve)
+			b.logRecs++ // persisted in the tail's place
 			rec := make([]byte, recordSize)
 			durable.Frame(rec, reserve.Local, reserve.Epoch, nil)
 			return rec
@@ -560,13 +700,16 @@ func (b *Backend) load() error {
 	if err == nil {
 		err = applyErr // Open's fail closes the log
 	}
+	if err == nil {
+		err = b.openLog(logOff(b.logRecs))
+	}
 	return err
 }
 
 // loadBlocks checks the snapshot's block section, which lies size bytes
 // long at off in the file. Ids in ascending order, as every build since
-// the slab writes them, are read from the file from then on; any other
-// order (older builds wrote map order) is copied into recent, and the
+// the slab writes them, are found by the section's own order; any other
+// order (older builds wrote map order) is indexed in recent, and the
 // next checkpoint rewrites the section ascending.
 func (b *Backend) loadBlocks(off, size int64) error {
 	v := &b.snap
@@ -600,19 +743,23 @@ func (b *Backend) loadBlocks(off, size int64) error {
 	return nil
 }
 
-// loadUnordered copies a snapshot section of n records in no particular
-// order into recent and lets the file go.
+// loadUnordered indexes a snapshot section of n records in no particular
+// order in recent, each where it lies. The section's view stays empty, so
+// no lookup searches it.
 func (b *Backend) loadUnordered(n uint64) error {
+	if n >= snapRef {
+		return fmt.Errorf("wal: %s: %d records in no order, more than recent can index", snapName, n)
+	}
 	var perr error
-	err := b.snap.each(n, func(_ uint64, rec []byte) bool {
-		sb := backend.Sealed{Ct: rec[16:blockRec], Epoch: binary.LittleEndian.Uint64(rec[8:])}
-		if err := b.store(binary.LittleEndian.Uint64(rec), sb); err != nil {
-			perr = fmt.Errorf("wal: %s: %w", snapName, err)
+	err := b.snap.each(n, func(i uint64, rec []byte) bool {
+		local := binary.LittleEndian.Uint64(rec)
+		if perr = b.checkID(local); perr != nil {
+			perr = fmt.Errorf("%w in %s", perr, snapName)
+			return false
 		}
-		return perr == nil
+		b.index(local, snapRef|uint32(i+1))
+		return true
 	})
-	b.snap.close()
-	b.snap = snapView{}
 	return errors.Join(err, perr)
 }
 
@@ -646,7 +793,7 @@ func (v *snapView) get(local uint64, buf []byte) (backend.Sealed, bool) {
 	return sb, true
 }
 
-var errUnreadable = errors.New("snapshot record cannot be read")
+var errUnreadable = errors.New("record cannot be read")
 
 // lowerBound returns the first record at or after from whose id is at
 // least local, and whether its id is local. Record i is block i when the

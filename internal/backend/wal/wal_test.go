@@ -302,6 +302,7 @@ func crashWithoutSync(b *Backend) {
 	b.logF.Close()
 	b.closed = true
 	b.snap.close()
+	b.closeLog()
 	b.unlock()
 }
 
